@@ -84,12 +84,20 @@ verify-obs:
 	$(GO) test -race ./internal/obs/...
 	$(GO) run ./tools/obscheck
 
-# verify-microcode races the v2 compile/verify/dispatch pipeline and replays
-# the FuzzAssemble seed+regression corpus (parse -> compile -> twin-engine
-# dispatch must never panic and must stay bit-identical).
+# verify-microcode races the v2 compile/verify/dispatch pipeline — its
+# package tests include the counted-loop kernel differential tests (every
+# unroll, budget, faulting lane and trace case against the reference
+# interpreter) — then the packet path around it (the pfe zero-allocation gate
+# and tail-clipping regression, mcagg compiled-vs-interpreter at every
+# unroll), and replays the FuzzAssemble seed+regression corpus before fuzzing
+# from it for 10 s (parse -> compile -> twin-engine dispatch must never panic
+# and must stay bit-identical).
 verify-microcode:
 	$(GO) test -race ./internal/microcode/
+	$(GO) test -race -run 'TestMicrocodeAppZeroAlloc|TestMicrocodeNegativeTailOffset' ./internal/trio/pfe/
+	$(GO) test -race -run 'TestMCAggCompiledMatchesInterpreter|TestMCAggUnrollVariantsAgree' ./internal/trioml/
 	$(GO) test -run FuzzAssemble ./internal/microcode/
+	$(GO) test -fuzz=FuzzAssemble -fuzztime=10s -run FuzzAssemble ./internal/microcode/
 
 # verify-apps races both in-network application packages (netrpc's concurrent
 # cache-service paths, infnet's classifier) and the harness's apps pins: the

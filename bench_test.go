@@ -288,13 +288,14 @@ end
 // dispatch benchmark measures the execution engines themselves rather than
 // PFE scheduling around them.
 type benchEnv struct {
-	mem  *smem.Memory
-	hash *hasheng.Table
-	tail []byte
+	mem   *smem.Memory
+	hash  *hasheng.Table
+	tail  []byte
+	reply [smem.MaxTxnBytes]byte // MemRead staging, as pfe.MicrocodeApp has
 }
 
 func (e *benchEnv) MemRead(now sim.Time, addr uint64, size int) ([]byte, sim.Time) {
-	return e.mem.Read(now, addr, size)
+	return e.mem.ReadStaged(now, addr, size, &e.reply)
 }
 func (e *benchEnv) MemWrite(now sim.Time, addr uint64, data []byte) sim.Time {
 	return e.mem.Write(now, addr, data)
@@ -303,14 +304,7 @@ func (e *benchEnv) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time
 	return e.mem.CounterInc(now, addr, pktLen)
 }
 func (e *benchEnv) ReadTail(now sim.Time, off, size int) ([]byte, sim.Time) {
-	end := off + size
-	if end > len(e.tail) {
-		end = len(e.tail)
-	}
-	if off > end {
-		off = end
-	}
-	return e.tail[off:end], now
+	return microcode.ClipTail(e.tail, off, size), now
 }
 func (e *benchEnv) WriteTail(now sim.Time, off int, data []byte) sim.Time {
 	if off >= 0 && off < len(e.tail) {
@@ -331,8 +325,11 @@ func (e *benchEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
 // BenchmarkMicrocodeDispatch compares the reference interpreter against the
 // v2 compiled dispatcher on the real aggregation workload: a stream of
 // 1024-gradient contributor packets through the mcagg program. Each
-// iteration runs one whole PPE thread; instrs/s is the dispatch throughput
-// (tools/benchmicro turns the two arms into BENCH_microcode.json).
+// iteration runs one whole PPE thread on the path pfe.MicrocodeApp.Process
+// takes — one Thread reset per packet, read replies staged in an Env-owned
+// buffer — so allocs/op is the per-packet allocation count of that path
+// (0); instrs/s is the dispatch throughput (tools/benchmicro turns the two
+// arms into BENCH_microcode.json).
 func BenchmarkMicrocodeDispatch(b *testing.B) {
 	const grads = 1024
 	const sources = 63 // max fan-in: 62 of 63 packets take the RMW loop
@@ -357,12 +354,13 @@ func BenchmarkMicrocodeDispatch(b *testing.B) {
 		b.ReportAllocs()
 		var instrs uint64
 		var now sim.Time
+		th := microcode.NewThread(env, 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			f := frames[i%sources]
 			env.tail = f[192:]
 			now += sim.Microsecond
-			th := microcode.NewThread(env, now)
+			th.Reset(env, now)
 			th.LoadHead(f[:192])
 			if _, err := exec(th); err != nil {
 				b.Fatal(err)

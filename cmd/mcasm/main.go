@@ -7,7 +7,7 @@
 //
 //	mcasm [-entry label] [-packet ipv4|ipv4opts|arp|none] [-stats] prog.mc
 //	mcasm -verify-only prog.mc      # static verification, no execution
-//	mcasm -dump-compiled prog.mc    # post-fusion listing with resolved pcs
+//	mcasm -dump-compiled prog.mc    # post-fusion listing with resolved pcs; lowered loops annotated
 //
 // Without -packet none, the program runs as a PPE thread on the packet and
 // the verdict, timing, and shared-memory counters are printed.

@@ -15,17 +15,21 @@ func runMcasm(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errb.String(), code
 }
 
+// filter has no loop; aggloop is the Fig. 10 add loop, whose listing must
+// carry the loop-kernel annotation (head, end, lanes, pass length).
 func TestDumpCompiledGolden(t *testing.T) {
-	out, errOut, code := runMcasm(t, "-dump-compiled", filepath.Join("testdata", "filter.mc"))
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut)
-	}
-	golden, err := os.ReadFile(filepath.Join("testdata", "filter.dump.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != string(golden) {
-		t.Fatalf("-dump-compiled output diverges from golden:\n--- got ---\n%s--- want ---\n%s", out, golden)
+	for _, name := range []string{"filter", "aggloop"} {
+		out, errOut, code := runMcasm(t, "-dump-compiled", filepath.Join("testdata", name+".mc"))
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", name, code, errOut)
+		}
+		golden, err := os.ReadFile(filepath.Join("testdata", name+".dump.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(golden) {
+			t.Fatalf("%s: -dump-compiled output diverges from golden:\n--- got ---\n%s--- want ---\n%s", name, out, golden)
+		}
 	}
 }
 

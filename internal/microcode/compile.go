@@ -2,10 +2,12 @@
 // pc-resolved internal representation — branch targets become instruction
 // indices, operands become pre-decoded accessors with their shift masks and
 // byte windows computed once, and the common Move/Cond shapes fuse into
-// superinstructions — which RunCompiled then dispatches with zero map
-// lookups and zero per-instruction allocations. The tree-walking Run in
-// exec.go stays as the reference interpreter; the two are cross-checked
-// instruction for instruction in tests.
+// superinstructions, and counted loops built only from those shapes lower
+// into kernels (loop.go) that retire a whole pass at a time — which
+// RunCompiled then dispatches with zero map lookups and zero per-instruction
+// allocations. The tree-walking Run in exec.go stays as the reference
+// interpreter; the two are cross-checked instruction for instruction in
+// tests.
 package microcode
 
 import (
@@ -72,21 +74,34 @@ func compileAcc(o Operand) acc {
 // same fault condition the interpreter's ptrBitOff enforces.
 func (t *Thread) ptrByteAddr(a *acc, nbytes uint64) uint64 {
 	addr := t.Regs[a.reg] + uint64(a.byteOff)
-	if addr+nbytes > LMemBytes {
+	if addr+nbytes > LMemBytes || addr+nbytes < addr {
 		panic(threadFault{fmt.Sprintf("pointer access r%d -> [%d,%d) outside %d-byte local memory", a.reg, addr, addr+nbytes, LMemBytes)})
 	}
 	return addr
 }
 
-func (t *Thread) readAcc(a *acc) uint64 {
+// load reads an operand. Immediates and full registers — most operands of
+// the non-loop instructions, and every XTXN address in the shipped programs —
+// resolve inline; the rest go through readAcc's accessor switch.
+func (t *Thread) load(a *acc) uint64 {
 	switch a.kind {
 	case accImm:
 		return a.val
 	case accReg:
 		return t.Regs[a.reg]
+	}
+	return t.readAcc(a)
+}
+
+// readAcc reads the accessor kinds load does not resolve inline.
+func (t *Thread) readAcc(a *acc) uint64 {
+	switch a.kind {
 	case accRegField:
 		return t.Regs[a.reg] >> a.off & a.mask
 	case accLMemBytes:
+		if a.nbytes == 8 {
+			return binary.BigEndian.Uint64(t.LMem[a.byteOff:])
+		}
 		var v uint64
 		for _, b := range t.LMem[a.byteOff : a.byteOff+a.nbytes] {
 			v = v<<8 | uint64(b)
@@ -116,6 +131,10 @@ func (t *Thread) writeAcc(a *acc, v uint64) {
 		m := a.mask << a.off
 		t.Regs[a.reg] = t.Regs[a.reg]&^m | v<<a.off&m
 	case accLMemBytes:
+		if a.nbytes == 8 {
+			binary.BigEndian.PutUint64(t.LMem[a.byteOff:], v)
+			return
+		}
 		for i := a.nbytes - 1; i >= 0; i-- {
 			t.LMem[a.byteOff+i] = byte(v)
 			v >>= 8
@@ -185,12 +204,14 @@ type ccase struct {
 	verdict    Verdict
 }
 
-// Dispatch-loop shape tags. The tag picks the lightest loop body the
-// instruction can use; tGeneric carries the full four-phase machinery.
+// Dispatch-loop shape tags. tGeneric carries the XTXN phase and the full
+// action set; every other shape has no XTXN and only goto actions, so the
+// dispatcher sequences it with one target pick.
 const (
 	tGeneric     uint8 = iota
-	tMovesJump         // moves only, unconditional jump: no conds to clear
+	tMovesJump         // moves only, unconditional jump: no conds to evaluate
 	tMovesBranch       // conds + moves + all-goto branch, no XTXN
+	tLoopHead          // tMovesJump that is also the head of a lowered loop (cop.loop)
 )
 
 // cop is one compiled micro-instruction.
@@ -199,10 +220,13 @@ type cop struct {
 	conds []ccond
 	moves []cmove
 	xtxn  *XTXN
+	xaddr acc // xtxn.Addr pre-decoded
+	xlen  acc // xtxn.Len pre-decoded; immediate 0 for kinds that ignore it
 	cases []ccase
 	def   ccase
 	label string
-	fused int // superinstructions fused into this op (dump annotation)
+	fused int         // superinstructions fused into this op (dump annotation)
+	loop  *loopKernel // tLoopHead only
 }
 
 // Compiled is a verified, lowered program ready for RunCompiled.
@@ -220,7 +244,8 @@ type Compiled struct {
 // instruction boundaries, so Stats.Instructions stays comparable).
 func (c *Compiled) Len() int { return len(c.ops) }
 
-// Fused reports how many operations were fused into superinstruction forms.
+// Fused reports how many operations were fused into superinstruction forms,
+// plus one per loop lowered into a kernel.
 func (c *Compiled) Fused() int { return c.fused }
 
 // Lookup resolves a label to a compiled pc.
@@ -246,6 +271,7 @@ func Compile(p *Program) (*Compiled, error) {
 		c.ops[pc] = c.compileInstr(p, pc)
 		c.fused += c.ops[pc].fused
 	}
+	c.lowerLoops()
 	mcProgramsCompiled.Add(1)
 	mcFusedOps.Add(uint64(c.fused))
 	return c, nil
@@ -296,6 +322,10 @@ func (c *Compiled) compileInstr(p *Program, pc int) cop {
 	if len(in.XTXNs) > 0 {
 		x := in.XTXNs[0] // MaxXTXNs == 1, enforced by validate
 		op.xtxn = &x
+		op.xaddr = compileAcc(x.Addr)
+		if x.Kind.usesLen() {
+			op.xlen = compileAcc(x.Len)
+		}
 	}
 
 	lower := func(a Action) ccase {
@@ -332,43 +362,46 @@ func (c *Compiled) compileInstr(p *Program, pc int) cop {
 	return op
 }
 
-// execMove runs one compiled Move with the interpreter's cascade semantics:
+// rmw32 is the mvPtrRMW32 body: B's window is resolved before the
+// destination's, matching the reference engine's fault order.
+func (t *Thread) rmw32(m *cmove) {
+	sa := t.ptrByteAddr(&m.b, 4)
+	da := t.ptrByteAddr(&m.dst, 4)
+	d := t.LMem[da : da+4]
+	v := alu(m.fn, uint64(binary.BigEndian.Uint32(d)), uint64(binary.BigEndian.Uint32(t.LMem[sa:])))
+	binary.BigEndian.PutUint32(d, uint32(v))
+}
+
+// execMove runs one unfused Move with the interpreter's cascade semantics:
 // B is evaluated before A (matching the reference engine's fault order), the
 // result is cropped to the destination width, then written.
 func (t *Thread) execMove(m *cmove) {
-	switch m.kind {
-	case mvRegOpImm:
-		t.Regs[m.dst.reg] = alu(m.fn, t.Regs[m.a.reg], m.b.val)
-		return
-	case mvPtrRMW32:
-		sa := t.ptrByteAddr(&m.b, 4)
-		da := t.ptrByteAddr(&m.dst, 4)
-		v := alu(m.fn, uint64(binary.BigEndian.Uint32(t.LMem[da:])), uint64(binary.BigEndian.Uint32(t.LMem[sa:])))
-		binary.BigEndian.PutUint32(t.LMem[da:da+4], uint32(v))
-		return
-	}
 	var b uint64
 	if m.fn != Pass {
-		b = t.readAcc(&m.b)
+		b = t.load(&m.b)
 	}
-	v := alu(m.fn, t.readAcc(&m.a), b)
+	v := alu(m.fn, t.load(&m.a), b)
+	if m.dst.kind == accReg {
+		t.Regs[m.dst.reg] = v // full width: nothing to crop
+		return
+	}
 	if m.crop != 0 {
 		v &= m.crop
 	}
 	t.writeAcc(&m.dst, v)
 }
 
-func (t *Thread) execCond(cd *ccond) {
-	switch cd.kind {
-	case cdRegImm:
-		if compare(cd.cmp, t.Regs[cd.a.reg], cd.b.val) {
-			t.conds |= cd.bit
-		}
-	default:
-		if compare(cd.cmp, t.readAcc(&cd.a), t.readAcc(&cd.b)) {
-			t.conds |= cd.bit
+// gotoes reports whether the action is a goto to instruction pc.
+func (a *ccase) gotoes(pc int) bool { return a.kind == ActGoto && a.target == pc }
+
+// pick selects the action of a multi-way branch under condition bits conds.
+func (op *cop) pick(conds uint8) *ccase {
+	for i := range op.cases {
+		if cs := &op.cases[i]; conds&cs.mask == cs.want {
+			return cs
 		}
 	}
+	return &op.def
 }
 
 // RunCompiled executes a compiled program from the entry label until the
@@ -377,12 +410,25 @@ func RunCompiled(c *Compiled, t *Thread, entry string) (Verdict, error) {
 	return RunCompiledLimited(c, t, entry, DefaultTiming(), DefaultBudget)
 }
 
-// RunCompiledLimited is the direct-threaded dispatch loop: a flat array of
-// pre-decoded ops, integer branch targets, a fixed-depth call stack, and no
-// allocation after entry. Its observable behaviour — Stats, Verdict, Now,
-// registers, local memory, fault classes — is bit-identical to RunLimited on
-// the same program.
-func RunCompiledLimited(c *Compiled, t *Thread, entry string, timing Timing, budget uint64) (v Verdict, err error) {
+// RunCompiledLimited is RunCompiledAt from a label.
+func RunCompiledLimited(c *Compiled, t *Thread, entry string, timing Timing, budget uint64) (Verdict, error) {
+	pc, ok := c.labels[entry]
+	if !ok {
+		return VerdictNone, fmt.Errorf("microcode: entry label %q not found", entry)
+	}
+	return RunCompiledAt(c, t, pc, timing, budget)
+}
+
+// RunCompiledAt is the direct-threaded dispatch loop, entered at instruction
+// index pc (from Lookup; a dispatcher resolves its entry label once, not per
+// packet): a flat array of pre-decoded ops, integer branch targets, a
+// fixed-depth call stack, and no allocation after entry. Its observable
+// behaviour — Stats, Verdict, Now, registers, local memory, fault classes —
+// is bit-identical to RunLimited on the same program.
+func RunCompiledAt(c *Compiled, t *Thread, pc int, timing Timing, budget uint64) (v Verdict, err error) {
+	if pc < 0 || pc >= len(c.ops) {
+		return VerdictNone, fmt.Errorf("microcode: entry pc %d outside program of %d instructions", pc, len(c.ops))
+	}
 	start := t.Stats.Instructions
 	defer func() {
 		mcDispatchInstrs.Add(t.Stats.Instructions - start)
@@ -394,19 +440,15 @@ func RunCompiledLimited(c *Compiled, t *Thread, entry string, timing Timing, bud
 			panic(r)
 		}
 	}()
-	return c.run(t, entry, timing, budget)
+	return c.run(t, pc, timing, budget)
 }
 
-func (c *Compiled) run(t *Thread, entry string, timing Timing, budget uint64) (Verdict, error) {
+func (c *Compiled) run(t *Thread, pc int, timing Timing, budget uint64) (Verdict, error) {
 	if timing.CycleTime == 0 {
 		timing.CycleTime = DefaultTiming().CycleTime
 	}
 	if timing.CyclesPerInstr == 0 {
 		timing.CyclesPerInstr = DefaultTiming().CyclesPerInstr
-	}
-	pc, ok := c.labels[entry]
-	if !ok {
-		return VerdictNone, fmt.Errorf("microcode: entry label %q not found", entry)
 	}
 	instrTime := sim.Time(timing.CyclesPerInstr) * timing.CycleTime
 	var stack [MaxCallDepth]int
@@ -416,65 +458,69 @@ func (c *Compiled) run(t *Thread, entry string, timing Timing, budget uint64) (V
 			return VerdictNone, fmt.Errorf("%w at %q", ErrBudget, c.ops[pc].label)
 		}
 		op := &c.ops[pc]
+		if op.tag == tLoopHead && t.TracePC == nil {
+			// Whole passes the kernel proves equivalent to stepping retire
+			// here; whatever it declines (a pass that would fault or outrun
+			// the budget) steps through the ordinary path below.
+			if done, next := op.loop.run(t, c.ops, instrTime, budget-n); done > 0 {
+				n += done - 1
+				pc = next
+				continue
+			}
+		}
 		t.Stats.Instructions++
 		if t.TracePC != nil {
 			t.TracePC(pc)
 		}
 
-		switch op.tag {
-		case tMovesJump:
-			// No conditions are read by this op and none survive an
-			// instruction boundary (every branch-bearing op clears them), so
-			// the conds reset is elided.
-			for i := range op.moves {
-				t.execMove(&op.moves[i])
-			}
-			t.Now += instrTime
-			pc = op.def.target
-			continue
-
-		case tMovesBranch:
-			t.conds = 0
-			for i := range op.conds {
-				t.execCond(&op.conds[i])
-			}
-			for i := range op.moves {
-				t.execMove(&op.moves[i])
-			}
-			t.Now += instrTime
-			tgt := op.def.target
-			for i := range op.cases {
-				if t.conds&op.cases[i].mask == op.cases[i].want {
-					tgt = op.cases[i].target
-					break
-				}
-			}
-			pc = tgt
-			continue
-		}
-
-		// tGeneric: the full four-phase machinery, identical in ordering to
-		// the reference interpreter.
+		// Phases 1 and 2, in the reference interpreter's order: Condition
+		// ALUs on pre-instruction state, then the Move ALUs in cascade. The
+		// fused shapes run here without a call.
 		t.conds = 0
 		for i := range op.conds {
-			t.execCond(&op.conds[i])
+			cd := &op.conds[i]
+			var hold bool
+			if cd.kind == cdRegImm {
+				hold = compare(cd.cmp, t.Regs[cd.a.reg], cd.b.val)
+			} else {
+				hold = compare(cd.cmp, t.load(&cd.a), t.load(&cd.b))
+			}
+			if hold {
+				t.conds |= cd.bit
+			}
 		}
 		for i := range op.moves {
-			t.execMove(&op.moves[i])
+			m := &op.moves[i]
+			switch m.kind {
+			case mvRegOpImm:
+				t.Regs[m.dst.reg] = alu(m.fn, t.Regs[m.dst.reg], m.b.val)
+			case mvPtrRMW32:
+				t.rmw32(m)
+			default:
+				t.execMove(m)
+			}
 		}
-		if op.xtxn != nil {
-			if err := t.issueXTXN(op.xtxn); err != nil {
+
+		if op.tag != tGeneric {
+			// No XTXN and every action a goto: sequencing is one target pick.
+			t.Now += instrTime
+			pc = op.pick(t.conds).target
+			continue
+		}
+
+		// tGeneric: the XTXN phase and the full action set.
+		if x := op.xtxn; x != nil {
+			err := t.beginXTXN()
+			if err == nil {
+				addr := t.load(&op.xaddr)
+				err = t.doXTXN(x, addr, t.load(&op.xlen))
+			}
+			if err != nil {
 				return VerdictNone, fmt.Errorf("microcode: %q: %w", op.label, err)
 			}
 		}
 		t.Now += instrTime
-		act := &op.def
-		for i := range op.cases {
-			if t.conds&op.cases[i].mask == op.cases[i].want {
-				act = &op.cases[i]
-				break
-			}
-		}
+		act := op.pick(t.conds)
 		switch act.kind {
 		case ActGoto:
 			pc = act.target

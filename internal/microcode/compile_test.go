@@ -3,15 +3,17 @@ package microcode
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
 
 // ---- cross-check: reference interpreter vs compiled dispatch ----
 
-// crossCheck runs src on both engines from identical initial state and
-// insists every observable is bit-identical: verdict, error, Stats, Now,
-// registers, local memory, and the per-instruction pc trace.
+// crossCheck runs src on both engines from identical initial state, once
+// with TracePC set (the compiled engine steps every instruction, and the pc
+// sequences must match) and once without (lowered loops run in their
+// kernels), and insists every observable is bit-identical each time.
 func crossCheck(t *testing.T, name, src string, init func(th *Thread, env *testEnv)) {
 	t.Helper()
 	p, err := Assemble(src)
@@ -22,8 +24,18 @@ func crossCheck(t *testing.T, name, src string, init func(th *Thread, env *testE
 	if err != nil {
 		t.Fatalf("%s: compile: %v", name, err)
 	}
-	entry := p.Instrs[0].Label
+	for _, traced := range []bool{true, false} {
+		diffEngines(t, name, p, c, p.Instrs[0].Label, DefaultBudget, traced, init)
+	}
+}
 
+// diffEngines runs p on the reference interpreter and c on the compiled
+// dispatcher from the state init builds, under the same budget, and fails on
+// any difference in verdict, error text, Stats, Now, registers, condition
+// bits, local memory, packet tail or (when traced) pc sequence. It returns
+// the interpreter's thread and error.
+func diffEngines(t *testing.T, name string, p *Program, c *Compiled, entry string, budget uint64, traced bool, init func(th *Thread, env *testEnv)) (*Thread, error) {
+	t.Helper()
 	mk := func() (*Thread, *testEnv) {
 		env := newTestEnv()
 		th := NewThread(env, 0)
@@ -32,23 +44,22 @@ func crossCheck(t *testing.T, name, src string, init func(th *Thread, env *testE
 		}
 		return th, env
 	}
-
 	thI, envI := mk()
 	thC, envC := mk()
 	var traceI, traceC []int
-	thI.TracePC = func(pc int) { traceI = append(traceI, pc) }
-	thC.TracePC = func(pc int) { traceC = append(traceC, pc) }
+	if traced {
+		thI.TracePC = func(pc int) { traceI = append(traceI, pc) }
+		thC.TracePC = func(pc int) { traceC = append(traceC, pc) }
+	}
+	name = fmt.Sprintf("%s (budget %d, traced %v)", name, budget, traced)
 
-	vI, errI := Run(p, thI, entry)
-	vC, errC := RunCompiled(c, thC, entry)
+	vI, errI := RunLimited(p, thI, entry, DefaultTiming(), budget)
+	vC, errC := RunCompiledLimited(c, thC, entry, DefaultTiming(), budget)
 
 	if vI != vC {
 		t.Fatalf("%s: verdict %v (interp) != %v (compiled)", name, vI, vC)
 	}
-	if (errI == nil) != (errC == nil) {
-		t.Fatalf("%s: err %v (interp) != %v (compiled)", name, errI, errC)
-	}
-	if errI != nil && errI.Error() != errC.Error() {
+	if fmt.Sprint(errI) != fmt.Sprint(errC) {
 		t.Fatalf("%s: err %q (interp) != %q (compiled)", name, errI, errC)
 	}
 	if thI.Stats != thC.Stats {
@@ -58,7 +69,10 @@ func crossCheck(t *testing.T, name, src string, init func(th *Thread, env *testE
 		t.Fatalf("%s: now %v (interp) != %v (compiled)", name, thI.Now, thC.Now)
 	}
 	if thI.Regs != thC.Regs {
-		t.Fatalf("%s: register files diverge", name)
+		t.Fatalf("%s: register files diverge:\n%v\n%v", name, thI.Regs, thC.Regs)
+	}
+	if thI.conds != thC.conds {
+		t.Fatalf("%s: conds %#x (interp) != %#x (compiled)", name, thI.conds, thC.conds)
 	}
 	if thI.LMem != thC.LMem {
 		t.Fatalf("%s: local memories diverge", name)
@@ -74,6 +88,7 @@ func crossCheck(t *testing.T, name, src string, init func(th *Thread, env *testE
 	if string(envI.tail) != string(envC.tail) {
 		t.Fatalf("%s: packet tails diverge", name)
 	}
+	return thI, errI
 }
 
 func ipv4Head() []byte {
@@ -418,7 +433,8 @@ func TestVerifyCallDepthBound(t *testing.T) {
 
 func TestCompileFusesLoopShapes(t *testing.T) {
 	// The Fig. 10 aggregation loop shape: the RMW add and the loop-control
-	// ops must all lower into superinstruction forms.
+	// ops must all lower into superinstruction forms, and the loop as a
+	// whole into a kernel on its head.
 	p := MustAssemble(`
 init: begin
     r12 = 448;
@@ -442,17 +458,27 @@ add_ctl: begin
 end
 `)
 	c := MustCompile(p)
-	if c.Fused() < 5 {
-		t.Fatalf("fused = %d, want >= 5 (rmw32 + 4 reg-op-imm + reg-imm cond)", c.Fused())
+	if c.Fused() != 6 {
+		t.Fatalf("fused = %d, want 6 (rmw32 + 3 reg-op-imm + reg-imm cond + loop kernel)", c.Fused())
 	}
 	add, _ := c.Lookup("add_loop")
-	if c.ops[add].tag != tMovesJump {
-		t.Fatalf("add_loop tag = %d, want tMovesJump", c.ops[add].tag)
+	ctl, _ := c.Lookup("add_ctl")
+	if c.ops[add].tag != tLoopHead {
+		t.Fatalf("add_loop tag = %d, want tLoopHead", c.ops[add].tag)
 	}
 	if c.ops[add].moves[0].kind != mvPtrRMW32 {
 		t.Fatalf("add_loop move 0 kind = %d, want mvPtrRMW32", c.ops[add].moves[0].kind)
 	}
-	ctl, _ := c.Lookup("add_ctl")
+	k := c.ops[add].loop
+	if k == nil || k.head != add || k.ctl != ctl || len(k.lanes) != 1 || k.passLen != 2 ||
+		k.dreg != 12 || k.sreg != 11 || k.dmax != LMemBytes-4 || k.smax != LMemBytes-4 {
+		t.Fatalf("add_loop kernel = %+v", k)
+	}
+	wantSteps := []regStep{{reg: 11, delta: 4}}
+	wantCtl := []regStep{{reg: 13, delta: ^uint64(0)}, {reg: 12, delta: 4}}
+	if fmt.Sprint(k.steps) != fmt.Sprint(wantSteps) || fmt.Sprint(k.ctlSteps) != fmt.Sprint(wantCtl) {
+		t.Fatalf("kernel steps = %v / %v, want %v / %v", k.steps, k.ctlSteps, wantSteps, wantCtl)
+	}
 	if c.ops[ctl].tag != tGeneric { // exit default keeps it generic
 		t.Fatalf("add_ctl tag = %d", c.ops[ctl].tag)
 	}
@@ -461,10 +487,347 @@ end
 	}
 
 	dump := c.DumpCompiled()
-	for _, want := range []string{"fused rmw32", "fused reg-op-imm", "fused reg-imm", "goto"} {
+	for _, want := range []string{"fused rmw32", "fused reg-op-imm", "fused reg-imm", "goto",
+		"[loop head]", "loop kernel: head 2 (add_loop) .. end 3 (add_ctl), 1 lanes, 2 instructions per pass"} {
 		if !strings.Contains(dump, want) {
 			t.Fatalf("DumpCompiled missing %q:\n%s", want, dump)
 		}
+	}
+}
+
+// ---- counted-loop kernels against the reference interpreter ----
+
+// loopProgram renders a counted RMW loop of the shape Compile lowers: u body
+// instructions (lane j at byte offset 4j of both pointers, the last one also
+// stepping the source pointer) and one control instruction. Registers r11
+// (source), r12 (destination) and r13 (lanes left) come from the caller.
+// inverted flips the branch sense (the case leaves the loop, the default is
+// the back edge); exitInCtl makes the leaving action an exit instead of a
+// goto, so the kernel must hand the last control instruction back.
+func loopProgram(u int, inverted, exitInCtl bool) string {
+	var b strings.Builder
+	for j := 0; j < u; j++ {
+		label, next := fmt.Sprintf("l%d", j), fmt.Sprintf("l%d", j+1)
+		if j == u-1 {
+			next = "ctl"
+		}
+		fmt.Fprintf(&b, "%s: begin\n    lmem32[r12 + %d] = lmem32[r12 + %d] + lmem32[r11 + %d];\n", label, 4*j, 4*j, 4*j)
+		if j == u-1 {
+			fmt.Fprintf(&b, "    r11 = r11 + %d;\n", 4*u)
+		}
+		fmt.Fprintf(&b, "    goto %s;\nend\n", next)
+	}
+	leave := "goto done;"
+	if exitInCtl {
+		leave = "exit(consume);"
+	}
+	fmt.Fprintf(&b, "ctl: begin\n    r13 = r13 - %d;\n    r12 = r12 + %d;\n", u, 4*u)
+	if inverted {
+		fmt.Fprintf(&b, "    if (r13 == %d) { %s }\n    goto l0;\nend\n", u, leave)
+	} else {
+		fmt.Fprintf(&b, "    if (r13 != %d) { goto l0; }\n    %s\nend\n", u, leave)
+	}
+	b.WriteString("done: begin\n    r0 = r0 + 1;\n    exit(forward);\nend\n")
+	return b.String()
+}
+
+// loopState seeds local memory with a non-trivial pattern (adds carry across
+// bytes) and points the loop at src/dst with lanes lanes to go.
+func loopState(src, dst, lanes uint64) func(th *Thread, env *testEnv) {
+	return func(th *Thread, env *testEnv) {
+		for i := range th.LMem {
+			th.LMem[i] = byte(i*37 + 11)
+		}
+		th.Regs[11], th.Regs[12], th.Regs[13] = src, dst, lanes
+	}
+}
+
+func TestLoopKernelMatchesInterpreter(t *testing.T) {
+	const lanes = 16
+	for _, u := range []int{1, 2, 4, 8, 16} {
+		for _, inverted := range []bool{false, true} {
+			for _, exitInCtl := range []bool{false, true} {
+				name := fmt.Sprintf("u%d inverted=%v exit=%v", u, inverted, exitInCtl)
+				p := MustAssemble(loopProgram(u, inverted, exitInCtl))
+				c := MustCompile(p)
+				k := c.ops[0].loop
+				if k == nil || len(k.lanes) != u || k.passLen != uint64(u+1) || k.ctl != u {
+					t.Fatalf("%s: loop not lowered: %+v", name, k)
+				}
+				for pc := 1; pc < c.Len(); pc++ {
+					if c.ops[pc].loop != nil {
+						t.Fatalf("%s: instruction %d heads a second kernel", name, pc)
+					}
+				}
+
+				// (c) the whole loop, traced and untraced.
+				var total uint64
+				for _, traced := range []bool{true, false} {
+					th, err := diffEngines(t, name, p, c, "l0", DefaultBudget, traced, loopState(64, 640, lanes))
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					total = th.Stats.Instructions
+				}
+				if want := uint64(lanes/u*(u+1) + 1); total != want && !exitInCtl {
+					t.Fatalf("%s: %d instructions, want %d", name, total, want)
+				}
+
+				// (a) a budget expiring on every instruction index of every pass.
+				for budget := uint64(0); budget <= total+1; budget++ {
+					diffEngines(t, name, p, c, "l0", budget, false, loopState(64, 640, lanes))
+				}
+
+				// (b) lane j of pass p faults, through either pointer: the
+				// pointer starts so that exactly that lane's window ends one
+				// word past local memory.
+				for lane := uint64(0); lane < lanes; lane++ {
+					edge := uint64(LMemBytes) - 4*lane
+					for _, st := range []func(*Thread, *testEnv){loopState(64, edge, lanes), loopState(edge, 64, lanes)} {
+						th, err := diffEngines(t, name, p, c, "l0", DefaultBudget, false, st)
+						if !errors.Is(err, ErrFault) {
+							t.Fatalf("%s: lane %d: err = %v, want a fault", name, lane, err)
+						}
+						if want := lane/uint64(u)*uint64(u+1) + lane%uint64(u) + 1; th.Stats.Instructions != want {
+							t.Fatalf("%s: lane %d faulted after %d instructions, want %d", name, lane, th.Stats.Instructions, want)
+						}
+					}
+				}
+
+				// A jump into the middle of the body steps to the control
+				// instruction and only then reaches the kernel.
+				if u > 1 {
+					diffEngines(t, name+" mid-entry", p, c, "l1", DefaultBudget, false, loopState(64, 640, lanes))
+				}
+				// Pointers that wrap the address space never reach the kernel.
+				diffEngines(t, name+" wrap", p, c, "l0", DefaultBudget, false, loopState(64, ^uint64(0)-3, lanes))
+				diffEngines(t, name+" wrap", p, c, "l0", DefaultBudget, false, loopState(^uint64(0)-7, 64, lanes))
+				// Overlapping source and destination windows.
+				diffEngines(t, name+" overlap", p, c, "l0", DefaultBudget, false, loopState(642, 640, lanes))
+			}
+		}
+	}
+}
+
+// The shapes around the run-ahead: loops whose control instruction is a
+// plain count in every direction the kernel recognises, and lowered loops it
+// must not run ahead on. Each runs whole, traced and untraced, and under
+// every budget up to its length (capped).
+func TestLoopKernelCounts(t *testing.T) {
+	const rmw = "    lmem32[r12] = lmem32[r12] + lmem32[r11];\n"
+	loop := func(bodySteps, ctl string) string {
+		return "l0: begin\n" + rmw + bodySteps + "    goto ctl;\nend\nctl: begin\n" + ctl + "end\ndone: begin\n    r0 = r0 + 1;\n    exit(forward);\nend\n"
+	}
+	cases := []struct {
+		name    string
+		src     string
+		state   func(th *Thread, env *testEnv)
+		counted bool
+	}{
+		{"count up", loop("    r11 = r11 + 4;\n",
+			"    r13 = r13 + 1;\n    r12 = r12 + 4;\n    if (r13 != 15) { goto l0; }\n    goto done;\n"),
+			loopState(64, 640, 0), true},
+		{"pointers walking down", loop("    r11 = r11 - 4;\n",
+			"    r13 = r13 - 1;\n    r12 = r12 - 4;\n    if (r13 != 1) { goto l0; }\n    goto done;\n"),
+			loopState(300, 900, 16), true},
+		{"pointer walking down past zero", loop("    r11 = r11 - 4;\n",
+			"    r13 = r13 - 1;\n    r12 = r12 - 4;\n    if (r13 != 1) { goto l0; }\n    goto done;\n"),
+			loopState(300, 20, 16), true},
+		{"destination pointer is the counter", loop("    r11 = r11 + 4;\n",
+			"    r12 = r12 + 4;\n    if (r12 != 700) { goto l0; }\n    goto done;\n"),
+			loopState(64, 640, 0), true},
+		{"counter stepped in the body", loop("    r13 = r13 - 1;\n",
+			"    r12 = r12 + 4;\n    r11 = r11 + 4;\n    if (r13 == 0) { goto done; }\n    goto l0;\n"),
+			loopState(64, 640, 16), true},
+		{"counter stepped in body and control", loop("    r13 = r13 - 1;\n",
+			"    r13 = r13 - 1;\n    r12 = r12 + 4;\n    if (r13 != 1) { goto l0; }\n    goto done;\n"),
+			loopState(64, 640, 32), true},
+		{"stride that steps over the bound", loop("    r11 = r11 + 4;\n",
+			"    r13 = r13 - 2;\n    r12 = r12 + 4;\n    if (r13 != 2) { goto l0; }\n    goto done;\n"),
+			loopState(64, 640, 15), true},
+		{"counter already past the bound", loop("    r11 = r11 + 4;\n",
+			"    r13 = r13 - 1;\n    r12 = r12 + 4;\n    if (r13 != 1) { goto l0; }\n    goto done;\n"),
+			loopState(64, 640, 0), true},
+		{"counter that never moves", loop("    r11 = r11 + 4;\n",
+			"    r12 = r12 + 4;\n    if (r13 != 1) { goto l0; }\n    goto done;\n"),
+			loopState(64, 640, 16), true},
+		{"ordered compare", loop("    r11 = r11 + 4;\n",
+			"    r13 = r13 - 1;\n    r12 = r12 + 4;\n    if (r13 > 1) { goto l0; }\n    goto done;\n"),
+			loopState(64, 640, 16), false},
+		{"continues while equal", loop("    r11 = r11 + 4;\n",
+			"    r13 = r13 - 1;\n    r12 = r12 + 4;\n    if (r13 == 16) { goto l0; }\n    goto done;\n"),
+			loopState(64, 640, 16), false},
+		{"both actions are the back edge", loop("    r11 = r11 + 4;\n",
+			"    r13 = r13 - 1;\n    r12 = r12 + 4;\n    if (r13 != 1) { goto l0; }\n    goto l0;\n"),
+			loopState(64, 640, 16), false},
+		{"two compares", loop("    r11 = r11 + 4;\n",
+			"    r13 = r13 - 1;\n    r12 = r12 + 4;\n    if (r13 != 1 && r12 != 2000) { goto l0; }\n    goto done;\n"),
+			loopState(64, 640, 16), false},
+	}
+	for _, tc := range cases {
+		p := MustAssemble(tc.src)
+		c := MustCompile(p)
+		k := c.ops[0].loop
+		if k == nil {
+			t.Fatalf("%s: loop not lowered", tc.name)
+		}
+		if (k.count != nil) != tc.counted {
+			t.Fatalf("%s: count = %+v, want counted=%v", tc.name, k.count, tc.counted)
+		}
+		const limit = 3000 // the loops that never reach their bound end in a pointer fault first
+		var total uint64
+		for _, traced := range []bool{true, false} {
+			th, _ := diffEngines(t, tc.name, p, c, "l0", limit, traced, tc.state)
+			total = th.Stats.Instructions
+		}
+		if total >= limit {
+			t.Fatalf("%s: ran into the %d-instruction limit", tc.name, limit)
+		}
+		for budget := uint64(0); budget <= min(total+1, 100); budget++ {
+			diffEngines(t, tc.name, p, c, "l0", budget, false, tc.state)
+		}
+	}
+}
+
+func TestSpan(t *testing.T) {
+	neg := func(v uint64) uint64 { return -v }
+	for _, tc := range []struct{ ptr, max, step, want uint64 }{
+		{0, 1276, 4, 320},  // 0, 4, ..., 1276
+		{1276, 1276, 4, 1}, // only the first
+		{1277, 1276, 4, 0}, // already outside
+		{1270, 1276, 4, 2}, // 1270, 1274
+		{10, 1276, 0, math.MaxUint64},
+		{10, 1276, neg(4), 3},        // 10, 6, 2, then it would wrap
+		{8, 1276, neg(4), 3},         // 8, 4, 0
+		{0, 1276, neg(4), 1},         // 0
+		{100, 1276, 1 << 62, 1},      // one huge stride leaves local memory
+		{100, 1276, neg(1 << 62), 1}, // or wraps
+		{5, 1276, 1 << 63, 1},        // -2^63 as a step
+	} {
+		if got := span(tc.ptr, tc.max, tc.step); got != tc.want {
+			t.Errorf("span(%d, %d, %#x) = %d, want %d", tc.ptr, tc.max, tc.step, got, tc.want)
+		}
+	}
+}
+
+// Loops outside the lowering rule keep stepping — and keep matching.
+func TestLoopShapesNotLowered(t *testing.T) {
+	cases := map[string]string{
+		"lanes through different pointers": `
+l0: begin
+    lmem32[r12] = lmem32[r12] + lmem32[r11];
+    goto l1;
+end
+l1: begin
+    lmem32[r14 + 4] = lmem32[r14 + 4] + lmem32[r11 + 4];
+    goto ctl;
+end
+ctl: begin
+    r13 = r13 - 2;
+    if (r13 != 2) { goto l0; }
+    exit(forward);
+end
+`,
+		"step before the read-modify-write": `
+l0: begin
+    r11 = r11 + 4;
+    lmem32[r12] = lmem32[r12] + lmem32[r11];
+    goto ctl;
+end
+ctl: begin
+    r13 = r13 - 1;
+    r12 = r12 + 4;
+    if (r13 != 1) { goto l0; }
+    exit(forward);
+end
+`,
+		"step that is not an add or subtract": `
+l0: begin
+    lmem32[r12] = lmem32[r12] + lmem32[r11];
+    goto ctl;
+end
+ctl: begin
+    r13 = r13 >> 1;
+    if (r13 != 1) { goto l0; }
+    exit(forward);
+end
+`,
+		"control instruction with an XTXN": `
+l0: begin
+    lmem32[r12] = lmem32[r12] + lmem32[r11];
+    goto ctl;
+end
+ctl: begin
+    r13 = r13 - 1;
+    async counter_inc(0x40, 1);
+    if (r13 != 1) { goto l0; }
+    exit(forward);
+end
+`,
+		"compare against a register": `
+l0: begin
+    lmem32[r12] = lmem32[r12] + lmem32[r11];
+    goto ctl;
+end
+ctl: begin
+    r13 = r13 - 1;
+    if (r13 != r9) { goto l0; }
+    exit(forward);
+end
+`,
+		"lane offset beyond local memory": `
+l0: begin
+    lmem32[r12 + 1400] = lmem32[r12 + 1400] + lmem32[r11];
+    goto ctl;
+end
+ctl: begin
+    r13 = r13 - 1;
+    if (r13 != 1) { goto l0; }
+    exit(forward);
+end
+`,
+		"control move from another register": `
+l0: begin
+    lmem32[r12] = lmem32[r12] + lmem32[r11];
+    goto ctl;
+end
+ctl: begin
+    r13 = r9 - 1;
+    if (r13 != 1) { goto l0; }
+    exit(forward);
+end
+`,
+		"body move that is not a step": `
+l0: begin
+    lmem32[r12] = lmem32[r12] + lmem32[r11];
+    r11 = r9 + 4;
+    goto ctl;
+end
+ctl: begin
+    r13 = r13 - 1;
+    if (r13 != 1) { goto l0; }
+    exit(forward);
+end
+`,
+		"body with no control instruction": `
+l0: begin
+    lmem32[r12] = lmem32[r12] + lmem32[r11];
+    goto l0;
+end
+`,
+	}
+	for name, src := range cases {
+		c := MustCompile(MustAssemble(src))
+		for pc := range c.ops {
+			if c.ops[pc].loop != nil || c.ops[pc].tag == tLoopHead {
+				t.Fatalf("%s: instruction %d was lowered", name, pc)
+			}
+		}
+		p := c.Src
+		diffEngines(t, name, p, c, "l0", 200, false, func(th *Thread, env *testEnv) {
+			loopState(64, 640, 16)(th, env)
+			th.Regs[14], th.Regs[9] = 700, 1
+		})
 	}
 }
 

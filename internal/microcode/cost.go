@@ -93,6 +93,8 @@ func tagName(tag uint8) string {
 		return "moves+jump"
 	case tMovesBranch:
 		return "moves+branch"
+	case tLoopHead:
+		return "loop head"
 	}
 	return "generic"
 }
@@ -123,15 +125,25 @@ func (c *Compiled) caseString(cs *ccase) string {
 
 // DumpCompiled renders the post-fusion listing with resolved pcs — what
 // `mcasm -dump-compiled` prints. Every branch target is an instruction
-// index; fused operations are annotated.
+// index; fused operations and lowered loops are annotated.
 func (c *Compiled) DumpCompiled() string {
 	var b strings.Builder
 	cost := c.Cost()
-	fmt.Fprintf(&b, "compiled %q: %d instructions, %d superinstructions fused, %d xtxn sites (%d sync)\n",
-		c.Name, cost.StaticInstructions, cost.FusedOps, cost.XTXNSites, cost.SyncXTXNSites)
+	loops := 0
+	for pc := range c.ops {
+		if c.ops[pc].loop != nil {
+			loops++
+		}
+	}
+	fmt.Fprintf(&b, "compiled %q: %d instructions, %d superinstructions fused (loop kernels: %d), %d xtxn sites (%d sync)\n",
+		c.Name, cost.StaticInstructions, cost.FusedOps, loops, cost.XTXNSites, cost.SyncXTXNSites)
 	for pc := range c.ops {
 		op := &c.ops[pc]
 		fmt.Fprintf(&b, "%4d %-14s [%s]\n", pc, op.label+":", tagName(op.tag))
+		if k := op.loop; k != nil {
+			fmt.Fprintf(&b, "       loop kernel: head %d (%s) .. end %d (%s), %d lanes, %d instructions per pass\n",
+				k.head, op.label, k.ctl, c.ops[k.ctl].label, len(k.lanes), k.passLen)
+		}
 		for i := range op.conds {
 			cd := &op.conds[i]
 			note := ""

@@ -10,8 +10,18 @@ import (
 
 // Env is the set of XTXN targets a thread can reach over the crossbar:
 // shared memory, the counter block, the hash engine, and the packet-tail
-// path of the Memory and Queueing Subsystem. internal/trio/ppe provides the
+// path of the Memory and Queueing Subsystem. internal/trio/pfe provides the
 // production implementation; tests can stub it.
+//
+// Reply lifetime: the slice MemRead or ReadTail returns is only valid until
+// the next call on the Env. The engine copies it into local memory before it
+// issues anything else, so an implementation may return a view of its own
+// storage or reuse one staging buffer for every reply. Conversely, the data
+// slice passed to MemWrite and WriteTail aliases the thread's local memory
+// and must not be retained past the call.
+//
+// Tail offsets come straight from a program operand and may be negative or
+// past the end; ClipTail gives the clipping every ReadTail must apply.
 type Env interface {
 	MemRead(now sim.Time, addr uint64, size int) ([]byte, sim.Time)
 	MemWrite(now sim.Time, addr uint64, data []byte) sim.Time
@@ -68,6 +78,26 @@ func NewThread(env Env, start sim.Time) *Thread {
 	return &Thread{Env: env, Now: start}
 }
 
+// Reset returns t to the state NewThread(env, start) creates — zeroed local
+// memory, registers and statistics, no trace hook — so a dispatcher can
+// recycle one Thread across packets instead of allocating 1.5 KB for each.
+func (t *Thread) Reset(env Env, start sim.Time) {
+	*t = Thread{Env: env, Now: start, stack: t.stack[:0]}
+}
+
+// ClipTail returns the window [off, off+size) of a packet tail the way
+// ReadTail XTXNs see it: a read running past the end is short, and an offset
+// outside the tail (negative, or beyond its end) reads nothing.
+func ClipTail(tail []byte, off, size int) []byte {
+	if off < 0 || off > len(tail) {
+		return nil
+	}
+	if size > len(tail)-off {
+		size = len(tail) - off
+	}
+	return tail[off : off+size]
+}
+
 // LoadHead copies a packet head into the bottom of local memory, as the
 // dispatch hardware does before the thread starts (§2.2).
 func (t *Thread) LoadHead(head []byte) {
@@ -89,7 +119,7 @@ var ErrFault = errors.New("microcode: thread fault")
 func (t *Thread) ptrBitOff(o Operand) uint {
 	byteAddr := t.Regs[o.Reg] + uint64(o.Off/8)
 	end := byteAddr + uint64((o.Width+7)/8)
-	if end > LMemBytes {
+	if end > LMemBytes || end < byteAddr { // past the end, or wrapped around 2^64
 		panic(threadFault{fmt.Sprintf("pointer access r%d -> [%d,%d) outside %d-byte local memory", o.Reg, byteAddr, end, LMemBytes)})
 	}
 	return uint(byteAddr) * 8
@@ -314,52 +344,64 @@ func runLimited(p *Program, t *Thread, entry string, timing Timing, budget uint6
 	}
 }
 
-func (t *Thread) issueXTXN(x *XTXN) error {
+// beginXTXN is the part of an XTXN issue that precedes operand evaluation:
+// both engines count the transaction before an operand can fault.
+func (t *Thread) beginXTXN() error {
 	if t.Env == nil {
 		return errors.New("XTXN issued with no environment")
 	}
 	t.Stats.XTXNs++
+	return nil
+}
+
+// usesLen reports whether the kind reads the Len operand.
+func (k XTXNKind) usesLen() bool { return k == XTXNCounterInc || k == XTXNHashInsert }
+
+// issueXTXN is the reference engine's XTXN phase: operands are evaluated
+// through the tree-walking read, Addr before Len.
+func (t *Thread) issueXTXN(x *XTXN) error {
+	if err := t.beginXTXN(); err != nil {
+		return err
+	}
+	addr := t.read(x.Addr)
+	var ln uint64
+	if x.Kind.usesLen() {
+		ln = t.read(x.Len)
+	}
+	return t.doXTXN(x, addr, ln)
+}
+
+// doXTXN performs the transaction with its operands already evaluated.
+func (t *Thread) doXTXN(x *XTXN, addr, ln uint64) error {
 	issue := t.Now
 	var done sim.Time
 	switch x.Kind {
 	case XTXNMemRead:
-		data, d := t.Env.MemRead(issue, t.read(x.Addr), x.Size)
+		data, d := t.Env.MemRead(issue, addr, x.Size)
 		copy(t.LMem[x.LMemOff:], data)
 		done = d
 	case XTXNMemWrite:
-		done = t.Env.MemWrite(issue, t.read(x.Addr), t.LMem[x.LMemOff:int(x.LMemOff)+x.Size])
+		done = t.Env.MemWrite(issue, addr, t.LMem[x.LMemOff:int(x.LMemOff)+x.Size])
 	case XTXNCounterInc:
-		done = t.Env.CounterInc(issue, t.read(x.Addr), uint32(t.read(x.Len)))
+		done = t.Env.CounterInc(issue, addr, uint32(ln))
 	case XTXNReadTail:
-		data, d := t.Env.ReadTail(issue, int(t.read(x.Addr)), x.Size)
+		data, d := t.Env.ReadTail(issue, int(addr), x.Size)
 		copy(t.LMem[x.LMemOff:], data)
 		done = d
 	case XTXNWriteTail:
-		done = t.Env.WriteTail(issue, int(t.read(x.Addr)), t.LMem[x.LMemOff:int(x.LMemOff)+x.Size])
+		done = t.Env.WriteTail(issue, int(addr), t.LMem[x.LMemOff:int(x.LMemOff)+x.Size])
 	case XTXNHashLookup:
-		val, ok, d := t.Env.HashLookup(issue, t.read(x.Addr))
+		val, ok, d := t.Env.HashLookup(issue, addr)
 		t.Regs[XTXNReplyReg] = val
-		if ok {
-			t.conds |= 1 << XTXNHitCond
-		} else {
-			t.conds &^= 1 << XTXNHitCond
-		}
+		t.setHit(ok)
 		done = d
 	case XTXNHashInsert:
-		ok, d := t.Env.HashInsert(issue, t.read(x.Addr), t.read(x.Len))
-		if ok {
-			t.conds |= 1 << XTXNHitCond
-		} else {
-			t.conds &^= 1 << XTXNHitCond
-		}
+		ok, d := t.Env.HashInsert(issue, addr, ln)
+		t.setHit(ok)
 		done = d
 	case XTXNHashDelete:
-		ok, d := t.Env.HashDelete(issue, t.read(x.Addr))
-		if ok {
-			t.conds |= 1 << XTXNHitCond
-		} else {
-			t.conds &^= 1 << XTXNHitCond
-		}
+		ok, d := t.Env.HashDelete(issue, addr)
+		t.setHit(ok)
 		done = d
 	default:
 		return fmt.Errorf("unknown XTXN kind %d", x.Kind)
@@ -371,4 +413,13 @@ func (t *Thread) issueXTXN(x *XTXN) error {
 		t.Now = done
 	}
 	return nil
+}
+
+// setHit records a hash-engine reply in the hit condition bit.
+func (t *Thread) setHit(ok bool) {
+	if ok {
+		t.conds |= 1 << XTXNHitCond
+	} else {
+		t.conds &^= 1 << XTXNHitCond
+	}
 }

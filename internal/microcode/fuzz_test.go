@@ -6,11 +6,14 @@ import (
 	"github.com/trioml/triogo/internal/sim"
 )
 
-// fuzzEnv is a hermetic, panic-free Env: shared memory and tail are fixed
-// arrays with modulo addressing, the hash engine is a plain map. Fuzzed
-// programs can issue any XTXN without reaching engine-level contracts
-// (smem's address-space checks), so every panic the fuzzer finds is a
-// microcode pipeline bug.
+// fuzzEnv is a hermetic, panic-free Env: shared memory is a fixed array
+// with modulo addressing, the hash engine is a plain map. Fuzzed programs
+// can issue any XTXN without reaching engine-level contracts (smem's
+// address-space checks), so every panic the fuzzer finds is a microcode
+// pipeline bug. The tail is bounded and clipped exactly as the production
+// environments clip theirs (ClipTail; writes outside it are ignored), so a
+// negative or oversized tail offset computed by a fuzzed program exercises
+// that clipping instead of wrapping harmlessly.
 type fuzzEnv struct {
 	mem  [8192]byte
 	tail [512]byte
@@ -37,15 +40,11 @@ func (e *fuzzEnv) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time 
 	return now + 70
 }
 func (e *fuzzEnv) ReadTail(now sim.Time, off, size int) ([]byte, sim.Time) {
-	b := make([]byte, size)
-	for i := range b {
-		b[i] = e.tail[(uint64(off)+uint64(i))%uint64(len(e.tail))]
-	}
-	return b, now + 70
+	return ClipTail(e.tail[:], off, size), now + 70
 }
 func (e *fuzzEnv) WriteTail(now sim.Time, off int, data []byte) sim.Time {
-	for i, v := range data {
-		e.tail[(uint64(off)+uint64(i))%uint64(len(e.tail))] = v
+	if off >= 0 && off < len(e.tail) {
+		copy(e.tail[off:], data)
 	}
 	return now + 70
 }
@@ -84,6 +83,14 @@ func FuzzAssemble(f *testing.F) {
 	// netrpc family: keyed-table claim (hash insert + record write-back) and
 	// a register-addressed counter increment on the serve path.
 	f.Add("program rpc;\n\ndefine RS = 1024;\n\nreg rpc = r2;\nreg slot = r3;\nreg rec = r4;\nreg tmp = r8;\n\nlook:\nbegin\n    rpc = lmem64[50];\n    hash_lookup(rpc);\n    if (c0 == 1) { goto serve; }\n    goto claim;\nend\n\nclaim:\nbegin\n    slot = rpc & 1023;\n    lmem64[RS] = rpc;\n    lmem64[RS + 8] = 1;\n    goto claim2;\nend\n\nclaim2:\nbegin\n    async mem_write(rec, 32, RS);\n    hash_insert(rpc, slot);\n    counter_inc(0, 1);\n    exit(forward);\nend\n\nserve:\nbegin\n    tmp = slot * 16;\n    counter_inc(tmp, 32);\n    lmem8[42] = 2;\n    exit(forward);\nend\n")
+	// Counted-loop kernels. A pointer that starts 8 bytes short of the end of
+	// local memory faults in lane 2 of the first pass of a 3-lane loop; a
+	// countdown from 0 to 1 never ends, so the 4096-instruction budget expires
+	// inside a 4-instruction pass (1 + 4*1023 + 3); and a negative tail
+	// offset (k*64 - 138 at k < 3) reaches the environment's clipping.
+	f.Add("program fault;\n\ns:\nbegin\n    r12 = 1272;\n    r13 = 9;\n    goto l0;\nend\n\nl0:\nbegin\n    lmem32[r12] = lmem32[r12] + lmem32[r11];\n    goto l1;\nend\n\nl1:\nbegin\n    lmem32[r12 + 4] = lmem32[r12 + 4] + lmem32[r11 + 4];\n    goto l2;\nend\n\nl2:\nbegin\n    lmem32[r12 + 8] = lmem32[r12 + 8] + lmem32[r11 + 8];\n    r11 = r11 + 12;\n    goto ctl;\nend\n\nctl:\nbegin\n    r13 = r13 - 3;\n    r12 = r12 + 12;\n    if (r13 != 3) { goto l0; }\n    exit(consume);\nend\n")
+	f.Add("program spin;\n\ns:\nbegin\n    r12 = 640;\n    goto l0;\nend\n\nl0:\nbegin\n    lmem32[r12] = lmem32[r12] + lmem32[r11];\n    goto l1;\nend\n\nl1:\nbegin\n    lmem32[r12 + 4] = lmem32[r12 + 4] ^ lmem32[r11 + 4];\n    goto l2;\nend\n\nl2:\nbegin\n    lmem32[r12 + 8] = lmem32[r12 + 8] - lmem32[r11 + 8];\n    goto ctl;\nend\n\nctl:\nbegin\n    r13 = r13 - 1;\n    if (r13 == 1) { exit(forward); }\n    goto l0;\nend\n")
+	f.Add("program negtail;\n\ns:\nbegin\n    r15 = 1;\n    goto rd;\nend\n\nrd:\nbegin\n    r16 = r15 * 64 - 138;\n    goto rd2;\nend\n\nrd2:\nbegin\n    tail_read(r16, 64, 320);\n    goto wr;\nend\n\nwr:\nbegin\n    tail_write(r16, 64, 320);\n    exit(forward);\nend\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Assemble(src)
 		if err != nil {

@@ -45,7 +45,7 @@ func RegisterObs(reg *obs.Registry) {
 	}, mcProgramsCompiled.Load)
 	reg.CounterFunc(obs.Desc{
 		Name: "triogo_microcode_superinstructions_fused_total",
-		Help: "Move/Cond operations fused into superinstruction forms at compile time",
+		Help: "Move/Cond operations fused into superinstruction forms, plus loops lowered into kernels, at compile time",
 		Unit: "ops",
 	}, mcFusedOps.Load)
 	reg.CounterFunc(obs.Desc{

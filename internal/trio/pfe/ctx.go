@@ -6,6 +6,7 @@ import (
 	"github.com/trioml/triogo/internal/microcode"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio/hasheng"
+	"github.com/trioml/triogo/internal/trio/smem"
 )
 
 // CtxStats counts one thread's dynamic activity.
@@ -98,18 +99,11 @@ func (c *Ctx) span(cat, name string, start, done sim.Time) {
 // Subsystem, §3.1). Short reads at the end of the tail return what remains.
 func (c *Ctx) ReadTail(off, size int) []byte {
 	c.stats.XTXNs++
-	end := off + size
-	if end > len(c.tail) {
-		end = len(c.tail)
-	}
-	if off > end {
-		off = end
-	}
 	// Tail data crosses the crossbar with SRAM-class latency.
 	done := c.now + 70*sim.Nanosecond
 	c.span("pbuf", "tail_read", c.now, done)
 	c.wait(done)
-	return c.tail[off:end]
+	return microcode.ClipTail(c.tail, off, size)
 }
 
 // WriteTail writes bytes into the packet tail held in the Packet Buffer —
@@ -288,48 +282,48 @@ func (c *Ctx) rebuildFrame() []byte {
 
 // mcEnv adapts a Ctx to microcode.Env so assembled programs can run on PPE
 // threads with identical XTXN semantics.
-type mcEnv struct{ c *Ctx }
-
-func (e mcEnv) MemRead(now sim.Time, addr uint64, size int) ([]byte, sim.Time) {
-	return e.c.pfe.Mem.Read(now, addr, size)
+type mcEnv struct {
+	c     *Ctx
+	reply [smem.MaxTxnBytes]byte
 }
-func (e mcEnv) MemWrite(now sim.Time, addr uint64, data []byte) sim.Time {
+
+// MemRead stages the reply in the environment's own buffer; microcode.Env
+// lets a reply live only until the next call.
+func (e *mcEnv) MemRead(now sim.Time, addr uint64, size int) ([]byte, sim.Time) {
+	return e.c.pfe.Mem.ReadStaged(now, addr, size, &e.reply)
+}
+func (e *mcEnv) MemWrite(now sim.Time, addr uint64, data []byte) sim.Time {
 	return e.c.pfe.Mem.Write(now, addr, data)
 }
-func (e mcEnv) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
+func (e *mcEnv) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
 	return e.c.pfe.Mem.CounterInc(now, addr, pktLen)
 }
-func (e mcEnv) ReadTail(now sim.Time, off, size int) ([]byte, sim.Time) {
-	end := off + size
-	if end > len(e.c.tail) {
-		end = len(e.c.tail)
-	}
-	if off > end {
-		off = end
-	}
-	return e.c.tail[off:end], now + 70*sim.Nanosecond
+func (e *mcEnv) ReadTail(now sim.Time, off, size int) ([]byte, sim.Time) {
+	return microcode.ClipTail(e.c.tail, off, size), now + 70*sim.Nanosecond
 }
-func (e mcEnv) WriteTail(now sim.Time, off int, data []byte) sim.Time {
+func (e *mcEnv) WriteTail(now sim.Time, off int, data []byte) sim.Time {
 	if off >= 0 && off < len(e.c.tail) {
 		copy(e.c.tail[off:], data)
 	}
 	return now + 70*sim.Nanosecond
 }
-func (e mcEnv) HashLookup(now sim.Time, key uint64) (uint64, bool, sim.Time) {
+func (e *mcEnv) HashLookup(now sim.Time, key uint64) (uint64, bool, sim.Time) {
 	return e.c.pfe.Hash.Lookup(now, key)
 }
-func (e mcEnv) HashInsert(now sim.Time, key, val uint64) (bool, sim.Time) {
+func (e *mcEnv) HashInsert(now sim.Time, key, val uint64) (bool, sim.Time) {
 	return e.c.pfe.Hash.Insert(now, key, val)
 }
-func (e mcEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
+func (e *mcEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
 	return e.c.pfe.Hash.Delete(now, key)
 }
 
 // MicrocodeApp wraps an assembled program as a PFE application. EgressPort
 // selects where forwarded packets leave; Entry is the first instruction
-// label ("" means the program's first instruction). Setup, when non-nil,
-// initializes thread registers from the packet (the dispatcher's metadata
-// hand-off, e.g. r1 = packet length).
+// label ("" means the program's first instruction) and is resolved when the
+// program compiles, so set it before that. Setup, when non-nil, initializes
+// thread registers from the packet (the dispatcher's metadata hand-off, e.g.
+// r1 = packet length). The thread Setup and Finish see is the app's one
+// thread, reset for the next packet: neither may retain it.
 //
 // Packets dispatch through the compiled v2 pipeline: the first Process call
 // compiles (and statically verifies) Program, and every thread then runs on
@@ -367,11 +361,19 @@ type MicrocodeApp struct {
 
 	compiled    *microcode.Compiled
 	compileDone bool
+	entryPC     int // Entry resolved against compiled
+
+	// One thread's state, reset per packet rather than reallocated. A PFE
+	// runs each thread to completion inside Process, so the app (which serves
+	// one PFE) never has two in flight.
+	th  microcode.Thread
+	env mcEnv
 }
 
 // Compile eagerly lowers the app's program through the verify/compile
-// pipeline, returning the verifier's objection if it has one. Installers
-// call it to surface bad programs at install time instead of per packet.
+// pipeline and resolves Entry against it, returning the verifier's objection
+// (or the unknown label) if there is one. Installers call it to surface bad
+// programs at install time instead of per packet.
 func (m *MicrocodeApp) Compile() error {
 	if m.compileDone {
 		if m.compiled == nil {
@@ -381,12 +383,25 @@ func (m *MicrocodeApp) Compile() error {
 	}
 	m.compileDone = true
 	c, err := microcode.Compile(m.Program)
+	if err == nil {
+		var ok bool
+		if m.entryPC, ok = c.Lookup(m.entry()); !ok {
+			err = fmt.Errorf("microcode: entry label %q not found", m.entry())
+		}
+	}
 	if err != nil {
 		m.LastError = err
 		return err
 	}
 	m.compiled = c
 	return nil
+}
+
+func (m *MicrocodeApp) entry() string {
+	if m.Entry != "" {
+		return m.Entry
+	}
+	return m.Program.Instrs[0].Label
 }
 
 // Compiled returns the lowered program, or nil if compilation has not
@@ -402,22 +417,20 @@ func (m *MicrocodeApp) Process(ctx *Ctx) {
 			m.LastError = err
 		}
 	}
-	th := microcode.NewThread(mcEnv{ctx}, ctx.now)
+	m.env.c = ctx
+	th := &m.th
+	th.Reset(&m.env, ctx.now)
 	th.LoadHead(ctx.head)
 	if m.Setup != nil {
 		m.Setup(th, ctx)
-	}
-	entry := m.Entry
-	if entry == "" {
-		entry = m.Program.Instrs[0].Label
 	}
 	timing := microcode.Timing{CycleTime: ctx.pfe.Cfg.CycleTime, CyclesPerInstr: ctx.pfe.Cfg.CyclesPerInst}
 	var v microcode.Verdict
 	var err error
 	if m.compiled != nil && !m.Interpret {
-		v, err = microcode.RunCompiledLimited(m.compiled, th, entry, timing, microcode.DefaultBudget)
+		v, err = microcode.RunCompiledAt(m.compiled, th, m.entryPC, timing, microcode.DefaultBudget)
 	} else {
-		v, err = microcode.RunLimited(m.Program, th, entry, timing, microcode.DefaultBudget)
+		v, err = microcode.RunLimited(m.Program, th, m.entry(), timing, microcode.DefaultBudget)
 	}
 	ctx.now = th.Now
 	ctx.stats.Instructions += th.Stats.Instructions

@@ -296,6 +296,16 @@ func (p *PFE) getCtx() *Ctx {
 	return c
 }
 
+// load hands pkt to the context as Dispatch does: the head is copied into
+// thread-local memory; the tail stays in the Packet Buffer (§2.1).
+func (c *Ctx) load(pkt *Packet) {
+	hl := pkt.headLen(c.pfe.Cfg.HeadBytes)
+	c.pkt = pkt
+	c.headBuf = append(c.headBuf[:0], pkt.Frame[:hl]...)
+	c.head = c.headBuf
+	c.tail = pkt.Frame[hl:]
+}
+
 // putCtx recycles a finished thread context, keeping the capacity of its
 // pool-owned head buffer and emit slice. A head installed via SetHead is
 // caller-owned and is dropped, not recycled.
@@ -329,13 +339,7 @@ func (p *PFE) runWork(w work) {
 			p.trace.Complete("dispatch", "queue", int64(p.Cfg.ID), 0,
 				int64(pkt.Arrival), int64(start-pkt.Arrival))
 		}
-		// Dispatch loads the head into thread-local memory; the tail stays
-		// in the Packet Buffer (§2.1).
-		hl := pkt.headLen(p.Cfg.HeadBytes)
-		ctx.pkt = pkt
-		ctx.headBuf = append(ctx.headBuf[:0], pkt.Frame[:hl]...)
-		ctx.head = ctx.headBuf
-		ctx.tail = pkt.Frame[hl:]
+		ctx.load(pkt)
 		// Register with the Reorder Engine before processing so that
 		// completion order cannot jump arrival order within a flow.
 		pkt.seq = p.reorderArrive(pkt.Flow)

@@ -1,6 +1,8 @@
 package pfe
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"github.com/trioml/triogo/internal/microcode"
@@ -568,4 +570,75 @@ end
 			t.Fatalf("reply %d = port %d tag %d", i, d.port, d.frame[0])
 		}
 	}
+}
+
+// A tail offset computed by the program can be negative (mcagg's
+// `toff = k*64 - 138` is, for k < 3). It used to slice tail[-10:...], a Go
+// runtime panic that RunCompiledLimited re-raises: one bad program killed the
+// whole simulation. It must read nothing, like a write there writes nothing.
+func TestMicrocodeNegativeTailOffset(t *testing.T) {
+	prog := microcode.MustAssemble(`
+program negtail;
+s: begin
+    r15 = 2;
+    lmem64[320] = 0x1122334455667788;
+    goto calc;
+end
+calc: begin
+    r16 = r15 * 64 - 138;
+    goto rd;
+end
+rd: begin
+    tail_read(r16, 64, 320);
+    goto wr;
+end
+wr: begin
+    tail_write(r16, 64, 320);
+    exit(forward);
+end
+`)
+	for _, interpret := range []bool{false, true} {
+		eng := sim.NewEngine()
+		p := New(eng, Config{})
+		var got []delivered
+		p.SetOutput(collector(&got))
+		app := &MicrocodeApp{Program: prog, EgressPort: 1, Interpret: interpret}
+		var off, staged uint64
+		app.Finish = func(th *microcode.Thread, ctx *Ctx, v microcode.Verdict) {
+			off, staged = th.Regs[16], binary.BigEndian.Uint64(th.LMem[320:])
+		}
+		p.SetApp(app)
+		frame := frameOfSize(400, 7)
+		p.Inject(0, 1, frame)
+		eng.Run()
+		if app.Errors != 0 {
+			t.Fatalf("interpret=%v: microcode errors = %d (%v)", interpret, app.Errors, app.LastError)
+		}
+		if int64(off) != -10 {
+			t.Fatalf("interpret=%v: tail offset = %d, want -10", interpret, int64(off))
+		}
+		if staged != 0x1122334455667788 {
+			t.Fatalf("interpret=%v: a read at a negative tail offset returned data: %#x", interpret, staged)
+		}
+		if len(got) != 1 || !bytes.Equal(got[0].frame, frame) {
+			t.Fatalf("interpret=%v: packet not forwarded unchanged", interpret)
+		}
+	}
+
+	// The native accessor clips the same way.
+	eng := sim.NewEngine()
+	p := New(eng, Config{})
+	p.SetApp(AppFunc(func(ctx *Ctx) {
+		if b := ctx.ReadTail(-10, 64); len(b) != 0 {
+			t.Errorf("ReadTail(-10, 64) = %d bytes", len(b))
+		}
+		if b := ctx.ReadTail(ctx.TailLen()-8, 64); len(b) != 8 {
+			t.Errorf("short read at the end = %d bytes, want 8", len(b))
+		}
+		if b := ctx.ReadTail(ctx.TailLen()+1, 64); len(b) != 0 {
+			t.Errorf("read past the end = %d bytes", len(b))
+		}
+	}))
+	p.Inject(0, 1, frameOfSize(400, 0))
+	eng.Run()
 }

@@ -336,8 +336,11 @@ func (m *Memory) complete(now sim.Time, addr uint64, engineDone sim.Time) sim.Ti
 	return done
 }
 
+// MaxTxnBytes is the largest read or write transaction.
+const MaxTxnBytes = 64
+
 func checkTxnSize(size int) {
-	if size < 8 || size > 64 || size%8 != 0 {
+	if size < 8 || size > MaxTxnBytes || size%8 != 0 {
 		panic(fmt.Sprintf("smem: transaction size %d outside 8..64 in 8-byte increments", size))
 	}
 }
@@ -356,6 +359,14 @@ func (m *Memory) ReadInto(now sim.Time, addr uint64, b []byte) sim.Time {
 	m.load(addr, b)
 	done := m.occupy(m.engineFor(addr), now, serviceCycles(len(b), 1))
 	return m.complete(now, addr, done)
+}
+
+// ReadStaged is Read with the reply staged in buf instead of a fresh slice:
+// what an XTXN environment that hands out one reply at a time uses.
+func (m *Memory) ReadStaged(now sim.Time, addr uint64, size int, buf *[MaxTxnBytes]byte) ([]byte, sim.Time) {
+	checkTxnSize(size)
+	b := buf[:size]
+	return b, m.ReadInto(now, addr, b)
 }
 
 // Write performs a write transaction of 8–64 bytes (8-byte increments).

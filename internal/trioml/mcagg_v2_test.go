@@ -1,7 +1,9 @@
 package trioml
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/trioml/triogo/internal/packet"
@@ -113,26 +115,43 @@ func TestMCAggInstrPerGradientNearPaper(t *testing.T) {
 
 // Compiled dispatch must be bit-identical to the reference interpreter on
 // the real aggregation workload: same results, same timestamps, same
-// thread statistics.
+// thread statistics — at every unroll factor, each of which must have its
+// add loop lowered to a kernel of that many lanes.
 func TestMCAggCompiledMatchesInterpreter(t *testing.T) {
-	cfg := MCAggConfig{Sources: 3, Slots: 16, Grads: 1024, Unroll: 4}
-	engC, pC, aggC, resC := mcaggRig(t, cfg)
-	engI, pI, aggI, resI := mcaggRig(t, cfg)
-	aggI.App.Interpret = true
-	mcaggInjectBlock(pC, engC, cfg, 3)
-	mcaggInjectBlock(pI, engI, cfg, 3)
-	if aggC.App.Errors != 0 || aggI.App.Errors != 0 {
-		t.Fatalf("errors: compiled %d, interpreter %d", aggC.App.Errors, aggI.App.Errors)
+	for _, u := range []int{1, 2, 4, 8, 16} {
+		cfg := MCAggConfig{Sources: 3, Slots: 16, Grads: 1024, Unroll: u}
+		engC, pC, aggC, resC := mcaggRig(t, cfg)
+		engI, pI, aggI, resI := mcaggRig(t, cfg)
+		aggI.App.Interpret = true
+		kernel := fmt.Sprintf("loop kernel: head %d (add_loop) .. end %d (add_ctl), %d lanes, %d instructions per pass",
+			mustLookup(t, aggC, "add_loop"), mustLookup(t, aggC, "add_ctl"), u, u+1)
+		if dump := aggC.App.Compiled().DumpCompiled(); !strings.Contains(dump, kernel) {
+			t.Fatalf("unroll %d: compiled listing lacks %q:\n%s", u, kernel, dump)
+		}
+		mcaggInjectBlock(pC, engC, cfg, 3)
+		mcaggInjectBlock(pI, engI, cfg, 3)
+		if aggC.App.Errors != 0 || aggI.App.Errors != 0 {
+			t.Fatalf("unroll %d: errors: compiled %d, interpreter %d", u, aggC.App.Errors, aggI.App.Errors)
+		}
+		if !reflect.DeepEqual(*resC, *resI) {
+			t.Fatalf("unroll %d: results diverge:\ncompiled:    %+v\ninterpreter: %+v", u, *resC, *resI)
+		}
+		if pC.Stats() != pI.Stats() {
+			t.Fatalf("unroll %d: stats diverge:\ncompiled:    %+v\ninterpreter: %+v", u, pC.Stats(), pI.Stats())
+		}
+		if engC.Now() != engI.Now() {
+			t.Fatalf("unroll %d: virtual clocks diverge: compiled %v, interpreter %v", u, engC.Now(), engI.Now())
+		}
 	}
-	if !reflect.DeepEqual(*resC, *resI) {
-		t.Fatalf("results diverge:\ncompiled:    %+v\ninterpreter: %+v", *resC, *resI)
+}
+
+func mustLookup(t *testing.T, agg *MCAgg, label string) int {
+	t.Helper()
+	pc, ok := agg.App.Compiled().Lookup(label)
+	if !ok {
+		t.Fatalf("label %q not in the compiled program", label)
 	}
-	if pC.Stats() != pI.Stats() {
-		t.Fatalf("stats diverge:\ncompiled:    %+v\ninterpreter: %+v", pC.Stats(), pI.Stats())
-	}
-	if engC.Now() != engI.Now() {
-		t.Fatalf("virtual clocks diverge: compiled %v, interpreter %v", engC.Now(), engI.Now())
-	}
+	return pc
 }
 
 // Every unroll factor computes the same sums; deeper unroll strictly

@@ -65,7 +65,9 @@ type VFP struct {
 	mu   sync.Mutex
 	Mem  *smem.Memory
 	Hash *hasheng.Table
-	now  sim.Time // virtual clock advanced per packet
+	now  sim.Time         // virtual clock advanced per packet
+	env  vfpEnv           // the one software PPE thread's XTXN targets ...
+	th   microcode.Thread // ... and its state, reset per packet under mu
 
 	stats   Stats
 	closed  chan struct{}
@@ -103,6 +105,7 @@ func New(cfg Config) (*VFP, error) {
 		Hash:   hasheng.NewTable(hasheng.Config{}),
 		closed: make(chan struct{}),
 	}
+	v.env.v = v
 	if cfg.ForwardAddr != "" {
 		dst, err := net.ResolveUDPAddr("udp", cfg.ForwardAddr)
 		if err != nil {
@@ -184,8 +187,9 @@ func (v *VFP) handle(payload []byte, from, local *net.UDPAddr) {
 	}
 	v.mu.Lock()
 	v.now += sim.Microsecond // coarse virtual clock: one tick per packet
-	env := &vfpEnv{v: v, tail: frame[hl:]}
-	th := microcode.NewThread(env, v.now)
+	v.env.tail = frame[hl:]
+	th := &v.th
+	th.Reset(&v.env, v.now)
 	th.LoadHead(frame[:hl])
 	if v.cfg.Setup != nil {
 		v.cfg.Setup(th, len(frame))
@@ -240,12 +244,13 @@ func ip4(ip net.IP) [4]byte {
 // vfpEnv adapts the VFP's software engines to microcode.Env. It runs under
 // v.mu, matching the serialization the chip's engines provide in hardware.
 type vfpEnv struct {
-	v    *VFP
-	tail []byte
+	v     *VFP
+	tail  []byte
+	reply [smem.MaxTxnBytes]byte // MemRead staging: a reply lives until the next Env call
 }
 
 func (e *vfpEnv) MemRead(now sim.Time, addr uint64, size int) ([]byte, sim.Time) {
-	return e.v.Mem.Read(now, addr, size)
+	return e.v.Mem.ReadStaged(now, addr, size, &e.reply)
 }
 func (e *vfpEnv) MemWrite(now sim.Time, addr uint64, data []byte) sim.Time {
 	return e.v.Mem.Write(now, addr, data)
@@ -254,14 +259,7 @@ func (e *vfpEnv) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
 	return e.v.Mem.CounterInc(now, addr, pktLen)
 }
 func (e *vfpEnv) ReadTail(now sim.Time, off, size int) ([]byte, sim.Time) {
-	end := off + size
-	if end > len(e.tail) {
-		end = len(e.tail)
-	}
-	if off > end {
-		off = end
-	}
-	return e.tail[off:end], now
+	return microcode.ClipTail(e.tail, off, size), now
 }
 func (e *vfpEnv) WriteTail(now sim.Time, off int, data []byte) sim.Time {
 	if off >= 0 && off < len(e.tail) {

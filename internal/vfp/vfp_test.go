@@ -232,3 +232,44 @@ func TestVFPBadAddresses(t *testing.T) {
 		t.Fatal("bad forward address accepted")
 	}
 }
+
+// A negative tail offset computed by the program used to slice
+// tail[-10:...] — a Go runtime panic on the receive goroutine that took the
+// whole plane down. It must read nothing and the packet must go on.
+func TestVFPNegativeTailOffset(t *testing.T) {
+	prog := microcode.MustAssemble(`
+program negtail;
+s: begin
+    r15 = 2;
+    goto calc;
+end
+calc: begin
+    r16 = r15 * 64 - 138;
+    goto rd;
+end
+rd: begin
+    tail_read(r16, 64, 320);
+    goto wr;
+end
+wr: begin
+    tail_write(r16, 64, 320);
+    if (lmem64[320] == 0) { exit(forward); }
+    exit(drop);
+end
+`)
+	v, err := New(Config{ListenAddr: "127.0.0.1:0", Program: prog, Logger: discardLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	payload := make([]byte, 400) // reframed: 192-byte head, 250-byte tail
+	for i := range payload {
+		payload[i] = 0xA5
+	}
+	// Drive the handler directly: nothing is in flight on the socket, so the
+	// receive loop is parked and the verdict is observable without waiting.
+	v.handle(payload, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4000}, v.Addr())
+	if st := v.Snapshot(); st.Forwarded != 1 || st.Errors != 0 {
+		t.Fatalf("stats = %+v, want the packet forwarded with nothing read into local memory", st)
+	}
+}
