@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet verify verify-hostagg verify-hostagg-live verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-tree verify-apps chaos smoke-examples bench-hostagg bench-sim bench-dse bench-microcode
+.PHONY: build test vet verify verify-hostagg verify-hostagg-live verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-tree verify-apps chaos smoke-examples
 
 build:
 	$(GO) build ./...
@@ -11,11 +11,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# verify is the tier-1 gate: full build + tests, whole-repo vet, then the
-# race suites of the concurrency-critical layers (hostagg's sharded hot
-# path, vfp's host datapath, obs's atomic instruments, dse's worker pool,
-# tree's partitioned hierarchy), the metric documentation check, and an
-# every-example smoke run.
+# verify is the extended gate (tier-1 is `go build ./... && go test ./...`):
+# full build + tests, whole-repo vet, then the race suites of the
+# concurrency-critical layers (hostagg's sharded hot path, vfp's host
+# datapath, obs's atomic instruments, dse's worker pool, tree's partitioned
+# hierarchy), the metric documentation check, and an every-example smoke run.
 verify: build test vet verify-hostagg verify-hostagg-live verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-tree verify-apps smoke-examples
 
 verify-hostagg:
@@ -45,11 +45,11 @@ verify-vfp:
 	$(GO) test -race ./internal/vfp/...
 
 # verify-sim races the partitioned simulation core (cluster barrier hammer
-# included) and the cross-partition determinism tests: fig15 at P in {1,2,4}
-# must render byte-identically.
+# included) and the cross-partition determinism tests: the tree sweep and
+# treechaos at P in {1,2,5} must render byte-identically.
 verify-sim:
 	$(GO) test -race -run 'TestCluster' ./internal/sim/
-	$(GO) test -race -run 'TestCrossPartitionDeterminism|TestLinkBetween' ./internal/harness/ ./internal/netsim/
+	$(GO) test -race -run 'TestTree.*CrossPartitionDeterminism|TestLinkBetween' ./internal/harness/ ./internal/netsim/
 
 # verify-tree races the multi-rack hierarchical aggregation package (composed
 # straggler semantics, gen-restart recovery, rack failure) and the harness's
@@ -101,46 +101,9 @@ verify-microcode:
 
 # verify-apps races both in-network application packages (netrpc's concurrent
 # cache-service paths, infnet's classifier) and the harness's apps pins: the
-# seed-1 golden tables, the two-run seed determinism check, the P in {1,2}
-# cross-partition determinism check, and the per-experiment hard checks
-# (instruction-exact cost conformance, reference-model bit-identity,
-# cache-poisoning rejection).
+# seed-1 golden tables, the two-run seed determinism check, and the
+# per-experiment hard checks (instruction-exact cost conformance,
+# reference-model bit-identity, cache-poisoning rejection).
 verify-apps:
 	$(GO) test -race ./internal/apps/...
-	$(GO) test -race -run 'TestGoldenAppsDeterminism|TestAppsSeedDeterminism|TestAppsCrossPartitionDeterminism|TestNetRPCHardChecks|TestInfnetHardChecks' ./internal/harness/
-
-# bench-hostagg measures the sharded hot path and the loopback UDP allreduce
-# and writes BENCH_hostagg.json (contention numbers are CPU-count dependent;
-# the JSON records num_cpu).
-bench-hostagg:
-	$(GO) test -run xxx -bench 'Shard|AllReduceUDP' -benchmem ./internal/hostagg/ > .bench_hostagg_raw.txt
-	$(GO) run ./tools/benchhostagg -in .bench_hostagg_raw.txt -out BENCH_hostagg.json
-	@rm -f .bench_hostagg_raw.txt
-	@cat BENCH_hostagg.json
-
-# bench-sim measures the event core and the Fig. 14/15 simulation loops and
-# writes BENCH_sim.json (pre-refactor baseline vs current).
-bench-sim:
-	$(GO) test -run xxx -bench BenchmarkEngine -benchmem ./internal/sim/ > .bench_sim_raw.txt
-	$(GO) test -run xxx -bench 'BenchmarkFig1[45]' -benchtime 20x -benchmem ./internal/harness/ >> .bench_sim_raw.txt
-	$(GO) run ./tools/benchsim -in .bench_sim_raw.txt -out BENCH_sim.json
-	@rm -f .bench_sim_raw.txt
-	@cat BENCH_sim.json
-
-# bench-microcode measures interpreter vs compiled dispatch on the mcagg
-# 1024-gradient workload and writes BENCH_microcode.json with the speedup
-# ratio (acceptance bar: >= 2.0).
-bench-microcode:
-	$(GO) test -run xxx -bench BenchmarkMicrocodeDispatch -benchtime 2s . > .bench_micro_raw.txt
-	$(GO) run ./tools/benchmicro -in .bench_micro_raw.txt -out BENCH_microcode.json
-	@rm -f .bench_micro_raw.txt
-	@cat BENCH_microcode.json
-
-# bench-dse measures the same 32-trial sweep with one worker and with
-# NumCPU workers and writes BENCH_dse.json with the speedup (~1.0 on
-# single-CPU hosts, where both configurations serialize the same work).
-bench-dse:
-	$(GO) test -run xxx -bench BenchmarkSweepWorkers -benchtime 3x ./internal/dse/ > .bench_dse_raw.txt
-	$(GO) run ./tools/benchdse -in .bench_dse_raw.txt -out BENCH_dse.json
-	@rm -f .bench_dse_raw.txt
-	@cat BENCH_dse.json
+	$(GO) test -race -run 'TestGoldenAppsDeterminism|TestAppsSeedDeterminism|TestNetRPCHardChecks|TestInfnetHardChecks' ./internal/harness/

@@ -46,10 +46,11 @@
 // model bit for bit.
 // -exp dse runs the design-space exploration sweep (internal/dse); -parallel
 // spreads its trials — and every other migrated sweep — over a worker pool
-// without changing a single output byte. -partitions P splits each rig's
-// event queue across P conservatively synchronized sim partitions (router on
-// partition 0, servers round-robin over the rest) — again without changing a
-// single output byte; see DESIGN.md's partitioned-simulation section.
+// without changing a single output byte. -partitions P applies to -exp tree
+// and treechaos only: the tree's racks are spread over P conservatively
+// synchronized sim partitions (spines on partition 0) — again without
+// changing a single output byte; see DESIGN.md's partitioned-simulation
+// section. Every single-router rig runs on one engine whatever P is.
 //
 // -trace records dispatch, PPE, RMW/hash, and egress spans from the
 // simulated PFE into a chrome://tracing / Perfetto JSON file; -metrics
@@ -96,7 +97,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		full     = fs.Bool("full", false, "paper-scale sweeps instead of quick mode")
 		seed     = fs.Uint64("seed", 1, "experiment seed")
 		parallel = fs.Int("parallel", 1, "sweep worker-pool size (outputs are identical at any value)")
-		parts    = fs.Int("partitions", 1, "sim partitions per rig (outputs are identical at any value)")
+		parts    = fs.Int("partitions", 1, "sim partitions, -exp tree and treechaos only; every single-router rig runs on one engine (outputs are identical at any value)")
 		quiet    = fs.Bool("quiet", false, "suppress progress logging")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		trace    = fs.String("trace", "", "write a chrome://tracing JSON file of PFE activity (per experiment)")

@@ -130,16 +130,16 @@ func TestParallelClampWarning(t *testing.T) {
 
 // TestPartitionsFlagMatchesSerial: -partitions must not change a single
 // output byte (the cross-partition determinism contract, end to end through
-// the CLI).
+// the CLI: flag -> harness.Params -> tree.Config).
 func TestPartitionsFlagMatchesSerial(t *testing.T) {
-	var one, four, stderr bytes.Buffer
-	if code := run([]string{"-exp", "fig15", "-seed", "1", "-quiet"}, &one, &stderr); code != 0 {
+	var one, three, stderr bytes.Buffer
+	if code := run([]string{"-exp", "treechaos", "-seed", "1", "-quiet"}, &one, &stderr); code != 0 {
 		t.Fatalf("P=1 exit %d: %s", code, stderr.String())
 	}
-	if code := run([]string{"-exp", "fig15", "-seed", "1", "-quiet", "-partitions", "4"}, &four, &stderr); code != 0 {
-		t.Fatalf("P=4 exit %d: %s", code, stderr.String())
+	if code := run([]string{"-exp", "treechaos", "-seed", "1", "-quiet", "-partitions", "3"}, &three, &stderr); code != 0 {
+		t.Fatalf("P=3 exit %d: %s", code, stderr.String())
 	}
-	if !bytes.Equal(one.Bytes(), four.Bytes()) {
-		t.Fatalf("-partitions changed the output\n--- P=1 ---\n%s\n--- P=4 ---\n%s", one.Bytes(), four.Bytes())
+	if !bytes.Equal(one.Bytes(), three.Bytes()) {
+		t.Fatalf("-partitions changed the output\n--- P=1 ---\n%s\n--- P=3 ---\n%s", one.Bytes(), three.Bytes())
 	}
 }

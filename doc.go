@@ -10,6 +10,7 @@
 //
 // See README.md for a guided tour, DESIGN.md for the system inventory and
 // substitution rationale, and EXPERIMENTS.md for paper-vs-measured results.
-// The benchmarks in bench_test.go regenerate each experiment; the
-// cmd/triobench binary prints them as tables.
+// The cmd/triobench binary regenerates each experiment as tables; the
+// benchmark/ program (go run ./benchmark) measures the host cost of running
+// them.
 package triogo

@@ -45,20 +45,6 @@ func TestAppsSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestAppsCrossPartitionDeterminism extends the partitioned-simulation
-// contract to the application rigs: clients/senders live on their own
-// conservatively-synchronized engines, and the output must not depend on
-// the partition count.
-func TestAppsCrossPartitionDeterminism(t *testing.T) {
-	for _, name := range []string{"netrpc", "infnet"} {
-		base := renderAll(t, Params{Quick: true, Seed: 1, Partitions: 1}, name)
-		got := renderAll(t, Params{Quick: true, Seed: 1, Partitions: 2}, name)
-		if !bytes.Equal(base, got) {
-			t.Fatalf("%s: P=2 output differs from P=1\n--- P=1 ---\n%s\n--- P=2 ---\n%s", name, base, got)
-		}
-	}
-}
-
 // TestNetRPCHardChecks exercises the experiment's built-in acceptance gates
 // (instruction-exact cost accounting, >=2x cached speedup, zero corrupted
 // replies) and sanity-checks the rendered offload row.

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"runtime"
 	"testing"
 
 	"github.com/trioml/triogo/internal/sim"
@@ -12,8 +11,7 @@ import (
 // 256-gradient blocks window-1 through one PFE while 100 staggered timer
 // threads sweep the aggregation table (timeout 10 ms → 100 µs interarrival).
 // The headline metric is simulated aggregation packets per wall-clock second
-// — the quantity that bounds how fast every §6 experiment can run. Tracked in
-// BENCH_sim.json via `make bench-sim`.
+// — the quantity that bounds how fast every §6 experiment can run.
 func BenchmarkFig15SimThroughput(b *testing.B) {
 	const servers, blocks = 4, 400
 	var events uint64
@@ -31,42 +29,6 @@ func BenchmarkFig15SimThroughput(b *testing.B) {
 		events += rig.eng.Executed()
 	}
 	b.StopTimer()
-	secs := b.Elapsed().Seconds()
-	if secs > 0 {
-		b.ReportMetric(float64(b.N*servers*blocks)/secs, "simpkts/s")
-		b.ReportMetric(float64(events)/secs, "events/s")
-	}
-}
-
-// BenchmarkFig15SimThroughputPartitioned is the same rig split over
-// NumCPU sim partitions (router on partition 0, servers round-robin on the
-// rest). On a single-CPU host the windowed barrier only adds synchronization
-// overhead — the P=1/P=N throughput ratio in BENCH_sim.json records exactly
-// that, as the honest baseline for multi-core hosts.
-func BenchmarkFig15SimThroughputPartitioned(b *testing.B) {
-	const servers, blocks = 4, 400
-	parts := runtime.NumCPU()
-	if parts < 2 {
-		parts = 2 // exercise the barrier even on one CPU
-	}
-	var events uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := rigConfig{servers: servers, gradsPerPkt: 256, blocks: blocks, window: 1, partitions: parts}
-		rig := newTrioRig(cfg)
-		rig.run()
-		for _, c := range rig.clients {
-			if c.done != blocks {
-				b.Fatalf("client %d finished %d/%d", c.id, c.done, blocks)
-			}
-		}
-		for p := 0; p < parts; p++ {
-			events += rig.cluster.Engine(p).Executed()
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(parts), "partitions")
 	secs := b.Elapsed().Seconds()
 	if secs > 0 {
 		b.ReportMetric(float64(b.N*servers*blocks)/secs, "simpkts/s")

@@ -76,7 +76,6 @@ func DSERunner(p Params) dse.Runner {
 			dramLatencyNs: int(dseParam(t, "dram_latency_ns", 0)),
 			linkLoss:      dseParam(t, "loss_pct", 0) / 100,
 			lossSeed:      t.Seed,
-			partitions:    p.Partitions,
 		}
 		rig := newTrioRig(cfg)
 		rig.run()

@@ -41,10 +41,9 @@ func runFig14(p Params) ([]*Table, error) {
 		cfg := rigConfig{
 			servers: 6, gradsPerPkt: 1024, blocks: 20, window: 20,
 			timeout: timeout, timerThreads: 100,
-			silent:     map[int]bool{5: true},
-			partitions: p.Partitions,
-			trace:      p.Trace,
-			obsReg:     p.Obs,
+			silent: map[int]bool{5: true},
+			trace:  p.Trace,
+			obsReg: p.Obs,
 		}
 		rig := newTrioRig(cfg)
 		rig.run()

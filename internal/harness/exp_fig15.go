@@ -37,7 +37,7 @@ func runFig15(p Params) ([]*Table, error) {
 	_, err := sweep(p, "grads_per_pkt", gradPoints, func(i int, v float64) (map[string]float64, error) {
 		grads := int(v)
 		cfg := rigConfig{servers: 4, gradsPerPkt: grads, blocks: blocks, window: 1,
-			partitions: p.Partitions, trace: p.Trace, obsReg: p.Obs}
+			trace: p.Trace, obsReg: p.Obs}
 		rig := newTrioRig(cfg)
 		rig.run()
 		var lat sim.Sample

@@ -42,7 +42,7 @@ func runFig16(p Params) ([]*Table, error) {
 				blocks = 2 * w
 			}
 			cfg := rigConfig{servers: 4, gradsPerPkt: grads, blocks: blocks, window: w,
-				partitions: p.Partitions, trace: p.Trace, obsReg: p.Obs}
+				trace: p.Trace, obsReg: p.Obs}
 			rig := newTrioRig(cfg)
 			rig.run()
 			var lat sim.Sample

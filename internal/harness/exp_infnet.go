@@ -88,11 +88,10 @@ func infTraffic(rng *sim.RNG, idx uint32, attack bool) []byte {
 	return packet.BuildUDP(spec, payload)
 }
 
-// infnetRig drives labelled traffic from partition-dealt senders through
+// infnetRig drives labelled traffic from per-port senders through
 // the classifier PFE and collects what survives on the egress port.
 type infnetRig struct {
 	eng       *sim.Engine
-	cluster   *sim.Cluster
 	router    *trio.Router
 	svc       *infnet.Service
 	delivered map[uint32]bool // idx → marked
@@ -107,20 +106,12 @@ type infnetCfg struct {
 	packets    int // per sender
 	attackFrac float64
 	mode       infnet.Mode
-	partitions int
 	seed       uint64
 	obsReg     *obs.Registry // nil: metrics off (trioRig semantics: series rebind to the latest rig)
 }
 
 func newInfnetRig(cfg infnetCfg) *infnetRig {
-	var cluster *sim.Cluster
-	var eng *sim.Engine
-	if cfg.partitions > 1 {
-		cluster = sim.NewCluster(cfg.partitions)
-		eng = cluster.Engine(0)
-	} else {
-		eng = sim.NewEngine()
-	}
+	eng := sim.NewEngine()
 	r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: trioml.RecommendedPFEConfig()})
 	model := ddosModel()
 	model.Mode = cfg.mode
@@ -128,15 +119,12 @@ func newInfnetRig(cfg infnetCfg) *infnetRig {
 	if err != nil {
 		panic(err)
 	}
-	rig := &infnetRig{eng: eng, cluster: cluster, router: r, svc: svc,
+	rig := &infnetRig{eng: eng, router: r, svc: svc,
 		delivered: map[uint32]bool{}, labels: map[uint32]bool{}, want: map[uint32]bool{}}
 	if cfg.obsReg != nil {
 		eng.RegisterObs(cfg.obsReg)
 		r.PFE(0).RegisterObs(cfg.obsReg)
 		r.PFE(0).Mem.RegisterObs(cfg.obsReg)
-		if cluster != nil {
-			cluster.RegisterObs(cfg.obsReg)
-		}
 		svc.RegisterObs(cfg.obsReg)
 	}
 
@@ -151,18 +139,15 @@ func newInfnetRig(cfg infnetCfg) *infnetRig {
 		rig.delivered[idx] = f[15] == 0xE0       // default MarkOff/Mark
 	})
 
-	// Senders on ports 1.., dealt over partitions; each owns an RNG stream
-	// so partition layout never perturbs another sender's sequence.
+	// Senders on ports 1..; each owns an RNG stream so adding a sender never
+	// perturbs another sender's sequence.
 	idx := uint32(0)
 	for s := 0; s < cfg.senders; s++ {
 		port := 1 + s
-		senderEng := eng
-		if cluster != nil {
-			senderEng = cluster.Engine(1 + s%(cfg.partitions-1))
-		}
 		// Constant per-sender reorder flow: a shared counter would assign
-		// flow IDs in delivery order, which differs across partition counts.
-		up := netsim.NewLinkBetween(senderEng, eng, netsim.DefaultLinkConfig(), func(f []byte, _ sim.Time) {
+		// flow IDs in delivery order, tying the reorder engine's per-flow
+		// sequencing to how same-instant arrivals happen to be queued.
+		up := netsim.NewLink(eng, netsim.DefaultLinkConfig(), func(f []byte, _ sim.Time) {
 			r.Inject(0, port, uint64(port), f)
 		})
 		rng := sim.NewRNG(cfg.seed, 0x1F0+uint64(s))
@@ -187,13 +172,9 @@ func (r *infnetRig) run() {
 		return int(r.svc.Stats().Total()) == r.sent && len(r.delivered) == r.expect
 	}
 	deadline := sim.Time(r.sent)*sim.Microsecond + sim.Second
-	if r.cluster != nil {
-		r.cluster.Run(done, deadline)
-	} else {
-		for !done() {
-			if !r.eng.Step() || r.eng.Now() > deadline {
-				break
-			}
+	for !done() {
+		if !r.eng.Step() || r.eng.Now() > deadline {
+			break
 		}
 	}
 }
@@ -209,7 +190,7 @@ func runInfnet(p Params) ([]*Table, error) {
 	// reference model bit for bit.
 	p.logf("infnet: flag phase, %d senders x %d labelled packets", 8, packets)
 	flag := newInfnetRig(infnetCfg{senders: 8, packets: packets, attackFrac: 0.3,
-		mode: infnet.ModeFlag, partitions: p.Partitions, seed: p.seed(), obsReg: p.Obs})
+		mode: infnet.ModeFlag, seed: p.seed(), obsReg: p.Obs})
 	flag.run()
 	if len(flag.delivered) != flag.sent {
 		return nil, fmt.Errorf("infnet: flag mode delivered %d of %d packets", len(flag.delivered), flag.sent)
@@ -275,7 +256,7 @@ func runInfnet(p Params) ([]*Table, error) {
 	// survive untouched.
 	p.logf("infnet: shed phase under 60%% flood")
 	shed := newInfnetRig(infnetCfg{senders: 8, packets: packets, attackFrac: 0.6,
-		mode: infnet.ModeShed, partitions: p.Partitions, seed: p.seed() + 1, obsReg: p.Obs})
+		mode: infnet.ModeShed, seed: p.seed() + 1, obsReg: p.Obs})
 	shed.run()
 	st := shed.svc.Stats()
 	wantDeliver := 0

@@ -505,9 +505,13 @@ func lcRestart(p Params) (lcRow, []string, error) {
 // (weighted-fair shedding). Aging then drains the hoard and the ladder walks
 // back to normal.
 func lcLadder(p Params) (lcRow, []string, error) {
+	// The hoard's lifetime must dwarf the ≥20 ms of sleeps and polls between
+	// parking it and the victim's arrival: a hoard that ages out first leaves
+	// nothing to displace, and the refusals go unattributed. The 5 s recovery
+	// deadline below still covers it.
 	srv, err := lcServer(hostagg.ServerConfig{
 		NumWorkers: 2, RecvWorkers: 1,
-		MaxOpenBlocks: 20, Timeout: 40 * time.Millisecond, ReplayWindow: 8,
+		MaxOpenBlocks: 20, Timeout: 400 * time.Millisecond, ReplayWindow: 8,
 		RetryAfter: 5 * time.Millisecond,
 	})
 	if err != nil {

@@ -24,7 +24,7 @@ func runMicrocode(p Params) ([]*Table, error) {
 		blocks = 100
 	}
 	cfg := rigConfig{servers: 4, gradsPerPkt: 1024, blocks: blocks, window: 64,
-		partitions: p.Partitions, trace: p.Trace, obsReg: p.Obs}
+		trace: p.Trace, obsReg: p.Obs}
 	rig := newTrioRig(cfg)
 	rig.run()
 

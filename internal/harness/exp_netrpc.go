@@ -35,7 +35,6 @@ type netrpcCfg struct {
 	originDelay sim.Time // one-way propagation to the origin
 	dupEvery    int      // origin retransmits every Nth response (0: off)
 	spoofEvery  int      // attacker forges a response every Nth own request (0: off)
-	partitions  int
 	seed        uint64
 	obsReg      *obs.Registry // nil: metrics off (trioRig semantics: series rebind to the latest rig)
 }
@@ -46,7 +45,6 @@ type netrpcCfg struct {
 type rpcClient struct {
 	rig       *netrpcRig
 	c         netrpc.Client
-	eng       *sim.Engine
 	send      func([]byte)
 	rng       *sim.RNG
 	done      int
@@ -61,7 +59,6 @@ type rpcClient struct {
 
 type netrpcRig struct {
 	eng     *sim.Engine
-	cluster *sim.Cluster
 	router  *trio.Router
 	svc     *netrpc.Service
 	origin  *netrpc.Origin
@@ -105,55 +102,37 @@ func refPayload(method uint16, respBytes int) []byte {
 }
 
 func newNetRPCRig(cfg netrpcCfg) *netrpcRig {
-	var cluster *sim.Cluster
-	var eng *sim.Engine
-	if cfg.partitions > 1 {
-		cluster = sim.NewCluster(cfg.partitions)
-		eng = cluster.Engine(0)
-	} else {
-		eng = sim.NewEngine()
-	}
+	eng := sim.NewEngine()
 	r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: trioml.RecommendedPFEConfig()})
 	p := r.PFE(0)
 	svc, err := netrpc.Install(p, netrpc.Config{Slots: 4096})
 	if err != nil {
 		panic(err)
 	}
-	rig := &netrpcRig{eng: eng, cluster: cluster, router: r, svc: svc,
+	rig := &netrpcRig{eng: eng, router: r, svc: svc,
 		origin: &netrpc.Origin{}, cfg: cfg,
 		keys: slotDisjointKeys(cfg.keys, 4096)}
 	if cfg.obsReg != nil {
 		eng.RegisterObs(cfg.obsReg)
 		p.RegisterObs(cfg.obsReg)
 		p.Mem.RegisterObs(cfg.obsReg)
-		if cluster != nil {
-			cluster.RegisterObs(cfg.obsReg)
-		}
 		svc.RegisterObs(cfg.obsReg)
 	}
 
 	// Origin server behind a slow link (one-way cfg.originDelay each
 	// direction): requests the cache forwards upstream pay the full metro
-	// round trip; cache hits never leave the rack. In partitioned mode the
-	// origin lives on the last partition so its frames enter the router
-	// through the same deterministic inbox merge as every client's — a local
-	// link's arrivals draw event sequence numbers on a different schedule
-	// than flushed cross-partition messages, which flips virtual-time ties.
+	// round trip; cache hits never leave the rack.
 	serverPort := p.Cfg.NumPorts - 1
-	originEng := eng
-	if cluster != nil {
-		originEng = cluster.Engine(cfg.partitions - 1)
-	}
 	slow := netsim.DefaultLinkConfig()
 	slow.Propagation = cfg.originDelay
 	// One constant reorder flow per source (the trioRig idiom): a shared
-	// counter would assign flow IDs in delivery order, which differs between
-	// the single-engine event queue and the partitioned inbox merge.
-	fromOrigin := netsim.NewLinkBetween(originEng, eng, slow, func(f []byte, _ sim.Time) {
+	// counter would assign flow IDs in delivery order, tying the reorder
+	// engine's per-flow sequencing to how same-instant arrivals happen to
+	// be queued.
+	fromOrigin := netsim.NewLink(eng, slow, func(f []byte, _ sim.Time) {
 		r.Inject(0, serverPort, 1<<40, f)
 	})
-	dupRNG := sim.NewRNG(cfg.seed, 0xD0B)
-	toOrigin := netsim.NewLinkBetween(eng, originEng, slow, func(f []byte, _ sim.Time) {
+	toOrigin := netsim.NewLink(eng, slow, func(f []byte, _ sim.Time) {
 		resp := rig.origin.Handle(f)
 		if resp == nil {
 			return
@@ -163,7 +142,6 @@ func newNetRPCRig(cfg netrpcCfg) *netrpcRig {
 		// of responses — the duplicate reaches a served entry and must be
 		// rejected by the pending-only adoption rule.
 		if cfg.dupEvery > 0 && rig.origin.Served%cfg.dupEvery == 0 {
-			_ = dupRNG // reserved for future jittered retransmits
 			rig.dups++
 			fromOrigin.Send(resp)
 		}
@@ -171,31 +149,26 @@ func newNetRPCRig(cfg netrpcCfg) *netrpcRig {
 	r.AttachExternal(0, serverPort, func(_ int, f []byte, _ sim.Time) { toOrigin.Send(f) })
 
 	// Clients on ports 1..clients (port == client id — the cache addresses
-	// replies by forwarding to port client_id), dealt over partitions.
+	// replies by forwarding to port client_id).
 	for i := 0; i < cfg.clients; i++ {
 		id := i + 1
-		clientEng := eng
-		if cluster != nil {
-			clientEng = cluster.Engine(1 + i%(cfg.partitions-1))
-		}
 		// Distinct per-client cable lengths (+id ns) keep any two clients'
-		// frames from ever arriving at the exact same nanosecond: same-instant
-		// deliveries to different ports are ordered by emission call order on
-		// one engine but by channel construction order in the partitioned
-		// inbox merge, so exact ties would make output depend on -partitions.
+		// frames from ever arriving at the exact same nanosecond, so the
+		// tables never hinge on how the engine orders same-instant
+		// deliveries to different ports.
 		linkCfg := netsim.DefaultLinkConfig()
 		linkCfg.Propagation += sim.Time(id) * sim.Nanosecond
-		up := netsim.NewLinkBetween(clientEng, eng, linkCfg, func(f []byte, _ sim.Time) {
+		up := netsim.NewLink(eng, linkCfg, func(f []byte, _ sim.Time) {
 			r.Inject(0, id, uint64(id), f)
 		})
 		c := &rpcClient{
-			rig: rig, eng: clientEng, rng: sim.NewRNG(cfg.seed, uint64(id)),
+			rig: rig, rng: sim.NewRNG(cfg.seed, uint64(id)),
 			c: netrpc.Client{ID: uint16(id), Spec: packet.UDPSpec{
 				SrcIP: [4]byte{10, 0, 0, byte(id)}, DstIP: [4]byte{10, 0, 0, 200}, SrcPort: 7000,
 			}},
 			send: func(f []byte) { up.Send(f) },
 		}
-		down := netsim.NewLinkBetween(eng, clientEng, linkCfg, c.onFrame)
+		down := netsim.NewLink(eng, linkCfg, c.onFrame)
 		r.AttachExternal(0, id, func(_ int, f []byte, _ sim.Time) { down.Send(f) })
 		rig.clients = append(rig.clients, c)
 	}
@@ -231,7 +204,7 @@ func (c *rpcClient) issue() {
 	}
 	m := c.pickMethod()
 	c.inflight = netrpc.RPCKey(m, methodArgs(m))
-	c.sentAt = c.eng.Now()
+	c.sentAt = c.rig.eng.Now()
 	c.send(c.c.Request(m, methodArgs(m)))
 }
 
@@ -275,13 +248,9 @@ func (r *netrpcRig) run() {
 		return true
 	}
 	deadline := sim.Time(r.cfg.requests)*100*r.cfg.originDelay + sim.Second
-	if r.cluster != nil {
-		r.cluster.Run(done, deadline)
-	} else {
-		for !done() {
-			if !r.eng.Step() || r.eng.Now() > deadline {
-				break
-			}
+	for !done() {
+		if !r.eng.Step() || r.eng.Now() > deadline {
+			break
 		}
 	}
 }
@@ -290,7 +259,7 @@ func runNetRPC(p Params) ([]*Table, error) {
 	cfg := netrpcCfg{
 		clients: 8, requests: 400, keys: 64, hotKeys: 4, hotProb: 0.5,
 		originDelay: 10 * sim.Microsecond, dupEvery: 7, spoofEvery: 5,
-		partitions: p.Partitions, seed: p.seed(), obsReg: p.Obs,
+		seed: p.seed(), obsReg: p.Obs,
 	}
 	if p.Quick {
 		cfg.requests = 100

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/trioml/triogo/internal/faults"
+	"github.com/trioml/triogo/internal/obs"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/tree"
 )
@@ -55,6 +56,15 @@ func treeBaseCfg(p Params, pt treePoint) tree.Config {
 	}
 }
 
+// registerTreeObs exports the tree's series and, when the tree is placed on
+// more than one partition, the cluster's per-partition ones.
+func registerTreeObs(r *obs.Registry, tr *tree.Tree) {
+	tr.RegisterObs(r)
+	if tr.Cluster != nil {
+		tr.Cluster.RegisterObs(r)
+	}
+}
+
 func runTree(p Params) ([]*Table, error) {
 	points := treeQuickPoints
 	if !p.Quick {
@@ -82,9 +92,7 @@ func runTreePoints(p Params, points []treePoint) ([]*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tree %dx%d: %w", pt.racks, pt.wpr, err)
 		}
-		if p.Obs != nil {
-			tr.RegisterObs(p.Obs)
-		}
+		registerTreeObs(p.Obs, tr)
 		tr.Run(sim.Second)
 		st := tr.Stats()
 		workers := pt.racks * pt.wpr
@@ -192,9 +200,7 @@ func runTreeChaos(p Params) ([]*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("treechaos %s: %w", sc.name, err)
 		}
-		if p.Obs != nil {
-			tr.RegisterObs(p.Obs)
-		}
+		registerTreeObs(p.Obs, tr)
 		tr.Run(sim.Second)
 		st := tr.Stats()
 

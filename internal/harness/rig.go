@@ -11,16 +11,9 @@ import (
 
 // trioRig is the §6.3 microbenchmark testbed: N servers on one PFE behind
 // 100 Gbps links, streaming aggregation blocks with a configurable window.
-//
-// With cfg.partitions > 1 the rig is placed across a sim.Cluster: the router
-// (PFE, aggregator, timer threads) owns partition 0 and the servers are dealt
-// round-robin over the remaining partitions, with every server↔router cable
-// crossing a partition boundary. The cables' 500 ns propagation is the
-// conservative lookahead, and results are identical to the single-partition
-// rig at the same seed (pinned by TestCrossPartitionDeterminism).
+// Router and servers share one engine.
 type trioRig struct {
-	eng     *sim.Engine  // partition 0's engine when partitioned
-	cluster *sim.Cluster // nil when cfg.partitions <= 1
+	eng     *sim.Engine
 	router  *trio.Router
 	agg     *trioml.Aggregator
 	clients []*streamClient
@@ -34,7 +27,6 @@ type rigConfig struct {
 	window       int
 	timeout      sim.Time
 	timerThreads int
-	partitions   int // <=1: one engine; >1: sim.Cluster with router on partition 0
 	silent       map[int]bool  // servers that never send (stragglers)
 	trace        *obs.Trace    // nil: tracing off (the default)
 	obsReg       *obs.Registry // nil: metrics off; sweeps rebind func series to the latest rig
@@ -75,14 +67,7 @@ func newTrioRig(cfg rigConfig) *trioRig {
 	if cfg.timerThreads == 0 {
 		cfg.timerThreads = 100
 	}
-	var cluster *sim.Cluster
-	var eng *sim.Engine
-	if cfg.partitions > 1 {
-		cluster = sim.NewCluster(cfg.partitions)
-		eng = cluster.Engine(0)
-	} else {
-		eng = sim.NewEngine()
-	}
+	eng := sim.NewEngine()
 	pcfg := trioml.RecommendedPFEConfig()
 	if cfg.numPPEs > 0 {
 		pcfg.NumPPEs = cfg.numPPEs
@@ -113,24 +98,15 @@ func newTrioRig(cfg rigConfig) *trioRig {
 	}); err != nil {
 		panic(err)
 	}
-	rig := &trioRig{eng: eng, cluster: cluster, router: r, agg: agg, cfg: cfg}
+	rig := &trioRig{eng: eng, router: r, agg: agg, cfg: cfg}
 	r.PFE(0).SetTrace(cfg.trace)
 	if cfg.obsReg != nil {
-		// Partitioned rigs export the router partition's engine (where the
-		// aggregation work lives) plus the cluster's per-partition series.
 		eng.RegisterObs(cfg.obsReg)
 		r.PFE(0).RegisterObs(cfg.obsReg)
 		r.PFE(0).Mem.RegisterObs(cfg.obsReg)
-		if cluster != nil {
-			cluster.RegisterObs(cfg.obsReg)
-		}
 	}
 	for i := 0; i < cfg.servers; i++ {
 		i := i
-		clientEng := eng
-		if cluster != nil {
-			clientEng = cluster.Engine(1 + i%(cfg.partitions-1))
-		}
 		upCfg := netsim.DefaultLinkConfig()
 		if cfg.linkLoss > 0 {
 			// Loss on the worker→router direction only: dropped
@@ -139,12 +115,12 @@ func newTrioRig(cfg rigConfig) *trioRig {
 			upCfg.LossProb = cfg.linkLoss
 			upCfg.LossSeed = cfg.lossSeed + uint64(i)
 		}
-		up := netsim.NewLinkBetween(clientEng, eng, upCfg, func(f []byte, _ sim.Time) {
+		up := netsim.NewLink(eng, upCfg, func(f []byte, _ sim.Time) {
 			r.Inject(0, i, uint64(i), f)
 		})
-		c := &streamClient{id: i, eng: clientEng, cfg: cfg, sentAt: make(map[uint32]sim.Time),
+		c := &streamClient{id: i, eng: eng, cfg: cfg, sentAt: make(map[uint32]sim.Time),
 			send: func(f []byte) { up.Send(f) }}
-		down := netsim.NewLinkBetween(eng, clientEng, netsim.DefaultLinkConfig(), c.onFrame)
+		down := netsim.NewLink(eng, netsim.DefaultLinkConfig(), c.onFrame)
 		r.AttachExternal(0, i, func(_ int, f []byte, _ sim.Time) { down.Send(f) })
 		rig.clients = append(rig.clients, c)
 	}
@@ -162,13 +138,9 @@ func (r *trioRig) run() {
 		}
 	}
 	deadline := sim.Time(cfg.blocks+2)*4*cfg.timeout + sim.Second
-	if r.cluster != nil {
-		r.cluster.Run(func() bool { return r.allDone(cfg) }, deadline)
-	} else {
-		for !r.allDone(cfg) {
-			if !r.eng.Step() || r.eng.Now() > deadline {
-				break
-			}
+	for !r.allDone(cfg) {
+		if !r.eng.Step() || r.eng.Now() > deadline {
+			break
 		}
 	}
 	stop.Stop()

@@ -86,7 +86,7 @@ type Params struct {
 	Quick      bool
 	Seed       uint64
 	Parallel   int           // sweep worker-pool size; <2 runs points serially
-	Partitions int           // sim partitions per rig; <2 runs single-engine
+	Partitions int           // sim partitions, tree and treechaos only; every single-router rig runs on one engine
 	Log        io.Writer     // progress messages; nil discards
 	Trace      *obs.Trace    // when non-nil, experiments record chrome-trace spans into it
 	Obs        *obs.Registry // when non-nil, rigs register their engine/PFE/smem metrics

@@ -471,3 +471,22 @@ func TestValidationRejectsOversizeXTXNWindow(t *testing.T) {
 		t.Fatal("LMEM overflow window accepted")
 	}
 }
+
+func BenchmarkMicrocodeFilterProgram(b *testing.B) {
+	prog := MustAssemble(`
+s: begin
+    r0 = r1 + 2;
+    if (r0 == 7) { exit(forward); }
+    exit(drop);
+end
+`)
+	env := newTestEnv()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		th := NewThread(env, 0)
+		th.Regs[1] = 5
+		if _, err := Run(prog, th, "s"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

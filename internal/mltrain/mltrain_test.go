@@ -455,3 +455,19 @@ func TestClusterSurvivesWorkerCrashes(t *testing.T) {
 		t.Fatalf("crash-injected run not deterministic: %v/%d vs %v/%d", endA, crashA, endB, crashB)
 	}
 }
+
+// BenchmarkClusterIterationTrioML is the end-to-end host cost of simulating
+// one Trio-ML training iteration (ResNet50, scale 2048).
+func BenchmarkClusterIterationTrioML(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		c, err := NewCluster(ClusterConfig{
+			Model: Models()[0], System: SystemTrioML, Scale: 2048, Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Run(1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

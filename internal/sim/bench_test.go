@@ -6,7 +6,6 @@ import (
 	"github.com/trioml/triogo/internal/obs"
 )
 
-// The benchmarks below are tracked in BENCH_sim.json via `make bench-sim`.
 // BenchmarkEngineScheduleFireArg is the headline: steady-state arg-based
 // schedule+fire must report 0 allocs/op.
 

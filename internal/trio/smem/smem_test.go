@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 )
 
@@ -359,4 +360,34 @@ func TestRawBypassesAccounting(t *testing.T) {
 	if m.TotalOps() != 0 {
 		t.Fatal("raw access charged an engine")
 	}
+}
+
+// BenchmarkAblationHeadTailSplit compares aggregating a 1024-gradient
+// packet via the head+64B-tail-chunk path against a hypothetical
+// whole-packet-in-LMEM design (which the 1.25 KB thread LMEM could not
+// actually hold).
+func BenchmarkAblationHeadTailSplit(b *testing.B) {
+	grads := make([]int32, 1024)
+	raw := make([]byte, 4*len(grads))
+	packet.PutGradients(raw, grads)
+	b.Run("chunked-64B", func(b *testing.B) {
+		m := New(Config{})
+		addr := m.Alloc(TierDRAM, uint64(len(raw)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for off := 0; off < len(raw); off += 64 {
+				g, _ := packet.Gradients(raw[off:off+64], 16)
+				m.AddVector32(0, addr+uint64(off), g)
+			}
+		}
+	})
+	b.Run("whole-packet", func(b *testing.B) {
+		m := New(Config{})
+		addr := m.Alloc(TierDRAM, uint64(len(raw)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g, _ := packet.Gradients(raw, len(grads))
+			m.AddVector32(0, addr, g)
+		}
+	})
 }

@@ -6,9 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/trioml/triogo/internal/microcode"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
+	"github.com/trioml/triogo/internal/trio/hasheng"
 	"github.com/trioml/triogo/internal/trio/pfe"
+	"github.com/trioml/triogo/internal/trio/smem"
 )
 
 // mcaggRig installs mcagg with an arbitrary configuration and collects
@@ -180,4 +183,100 @@ func TestMCAggUnrollVariantsAgree(t *testing.T) {
 		}
 		prevInstr = instr
 	}
+}
+
+// benchEnv is a minimal microcode.Env over real engine state, so the
+// dispatch benchmark measures the execution engines themselves rather than
+// PFE scheduling around them.
+type benchEnv struct {
+	mem   *smem.Memory
+	hash  *hasheng.Table
+	tail  []byte
+	reply [smem.MaxTxnBytes]byte // MemRead staging, as pfe.MicrocodeApp has
+}
+
+func (e *benchEnv) MemRead(now sim.Time, addr uint64, size int) ([]byte, sim.Time) {
+	return e.mem.ReadStaged(now, addr, size, &e.reply)
+}
+func (e *benchEnv) MemWrite(now sim.Time, addr uint64, data []byte) sim.Time {
+	return e.mem.Write(now, addr, data)
+}
+func (e *benchEnv) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
+	return e.mem.CounterInc(now, addr, pktLen)
+}
+func (e *benchEnv) ReadTail(now sim.Time, off, size int) ([]byte, sim.Time) {
+	return microcode.ClipTail(e.tail, off, size), now
+}
+func (e *benchEnv) WriteTail(now sim.Time, off int, data []byte) sim.Time {
+	if off >= 0 && off < len(e.tail) {
+		copy(e.tail[off:], data)
+	}
+	return now
+}
+func (e *benchEnv) HashLookup(now sim.Time, key uint64) (uint64, bool, sim.Time) {
+	return e.hash.Lookup(now, key)
+}
+func (e *benchEnv) HashInsert(now sim.Time, key, val uint64) (bool, sim.Time) {
+	return e.hash.Insert(now, key, val)
+}
+func (e *benchEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
+	return e.hash.Delete(now, key)
+}
+
+// BenchmarkMicrocodeDispatch compares the reference interpreter against the
+// v2 compiled dispatcher on the real aggregation workload: a stream of
+// 1024-gradient contributor packets through the mcagg program. Each
+// iteration runs one whole PPE thread on the path pfe.MicrocodeApp.Process
+// takes — one Thread reset per packet, read replies staged in an Env-owned
+// buffer — so allocs/op is the per-packet allocation count of that path
+// (0); instrs/s is the dispatch throughput.
+func BenchmarkMicrocodeDispatch(b *testing.B) {
+	const grads = 1024
+	const sources = 63 // max fan-in: 62 of 63 packets take the RMW loop
+	mem := smem.New(smem.Config{})
+	recBase := mem.Alloc(smem.TierSRAM, 8*64)
+	bufBase := mem.Alloc(smem.TierDRAM, 8*4*grads)
+	cfg := MCAggConfig{Sources: sources, Slots: 8, Grads: grads}
+	prog, err := MCAggProgram(cfg, recBase, bufBase)
+	if err != nil {
+		b.Fatal(err)
+	}
+	compiled := microcode.MustCompile(prog)
+	frames := make([][]byte, sources)
+	g := make([]int32, grads)
+	for w := range frames {
+		frames[w] = packet.BuildTrioML(packet.UDPSpec{SrcPort: 5000},
+			packet.TrioML{JobID: 1, BlockID: 0, SrcID: uint8(w), GenID: 1}, g)
+	}
+	env := &benchEnv{mem: mem, hash: hasheng.NewTable(hasheng.Config{})}
+
+	run := func(b *testing.B, exec func(th *microcode.Thread) (microcode.Verdict, error)) {
+		b.ReportAllocs()
+		var instrs uint64
+		var now sim.Time
+		th := microcode.NewThread(env, 0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f := frames[i%sources]
+			env.tail = f[192:]
+			now += sim.Microsecond
+			th.Reset(env, now)
+			th.LoadHead(f[:192])
+			if _, err := exec(th); err != nil {
+				b.Fatal(err)
+			}
+			instrs += th.Stats.Instructions
+		}
+		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+	}
+	b.Run("interpreter", func(b *testing.B) {
+		run(b, func(th *microcode.Thread) (microcode.Verdict, error) {
+			return microcode.Run(prog, th, "parse")
+		})
+	})
+	b.Run("compiled", func(b *testing.B) {
+		run(b, func(th *microcode.Thread) (microcode.Verdict, error) {
+			return microcode.RunCompiled(compiled, th, "parse")
+		})
+	})
 }
