@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet verify verify-hostagg verify-hostagg-live verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-tree verify-apps chaos smoke-examples
+.PHONY: build test vet verify verify-hostagg verify-hostagg-live verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-tree verify-apps goldens-check smoke-examples
 
 build:
 	$(GO) build ./...
@@ -15,19 +15,20 @@ vet:
 # full build + tests, whole-repo vet, then the race suites of the
 # concurrency-critical layers (hostagg's sharded hot path, vfp's host
 # datapath, obs's atomic instruments, dse's worker pool, tree's partitioned
-# hierarchy), the metric documentation check, and an every-example smoke run.
-verify: build test vet verify-hostagg verify-hostagg-live verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-tree verify-apps smoke-examples
+# hierarchy), the metric documentation check, the CLI-level golden diff, and
+# an every-example smoke run.
+verify: build test vet verify-hostagg verify-hostagg-live verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-tree verify-apps goldens-check smoke-examples
 
 verify-hostagg:
 	$(GO) test -race ./internal/hostagg/...
 
 # verify-hostagg-live drives the real UDP server under adversarial tenants:
-# the race-enabled live-wire chaos tests, the seed-1 categorical golden, and
-# a short FuzzHandle run over the checked-in corpus plus fresh inputs.
+# the race-enabled live-wire chaos run against its seed-1 categorical golden
+# (real sockets and wall-clock SLOs, so it sits behind -live and outside
+# tier-1), and a short FuzzHandle run over the checked-in corpus plus fresh
+# inputs.
 verify-hostagg-live:
-	$(GO) test -race -run 'TestLiveChaos|TestGoldenLiveChaos' ./internal/harness/
-	$(GO) run ./cmd/triobench -exp livechaos -seed 1 -quiet | diff -u internal/harness/testdata/golden_livechaos_seed1.txt -
-	@echo "verify-hostagg-live: livechaos table matches golden capture"
+	$(GO) test -race -run TestLiveChaosGolden ./internal/harness/ -live
 	$(GO) test -fuzz=FuzzHandle -fuzztime=10s -run FuzzHandle ./internal/hostagg/
 
 # verify-faults races the fault-injection plan and the crash/rejoin training
@@ -35,11 +36,22 @@ verify-hostagg-live:
 verify-faults:
 	$(GO) test -race ./internal/faults/... ./internal/mltrain/...
 
-# chaos runs the fault-sweep experiment at seed 1 and diffs the summary
-# table against the golden capture (quick mode, same as the pinned test).
-chaos:
-	$(GO) run ./cmd/triobench -exp chaos -seed 1 -quiet | diff -u internal/harness/testdata/golden_chaos_seed1.txt -
-	@echo "chaos: summary table matches golden capture"
+# goldens-check runs every deterministic experiment (all but livechaos)
+# through the CLI at seed 1, quick mode, and diffs each capture under
+# internal/harness/testdata/ — file=experiments: the pairs golden_test.go
+# pins, plus the training figures and the tree sweep, which are too slow to
+# run a second time inside tier-1.
+GOLDENS = fig14_fig15=fig14,fig15 rigs=fig16,microcode,advanced,ablation,dse,progdse \
+	chaos=chaos netrpc=netrpc infnet=infnet tree=treechaos \
+	train=table1,fig12,fig13 treesweep=tree
+goldens-check:
+	@mkdir -p .smoke-bin
+	@$(GO) build -o .smoke-bin/triobench ./cmd/triobench
+	@set -e; for g in $(GOLDENS); do \
+		./.smoke-bin/triobench -exp $${g#*=} -seed 1 -quiet | diff -u internal/harness/testdata/golden_$${g%%=*}_seed1.txt -; \
+		echo "goldens-check: $${g#*=} matches golden_$${g%%=*}_seed1.txt"; \
+	done
+	@rm -rf .smoke-bin
 
 verify-vfp:
 	$(GO) test -race ./internal/vfp/...

@@ -28,17 +28,7 @@ func main() {
 
 	// Control plane: install the aggregation job — six sources, results
 	// multicast back out the same six ports.
-	ports := make([]int, numWorkers)
-	srcs := make([]uint8, numWorkers)
-	for i := range ports {
-		ports[i], srcs[i] = i, uint8(i)
-	}
-	err := agg.InstallJob(trioml.JobConfig{
-		JobID: 1, Sources: srcs, ResultPorts: ports, UpstreamPort: -1,
-		BlockGradMax: gradsPerPkt,
-		ResultSpec:   packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 100}, DstIP: [4]byte{224, 0, 1, 1}},
-	})
-	if err != nil {
+	if err := agg.InstallJob(trioml.StarJob(1, numWorkers, gradsPerPkt, 0)); err != nil {
 		panic(err)
 	}
 
@@ -47,11 +37,7 @@ func main() {
 	received := make([]int, numWorkers)
 	bad := 0
 	for w := 0; w < numWorkers; w++ {
-		w := w
-		up := netsim.NewLink(eng, netsim.DefaultLinkConfig(), func(f []byte, _ sim.Time) {
-			router.Inject(0, w, uint64(w), f)
-		})
-		down := netsim.NewLink(eng, netsim.DefaultLinkConfig(), func(f []byte, at sim.Time) {
+		send := router.Cable(0, w, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig(), func(f []byte, at sim.Time) {
 			fr, err := packet.Decode(f)
 			if err != nil || !fr.IsTrioML() {
 				return
@@ -65,14 +51,13 @@ func main() {
 				bad++
 			}
 		})
-		router.AttachExternal(0, w, func(_ int, f []byte, _ sim.Time) { down.Send(f) })
 
 		for b := 0; b < numBlocks; b++ {
 			grads := make([]int32, gradsPerPkt)
 			for i := range grads {
 				grads[i] = int32(b + w + i%1) // lane 0 pattern is what we verify
 			}
-			up.Send(packet.BuildTrioML(packet.UDPSpec{
+			send(packet.BuildTrioML(packet.UDPSpec{
 				SrcIP: [4]byte{10, 0, 0, byte(w + 1)}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000,
 			}, packet.TrioML{JobID: 1, BlockID: uint32(b), SrcID: uint8(w), GenID: 1}, grads))
 		}

@@ -71,11 +71,9 @@ func main() {
 			}
 		}
 	})
-	up := netsim.NewLink(eng, netsim.DefaultLinkConfig(), func(f []byte, _ sim.Time) {
-		router.Inject(0, 1, 1, f)
-	})
+	send := router.Cable(0, 1, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig(), nil) // send-only
 	for _, p := range probes {
-		up.Send(p.frame)
+		send(p.frame)
 	}
 	eng.Run()
 

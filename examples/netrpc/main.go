@@ -38,18 +38,14 @@ func main() {
 
 	// Origin server behind a slow metro link: misses pay 2x originDelay.
 	origin := &netrpc.Origin{}
-	serverPort := pfe.Cfg.NumPorts - 1
 	slow := netsim.DefaultLinkConfig()
 	slow.Propagation = originDelay
-	fromOrigin := netsim.NewLink(eng, slow, func(f []byte, _ sim.Time) {
-		router.Inject(0, serverPort, 1<<40, f)
-	})
-	toOrigin := netsim.NewLink(eng, slow, func(f []byte, _ sim.Time) {
+	var fromOrigin func([]byte)
+	fromOrigin = router.Cable(0, pfe.Cfg.NumPorts-1, slow, slow, func(f []byte, _ sim.Time) {
 		if resp := origin.Handle(f); resp != nil {
-			fromOrigin.Send(resp)
+			fromOrigin(resp)
 		}
 	})
-	router.AttachExternal(0, serverPort, func(_ int, f []byte, _ sim.Time) { toOrigin.Send(f) })
 
 	// Clients on ports 1..numClients; each verifies its reply payload against
 	// the origin's deterministic compute.
@@ -66,11 +62,8 @@ func main() {
 		client := netrpc.Client{ID: uint16(id), Spec: packet.UDPSpec{
 			SrcIP: [4]byte{10, 0, 0, byte(id)}, DstIP: [4]byte{10, 0, 0, 200}, SrcPort: 7000,
 		}}
-		up := netsim.NewLink(eng, netsim.DefaultLinkConfig(), func(f []byte, _ sim.Time) {
-			router.Inject(0, id, uint64(id), f)
-		})
 		sentAt := sim.Time(0)
-		down := netsim.NewLink(eng, netsim.DefaultLinkConfig(), func(f []byte, at sim.Time) {
+		send := router.Cable(0, id, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig(), func(f []byte, at sim.Time) {
 			h, payload, err := netrpc.ParseResponse(f)
 			if err != nil {
 				return
@@ -88,7 +81,6 @@ func main() {
 				bad++
 			}
 		})
-		router.AttachExternal(0, id, func(_ int, f []byte, _ sim.Time) { down.Send(f) })
 
 		// Clients 1 and 2 race during the pending window (claim + coalesce);
 		// client 3 calls later and hits the adopted entry in PFE memory.
@@ -97,7 +89,7 @@ func main() {
 			delay = 3 * originDelay
 		}
 		req := client.Request(method, args)
-		eng.At(delay, func() { sentAt = eng.Now(); up.Send(req) })
+		eng.At(delay, func() { sentAt = eng.Now(); send(req) })
 	}
 
 	eng.Run()

@@ -29,16 +29,7 @@ func main() {
 	router := trio.New(eng, trio.Config{NumPFEs: 1, PFE: trioml.RecommendedPFEConfig()})
 	agg := trioml.New(router.PFE(0))
 
-	ports := make([]int, numWorkers)
-	srcs := make([]uint8, numWorkers)
-	for i := range ports {
-		ports[i], srcs[i] = i, uint8(i)
-	}
-	if err := agg.InstallJob(trioml.JobConfig{
-		JobID: 1, Sources: srcs, ResultPorts: ports, UpstreamPort: -1,
-		BlockExpiry: timeout,
-		ResultSpec:  packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 100}, DstIP: [4]byte{224, 0, 1, 1}},
-	}); err != nil {
+	if err := agg.InstallJob(trioml.StarJob(1, numWorkers, 0, timeout)); err != nil {
 		panic(err)
 	}
 

@@ -2,31 +2,8 @@ package harness
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 )
-
-// TestGoldenAppsDeterminism pins the rendered netrpc and infnet tables for
-// seed 1 in quick mode — every digit, measured latencies included, must
-// reproduce bit for bit. Regenerate after a deliberate semantic change with:
-//
-//	go run ./cmd/triobench -exp netrpc -seed 1 -quiet \
-//	    > internal/harness/testdata/golden_netrpc_seed1.txt
-//	go run ./cmd/triobench -exp infnet -seed 1 -quiet \
-//	    > internal/harness/testdata/golden_infnet_seed1.txt
-func TestGoldenAppsDeterminism(t *testing.T) {
-	for _, name := range []string{"netrpc", "infnet"} {
-		want, err := os.ReadFile(filepath.Join("testdata", "golden_"+name+"_seed1.txt"))
-		if err != nil {
-			t.Fatalf("reading golden file: %v", err)
-		}
-		got := renderAll(t, Params{Quick: true, Seed: 1}, name)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s output diverged from the golden capture\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
-		}
-	}
-}
 
 // TestAppsSeedDeterminism asserts the two application experiments are pure
 // functions of their seed: two fresh runs at the same seed must render byte

@@ -1,11 +1,6 @@
 package harness
 
-import (
-	"bytes"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestChaosBounds runs the chaos sweep at seed 1 and relies on the
 // experiment's built-in assertions: every fault family at every swept rate
@@ -31,31 +26,5 @@ func TestChaosBounds(t *testing.T) {
 		if row[7] != "yes" {
 			t.Errorf("chaos: %s@%s%% not bit-exact: %v", row[0], row[1], row)
 		}
-	}
-}
-
-// TestGoldenChaosDeterminism pins the rendered chaos table for seed 1 in
-// quick mode: the fault schedules all flow from seeded PCG streams, so every
-// cell — injected-fault counts and latency digits included — must reproduce
-// bit for bit. Regenerate after a deliberate semantic change with:
-//
-//	go run ./cmd/triobench -exp chaos -seed 1 -quiet \
-//	    > internal/harness/testdata/golden_chaos_seed1.txt
-func TestGoldenChaosDeterminism(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_chaos_seed1.txt"))
-	if err != nil {
-		t.Fatalf("reading golden file: %v", err)
-	}
-	e, _ := Lookup("chaos")
-	tables, err := e.Run(Params{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatalf("chaos: %v", err)
-	}
-	var got bytes.Buffer
-	for _, tb := range tables {
-		tb.Render(&got)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("chaos output diverged from the golden capture\n--- want ---\n%s\n--- got ---\n%s", want, got.Bytes())
 	}
 }

@@ -2,13 +2,12 @@ package harness
 
 import (
 	"fmt"
+	"hash/fnv"
 
 	"github.com/trioml/triogo/internal/faults"
 	"github.com/trioml/triogo/internal/netsim"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
-	"github.com/trioml/triogo/internal/trio"
-	"github.com/trioml/triogo/internal/trioml"
 )
 
 func init() {
@@ -81,218 +80,53 @@ type resultSig struct {
 	hash   uint64
 }
 
-func hashBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
+// resultKey names one server's accepted result for one block.
+type resultKey struct {
+	server int
+	block  uint32
 }
 
-// chaosClient is a streaming server hardened for a lossy fabric: it verifies
-// the UDP checksum of every inbound frame (corrupted frames behave as loss),
-// periodically retransmits every sent-but-unanswered block, and records a
-// signature of each accepted result. Recovery is measured from a block's
-// FIRST transmission to its accepted result.
-type chaosClient struct {
-	id   int
-	eng  *sim.Engine
-	send func([]byte)
-	cfg  chaosCfg
-
-	next   int
-	done   int
-	sentAt map[uint32]sim.Time
-	sigs   map[uint32]resultSig
-	maxLat sim.Time
-	doneAt sim.Time
-	retxH  sim.Handle
-
-	badFrames uint64 // checksum-failed frames discarded at ingress
-
-	grads []int32
-	frame packet.Frame
-}
-
-type chaosCfg struct {
-	servers, gradsPerPkt, blocks, window int
-	timeout, retxEvery                   sim.Time
-	timerThreads                         int
-	silent                               map[int]bool
-	lossProb                             float64
-	seed                                 uint64
-	plan                                 *faults.Plan // nil: fault-free (the oracle)
-}
-
-// chaosRig wires the §6.3 testbed with fault injection on every link and in
-// the PFE, the job's served-result replay cache on, and checksum-verifying
-// ingress on both the router and the servers.
-type chaosRig struct {
-	eng     *sim.Engine
-	agg     *trioml.Aggregator
-	clients []*chaosClient
-	links   []*netsim.Link
-	cfg     chaosCfg
-}
-
-func newChaosRig(cfg chaosCfg) *chaosRig {
-	eng := sim.NewEngine()
-	pcfg := trioml.RecommendedPFEConfig()
-	r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: pcfg})
-	agg := trioml.New(r.PFE(0))
-	ports := make([]int, cfg.servers)
-	srcs := make([]uint8, cfg.servers)
-	for i := range ports {
-		ports[i], srcs[i] = i, uint8(i)
-	}
-	if err := agg.InstallJob(trioml.JobConfig{
-		JobID: 1, Sources: srcs, ResultPorts: ports, UpstreamPort: -1,
-		BlockGradMax: cfg.gradsPerPkt, BlockExpiry: cfg.timeout,
-		ResultSpec: packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 100}, DstIP: [4]byte{224, 0, 1, 1}},
-	}); err != nil {
-		panic(err)
-	}
-	// Retransmits can race a block's served result; the replay cache answers
-	// them with the original frame instead of re-opening the block.
-	if err := agg.EnableResultReplay(1, 4*cfg.blocks); err != nil {
-		panic(err)
-	}
-	r.PFE(0).SetFaults(cfg.plan.PFE(0))
-	r.PFE(0).Mem.SetFaults(cfg.plan.Mem(0))
-	rig := &chaosRig{eng: eng, agg: agg, cfg: cfg}
-	var decode packet.Frame // router-ingress checksum scratch
-	linkCfg := func(id uint64) netsim.LinkConfig {
+// runChaosRig runs the §6.3 rig hardened for a lossy fabric — fault
+// injection on every link and in the PFE, retransmitting checksum-verifying
+// servers, the job's served-result replay on (retransmits can race a block's
+// served result; the cache answers them with the original frame instead of
+// re-opening the block) — and returns it with the signature of every
+// accepted result. lossProb is netsim's native per-frame loss, which needs
+// no plan.
+func runChaosRig(cfg rigConfig, seed uint64, lossProb float64) (*trioRig, map[resultKey]resultSig, error) {
+	link := func(id uint64) netsim.LinkConfig {
 		lc := netsim.DefaultLinkConfig()
-		lc.LossProb = cfg.lossProb
-		lc.LossSeed = cfg.seed*977 + id
+		lc.LossProb = lossProb
+		lc.LossSeed = seed*977 + id
 		lc.Faults = cfg.plan.Link(id)
 		return lc
 	}
-	for i := 0; i < cfg.servers; i++ {
-		i := i
-		up := netsim.NewLink(eng, linkCfg(uint64(2*i)), func(f []byte, _ sim.Time) {
-			// Model Ethernet FCS at the router port: a corrupted frame is
-			// dropped here and repaired by the sender's retransmission.
-			if err := packet.DecodeInto(&decode, f); err != nil || !decode.VerifyUDPChecksum() {
-				return
-			}
-			r.Inject(0, i, uint64(i), f)
-		})
-		c := &chaosClient{id: i, eng: eng, cfg: cfg,
-			sentAt: make(map[uint32]sim.Time), sigs: make(map[uint32]resultSig),
-			send: func(f []byte) { up.Send(f) }}
-		down := netsim.NewLink(eng, linkCfg(uint64(2*i+1)), c.onFrame)
-		r.AttachExternal(0, i, func(_ int, f []byte, _ sim.Time) { down.Send(f) })
-		rig.clients = append(rig.clients, c)
-		rig.links = append(rig.links, up, down)
+	cfg.links = func(i int) (up, down netsim.LinkConfig) {
+		return link(uint64(2 * i)), link(uint64(2*i + 1))
 	}
-	return rig
-}
-
-func (r *chaosRig) run() {
-	cfg := r.cfg
-	stop := r.agg.StartStragglerDetection(cfg.timerThreads, cfg.timeout)
-	for _, c := range r.clients {
-		if !cfg.silent[c.id] {
-			c.start()
+	sigs := map[resultKey]resultSig{}
+	cfg.onResult = func(server int, f *packet.Frame) {
+		h := fnv.New64a()
+		h.Write(f.Payload)
+		sigs[resultKey{server, f.ML.BlockID}] = resultSig{srcCnt: f.ML.SrcCnt, hash: h.Sum64()}
+	}
+	rig := newTrioRig(cfg)
+	rig.run()
+	for _, c := range rig.clients {
+		if !cfg.silent[c.id] && c.done != cfg.blocks {
+			return nil, nil, fmt.Errorf("client %d finished %d/%d blocks", c.id, c.done, cfg.blocks)
 		}
 	}
-	deadline := sim.Time(cfg.blocks+2)*8*cfg.timeout + sim.Second
-	for !r.allDone() {
-		if !r.eng.Step() || r.eng.Now() > deadline {
-			break
-		}
-	}
-	for _, c := range r.clients {
-		c.retxH.Stop()
-	}
-	stop.Stop()
-}
-
-func (r *chaosRig) allDone() bool {
-	for _, c := range r.clients {
-		if !r.cfg.silent[c.id] && c.done < r.cfg.blocks {
-			return false
-		}
-	}
-	return true
+	return rig, sigs, nil
 }
 
 // nativeDrops sums netsim's own loss counter across every link.
-func (r *chaosRig) nativeDrops() uint64 {
+func nativeDrops(r *trioRig) uint64 {
 	var n uint64
-	for _, l := range r.links {
+	for _, l := range r.router.Links() {
 		n += l.Dropped
 	}
 	return n
-}
-
-func (c *chaosClient) start() {
-	c.pump()
-	if c.cfg.retxEvery > 0 {
-		c.retxH = c.eng.Every(c.cfg.retxEvery, c.cfg.retxEvery, c.retxTick)
-	}
-}
-
-func (c *chaosClient) pump() {
-	for c.next-c.done < c.cfg.window && c.next < c.cfg.blocks {
-		b := uint32(c.next)
-		c.next++
-		c.sentAt[b] = c.eng.Now()
-		c.sendBlock(b)
-	}
-}
-
-// retxTick resends every sent-but-unanswered block in block order (map
-// iteration would randomize event order and break run determinism). The
-// first-send timestamp is preserved: recovery spans the whole repair.
-func (c *chaosClient) retxTick() {
-	if c.done >= c.cfg.blocks {
-		c.retxH.Stop()
-		return
-	}
-	for b := 0; b < c.next; b++ {
-		if _, out := c.sentAt[uint32(b)]; out {
-			c.sendBlock(uint32(b))
-		}
-	}
-}
-
-func (c *chaosClient) sendBlock(b uint32) {
-	if c.grads == nil {
-		c.grads = make([]int32, c.cfg.gradsPerPkt)
-	}
-	grads := c.grads
-	for i := range grads {
-		grads[i] = int32(c.id + int(b) + i)
-	}
-	c.send(packet.BuildTrioML(packet.UDPSpec{
-		SrcIP: [4]byte{10, 0, 0, byte(c.id + 1)}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000,
-	}, packet.TrioML{JobID: 1, BlockID: b, SrcID: uint8(c.id), GenID: 1}, grads))
-}
-
-func (c *chaosClient) onFrame(frame []byte, at sim.Time) {
-	f := &c.frame
-	if err := packet.DecodeInto(f, frame); err != nil || !f.IsTrioML() {
-		return
-	}
-	if !f.VerifyUDPChecksum() {
-		c.badFrames++
-		return
-	}
-	sent, ok := c.sentAt[f.ML.BlockID]
-	if !ok {
-		return // duplicate or replayed result; first valid copy won
-	}
-	delete(c.sentAt, f.ML.BlockID)
-	if lat := at - sent; lat > c.maxLat {
-		c.maxLat = lat
-	}
-	c.sigs[f.ML.BlockID] = resultSig{srcCnt: f.ML.SrcCnt, hash: hashBytes(f.Payload)}
-	c.done++
-	c.doneAt = at
-	c.pump()
 }
 
 // runChaos sweeps fault type x rate over the §6.3 rig with one silent
@@ -305,17 +139,15 @@ func runChaos(p Params) ([]*Table, error) {
 	if p.Quick {
 		rates = []float64{0.01, 0.05}
 	}
-	base := chaosCfg{
+	base := rigConfig{
 		servers: chaosServers, gradsPerPkt: 1024, blocks: chaosBlocks, window: chaosBlocks,
-		timeout: chaosTimeout, retxEvery: chaosRetx, timerThreads: 100,
+		timeout: chaosTimeout, retxEvery: chaosRetx, replay: 4 * chaosBlocks,
 		silent: map[int]bool{chaosServers - 1: true},
-		seed:   p.seed(),
 	}
 
 	// Oracle: the same rig and straggler with every fault rate at zero.
-	oracle := newChaosRig(base)
-	oracle.run()
-	if err := chaosComplete(oracle); err != nil {
+	_, oracle, err := runChaosRig(base, p.seed(), 0)
+	if err != nil {
 		return nil, fmt.Errorf("chaos oracle: %w", err)
 	}
 
@@ -336,14 +168,12 @@ func runChaos(p Params) ([]*Table, error) {
 		for _, rate := range rates {
 			fcfg, loss := f.mk(rate)
 			cfg := base
-			cfg.lossProb = loss
-			cfg.plan = faults.NewPlan(base.seed, fcfg)
+			cfg.plan = faults.NewPlan(p.seed(), fcfg)
 			if p.Obs != nil {
 				cfg.plan.RegisterObs(p.Obs)
 			}
-			rig := newChaosRig(cfg)
-			rig.run()
-			if err := chaosComplete(rig); err != nil {
+			rig, sigs, err := runChaosRig(cfg, p.seed(), loss)
+			if err != nil {
 				return nil, fmt.Errorf("chaos %s@%g%%: %w", f.name, rate*100, err)
 			}
 
@@ -352,7 +182,10 @@ func runChaos(p Params) ([]*Table, error) {
 				bound += chaosFlapDur(rate)
 			}
 			maxRec, goodput := chaosMetrics(rig)
-			exact := chaosBitExact(oracle, rig)
+			exact := true
+			for k, sig := range sigs {
+				exact = exact && sig == oracle[k]
+			}
 			injected := chaosInjected(f.name, rig, cfg.plan)
 
 			within := "yes"
@@ -379,22 +212,9 @@ func runChaos(p Params) ([]*Table, error) {
 
 func ms(t sim.Time) float64 { return float64(t) / float64(sim.Millisecond) }
 
-// chaosComplete checks that every active server collected every block.
-func chaosComplete(r *chaosRig) error {
-	for _, c := range r.clients {
-		if r.cfg.silent[c.id] {
-			continue
-		}
-		if c.done != r.cfg.blocks {
-			return fmt.Errorf("client %d finished %d/%d blocks", c.id, c.done, r.cfg.blocks)
-		}
-	}
-	return nil
-}
-
 // chaosMetrics reports the worst first-send-to-result latency across all
 // active servers and the goodput in accepted results per virtual ms.
-func chaosMetrics(r *chaosRig) (maxRec sim.Time, goodput float64) {
+func chaosMetrics(r *trioRig) (maxRec sim.Time, goodput float64) {
 	total := 0
 	var span sim.Time
 	for _, c := range r.clients {
@@ -415,28 +235,12 @@ func chaosMetrics(r *chaosRig) (maxRec sim.Time, goodput float64) {
 	return maxRec, goodput
 }
 
-// chaosBitExact compares every accepted result against the oracle's.
-func chaosBitExact(oracle, r *chaosRig) bool {
-	for i, c := range r.clients {
-		if r.cfg.silent[c.id] {
-			continue
-		}
-		ref := oracle.clients[i].sigs
-		for b := 0; b < r.cfg.blocks; b++ {
-			if c.sigs[uint32(b)] != ref[uint32(b)] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // chaosInjected picks the fault counter(s) relevant to the swept family.
-func chaosInjected(name string, r *chaosRig, plan *faults.Plan) uint64 {
+func chaosInjected(name string, r *trioRig, plan *faults.Plan) uint64 {
 	st := plan.Stats()
 	switch name {
 	case "loss":
-		return r.nativeDrops()
+		return nativeDrops(r)
 	case "corrupt":
 		return st.LinkCorruptions
 	case "dup":
@@ -450,7 +254,7 @@ func chaosInjected(name string, r *chaosRig, plan *faults.Plan) uint64 {
 	case "bankerr":
 		return st.MemBankErrors
 	case "combined":
-		return r.nativeDrops() + st.LinkFlapDrops + st.PPEStalls
+		return nativeDrops(r) + st.LinkFlapDrops + st.PPEStalls
 	}
 	return 0
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"github.com/trioml/triogo/internal/dse"
+	"github.com/trioml/triogo/internal/netsim"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio/smem"
 )
@@ -74,8 +75,16 @@ func DSERunner(p Params) dse.Runner {
 			rmwEngines:    int(dseParam(t, "rmw_engines", 0)),
 			sramLatencyNs: int(dseParam(t, "sram_latency_ns", 0)),
 			dramLatencyNs: int(dseParam(t, "dram_latency_ns", 0)),
-			linkLoss:      dseParam(t, "loss_pct", 0) / 100,
-			lossSeed:      t.Seed,
+		}
+		if loss := dseParam(t, "loss_pct", 0) / 100; loss > 0 {
+			// Loss on the worker→router direction only: dropped
+			// contributions are repaired by §5 aging (degraded results),
+			// so lossy sweeps still complete every block.
+			cfg.links = func(i int) (up, down netsim.LinkConfig) {
+				up, down = netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig()
+				up.LossProb, up.LossSeed = loss, t.Seed+uint64(i)
+				return up, down
+			}
 		}
 		rig := newTrioRig(cfg)
 		rig.run()

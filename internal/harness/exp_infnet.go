@@ -121,12 +121,8 @@ func newInfnetRig(cfg infnetCfg) *infnetRig {
 	}
 	rig := &infnetRig{eng: eng, router: r, svc: svc,
 		delivered: map[uint32]bool{}, labels: map[uint32]bool{}, want: map[uint32]bool{}}
-	if cfg.obsReg != nil {
-		eng.RegisterObs(cfg.obsReg)
-		r.PFE(0).RegisterObs(cfg.obsReg)
-		r.PFE(0).Mem.RegisterObs(cfg.obsReg)
-		svc.RegisterObs(cfg.obsReg)
-	}
+	r.Instrument(cfg.obsReg, nil, nil)
+	svc.RegisterObs(cfg.obsReg)
 
 	// The collector reads fixed offsets rather than packet.Decode: the TOS
 	// mark deliberately skips the incremental IP-checksum fix-up (one fewer
@@ -143,13 +139,7 @@ func newInfnetRig(cfg infnetCfg) *infnetRig {
 	// perturbs another sender's sequence.
 	idx := uint32(0)
 	for s := 0; s < cfg.senders; s++ {
-		port := 1 + s
-		// Constant per-sender reorder flow: a shared counter would assign
-		// flow IDs in delivery order, tying the reorder engine's per-flow
-		// sequencing to how same-instant arrivals happen to be queued.
-		up := netsim.NewLink(eng, netsim.DefaultLinkConfig(), func(f []byte, _ sim.Time) {
-			r.Inject(0, port, uint64(port), f)
-		})
+		send := r.Cable(0, 1+s, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig(), nil) // send-only
 		rng := sim.NewRNG(cfg.seed, 0x1F0+uint64(s))
 		for i := 0; i < cfg.packets; i++ {
 			attack := rng.Float64() < cfg.attackFrac
@@ -160,7 +150,7 @@ func newInfnetRig(cfg infnetCfg) *infnetRig {
 				rig.expect++
 			}
 			rig.sent++
-			up.Send(f)
+			send(f)
 			idx++
 		}
 	}

@@ -112,41 +112,29 @@ func newNetRPCRig(cfg netrpcCfg) *netrpcRig {
 	rig := &netrpcRig{eng: eng, router: r, svc: svc,
 		origin: &netrpc.Origin{}, cfg: cfg,
 		keys: slotDisjointKeys(cfg.keys, 4096)}
-	if cfg.obsReg != nil {
-		eng.RegisterObs(cfg.obsReg)
-		p.RegisterObs(cfg.obsReg)
-		p.Mem.RegisterObs(cfg.obsReg)
-		svc.RegisterObs(cfg.obsReg)
-	}
+	r.Instrument(cfg.obsReg, nil, nil)
+	svc.RegisterObs(cfg.obsReg)
 
-	// Origin server behind a slow link (one-way cfg.originDelay each
+	// Origin server behind a slow cable (one-way cfg.originDelay each
 	// direction): requests the cache forwards upstream pay the full metro
 	// round trip; cache hits never leave the rack.
-	serverPort := p.Cfg.NumPorts - 1
 	slow := netsim.DefaultLinkConfig()
 	slow.Propagation = cfg.originDelay
-	// One constant reorder flow per source (the trioRig idiom): a shared
-	// counter would assign flow IDs in delivery order, tying the reorder
-	// engine's per-flow sequencing to how same-instant arrivals happen to
-	// be queued.
-	fromOrigin := netsim.NewLink(eng, slow, func(f []byte, _ sim.Time) {
-		r.Inject(0, serverPort, 1<<40, f)
-	})
-	toOrigin := netsim.NewLink(eng, slow, func(f []byte, _ sim.Time) {
+	var fromOrigin func([]byte)
+	fromOrigin = r.Cable(0, p.Cfg.NumPorts-1, slow, slow, func(f []byte, _ sim.Time) {
 		resp := rig.origin.Handle(f)
 		if resp == nil {
 			return
 		}
-		fromOrigin.Send(resp)
+		fromOrigin(resp)
 		// Fault injection: the origin's transport retransmits a fraction
 		// of responses — the duplicate reaches a served entry and must be
 		// rejected by the pending-only adoption rule.
 		if cfg.dupEvery > 0 && rig.origin.Served%cfg.dupEvery == 0 {
 			rig.dups++
-			fromOrigin.Send(resp)
+			fromOrigin(resp)
 		}
 	})
-	r.AttachExternal(0, serverPort, func(_ int, f []byte, _ sim.Time) { toOrigin.Send(f) })
 
 	// Clients on ports 1..clients (port == client id — the cache addresses
 	// replies by forwarding to port client_id).
@@ -158,18 +146,13 @@ func newNetRPCRig(cfg netrpcCfg) *netrpcRig {
 		// deliveries to different ports.
 		linkCfg := netsim.DefaultLinkConfig()
 		linkCfg.Propagation += sim.Time(id) * sim.Nanosecond
-		up := netsim.NewLink(eng, linkCfg, func(f []byte, _ sim.Time) {
-			r.Inject(0, id, uint64(id), f)
-		})
 		c := &rpcClient{
 			rig: rig, rng: sim.NewRNG(cfg.seed, uint64(id)),
 			c: netrpc.Client{ID: uint16(id), Spec: packet.UDPSpec{
 				SrcIP: [4]byte{10, 0, 0, byte(id)}, DstIP: [4]byte{10, 0, 0, 200}, SrcPort: 7000,
 			}},
-			send: func(f []byte) { up.Send(f) },
 		}
-		down := netsim.NewLink(eng, linkCfg, c.onFrame)
-		r.AttachExternal(0, id, func(_ int, f []byte, _ sim.Time) { down.Send(f) })
+		c.send = r.Cable(0, id, linkCfg, linkCfg, c.onFrame)
 		rig.clients = append(rig.clients, c)
 	}
 	return rig

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"github.com/trioml/triogo/internal/faults"
 	"github.com/trioml/triogo/internal/netsim"
 	"github.com/trioml/triogo/internal/obs"
 	"github.com/trioml/triogo/internal/packet"
@@ -33,18 +34,32 @@ type rigConfig struct {
 
 	// Design-space knobs (internal/dse sweeps); zero values keep the §6.3
 	// operating point of trioml.RecommendedPFEConfig.
-	numPPEs       int     // PPEs on the PFE
-	threadsPerPPE int     // threads per PPE
-	rmwEngines    int     // shared-memory RMW banks
-	sramLatencyNs int     // SRAM access latency, nanoseconds
-	dramLatencyNs int     // DRAM access latency, nanoseconds
-	linkLoss      float64 // per-frame loss probability on each uplink
-	lossSeed      uint64  // seeds the per-uplink drop streams
+	numPPEs       int // PPEs on the PFE
+	threadsPerPPE int // threads per PPE
+	rmwEngines    int // shared-memory RMW banks
+	sramLatencyNs int // SRAM access latency, nanoseconds
+	dramLatencyNs int // DRAM access latency, nanoseconds
+
+	// links configures server i's uplink and downlink (loss, fault
+	// streams); nil cables every server with netsim.DefaultLinkConfig.
+	links func(i int) (up, down netsim.LinkConfig)
+
+	// Lossy-fabric hardening, each piece off at its zero value: plan
+	// attaches PFE/memory fault streams and makes router ports and servers
+	// drop frames that fail their checksum; servers resend every unanswered
+	// block each retxEvery; the job replays its last `replay` results to
+	// retransmits instead of re-opening the block; onResult sees every
+	// accepted result.
+	plan      *faults.Plan
+	retxEvery sim.Time
+	replay    int
+	onResult  func(server int, f *packet.Frame)
 }
 
 // streamClient is a minimal gradient-streaming server: it keeps `window`
-// blocks outstanding and records the send→result round trip per block (the
-// metric of Figs. 14–16).
+// blocks outstanding and records each block's first-send→result round trip
+// (the metric of Figs. 14–16; under retransmission it spans the whole
+// repair).
 type streamClient struct {
 	id     int
 	eng    *sim.Engine
@@ -54,7 +69,9 @@ type streamClient struct {
 	done   int
 	sentAt map[uint32]sim.Time
 	lat    sim.Sample
+	maxLat sim.Time
 	doneAt sim.Time
+	retxH  sim.Handle
 
 	grads []int32      // send-side scratch; BuildTrioML copies it out
 	frame packet.Frame // receive-side decode scratch
@@ -86,42 +103,23 @@ func newTrioRig(cfg rigConfig) *trioRig {
 	}
 	r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: pcfg})
 	agg := trioml.New(r.PFE(0))
-	ports := make([]int, cfg.servers)
-	srcs := make([]uint8, cfg.servers)
-	for i := range ports {
-		ports[i], srcs[i] = i, uint8(i)
-	}
-	if err := agg.InstallJob(trioml.JobConfig{
-		JobID: 1, Sources: srcs, ResultPorts: ports, UpstreamPort: -1,
-		BlockGradMax: cfg.gradsPerPkt, BlockExpiry: cfg.timeout,
-		ResultSpec: packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 100}, DstIP: [4]byte{224, 0, 1, 1}},
-	}); err != nil {
+	if err := agg.InstallJob(trioml.StarJob(1, cfg.servers, cfg.gradsPerPkt, cfg.timeout)); err != nil {
 		panic(err)
 	}
-	rig := &trioRig{eng: eng, router: r, agg: agg, cfg: cfg}
-	r.PFE(0).SetTrace(cfg.trace)
-	if cfg.obsReg != nil {
-		eng.RegisterObs(cfg.obsReg)
-		r.PFE(0).RegisterObs(cfg.obsReg)
-		r.PFE(0).Mem.RegisterObs(cfg.obsReg)
-	}
-	for i := 0; i < cfg.servers; i++ {
-		i := i
-		upCfg := netsim.DefaultLinkConfig()
-		if cfg.linkLoss > 0 {
-			// Loss on the worker→router direction only: dropped
-			// contributions are repaired by §5 aging (degraded results),
-			// so lossy sweeps still complete every block.
-			upCfg.LossProb = cfg.linkLoss
-			upCfg.LossSeed = cfg.lossSeed + uint64(i)
+	if cfg.replay > 0 {
+		if err := agg.EnableResultReplay(1, cfg.replay); err != nil {
+			panic(err)
 		}
-		up := netsim.NewLink(eng, upCfg, func(f []byte, _ sim.Time) {
-			r.Inject(0, i, uint64(i), f)
-		})
-		c := &streamClient{id: i, eng: eng, cfg: cfg, sentAt: make(map[uint32]sim.Time),
-			send: func(f []byte) { up.Send(f) }}
-		down := netsim.NewLink(eng, netsim.DefaultLinkConfig(), c.onFrame)
-		r.AttachExternal(0, i, func(_ int, f []byte, _ sim.Time) { down.Send(f) })
+	}
+	r.Instrument(cfg.obsReg, cfg.trace, cfg.plan)
+	rig := &trioRig{eng: eng, router: r, agg: agg, cfg: cfg}
+	for i := 0; i < cfg.servers; i++ {
+		up, down := netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig()
+		if cfg.links != nil {
+			up, down = cfg.links(i)
+		}
+		c := &streamClient{id: i, eng: eng, cfg: cfg, sentAt: make(map[uint32]sim.Time)}
+		c.send = r.Cable(0, i, up, down, c.onFrame)
 		rig.clients = append(rig.clients, c)
 	}
 	return rig
@@ -143,6 +141,9 @@ func (r *trioRig) run() {
 			break
 		}
 	}
+	for _, c := range r.clients {
+		c.retxH.Stop()
+	}
 	stop.Stop()
 }
 
@@ -161,24 +162,48 @@ func (r *trioRig) allDone(cfg rigConfig) bool {
 	return true
 }
 
-func (c *streamClient) start() { c.pump() }
+func (c *streamClient) start() {
+	c.pump()
+	if c.cfg.retxEvery > 0 {
+		c.retxH = c.eng.Every(c.cfg.retxEvery, c.cfg.retxEvery, c.retxTick)
+	}
+}
 
 func (c *streamClient) pump() {
 	for c.next-c.done < c.cfg.window && c.next < c.cfg.blocks {
 		b := uint32(c.next)
 		c.next++
 		c.sentAt[b] = c.eng.Now()
-		if c.grads == nil {
-			c.grads = make([]int32, c.cfg.gradsPerPkt)
-		}
-		grads := c.grads
-		for i := range grads {
-			grads[i] = int32(c.id + int(b) + i)
-		}
-		c.send(packet.BuildTrioML(packet.UDPSpec{
-			SrcIP: [4]byte{10, 0, 0, byte(c.id + 1)}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000,
-		}, packet.TrioML{JobID: 1, BlockID: b, SrcID: uint8(c.id), GenID: 1}, grads))
+		c.sendBlock(b)
 	}
+}
+
+// retxTick resends every sent-but-unanswered block in block order (map
+// iteration would randomize event order and break run determinism). The
+// first-send timestamp is preserved: recovery spans the whole repair.
+func (c *streamClient) retxTick() {
+	if c.done >= c.cfg.blocks {
+		c.retxH.Stop()
+		return
+	}
+	for b := 0; b < c.next; b++ {
+		if _, out := c.sentAt[uint32(b)]; out {
+			c.sendBlock(uint32(b))
+		}
+	}
+}
+
+func (c *streamClient) sendBlock(b uint32) {
+	if c.grads == nil {
+		c.grads = make([]int32, c.cfg.gradsPerPkt)
+	}
+	grads := c.grads
+	for i := range grads {
+		grads[i] = int32(c.id + int(b) + i)
+	}
+	c.send(packet.BuildTrioML(packet.UDPSpec{
+		SrcIP: [4]byte{10, 0, 0, byte(c.id + 1)}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000,
+	}, packet.TrioML{JobID: 1, BlockID: b, SrcID: uint8(c.id), GenID: 1}, grads))
 }
 
 func (c *streamClient) onFrame(frame []byte, at sim.Time) {
@@ -186,12 +211,22 @@ func (c *streamClient) onFrame(frame []byte, at sim.Time) {
 	if err := packet.DecodeInto(f, frame); err != nil || !f.IsTrioML() {
 		return
 	}
+	if c.cfg.plan != nil && !f.VerifyUDPChecksum() {
+		return // corrupted on the downlink: behaves as loss
+	}
 	sent, ok := c.sentAt[f.ML.BlockID]
 	if !ok {
-		return
+		return // duplicate or replayed result; first valid copy won
 	}
 	delete(c.sentAt, f.ML.BlockID)
-	c.lat.Add(float64(at-sent) / float64(sim.Microsecond))
+	lat := at - sent
+	c.lat.Add(float64(lat) / float64(sim.Microsecond))
+	if lat > c.maxLat {
+		c.maxLat = lat
+	}
+	if c.cfg.onResult != nil {
+		c.cfg.onResult(c.id, f)
+	}
 	c.done++
 	c.doneAt = at
 	c.pump()

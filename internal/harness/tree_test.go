@@ -2,8 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -50,24 +48,5 @@ func TestTreeChaosCrossPartitionDeterminism(t *testing.T) {
 			t.Fatalf("P=%d output differs from P=1\n--- P=1 ---\n%s\n--- P=%d ---\n%s",
 				parts, base, parts, got)
 		}
-	}
-}
-
-// TestGoldenTreeChaos pins the treechaos table for seed 1: the composed
-// straggler semantics (which level ages, who restarts, how fast the sums
-// converge) are part of the repo's determinism contract, digits included.
-//
-// If a deliberate semantics change invalidates this file, regenerate with:
-//
-//	go run ./cmd/triobench -exp treechaos -seed 1 -quiet \
-//	    > internal/harness/testdata/golden_tree_seed1.txt
-func TestGoldenTreeChaos(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_tree_seed1.txt"))
-	if err != nil {
-		t.Fatalf("reading golden file: %v", err)
-	}
-	got := renderAll(t, Params{Quick: true, Seed: 1}, "treechaos")
-	if !bytes.Equal(got, want) {
-		t.Fatalf("treechaos output diverged from the golden capture\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }

@@ -195,27 +195,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	injector := NewInjectorPattern(cfg.StragglerP, cfg.NumWorkers,
 		cfg.Model.TypicalIter(cfg.LinkBandwidth), cfg.Seed, cfg.Pattern)
 
-	var inject func(port int, frame []byte)
 	switch cfg.System {
 	case SystemTrioML:
 		pcfg := trioml.RecommendedPFEConfig()
 		pcfg.PortBandwidth = scaledBW
 		r := trio.New(c.Eng, trio.Config{NumPFEs: 1, PFE: pcfg})
 		agg := trioml.New(r.PFE(0))
-		ports := make([]int, cfg.NumWorkers)
-		srcs := make([]uint8, cfg.NumWorkers)
-		for i := range ports {
-			ports[i], srcs[i] = i, uint8(i)
-		}
-		err := agg.InstallJob(trioml.JobConfig{
-			JobID: 1, Sources: srcs,
-			BlockGradMax: cfg.GradsPerPacket,
-			BlockExpiry:  cfg.Timeout,
-			ResultPorts:  ports,
-			UpstreamPort: -1,
-			ResultSpec:   packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 100}, DstIP: [4]byte{224, 0, 1, 1}},
-		})
-		if err != nil {
+		if err := agg.InstallJob(trioml.StarJob(1, cfg.NumWorkers, cfg.GradsPerPacket, cfg.Timeout)); err != nil {
 			return nil, err
 		}
 		c.stopTimers = append(c.stopTimers, agg.StartStragglerDetection(cfg.TimerThreads, cfg.Timeout))
@@ -226,10 +212,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			}))
 		}
 		c.TrioAgg = agg
-		inject = func(port int, frame []byte) { r.Inject(0, port, uint64(port), frame) }
-		c.buildWorkers(params, injector, inject, scaledBW, func(i int, recv netsim.Receiver) {
-			link := netsim.NewLink(c.Eng, c.linkCfg(scaledBW), recv)
-			r.AttachExternal(0, i, func(_ int, frame []byte, _ sim.Time) { link.Send(frame) })
+		c.buildWorkers(params, injector, func(i int, recv netsim.Receiver) func([]byte) {
+			return r.Cable(0, i, c.linkCfg(scaledBW), c.linkCfg(scaledBW), recv)
 		})
 	case SystemSwitchML:
 		sw := pisa.New(c.Eng, pisa.Config{PortBandwidth: scaledBW})
@@ -252,9 +236,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				links[port].Send(frame)
 			}
 		})
-		inject = func(port int, frame []byte) { sw.Inject(port, frame) }
-		c.buildWorkers(params, injector, inject, scaledBW, func(i int, recv netsim.Receiver) {
+		c.buildWorkers(params, injector, func(i int, recv netsim.Receiver) func([]byte) {
+			up := netsim.NewLink(c.Eng, c.linkCfg(scaledBW),
+				func(frame []byte, _ sim.Time) { sw.Inject(i, frame) })
 			links[i] = netsim.NewLink(c.Eng, c.linkCfg(scaledBW), recv)
+			return up.Send
 		})
 	default:
 		return nil, fmt.Errorf("mltrain: unknown system %v", cfg.System)
@@ -276,19 +262,16 @@ func (c *Cluster) linkCfg(bw uint64) netsim.LinkConfig {
 	}
 }
 
-// buildWorkers constructs the worker set with uplink links toward inject and
-// registers downlinks via attachDown.
+// buildWorkers constructs the worker set; cable wires worker i to its device
+// port (uplink first, then downlink — linkCfg hands out loss and fault
+// streams in creation order) and returns the worker's transmit function.
 func (c *Cluster) buildWorkers(params WorkerParams, injector *Injector,
-	inject func(port int, frame []byte), scaledBW uint64,
-	attachDown func(i int, recv netsim.Receiver)) {
+	cable func(i int, recv netsim.Receiver) (send func([]byte))) {
 	for i := 0; i < c.Cfg.NumWorkers; i++ {
-		i := i
-		up := netsim.NewLink(c.Eng, c.linkCfg(scaledBW),
-			func(frame []byte, _ sim.Time) { inject(i, frame) })
-		w := newWorker(c.Eng, i, uint8(i), c.Cfg.NumWorkers, params, injector,
-			func(frame []byte) { up.Send(frame) }, c.onIterRecv)
+		var w *Worker
+		send := cable(i, func(frame []byte, at sim.Time) { w.OnFrame(frame, at) })
+		w = newWorker(c.Eng, i, uint8(i), c.Cfg.NumWorkers, params, injector, send, c.onIterRecv)
 		w.crashFlt = c.trainFlt
-		attachDown(i, func(frame []byte, at sim.Time) { w.OnFrame(frame, at) })
 		c.workers = append(c.workers, w)
 	}
 }

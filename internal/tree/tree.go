@@ -304,29 +304,16 @@ func Build(cfg Config) (*Tree, error) {
 // results arriving from above re-multicast down the same child ports.
 func (t *Tree) installJob(n *Node) error {
 	cfg := t.Cfg
-	srcs := make([]uint8, n.fanIn)
-	ports := make([]int, n.fanIn)
-	for i := range srcs {
-		srcs[i], ports[i] = uint8(i), i
-	}
-	jc := trioml.JobConfig{
-		JobID:        cfg.JobID,
-		Sources:      srcs,
-		BlockCntMax:  min(4095, 2*cfg.Window+4),
-		BlockGradMax: cfg.GradsPerPkt,
-		BlockExpiry:  cfg.expiry(n.Level),
-		ResultSpec: packet.UDPSpec{
-			SrcIP: [4]byte{10, uint8(n.Level + 1), uint8(n.Index >> 8), uint8(n.Index)},
-			DstIP: [4]byte{224, 0, 1, cfg.JobID},
-		},
-		UpstreamPort: -1,
+	jc := trioml.StarJob(cfg.JobID, n.fanIn, cfg.GradsPerPkt, cfg.expiry(n.Level))
+	jc.BlockCntMax = min(4095, 2*cfg.Window+4)
+	jc.ResultSpec = packet.UDPSpec{
+		SrcIP: [4]byte{10, uint8(n.Level + 1), uint8(n.Index >> 8), uint8(n.Index)},
+		DstIP: [4]byte{224, 0, 1, cfg.JobID},
 	}
 	if n.Parent != nil {
 		jc.UpstreamPort = n.upPort
 		jc.UpstreamSrcID = uint8(n.ChildIdx)
-		jc.DistributePorts = ports
-	} else {
-		jc.ResultPorts = ports
+		jc.DistributePorts, jc.ResultPorts = jc.ResultPorts, nil
 	}
 	if err := n.Agg.InstallJob(jc); err != nil {
 		return fmt.Errorf("tree: level %d node %d: %w", n.Level, n.Index, err)

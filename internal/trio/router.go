@@ -3,11 +3,19 @@
 // (Fig. 1a of the paper): external ports attach servers or other devices to
 // individual PFEs; internal fabric connections let PFEs exchange packets
 // directly, which is what hierarchical aggregation (§4) rides on.
+//
+// A rig is a router plus two calls: Cable attaches one server to a port with
+// an uplink/downlink pair of netsim links, and Instrument is the single
+// place metrics, tracing and a fault plan attach to the engine and every PFE.
 package trio
 
 import (
 	"fmt"
 
+	"github.com/trioml/triogo/internal/faults"
+	"github.com/trioml/triogo/internal/netsim"
+	"github.com/trioml/triogo/internal/obs"
+	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio/fabric"
 	"github.com/trioml/triogo/internal/trio/pfe"
@@ -33,6 +41,10 @@ type Router struct {
 	external  map[portKey]pfe.Output
 	internal  map[portKey]internalLink
 	flowOfPkt func(frame []byte) uint64
+
+	links []*netsim.Link // every Cable link, in creation order
+	fcs   bool           // a fault plan is attached: cabled ports check frames in
+	fcsIn packet.Frame   // decode scratch for that check
 }
 
 type portKey struct {
@@ -103,6 +115,57 @@ func (r *Router) ConnectInternal(pfeA, portA, pfeB, portB int) {
 // given reorder flow key.
 func (r *Router) Inject(pfeID, port int, flow uint64, frame []byte) {
 	r.pfes[pfeID].Inject(port, flow, frame)
+}
+
+// Cable attaches a server to (pfeID, port) over a pair of links on the
+// router's engine and returns the server's transmit function. The uplink is
+// built before the downlink — callers hand out per-link loss seeds and fault
+// streams in that order, so it is part of the determinism contract. Frames
+// the server sends are injected on the port with the constant reorder flow
+// uint64(port): a flow assigned per arrival would tie the reorder engine's
+// per-flow sequencing to how same-instant deliveries happen to be queued.
+// Frames the PFE forwards out the port reach recv over the downlink; a nil
+// recv cables a send-only server and leaves the port's egress unattached.
+func (r *Router) Cable(pfeID, port int, up, down netsim.LinkConfig, recv netsim.Receiver) (send func([]byte)) {
+	p := r.pfes[pfeID]
+	ul := netsim.NewLink(r.Engine, up, func(f []byte, _ sim.Time) {
+		// With a fault plan attached links may corrupt frames; the port
+		// drops those the way the MAC's FCS check would (the UDP checksum
+		// stands in for the FCS the frames do not carry), leaving the
+		// repair to the sender's retransmission.
+		if r.fcs && (packet.DecodeInto(&r.fcsIn, f) != nil || !r.fcsIn.VerifyUDPChecksum()) {
+			return
+		}
+		p.Inject(port, uint64(port), f)
+	})
+	r.links = append(r.links, ul)
+	if recv != nil {
+		dl := netsim.NewLink(r.Engine, down, recv)
+		r.AttachExternal(pfeID, port, func(_ int, f []byte, _ sim.Time) { dl.Send(f) })
+		r.links = append(r.links, dl)
+	}
+	return ul.Send
+}
+
+// Links returns every link Cable built, in creation order (per cable: uplink,
+// then downlink), for reading their frame/drop counters.
+func (r *Router) Links() []*netsim.Link { return r.links }
+
+// Instrument is the one place observability and fault injection attach to a
+// router: the engine, every PFE and every PFE's memory system register their
+// series on reg, every PFE records spans into tr, and PFE i takes
+// plan.PFE(i) / plan.Mem(i). Each argument is independently nil-safe, and
+// nil means off — Instrument(nil, nil, nil) leaves the router as New built it.
+func (r *Router) Instrument(reg *obs.Registry, tr *obs.Trace, plan *faults.Plan) {
+	r.Engine.RegisterObs(reg)
+	for i, p := range r.pfes {
+		p.RegisterObs(reg)
+		p.Mem.RegisterObs(reg)
+		p.SetTrace(tr)
+		p.SetFaults(plan.PFE(uint64(i)))
+		p.Mem.SetFaults(plan.Mem(uint64(i)))
+	}
+	r.fcs = plan != nil
 }
 
 // route dispatches a PFE egress frame to its attached destination.

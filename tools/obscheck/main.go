@@ -25,6 +25,7 @@ import (
 	"github.com/trioml/triogo/internal/obs"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/tree"
+	"github.com/trioml/triogo/internal/trio"
 	"github.com/trioml/triogo/internal/trio/pfe"
 )
 
@@ -45,13 +46,9 @@ func main() {
 	reg := obs.NewRegistry()
 
 	eng := sim.NewEngine()
-	eng.RegisterObs(reg)
+	trio.New(eng, trio.Config{}).Instrument(reg, nil, nil)
 
 	sim.NewCluster(2).RegisterObs(reg)
-
-	p := pfe.New(eng, pfe.Config{})
-	p.RegisterObs(reg)
-	p.Mem.RegisterObs(reg)
 
 	// A configured tenant makes the per-tenant series register, mirroring a
 	// multi-tenant production deployment.
