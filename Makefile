@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet verify verify-hostagg verify-hostagg-live verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-tree verify-apps goldens-check smoke-examples
+.PHONY: build test vet pairs verify verify-hostagg verify-hostagg-live verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
 
 build:
 	$(GO) build ./...
@@ -11,13 +11,19 @@ test:
 vet:
 	$(GO) vet ./...
 
+# pairs runs the repo benchmark on one workload at BASE and at the working
+# tree, alternating which side goes first, and prints the paired statistics a
+# performance claim needs: make pairs WORKLOAD=agg-large BASE=HEAD~1 [N=10] [SECONDS=10]
+pairs:
+	@tools/pairs.sh $(WORKLOAD) $(BASE) $(N) $(SECONDS)
+
 # verify is the extended gate (tier-1 is `go build ./... && go test ./...`):
 # full build + tests, whole-repo vet, then the race suites of the
 # concurrency-critical layers (hostagg's sharded hot path, vfp's host
 # datapath, obs's atomic instruments, dse's worker pool, tree's partitioned
 # hierarchy), the metric documentation check, the CLI-level golden diff, and
 # an every-example smoke run.
-verify: build test vet verify-hostagg verify-hostagg-live verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-tree verify-apps goldens-check smoke-examples
+verify: build test vet verify-hostagg verify-hostagg-live verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
 
 verify-hostagg:
 	$(GO) test -race ./internal/hostagg/...
@@ -110,6 +116,15 @@ verify-microcode:
 	$(GO) test -race -run 'TestMCAggCompiledMatchesInterpreter|TestMCAggUnrollVariantsAgree' ./internal/trioml/
 	$(GO) test -run FuzzAssemble ./internal/microcode/
 	$(GO) test -fuzz=FuzzAssemble -fuzztime=10s -run FuzzAssemble ./internal/microcode/
+
+# verify-packet fuzzes the wire codec for 10 s each from the checked-in seeds
+# (BuildTrioML/BuildUDP/netrpc frames): DecodeInto never panics, an accepted
+# Trio-ML frame re-marshals to its own bytes, the in-place UDP verification
+# agrees with copy-zero-recompute, and the word-folding Checksum equals the
+# byte-pair loop on any bytes at any alignment.
+verify-packet:
+	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run FuzzDecode ./internal/packet/
+	$(GO) test -fuzz=FuzzChecksum -fuzztime=10s -run FuzzChecksum ./internal/packet/
 
 # verify-apps races both in-network application packages (netrpc's concurrent
 # cache-service paths, infnet's classifier) and the harness's apps pins: the

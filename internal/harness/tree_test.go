@@ -7,9 +7,9 @@ import (
 
 // TestTreeCrossPartitionDeterminism is the hierarchical tentpole's contract:
 // a small tree sweep renders byte-identical tables at any partition count.
-// AutoPlace puts each rack subtree (ToR + its worker bank) on its own
-// engine with the spines on partition 0, so this exercises inter-router
-// links crossing partitions in both directions — contributions up, result
+// AutoPlace deals the rack subtrees (ToR + its worker bank) over the engines
+// with the spines on the last one, so this exercises inter-router links
+// crossing partitions in both directions — contributions up, result
 // multicasts down — under the conservative-lookahead barrier.
 func TestTreeCrossPartitionDeterminism(t *testing.T) {
 	points := []treePoint{{1, 6, 2}, {4, 16, 4}, {16, 64, 8}}

@@ -60,10 +60,14 @@ func udpRoom(spec UDPSpec, payloadLen int) (buf, payload []byte, ipStart, udpSta
 	return buf, buf[off:], ipStart, udpStart
 }
 
-// finishUDP computes the UDP checksum once the payload is in place.
-func finishUDP(buf []byte, ipStart, udpStart int) {
-	csum := udpChecksum(buf[ipStart:], buf[udpStart:])
-	binary.BigEndian.PutUint16(buf[udpStart+6:udpStart+8], csum)
+// finishUDP stores the UDP checksum once the payload is in place. A caller
+// that summed the last tailLen bytes of the segment as it wrote them passes
+// that partial sum as tail (tailLen even, so the 16-bit words stay aligned);
+// the bytes before them are summed here.
+func finishUDP(buf []byte, ipStart, udpStart int, tail uint64, tailLen int) {
+	seg := buf[udpStart:]
+	acc := sum16(seg[:len(seg)-tailLen], tail+pseudoSum(buf[ipStart:], len(seg)))
+	binary.BigEndian.PutUint16(seg[6:8], udpChecksum(acc))
 }
 
 // BuildUDP serializes a complete Ethernet/IPv4/UDP frame around payload,
@@ -71,14 +75,15 @@ func finishUDP(buf []byte, ipStart, udpStart int) {
 func BuildUDP(spec UDPSpec, payload []byte) []byte {
 	buf, room, ipStart, udpStart := udpRoom(spec, len(payload))
 	copy(room, payload)
-	finishUDP(buf, ipStart, udpStart)
+	finishUDP(buf, ipStart, udpStart, 0, 0)
 	return buf
 }
 
 // BuildTrioML serializes a Trio-ML aggregation packet: UDP payload is the
 // 12-byte trio_ml_hdr_t followed by hdr.GradCnt big-endian int32 gradients.
 // If hdr.GradCnt is zero it is set from len(grads). The header and gradients
-// are marshalled straight into the frame buffer.
+// are marshalled straight into the frame buffer, the gradients summed for the
+// UDP checksum as they are written so the payload is traversed once.
 func BuildTrioML(spec UDPSpec, hdr TrioML, grads []int32) []byte {
 	if len(grads) > MaxGradientsPerPacket {
 		panic(fmt.Sprintf("packet: %d gradients exceeds max %d per packet", len(grads), MaxGradientsPerPacket))
@@ -91,27 +96,23 @@ func BuildTrioML(spec UDPSpec, hdr TrioML, grads []int32) []byte {
 	}
 	buf, room, ipStart, udpStart := udpRoom(spec, TrioMLHeaderLen+4*len(grads))
 	hdr.MarshalTo(room)
-	PutGradients(room[TrioMLHeaderLen:], grads)
-	finishUDP(buf, ipStart, udpStart)
+	finishUDP(buf, ipStart, udpStart, putGradients(room[TrioMLHeaderLen:], grads), 4*len(grads))
 	return buf
 }
 
-// udpChecksum computes the UDP checksum given the serialized IP header (for
-// the pseudo-header fields) and the serialized UDP header+payload with a
-// zeroed checksum field.
-func udpChecksum(ipHdr, udpSeg []byte) uint16 {
-	var pseudo uint32
-	pseudo += uint32(ipHdr[12])<<8 | uint32(ipHdr[13]) // src
-	pseudo += uint32(ipHdr[14])<<8 | uint32(ipHdr[15])
-	pseudo += uint32(ipHdr[16])<<8 | uint32(ipHdr[17]) // dst
-	pseudo += uint32(ipHdr[18])<<8 | uint32(ipHdr[19])
-	pseudo += uint32(ProtoUDP)
-	pseudo += uint32(len(udpSeg))
-	sum := Checksum(udpSeg, pseudo)
-	if sum == 0 {
-		sum = 0xFFFF // RFC 768: transmitted all-ones when computed zero
+// pseudoSum is the partial checksum of the UDP pseudo-header: the addresses
+// from the serialized IP header, the protocol, and the segment length.
+func pseudoSum(ipHdr []byte, segLen int) uint64 {
+	return sum16(ipHdr[12:20], uint64(ProtoUDP)+uint64(segLen))
+}
+
+// udpChecksum folds the partial sum of pseudo-header and segment into the
+// checksum as UDP transmits it.
+func udpChecksum(acc uint64) uint16 {
+	if csum := ^fold(acc); csum != 0 {
+		return csum
 	}
-	return sum
+	return 0xFFFF // RFC 768: transmitted all-ones when computed zero
 }
 
 // Decode parses a complete Ethernet frame. Non-IPv4 and non-UDP packets
@@ -164,14 +165,16 @@ func DecodeInto(f *Frame, raw []byte) error {
 func (f *Frame) IsTrioML() bool { return f.ML != nil }
 
 // VerifyUDPChecksum recomputes the UDP checksum of a decoded frame and
-// reports whether it matches. Frames without UDP report true.
+// reports whether it matches. Frames without UDP report true. The segment is
+// summed in place, as received: adding the complement of the checksum word
+// takes that word back out (in one's-complement arithmetic x + ^x is zero),
+// which leaves the sum the sender computed over a zeroed field.
 func (f *Frame) VerifyUDPChecksum() bool {
 	if f.Eth.EtherType != EtherTypeIPv4 || f.IP.Protocol != ProtoUDP {
 		return true
 	}
 	ipStart := EthernetLen
-	udpStart := ipStart + f.IP.HeaderLen()
-	seg := append([]byte(nil), f.Raw[udpStart:]...)
-	seg[6], seg[7] = 0, 0
-	return udpChecksum(f.Raw[ipStart:], seg) == f.UDP.Checksum
+	seg := f.Raw[ipStart+f.IP.HeaderLen():]
+	sent := binary.BigEndian.Uint16(seg[6:8])
+	return udpChecksum(sum16(seg, pseudoSum(f.Raw[ipStart:], len(seg))+uint64(^sent))) == f.UDP.Checksum
 }

@@ -1,0 +1,303 @@
+package packet
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// refChecksum is the byte-pair loop Checksum used to be, the oracle for the
+// word-folding kernel. Its accumulator is widened to 64 bits: the old 32-bit
+// one dropped a carry once initial plus the data passed 2^32, which no caller
+// reaches (initial is a pseudo-header sum) and the kernel does not reproduce.
+func refChecksum(b []byte, initial uint32) uint16 {
+	sum := uint64(initial)
+	for len(b) >= 2 {
+		sum += uint64(b[0])<<8 | uint64(b[1])
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		sum += uint64(b[0]) << 8
+	}
+	for sum > 0xFFFF {
+		sum = sum&0xFFFF + sum>>16
+	}
+	return ^uint16(sum)
+}
+
+// refVerifyUDP is VerifyUDPChecksum as it was: copy the segment, zero the
+// checksum field, recompute, compare.
+func refVerifyUDP(f *Frame) bool {
+	if f.Eth.EtherType != EtherTypeIPv4 || f.IP.Protocol != ProtoUDP {
+		return true
+	}
+	ip := f.Raw[EthernetLen:]
+	seg := append([]byte(nil), ip[f.IP.HeaderLen():]...)
+	seg[6], seg[7] = 0, 0
+	pseudo := uint32(ProtoUDP) + uint32(len(seg))
+	for i := 12; i < 20; i += 2 {
+		pseudo += uint32(ip[i])<<8 | uint32(ip[i+1])
+	}
+	sum := refChecksum(seg, pseudo)
+	if sum == 0 {
+		sum = 0xFFFF
+	}
+	return sum == f.UDP.Checksum
+}
+
+func TestChecksumMatchesBytePairLoop(t *testing.T) {
+	// Every length 0..9000 (jumbo frame) at every alignment of a shared
+	// buffer, so each mix of 32-byte blocks, 8-byte words, pairs and odd tail
+	// is hit at each load alignment.
+	buf := make([]byte, 9000+8)
+	rand.New(rand.NewSource(1)).Read(buf)
+	copy(buf[100:], bytes.Repeat([]byte{0xFF}, 300)) // a run that carries at every step
+	for _, initial := range []uint32{0, 0xFFFF, 0xFFFFFFFF} {
+		for off := 0; off < 8; off++ {
+			for n := 0; n <= 9000; n++ {
+				b := buf[off : off+n]
+				if got, want := Checksum(b, initial), refChecksum(b, initial); got != want {
+					t.Fatalf("Checksum(len %d at offset %d, initial %#x) = %#04x, byte-pair loop %#04x", n, off, initial, got, want)
+				}
+			}
+		}
+	}
+	if got := Checksum(nil, 0); got != 0xFFFF {
+		t.Errorf("Checksum of nothing = %#04x, want 0xFFFF", got)
+	}
+}
+
+func TestBuildTrioMLFusedChecksumMatchesTwoPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	special := []int32{math.MinInt32, -1, 0, math.MaxInt32, 1}
+	spec := testSpec()
+	spec.DstPort = TrioMLPort
+	for n := 0; n <= MaxGradientsPerPacket; n++ {
+		grads := make([]int32, n)
+		for i := range grads {
+			if grads[i] = int32(rng.Uint32()); rng.Intn(4) == 0 {
+				grads[i] = special[rng.Intn(len(special))]
+			}
+		}
+		spec.IPOptions = make([]byte, 4*(n%3)) // move the payload's alignment in the frame
+		hdr := TrioML{JobID: uint8(n), BlockID: rng.Uint32(), SrcID: 3, GenID: uint16(n), Degraded: n%2 == 0}
+		got := BuildTrioML(spec, hdr, grads)
+
+		// Two passes: marshal header and gradients, then checksum the segment.
+		hdr.GradCnt = uint16(n)
+		payload := make([]byte, TrioMLHeaderLen+4*n)
+		hdr.MarshalTo(payload)
+		for i, g := range grads {
+			binary.BigEndian.PutUint32(payload[TrioMLHeaderLen+4*i:], uint32(g))
+		}
+		want := BuildUDP(spec, payload)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d gradients: fused frame differs from build-then-checksum", n)
+		}
+		f, err := Decode(got)
+		if err != nil || !f.VerifyUDPChecksum() || !refVerifyUDP(f) {
+			t.Fatalf("%d gradients: frame does not verify (err %v)", n, err)
+		}
+	}
+}
+
+func TestPutGradientsMatchesLaneLoop(t *testing.T) {
+	for n := 0; n <= 70; n++ {
+		grads := make([]int32, n)
+		want := make([]byte, 4*n)
+		for i := range grads {
+			grads[i] = int32(0x81020304 * uint32(i+1))
+			binary.BigEndian.PutUint32(want[4*i:], uint32(grads[i]))
+		}
+		got := bytes.Repeat([]byte{0xEE}, 4*n+4)
+		if PutGradients(got, grads) != 4*n || !bytes.Equal(got[:4*n], want) || got[4*n] != 0xEE {
+			t.Fatalf("PutGradients of %d lanes wrote %x, want %x", n, got, want)
+		}
+	}
+}
+
+func TestVerifyUDPChecksumInPlace(t *testing.T) {
+	grads := make([]int32, 1024)
+	for i := range grads {
+		grads[i] = int32(i * 2654435761)
+	}
+	frame := BuildTrioML(testSpec(), TrioML{JobID: 1, SrcID: 2}, grads)
+	f, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := append([]byte(nil), frame...)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !f.VerifyUDPChecksum() {
+			t.Fatal("a built frame does not verify")
+		}
+	}); allocs != 0 {
+		t.Errorf("VerifyUDPChecksum allocates %v times per frame, want 0", allocs)
+	}
+	if !bytes.Equal(frame, orig) {
+		t.Error("VerifyUDPChecksum modified the frame")
+	}
+
+	// Single-bit corruption anywhere in the UDP segment or the pseudo-header
+	// addresses must be caught, and agree with the copy-and-zero method.
+	udpStart := EthernetLen + f.IP.HeaderLen()
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		pos := udpStart + rng.Intn(len(frame)-udpStart)
+		if i%10 == 0 {
+			pos = udpStart + 6 + i/10%2 // the checksum field itself
+		}
+		frame[pos] ^= 1 << rng.Intn(8)
+		g, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := g.VerifyUDPChecksum(), refVerifyUDP(g); got != want || got {
+			t.Fatalf("bit flip at byte %d: VerifyUDPChecksum %v, copy-and-zero %v, want both false", pos, got, want)
+		}
+		copy(frame, orig)
+	}
+}
+
+// TestVerifyUDPChecksumZeroAlias pins RFC 768's special case: a computed
+// checksum of zero travels as 0xFFFF, and a stored zero ("no checksum") never
+// verifies, as before.
+func TestVerifyUDPChecksumZeroAlias(t *testing.T) {
+	spec := testSpec()
+	for v := 0; v < 1<<16; v++ {
+		frame := BuildUDP(spec, []byte{byte(v >> 8), byte(v)})
+		f, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.UDP.Checksum == 0 || !f.VerifyUDPChecksum() {
+			t.Fatalf("payload %#04x: checksum %#04x does not verify", v, f.UDP.Checksum)
+		}
+		if f.UDP.Checksum != 0xFFFF {
+			continue
+		}
+		frame[EthernetLen+IPv4MinLen+6], frame[EthernetLen+IPv4MinLen+7] = 0, 0
+		if f, _ = Decode(frame); f.VerifyUDPChecksum() || refVerifyUDP(f) {
+			t.Fatal("a zero checksum field verified")
+		}
+		return
+	}
+	t.Fatal("no 2-byte payload produced the all-ones checksum")
+}
+
+func fuzzSeeds(f *testing.F) {
+	spec := testSpec()
+	opts := spec
+	opts.IPOptions = []byte{1, 1, 1, 1}
+	f.Add(BuildTrioML(spec, TrioML{JobID: 1, BlockID: 7, SrcID: 2, GenID: 3}, []int32{1, -1, math.MinInt32}))
+	f.Add(BuildTrioML(opts, TrioML{JobID: 9, Degraded: true, AgeOp: 2}, make([]int32, 64)))
+	f.Add(BuildUDP(spec, []byte("hello")))
+	f.Add(BuildUDP(spec, nil))
+	f.Add(BuildNetRPC(spec, NetRPC{Op: 1, ClientID: 4, Method: 2, RPCID: 99}, []byte{1, 2, 3}))
+	f.Add([]byte{})
+}
+
+// FuzzDecode: the wire decoder never panics; a frame it accepts as Trio-ML
+// re-marshals, layer by layer, to the bytes it was decoded from (but for the
+// header's reserved bits and the 0xFFFF alias of a zero IP checksum, which
+// marshalling canonicalizes); and the in-place UDP verification agrees with
+// copy-zero-recompute.
+func FuzzDecode(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var fr Frame
+		if err := DecodeInto(&fr, raw); err != nil {
+			return
+		}
+		if fr.Eth.EtherType == EtherTypeIPv4 && fr.IP.Protocol == ProtoUDP {
+			if got, want := fr.VerifyUDPChecksum(), refVerifyUDP(&fr); got != want {
+				t.Fatalf("VerifyUDPChecksum %v, copy-and-zero %v", got, want)
+			}
+		}
+		if !fr.IsTrioML() {
+			return
+		}
+		want := append([]byte(nil), raw...)
+		ip := want[EthernetLen:]
+		if binary.BigEndian.Uint16(ip[10:12]) == 0xFFFF {
+			ip[10], ip[11] = 0, 0
+		}
+		ml := ip[fr.IP.HeaderLen()+UDPLen:]
+		ml[5] &^= 0x03
+		ml[10] &^= 0xF0
+
+		got := make([]byte, len(raw))
+		n := fr.Eth.MarshalTo(got)
+		n += fr.IP.MarshalTo(got[n:])
+		n += fr.UDP.MarshalTo(got[n:])
+		n += fr.ML.MarshalTo(got[n:])
+		if n+len(fr.Payload) != len(raw) {
+			t.Fatalf("headers %d + payload %d != frame %d", n, len(fr.Payload), len(raw))
+		}
+		copy(got[n:], fr.Payload)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("re-marshalled frame differs:\n got  %x\n want %x", got, want)
+		}
+	})
+}
+
+// FuzzChecksum: the word-folding kernel equals the byte-pair loop on any
+// bytes, any initial sum, and any alignment of the slice.
+func FuzzChecksum(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var initial uint32
+		if len(b) >= 4 {
+			initial = binary.LittleEndian.Uint32(b)
+		}
+		for off := 0; off < 8 && off <= len(b); off++ {
+			if got, want := Checksum(b[off:], initial), refChecksum(b[off:], initial); got != want {
+				t.Fatalf("Checksum(%d bytes at offset %d, initial %#x) = %#04x, byte-pair loop %#04x", len(b)-off, off, initial, got, want)
+			}
+		}
+	})
+}
+
+var sinkSum uint16
+
+func BenchmarkChecksum4K(b *testing.B) {
+	frame := BuildTrioML(testSpec(), TrioML{JobID: 1}, make([]int32, 1024))
+	for _, side := range []struct {
+		name string
+		sum  func([]byte, uint32) uint16
+	}{{"kernel", Checksum}, {"bytepair", refChecksum}} {
+		b.Run(side.name, func(b *testing.B) {
+			b.SetBytes(int64(len(frame)))
+			for b.Loop() {
+				sinkSum += side.sum(frame, 0)
+			}
+		})
+	}
+}
+
+var sinkFrame []byte
+
+func BenchmarkBuildTrioML1024(b *testing.B) {
+	grads := make([]int32, 1024)
+	spec, hdr := testSpec(), TrioML{JobID: 1, SrcID: 1, GenID: 1}
+	b.ReportAllocs()
+	for b.Loop() {
+		sinkFrame = BuildTrioML(spec, hdr, grads)
+	}
+}
+
+func BenchmarkChecksum20(b *testing.B) {
+	hdr := BuildUDP(testSpec(), nil)[EthernetLen : EthernetLen+IPv4MinLen]
+	for _, side := range []struct {
+		name string
+		sum  func([]byte, uint32) uint16
+	}{{"kernel", Checksum}, {"bytepair", refChecksum}} {
+		b.Run(side.name, func(b *testing.B) {
+			for b.Loop() {
+				sinkSum += side.sum(hdr, 0)
+			}
+		})
+	}
+}

@@ -111,6 +111,6 @@ func BuildNetRPC(spec UDPSpec, hdr NetRPC, payload []byte) []byte {
 	buf, room, ipStart, udpStart := udpRoom(spec, NetRPCHeaderLen+len(payload))
 	hdr.MarshalTo(room)
 	copy(room[NetRPCHeaderLen:], payload)
-	finishUDP(buf, ipStart, udpStart)
+	finishUDP(buf, ipStart, udpStart, 0, 0)
 	return buf
 }

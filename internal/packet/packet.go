@@ -11,7 +11,9 @@
 package packet
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -77,16 +79,49 @@ type Layer interface {
 // Checksum computes the RFC 1071 Internet checksum over b with an initial
 // partial sum (used to fold in the UDP pseudo-header).
 func Checksum(b []byte, initial uint32) uint16 {
-	sum := initial
+	return ^fold(sum16(b, uint64(initial)))
+}
+
+// sum16 adds b's big-endian 16-bit words (an odd last byte padded with zero)
+// to acc without folding. The bulk is summed 8 bytes per add-with-carry, 32
+// bytes per step: 2^16 ≡ 1 (mod 0xFFFF), so a 64-bit word is congruent to the
+// sum of its 16-bit pieces and a carry out of bit 63 to one more 1 (the
+// end-around carries are counted and added back last). The words are loaded
+// little-endian, which needs no byte swap per load: the one's-complement sum
+// of byte-swapped words is the byte-swapped sum (RFC 1071 §2B), so one swap
+// of the folded total puts it back in network order.
+func sum16(b []byte, acc uint64) uint64 {
+	var sum, carries uint64
+	for len(b) >= 32 {
+		var c uint64
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(b), 0)
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(b[8:]), c)
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(b[16:]), c)
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(b[24:]), c)
+		carries += c
+		b = b[32:]
+	}
+	acc += uint64(bits.ReverseBytes16(fold(sum>>32 + sum&0xFFFFFFFF + carries)))
+	for len(b) >= 8 {
+		v := binary.BigEndian.Uint64(b)
+		acc += v>>32 + v&0xFFFFFFFF
+		b = b[8:]
+	}
 	for len(b) >= 2 {
-		sum += uint32(b[0])<<8 | uint32(b[1])
+		acc += uint64(binary.BigEndian.Uint16(b))
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		acc += uint64(b[0]) << 8
 	}
-	for sum > 0xFFFF {
-		sum = sum&0xFFFF + sum>>16
+	return acc
+}
+
+// fold reduces a partial sum to 16 bits with end-around carry.
+func fold(acc uint64) uint16 {
+	acc = acc>>32 + acc&0xFFFFFFFF
+	for acc > 0xFFFF {
+		acc = acc>>16 + acc&0xFFFF
 	}
-	return ^uint16(sum)
+	return uint16(acc)
 }

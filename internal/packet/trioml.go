@@ -91,10 +91,24 @@ func boolBit(b bool) uint64 {
 // fixed-point representation the paper adopts) into b and returns the byte
 // count. b must hold 4*len(grads) bytes.
 func PutGradients(b []byte, grads []int32) int {
+	putGradients(b, grads)
+	return 4 * len(grads)
+}
+
+// putGradients is PutGradients returning the partial Internet-checksum sum of
+// the bytes it wrote (each 32-bit lane is congruent to its two 16-bit words;
+// see sum16), two lanes per store.
+func putGradients(b []byte, grads []int32) (acc uint64) {
+	for ; len(grads) >= 2 && len(b) >= 8; b, grads = b[8:], grads[2:] {
+		hi, lo := uint64(uint32(grads[0])), uint64(uint32(grads[1]))
+		binary.BigEndian.PutUint64(b, hi<<32|lo)
+		acc += hi + lo
+	}
 	for i, g := range grads {
 		binary.BigEndian.PutUint32(b[4*i:], uint32(g))
+		acc += uint64(uint32(g))
 	}
-	return 4 * len(grads)
+	return acc
 }
 
 // Gradients parses count big-endian int32 gradients from b.

@@ -106,7 +106,7 @@ func (t *Tree) RegisterObs(r *obs.Registry) {
 	}, func() float64 { return float64(t.Cfg.Workers()) })
 	r.GaugeFunc(obs.Desc{
 		Name: "triogo_tree_partitions", Unit: "partitions",
-		Help: "Sim partitions the tree is placed on (AutoPlace: spines on 0, one per rack subtree).",
+		Help: "Sim partitions the tree is placed on (AutoPlace: racks round-robin, spines with the fewest).",
 	}, func() float64 {
 		if t.Cluster == nil {
 			return 1

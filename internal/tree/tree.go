@@ -89,9 +89,9 @@ type Config struct {
 	TimerThreads int      // §5 timer threads per router; default 4
 
 	// Partitions is the requested sim partition count; AutoPlace clamps it
-	// to 1 + Racks and assigns one partition per rack subtree (ToR router
-	// plus its workers), with every spine level on partition 0. <= 1 runs
-	// everything on a single engine.
+	// to Racks and deals the rack subtrees (ToR router plus its workers)
+	// round-robin over the partitions, the spine levels sharing the one
+	// with the fewest racks. <= 1 runs everything on a single engine.
 	Partitions int
 
 	Seed        uint64
@@ -264,7 +264,7 @@ func Build(cfg Config) (*Tree, error) {
 			if end > len(children) {
 				end = len(children)
 			}
-			p := newNode(level, len(parents), end-base, 0)
+			p := newNode(level, len(parents), end-base, pl.Spine())
 			for i, c := range children[base:end] {
 				c.Parent, c.ChildIdx = p, i
 			}
@@ -323,8 +323,8 @@ func (t *Tree) installJob(n *Node) error {
 
 // connect cables node n to its parent with a duplex pair of netsim links —
 // the inter-router analogue of the chassis fabric hop in SetupHierarchy.
-// When n is a ToR on its own partition the pair crosses into partition 0
-// and its 500 ns propagation becomes conservative lookahead.
+// When n is a ToR off the spine partition the pair crosses partitions and
+// its 500 ns propagation becomes conservative lookahead.
 func (t *Tree) connect(n *Node) {
 	p := n.Parent
 	up := netsim.NewLinkBetween(n.Engine, p.Engine, t.uplinkCfg(n), func(f []byte, _ sim.Time) {

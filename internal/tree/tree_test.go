@@ -94,13 +94,17 @@ func TestAutoPlace(t *testing.T) {
 		rack              []int
 	}{
 		{4, 1, 1, []int{0, 0, 0, 0}},
-		{4, 8, 5, []int{1, 2, 3, 4}},
-		{4, 3, 3, []int{1, 2, 1, 2}},
-		{1, 4, 1, []int{0}}, // flat tree: no inter-router links to partition over
+		{4, 8, 4, []int{0, 1, 2, 3}},
+		{4, 3, 3, []int{0, 1, 2, 0}},
+		{5, 2, 2, []int{0, 1, 0, 1, 0}}, // two balanced halves, spines with the lighter
+		{1, 4, 1, []int{0}},             // flat tree: no inter-router links to partition over
 	} {
 		pl := AutoPlace(c.racks, c.req)
 		if pl.Partitions != c.parts {
 			t.Errorf("AutoPlace(%d, %d).Partitions = %d, want %d", c.racks, c.req, pl.Partitions, c.parts)
+		}
+		if got, want := pl.Spine(), c.parts-1; got != want {
+			t.Errorf("AutoPlace(%d, %d).Spine() = %d, want %d", c.racks, c.req, got, want)
 		}
 		for r, want := range c.rack {
 			if got := pl.Rack(r); got != want {

@@ -25,8 +25,7 @@ func (m *Memory) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
 	binary.BigEndian.PutUint64(b[0:8], binary.BigEndian.Uint64(b[0:8])+1)
 	binary.BigEndian.PutUint64(b[8:16], binary.BigEndian.Uint64(b[8:16])+uint64(pktLen))
 	m.store(addr, b[:])
-	done := m.occupy(m.engineFor(addr), now, serviceCycles(16, addCycles))
-	return m.complete(now, addr, done)
+	return m.issue(now, addr, 0, 1, serviceCycles(16, addCycles))
 }
 
 // Counter reads back a Packet/Byte Counter via the control plane.
@@ -68,7 +67,7 @@ func (m *Memory) FetchAndOp(now sim.Time, addr uint64, op FetchOp, operand uint6
 	}
 	binary.BigEndian.PutUint64(b[:], nv)
 	m.store(addr, b[:])
-	return old, m.complete(now, addr, m.occupy(m.engineFor(addr), now, addCycles))
+	return old, m.issue(now, addr, 0, 1, addCycles)
 }
 
 // FetchAndSwap atomically replaces the 8-byte word at addr and returns the
@@ -79,7 +78,7 @@ func (m *Memory) FetchAndSwap(now sim.Time, addr uint64, v uint64) (old uint64, 
 	old = binary.BigEndian.Uint64(b[:])
 	binary.BigEndian.PutUint64(b[:], v)
 	m.store(addr, b[:])
-	return old, m.complete(now, addr, m.occupy(m.engineFor(addr), now, addCycles))
+	return old, m.issue(now, addr, 0, 1, addCycles)
 }
 
 // MaskedWrite writes (old &^ mask) | (v & mask) to the 8-byte word at addr.
@@ -89,7 +88,7 @@ func (m *Memory) MaskedWrite(now sim.Time, addr uint64, v, mask uint64) sim.Time
 	old := binary.BigEndian.Uint64(b[:])
 	binary.BigEndian.PutUint64(b[:], old&^mask|v&mask)
 	m.store(addr, b[:])
-	return m.complete(now, addr, m.occupy(m.engineFor(addr), now, addCycles))
+	return m.issue(now, addr, 0, 1, addCycles)
 }
 
 // Add32 atomically adds delta to the 32-bit word at addr (4-byte aligned)
@@ -101,7 +100,7 @@ func (m *Memory) Add32(now sim.Time, addr uint64, delta int32) (newVal int32, do
 	nv := int32(binary.BigEndian.Uint32(b[:])) + delta
 	binary.BigEndian.PutUint32(b[:], uint32(nv))
 	m.store(addr, b[:])
-	return nv, m.complete(now, addr, m.occupy(m.engineFor(addr&^7), now, addCycles))
+	return nv, m.issue(now, addr, 0, 1, addCycles)
 }
 
 // Add64 atomically adds delta to the 8-byte word at addr.
@@ -111,7 +110,7 @@ func (m *Memory) Add64(now sim.Time, addr uint64, delta uint64) (newVal uint64, 
 	nv := binary.BigEndian.Uint64(b[:]) + delta
 	binary.BigEndian.PutUint64(b[:], nv)
 	m.store(addr, b[:])
-	return nv, m.complete(now, addr, m.occupy(m.engineFor(addr), now, addCycles))
+	return nv, m.issue(now, addr, 0, 1, addCycles)
 }
 
 // AddVector32 adds a vector of int32 deltas to consecutive 32-bit words
@@ -119,34 +118,30 @@ func (m *Memory) Add64(now sim.Time, addr uint64, delta uint64) (newVal uint64, 
 // so a 16-gradient chunk costs 8 engine-word operations — the accounting
 // behind the 6×10⁹ adds/s/PFE figure of §6.3. It returns the completion time
 // of the last word (engines work in parallel across banks).
+//
+// The lanes are added in place on the backing page, one run per page; the
+// engine words are charged by issue in one walk (at 12 engines a 16-gradient
+// chunk touches 8 distinct engines exactly once).
 func (m *Memory) AddVector32(now sim.Time, addr uint64, deltas []int32) sim.Time {
-	var latest sim.Time
-	for i := 0; i < len(deltas); i += 2 {
-		wordAddr := addr + uint64(4*i)
-		if w := m.word(wordAddr); w != nil {
-			v0 := int32(binary.BigEndian.Uint32(w[0:4])) + deltas[i]
-			binary.BigEndian.PutUint32(w[0:4], uint32(v0))
-			if i+1 < len(deltas) {
-				v1 := int32(binary.BigEndian.Uint32(w[4:8])) + deltas[i+1]
-				binary.BigEndian.PutUint32(w[4:8], uint32(v1))
-			}
-		} else {
-			var b [8]byte
-			m.load(wordAddr, b[:])
-			v0 := int32(binary.BigEndian.Uint32(b[0:4])) + deltas[i]
-			binary.BigEndian.PutUint32(b[0:4], uint32(v0))
-			if i+1 < len(deltas) {
-				v1 := int32(binary.BigEndian.Uint32(b[4:8])) + deltas[i+1]
-				binary.BigEndian.PutUint32(b[4:8], uint32(v1))
-			}
-			m.store(wordAddr, b[:])
+	for a, d := addr, deltas; len(d) > 0; {
+		b := m.run(a, 4*len(d))
+		if len(b) < 4 {
+			// A lane straddling a page end (addr not 4-byte aligned).
+			var w [4]byte
+			m.load(a, w[:])
+			binary.BigEndian.PutUint32(w[:], binary.BigEndian.Uint32(w[:])+uint32(d[0]))
+			m.store(a, w[:])
+			a, d = a+4, d[1:]
+			continue
 		}
-		done := m.complete(now, wordAddr, m.occupy(m.engineFor(wordAddr), now, addCycles))
-		if done > latest {
-			latest = done
+		k := len(b) / 4
+		for i, v := range d[:k] {
+			w := b[4*i : 4*i+4]
+			binary.BigEndian.PutUint32(w, binary.BigEndian.Uint32(w)+uint32(v))
 		}
+		a, d = a+uint64(4*k), d[k:]
 	}
-	return latest
+	return m.issue(now, addr, 8, (len(deltas)+1)/2, addCycles)
 }
 
 // ReadVector32 reads count consecutive 32-bit words starting at addr via the
@@ -157,25 +152,30 @@ func (m *Memory) ReadVector32(now sim.Time, addr uint64, count int) ([]int32, si
 
 // ReadVector32Append is ReadVector32 appending into dst (returned possibly
 // regrown): identical transaction accounting, no allocation when dst has
-// capacity.
+// capacity. The transactions — 64 bytes each, the last one the remainder
+// rounded up to 8 — are charged in address order, then the lanes are decoded
+// straight from the backing pages.
 func (m *Memory) ReadVector32Append(now sim.Time, addr uint64, count int, dst []int32) ([]int32, sim.Time) {
-	var latest sim.Time
-	var b [64]byte
-	read := 0
-	for off := 0; off < 4*count; off += 64 {
-		n := 4*count - off
-		if n > 64 {
-			n = 64
+	if count <= 0 {
+		return dst, 0
+	}
+	full, rest := 4*count/MaxTxnBytes, 4*count%MaxTxnBytes
+	latest := m.issue(now, addr, MaxTxnBytes, full, MaxTxnBytes/8)
+	if rest > 0 {
+		latest = max(latest, m.issue(now, addr+uint64(MaxTxnBytes*full), 0, 1, serviceCycles(rest, 1)))
+	}
+	for a := addr; count > 0; {
+		b := m.run(a, 4*count)
+		if len(b) < 4 {
+			var w [4]byte
+			m.load(a, w[:])
+			b = w[:]
 		}
-		n = (n + 7) &^ 7
-		done := m.ReadInto(now, addr+uint64(off), b[:n])
-		if done > latest {
-			latest = done
+		k := len(b) / 4
+		for ; len(b) >= 4; b = b[4:] {
+			dst = append(dst, int32(binary.BigEndian.Uint32(b)))
 		}
-		for i := 0; i*4 < n && read < count; i++ {
-			dst = append(dst, int32(binary.BigEndian.Uint32(b[4*i:])))
-			read++
-		}
+		a, count = a+uint64(4*k), count-k
 	}
 	return dst, latest
 }
@@ -221,5 +221,5 @@ func (m *Memory) Police(now sim.Time, addr uint64, cfg PolicerConfig, pktLen uin
 	binary.BigEndian.PutUint64(b[0:8], tokens)
 	binary.BigEndian.PutUint64(b[8:16], uint64(now))
 	m.store(addr, b[:])
-	return conform, m.complete(now, addr, m.occupy(m.engineFor(addr), now, serviceCycles(24, addCycles)))
+	return conform, m.issue(now, addr, 0, 1, serviceCycles(24, addCycles))
 }

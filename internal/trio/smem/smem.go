@@ -179,9 +179,16 @@ func (m *Memory) Config() Config { return m.cfg }
 
 // TierOf reports which tier an address belongs to.
 func (m *Memory) TierOf(addr uint64) Tier {
-	for _, t := range m.tiers {
-		if addr >= t.Base && addr < t.Base+t.Size {
-			return t
+	k, _ := m.tierAt(addr)
+	return m.tiers[k]
+}
+
+// tierAt resolves addr to its tier and the first address past that tier (the
+// tiers tile the unified space from 0, so one upper-bound ladder decides).
+func (m *Memory) tierAt(addr uint64) (TierKind, uint64) {
+	for k := range m.tiers {
+		if end := m.tiers[k].Base + m.tiers[k].Size; addr < end {
+			return TierKind(k), end
 		}
 	}
 	panic(fmt.Sprintf("smem: address %#x outside unified address space", addr))
@@ -203,13 +210,6 @@ func (m *Memory) Alloc(kind TierKind, size uint64) uint64 {
 // AllocBytes reports the bytes currently allocated in a tier.
 func (m *Memory) AllocBytes(kind TierKind) uint64 { return m.allocs[kind] }
 
-// engineFor maps an 8-byte-aligned address range to its owning RMW engine.
-// Interleaving at 8-byte granularity spreads hot structures across engines,
-// which is what lets aggregate RMW bandwidth scale with engine count.
-func (m *Memory) engineFor(addr uint64) *engine {
-	return &m.engines[(addr/8)%uint64(len(m.engines))]
-}
-
 // page returns the backing page containing addr, allocating it on demand.
 func (m *Memory) page(addr uint64) *[pageSize]byte {
 	idx := addr / pageSize
@@ -225,16 +225,12 @@ func (m *Memory) page(addr uint64) *[pageSize]byte {
 	return p
 }
 
-// word returns a direct view of the 8-byte word at addr when it does not
-// straddle a page boundary (always true for the 8-byte-aligned addresses the
-// RMW ops use), or nil when the caller must fall back to load/store.
-func (m *Memory) word(addr uint64) []byte {
-	off := addr % pageSize
-	if off+8 > pageSize {
-		return nil
-	}
-	p := m.page(addr)
-	return p[off : off+8 : off+8]
+// run returns a direct view of backing memory from addr to the end of its
+// page, capped at limit bytes: the vector kernels resolve the page once per
+// run and work on the bytes in place.
+func (m *Memory) run(addr uint64, limit int) []byte {
+	off := int(addr % pageSize)
+	return m.page(addr)[off:min(off+limit, pageSize)]
 }
 
 func (m *Memory) load(addr uint64, b []byte) {
@@ -267,73 +263,90 @@ func serviceCycles(size int, opCyclesPerWord uint64) uint64 {
 	return words * opCyclesPerWord
 }
 
-// occupy charges an engine for a request issued at 'now' and returns the
-// virtual time at which the engine finishes the request.
-func (m *Memory) occupy(e *engine, now sim.Time, cycles uint64) sim.Time {
-	if m.faults != nil {
-		cycles += m.faults.BankError()
+// issue charges count requests issued together at now — request i to the
+// RMW engine owning addr+i*stride, cycles of service each — and returns the
+// latest PPE-observed completion time (engines work in parallel across
+// banks). Every data-path operation is accounted here, a scalar transaction
+// as a run of one. With a fault injector or histograms attached the requests
+// go through the charging kernel one at a time, a bank error drawn before
+// each and its queueing and full latency observed after; charge books
+// requests in address order, so one at a time and all at once are the same
+// thing.
+func (m *Memory) issue(now sim.Time, addr, stride uint64, count int, cycles uint64) sim.Time {
+	if m.faults == nil && !m.obsOn {
+		return m.charge(now, addr, stride, count, cycles)
 	}
-	if now > e.lastTime {
-		elapsed := uint64((now - e.lastTime) / m.cfg.CycleTime)
-		if elapsed >= e.backlog {
-			e.backlog = 0
-		} else {
-			e.backlog -= elapsed
+	var latest sim.Time
+	for ; count > 0; count, addr = count-1, addr+stride {
+		c := cycles
+		if m.faults != nil {
+			c += m.faults.BankError()
 		}
-		e.lastTime = now
+		done := m.charge(now, addr, 0, 1, c)
+		if m.obsOn {
+			k, _ := m.tierAt(addr)
+			m.queueHist.Observe(float64(done - now - m.tiers[k].Latency - sim.Time(c)*m.cfg.CycleTime))
+			m.tierHist[k].Observe(float64(done - now))
+		}
+		latest = max(latest, done)
 	}
-	queue := sim.Time(e.backlog) * m.cfg.CycleTime
-	if queue > 0 {
-		e.backlogged++
-		if queue > e.maxQueueing {
-			e.maxQueueing = queue
+	return latest
+}
+
+// charge is the occupancy kernel under issue: it books the requests on their
+// engines and returns the latest completion time, queueing + service + tier
+// latency. Consecutive 8-byte words stripe across the engines at stride 1, so
+// the walk steps an engine index instead of dividing per request (at 12
+// engines a 16-gradient chunk touches 8 distinct engines once each), and the
+// tier is resolved once per run of requests up to the tier's end. Requests are
+// booked in address order, so an engine that a long vector wraps onto finds
+// its own earlier words as backlog.
+func (m *Memory) charge(now sim.Time, addr, stride uint64, count int, cycles uint64) sim.Time {
+	engines, ct := m.engines, m.cfg.CycleTime
+	n := uint64(len(engines))
+	idx, step := (addr/8)%n, stride/8
+	if step >= n {
+		step %= n
+	}
+	var latest sim.Time
+	for count > 0 {
+		k, end := m.tierAt(addr)
+		span := count
+		if addr+stride*uint64(count-1) >= end {
+			span = int((end-1-addr)/stride) + 1
+		}
+		count -= span
+		addr += stride * uint64(span)
+		idle := now + sim.Time(cycles)*ct + m.tiers[k].Latency // completion with no queue
+		for ; span > 0; span-- {
+			e := &engines[idx]
+			// The backlog drains one cycle per ct since the engine's last
+			// request: floor(dt/ct) >= backlog exactly when dt >= backlog*ct,
+			// so only a partial drain pays the division.
+			queue := sim.Time(e.backlog) * ct
+			if dt := now - e.lastTime; dt > 0 {
+				if dt >= queue {
+					e.backlog, queue = 0, 0
+				} else {
+					e.backlog -= uint64(dt / ct)
+					queue = sim.Time(e.backlog) * ct
+				}
+				e.lastTime = now
+			}
+			if queue > 0 {
+				e.backlogged++
+				e.maxQueueing = max(e.maxQueueing, queue)
+			}
+			e.backlog += cycles
+			e.ops++
+			e.busyCycles += cycles
+			latest = max(latest, idle+queue)
+			if idx += step; idx >= n {
+				idx -= n
+			}
 		}
 	}
-	if m.obsOn {
-		m.queueHist.Observe(float64(queue))
-	}
-	e.backlog += cycles
-	e.ops++
-	e.busyCycles += cycles
-	return now + queue + sim.Time(cycles)*m.cfg.CycleTime
-}
-
-// latencyOf is TierOf reduced to the latency field: a branch ladder over the
-// precomputed tier boundaries instead of a struct-copying scan.
-func (m *Memory) latencyOf(addr uint64) sim.Time {
-	if addr < m.tiers[TierCache].Base {
-		return m.tiers[TierSRAM].Latency
-	}
-	if addr < m.tiers[TierDRAM].Base {
-		return m.tiers[TierCache].Latency
-	}
-	if addr < m.tiers[TierDRAM].Base+m.tiers[TierDRAM].Size {
-		return m.tiers[TierDRAM].Latency
-	}
-	panic(fmt.Sprintf("smem: address %#x outside unified address space", addr))
-}
-
-// tierIdx is latencyOf reduced to the tier index, same branch ladder.
-func (m *Memory) tierIdx(addr uint64) TierKind {
-	if addr < m.tiers[TierCache].Base {
-		return TierSRAM
-	}
-	if addr < m.tiers[TierDRAM].Base {
-		return TierCache
-	}
-	return TierDRAM
-}
-
-// complete computes the PPE-observed completion time of a request issued at
-// now to addr whose engine finishes at engineDone. With RegisterObs
-// attached it also feeds the per-tier latency histogram (queueing + service
-// + tier latency, the full PPE-observed access time).
-func (m *Memory) complete(now sim.Time, addr uint64, engineDone sim.Time) sim.Time {
-	done := engineDone + m.latencyOf(addr)
-	if m.obsOn {
-		m.tierHist[m.tierIdx(addr)].Observe(float64(done - now))
-	}
-	return done
+	return latest
 }
 
 // MaxTxnBytes is the largest read or write transaction.
@@ -357,8 +370,7 @@ func (m *Memory) Read(now sim.Time, addr uint64, size int) ([]byte, sim.Time) {
 func (m *Memory) ReadInto(now sim.Time, addr uint64, b []byte) sim.Time {
 	checkTxnSize(len(b))
 	m.load(addr, b)
-	done := m.occupy(m.engineFor(addr), now, serviceCycles(len(b), 1))
-	return m.complete(now, addr, done)
+	return m.issue(now, addr, 0, 1, serviceCycles(len(b), 1))
 }
 
 // ReadStaged is Read with the reply staged in buf instead of a fresh slice:
@@ -373,8 +385,7 @@ func (m *Memory) ReadStaged(now sim.Time, addr uint64, size int, buf *[MaxTxnByt
 func (m *Memory) Write(now sim.Time, addr uint64, data []byte) sim.Time {
 	checkTxnSize(len(data))
 	m.store(addr, data)
-	done := m.occupy(m.engineFor(addr), now, serviceCycles(len(data), 1))
-	return m.complete(now, addr, done)
+	return m.issue(now, addr, 0, 1, serviceCycles(len(data), 1))
 }
 
 // ReadRaw reads arbitrary bytes without engine accounting — a control-plane

@@ -1,0 +1,363 @@
+package smem
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"github.com/trioml/triogo/internal/faults"
+	"github.com/trioml/triogo/internal/obs"
+	"github.com/trioml/triogo/internal/sim"
+)
+
+// The reference data path: the per-word accounting the issue kernel replaced
+// (one engineFor → occupy → complete round per 8-byte word, tier looked up
+// per word, page looked up per word), kept verbatim as the oracle the vector
+// kernels must match bit for bit.
+
+func (m *Memory) refEngineFor(addr uint64) *engine {
+	return &m.engines[(addr/8)%uint64(len(m.engines))]
+}
+
+func (m *Memory) refWord(addr uint64) []byte {
+	off := addr % pageSize
+	if off+8 > pageSize {
+		return nil
+	}
+	p := m.page(addr)
+	return p[off : off+8 : off+8]
+}
+
+func (m *Memory) refOccupy(e *engine, now sim.Time, cycles uint64) sim.Time {
+	if m.faults != nil {
+		cycles += m.faults.BankError()
+	}
+	if now > e.lastTime {
+		elapsed := uint64((now - e.lastTime) / m.cfg.CycleTime)
+		if elapsed >= e.backlog {
+			e.backlog = 0
+		} else {
+			e.backlog -= elapsed
+		}
+		e.lastTime = now
+	}
+	queue := sim.Time(e.backlog) * m.cfg.CycleTime
+	if queue > 0 {
+		e.backlogged++
+		if queue > e.maxQueueing {
+			e.maxQueueing = queue
+		}
+	}
+	if m.obsOn {
+		m.queueHist.Observe(float64(queue))
+	}
+	e.backlog += cycles
+	e.ops++
+	e.busyCycles += cycles
+	return now + queue + sim.Time(cycles)*m.cfg.CycleTime
+}
+
+func (m *Memory) refLatencyOf(addr uint64) sim.Time {
+	if addr < m.tiers[TierCache].Base {
+		return m.tiers[TierSRAM].Latency
+	}
+	if addr < m.tiers[TierDRAM].Base {
+		return m.tiers[TierCache].Latency
+	}
+	if addr < m.tiers[TierDRAM].Base+m.tiers[TierDRAM].Size {
+		return m.tiers[TierDRAM].Latency
+	}
+	panic(fmt.Sprintf("smem: address %#x outside unified address space", addr))
+}
+
+func (m *Memory) refTierIdx(addr uint64) TierKind {
+	if addr < m.tiers[TierCache].Base {
+		return TierSRAM
+	}
+	if addr < m.tiers[TierDRAM].Base {
+		return TierCache
+	}
+	return TierDRAM
+}
+
+func (m *Memory) refComplete(now sim.Time, addr uint64, engineDone sim.Time) sim.Time {
+	done := engineDone + m.refLatencyOf(addr)
+	if m.obsOn {
+		m.tierHist[m.refTierIdx(addr)].Observe(float64(done - now))
+	}
+	return done
+}
+
+func (m *Memory) refAddVector32(now sim.Time, addr uint64, deltas []int32) sim.Time {
+	var latest sim.Time
+	for i := 0; i < len(deltas); i += 2 {
+		wordAddr := addr + uint64(4*i)
+		if w := m.refWord(wordAddr); w != nil {
+			v0 := int32(binary.BigEndian.Uint32(w[0:4])) + deltas[i]
+			binary.BigEndian.PutUint32(w[0:4], uint32(v0))
+			if i+1 < len(deltas) {
+				v1 := int32(binary.BigEndian.Uint32(w[4:8])) + deltas[i+1]
+				binary.BigEndian.PutUint32(w[4:8], uint32(v1))
+			}
+		} else {
+			var b [8]byte
+			m.load(wordAddr, b[:])
+			v0 := int32(binary.BigEndian.Uint32(b[0:4])) + deltas[i]
+			binary.BigEndian.PutUint32(b[0:4], uint32(v0))
+			if i+1 < len(deltas) {
+				v1 := int32(binary.BigEndian.Uint32(b[4:8])) + deltas[i+1]
+				binary.BigEndian.PutUint32(b[4:8], uint32(v1))
+			}
+			m.store(wordAddr, b[:])
+		}
+		done := m.refComplete(now, wordAddr, m.refOccupy(m.refEngineFor(wordAddr), now, addCycles))
+		if done > latest {
+			latest = done
+		}
+	}
+	return latest
+}
+
+func (m *Memory) refReadInto(now sim.Time, addr uint64, b []byte) sim.Time {
+	checkTxnSize(len(b))
+	m.load(addr, b)
+	done := m.refOccupy(m.refEngineFor(addr), now, serviceCycles(len(b), 1))
+	return m.refComplete(now, addr, done)
+}
+
+func (m *Memory) refReadVector32Append(now sim.Time, addr uint64, count int, dst []int32) ([]int32, sim.Time) {
+	var latest sim.Time
+	var b [64]byte
+	read := 0
+	for off := 0; off < 4*count; off += 64 {
+		n := 4*count - off
+		if n > 64 {
+			n = 64
+		}
+		n = (n + 7) &^ 7
+		done := m.refReadInto(now, addr+uint64(off), b[:n])
+		if done > latest {
+			latest = done
+		}
+		for i := 0; i*4 < n && read < count; i++ {
+			dst = append(dst, int32(binary.BigEndian.Uint32(b[4*i:])))
+			read++
+		}
+	}
+	return dst, latest
+}
+
+// twinRig is one side of a differential run: a memory, its registry (nil
+// when obs is off) and its fault plan (nil when faults are off).
+type twinRig struct {
+	m    *Memory
+	reg  *obs.Registry
+	plan *faults.Plan
+}
+
+func newTwinRig(engines int, withFaults, withObs bool, seed uint64) *twinRig {
+	// Small tiers put both tier boundaries within reach of random addresses;
+	// a 3 ns cycle at the odd engine counts makes the drain division inexact.
+	r := &twinRig{m: New(Config{NumRMWEngines: engines, SRAMSize: 3 * pageSize, CacheSize: 2 * pageSize, DRAMSize: 64 * pageSize,
+		CycleTime: sim.Time(1 + engines%2*2)})}
+	if withFaults {
+		r.plan = faults.NewPlan(seed, faults.Config{Mem: faults.MemConfig{BankErrorProb: 0.3, RetryCycles: 7}})
+		r.m.SetFaults(r.plan.Mem(0))
+	}
+	if withObs {
+		r.reg = obs.NewRegistry()
+		r.m.RegisterObs(r.reg)
+	}
+	return r
+}
+
+// state is everything an operation may touch besides its return values.
+func (r *twinRig) state() (engines []engine, hist map[string]any, bankErrors uint64) {
+	if r.reg != nil {
+		hist = r.reg.Snapshot()
+	}
+	if r.plan != nil {
+		bankErrors = r.plan.Stats().MemBankErrors
+	}
+	return r.m.engines, hist, bankErrors
+}
+
+// twinAddr draws a base address for a vector of n lanes: mostly 8- or 4-byte
+// aligned, sometimes not at all; near a page end, straddling either tier
+// boundary, or anywhere.
+func twinAddr(rng *rand.Rand, m *Memory, n int) uint64 {
+	span := uint64(4*n + 8)
+	limit := m.tiers[TierDRAM].Base + 8*pageSize - span
+	var a uint64
+	switch rng.Intn(4) {
+	case 0: // within 64 B of a page end
+		a = uint64(1+rng.Intn(10))*pageSize - uint64(rng.Intn(65))
+	case 1: // the vector crosses SRAM -> cache
+		a = m.tiers[TierCache].Base - uint64(rng.Intn(int(span)+1))
+	case 2: // the vector crosses cache -> DRAM
+		a = m.tiers[TierDRAM].Base - uint64(rng.Intn(int(span)+1))
+	default:
+		a = uint64(rng.Int63n(int64(limit)))
+	}
+	switch rng.Intn(8) {
+	case 0: // unaligned: lanes may straddle a page end
+	case 1, 2, 3:
+		a &^= 3
+	default:
+		a &^= 7
+	}
+	return min(a, limit)
+}
+
+// TestVectorKernelsMatchWordLoop is the gate for the chunk kernels: the
+// reference word loop and the kernel run the same random operation sequence
+// on twin memories and must agree on every return value, memory byte,
+// per-engine counter (including the private backlog), histogram and fault
+// draw, at every engine count, with fault injection and obs on and off.
+func TestVectorKernelsMatchWordLoop(t *testing.T) {
+	for _, engines := range []int{1, 3, 8, 12, 16} {
+		for _, withFaults := range []bool{false, true} {
+			for _, withObs := range []bool{false, true} {
+				t.Run(fmt.Sprintf("engines=%d/faults=%v/obs=%v", engines, withFaults, withObs), func(t *testing.T) {
+					seed := int64(engines) // same operation sequence with faults and obs on or off
+					rng := rand.New(rand.NewSource(seed))
+					ref, kern := newTwinRig(engines, withFaults, withObs, uint64(seed)), newTwinRig(engines, withFaults, withObs, uint64(seed))
+					var now sim.Time
+					for op := 0; op < 600; op++ {
+						// Time mostly advances (by less than a backlog
+						// drains, so queues form), sometimes stands still or
+						// runs backwards: threads issue with future stamps.
+						switch rng.Intn(6) {
+						case 0:
+							now = max(0, now-sim.Time(rng.Intn(300)))
+						case 1:
+						default:
+							now += sim.Time(rng.Intn(40))
+						}
+						n := rng.Intn(71)
+						addr := twinAddr(rng, ref.m, n)
+						what := fmt.Sprintf("op %d now=%d addr=%#x n=%d", op, now, addr, n)
+						if rng.Intn(3) > 0 {
+							deltas := make([]int32, n)
+							for i := range deltas {
+								deltas[i] = int32(rng.Uint32())
+							}
+							want, got := ref.m.refAddVector32(now, addr, deltas), kern.m.AddVector32(now, addr, deltas)
+							if want != got {
+								t.Fatalf("%s: AddVector32 done %d, reference %d", what, got, want)
+							}
+						} else {
+							prefix := []int32{7, -7}
+							wantV, want := ref.m.refReadVector32Append(now, addr, n, prefix[:1])
+							gotV, got := kern.m.ReadVector32Append(now, addr, n, prefix[:1])
+							if want != got || !reflect.DeepEqual(wantV, gotV) {
+								t.Fatalf("%s: ReadVector32Append (%v, %d), reference (%v, %d)", what, gotV, got, wantV, want)
+							}
+						}
+						we, wh, wf := ref.state()
+						ge, gh, gf := kern.state()
+						if !reflect.DeepEqual(we, ge) {
+							t.Fatalf("%s: engines diverge\n kernel    %+v\n reference %+v", what, ge, we)
+						}
+						if !reflect.DeepEqual(wh, gh) || wf != gf {
+							t.Fatalf("%s: histograms or bank-error count diverge", what)
+						}
+					}
+					// (The reference rounds a read up to 8 bytes and may touch
+					// a page the kernel never maps: an unmapped page is zeros.)
+					var zero [pageSize]byte
+					for idx := uint64(0); idx < 16; idx++ {
+						p, q := ref.m.pages[idx], kern.m.pages[idx]
+						if p == nil {
+							p = &zero
+						}
+						if q == nil {
+							q = &zero
+						}
+						if !bytes.Equal(p[:], q[:]) {
+							t.Fatalf("page %d differs", idx)
+						}
+					}
+					if ref.plan != nil {
+						// Equal draw counts leave the two streams in step.
+						for i := 0; i < 64; i++ {
+							if a, b := ref.m.faults.BankError(), kern.m.faults.BankError(); a != b {
+								t.Fatalf("fault streams out of step at draw %d", i)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestScalarOpsMatchWordLoop pins the scalar transactions (a run of one
+// through the same kernel) against the reference occupy/complete pair.
+func TestScalarOpsMatchWordLoop(t *testing.T) {
+	ref, kern := newTwinRig(3, true, true, 9), newTwinRig(3, true, true, 9)
+	rng := rand.New(rand.NewSource(9))
+	var now sim.Time
+	for op := 0; op < 500; op++ {
+		now += sim.Time(rng.Intn(6))
+		addr := twinAddr(rng, ref.m, 16) &^ 7
+		var b [MaxTxnBytes]byte
+		size := 8 * (1 + rng.Intn(8))
+		if want, got := ref.m.refReadInto(now, addr, b[:size]), kern.m.ReadInto(now, addr, b[:size]); want != got {
+			t.Fatalf("op %d: ReadInto(%#x, %d) done %d, reference %d", op, addr, size, got, want)
+		}
+		want := ref.m.refComplete(now, addr+4, ref.m.refOccupy(ref.m.refEngineFor((addr+4)&^7), now, addCycles))
+		if _, got := kern.m.Add32(now, addr+4, 1); want != got {
+			t.Fatalf("op %d: Add32(%#x) done %d, reference %d", op, addr+4, got, want)
+		}
+	}
+	we, wh, wf := ref.state()
+	ge, gh, gf := kern.state()
+	if !reflect.DeepEqual(we, ge) || !reflect.DeepEqual(wh, gh) || wf != gf {
+		t.Fatal("engine state, histograms or bank-error count diverge")
+	}
+}
+
+func TestVectorOpsOutsideSpacePanic(t *testing.T) {
+	m := New(Config{})
+	end := m.tiers[TierDRAM].Base + m.tiers[TierDRAM].Size
+	for name, f := range map[string]func(){
+		"add":  func() { m.AddVector32(0, end-8, make([]int32, 4)) },
+		"read": func() { m.ReadVector32Append(0, end-64, 32, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s past the end of DRAM did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+var sinkTime sim.Time
+
+// BenchmarkAddVector32Chunk is the aggregator's unit of work — one
+// 16-gradient chunk per call, walking a 1024-gradient buffer — through the
+// kernel and through the reference word loop.
+func BenchmarkAddVector32Chunk(b *testing.B) {
+	for _, side := range []struct {
+		name string
+		add  func(*Memory, sim.Time, uint64, []int32) sim.Time
+	}{{"kernel", (*Memory).AddVector32}, {"wordloop", (*Memory).refAddVector32}} {
+		b.Run(side.name, func(b *testing.B) {
+			m := New(Config{NumRMWEngines: 12})
+			addr := m.Alloc(TierDRAM, 4096)
+			deltas := make([]int32, 16)
+			var now sim.Time
+			for i := 0; b.Loop(); i++ {
+				now += sim.Microsecond
+				sinkTime = side.add(m, now, addr+uint64(i%64*64), deltas)
+			}
+		})
+	}
+}

@@ -432,69 +432,55 @@ func (a *Aggregator) Process(ctx *pfe.Ctx) {
 func genOlder(a, b uint16) bool { return int16(a-b) < 0 }
 
 // gradStream is the streaming state of aggregateGradients. It lives on the
-// Aggregator so the batch and staging buffers are reused across packets —
-// the tail-aggregation loop runs per packet and must not allocate.
+// Aggregator so the staging buffers are reused across packets — the
+// tail-aggregation loop runs per packet and must not allocate.
+//
+// Gradient bytes are staged as they arrive, wire order, until a 64-byte chunk
+// is whole; head/tail misalignment (the head ends mid-gradient at the default
+// 192-byte split) needs no special case because the staging is bytewise.
 type gradStream struct {
-	ctx        *pfe.Ctx
-	bufAddr    uint64
-	first      bool
-	totalGrads int
-	gradIdx    int
-	batch      []int32 // always backed by batchBuf
-	batchBuf   [chunkGrads]int32
-	carry      [4]byte // partial gradient straddling head/tail or chunk edges
-	carryLen   int
-	wbuf       [4*chunkGrads + 8]byte // first-source write staging
+	ctx   *pfe.Ctx
+	addr  uint64 // aggregation-buffer address of the staged chunk
+	first bool
+	left  int                  // gradient bytes the packet still owes
+	n     int                  // bytes staged in chunk
+	chunk [4 * chunkGrads]byte // wire bytes of the chunk being assembled
+	lanes [chunkGrads]int32    // the chunk decoded, for the RMW vector add
 }
 
-func (g *gradStream) push(v int32) {
-	g.batch = append(g.batch, v)
-	g.gradIdx++
-	if len(g.batch) == chunkGrads {
-		g.ctx.ChargeInstr(instrPerChunk)
-		g.flush()
-	}
-}
-
-func (g *gradStream) flush() {
-	if len(g.batch) == 0 {
-		return
-	}
-	addr := g.bufAddr + uint64(4*(g.gradIdx-len(g.batch)))
-	if g.first {
-		n := 4 * len(g.batch)
-		packet.PutGradients(g.wbuf[:n], g.batch)
-		// Pad to the 8-byte transaction grain.
-		for ; n%8 != 0; n++ {
-			g.wbuf[n] = 0
-		}
-		g.ctx.MemWrite(addr, g.wbuf[:n], true)
-	} else {
-		g.ctx.AddVector32(addr, g.batch)
-	}
-	g.batch = g.batch[:0]
-}
-
+// consume stages the next gradient bytes, charging and flushing each chunk
+// the moment its last byte arrives.
 func (g *gradStream) consume(b []byte) {
-	if g.carryLen > 0 {
-		n := copy(g.carry[g.carryLen:], b)
-		g.carryLen += n
-		b = b[n:]
-		if g.carryLen < 4 {
-			return
-		}
-		g.carryLen = 0
-		if g.gradIdx < g.totalGrads {
-			g.push(int32(binary.BigEndian.Uint32(g.carry[:])))
+	b = b[:min(len(b), g.left)]
+	g.left -= len(b)
+	for len(b) > 0 {
+		k := copy(g.chunk[g.n:], b)
+		g.n, b = g.n+k, b[k:]
+		if g.n == len(g.chunk) {
+			g.ctx.ChargeInstr(instrPerChunk)
+			g.flush()
 		}
 	}
-	for len(b) >= 4 && g.gradIdx < g.totalGrads {
-		g.push(int32(binary.BigEndian.Uint32(b)))
-		b = b[4:]
+}
+
+// flush issues the staged whole gradients as one XTXN: the first source of a
+// block writes the wire bytes as they are (padded to the 8-byte transaction
+// grain), later sources add them lane by lane.
+func (g *gradStream) flush() {
+	n := g.n &^ 3
+	if g.first {
+		pad := n + n%8
+		clear(g.chunk[n:pad])
+		g.ctx.MemWrite(g.addr, g.chunk[:pad], true)
+	} else {
+		lanes := g.lanes[:n/4]
+		for i := range lanes {
+			lanes[i] = int32(binary.BigEndian.Uint32(g.chunk[4*i:]))
+		}
+		g.ctx.AddVector32(g.addr, lanes)
 	}
-	if len(b) > 0 {
-		g.carryLen = copy(g.carry[:], b)
-	}
+	g.addr += uint64(n)
+	g.n = 0
 }
 
 // aggregateGradients streams the packet's gradient bytes — head first, then
@@ -507,22 +493,20 @@ func (a *Aggregator) aggregateGradients(ctx *pfe.Ctx, f *packet.Frame, h *packet
 
 	g := &a.gs
 	g.ctx = ctx
-	g.bufAddr = bufAddr
+	g.addr = bufAddr
 	g.first = firstSource
-	g.totalGrads = int(h.GradCnt)
-	g.gradIdx = 0
-	g.batch = g.batchBuf[:0]
-	g.carryLen = 0
+	g.left = 4 * int(h.GradCnt)
+	g.n = 0
 
 	if hdrLen < len(head) {
 		g.consume(head[hdrLen:])
 	}
 	// Phase two: tail loop, 64 bytes per XTXN.
-	for off := 0; off < ctx.TailLen() && g.gradIdx < g.totalGrads; off += 64 {
+	for off := 0; off < ctx.TailLen() && g.left > 0; off += 64 {
 		g.consume(ctx.ReadTail(off, 64))
 	}
-	if len(g.batch) > 0 {
-		ctx.ChargeInstr(instrPerChunk * len(g.batch) / chunkGrads)
+	if grads := g.n / 4; grads > 0 {
+		ctx.ChargeInstr(instrPerChunk * grads / chunkGrads)
 		g.flush()
 	}
 	g.ctx = nil

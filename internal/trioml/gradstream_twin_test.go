@@ -1,0 +1,209 @@
+package trioml
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"github.com/trioml/triogo/internal/packet"
+	"github.com/trioml/triogo/internal/sim"
+	"github.com/trioml/triogo/internal/trio/pfe"
+	"github.com/trioml/triogo/internal/trio/smem"
+)
+
+// refGradStream is the per-gradient streaming state aggregateGradients used
+// to run on — one push per decoded gradient, a 4-byte carry for gradients
+// split across head/tail or chunk edges, and a decode-then-re-encode write
+// for the first source — kept verbatim as the oracle for the chunk-staging
+// gradStream.
+type refGradStream struct {
+	ctx        *pfe.Ctx
+	bufAddr    uint64
+	first      bool
+	totalGrads int
+	gradIdx    int
+	batch      []int32
+	batchBuf   [chunkGrads]int32
+	carry      [4]byte
+	carryLen   int
+	wbuf       [4*chunkGrads + 8]byte
+}
+
+func (g *refGradStream) push(v int32) {
+	g.batch = append(g.batch, v)
+	g.gradIdx++
+	if len(g.batch) == chunkGrads {
+		g.ctx.ChargeInstr(instrPerChunk)
+		g.flush()
+	}
+}
+
+func (g *refGradStream) flush() {
+	if len(g.batch) == 0 {
+		return
+	}
+	addr := g.bufAddr + uint64(4*(g.gradIdx-len(g.batch)))
+	if g.first {
+		n := 4 * len(g.batch)
+		packet.PutGradients(g.wbuf[:n], g.batch)
+		for ; n%8 != 0; n++ {
+			g.wbuf[n] = 0
+		}
+		g.ctx.MemWrite(addr, g.wbuf[:n], true)
+	} else {
+		g.ctx.AddVector32(addr, g.batch)
+	}
+	g.batch = g.batch[:0]
+}
+
+func (g *refGradStream) consume(b []byte) {
+	if g.carryLen > 0 {
+		n := copy(g.carry[g.carryLen:], b)
+		g.carryLen += n
+		b = b[n:]
+		if g.carryLen < 4 {
+			return
+		}
+		g.carryLen = 0
+		if g.gradIdx < g.totalGrads {
+			g.push(int32(binary.BigEndian.Uint32(g.carry[:])))
+		}
+	}
+	for len(b) >= 4 && g.gradIdx < g.totalGrads {
+		g.push(int32(binary.BigEndian.Uint32(b)))
+		b = b[4:]
+	}
+	if len(b) > 0 {
+		g.carryLen = copy(g.carry[:], b)
+	}
+}
+
+func (g *refGradStream) aggregate(ctx *pfe.Ctx, f *packet.Frame, h *packet.TrioML, bufAddr uint64, firstSource bool) {
+	hdrLen := packet.EthernetLen + f.IP.HeaderLen() + packet.UDPLen + packet.TrioMLHeaderLen
+	head := ctx.Head()
+	g.ctx = ctx
+	g.bufAddr = bufAddr
+	g.first = firstSource
+	g.totalGrads = int(h.GradCnt)
+	g.gradIdx = 0
+	g.batch = g.batchBuf[:0]
+	g.carryLen = 0
+	if hdrLen < len(head) {
+		g.consume(head[hdrLen:])
+	}
+	for off := 0; off < ctx.TailLen() && g.gradIdx < g.totalGrads; off += 64 {
+		g.consume(ctx.ReadTail(off, 64))
+	}
+	if len(g.batch) > 0 {
+		ctx.ChargeInstr(instrPerChunk * len(g.batch) / chunkGrads)
+		g.flush()
+	}
+	g.ctx = nil
+}
+
+// streamApp runs just the gradient streaming of Fig. 10 on each packet —
+// through the reference or through the Aggregator's gradStream — and records
+// what the thread looked like afterwards.
+type streamApp struct {
+	ref   *refGradStream // nil: the real path
+	agg   Aggregator
+	buf   uint64
+	first bool
+	frame packet.Frame
+	now   []sim.Time
+	stats []pfe.CtxStats
+}
+
+func (s *streamApp) Process(ctx *pfe.Ctx) {
+	if err := packet.DecodeInto(&s.frame, ctx.Head()); err != nil || !s.frame.IsTrioML() {
+		panic(fmt.Sprintf("streamApp: not a Trio-ML head: %v", err))
+	}
+	if s.ref != nil {
+		s.ref.aggregate(ctx, &s.frame, s.frame.ML, s.buf, s.first)
+	} else {
+		s.agg.aggregateGradients(ctx, &s.frame, s.frame.ML, s.buf, s.first)
+	}
+	s.now = append(s.now, ctx.Now())
+	s.stats = append(s.stats, ctx.Stats())
+	ctx.Consume()
+}
+
+type streamRig struct {
+	eng *sim.Engine
+	pfe *pfe.PFE
+	app *streamApp
+}
+
+func newStreamRig(headBytes int, ref bool) *streamRig {
+	cfg := RecommendedPFEConfig()
+	cfg.HeadBytes = headBytes
+	eng := sim.NewEngine()
+	p := pfe.New(eng, cfg)
+	app := &streamApp{buf: p.Mem.Alloc(smem.TierDRAM, 4*packet.MaxGradientsPerPacket+8)}
+	if ref {
+		app.ref = &refGradStream{}
+	}
+	p.SetApp(app)
+	return &streamRig{eng: eng, pfe: p, app: app}
+}
+
+// TestGradStreamMatchesPerGradientReference is the gate for the chunk-staging
+// gradStream: every gradient count 1..1024, with the head/tail split landing
+// on every byte residue of a gradient (HeadBytes 189..192, and the header
+// pushed along by IP options), as the first source (write) and as a later one
+// (add), plus packets that carry fewer or more gradient bytes than grad_cnt
+// claims or end mid-gradient. Thread time, instruction/XTXN/stall counters, every RMW engine's
+// statistics and the aggregation buffer's bytes must all match.
+func TestGradStreamMatchesPerGradientReference(t *testing.T) {
+	for _, headBytes := range []int{192, 191, 190, 189, 96, 8192} {
+		for _, optLen := range []int{0, 4, 12, 40} {
+			t.Run(fmt.Sprintf("head=%d/ipopts=%d", headBytes, optLen), func(t *testing.T) {
+				ref, got := newStreamRig(headBytes, true), newStreamRig(headBytes, false)
+				spec := packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000,
+					IPOptions: make([]byte, optLen)}
+				send := func(claimed, carried int, first bool, chop ...int) {
+					grads := make([]int32, carried)
+					for i := range grads {
+						grads[i] = int32(uint32(i+1) * 2654435761 * uint32(claimed))
+					}
+					frame := packet.BuildTrioML(spec, packet.TrioML{JobID: 1, GradCnt: uint16(claimed)}, grads)
+					for _, c := range chop { // lose the frame's last bytes: it ends mid-gradient
+						frame = frame[:len(frame)-c]
+					}
+					for _, r := range []*streamRig{ref, got} {
+						r.app.first = first
+						r.pfe.Inject(0, 1, frame)
+						r.eng.Run()
+					}
+					what := fmt.Sprintf("grad_cnt %d (%d carried), first=%v", claimed, carried, first)
+					n := len(ref.app.now) - 1
+					if len(got.app.now) != n+1 || ref.app.now[n] != got.app.now[n] || ref.app.stats[n] != got.app.stats[n] {
+						t.Fatalf("%s: thread ended at %v with %+v, reference %v with %+v",
+							what, got.app.now[n], got.app.stats[n], ref.app.now[n], ref.app.stats[n])
+					}
+					if !reflect.DeepEqual(ref.pfe.Mem.Stats(), got.pfe.Mem.Stats()) {
+						t.Fatalf("%s: RMW engine stats diverge\n got       %+v\n reference %+v", what, got.pfe.Mem.Stats(), ref.pfe.Mem.Stats())
+					}
+					size := 4*packet.MaxGradientsPerPacket + 8
+					if !bytes.Equal(ref.pfe.Mem.ReadRaw(ref.app.buf, size), got.pfe.Mem.ReadRaw(got.app.buf, size)) {
+						t.Fatalf("%s: aggregation buffers differ", what)
+					}
+				}
+				for n := 1; n <= packet.MaxGradientsPerPacket; n++ {
+					send(n, n, true)
+					send(n, n, false)
+				}
+				for _, n := range []int{1, 17, 34, 35, 100, 900} {
+					send(n, n-1, false) // truncated: the last gradient never arrives
+					send(n, n+3, true)  // trailing bytes past grad_cnt are not gradients
+					send(n, n+40, false)
+					for chop := 1; chop <= 3; chop++ {
+						send(n, n, chop == 2, chop)
+					}
+				}
+			})
+		}
+	}
+}
