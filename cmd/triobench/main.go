@@ -20,15 +20,15 @@
 // expectation; -exp treechaos drives the composed straggler semantics —
 // straggler worker, flapping rack uplink, dead rack — and exits non-zero if
 // recovery exceeds the composed expiry bound or any accepted sum diverges.
-// -exp livechaos is the only experiment that leaves the simulator: it runs
-// the real hostagg UDP server on loopback under adversarial clients —
-// tenant floods, retransmit storms, malformed-datagram storms, slow
-// readers, a server restart mid-allreduce, and an open-block hoarder that
-// drives the overload ladder — and exits non-zero unless a victim tenant
-// keeps >= 90% of its aggressor-free goodput with bit-exact sums and the
-// shed attributed to the aggressor (DESIGN.md §10). Its table cells are
-// categorical (yes/NO/-), so the seed-1 capture golden-pins despite
-// real-socket timing.
+// -exp livechaos runs the real hostagg block table (hostagg.Table, which
+// takes time and the wire as arguments) on the simulation engine under
+// adversarial tenants — a flood, a retransmit storm, a malformed-datagram
+// storm, a stalled reader, a server restart mid-allreduce, and an open-block
+// hoarder that drives the overload ladder — and exits non-zero unless a
+// victim tenant finishes every round with bit-exact sums, loses nothing to
+// shedding or eviction, and the damage lands on the aggressor's counters
+// (DESIGN.md §10). Its cells are exact integers, golden-pinned like every
+// other experiment.
 // -exp netrpc drives the in-network RPC aggregation/caching application
 // (internal/apps/netrpc): closed-loop clients behind a PFE-resident request
 // cache with the origin across a slow metro link, reporting origin offload,

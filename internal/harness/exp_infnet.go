@@ -49,7 +49,7 @@ func ddosModel() infnet.Config {
 		Bias1: []int32{32, -32, -1, 0},
 		Shift: 0,
 		Out: [2][]int8{
-			{-1, 1, 1, 1}, // benign score
+			{-1, 1, 1, 1},   // benign score
 			{4, -2, -2, -2}, // attack score
 		},
 		Bias2: [2]int32{1, 0},

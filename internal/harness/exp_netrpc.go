@@ -65,8 +65,8 @@ type netrpcRig struct {
 	clients []*rpcClient
 	cfg     netrpcCfg
 	keys    []uint16 // method ids with pairwise-distinct cache slots
-	spoofs  int // forged responses injected on a client port
-	dups    int // origin retransmits injected on the server port
+	spoofs  int      // forged responses injected on a client port
+	dups    int      // origin retransmits injected on the server port
 }
 
 // slotDisjointKeys picks method ids whose derived rpc ids occupy pairwise

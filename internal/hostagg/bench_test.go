@@ -43,31 +43,21 @@ func benchPayloads(count int, hot bool) [][]byte {
 	return payloads
 }
 
-// benchHandle measures packet-handling throughput against a server with
-// the given shard count, driving the handle path the way recvLoop does:
-// each benchmark goroutine plays one receive worker with its own socket.
-// With numWorkers == 1 every packet completes a block and emits a result
-// to the (self-registered) sender; with numWorkers == 2 and a single
-// source no block ever completes, isolating the shard table and lock.
+// benchHandle measures packet-handling throughput of a bare table with the
+// given shard count: each benchmark goroutine plays one receive worker
+// calling Handle. With numWorkers == 1 every packet completes a block and
+// hands a result to send; with numWorkers == 2 and a single source no block
+// ever completes, isolating the shard table and lock.
 func benchHandle(b *testing.B, shards, numWorkers int, hot bool) {
-	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: numWorkers,
-		Shards: shards, RecvWorkers: runtime.GOMAXPROCS(0),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
+	tab := newTestTable(b, ServerConfig{NumWorkers: numWorkers, Shards: shards})
 	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 40000}
-	var nextConn atomic.Uint32
 	start := time.Now()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		conn := s.conns[int(nextConn.Add(1))%len(s.conns)]
 		payloads := benchPayloads(1024, hot)
 		i := 0
 		for pb.Next() {
-			s.handle(conn, payloads[i], from)
+			tab.Handle(t0, payloads[i], from, discard)
 			i++
 			if i == len(payloads) {
 				i = 0

@@ -10,6 +10,19 @@
 // big-endian int32 gradients; a frame built for the simulator can be
 // replayed here by stripping its Ethernet/IPv4/UDP headers.
 //
+// # Table and shell
+//
+// Table is the block table and everything that decides: shards, tenant
+// quotas, the overload ladder, replay caches, counters. It owns no socket, no
+// goroutine and no clock; Handle(now, payload, from, send) and Sweep(now,
+// send) take the instant and the way out as arguments, so what a table does
+// is a function of its inputs (nothing it decides follows map order) and it
+// can be driven at wall-clock time or at instants a simulation chooses.
+// Server is the UDP shell: it binds the sockets and runs RecvWorkers receive
+// loops calling Handle(time.Now(), ...) plus one loop ticking
+// Sweep(time.Now(), ...) — the only places the server side reads the clock or
+// touches a socket.
+//
 // # Sharded server architecture
 //
 // The server is built for multi-core scale, mirroring how the paper's PFEs
@@ -27,9 +40,9 @@
 //     hash(job, block), each shard guarded by its own mutex. Traffic for
 //     distinct blocks proceeds in parallel; only packets for the same
 //     (job, block) serialize.
-//   - Per-shard aging: each shard runs its own REF-flag scanner (the host
-//     analogue of §5's timer threads), so straggler sweeps never stop the
-//     whole table.
+//   - Aging: one sweep visits the shards in turn (the host analogue of
+//     §5's timer threads), clearing REF flags and emitting degraded partials,
+//     holding one shard lock at a time so it never stops the whole table.
 //   - Lock-free stats: counters are sync/atomic and never touch a shard
 //     mutex; Stats() is a consistent-enough snapshot for telemetry.
 //   - Pooled emit buffers: result payloads are marshaled into a sync.Pool

@@ -174,54 +174,54 @@ func TestAllReduceSurvivesInjectedFaults(t *testing.T) {
 // TestOverloadShedding: block creation beyond MaxOpenBlocks is refused and
 // counted, while contributions to already-open blocks still land.
 func TestOverloadShedding(t *testing.T) {
-	s, err := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0", NumWorkers: 2, MaxOpenBlocks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	c := newTestClient(t, s, 0)
+	tab := newTestTable(t, ServerConfig{NumWorkers: 2, MaxOpenBlocks: 2})
+	var out outbox
 	for b := uint32(0); b < 5; b++ {
-		if err := c.SendBlock(b, 1, []int32{int32(b)}, false); err != nil {
-			t.Fatal(err)
-		}
+		tab.Handle(t0, buildContribution(1, b, 0, 1, []int32{int32(b)}), workerAddr(0), out.send)
 	}
-	waitFor(t, func() bool { return s.Stats().Shed == 3 }, "3 shed creations")
-	if p := s.Pending(); p != 2 {
-		t.Fatalf("pending = %d, want 2", p)
+	if st := tab.Stats(); st.Shed != 3 || tab.Pending() != 2 {
+		t.Fatalf("stats = %+v pending = %d, want 3 shed creations and 2 open", st, tab.Pending())
+	}
+	tab.Handle(t0, buildContribution(1, 1, 1, 1, []int32{10}), workerAddr(1), out.send)
+	if st := tab.Stats(); st.Completed != 1 || st.Shed != 3 {
+		t.Fatalf("stats = %+v, want the open block completed at the cap", st)
 	}
 }
 
 // TestJobIdleEviction: a job that goes silent has its open blocks discarded
-// without emitting and is counted once, even with many shards scanning.
+// without emitting and is counted once, however many shards hold them, at
+// the first sweep past JobIdleTimeout and not one before.
 func TestJobIdleEviction(t *testing.T) {
-	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: 2,
-		Timeout: 10 * time.Second, ScanInterval: 20 * time.Millisecond,
-		JobIdleTimeout: 150 * time.Millisecond,
+	const idle = 150 * time.Millisecond
+	tab := newTestTable(t, ServerConfig{
+		NumWorkers: 2, Shards: 4,
+		Timeout: 10 * time.Second, JobIdleTimeout: idle,
 	})
-	if err != nil {
-		t.Fatal(err)
+	var out outbox
+	for b := uint32(0); b < 8; b++ {
+		tab.Handle(t0, buildContribution(1, b, 0, 1, []int32{1}), workerAddr(0), out.send)
 	}
-	t.Cleanup(func() { s.Close() })
-	c := newTestClient(t, s, 0)
-	for b := uint32(0); b < 4; b++ {
-		if err := c.SendBlock(b, 1, []int32{1}, false); err != nil {
-			t.Fatal(err)
-		}
+	tab.Sweep(t0.Add(idle), out.send) // last packet exactly idle ago: not yet past it
+	if st := tab.Stats(); st.JobsExpired != 0 || tab.Pending() != 8 {
+		t.Fatalf("stats = %+v pending = %d, evicted before the idle timeout passed", st, tab.Pending())
 	}
-	waitFor(t, func() bool { return s.Stats().JobsExpired == 1 && s.Pending() == 0 }, "job eviction")
-	if st := s.Stats(); st.Degraded != 0 || st.BlocksTimedOut != 0 {
-		t.Fatalf("idle eviction emitted results: %+v", st)
+	tab.Sweep(t0.Add(idle+1), out.send)
+	if st := tab.Stats(); st.JobsExpired != 1 || tab.Pending() != 0 || st.Degraded != 0 || st.BlocksTimedOut != 0 {
+		t.Fatalf("stats = %+v pending = %d, want one silent eviction of the whole job", st, tab.Pending())
 	}
-	select {
-	case r := <-c.Results():
-		t.Fatalf("evicted job still produced a result: %+v", r)
-	case <-time.After(100 * time.Millisecond):
+	if len(out) != 0 || len(tab.targets(1)) != 0 {
+		t.Fatalf("evicted job still produced %d datagrams / kept %d registrations", len(out), len(tab.targets(1)))
+	}
+	// The job speaks again: it is a live job, evictable (and counted) afresh.
+	tab.Handle(t0.Add(time.Second), buildContribution(1, 0, 0, 2, []int32{1}), workerAddr(0), out.send)
+	tab.Sweep(t0.Add(time.Second+idle+1), out.send)
+	if st := tab.Stats(); st.JobsExpired != 2 || tab.Pending() != 0 {
+		t.Fatalf("stats = %+v, want the returned job evicted a second time", st)
 	}
 }
 
 // TestJobIdleTimeoutRequiresAging: the constructor rejects JobIdleTimeout
-// without Timeout, since the aging scanners perform the eviction.
+// without Timeout, since the aging sweep performs the eviction.
 func TestJobIdleTimeoutRequiresAging(t *testing.T) {
 	_, err := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0", NumWorkers: 2, JobIdleTimeout: time.Second})
 	if err == nil {
@@ -233,65 +233,37 @@ func TestJobIdleTimeoutRequiresAging(t *testing.T) {
 // answered from the replay cache — to the sender only — instead of re-opening
 // the block and eventually producing a bogus one-source result.
 func TestResultReplayOnRetransmit(t *testing.T) {
-	s, err := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0", NumWorkers: 2, ReplayWindow: 8})
-	if err != nil {
-		t.Fatal(err)
+	tab := newTestTable(t, ServerConfig{NumWorkers: 2, ReplayWindow: 8})
+	var out outbox
+	tab.Handle(t0, buildContribution(1, 0, 0, 1, []int32{5}), workerAddr(0), out.send)
+	tab.Handle(t0, buildContribution(1, 0, 1, 1, []int32{7}), workerAddr(1), out.send)
+	first := out.take()
+	if len(first) != 2 || first[0].grads[0] != 12 || first[1].grads[0] != 12 {
+		t.Fatalf("first serve = %+v, want sum 12 to both workers", first)
 	}
-	t.Cleanup(func() { s.Close() })
-	c0 := newTestClient(t, s, 0)
-	c1 := newTestClient(t, s, 1)
-	if err := c0.SendBlock(0, 1, []int32{5}, false); err != nil {
-		t.Fatal(err)
+	// Worker 0's result "was lost"; it retransmits and must get the same
+	// full sum back while worker 1 sees nothing new.
+	tab.Handle(t0.Add(time.Millisecond), buildContribution(1, 0, 0, 1, []int32{5}), workerAddr(0), out.send)
+	replayed := out.take()
+	if len(replayed) != 1 || replayed[0].to.Port != workerAddr(0).Port {
+		t.Fatalf("replay = %+v, want one datagram, to the retransmitting worker only", replayed)
 	}
-	time.Sleep(50 * time.Millisecond)
-	if err := c1.SendBlock(0, 1, []int32{7}, false); err != nil {
-		t.Fatal(err)
+	if m := replayed[0]; m.grads[0] != 12 || m.hdr.SrcCnt != 2 || m.hdr.Degraded {
+		t.Fatalf("replayed result = %+v, want full sum 12 from 2 sources", m)
 	}
-	for _, c := range []*Client{c0, c1} {
-		select {
-		case r := <-c.Results():
-			if r.Grads[0] != 12 {
-				t.Fatalf("first serve sum = %d, want 12", r.Grads[0])
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("no first-serve result")
-		}
+	if st := tab.Stats(); st.ResultReplays != 1 || tab.Pending() != 0 {
+		t.Fatalf("stats = %+v pending = %d: retransmit re-opened the block", st, tab.Pending())
 	}
-	// c0's result "was lost"; it retransmits and must get the same full sum
-	// back while c1 sees nothing new.
-	if err := c0.SendBlock(0, 1, []int32{5}, false); err != nil {
-		t.Fatal(err)
+	// A block that aged out is served too, and replays as the same degraded
+	// partial.
+	aging := newTestTable(t, ServerConfig{NumWorkers: 2, ReplayWindow: 8, Timeout: 40 * time.Millisecond})
+	aging.Handle(t0, buildContribution(1, 0, 0, 1, []int32{5}), workerAddr(0), out.send)
+	aging.Sweep(t0.Add(10*time.Millisecond), out.send)
+	aging.Sweep(t0.Add(40*time.Millisecond), out.send)
+	aging.Handle(t0.Add(50*time.Millisecond), buildContribution(1, 0, 0, 1, []int32{5}), workerAddr(0), out.send)
+	if got := out.take(); len(got) != 2 || !got[1].hdr.Degraded || got[1].grads[0] != 5 || got[1].hdr.SrcCnt != 1 {
+		t.Fatalf("sent = %+v, want the aged result and then its degraded replay", got)
 	}
-	select {
-	case r := <-c0.Results():
-		if r.Grads[0] != 12 || r.SrcCnt != 2 {
-			t.Fatalf("replayed result = %+v, want full sum 12 from 2 sources", r)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no replayed result")
-	}
-	waitFor(t, func() bool { return s.Stats().ResultReplays == 1 }, "replay counted")
-	if p := s.Pending(); p != 0 {
-		t.Fatalf("retransmit re-opened the block: pending = %d", p)
-	}
-	select {
-	case r := <-c1.Results():
-		t.Fatalf("replay leaked to a non-retransmitting worker: %+v", r)
-	case <-time.After(100 * time.Millisecond):
-	}
-}
-
-// waitFor polls cond for up to 5 s.
-func waitFor(t *testing.T, cond func() bool, what string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 // buildContribution marshals one contribution payload as a client would.
@@ -304,57 +276,51 @@ func buildContribution(job uint8, block uint32, src uint8, gen uint16, grads []i
 }
 
 // TestHandleAddZeroAlloc pins the aggregation fast path — a contribution
-// landing in an open block — at zero allocations: the wire bytes are summed
-// in place and no per-packet vector is parsed. The mask bit is rewound
-// between runs (alloc-free) so every iteration takes the add path.
+// landing in an open block — at zero allocations, send argument included: the
+// wire bytes are summed in place and no per-packet vector is parsed. The mask
+// bit is rewound between runs (alloc-free) so every iteration takes the add
+// path.
 func TestHandleAddZeroAlloc(t *testing.T) {
-	s, err := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0", NumWorkers: 3, RecvWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	from := s.Addr() // any valid return address
+	tab := newTestTable(t, ServerConfig{NumWorkers: 3})
 	grads := make([]int32, packet.MaxGradientsPerPacket)
-	create := buildContribution(1, 0, 0, 1, grads)
+	from := workerAddr(1)
+	tab.Handle(t0, buildContribution(1, 0, 0, 1, grads), workerAddr(0), discard)
 	add := buildContribution(1, 0, 1, 1, grads)
-	s.handle(s.conns[0], create, from)
-
-	k := key(1, 0)
-	sh := s.shardFor(k)
+	rewind := addPathRewinder(tab, key(1, 0), 1)
 	if n := testing.AllocsPerRun(1000, func() {
-		s.handle(s.conns[0], add, from)
-		sh.mu.Lock()
-		b := sh.blocks[k]
-		b.rcvdMask &^= 1 << 1
-		b.rcvdCnt--
-		sh.mu.Unlock()
+		tab.Handle(t0, add, from, discard)
+		rewind()
 	}); n != 0 {
 		t.Fatalf("aggregation fast path allocated %.2f times per packet", n)
 	}
 }
 
+// addPathRewinder returns a function that takes source src back out of the
+// open block k, so the next identical contribution is an add, not a duplicate.
+func addPathRewinder(tab *Table, k uint64, src uint8) func() {
+	sh := tab.shardFor(k)
+	return func() {
+		sh.mu.Lock()
+		b := sh.blocks[k]
+		b.rcvdMask &^= 1 << src
+		b.rcvdCnt--
+		sh.mu.Unlock()
+	}
+}
+
 // BenchmarkHandleAdd measures the same path under the benchmark harness.
 func BenchmarkHandleAdd(b *testing.B) {
-	s, err := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0", NumWorkers: 3, RecvWorkers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	from := s.Addr()
+	tab := newTestTable(b, ServerConfig{NumWorkers: 3})
 	grads := make([]int32, packet.MaxGradientsPerPacket)
-	s.handle(s.conns[0], buildContribution(1, 0, 0, 1, grads), from)
+	from := workerAddr(1)
+	tab.Handle(t0, buildContribution(1, 0, 0, 1, grads), workerAddr(0), discard)
 	add := buildContribution(1, 0, 1, 1, grads)
-	k := key(1, 0)
-	sh := s.shardFor(k)
+	rewind := addPathRewinder(tab, key(1, 0), 1)
 	b.SetBytes(int64(len(add)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.handle(s.conns[0], add, from)
-		sh.mu.Lock()
-		blk := sh.blocks[k]
-		blk.rcvdMask &^= 1 << 1
-		blk.rcvdCnt--
-		sh.mu.Unlock()
+		tab.Handle(t0, add, from, discard)
+		rewind()
 	}
 }

@@ -1,11 +1,62 @@
 package hostagg
 
 import (
-	"github.com/trioml/triogo/internal/packet"
+	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/trioml/triogo/internal/packet"
 )
+
+// t0 is where table tests start the clock; they choose every later instant.
+var t0 = time.Unix(1_700_000_000, 0)
+
+// newTestTable builds a bare block table: no socket, no goroutine, no clock.
+func newTestTable(t testing.TB, cfg ServerConfig) *Table {
+	t.Helper()
+	tab, err := NewTable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// sent is one datagram a table handed to its send argument.
+type sent struct {
+	to    *net.UDPAddr
+	hdr   packet.TrioML
+	grads []int32 // nil for control packets
+}
+
+// outbox collects, decoded, everything a table sends.
+type outbox []sent
+
+func (o *outbox) send(b []byte, to *net.UDPAddr) {
+	m := sent{to: to}
+	rest, err := m.hdr.Unmarshal(b)
+	if err != nil {
+		panic(err)
+	}
+	if m.hdr.SrcID == packet.ResultSrcID {
+		m.grads, _ = packet.Gradients(rest, int(m.hdr.GradCnt))
+	}
+	*o = append(*o, m)
+}
+
+// take returns what was collected and empties the outbox.
+func (o *outbox) take() []sent {
+	out := *o
+	*o = nil
+	return out
+}
+
+func discard([]byte, *net.UDPAddr) {}
+
+// workerAddr fabricates the return address of source src.
+func workerAddr(src uint8) *net.UDPAddr {
+	return &net.UDPAddr{IP: net.IPv4(10, 0, 0, 1+src), Port: 40000 + int(src)}
+}
 
 func newTestServer(t *testing.T, workers int, timeout time.Duration) *Server {
 	t.Helper()
@@ -71,141 +122,124 @@ func TestAllReduceOverLoopback(t *testing.T) {
 }
 
 func TestStragglerTimeoutProducesDegradedResult(t *testing.T) {
-	const workers = 3
-	s := newTestServer(t, workers, 150*time.Millisecond)
+	const timeout = 150 * time.Millisecond
+	tab := newTestTable(t, ServerConfig{NumWorkers: 3, Timeout: timeout})
+	var out outbox
 	// All three workers register (so results reach them), but worker 2
 	// contributes nothing to block 0.
-	c0 := newTestClient(t, s, 0)
-	c1 := newTestClient(t, s, 1)
-	c2 := newTestClient(t, s, 2)
-	if err := c2.SendBlock(99, 1, []int32{0}, false); err != nil { // registration traffic
-		t.Fatal(err)
-	}
+	tab.Handle(t0, buildContribution(1, 99, 2, 1, []int32{0}), workerAddr(2), out.send)
 	grads := []int32{10, 20, 30}
-	start := time.Now()
-	if err := c0.SendBlock(0, 1, grads, false); err != nil {
-		t.Fatal(err)
+	tab.Handle(t0, buildContribution(1, 0, 0, 1, grads), workerAddr(0), out.send)
+	tab.Handle(t0, buildContribution(1, 0, 1, 1, grads), workerAddr(1), out.send)
+
+	// The first sweep only clears the REF flags; a nanosecond short of the
+	// timeout nothing ages; at the timeout both records do.
+	tab.Sweep(t0.Add(timeout/4), out.send)
+	tab.Sweep(t0.Add(timeout-1), out.send)
+	if len(out) != 0 || tab.Pending() != 2 {
+		t.Fatalf("aged early: %d datagrams, %d pending", len(out), tab.Pending())
 	}
-	if err := c1.SendBlock(0, 1, grads, false); err != nil {
-		t.Fatal(err)
+	tab.Sweep(t0.Add(timeout), out.send)
+	if st := tab.Stats(); st.Degraded != 2 || st.BlocksTimedOut != 2 || tab.Pending() != 0 {
+		t.Fatalf("stats = %+v, want blocks 0 and 99 aged out", st)
 	}
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case r := <-c0.Results():
-			if r.BlockID != 0 {
-				continue // the registration block (99) also ages out
-			}
-			if !r.Degraded || r.SrcCnt != 2 {
-				t.Fatalf("result = %+v, want degraded with 2 sources", r)
-			}
-			if r.Grads[0] != 20 || r.Grads[2] != 60 {
-				t.Fatalf("partial sums = %v", r.Grads)
-			}
-			if elapsed := time.Since(start); elapsed > 3*150*time.Millisecond {
-				t.Fatalf("mitigation took %v, want within ~2x timeout", elapsed)
-			}
-		case <-deadline:
-			t.Fatal("no degraded result for block 0")
+	var got []sent
+	for _, m := range out { // the registration block (99) also ages out
+		if m.hdr.BlockID == 0 {
+			got = append(got, m)
 		}
-		break
 	}
-	if s.Stats().Degraded == 0 {
-		t.Fatal("server did not count a degraded block")
+	if len(got) != 3 {
+		t.Fatalf("block 0 result reached %d workers, want all 3 registered", len(got))
+	}
+	for src, m := range got {
+		if m.to.Port != workerAddr(uint8(src)).Port {
+			t.Fatalf("result %d went to %v, want source order", src, m.to)
+		}
+		if !m.hdr.Degraded || m.hdr.SrcCnt != 2 || m.hdr.AgeOp != 1 {
+			t.Fatalf("result = %+v, want degraded with 2 sources", m.hdr)
+		}
+		if m.grads[0] != 20 || m.grads[2] != 60 {
+			t.Fatalf("partial sums = %v", m.grads)
+		}
+	}
+}
+
+// TestSweepWithoutAgingIsNoop: Timeout zero means SwitchML semantics — a
+// sweep at any instant leaves every partial block alone.
+func TestSweepWithoutAgingIsNoop(t *testing.T) {
+	tab := newTestTable(t, ServerConfig{NumWorkers: 2})
+	var out outbox
+	tab.Handle(t0, buildContribution(1, 0, 0, 1, []int32{1}), workerAddr(0), out.send)
+	tab.Sweep(t0.Add(time.Hour), out.send)
+	tab.Sweep(t0.Add(2*time.Hour), out.send)
+	if len(out) != 0 || tab.Pending() != 1 {
+		t.Fatalf("sweep with aging off sent %d datagrams, left %d pending", len(out), tab.Pending())
 	}
 }
 
 func TestDuplicateContributionIgnored(t *testing.T) {
-	const workers = 2
-	s := newTestServer(t, workers, 0)
-	c0 := newTestClient(t, s, 0)
-	c1 := newTestClient(t, s, 1)
+	tab := newTestTable(t, ServerConfig{NumWorkers: 2})
+	var out outbox
 	g := []int32{7}
-	c0.SendBlock(0, 1, g, false)
-	c0.SendBlock(0, 1, g, false) // retransmission
-	time.Sleep(50 * time.Millisecond)
-	c1.SendBlock(0, 1, g, false)
-	select {
-	case r := <-c1.Results():
-		if r.Grads[0] != 14 {
-			t.Fatalf("sum = %d, want 14", r.Grads[0])
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no result")
+	tab.Handle(t0, buildContribution(1, 0, 0, 1, g), workerAddr(0), out.send)
+	tab.Handle(t0, buildContribution(1, 0, 0, 1, g), workerAddr(0), out.send) // retransmission
+	tab.Handle(t0, buildContribution(1, 0, 1, 1, g), workerAddr(1), out.send)
+	if len(out) != 2 || out[0].grads[0] != 14 || out[1].grads[0] != 14 {
+		t.Fatalf("sent = %+v, want the sum 14 to both workers", out)
 	}
-	if s.Stats().Duplicates != 1 {
-		t.Fatalf("stats = %+v", s.Stats())
+	if st := tab.Stats(); st.Duplicates != 1 || st.Completed != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestGenerationRestartOnHost(t *testing.T) {
-	const workers = 2
-	s := newTestServer(t, workers, 0)
-	c0 := newTestClient(t, s, 0)
-	c1 := newTestClient(t, s, 1)
+	tab := newTestTable(t, ServerConfig{NumWorkers: 2})
+	var out outbox
 	// Gen 1 partially aggregates block 0; gen 2 then reuses block 0.
-	c0.SendBlock(0, 1, []int32{100}, false)
-	time.Sleep(50 * time.Millisecond)
-	c0.SendBlock(0, 2, []int32{1}, false)
-	time.Sleep(20 * time.Millisecond)
-	c1.SendBlock(0, 2, []int32{2}, false)
-	select {
-	case r := <-c0.Results():
-		if r.GenID != 2 || r.Grads[0] != 3 {
-			t.Fatalf("result = %+v, want gen 2 sum 3 (no gen-1 leak)", r)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no result")
+	tab.Handle(t0, buildContribution(1, 0, 0, 1, []int32{100}), workerAddr(0), out.send)
+	tab.Handle(t0, buildContribution(1, 0, 0, 2, []int32{1}), workerAddr(0), out.send)
+	tab.Handle(t0, buildContribution(1, 0, 1, 2, []int32{2}), workerAddr(1), out.send)
+	if len(out) != 2 || out[0].hdr.GenID != 2 || out[0].grads[0] != 3 {
+		t.Fatalf("sent = %+v, want gen 2 sum 3 (no gen-1 leak)", out)
 	}
 	// A gen-1 packet arriving while a gen-2 record is open is stale.
-	c0.SendBlock(1, 2, []int32{5}, false)
-	time.Sleep(50 * time.Millisecond)
-	c1.SendBlock(1, 1, []int32{100}, false)
-	time.Sleep(100 * time.Millisecond)
-	if s.Stats().StaleDrops == 0 {
-		t.Fatalf("stats = %+v, want a stale drop", s.Stats())
+	tab.Handle(t0, buildContribution(1, 1, 0, 2, []int32{5}), workerAddr(0), out.send)
+	tab.Handle(t0, buildContribution(1, 1, 1, 1, []int32{100}), workerAddr(1), out.send)
+	if st := tab.Stats(); st.StaleDrops != 1 || st.GenRestarts != 1 || tab.Pending() != 1 {
+		t.Fatalf("stats = %+v, want one restart and one stale drop", st)
 	}
 }
 
 func TestBadPacketsCounted(t *testing.T) {
-	s := newTestServer(t, 2, 0)
-	c := newTestClient(t, s, 0)
+	tab := newTestTable(t, ServerConfig{NumWorkers: 2})
 	// Wire garbage (too short to even decode) is malformed, not a protocol
 	// violation.
-	if _, err := c.conn.Write([]byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
+	tab.Handle(t0, []byte{1, 2, 3}, workerAddr(0), discard)
 	// A well-formed header claiming a source outside the 2-worker fleet is a
 	// protocol-level bad packet.
 	hdr := packet.TrioML{JobID: 1, BlockID: 0, SrcID: 7}
 	buf := make([]byte, packet.TrioMLHeaderLen)
 	hdr.MarshalTo(buf)
-	if _, err := c.conn.Write(buf); err != nil {
-		t.Fatal(err)
+	tab.Handle(t0, buf, workerAddr(0), discard)
+	if st := tab.Stats(); st.Malformed != 1 || st.BadPackets != 1 || st.Packets != 0 {
+		t.Fatalf("stats = %+v, want one malformed and one bad packet", st)
 	}
-	waitFor(t, func() bool {
-		st := s.Stats()
-		return st.Malformed == 1 && st.BadPackets == 1
-	}, "malformed and bad-packet counters")
 }
 
 func TestOversizedDatagramMalformed(t *testing.T) {
-	s := newTestServer(t, 2, 0)
-	c := newTestClient(t, s, 0)
+	tab := newTestTable(t, ServerConfig{NumWorkers: 2})
 	// A valid header whose body carries more bytes than GradCnt accounts
-	// for: the tail would silently vanish in aggregation, so the server
+	// for: the tail would silently vanish in aggregation, so the table
 	// rejects the datagram whole.
 	hdr := packet.TrioML{JobID: 1, BlockID: 3, SrcID: 0, GradCnt: 2}
 	buf := make([]byte, packet.TrioMLHeaderLen+4*2+5)
 	hdr.MarshalTo(buf)
-	if _, err := c.conn.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return s.Stats().Malformed == 1 }, "malformed counter")
-	if st := s.Stats(); st.Packets != 0 || st.BadPackets != 0 {
+	tab.Handle(t0, buf, workerAddr(0), discard)
+	if st := tab.Stats(); st.Malformed != 1 || st.Packets != 0 || st.BadPackets != 0 {
 		t.Fatalf("oversized datagram leaked past decode: %+v", st)
 	}
-	if s.Pending() != 0 {
+	if tab.Pending() != 0 {
 		t.Fatalf("oversized datagram opened a block")
 	}
 }
@@ -250,8 +284,7 @@ func TestSimulatorFrameReplaysOnSocket(t *testing.T) {
 	if err := c0.SendBlock(4, 3, []int32{1, 2}, false); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
-	if _, err := c1.conn.Write(udpPayload); err != nil {
+	if _, err := c1.conn.Write(udpPayload); err != nil { // either may land first: sums commute
 		t.Fatal(err)
 	}
 	select {
@@ -268,46 +301,26 @@ func TestSimulatorFrameReplaysOnSocket(t *testing.T) {
 }
 
 func TestJobsIsolatedOnHostServer(t *testing.T) {
-	// Two jobs share one server; each job's results reach only its own
+	// Two jobs share one table; each job's results reach only its own
 	// workers, and sums do not mix.
-	s := newTestServer(t, 2, 0)
-	j1w0, _ := NewClient(ClientConfig{ServerAddr: s.Addr().String(), JobID: 1, SrcID: 0})
-	defer j1w0.Close()
-	j1w1, _ := NewClient(ClientConfig{ServerAddr: s.Addr().String(), JobID: 1, SrcID: 1})
-	defer j1w1.Close()
-	j2w0, _ := NewClient(ClientConfig{ServerAddr: s.Addr().String(), JobID: 2, SrcID: 0})
-	defer j2w0.Close()
-	j2w1, _ := NewClient(ClientConfig{ServerAddr: s.Addr().String(), JobID: 2, SrcID: 1})
-	defer j2w1.Close()
-
-	j1w0.SendBlock(0, 1, []int32{1}, false)
-	j2w0.SendBlock(0, 1, []int32{100}, false)
-	time.Sleep(50 * time.Millisecond)
-	j1w1.SendBlock(0, 1, []int32{2}, false)
-	j2w1.SendBlock(0, 1, []int32{200}, false)
-
-	select {
-	case r := <-j1w0.Results():
-		if r.Grads[0] != 3 {
-			t.Fatalf("job 1 sum = %d, want 3", r.Grads[0])
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("job 1 result missing")
+	tab := newTestTable(t, ServerConfig{NumWorkers: 2})
+	addr := func(job, src uint8) *net.UDPAddr { return &net.UDPAddr{IP: net.IPv4(10, 0, job, src), Port: 5000} }
+	var out outbox
+	tab.Handle(t0, buildContribution(1, 0, 0, 1, []int32{1}), addr(1, 0), out.send)
+	tab.Handle(t0, buildContribution(2, 0, 0, 1, []int32{100}), addr(2, 0), out.send)
+	tab.Handle(t0, buildContribution(1, 0, 1, 1, []int32{2}), addr(1, 1), out.send)
+	tab.Handle(t0, buildContribution(2, 0, 1, 1, []int32{200}), addr(2, 1), out.send)
+	if len(out) != 4 {
+		t.Fatalf("sent %d datagrams, want one result per worker", len(out))
 	}
-	select {
-	case r := <-j2w1.Results():
-		if r.Grads[0] != 300 {
-			t.Fatalf("job 2 sum = %d, want 300", r.Grads[0])
+	for i, m := range out {
+		job, want := uint8(1), int32(3)
+		if i >= 2 {
+			job, want = 2, 300
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("job 2 result missing")
-	}
-	// Cross-delivery check: job 1's worker must not also hold a job 2
-	// result (client filters by job id on Unmarshal? it does not — verify
-	// none arrived at the socket level by draining briefly).
-	select {
-	case r := <-j1w0.Results():
-		t.Fatalf("unexpected extra result at job 1 worker: %+v", r)
-	case <-time.After(200 * time.Millisecond):
+		if m.hdr.JobID != job || m.grads[0] != want || !m.to.IP.Equal(addr(job, uint8(i%2)).IP) {
+			t.Fatalf("datagram %d = job %d sum %d to %v, want job %d sum %d to its own worker %d",
+				i, m.hdr.JobID, m.grads[0], m.to, job, want, i%2)
+		}
 	}
 }

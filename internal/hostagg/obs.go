@@ -6,13 +6,13 @@ import (
 	"github.com/trioml/triogo/internal/obs"
 )
 
-// RegisterObs exports the server's counters into a metrics registry:
+// RegisterObs exports the table's counters into a metrics registry:
 // server-wide totals plus per-shard recv/emit/drop counters and open-block
 // gauges (labelled shard="<i>"). All per-shard series read lock-free
 // atomics except the open-block gauge, which takes the shard lock briefly
 // at scrape time. Registration is idempotent, so a registry can outlive
-// server restarts; func-backed series rebind to the latest server.
-func (s *Server) RegisterObs(r *obs.Registry) {
+// server restarts; func-backed series rebind to the latest table.
+func (t *Table) RegisterObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
@@ -21,71 +21,71 @@ func (s *Server) RegisterObs(r *obs.Registry) {
 	}
 	counter("triogo_hostagg_packets_total", "packets",
 		"Well-formed contribution packets received.",
-		func() uint64 { return s.counters.packets.Load() })
+		func() uint64 { return t.counters.packets.Load() })
 	counter("triogo_hostagg_duplicates_total", "packets",
 		"Contributions dropped because the source already contributed to the block.",
-		func() uint64 { return s.counters.duplicates.Load() })
+		func() uint64 { return t.counters.duplicates.Load() })
 	counter("triogo_hostagg_stale_drops_total", "packets",
 		"Contributions dropped for carrying an older generation than the open block.",
-		func() uint64 { return s.counters.staleDrops.Load() })
+		func() uint64 { return t.counters.staleDrops.Load() })
 	counter("triogo_hostagg_completed_total", "blocks",
 		"Blocks that received every worker's contribution and emitted a full result.",
-		func() uint64 { return s.counters.completed.Load() })
+		func() uint64 { return t.counters.completed.Load() })
 	counter("triogo_hostagg_degraded_total", "blocks",
-		"Blocks aged out by the scanner and emitted as partial (degraded) results.",
-		func() uint64 { return s.counters.degraded.Load() })
+		"Blocks aged out by the sweep and emitted as partial (degraded) results.",
+		func() uint64 { return t.counters.degraded.Load() })
 	counter("triogo_hostagg_bad_packets_total", "packets",
 		"Well-formed packets rejected for protocol violations (e.g. out-of-range source id).",
-		func() uint64 { return s.counters.badPackets.Load() })
+		func() uint64 { return t.counters.badPackets.Load() })
 	counter("triogo_hostagg_gen_restarts_total", "blocks",
 		"Blocks restarted in place by a newer generation reusing the block id.",
-		func() uint64 { return s.counters.genRestarts.Load() })
+		func() uint64 { return t.counters.genRestarts.Load() })
 	counter("triogo_hostagg_grad_mismatch_total", "packets",
-		"Contributions whose gradient count differed from the open block's.",
-		func() uint64 { return s.counters.gradMismatch.Load() })
+		"Contributions whose gradient count differed from the open block't.",
+		func() uint64 { return t.counters.gradMismatch.Load() })
 	counter("triogo_hostagg_shed_total", "packets",
 		"Contributions refused by the MaxOpenBlocks/MaxBlocksPerJob overload bounds.",
-		func() uint64 { return s.counters.shed.Load() })
+		func() uint64 { return t.counters.shed.Load() })
 	counter("triogo_hostagg_jobs_expired_total", "jobs",
 		"Jobs evicted whole (blocks and registrations) by JobIdleTimeout.",
-		func() uint64 { return s.counters.jobsExpired.Load() })
+		func() uint64 { return t.counters.jobsExpired.Load() })
 	counter("triogo_hostagg_blocks_timed_out_total", "blocks",
-		"Open blocks aged out by the shard scanners after a full timeout without progress.",
-		func() uint64 { return s.counters.blocksTimedOut.Load() })
+		"Open blocks aged out by the sweep after a full timeout without progress.",
+		func() uint64 { return t.counters.blocksTimedOut.Load() })
 	counter("triogo_hostagg_result_replays_total", "results",
 		"Retransmitted contributions answered from the served-result replay cache.",
-		func() uint64 { return s.counters.resultReplays.Load() })
+		func() uint64 { return t.counters.resultReplays.Load() })
 	counter("triogo_hostagg_malformed_total", "packets",
 		"Datagrams rejected at decode: truncated, oversized, or garbage wire data.",
-		func() uint64 { return s.counters.malformed.Load() })
+		func() uint64 { return t.counters.malformed.Load() })
 	counter("triogo_hostagg_quota_shed_total", "packets",
 		"Block creations refused because the sender tenant exhausted its own quota.",
-		func() uint64 { return s.counters.quotaShed.Load() })
+		func() uint64 { return t.counters.quotaShed.Load() })
 	counter("triogo_hostagg_rate_shed_total", "packets",
 		"Packets dropped by a tenant's token-bucket packet-rate limit.",
-		func() uint64 { return s.counters.rateShed.Load() })
+		func() uint64 { return t.counters.rateShed.Load() })
 	counter("triogo_hostagg_fair_evictions_total", "blocks",
 		"Open blocks displaced by weighted-fair shedding to admit an under-share tenant.",
-		func() uint64 { return s.counters.fairEvictions.Load() })
+		func() uint64 { return t.counters.fairEvictions.Load() })
 	counter("triogo_hostagg_nacks_sent_total", "packets",
 		"Retry-after NACK control packets sent to refused senders.",
-		func() uint64 { return s.counters.nacksSent.Load() })
+		func() uint64 { return t.counters.nacksSent.Load() })
 	counter("triogo_hostagg_pressure_enters_total", "transitions",
 		"Overload-ladder climbs from normal into pressure or higher.",
-		func() uint64 { return s.counters.pressureEnters.Load() })
+		func() uint64 { return t.counters.pressureEnters.Load() })
 	counter("triogo_hostagg_overload_enters_total", "transitions",
 		"Overload-ladder climbs into the overload rung.",
-		func() uint64 { return s.counters.overloadEnters.Load() })
+		func() uint64 { return t.counters.overloadEnters.Load() })
 	r.GaugeFunc(obs.Desc{
 		Name: "triogo_hostagg_pending_blocks", Unit: "blocks",
 		Help: "Open (partially aggregated) blocks across all shards.",
-	}, func() float64 { return float64(s.Pending()) })
+	}, func() float64 { return float64(t.Pending()) })
 	r.GaugeFunc(obs.Desc{
 		Name: "triogo_hostagg_overload_state", Unit: "state",
 		Help: "Current overload-ladder rung: 0 normal, 1 pressure, 2 overload.",
-	}, func() float64 { return float64(s.overload.Load()) })
+	}, func() float64 { return float64(t.overload.Load()) })
 
-	for _, tn := range s.tenants.configured() {
+	for _, tn := range t.tenants.configured {
 		tn := tn
 		l := fmt.Sprintf("tenant=\"%d\"", tn.id)
 		r.GaugeFunc(obs.Desc{
@@ -118,7 +118,7 @@ func (s *Server) RegisterObs(r *obs.Registry) {
 		}, func() uint64 { return tn.nacks.Load() })
 	}
 
-	for i, sh := range s.shards {
+	for i, sh := range t.shards {
 		sh := sh
 		l := fmt.Sprintf("shard=\"%d\"", i)
 		r.CounterFunc(obs.Desc{

@@ -112,33 +112,19 @@ func TestConcurrentAggregationAndScrape(t *testing.T) {
 }
 
 // TestShardDropCountersTrackDuplicatesAndStale checks the per-shard drop
-// counter against the server-wide duplicate/stale totals.
+// counter against the table-wide duplicate/stale totals.
 func TestShardDropCountersTrackDuplicatesAndStale(t *testing.T) {
-	s := newTestServer(t, 2, 0)
+	tab := newTestTable(t, ServerConfig{NumWorkers: 2})
 	reg := obs.NewRegistry()
-	s.RegisterObs(reg)
-	c := newTestClient(t, s, 0)
+	tab.RegisterObs(reg)
 
 	grads := make([]int32, 8)
 	for i := 0; i < 3; i++ { // one counted, two duplicates
-		if err := c.SendBlock(7, 5, grads, false); err != nil {
-			t.Fatal(err)
-		}
+		tab.Handle(t0, buildContribution(1, 7, 0, 5, grads), workerAddr(0), discard)
 	}
-	if err := c.SendBlock(7, 4, grads, false); err != nil { // stale generation
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := s.Stats()
-		if st.Duplicates == 2 && st.StaleDrops == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stats = %+v, want 2 duplicates and 1 stale", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	tab.Handle(t0, buildContribution(1, 7, 0, 4, grads), workerAddr(0), discard) // stale generation
+	if st := tab.Stats(); st.Duplicates != 2 || st.StaleDrops != 1 {
+		t.Fatalf("stats = %+v, want 2 duplicates and 1 stale", st)
 	}
 
 	var dropSum float64

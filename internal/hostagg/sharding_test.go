@@ -3,6 +3,7 @@ package hostagg
 import (
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,40 +15,30 @@ import (
 // packet's vector exactly, even when the new generation carries more
 // gradients than the old block (the old code truncated with copy).
 func TestGenRestartWithLargerBlock(t *testing.T) {
-	s := newTestServer(t, 2, 0)
-	c0 := newTestClient(t, s, 0)
-	c1 := newTestClient(t, s, 1)
-
+	tab := newTestTable(t, ServerConfig{NumWorkers: 2})
+	var out outbox
+	final := func(p []byte) []byte { // set the header's final bit
+		var h packet.TrioML
+		h.Unmarshal(p)
+		h.Final = true
+		h.MarshalTo(p)
+		return p
+	}
 	// Gen 1 opens block 7 with 2 gradients; gen 2 restarts it with 4.
-	if err := c0.SendBlock(7, 1, []int32{1, 2}, false); err != nil {
-		t.Fatal(err)
+	tab.Handle(t0, buildContribution(1, 7, 0, 1, []int32{1, 2}), workerAddr(0), out.send)
+	tab.Handle(t0, final(buildContribution(1, 7, 0, 2, []int32{10, 20, 30, 40})), workerAddr(0), out.send)
+	tab.Handle(t0, final(buildContribution(1, 7, 1, 2, []int32{1, 1, 1, 1})), workerAddr(1), out.send)
+	if len(out) != 2 {
+		t.Fatalf("sent %d datagrams, want the result to both workers", len(out))
 	}
-	time.Sleep(50 * time.Millisecond)
-	if err := c0.SendBlock(7, 2, []int32{10, 20, 30, 40}, true); err != nil {
-		t.Fatal(err)
+	r := out[0]
+	if r.hdr.GenID != 2 || !r.hdr.Final {
+		t.Fatalf("result header = %+v, want gen 2, final", r.hdr)
 	}
-	time.Sleep(20 * time.Millisecond)
-	if err := c1.SendBlock(7, 2, []int32{1, 1, 1, 1}, true); err != nil {
-		t.Fatal(err)
+	if want := []int32{11, 21, 31, 41}; !slices.Equal(r.grads, want) {
+		t.Fatalf("grads = %v, want %v (restart truncated?)", r.grads, want)
 	}
-	select {
-	case r := <-c0.Results():
-		if r.GenID != 2 {
-			t.Fatalf("result gen = %d, want 2", r.GenID)
-		}
-		want := []int32{11, 21, 31, 41}
-		if len(r.Grads) != len(want) {
-			t.Fatalf("result has %d gradients, want %d (restart truncated)", len(r.Grads), len(want))
-		}
-		for i, w := range want {
-			if r.Grads[i] != w {
-				t.Fatalf("grads = %v, want %v", r.Grads, want)
-			}
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no result")
-	}
-	if st := s.Stats(); st.GenRestarts != 1 {
+	if st := tab.Stats(); st.GenRestarts != 1 {
 		t.Fatalf("stats = %+v, want 1 gen restart", st)
 	}
 }
@@ -56,32 +47,17 @@ func TestGenRestartWithLargerBlock(t *testing.T) {
 // than the open block must grow the sum vector instead of dropping the
 // excess, and the mismatch must be counted.
 func TestOversizedContributionGrowsSums(t *testing.T) {
-	s := newTestServer(t, 2, 0)
-	c0 := newTestClient(t, s, 0)
-	c1 := newTestClient(t, s, 1)
-
-	if err := c0.SendBlock(3, 1, []int32{5}, false); err != nil {
-		t.Fatal(err)
+	tab := newTestTable(t, ServerConfig{NumWorkers: 2})
+	var out outbox
+	tab.Handle(t0, buildContribution(1, 3, 0, 1, []int32{5}), workerAddr(0), out.send)
+	tab.Handle(t0, buildContribution(1, 3, 1, 1, []int32{1, 2, 3}), workerAddr(1), out.send)
+	if len(out) != 2 {
+		t.Fatalf("sent %d datagrams, want the result to both workers", len(out))
 	}
-	time.Sleep(50 * time.Millisecond)
-	if err := c1.SendBlock(3, 1, []int32{1, 2, 3}, false); err != nil {
-		t.Fatal(err)
+	if want := []int32{6, 2, 3}; !slices.Equal(out[0].grads, want) {
+		t.Fatalf("grads = %v, want %v (excess dropped?)", out[0].grads, want)
 	}
-	select {
-	case r := <-c0.Results():
-		want := []int32{6, 2, 3}
-		if len(r.Grads) != len(want) {
-			t.Fatalf("result has %d gradients, want %d (excess dropped)", len(r.Grads), len(want))
-		}
-		for i, w := range want {
-			if r.Grads[i] != w {
-				t.Fatalf("grads = %v, want %v", r.Grads, want)
-			}
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no result")
-	}
-	if st := s.Stats(); st.GradMismatch != 1 {
+	if st := tab.Stats(); st.GradMismatch != 1 {
 		t.Fatalf("stats = %+v, want 1 grad mismatch", st)
 	}
 }
@@ -145,7 +121,7 @@ func TestDroppedResultsCounted(t *testing.T) {
 }
 
 // TestShardedHammer drives one hot block key and a scatter of cold keys
-// from many goroutines across shards, with scanners running and stats
+// from many goroutines across shards, with the sweeper running and stats
 // readers racing — the -race regression for the sharded hot path.
 func TestShardedHammer(t *testing.T) {
 	const workers = 16
@@ -167,6 +143,7 @@ func TestShardedHammer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			send := s.sender(s.conns[0])
 			payload := make([]byte, packet.TrioMLHeaderLen+4)
 			for i := 0; i < packetsPer; i++ {
 				hdr := packet.TrioML{
@@ -179,7 +156,7 @@ func TestShardedHammer(t *testing.T) {
 				}
 				hdr.MarshalTo(payload)
 				packet.PutGradients(payload[packet.TrioMLHeaderLen:], []int32{1})
-				s.handle(s.conns[0], payload, from)
+				s.tab.Handle(time.Now(), payload, from, send)
 			}
 		}()
 	}
@@ -211,7 +188,7 @@ func TestShardedHammer(t *testing.T) {
 	if got := int(st.Packets); got != total {
 		t.Fatalf("packets = %d, want %d (lost under contention)", got, total)
 	}
-	// The per-shard scanners must eventually age out every straggling block.
+	// The sweeper must eventually age out every straggling block.
 	deadline := time.Now().Add(10 * time.Second)
 	for s.Pending() != 0 {
 		if time.Now().After(deadline) {

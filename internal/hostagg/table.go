@@ -1,0 +1,792 @@
+package hostagg
+
+import (
+	"cmp"
+	"fmt"
+	"log/slog"
+	"math/bits"
+	"net"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"github.com/trioml/triogo/internal/faults"
+	"github.com/trioml/triogo/internal/packet"
+	"github.com/trioml/triogo/internal/replay"
+)
+
+// ServerConfig parameterizes an aggregation server.
+type ServerConfig struct {
+	// ListenAddr is the UDP address to bind, e.g. ":12000".
+	ListenAddr string
+	// NumWorkers is the number of sources per job; src_ids are 0..N-1.
+	NumWorkers int
+	// Timeout ages out blocks missing contributions (straggler mitigation).
+	// Zero disables aging (SwitchML-like semantics).
+	Timeout time.Duration
+	// ScanInterval is how often the server's aging sweep runs; defaults to
+	// Timeout/4 (the host-side analogue of N staggered timer threads).
+	ScanInterval time.Duration
+	// Shards is the number of block-table partitions, each with its own
+	// mutex; it is rounded up to a power of two. Zero picks a default based
+	// on GOMAXPROCS.
+	Shards int
+	// RecvWorkers is the number of receive goroutines. On Linux each gets
+	// its own SO_REUSEPORT socket; elsewhere they share one socket. Zero
+	// picks GOMAXPROCS.
+	RecvWorkers int
+	// Logger receives operational messages; nil uses slog.Default.
+	Logger *slog.Logger
+
+	// MaxOpenBlocks bounds the open (partially aggregated) blocks across
+	// all shards; contributions that would create a block beyond it are
+	// shed (counted in Stats.Shed). Zero means unlimited.
+	MaxOpenBlocks int
+	// MaxBlocksPerJob bounds the open blocks any one job may hold, so a
+	// runaway or malicious job cannot evict everyone else. Zero: unlimited.
+	MaxBlocksPerJob int
+	// JobIdleTimeout evicts all state of a job that has not sent a packet
+	// for this long: its open blocks are discarded without emitting and its
+	// worker registrations are dropped (counted in Stats.JobsExpired).
+	// Zero disables; it requires Timeout > 0 (the aging sweep does the work).
+	JobIdleTimeout time.Duration
+	// ReplayWindow retains the last N served results per shard and replays
+	// them to sources that retransmit a contribution for an already-served
+	// block — without it such a retransmit recreates the block and the
+	// source receives a wrong one-source result (or none, with aging off).
+	// Zero disables the cache.
+	ReplayWindow int
+	// Faults attaches deterministic recv-drop and shard-crash injection;
+	// nil (the default) leaves the server fault-free.
+	Faults *faults.HostaggInjector
+
+	// TenantQuotas configures per-tenant admission quotas, keyed by tenant
+	// id. Jobs map to tenants through JobTenants; unmapped jobs get a tenant
+	// of their own job id (one-tenant-per-job).
+	TenantQuotas map[uint8]TenantQuota
+	// JobTenants maps job ids to tenant ids, letting several jobs share one
+	// tenant's quotas. Jobs absent from the map are their own tenant.
+	JobTenants map[uint8]uint8
+	// RetryAfter is the back-off suggested in retry-after NACKs (sent to
+	// refused senders once the overload ladder reaches pressure). Zero picks
+	// 20ms.
+	RetryAfter time.Duration
+}
+
+type blockState struct {
+	sums     []int32
+	rcvdMask uint64
+	rcvdCnt  int
+	genID    uint16
+	final    bool
+	lastRef  time.Time
+	refFlag  bool // cleared by the sweep, set by packets (REF semantics)
+
+	tenant *tenantState // owning tenant, charged for the block while open
+	bytes  int64        // gradient bytes charged against the tenant
+}
+
+// shard is one partition of the block table with its own lock, so traffic
+// for distinct blocks aggregates in parallel. The per-shard counters are
+// atomics (not guarded by mu) so the metrics exporter can read them without
+// touching the aggregation lock.
+type shard struct {
+	mu     sync.Mutex
+	blocks map[uint64]*blockState
+
+	// served retains recently emitted results for retransmit replay
+	// (ReplayWindow > 0, nil otherwise). The FIFO/generation machinery
+	// lives in internal/replay, extracted from this shard so apps/netrpc
+	// can share it; the cache is keyed by block key with the block's
+	// generation as the replay generation.
+	served *replay.Cache[*servedBlock]
+
+	flt *faults.HostaggShard // injected recv-drop/crash stream; nil when off
+
+	recv atomic.Uint64 // contributions that reached this shard's aggregation logic
+	emit atomic.Uint64 // results emitted from this shard (completed + aged)
+	drop atomic.Uint64 // duplicate and stale contributions discarded
+}
+
+type servedBlock struct {
+	b        *blockState
+	degraded bool
+}
+
+// Table is the block table and everything that decides (see "Table and
+// shell" in the package documentation): no socket, no goroutine, no clock.
+// Block state is partitioned into power-of-two shards keyed by
+// hash(job, block). Handle and Sweep are safe for concurrent use.
+type Table struct {
+	cfg ServerConfig // defaults filled in
+
+	shards     []*shard
+	shardShift uint // 64 - log2(len(shards))
+
+	workersMu sync.RWMutex
+	workers   map[uint16]*net.UDPAddr // job<<8|src_id -> return address
+
+	// Bounded-memory accounting. Per-job arrays are indexed by the 8-bit
+	// job id; the hot path touches them with plain atomics so shedding
+	// checks never take a second lock.
+	openBlocks atomic.Int64      // open blocks across all shards
+	jobOpen    [256]atomic.Int64 // open blocks per job
+	jobLast    [256]atomic.Int64 // unix-nano of the job's last packet
+	jobExpired [256]atomic.Bool  // set while a job stands evicted
+
+	tenants  *tenantTable
+	overload atomic.Int32 // ladder rung: stateNormal/statePressure/stateOverload
+
+	counters serverCounters
+	emitPool sync.Pool // *[]byte result payloads
+
+	mismatchOnce sync.Once
+}
+
+// ServerStats is a snapshot of the server's activity counters (via Stats).
+type ServerStats struct {
+	Packets      uint64
+	Duplicates   uint64
+	StaleDrops   uint64
+	Completed    uint64
+	Degraded     uint64
+	BadPackets   uint64
+	GenRestarts  uint64 // blocks restarted in place by a newer generation
+	GradMismatch uint64 // contributions whose gradient count differed from the open block
+
+	Shed           uint64 // contributions refused by MaxOpenBlocks/MaxBlocksPerJob
+	JobsExpired    uint64 // jobs evicted whole by JobIdleTimeout
+	BlocksTimedOut uint64 // open blocks aged out by the sweep
+	ResultReplays  uint64 // retransmits answered from the served-result cache
+
+	Malformed      uint64 // datagrams rejected at decode: truncated, oversized, garbage
+	QuotaShed      uint64 // block creations refused by the sender tenant's own quota
+	RateShed       uint64 // packets dropped by a tenant's token bucket
+	FairEvictions  uint64 // open blocks displaced by weighted-fair shedding
+	NacksSent      uint64 // retry-after NACKs sent to refused senders
+	PressureEnters uint64 // ladder transitions into pressure (or higher) from normal
+	OverloadEnters uint64 // ladder transitions into overload
+	OverloadState  string // current ladder rung: normal, pressure, overload
+}
+
+// serverCounters are the live atomic counters behind ServerStats.
+type serverCounters struct {
+	packets      atomic.Uint64
+	duplicates   atomic.Uint64
+	staleDrops   atomic.Uint64
+	completed    atomic.Uint64
+	degraded     atomic.Uint64
+	badPackets   atomic.Uint64
+	genRestarts  atomic.Uint64
+	gradMismatch atomic.Uint64
+
+	shed           atomic.Uint64
+	jobsExpired    atomic.Uint64
+	blocksTimedOut atomic.Uint64
+	resultReplays  atomic.Uint64
+
+	malformed      atomic.Uint64
+	quotaShed      atomic.Uint64
+	rateShed       atomic.Uint64
+	fairEvictions  atomic.Uint64
+	nacksSent      atomic.Uint64
+	pressureEnters atomic.Uint64
+	overloadEnters atomic.Uint64
+}
+
+// key packs (job, block) like the data-plane hash key.
+func key(job uint8, block uint32) uint64 { return uint64(job)<<32 | uint64(block) }
+
+// shardFor mixes the key (Fibonacci hashing) and picks a shard from the top
+// bits, so consecutive block ids spread across shards.
+func (t *Table) shardFor(k uint64) *shard {
+	return t.shards[(k*0x9E3779B97F4A7C15)>>t.shardShift]
+}
+
+// nextPow2 rounds n up to a power of two (n >= 1).
+func nextPow2(n int) int {
+	if n <= 1 {
+		return 1
+	}
+	return 1 << bits.Len(uint(n-1))
+}
+
+// NewTable validates cfg, fills its defaults and builds an empty block table.
+// ListenAddr and RecvWorkers belong to the Server shell and are ignored here.
+func NewTable(cfg ServerConfig) (*Table, error) {
+	if cfg.NumWorkers <= 0 || cfg.NumWorkers > 64 {
+		return nil, fmt.Errorf("hostagg: workers must be 1..64, got %d", cfg.NumWorkers)
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.Default()
+	}
+	if cfg.ScanInterval == 0 && cfg.Timeout > 0 {
+		cfg.ScanInterval = cfg.Timeout / 4
+	}
+	if cfg.Shards <= 0 {
+		cfg.Shards = nextPow2(runtime.GOMAXPROCS(0))
+	}
+	cfg.Shards = nextPow2(cfg.Shards)
+	if cfg.Shards > 1024 {
+		return nil, fmt.Errorf("hostagg: shards must be <= 1024, got %d", cfg.Shards)
+	}
+	if cfg.JobIdleTimeout > 0 && cfg.Timeout <= 0 {
+		return nil, fmt.Errorf("hostagg: JobIdleTimeout requires Timeout > 0 (the aging sweep runs the eviction)")
+	}
+	if cfg.RetryAfter <= 0 {
+		cfg.RetryAfter = 20 * time.Millisecond
+	}
+	t := &Table{
+		cfg:        cfg,
+		shards:     make([]*shard, cfg.Shards),
+		shardShift: uint(64 - bits.Len(uint(cfg.Shards-1))),
+		workers:    make(map[uint16]*net.UDPAddr),
+		tenants:    newTenantTable(cfg.TenantQuotas, cfg.JobTenants),
+	}
+	for i := range t.shards {
+		sh := &shard{blocks: make(map[uint64]*blockState)}
+		if cfg.ReplayWindow > 0 {
+			sh.served = replay.New[*servedBlock](cfg.ReplayWindow)
+		}
+		if cfg.Faults != nil {
+			sh.flt = cfg.Faults.Shard(i)
+		}
+		t.shards[i] = sh
+	}
+	t.emitPool.New = func() any {
+		b := make([]byte, 0, packet.TrioMLHeaderLen+4*packet.MaxGradientsPerPacket)
+		return &b
+	}
+	return t, nil
+}
+
+// Stats returns a snapshot of the counters.
+func (t *Table) Stats() ServerStats {
+	return ServerStats{
+		Packets:      t.counters.packets.Load(),
+		Duplicates:   t.counters.duplicates.Load(),
+		StaleDrops:   t.counters.staleDrops.Load(),
+		Completed:    t.counters.completed.Load(),
+		Degraded:     t.counters.degraded.Load(),
+		BadPackets:   t.counters.badPackets.Load(),
+		GenRestarts:  t.counters.genRestarts.Load(),
+		GradMismatch: t.counters.gradMismatch.Load(),
+
+		Shed:           t.counters.shed.Load(),
+		JobsExpired:    t.counters.jobsExpired.Load(),
+		BlocksTimedOut: t.counters.blocksTimedOut.Load(),
+		ResultReplays:  t.counters.resultReplays.Load(),
+
+		Malformed:      t.counters.malformed.Load(),
+		QuotaShed:      t.counters.quotaShed.Load(),
+		RateShed:       t.counters.rateShed.Load(),
+		FairEvictions:  t.counters.fairEvictions.Load(),
+		NacksSent:      t.counters.nacksSent.Load(),
+		PressureEnters: t.counters.pressureEnters.Load(),
+		OverloadEnters: t.counters.overloadEnters.Load(),
+		OverloadState:  overloadStateName(t.overload.Load()),
+	}
+}
+
+// register records a worker's return address, upgrading to the write lock
+// only when the entry actually changes (the common case is a no-op read).
+func (t *Table) register(id uint16, from *net.UDPAddr) {
+	t.workersMu.RLock()
+	cur, ok := t.workers[id]
+	t.workersMu.RUnlock()
+	if ok && cur.Port == from.Port && cur.IP.Equal(from.IP) {
+		return
+	}
+	t.workersMu.Lock()
+	t.workers[id] = from
+	t.workersMu.Unlock()
+}
+
+// Handle runs one datagram through decode, admission and aggregation as of
+// now. Whatever leaves — a completed or replayed result, a retry-after NACK —
+// is handed to send, synchronously and before Handle returns; the bytes are a
+// pooled buffer, valid only for the duration of that call. from is retained
+// as the source's return address.
+func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send func([]byte, *net.UDPAddr)) {
+	var h packet.TrioML
+	rest, err := h.Unmarshal(payload)
+	if err != nil {
+		// Truncated or garbage datagram: it never decoded, so it is
+		// malformed wire data, not a protocol-level bad packet.
+		t.counters.malformed.Add(1)
+		return
+	}
+	// Length-validate only: the hot path sums wire bytes in place with
+	// AddGradients, so a per-packet []int32 is parsed solely when a block
+	// record adopts the vector (creation and generation restart). The body
+	// must hold exactly GradCnt gradients — a short body is truncated and an
+	// over-long one is an oversized datagram whose tail would silently
+	// vanish; both are malformed.
+	if int(h.GradCnt) > packet.MaxGradientsPerPacket || len(rest) != 4*int(h.GradCnt) {
+		t.counters.malformed.Add(1)
+		return
+	}
+	if int(h.SrcID) >= t.cfg.NumWorkers {
+		// Decodes fine but claims a source outside the job's fleet: a
+		// protocol violation rather than wire damage.
+		t.counters.badPackets.Add(1)
+		return
+	}
+	t.counters.packets.Add(1)
+	tn := t.tenants.tenantOf(h.JobID)
+	tn.packets.Add(1)
+	if !tn.allowPacket(now) {
+		// Token-bucket shed: the tenant is over its packet rate. Dropped
+		// before registration and before any shard lock, so a flooding
+		// tenant costs the server almost nothing per excess packet.
+		tn.rateShed.Add(1)
+		t.counters.rateShed.Add(1)
+		t.sendNack(now, send, from, &h, tn, packet.RetryReasonQuota)
+		return
+	}
+	t.register(uint16(h.JobID)<<8|uint16(h.SrcID), from)
+	t.jobLast[h.JobID].Store(now.UnixNano())
+	t.jobExpired[h.JobID].Store(false)
+
+	k := key(h.JobID, h.BlockID)
+	sh := t.shardFor(k)
+	sh.mu.Lock()
+	if sh.flt != nil && sh.flt.DropRecv() {
+		// Injected ingress loss: the contribution vanishes before the
+		// aggregation logic sees it (the injector counted it).
+		sh.mu.Unlock()
+		return
+	}
+	sh.recv.Add(1)
+	b := sh.blocks[k]
+	if b == nil && sh.served != nil && t.overload.Load() < statePressure {
+		// The replay cache is a nicety the ladder sheds first: at pressure
+		// and above, lookups are skipped so retransmits for served blocks
+		// fall through to admission (and are themselves shed if over quota).
+		if sb, gen, ok := sh.served.Lookup(k); ok {
+			switch {
+			case h.GenID == gen:
+				// Retransmit for a block already served: replay the cached
+				// result to the sender only, instead of re-opening the block
+				// and eventually answering with a wrong one-source sum.
+				sh.mu.Unlock()
+				t.counters.resultReplays.Add(1)
+				sh.emit.Add(1)
+				t.emit(send, h.JobID, h.BlockID, sb.b, sb.degraded, []*net.UDPAddr{from})
+				return
+			case int16(h.GenID-gen) < 0:
+				t.counters.staleDrops.Add(1)
+				sh.drop.Add(1)
+				sh.mu.Unlock()
+				return
+			default:
+				// Newer generation reuses the id: the cached result is dead.
+				sh.served.Delete(k)
+			}
+		}
+	}
+	switch {
+	case b == nil:
+		blockBytes := int64(4) * int64(h.GradCnt)
+		if t.cfg.MaxBlocksPerJob > 0 && t.jobOpen[h.JobID].Load() >= int64(t.cfg.MaxBlocksPerJob) {
+			t.counters.shed.Add(1)
+			tn.shed.Add(1)
+			sh.mu.Unlock()
+			t.sendNack(now, send, from, &h, tn, packet.RetryReasonQuota)
+			return
+		}
+		if (tn.quota.MaxOpenBlocks > 0 && tn.open.Load() >= int64(tn.quota.MaxOpenBlocks)) ||
+			(tn.quota.MaxBytesInFlight > 0 && tn.bytes.Load()+blockBytes > tn.quota.MaxBytesInFlight) {
+			// The tenant's own quota is exhausted: shed regardless of how
+			// idle the rest of the server is.
+			t.counters.quotaShed.Add(1)
+			tn.shed.Add(1)
+			sh.mu.Unlock()
+			t.sendNack(now, send, from, &h, tn, packet.RetryReasonQuota)
+			return
+		}
+		atCap := t.cfg.MaxOpenBlocks > 0 && t.openBlocks.Load() >= int64(t.cfg.MaxOpenBlocks)
+		if atCap || t.overload.Load() == stateOverload {
+			// Global pressure: admission is only by displacement. A tenant
+			// under its fair share evicts one block of the tenant furthest
+			// over; the furthest-over tenant itself is refused, so an
+			// aggressor's storm is absorbed by the aggressor.
+			if !t.fairEvictLocked(sh, tn) {
+				t.counters.shed.Add(1)
+				tn.shed.Add(1)
+				sh.mu.Unlock()
+				t.sendNack(now, send, from, &h, tn, packet.RetryReasonOverload)
+				return
+			}
+		}
+		grads, gerr := packet.Gradients(rest, int(h.GradCnt))
+		if gerr != nil {
+			t.counters.malformed.Add(1)
+			sh.mu.Unlock()
+			return
+		}
+		b = &blockState{sums: grads, genID: h.GenID, final: h.Final, tenant: tn, bytes: blockBytes}
+		sh.blocks[k] = b
+		t.blockOpened(b, h.JobID)
+	case h.GenID != b.genID && int16(h.GenID-b.genID) < 0:
+		t.counters.staleDrops.Add(1)
+		sh.drop.Add(1)
+		sh.mu.Unlock()
+		return
+	case h.GenID != b.genID:
+		// Newer generation reuses the block id: restart in place, adopting
+		// the new packet's vector exactly — the new generation's block may
+		// be larger or smaller than the old one.
+		grads, gerr := packet.Gradients(rest, int(h.GradCnt))
+		if gerr != nil {
+			t.counters.badPackets.Add(1)
+			sh.mu.Unlock()
+			return
+		}
+		b.genID = h.GenID
+		b.rcvdMask, b.rcvdCnt = 0, 0
+		b.sums = grads
+		b.final = h.Final
+		t.retagBlockBytes(b, int64(4)*int64(h.GradCnt))
+		t.counters.genRestarts.Add(1)
+	case b.rcvdMask&(1<<h.SrcID) != 0:
+		t.counters.duplicates.Add(1)
+		sh.drop.Add(1)
+		sh.mu.Unlock()
+		return
+	default:
+		n := int(h.GradCnt)
+		if n != len(b.sums) {
+			t.counters.gradMismatch.Add(1)
+			t.mismatchOnce.Do(func() {
+				t.cfg.Logger.Warn("hostagg: gradient count mismatch within a generation",
+					"job", h.JobID, "block", h.BlockID, "have", len(b.sums), "got", n)
+			})
+			if n > len(b.sums) {
+				grown := make([]int32, n)
+				copy(grown, b.sums)
+				b.sums = grown
+				t.retagBlockBytes(b, int64(4)*int64(n))
+			}
+		}
+		packet.AddGradients(b.sums, rest, n)
+		if h.Final {
+			b.final = true
+		}
+	}
+	b.rcvdMask |= 1 << h.SrcID
+	b.rcvdCnt++
+	b.lastRef = now
+	b.refFlag = true
+
+	var done *blockState
+	if b.rcvdCnt >= t.cfg.NumWorkers {
+		done = b
+		delete(sh.blocks, k)
+		t.blockClosed(b, h.JobID)
+		t.counters.completed.Add(1)
+		if sh.served != nil && t.overload.Load() < statePressure {
+			sh.served.Put(k, b.genID, &servedBlock{b: b})
+		}
+	}
+	if sh.flt != nil && sh.flt.CrashNow() {
+		t.crashShardLocked(sh)
+	}
+	sh.mu.Unlock()
+
+	if done != nil {
+		sh.emit.Add(1)
+		t.emit(send, h.JobID, h.BlockID, done, false, t.targets(h.JobID))
+	}
+}
+
+// blockOpened and blockClosed centralize open-block accounting — the global
+// count, the per-job table, and the owning tenant's open/bytes charges — and
+// re-evaluate the overload ladder after every change.
+func (t *Table) blockOpened(b *blockState, job uint8) {
+	t.openBlocks.Add(1)
+	t.jobOpen[job].Add(1)
+	if b.tenant != nil {
+		b.tenant.open.Add(1)
+		b.tenant.bytes.Add(b.bytes)
+	}
+	t.updateOverload()
+}
+
+func (t *Table) blockClosed(b *blockState, job uint8) {
+	t.openBlocks.Add(-1)
+	t.jobOpen[job].Add(-1)
+	if b.tenant != nil {
+		b.tenant.open.Add(-1)
+		b.tenant.bytes.Add(-b.bytes)
+	}
+	t.updateOverload()
+}
+
+// retagBlockBytes re-charges an open block whose gradient vector changed
+// size (generation restart, mismatch growth) against its tenant.
+func (t *Table) retagBlockBytes(b *blockState, newBytes int64) {
+	if b.tenant != nil {
+		b.tenant.bytes.Add(newBytes - b.bytes)
+	}
+	b.bytes = newBytes
+}
+
+// fairEvictLocked admits one block for tn while the server is at its global
+// cap (or in the overload rung) by displacing an open block of the tenant
+// furthest over its weighted fair share (open blocks per unit of weight).
+// It returns false — refuse the arrival — when tn itself is or would become
+// the furthest-over tenant, which is exactly how an aggressor's storm ends
+// up absorbed by the aggressor. Caller holds cur.mu; other shards are only
+// probed with TryLock so two concurrent evictions can never deadlock.
+func (t *Table) fairEvictLocked(cur *shard, tn *tenantState) bool {
+	var worst *tenantState
+	var worstShare float64
+	for _, cand := range t.tenants.snapshot() {
+		if cand.open.Load() == 0 {
+			continue
+		}
+		if share := cand.overShare(0); worst == nil || share > worstShare {
+			worst, worstShare = cand, share
+		}
+	}
+	if worst == nil || tn.overShare(1) >= worstShare {
+		return false
+	}
+	if t.evictTenantBlockLocked(cur, worst) {
+		return true
+	}
+	for _, sh := range t.shards {
+		if sh == cur {
+			continue
+		}
+		if !sh.mu.TryLock() {
+			continue
+		}
+		ok := t.evictTenantBlockLocked(sh, worst)
+		sh.mu.Unlock()
+		if ok {
+			return true
+		}
+	}
+	// The worst tenant's blocks were all behind contended shard locks (or
+	// vanished since the scan): refuse rather than wait on another shard.
+	return false
+}
+
+// evictTenantBlockLocked discards victim's least recently referenced open
+// block in sh (ties to the lowest key, so the choice never depends on map
+// order), without emitting — its sources recover by retransmitting once the
+// storm passes. Caller holds sh.mu.
+func (t *Table) evictTenantBlockLocked(sh *shard, victim *tenantState) bool {
+	var key uint64
+	var stalest *blockState
+	for k, b := range sh.blocks {
+		if b.tenant != victim {
+			continue
+		}
+		if stalest == nil || b.lastRef.Before(stalest.lastRef) || (b.lastRef.Equal(stalest.lastRef) && k < key) {
+			key, stalest = k, b
+		}
+	}
+	if stalest == nil {
+		return false
+	}
+	delete(sh.blocks, key)
+	t.blockClosed(stalest, uint8(key>>32))
+	victim.evicted.Add(1)
+	t.counters.fairEvictions.Add(1)
+	sh.drop.Add(uint64(stalest.rcvdCnt))
+	return true
+}
+
+// sendNack answers a refused contribution with a retry-after control packet
+// echoing the refused header. NACKs flow only once the ladder is at pressure
+// or above — below that, the client's own retransmit cadence is recovery
+// enough — and are rate-limited per tenant so a refusal storm cannot amplify
+// into a NACK storm.
+func (t *Table) sendNack(now time.Time, send func([]byte, *net.UDPAddr), from *net.UDPAddr, h *packet.TrioML, tn *tenantState, reason uint8) {
+	if t.overload.Load() < statePressure {
+		return
+	}
+	nowNs := now.UnixNano()
+	minGap := int64(t.cfg.RetryAfter) / 4
+	for {
+		last := tn.lastNack.Load()
+		if last != 0 && nowNs-last < minGap {
+			return
+		}
+		if tn.lastNack.CompareAndSwap(last, nowNs) {
+			break
+		}
+	}
+	tn.nacks.Add(1)
+	t.counters.nacksSent.Add(1)
+	send(packet.BuildRetryAfter(*h, reason, uint32(t.cfg.RetryAfter/time.Millisecond)), from)
+}
+
+// crashShardLocked models an injected shard crash: every open (partial)
+// block is discarded without emitting, as if the aggregation state was lost
+// and restarted empty. The served-result cache survives — sources recover
+// completed blocks by retransmitting into the replay path, and partial
+// blocks by retransmitting contributions that rebuild them from scratch.
+// Caller holds sh.mu.
+func (t *Table) crashShardLocked(sh *shard) {
+	for k, b := range sh.blocks {
+		t.blockClosed(b, uint8(k>>32))
+		delete(sh.blocks, k)
+	}
+}
+
+// targets lists the return addresses of a job's registered workers, in
+// source-id order.
+func (t *Table) targets(job uint8) []*net.UDPAddr {
+	t.workersMu.RLock()
+	defer t.workersMu.RUnlock()
+	out := make([]*net.UDPAddr, 0, t.cfg.NumWorkers)
+	for src := 0; src < t.cfg.NumWorkers; src++ {
+		if a := t.workers[uint16(job)<<8|uint16(src)]; a != nil {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// agedBlock is one record a sweep aged out, held until its shard lock drops.
+type agedBlock struct {
+	key uint64
+	b   *blockState
+}
+
+// Sweep is the host analogue of §5's timer threads: one pass over every
+// shard's block records as of now, clearing REF flags, emitting (through
+// send, as Handle does) a degraded partial result for each record not
+// referenced for a full Timeout, and discarding jobs idle past
+// JobIdleTimeout. It is a no-op with aging off (Timeout zero).
+func (t *Table) Sweep(now time.Time, send func([]byte, *net.UDPAddr)) {
+	if t.cfg.Timeout <= 0 {
+		return
+	}
+	for _, sh := range t.shards {
+		t.sweepShard(sh, now, send)
+	}
+}
+
+func (t *Table) sweepShard(sh *shard, now time.Time, send func([]byte, *net.UDPAddr)) {
+	var aged []agedBlock
+	var expiredJobs []uint8
+	sh.mu.Lock()
+	ladder := t.overload.Load()
+	idleCutoff := int64(0)
+	if t.cfg.JobIdleTimeout > 0 {
+		idle := t.cfg.JobIdleTimeout
+		if ladder == stateOverload {
+			// Overload accelerates reclamation: a job only a quarter of
+			// the way to idle eviction is evicted now, returning its
+			// blocks to tenants that are still making progress.
+			idle /= 4
+		}
+		idleCutoff = now.UnixNano() - int64(idle)
+	}
+	for k, b := range sh.blocks {
+		job := uint8(k >> 32)
+		if idleCutoff != 0 {
+			if last := t.jobLast[job].Load(); last != 0 && last < idleCutoff {
+				// The whole job went quiet: discard its blocks without
+				// emitting and count the job once — the first shard the
+				// sweep meets it in flips jobExpired, later shards and later
+				// sweeps find it set — dropping its worker registrations
+				// then too. The flag is atomic because Handle clears it from
+				// the receive loops the moment the job speaks again.
+				delete(sh.blocks, k)
+				t.blockClosed(b, job)
+				if t.jobExpired[job].CompareAndSwap(false, true) {
+					t.counters.jobsExpired.Add(1)
+					expiredJobs = append(expiredJobs, job)
+				}
+				continue
+			}
+		}
+		if b.refFlag {
+			b.refFlag = false
+			continue
+		}
+		if now.Sub(b.lastRef) >= t.cfg.Timeout && b.rcvdCnt > 0 {
+			aged = append(aged, agedBlock{k, b})
+			delete(sh.blocks, k)
+			t.blockClosed(b, job)
+			t.counters.degraded.Add(1)
+			t.counters.blocksTimedOut.Add(1)
+		}
+	}
+	// Serve and emit in key order, not map order: what a sweep sends is a
+	// function of the table and now alone.
+	slices.SortFunc(aged, func(x, y agedBlock) int { return cmp.Compare(x.key, y.key) })
+	if sh.served != nil && ladder < statePressure {
+		// An aged block is served too: retransmits for it replay the same
+		// degraded result instead of re-opening it.
+		for _, a := range aged {
+			sh.served.Put(a.key, a.b.genID, &servedBlock{b: a.b, degraded: true})
+		}
+	}
+	sh.mu.Unlock()
+	for _, a := range aged {
+		job := uint8(a.key >> 32)
+		sh.emit.Add(1)
+		t.emit(send, job, uint32(a.key), a.b, true, t.targets(job))
+	}
+	for _, job := range expiredJobs {
+		t.dropJobWorkers(job)
+	}
+}
+
+// dropJobWorkers removes every worker registration belonging to job.
+func (t *Table) dropJobWorkers(job uint8) {
+	t.workersMu.Lock()
+	for k := range t.workers {
+		if uint8(k>>8) == job {
+			delete(t.workers, k)
+		}
+	}
+	t.workersMu.Unlock()
+}
+
+// emit sends a Result packet to every known worker, marshaling into a
+// pooled buffer so the hot path does not allocate per result.
+func (t *Table) emit(send func([]byte, *net.UDPAddr), job uint8, block uint32, b *blockState, degraded bool, targets []*net.UDPAddr) {
+	hdr := packet.TrioML{
+		JobID: job, BlockID: block, GenID: b.genID,
+		SrcID: packet.ResultSrcID, SrcCnt: uint8(b.rcvdCnt), GradCnt: uint16(len(b.sums)),
+		Degraded: degraded, Final: b.final,
+	}
+	if degraded {
+		hdr.AgeOp = 1
+	}
+	need := packet.TrioMLHeaderLen + 4*len(b.sums)
+	bufp := t.emitPool.Get().(*[]byte)
+	payload := *bufp
+	if cap(payload) < need {
+		payload = make([]byte, need)
+	}
+	payload = payload[:need]
+	hdr.MarshalTo(payload)
+	packet.PutGradients(payload[packet.TrioMLHeaderLen:], b.sums)
+	for _, to := range targets {
+		send(payload, to)
+	}
+	*bufp = payload
+	t.emitPool.Put(bufp)
+}
+
+// Pending reports the number of open (partially aggregated) blocks.
+func (t *Table) Pending() int {
+	n := 0
+	for _, sh := range t.shards {
+		sh.mu.Lock()
+		n += len(sh.blocks)
+		sh.mu.Unlock()
+	}
+	return n
+}

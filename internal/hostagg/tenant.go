@@ -1,7 +1,8 @@
 package hostagg
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,7 +91,9 @@ func (tn *tenantState) allowPacket(now time.Time) bool {
 		tn.tokens = tn.burst()
 	}
 	if el := now.Sub(tn.tbLast).Seconds(); el > 0 {
-		tn.tokens += el * tn.quota.PacketsPerSec
+		// float64(): no fused multiply-add, so a trace admits the same
+		// packets on every architecture.
+		tn.tokens += float64(el * tn.quota.PacketsPerSec)
 		if max := tn.burst(); tn.tokens > max {
 			tn.tokens = max
 		}
@@ -105,34 +108,45 @@ func (tn *tenantState) allowPacket(now time.Time) bool {
 
 // tenantTable maps jobs to tenants. Jobs not explicitly mapped get a tenant
 // of their own job id (one-tenant-per-job), created lazily on first packet
-// with the default quota. The job→tenant fast path is a single atomic load.
+// with no limits. The job→tenant fast path is a single atomic load.
 type tenantTable struct {
 	byJob [256]atomic.Pointer[tenantState]
 
-	mu  sync.Mutex
-	def TenantQuota
+	mu sync.Mutex
 
 	quotas map[uint8]TenantQuota
 	jobMap map[uint8]uint8
 	byID   map[uint8]*tenantState
 
 	all atomic.Pointer[[]*tenantState] // append-only snapshot for scans
+
+	// configured is the tenants named at construction (quotas, job mappings),
+	// sorted by id: the set the metrics exporter publishes series for.
+	configured []*tenantState
 }
 
-func newTenantTable(quotas map[uint8]TenantQuota, jobMap map[uint8]uint8, def TenantQuota) *tenantTable {
-	t := &tenantTable{def: def, quotas: quotas, jobMap: jobMap, byID: make(map[uint8]*tenantState)}
+func newTenantTable(quotas map[uint8]TenantQuota, jobMap map[uint8]uint8) *tenantTable {
+	t := &tenantTable{quotas: quotas, jobMap: jobMap, byID: make(map[uint8]*tenantState)}
 	empty := []*tenantState{}
 	t.all.Store(&empty)
 	// Tenants with explicit quotas (or named as a job's tenant) exist from
-	// the start, so observability registration sees a stable set.
-	t.mu.Lock()
+	// the start, so observability registration sees a stable set — created in
+	// id order, so the scan order fair shedding breaks ties by is the same in
+	// every table built from the same config.
+	ids := make([]uint8, 0, len(quotas)+len(jobMap))
 	for id := range quotas {
-		t.tenantLocked(id)
+		ids = append(ids, id)
 	}
 	for _, id := range jobMap {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	t.mu.Lock()
+	for _, id := range ids {
 		t.tenantLocked(id)
 	}
 	t.mu.Unlock()
+	t.configured = t.snapshot()
 	return t
 }
 
@@ -141,11 +155,7 @@ func (t *tenantTable) tenantLocked(id uint8) *tenantState {
 	if tn := t.byID[id]; tn != nil {
 		return tn
 	}
-	q, ok := t.quotas[id]
-	if !ok {
-		q = t.def
-	}
-	tn := &tenantState{id: id, quota: q}
+	tn := &tenantState{id: id, quota: t.quotas[id]}
 	t.byID[id] = tn
 	cur := *t.all.Load()
 	next := make([]*tenantState, len(cur)+1)
@@ -179,35 +189,7 @@ func (t *tenantTable) tenantOf(job uint8) *tenantState {
 // without a lock).
 func (t *tenantTable) snapshot() []*tenantState { return *t.all.Load() }
 
-// configured returns the tenants that existed at construction time (explicit
-// quotas or job mappings), sorted by id — the set the metrics exporter
-// publishes per-tenant series for.
-func (t *tenantTable) configured() []*tenantState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ids := make([]int, 0, len(t.quotas)+len(t.jobMap))
-	seen := map[uint8]bool{}
-	for id := range t.quotas {
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, int(id))
-		}
-	}
-	for _, id := range t.jobMap {
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, int(id))
-		}
-	}
-	sort.Ints(ids)
-	out := make([]*tenantState, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, t.byID[uint8(id)])
-	}
-	return out
-}
-
-// TenantStats is a snapshot of one tenant's accounting (via Server.TenantStats).
+// TenantStats is a snapshot of one tenant's accounting (via TenantStats).
 type TenantStats struct {
 	Tenant        uint8
 	OpenBlocks    int64
@@ -219,9 +201,9 @@ type TenantStats struct {
 	Nacked        uint64 // retry-after NACKs sent to the tenant
 }
 
-// TenantStats snapshots every tenant the server has seen, sorted by id.
-func (s *Server) TenantStats() []TenantStats {
-	tenants := s.tenants.snapshot()
+// TenantStats snapshots every tenant the table has seen, sorted by id.
+func (t *Table) TenantStats() []TenantStats {
+	tenants := t.tenants.snapshot()
 	out := make([]TenantStats, 0, len(tenants))
 	for _, tn := range tenants {
 		out = append(out, TenantStats{
@@ -235,7 +217,7 @@ func (s *Server) TenantStats() []TenantStats {
 			Nacked:        tn.nacks.Load(),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
+	slices.SortFunc(out, func(a, b TenantStats) int { return cmp.Compare(a.Tenant, b.Tenant) })
 	return out
 }
 
@@ -303,31 +285,27 @@ func overloadStateName(st int32) string {
 	}
 }
 
-// OverloadStateName reports the server's current ladder rung as a string
-// ("normal", "pressure", "overload").
-func (s *Server) OverloadStateName() string { return overloadStateName(s.overload.Load()) }
-
 // updateOverload re-evaluates the ladder after an open-block count change,
 // counting upward transitions. Lock-free: concurrent updaters race benignly
 // toward the same fixed point.
-func (s *Server) updateOverload() {
-	cap := int64(s.cfg.MaxOpenBlocks)
+func (t *Table) updateOverload() {
+	cap := int64(t.cfg.MaxOpenBlocks)
 	if cap <= 0 {
 		return
 	}
-	open := s.openBlocks.Load()
+	open := t.openBlocks.Load()
 	for {
-		cur := s.overload.Load()
+		cur := t.overload.Load()
 		next := ladderNext(cur, open, cap)
 		if next == cur {
 			return
 		}
-		if s.overload.CompareAndSwap(cur, next) {
+		if t.overload.CompareAndSwap(cur, next) {
 			if cur < statePressure && next >= statePressure {
-				s.counters.pressureEnters.Add(1)
+				t.counters.pressureEnters.Add(1)
 			}
 			if cur < stateOverload && next == stateOverload {
-				s.counters.overloadEnters.Add(1)
+				t.counters.overloadEnters.Add(1)
 			}
 			return
 		}

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// blackhole is a return address with no listener: NACKs and results sent to
-// it vanish instead of echoing back into the server's own receive loop.
+// blackhole is a return address with no listener: whatever a real server
+// sends there vanishes instead of echoing back into its own receive loop.
 func blackhole() *net.UDPAddr {
 	return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
 }
@@ -49,45 +49,44 @@ func TestLadderNext(t *testing.T) {
 }
 
 func TestTokenBucketRateShed(t *testing.T) {
-	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: 1, RecvWorkers: 1,
+	s := newTestTable(t, ServerConfig{
+		NumWorkers:   1,
 		TenantQuotas: map[uint8]TenantQuota{1: {PacketsPerSec: 10, PacketBurst: 2}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
 	from := blackhole()
+	// Ten packets in one instant: the two burst tokens pass, eight are shed.
 	for b := uint32(0); b < 10; b++ {
-		s.handle(s.conns[0], buildContribution(1, b, 0, 1, []int32{1}), from)
+		s.Handle(t0, buildContribution(1, b, 0, 1, []int32{1}), from, discard)
+	}
+	if st := s.Stats(); st.RateShed != 8 {
+		t.Fatalf("rate shed = %d, want 8 (stats %+v)", st.RateShed, st)
+	}
+	// 250 ms at 10 pps refills to the 2-token cap, not 2.5: of three more
+	// packets two pass.
+	for b := uint32(10); b < 13; b++ {
+		s.Handle(t0.Add(250*time.Millisecond), buildContribution(1, b, 0, 1, []int32{1}), from, discard)
 	}
 	st := s.Stats()
-	if st.RateShed < 7 || st.RateShed > 8 {
-		// 2 burst tokens up front; at 10 pps a tight loop of 10 packets can
-		// at most refill one more.
-		t.Fatalf("rate shed = %d, want 7..8 (stats %+v)", st.RateShed, st)
+	if st.RateShed != 9 || s.Pending() != 0 || st.Completed != 4 {
+		t.Fatalf("stats = %+v, want 9 shed and the 4 admitted single-worker blocks completed", st)
 	}
 	ts := s.TenantStats()
 	if len(ts) != 1 || ts[0].Tenant != 1 || ts[0].RateShed != st.RateShed {
 		t.Fatalf("tenant stats = %+v, want the shed attributed to tenant 1", ts)
 	}
-	if ts[0].Packets != 10 {
-		t.Fatalf("tenant packets = %d, want 10", ts[0].Packets)
+	if ts[0].Packets != 13 {
+		t.Fatalf("tenant packets = %d, want 13", ts[0].Packets)
 	}
 }
 
 func TestTenantOpenBlockQuota(t *testing.T) {
-	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: 2, RecvWorkers: 1,
+	s := newTestTable(t, ServerConfig{
+		NumWorkers:   2,
 		TenantQuotas: map[uint8]TenantQuota{1: {MaxOpenBlocks: 2}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
 	from := blackhole()
 	for b := uint32(0); b < 5; b++ {
-		s.handle(s.conns[0], buildContribution(1, b, 0, 1, []int32{1}), from)
+		s.Handle(t0, buildContribution(1, b, 0, 1, []int32{1}), from, discard)
 	}
 	st := s.Stats()
 	if st.QuotaShed != 3 || st.Shed != 0 {
@@ -101,25 +100,21 @@ func TestTenantOpenBlockQuota(t *testing.T) {
 		t.Fatalf("tenant stats = %+v", ts[0])
 	}
 	// A second tenant with no quota is untouched by the first one's limit.
-	s.handle(s.conns[0], buildContribution(2, 0, 0, 1, []int32{1}), from)
+	s.Handle(t0, buildContribution(2, 0, 0, 1, []int32{1}), from, discard)
 	if s.Pending() != 3 {
 		t.Fatalf("pending = %d after second tenant, want 3", s.Pending())
 	}
 }
 
 func TestTenantBytesInFlightQuota(t *testing.T) {
-	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: 2, RecvWorkers: 1,
+	s := newTestTable(t, ServerConfig{
+		NumWorkers:   2,
 		TenantQuotas: map[uint8]TenantQuota{1: {MaxBytesInFlight: 4 * 300}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
 	from := blackhole()
 	grads := make([]int32, 256) // 1024 bytes per open block
-	s.handle(s.conns[0], buildContribution(1, 0, 0, 1, grads), from)
-	s.handle(s.conns[0], buildContribution(1, 1, 0, 1, grads), from)
+	s.Handle(t0, buildContribution(1, 0, 0, 1, grads), from, discard)
+	s.Handle(t0, buildContribution(1, 1, 0, 1, grads), from, discard)
 	st := s.Stats()
 	if st.QuotaShed != 1 || s.Pending() != 1 {
 		t.Fatalf("stats = %+v pending = %d, want the second block shed on bytes", st, s.Pending())
@@ -130,19 +125,15 @@ func TestTenantBytesInFlightQuota(t *testing.T) {
 }
 
 func TestJobsShareTenantQuota(t *testing.T) {
-	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: 2, RecvWorkers: 1,
+	s := newTestTable(t, ServerConfig{
+		NumWorkers:   2,
 		JobTenants:   map[uint8]uint8{1: 5, 2: 5},
 		TenantQuotas: map[uint8]TenantQuota{5: {MaxOpenBlocks: 2}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
 	from := blackhole()
-	s.handle(s.conns[0], buildContribution(1, 0, 0, 1, []int32{1}), from)
-	s.handle(s.conns[0], buildContribution(2, 0, 0, 1, []int32{1}), from)
-	s.handle(s.conns[0], buildContribution(2, 1, 0, 1, []int32{1}), from)
+	s.Handle(t0, buildContribution(1, 0, 0, 1, []int32{1}), from, discard)
+	s.Handle(t0, buildContribution(2, 0, 0, 1, []int32{1}), from, discard)
+	s.Handle(t0, buildContribution(2, 1, 0, 1, []int32{1}), from, discard)
 	st := s.Stats()
 	if st.QuotaShed != 1 || s.Pending() != 2 {
 		t.Fatalf("stats = %+v pending = %d, want jobs 1+2 to share tenant 5's 2-block quota", st, s.Pending())
@@ -154,25 +145,21 @@ func TestJobsShareTenantQuota(t *testing.T) {
 }
 
 func TestWeightedFairShedding(t *testing.T) {
-	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: 2, RecvWorkers: 1,
+	s := newTestTable(t, ServerConfig{
+		NumWorkers:    2,
 		MaxOpenBlocks: 4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
 	from := blackhole()
 	// Aggressor (job 1) fills the whole server.
 	for b := uint32(0); b < 4; b++ {
-		s.handle(s.conns[0], buildContribution(1, b, 0, 1, []int32{1}), from)
+		s.Handle(t0, buildContribution(1, b, 0, 1, []int32{1}), from, discard)
 	}
-	if got := s.OverloadStateName(); got != "overload" {
+	if got := s.Stats().OverloadState; got != "overload" {
 		t.Fatalf("state = %s at cap, want overload", got)
 	}
 	// A victim under its fair share is admitted by displacing one aggressor
 	// block rather than being refused.
-	s.handle(s.conns[0], buildContribution(2, 0, 0, 1, []int32{1}), from)
+	s.Handle(t0, buildContribution(2, 0, 0, 1, []int32{1}), from, discard)
 	st := s.Stats()
 	if st.FairEvictions != 1 || st.Shed != 0 {
 		t.Fatalf("stats = %+v, want exactly one fair eviction and no shed", st)
@@ -186,7 +173,7 @@ func TestWeightedFairShedding(t *testing.T) {
 	}
 	// The aggressor asking for yet another block is itself the tenant
 	// furthest over fair share: refused, not admitted by displacement.
-	s.handle(s.conns[0], buildContribution(1, 100, 0, 1, []int32{1}), from)
+	s.Handle(t0, buildContribution(1, 100, 0, 1, []int32{1}), from, discard)
 	st = s.Stats()
 	if st.Shed != 1 || st.FairEvictions != 1 {
 		t.Fatalf("stats = %+v, want the aggressor's 5th block shed", st)
@@ -194,29 +181,32 @@ func TestWeightedFairShedding(t *testing.T) {
 	if ts := s.TenantStats(); ts[0].Shed != 1 {
 		t.Fatalf("aggressor stats = %+v, want its shed counted", ts[0])
 	}
-	if st.NacksSent == 0 {
-		t.Fatalf("stats = %+v, want retry-after NACKs once the ladder is loaded", st)
+	if st.NacksSent != 1 {
+		t.Fatalf("stats = %+v, want one retry-after NACK once the ladder is loaded", st)
+	}
+	// NACKs are rate-limited per tenant to one per RetryAfter/4 (5 ms at the
+	// default), measured on the refused packets' own instants.
+	s.Handle(t0.Add(4*time.Millisecond), buildContribution(1, 101, 0, 1, []int32{1}), from, discard)
+	s.Handle(t0.Add(5*time.Millisecond), buildContribution(1, 102, 0, 1, []int32{1}), from, discard)
+	if st, ts := s.Stats(), s.TenantStats(); st.Shed != 3 || st.NacksSent != 2 || ts[0].Nacked != 2 {
+		t.Fatalf("stats = %+v tenant = %+v, want 3 refusals answered by 2 NACKs", st, ts[0])
 	}
 }
 
 func TestWeightRescalesFairShare(t *testing.T) {
-	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: 2, RecvWorkers: 1,
+	s := newTestTable(t, ServerConfig{
+		NumWorkers:    2,
 		MaxOpenBlocks: 4,
 		TenantQuotas:  map[uint8]TenantQuota{1: {Weight: 100}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
 	from := blackhole()
 	for b := uint32(0); b < 4; b++ {
-		s.handle(s.conns[0], buildContribution(1, b, 0, 1, []int32{1}), from)
+		s.Handle(t0, buildContribution(1, b, 0, 1, []int32{1}), from, discard)
 	}
 	// Tenant 1's weight entitles it to ~everything: an unweighted arrival is
 	// over ITS fair share relative to the heavyweight, so it is shed instead
 	// of displacing.
-	s.handle(s.conns[0], buildContribution(2, 0, 0, 1, []int32{1}), from)
+	s.Handle(t0, buildContribution(2, 0, 0, 1, []int32{1}), from, discard)
 	st := s.Stats()
 	if st.Shed != 1 || st.FairEvictions != 0 {
 		t.Fatalf("stats = %+v, want the lightweight arrival shed", st)
@@ -227,26 +217,22 @@ func TestWeightRescalesFairShare(t *testing.T) {
 }
 
 func TestLadderTransitionsWithHysteresis(t *testing.T) {
-	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: 2, RecvWorkers: 1,
+	s := newTestTable(t, ServerConfig{
+		NumWorkers:    2,
 		MaxOpenBlocks: 20,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
 	from := blackhole()
 	open := func(n int) {
 		for b := uint32(0); int(b) < n; b++ {
-			s.handle(s.conns[0], buildContribution(1, b, 0, 1, []int32{1}), from)
+			s.Handle(t0, buildContribution(1, b, 0, 1, []int32{1}), from, discard)
 		}
 	}
 	open(13)
-	if got := s.OverloadStateName(); got != "normal" {
+	if got := s.Stats().OverloadState; got != "normal" {
 		t.Fatalf("state = %s at 13/20, want normal", got)
 	}
 	open(14) // pHi = 14
-	if got := s.OverloadStateName(); got != "pressure" {
+	if got := s.Stats().OverloadState; got != "pressure" {
 		t.Fatalf("state = %s at 14/20, want pressure", got)
 	}
 	open(18) // oHi = 18
@@ -256,20 +242,20 @@ func TestLadderTransitionsWithHysteresis(t *testing.T) {
 	}
 	// Complete blocks (src 1 finishes each 2-worker block) to descend.
 	complete := func(b uint32) {
-		s.handle(s.conns[0], buildContribution(1, b, 1, 1, []int32{1}), from)
+		s.Handle(t0, buildContribution(1, b, 1, 1, []int32{1}), from, discard)
 	}
 	for b := uint32(0); b < 4; b++ {
 		complete(b)
 	}
 	// 14 open: below oLo=15 → pressure, hysteresis holds it above normal.
-	if got := s.OverloadStateName(); got != "pressure" {
+	if got := s.Stats().OverloadState; got != "pressure" {
 		t.Fatalf("state = %s at 14/20 descending, want pressure", got)
 	}
 	for b := uint32(4); b < 8; b++ {
 		complete(b)
 	}
 	// 10 open: below pLo=11 → normal.
-	if got := s.OverloadStateName(); got != "normal" {
+	if got := s.Stats().OverloadState; got != "normal" {
 		t.Fatalf("state = %s at 10/20 descending, want normal", got)
 	}
 	if st := s.Stats(); st.PressureEnters != 1 || st.OverloadEnters != 1 {
@@ -278,19 +264,15 @@ func TestLadderTransitionsWithHysteresis(t *testing.T) {
 }
 
 func TestReplayCacheDisabledUnderPressure(t *testing.T) {
-	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: 2, RecvWorkers: 1,
+	s := newTestTable(t, ServerConfig{
+		NumWorkers:    2,
 		MaxOpenBlocks: 4, ReplayWindow: 8,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
 	from := blackhole()
 	// Complete block 100 so the cache holds it, then replay a retransmit.
-	s.handle(s.conns[0], buildContribution(1, 100, 0, 1, []int32{1}), from)
-	s.handle(s.conns[0], buildContribution(1, 100, 1, 1, []int32{1}), from)
-	s.handle(s.conns[0], buildContribution(1, 100, 0, 1, []int32{1}), from)
+	s.Handle(t0, buildContribution(1, 100, 0, 1, []int32{1}), from, discard)
+	s.Handle(t0, buildContribution(1, 100, 1, 1, []int32{1}), from, discard)
+	s.Handle(t0, buildContribution(1, 100, 0, 1, []int32{1}), from, discard)
 	if st := s.Stats(); st.ResultReplays != 1 {
 		t.Fatalf("stats = %+v, want the retransmit replayed while normal", st)
 	}
@@ -298,12 +280,12 @@ func TestReplayCacheDisabledUnderPressure(t *testing.T) {
 	// the same retransmit now falls through to admission and reopens the
 	// block instead of being answered from the cache.
 	for b := uint32(0); b < 3; b++ {
-		s.handle(s.conns[0], buildContribution(1, b, 0, 1, []int32{1}), from)
+		s.Handle(t0, buildContribution(1, b, 0, 1, []int32{1}), from, discard)
 	}
-	if got := s.OverloadStateName(); got != "pressure" {
+	if got := s.Stats().OverloadState; got != "pressure" {
 		t.Fatalf("state = %s, want pressure", got)
 	}
-	s.handle(s.conns[0], buildContribution(1, 100, 0, 1, []int32{1}), from)
+	s.Handle(t0, buildContribution(1, 100, 0, 1, []int32{1}), from, discard)
 	if st := s.Stats(); st.ResultReplays != 1 {
 		t.Fatalf("stats = %+v, want no replays under pressure", st)
 	}
@@ -327,9 +309,9 @@ func TestClientShedSurfacesErrShed(t *testing.T) {
 	// A heavyweight filler owns the whole server; its weight makes every
 	// other tenant the furthest over fair share.
 	from := blackhole()
-	s.handle(s.conns[0], buildContribution(9, 0, 0, 1, []int32{1}), from)
-	s.handle(s.conns[0], buildContribution(9, 1, 0, 1, []int32{1}), from)
-	if got := s.OverloadStateName(); got != "overload" {
+	s.tab.Handle(time.Now(), buildContribution(9, 0, 0, 1, []int32{1}), from, discard)
+	s.tab.Handle(time.Now(), buildContribution(9, 1, 0, 1, []int32{1}), from, discard)
+	if got := s.Stats().OverloadState; got != "overload" {
 		t.Fatalf("state = %s, want overload with the filler at cap", got)
 	}
 

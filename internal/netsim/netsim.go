@@ -202,7 +202,7 @@ func (l *Link) deliver(frame []byte, arrive sim.Time) {
 		l.sendSeq++
 		l.cluster.Post(l.dstPID, sim.Message{
 			At: arrive, SendTime: l.eng.Now(), Chan: l.chanKey, Seq: l.sendSeq,
-			Fn: crossArriveEvent,
+			Fn:  crossArriveEvent,
 			Arg: &crossDelivery{l: l, frame: append([]byte(nil), frame...), at: arrive},
 		})
 		return

@@ -29,8 +29,7 @@ type VLAN struct {
 // VLANLen is the serialized 802.1Q tag size.
 const VLANLen = 4
 
-func (v *VLAN) LayerName() string { return "VLAN" }
-func (v *VLAN) HeaderLen() int    { return VLANLen }
+func (v *VLAN) HeaderLen() int { return VLANLen }
 
 func (v *VLAN) MarshalTo(b []byte) int {
 	tci := uint16(v.PCP&0x7) << 13
@@ -66,8 +65,7 @@ type MPLSLabel struct {
 // MPLSLabelLen is the serialized label-stack-entry size.
 const MPLSLabelLen = 4
 
-func (m *MPLSLabel) LayerName() string { return "MPLS" }
-func (m *MPLSLabel) HeaderLen() int    { return MPLSLabelLen }
+func (m *MPLSLabel) HeaderLen() int { return MPLSLabelLen }
 
 func (m *MPLSLabel) MarshalTo(b []byte) int {
 	v := m.Label&0xFFFFF<<12 | uint32(m.TC&0x7)<<9 | uint32(m.TTL)

@@ -24,8 +24,7 @@ type Ethernet struct {
 // EthernetLen is the serialized Ethernet header size.
 const EthernetLen = 14
 
-func (e *Ethernet) LayerName() string { return "Ethernet" }
-func (e *Ethernet) HeaderLen() int    { return EthernetLen }
+func (e *Ethernet) HeaderLen() int { return EthernetLen }
 
 func (e *Ethernet) MarshalTo(b []byte) int {
 	copy(b[0:6], e.Dst[:])
@@ -61,8 +60,6 @@ type IPv4 struct {
 
 // IPv4MinLen is the option-less IPv4 header size.
 const IPv4MinLen = 20
-
-func (ip *IPv4) LayerName() string { return "IPv4" }
 
 // IHL reports the header length field in 32-bit words.
 func (ip *IPv4) IHL() uint8 { return uint8(IPv4MinLen+len(ip.Options)) / 4 }
@@ -135,8 +132,7 @@ type UDP struct {
 // UDPLen is the serialized UDP header size.
 const UDPLen = 8
 
-func (u *UDP) LayerName() string { return "UDP" }
-func (u *UDP) HeaderLen() int    { return UDPLen }
+func (u *UDP) HeaderLen() int { return UDPLen }
 
 func (u *UDP) MarshalTo(b []byte) int {
 	binary.BigEndian.PutUint16(b[0:2], u.SrcPort)

@@ -72,8 +72,7 @@ type NetRPC struct {
 	RPCID      uint64
 }
 
-func (h *NetRPC) LayerName() string { return "NetRPC" }
-func (h *NetRPC) HeaderLen() int    { return NetRPCHeaderLen }
+func (h *NetRPC) HeaderLen() int { return NetRPCHeaderLen }
 
 func (h *NetRPC) MarshalTo(b []byte) int {
 	b[NetRPCOpOff] = h.Op

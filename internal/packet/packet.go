@@ -62,20 +62,6 @@ func Addr4(a netip.Addr) [4]byte {
 	return a.As4()
 }
 
-// Layer is one decoded protocol header.
-type Layer interface {
-	// LayerName identifies the protocol for diagnostics.
-	LayerName() string
-	// HeaderLen reports the serialized header length in bytes.
-	HeaderLen() int
-	// MarshalTo writes the header into b, which must be at least HeaderLen
-	// bytes, and returns the number of bytes written.
-	MarshalTo(b []byte) int
-	// Unmarshal parses the header from the front of b and returns the
-	// remaining payload bytes.
-	Unmarshal(b []byte) (rest []byte, err error)
-}
-
 // Checksum computes the RFC 1071 Internet checksum over b with an initial
 // partial sum (used to fold in the UDP pseudo-header).
 func Checksum(b []byte, initial uint32) uint16 {

@@ -39,8 +39,7 @@ type RetryAfter struct {
 	Millis uint32 // suggested back-off in milliseconds
 }
 
-func (r *RetryAfter) LayerName() string { return "RetryAfter" }
-func (r *RetryAfter) HeaderLen() int    { return RetryAfterLen }
+func (r *RetryAfter) HeaderLen() int { return RetryAfterLen }
 
 func (r *RetryAfter) MarshalTo(b []byte) int {
 	binary.BigEndian.PutUint32(b, r.Millis)

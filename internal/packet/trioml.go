@@ -43,8 +43,7 @@ type TrioML struct {
 	GradCnt  uint16 // 12 bits: number of gradients in this packet
 }
 
-func (h *TrioML) LayerName() string { return "TrioML" }
-func (h *TrioML) HeaderLen() int    { return TrioMLHeaderLen }
+func (h *TrioML) HeaderLen() int { return TrioMLHeaderLen }
 
 func (h *TrioML) MarshalTo(b []byte) int {
 	for i := 0; i < TrioMLHeaderLen; i++ {

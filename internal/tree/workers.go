@@ -41,9 +41,9 @@ type workerBank struct {
 	out  []uint64 // outstanding-block bitmask (Blocks <= 64)
 
 	// Per-(worker, block) and per-block (rack-shared) generation state.
-	sentGen   []uint16 // w*Blocks+b -> generation of the last send
-	rackGen   []uint16 // b -> current generation (starts at 1)
-	restarts  []uint8  // b -> gen-restarts taken
+	sentGen   []uint16   // w*Blocks+b -> generation of the last send
+	rackGen   []uint16   // b -> current generation (starts at 1)
+	restarts  []uint8    // b -> gen-restarts taken
 	firstSend []sim.Time // b -> first transmission (restart-recovery baseline)
 
 	// Outcome bookkeeping, read after the run (or at barriers) by Stats.

@@ -117,15 +117,14 @@ type PFE struct {
 	Mem    *smem.Memory
 	Hash   *hasheng.Table
 
-	app     App
-	out     Output
-	pool    threadPool
-	queue   []work // FIFO ring: live entries are queue[qhead:]
-	qhead   int
-	flows   map[uint64]*flowState
-	ports   []portState
-	stats   Stats
-	seqHint map[uint64]uint64
+	app   App
+	out   Output
+	pool  threadPool
+	queue []work // FIFO ring: live entries are queue[qhead:]
+	qhead int
+	flows map[uint64]*flowState
+	ports []portState
+	stats Stats
 
 	ctxFree *Ctx    // recycled thread contexts
 	outFree *outEvt // recycled egress delivery events
