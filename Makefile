@@ -67,10 +67,13 @@ verify-vfp:
 	$(GO) test -race ./internal/vfp/...
 
 # verify-sim races the partitioned simulation core (cluster barrier hammer
-# included) and the cross-partition determinism tests: the tree sweep and
-# treechaos at P in {1,2,5} must render byte-identically.
+# included), the event queue's twin run against the index-heap oracle (fired
+# sequences and the whole Metrics struct equal, five times over), and the
+# cross-partition determinism tests: the tree sweep and treechaos at P in
+# {1,2,5} must render byte-identically.
 verify-sim:
 	$(GO) test -race -run 'TestCluster' ./internal/sim/
+	$(GO) test -race -count=5 -run 'TestEngineTwin' ./internal/sim/
 	$(GO) test -race -run 'TestTree.*CrossPartitionDeterminism|TestLinkBetween' ./internal/harness/ ./internal/netsim/
 
 # verify-tree races the multi-rack hierarchical aggregation package (composed
@@ -124,11 +127,14 @@ verify-microcode:
 # verify-packet fuzzes the wire codec for 10 s each from the checked-in seeds
 # (BuildTrioML/BuildUDP/netrpc frames): DecodeInto never panics, an accepted
 # Trio-ML frame re-marshals to its own bytes, the in-place UDP verification
-# agrees with copy-zero-recompute, and the word-folding Checksum equals the
-# byte-pair loop on any bytes at any alignment.
+# agrees with copy-zero-recompute, the word-folding Checksum equals the
+# byte-pair loop on any bytes at any alignment, and the NetRPC header and the
+# retry-after NACK body survive decode -> encode -> decode.
 verify-packet:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run FuzzDecode ./internal/packet/
 	$(GO) test -fuzz=FuzzChecksum -fuzztime=10s -run FuzzChecksum ./internal/packet/
+	$(GO) test -fuzz=FuzzNetRPCHeader -fuzztime=10s -run FuzzNetRPCHeader ./internal/packet/
+	$(GO) test -fuzz=FuzzRetryAfter -fuzztime=10s -run FuzzRetryAfter ./internal/packet/
 
 # verify-apps races both in-network application packages (netrpc's concurrent
 # cache-service paths, infnet's classifier) and the harness's apps pins: the

@@ -48,15 +48,18 @@ type Link struct {
 	// nanosecond per frame (at 100 Gbps a 187-byte frame loses ~0.96 ns).
 	freeRem uint64
 	loss    *sim.RNG
-	free    *delivery // recycled arrival events
 
-	// Cross-partition delivery (nil cluster for same-partition links): the
-	// arrival becomes a timestamped message into the destination
-	// partition's inbox instead of a local event. See NewLinkBetween.
-	cluster *sim.Cluster
-	dstPID  int
-	chanKey uint64
-	sendSeq uint64
+	// inflight holds the frames of scheduled in-order arrivals, oldest at
+	// qhead. Arrival instants never decrease in send order and the engine
+	// breaks ties FIFO, so each arrival event takes the oldest frame and no
+	// per-frame event record exists.
+	inflight [][]byte
+	qhead    int
+
+	// cross is nil unless the receiver runs on another partition. It sits
+	// behind a pointer because a tree has two links per simulated worker and
+	// nearly all of them are local: TestLinkStaysSmall.
+	cross *crossing
 
 	Frames  uint64
 	Bytes   uint64
@@ -69,22 +72,44 @@ type Link struct {
 	Reordered   uint64
 }
 
-// delivery carries one in-flight frame; instances recycle through Link.free
-// so steady-state sends allocate no event state.
-type delivery struct {
-	l     *Link
-	frame []byte
-	at    sim.Time
-	next  *delivery
+// arriveEvent delivers the link's oldest in-flight frame; the event's own
+// time is the arrival instant.
+func arriveEvent(arg any) {
+	l := arg.(*Link)
+	frame := l.inflight[l.qhead]
+	l.inflight[l.qhead] = nil
+	if l.qhead++; l.qhead == len(l.inflight) {
+		l.inflight, l.qhead = l.inflight[:0], 0
+	}
+	l.dst(frame, l.eng.Now())
 }
 
-func arriveEvent(arg any) {
-	d := arg.(*delivery)
-	l, frame, at := d.l, d.frame, d.at
-	d.l, d.frame = nil, nil
-	d.next = l.free
-	l.free = d
-	l.dst(frame, at)
+// pushInflight queues a frame behind the in-flight ones. The queue is made on
+// the first send (an idle link costs nothing) with room for two: most links
+// carry a frame or two at a time. A link that never runs empty reclaims its
+// delivered prefix here instead of growing for ever.
+func (l *Link) pushInflight(frame []byte) {
+	if l.inflight == nil {
+		l.inflight = make([][]byte, 0, 2)
+	}
+	if len(l.inflight) == cap(l.inflight) && l.qhead > len(l.inflight)/2 {
+		n := copy(l.inflight, l.inflight[l.qhead:])
+		clear(l.inflight[n:])
+		l.inflight, l.qhead = l.inflight[:n], 0
+	}
+	l.inflight = append(l.inflight, frame)
+}
+
+// lateDelivery carries a frame a fault injector took out of the link's FIFO
+// order (a duplicate, a reordered original), so it cannot wait in the queue.
+type lateDelivery struct {
+	l     *Link
+	frame []byte
+}
+
+func lateArriveEvent(arg any) {
+	d := arg.(*lateDelivery)
+	d.l.dst(d.frame, d.l.eng.Now())
 }
 
 // NewLink builds a link delivering to dst. A zero Bandwidth takes the
@@ -124,9 +149,7 @@ func NewLinkBetween(src, dst *sim.Engine, cfg LinkConfig, recv Receiver) *Link {
 	// promises; RegisterCrossDelay rejects zero, which would collapse the
 	// safe window (use DefaultLinkConfig's 500 ns cable).
 	cl.RegisterCrossDelay(l.cfg.Propagation)
-	l.cluster = cl
-	l.dstPID = dst.Partition()
-	l.chanKey = cl.NewChannelKey()
+	l.cross = &crossing{cluster: cl, dstPID: dst.Partition(), chanKey: cl.NewChannelKey()}
 	return l
 }
 
@@ -170,14 +193,25 @@ func (l *Link) Send(frame []byte) {
 			// The duplicate is offset from the fault-free arrival: a frame
 			// that is also reordered must not compound both delays.
 			l.Duplicated++
-			l.deliver(frame, arrive+v.DupDelay)
+			l.deliver(frame, arrive+v.DupDelay, true)
 		}
 		if v.ExtraDelay > 0 {
 			l.Reordered++
-			arrive += v.ExtraDelay
+			l.deliver(frame, arrive+v.ExtraDelay, true)
+			return
 		}
 	}
-	l.deliver(frame, arrive)
+	l.deliver(frame, arrive, false)
+}
+
+// crossing is the cross-partition half of a link (see NewLinkBetween): an
+// arrival becomes a timestamped message into the destination partition's
+// inbox instead of a local event.
+type crossing struct {
+	cluster *sim.Cluster
+	dstPID  int
+	chanKey uint64
+	sendSeq uint64
 }
 
 // crossDelivery carries one frame into another partition. Unlike the local
@@ -193,29 +227,28 @@ func crossArriveEvent(arg any) {
 	d.l.dst(d.frame, d.at)
 }
 
-// deliver schedules one arrival: a recycled local event on the link's own
-// engine, or a timestamped inbox message for a partition-crossing link.
-func (l *Link) deliver(frame []byte, arrive sim.Time) {
-	if l.cluster != nil {
+// deliver schedules one arrival: a local event on the link's own engine, or a
+// timestamped inbox message for a partition-crossing link. late marks an
+// arrival outside the link's FIFO order: a duplicate, or an original a fault
+// pushed past its fault-free instant, which later sends may overtake.
+func (l *Link) deliver(frame []byte, arrive sim.Time, late bool) {
+	if x := l.cross; x != nil {
 		// The sender may reuse its frame buffer as soon as Send returns
 		// (clients marshal in place), so the crossing copy detaches it.
-		l.sendSeq++
-		l.cluster.Post(l.dstPID, sim.Message{
-			At: arrive, SendTime: l.eng.Now(), Chan: l.chanKey, Seq: l.sendSeq,
+		x.sendSeq++
+		x.cluster.Post(x.dstPID, sim.Message{
+			At: arrive, SendTime: l.eng.Now(), Chan: x.chanKey, Seq: x.sendSeq,
 			Fn:  crossArriveEvent,
 			Arg: &crossDelivery{l: l, frame: append([]byte(nil), frame...), at: arrive},
 		})
 		return
 	}
-	d := l.free
-	if d == nil {
-		d = &delivery{}
-	} else {
-		l.free = d.next
-		d.next = nil
+	if late {
+		l.eng.AtFunc(arrive, lateArriveEvent, &lateDelivery{l: l, frame: frame})
+		return
 	}
-	d.l, d.frame, d.at = l, frame, arrive
-	l.eng.AtFunc(arrive, arriveEvent, d)
+	l.pushInflight(frame)
+	l.eng.AtFunc(arrive, arriveEvent, l)
 }
 
 // Busy reports whether the link is still serializing previously sent frames,

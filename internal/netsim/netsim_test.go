@@ -3,6 +3,7 @@ package netsim
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"github.com/trioml/triogo/internal/faults"
 	"github.com/trioml/triogo/internal/sim"
@@ -214,6 +215,75 @@ func TestLinkFaultWiring(t *testing.T) {
 	})
 }
 
+// The link keeps no per-frame event record: an arrival event takes the oldest
+// in-flight frame. Every frame must therefore still reach the receiver at its
+// own instant — its fault-free arrival, or that plus the duplicate or reorder
+// delay — through bursts that keep the link backlogged for hundreds of frames
+// (the in-flight queue reclaims its delivered prefix), gaps that drain it, and
+// duplicated and reordered frames overtaking the FIFO ones.
+func TestLinkDeliversEachFrameAtItsOwnInstant(t *testing.T) {
+	const (
+		frames = 5000
+		prop   = 500 * sim.Nanosecond
+		dup    = sim.Microsecond     // faults.NewPlan's DupDelay default
+		reord  = 5 * sim.Microsecond // and its ReorderDelay default
+	)
+	eng := sim.NewEngine()
+	rng := sim.NewRNG(4, 0xf1f0)
+	plan := faults.NewPlan(11, faults.Config{Link: faults.LinkConfig{DupProb: 0.1, ReorderProb: 0.1}})
+	fifoAt := make([]sim.Time, frames) // fault-free arrival instant per tag
+	seen := make([]int, frames)
+	arrivals := 0
+	l := NewLink(eng, LinkConfig{Bandwidth: 100_000_000_000, Propagation: prop, Faults: plan.Link(0)},
+		func(f []byte, at sim.Time) {
+			tag := int(f[0])<<8 | int(f[1])
+			if d := at - fifoAt[tag]; d != 0 && d != dup && d != reord {
+				t.Fatalf("frame %d (%d bytes) arrived at %v, %v after its fault-free instant %v", tag, len(f), at, d, fifoAt[tag])
+			}
+			seen[tag]++
+			arrivals++
+		})
+	var free sim.Time // the test's own copy of the serialization clock
+	tag := 0
+	var burst func()
+	burst = func() {
+		for n := 1 + rng.IntN(300); n > 0 && tag < frames; n-- {
+			f := make([]byte, 125*(1+rng.IntN(12))) // 10 ns per 125 bytes: no sub-ns remainder
+			f[0], f[1] = byte(tag>>8), byte(tag)
+			free = max(free, eng.Now()) + sim.Time(len(f)/125*10)
+			fifoAt[tag] = free + prop
+			tag++
+			l.Send(f)
+		}
+		if tag < frames {
+			// Nearly always before the backlog clears: the queue rarely runs empty.
+			eng.After(rng.UniformTime(0, (free-eng.Now())*21/20+sim.Nanosecond), burst)
+		}
+	}
+	burst()
+	eng.Run()
+	if arrivals != frames+int(l.Duplicated) || l.Duplicated == 0 || l.Reordered == 0 {
+		t.Fatalf("%d arrivals of %d frames, %d duplicated, %d reordered", arrivals, frames, l.Duplicated, l.Reordered)
+	}
+	for tag, n := range seen {
+		if n == 0 {
+			t.Fatalf("frame %d never arrived", tag)
+		}
+	}
+	if len(l.inflight) != 0 || cap(l.inflight) > 1024 {
+		t.Fatalf("in-flight queue ends at len %d cap %d: it should drain and stay bounded by the deepest backlog", len(l.inflight), cap(l.inflight))
+	}
+}
+
+// A 10^5-worker tree builds 2×10^5 links, so a Link's size is set-up time and
+// resident memory: it must stay in the 176-byte allocation class it had with
+// a per-frame record free list in place of the in-flight queue.
+func TestLinkStaysSmall(t *testing.T) {
+	if n := unsafe.Sizeof(Link{}); n > 176 {
+		t.Fatalf("Link is %d bytes, want <= 176", n)
+	}
+}
+
 func TestDefaultsApplied(t *testing.T) {
 	eng := sim.NewEngine()
 	var at sim.Time
@@ -347,7 +417,7 @@ func TestLinkBetweenCrossPartition(t *testing.T) {
 		t.Fatalf("destination clock %v behind arrival %v", dst.Now(), at)
 	}
 	// Same-partition and same-engine forms stay local (no cluster plumbing).
-	if ll := NewLinkBetween(src, src, DefaultLinkConfig(), nil); ll.cluster != nil {
+	if ll := NewLinkBetween(src, src, DefaultLinkConfig(), nil); ll.cross != nil {
 		t.Fatal("same-engine NewLinkBetween attached cluster plumbing")
 	}
 }

@@ -187,6 +187,87 @@ func TestVerifyUDPChecksumZeroAlias(t *testing.T) {
 	t.Fatal("no 2-byte payload produced the all-ones checksum")
 }
 
+// refMarshalML and refUnmarshalML are the Trio-ML header codec as it was: one
+// string-keyed layout lookup per field. They are the oracle for the
+// handle-resolved codec (and keep the by-name path the assembler listings and
+// docs use under test).
+func refMarshalML(h *TrioML, b []byte) {
+	rec := b[:TrioMLHeaderLen]
+	clear(rec)
+	trioMLLayout.Put(rec, "job_id", uint64(h.JobID))
+	trioMLLayout.Put(rec, "block_id", uint64(h.BlockID))
+	trioMLLayout.Put(rec, "age_op", uint64(h.AgeOp))
+	trioMLLayout.Put(rec, "final", boolBit(h.Final))
+	trioMLLayout.Put(rec, "degraded", boolBit(h.Degraded))
+	trioMLLayout.Put(rec, "src_id", uint64(h.SrcID))
+	trioMLLayout.Put(rec, "src_cnt", uint64(h.SrcCnt))
+	trioMLLayout.Put(rec, "gen_id", uint64(h.GenID))
+	trioMLLayout.Put(rec, "grad_cnt", uint64(h.GradCnt))
+}
+
+func refUnmarshalML(b []byte) TrioML {
+	rec := b[:TrioMLHeaderLen]
+	return TrioML{
+		JobID:    uint8(trioMLLayout.Get(rec, "job_id")),
+		BlockID:  uint32(trioMLLayout.Get(rec, "block_id")),
+		AgeOp:    uint8(trioMLLayout.Get(rec, "age_op")),
+		Final:    trioMLLayout.Get(rec, "final") != 0,
+		Degraded: trioMLLayout.Get(rec, "degraded") != 0,
+		SrcID:    uint8(trioMLLayout.Get(rec, "src_id")),
+		SrcCnt:   uint8(trioMLLayout.Get(rec, "src_cnt")),
+		GenID:    uint16(trioMLLayout.Get(rec, "gen_id")),
+		GradCnt:  uint16(trioMLLayout.Get(rec, "grad_cnt")),
+	}
+}
+
+// TestTrioMLCodecMatchesLayoutByName: MarshalTo writes the bytes the by-name
+// layout writes, over whatever the buffer held, and Unmarshal reads any 12
+// bytes as the by-name layout reads them — at the 4-bit age_op and 12-bit
+// grad_cnt edges (values wider than the field truncate the same way) and on
+// random headers and random wire bytes, reserved bits set included.
+func TestTrioMLCodecMatchesLayoutByName(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	hdrs := []TrioML{
+		{},
+		{AgeOp: 0xF, GradCnt: 0xFFF},
+		{AgeOp: 0x10, GradCnt: 0x1000}, // one past each field: truncates to zero
+		{AgeOp: 0xFF, GradCnt: 0xFFFF, Final: true, Degraded: true},
+		{JobID: 0xFF, BlockID: math.MaxUint32, SrcID: 0xFF, SrcCnt: 0xFF, GenID: 0xFFFF},
+		{AgeOp: 8, Final: true, GradCnt: 0x800},
+		{AgeOp: 1, Degraded: true, GradCnt: 1},
+	}
+	for i := 0; i < 2000; i++ {
+		hdrs = append(hdrs, TrioML{
+			JobID: uint8(rng.Uint32()), BlockID: rng.Uint32(), AgeOp: uint8(rng.Uint32()),
+			Final: rng.Intn(2) == 0, Degraded: rng.Intn(2) == 0, SrcID: uint8(rng.Uint32()),
+			SrcCnt: uint8(rng.Uint32()), GenID: uint16(rng.Uint32()), GradCnt: uint16(rng.Uint32()),
+		})
+	}
+	got, want := make([]byte, TrioMLHeaderLen+2), make([]byte, TrioMLHeaderLen+2)
+	for _, h := range hdrs {
+		rng.Read(got) // stale bytes the marshal must overwrite, and two it must not touch
+		copy(want, got)
+		if n := h.MarshalTo(got); n != TrioMLHeaderLen {
+			t.Fatalf("MarshalTo = %d", n)
+		}
+		refMarshalML(&h, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%+v: handles wrote %x, names %x", h, got, want)
+		}
+	}
+	wire := make([]byte, TrioMLHeaderLen)
+	for i := 0; i < 2000; i++ {
+		rng.Read(wire)
+		var h TrioML
+		if rest, err := h.Unmarshal(wire); err != nil || len(rest) != 0 {
+			t.Fatalf("Unmarshal: %v, %d bytes left", err, len(rest))
+		}
+		if want := refUnmarshalML(wire); h != want {
+			t.Fatalf("%x: handles read %+v, names %+v", wire, h, want)
+		}
+	}
+}
+
 func fuzzSeeds(f *testing.F) {
 	spec := testSpec()
 	opts := spec
@@ -256,6 +337,79 @@ func FuzzChecksum(f *testing.F) {
 			if got, want := Checksum(b[off:], initial), refChecksum(b[off:], initial); got != want {
 				t.Fatalf("Checksum(%d bytes at offset %d, initial %#x) = %#04x, byte-pair loop %#04x", len(b)-off, off, initial, got, want)
 			}
+		}
+	})
+}
+
+// FuzzNetRPCHeader: the netrpc_hdr_t decoder never panics, rejects exactly
+// the inputs shorter than the header, and decode -> encode -> decode is the
+// identity: the re-marshalled header equals the wire bytes it came from (the
+// layout has no reserved bits) and decodes to the same struct.
+func FuzzNetRPCHeader(f *testing.F) {
+	fuzzSeeds(f)
+	hdr := make([]byte, NetRPCHeaderLen)
+	(&NetRPC{Op: NetRPCResponse, Flags: NetRPCFlagCached, ClientID: 7, Method: 3, PayloadLen: 2, RPCID: 1 << 63}).MarshalTo(hdr)
+	f.Add(append(hdr, 0xAA, 0xBB))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var h NetRPC
+		rest, err := h.Unmarshal(b)
+		if (err != nil) != (len(b) < NetRPCHeaderLen) {
+			t.Fatalf("%d bytes: err %v", len(b), err)
+		}
+		if err != nil {
+			return
+		}
+		if len(rest) != len(b)-NetRPCHeaderLen {
+			t.Fatalf("rest %d of %d bytes", len(rest), len(b))
+		}
+		out := make([]byte, h.HeaderLen())
+		if n := h.MarshalTo(out); n != NetRPCHeaderLen || !bytes.Equal(out, b[:NetRPCHeaderLen]) {
+			t.Fatalf("re-marshalled %x (%d bytes), decoded from %x", out, n, b[:NetRPCHeaderLen])
+		}
+		var again NetRPC
+		if _, err := again.Unmarshal(out); err != nil || again != h {
+			t.Fatalf("second decode %+v (%v), first %+v", again, err, h)
+		}
+	})
+}
+
+// FuzzRetryAfter: a retry-after NACK body — the echoed Trio-ML header and the
+// 4-byte record behind it — decodes without panicking from any bytes, and
+// what decodes survives BuildRetryAfter: the control packet carries the same
+// job, block and generation, the reason in age_op (its low four bits), the
+// control source id, no gradients, and the same back-off.
+func FuzzRetryAfter(f *testing.F) {
+	fuzzSeeds(f)
+	f.Add(BuildRetryAfter(TrioML{JobID: 7, BlockID: 42, GenID: 9, SrcID: 3, GradCnt: 128}, RetryReasonQuota, 25))
+	f.Add(BuildRetryAfter(TrioML{Final: true, Degraded: true}, RetryReasonOverload, math.MaxUint32))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var h TrioML
+		rest, err := h.Unmarshal(b)
+		if err != nil {
+			return
+		}
+		var ra RetryAfter
+		tail, err := ra.Unmarshal(rest)
+		if (err != nil) != (len(rest) < RetryAfterLen) {
+			t.Fatalf("%d record bytes: err %v", len(rest), err)
+		}
+		if err != nil {
+			return
+		}
+		if len(tail) != len(rest)-RetryAfterLen {
+			t.Fatalf("tail %d of %d bytes", len(tail), len(rest))
+		}
+		nack := BuildRetryAfter(h, h.AgeOp, ra.Millis)
+		var h2 TrioML
+		var ra2 RetryAfter
+		rest2, err := h2.Unmarshal(nack)
+		if err == nil {
+			_, err = ra2.Unmarshal(rest2)
+		}
+		want := h
+		want.SrcID, want.GradCnt = CtrlSrcID, 0
+		if err != nil || h2 != want || ra2 != ra {
+			t.Fatalf("rebuilt NACK decodes to %+v %+v (%v), want %+v %+v", h2, ra2, err, want, ra)
 		}
 	})
 }

@@ -29,6 +29,23 @@ var trioMLLayout = bitfield.NewLayout(
 	bitfield.Field{Name: "grad_cnt", Width: 12},
 )
 
+// Pre-resolved field handles: the header codec runs per packet, so the name
+// lookups are paid once here (the names stay the layout's, for listings and
+// docs) and MarshalTo/Unmarshal are pure bit arithmetic.
+var mlF = struct {
+	jobID, blockID, ageOp, final, degraded, srcID, srcCnt, genID, gradCnt bitfield.Handle
+}{
+	jobID:    trioMLLayout.Handle("job_id"),
+	blockID:  trioMLLayout.Handle("block_id"),
+	ageOp:    trioMLLayout.Handle("age_op"),
+	final:    trioMLLayout.Handle("final"),
+	degraded: trioMLLayout.Handle("degraded"),
+	srcID:    trioMLLayout.Handle("src_id"),
+	srcCnt:   trioMLLayout.Handle("src_cnt"),
+	genID:    trioMLLayout.Handle("gen_id"),
+	gradCnt:  trioMLLayout.Handle("grad_cnt"),
+}
+
 // TrioML is the aggregation header that follows UDP in Trio-ML packets.
 // Field semantics follow §4–§5 of the paper.
 type TrioML struct {
@@ -46,19 +63,17 @@ type TrioML struct {
 func (h *TrioML) HeaderLen() int { return TrioMLHeaderLen }
 
 func (h *TrioML) MarshalTo(b []byte) int {
-	for i := 0; i < TrioMLHeaderLen; i++ {
-		b[i] = 0
-	}
 	rec := b[:TrioMLHeaderLen]
-	trioMLLayout.Put(rec, "job_id", uint64(h.JobID))
-	trioMLLayout.Put(rec, "block_id", uint64(h.BlockID))
-	trioMLLayout.Put(rec, "age_op", uint64(h.AgeOp))
-	trioMLLayout.Put(rec, "final", boolBit(h.Final))
-	trioMLLayout.Put(rec, "degraded", boolBit(h.Degraded))
-	trioMLLayout.Put(rec, "src_id", uint64(h.SrcID))
-	trioMLLayout.Put(rec, "src_cnt", uint64(h.SrcCnt))
-	trioMLLayout.Put(rec, "gen_id", uint64(h.GenID))
-	trioMLLayout.Put(rec, "grad_cnt", uint64(h.GradCnt))
+	clear(rec)
+	mlF.jobID.Put(rec, uint64(h.JobID))
+	mlF.blockID.Put(rec, uint64(h.BlockID))
+	mlF.ageOp.Put(rec, uint64(h.AgeOp))
+	mlF.final.Put(rec, boolBit(h.Final))
+	mlF.degraded.Put(rec, boolBit(h.Degraded))
+	mlF.srcID.Put(rec, uint64(h.SrcID))
+	mlF.srcCnt.Put(rec, uint64(h.SrcCnt))
+	mlF.genID.Put(rec, uint64(h.GenID))
+	mlF.gradCnt.Put(rec, uint64(h.GradCnt))
 	return TrioMLHeaderLen
 }
 
@@ -67,15 +82,15 @@ func (h *TrioML) Unmarshal(b []byte) ([]byte, error) {
 		return nil, fmt.Errorf("trioml: %w (%d bytes)", ErrTruncated, len(b))
 	}
 	rec := b[:TrioMLHeaderLen]
-	h.JobID = uint8(trioMLLayout.Get(rec, "job_id"))
-	h.BlockID = uint32(trioMLLayout.Get(rec, "block_id"))
-	h.AgeOp = uint8(trioMLLayout.Get(rec, "age_op"))
-	h.Final = trioMLLayout.Get(rec, "final") != 0
-	h.Degraded = trioMLLayout.Get(rec, "degraded") != 0
-	h.SrcID = uint8(trioMLLayout.Get(rec, "src_id"))
-	h.SrcCnt = uint8(trioMLLayout.Get(rec, "src_cnt"))
-	h.GenID = uint16(trioMLLayout.Get(rec, "gen_id"))
-	h.GradCnt = uint16(trioMLLayout.Get(rec, "grad_cnt"))
+	h.JobID = uint8(mlF.jobID.Get(rec))
+	h.BlockID = uint32(mlF.blockID.Get(rec))
+	h.AgeOp = uint8(mlF.ageOp.Get(rec))
+	h.Final = mlF.final.Get(rec) != 0
+	h.Degraded = mlF.degraded.Get(rec) != 0
+	h.SrcID = uint8(mlF.srcID.Get(rec))
+	h.SrcCnt = uint8(mlF.srcCnt.Get(rec))
+	h.GenID = uint16(mlF.genID.Get(rec))
+	h.GradCnt = uint16(mlF.gradCnt.Get(rec))
 	return b[TrioMLHeaderLen:], nil
 }
 

@@ -114,3 +114,26 @@ func BenchmarkEngineMixedLoad(b *testing.B) {
 		e.Step()
 	}
 }
+
+// BenchmarkEngineDeepHeap is schedule+fire with 4×10^5 events pending — the
+// depth tree-100k reaches, where the heap no longer fits in cache. Delays of
+// up to 4 µs against an 8 µs wheel granule send every event to the heap, as
+// data-path events do; each op pushes one event and pops the earliest.
+func BenchmarkEngineDeepHeap(b *testing.B) {
+	e := NewEngine()
+	p := &benchPayload{}
+	rng := NewRNG(1, 0xdee9)
+	delays := make([]Time, 1<<16)
+	for i := range delays {
+		delays[i] = rng.UniformTime(1, 4*Microsecond)
+	}
+	for i := 0; i < 400_000; i++ {
+		e.AfterFunc(delays[i%len(delays)], benchFire, p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.AfterFunc(delays[i%len(delays)], benchFire, p)
+		e.Step()
+	}
+}

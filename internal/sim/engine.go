@@ -38,28 +38,58 @@ func (h Handle) Stop() bool {
 // Active reports whether the event is still scheduled (for a periodic event:
 // still armed).
 func (h Handle) Active() bool {
-	if h.eng == nil || h.idx < 0 || int(h.idx) >= len(h.eng.slab) {
+	if h.eng == nil || h.idx < 0 || int(h.idx) >= h.eng.slots {
 		return false
 	}
-	ev := &h.eng.slab[h.idx]
+	ev := h.eng.ev(h.idx)
 	return ev.gen == h.gen && ev.state == evArmed
 }
 
-// event is one scheduled callback, stored by value in the engine's slab.
-// Exactly one of fn/afn is set. A positive period marks a periodic event:
-// after each firing the engine re-arms the same slot, so steady-state
-// periodic firing allocates nothing.
+// event is one scheduled callback, stored by value in the engine's slab: 64
+// bytes, one cache line of a (page-aligned) slab chunk. The closure forms
+// (At/After/Every) store their func() as arg behind callFunc, so there is one
+// callback shape. A positive period marks a periodic event: after each firing
+// the engine re-arms the same slot, so steady-state periodic firing allocates
+// nothing.
 type event struct {
 	at     Time
 	seq    uint64 // tie-break: FIFO among equal timestamps
-	fn     func()
-	afn    EventFunc
+	fn     EventFunc
 	arg    any
 	period Time
 	next   int32 // intrusive link: wheel-slot chain or free list
 	gen    uint32
 	state  uint8
 }
+
+// callFunc is the EventFunc behind the closure schedule forms. A func value
+// is pointer-shaped, so carrying it in arg allocates nothing.
+func callFunc(arg any) { arg.(func())() }
+
+// heapEntry is one queued event as the heap sees it: the (at, seq) key by
+// value beside the slab index, so a sift compares contiguous heap memory —
+// the four children of a node span 96 bytes — and never dereferences the
+// slab.
+type heapEntry struct {
+	at  Time
+	seq uint64
+	idx int32
+}
+
+func (a heapEntry) less(b heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// The slab grows one fixed-size chunk at a time, so growth never copies live
+// events and an *event stays valid while callbacks schedule more.
+const (
+	chunkBits = 8
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
 
 const (
 	evFree      uint8 = iota
@@ -107,13 +137,14 @@ type Engine struct {
 	seq      uint64
 	executed uint64
 
-	slab     []event
+	slab     []*[chunkSize]event
+	slots    int // event slots handed out so far; the next fresh index
 	freeHead int32
 
-	// heap is a 4-ary min-heap of slab indices ordered by (at, seq). The
-	// wheel drains due buckets into it, so it is the single pop source and
-	// global FIFO order among equal timestamps is preserved.
-	heap []int32
+	// heap is a 4-ary min-heap ordered by (at, seq). The wheel drains due
+	// buckets into it, so it is the single pop source and global FIFO order
+	// among equal timestamps is preserved.
+	heap []heapEntry
 
 	wheel      [wheelSlots]int32
 	cursor     int64 // absolute bucket index of the next undrained slot
@@ -174,23 +205,23 @@ func (e *Engine) Metrics() Metrics {
 // panics: it always indicates a modelling bug, and silently reordering time
 // would make results meaningless.
 func (e *Engine) At(t Time, fn func()) Handle {
-	return e.schedule(t, fn, nil, nil, 0)
+	return e.schedule(t, callFunc, fn, 0)
 }
 
 // After schedules fn to run d nanoseconds from now. Negative delays panic.
 func (e *Engine) After(d Time, fn func()) Handle {
-	return e.schedule(e.now+d, fn, nil, nil, 0)
+	return e.schedule(e.now+d, callFunc, fn, 0)
 }
 
 // AtFunc schedules fn(arg) at absolute time t. With a package-level fn and a
 // pointer-typed arg this allocates nothing.
 func (e *Engine) AtFunc(t Time, fn EventFunc, arg any) Handle {
-	return e.schedule(t, nil, fn, arg, 0)
+	return e.schedule(t, fn, arg, 0)
 }
 
 // AfterFunc schedules fn(arg) to run d nanoseconds from now.
 func (e *Engine) AfterFunc(d Time, fn EventFunc, arg any) Handle {
-	return e.schedule(e.now+d, nil, fn, arg, 0)
+	return e.schedule(e.now+d, fn, arg, 0)
 }
 
 // Every schedules fn to run periodically with the given period, starting at
@@ -201,7 +232,7 @@ func (e *Engine) Every(offset, period Time, fn func()) Handle {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
 	}
-	return e.schedule(e.now+offset, fn, nil, nil, period)
+	return e.schedule(e.now+offset, callFunc, fn, period)
 }
 
 // EveryFunc is Every in argument-passing form: fn(arg) fires every period
@@ -210,20 +241,19 @@ func (e *Engine) EveryFunc(offset, period Time, fn EventFunc, arg any) Handle {
 	if period <= 0 {
 		panic("sim: EveryFunc requires a positive period")
 	}
-	return e.schedule(e.now+offset, nil, fn, arg, period)
+	return e.schedule(e.now+offset, fn, arg, period)
 }
 
-func (e *Engine) schedule(t Time, fn func(), afn EventFunc, arg any, period Time) Handle {
+func (e *Engine) schedule(t Time, fn EventFunc, arg any, period Time) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v before now %v", t, e.now))
 	}
 	e.seq++
 	idx := e.allocSlot()
-	ev := &e.slab[idx]
+	ev := e.ev(idx)
 	ev.at = t
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.afn = afn
 	ev.arg = arg
 	ev.period = period
 	ev.state = evArmed
@@ -235,7 +265,7 @@ func (e *Engine) schedule(t Time, fn func(), afn EventFunc, arg any, period Time
 	if e.leadHist != nil {
 		e.leadHist.Observe(float64(t - e.now))
 	}
-	e.enqueue(idx)
+	e.enqueue(idx, ev)
 	return Handle{eng: e, idx: idx, gen: ev.gen}
 }
 
@@ -247,41 +277,30 @@ func (e *Engine) Step() bool {
 	if idx < 0 {
 		return false
 	}
-	ev := &e.slab[idx]
+	ev := e.ev(idx)
 	e.now = ev.at
 	e.executed++
+	fn, arg := ev.fn, ev.arg
 	if ev.period <= 0 {
-		fn, afn, arg := ev.fn, ev.afn, ev.arg
 		e.live--
-		e.freeSlot(idx)
-		if afn != nil {
-			afn(arg)
-		} else {
-			fn()
-		}
+		e.freeSlot(idx, ev)
+		fn(arg)
 		return true
 	}
 	// Periodic: fire, then re-arm the same slot unless the callback
 	// stopped it. The re-arm happens after the callback so events the
 	// callback schedules order ahead of the next tick, exactly as the old
 	// closure-chaining Every did.
-	if ev.afn != nil {
-		afn, arg := ev.afn, ev.arg
-		afn(arg)
-	} else {
-		fn := ev.fn
-		fn()
-	}
-	ev = &e.slab[idx] // the callback may have grown the slab
+	fn(arg)
 	if ev.state == evCancelled {
-		e.freeSlot(idx)
+		e.freeSlot(idx, ev)
 		return true
 	}
 	e.seq++
 	ev.at += ev.period
 	ev.seq = e.seq
 	e.m.Rearmed++
-	e.enqueue(idx)
+	e.enqueue(idx, ev)
 	return true
 }
 
@@ -312,23 +331,31 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
 // ---- internals ----
 
+// ev returns the slab slot of an index handed out by allocSlot.
+func (e *Engine) ev(idx int32) *event {
+	return &e.slab[idx>>chunkBits][idx&chunkMask]
+}
+
 func (e *Engine) allocSlot() int32 {
 	if e.freeHead >= 0 {
 		idx := e.freeHead
-		e.freeHead = e.slab[idx].next
-		e.slab[idx].next = -1
+		ev := e.ev(idx)
+		e.freeHead = ev.next
+		ev.next = -1
 		return idx
 	}
-	e.slab = append(e.slab, event{next: -1})
-	if len(e.slab) > e.m.SlabPeak {
-		e.m.SlabPeak = len(e.slab)
+	idx := int32(e.slots)
+	if e.slots == len(e.slab)*chunkSize {
+		e.slab = append(e.slab, new([chunkSize]event))
 	}
-	return int32(len(e.slab) - 1)
+	e.slots++
+	e.m.SlabPeak = e.slots
+	e.ev(idx).next = -1
+	return idx
 }
 
-func (e *Engine) freeSlot(idx int32) {
-	ev := &e.slab[idx]
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
+func (e *Engine) freeSlot(idx int32, ev *event) {
+	ev.fn, ev.arg = nil, nil
 	ev.period = 0
 	ev.state = evFree
 	ev.gen++
@@ -337,17 +364,17 @@ func (e *Engine) freeSlot(idx int32) {
 }
 
 func (e *Engine) cancel(idx int32, gen uint32) bool {
-	if idx < 0 || int(idx) >= len(e.slab) {
+	if idx < 0 || int(idx) >= e.slots {
 		return false
 	}
-	ev := &e.slab[idx]
+	ev := e.ev(idx)
 	if ev.gen != gen || ev.state != evArmed {
 		return false
 	}
 	// Tombstone; drop callback references immediately so cancelled events
 	// never pin their captures until the queue reaches them.
 	ev.state = evCancelled
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
+	ev.fn, ev.arg = nil, nil
 	e.live--
 	e.m.Cancelled++
 	return true
@@ -355,8 +382,7 @@ func (e *Engine) cancel(idx int32, gen uint32) bool {
 
 // enqueue places an armed slot into the wheel when its bucket lies inside the
 // horizon window [cursor, cursor+wheelSlots), else into the heap.
-func (e *Engine) enqueue(idx int32) {
-	ev := &e.slab[idx]
+func (e *Engine) enqueue(idx int32, ev *event) {
 	b := int64(ev.at) >> granBits
 	if b >= e.cursor && b < e.cursor+wheelSlots {
 		s := b & wheelMask
@@ -366,7 +392,7 @@ func (e *Engine) enqueue(idx int32) {
 		e.m.WheelInserts++
 		return
 	}
-	e.heapPush(idx)
+	e.heapPush(heapEntry{at: ev.at, seq: ev.seq, idx: idx})
 	e.m.HeapInserts++
 }
 
@@ -382,16 +408,17 @@ func (e *Engine) settle() {
 	for e.wheel[b&wheelMask] < 0 {
 		b++
 	}
-	if len(e.heap) > 0 && e.slab[e.heap[0]].at < Time(b<<granBits) {
+	if len(e.heap) > 0 && e.heap[0].at < Time(b<<granBits) {
 		e.cursor = b // remember the scan; buckets behind b are empty
 		return
 	}
 	idx := e.wheel[b&wheelMask]
 	e.wheel[b&wheelMask] = -1
 	for idx >= 0 {
-		nx := e.slab[idx].next
-		e.slab[idx].next = -1
-		e.heapPush(idx)
+		ev := e.ev(idx)
+		nx := ev.next
+		ev.next = -1
+		e.heapPush(heapEntry{at: ev.at, seq: ev.seq, idx: idx})
 		e.m.HeapInserts++
 		e.wheelCount--
 		idx = nx
@@ -411,8 +438,8 @@ func (e *Engine) popLive() int32 {
 			continue // wheel had only a due bucket to drain; settle again
 		}
 		idx := e.heapPop()
-		if e.slab[idx].state == evCancelled {
-			e.freeSlot(idx)
+		if ev := e.ev(idx); ev.state == evCancelled {
+			e.freeSlot(idx, ev)
 			continue
 		}
 		return idx
@@ -429,49 +456,46 @@ func (e *Engine) peek() (Time, bool) {
 			}
 			continue
 		}
-		idx := e.heap[0]
-		if e.slab[idx].state == evCancelled {
+		top := e.heap[0]
+		if ev := e.ev(top.idx); ev.state == evCancelled {
 			e.heapPop()
-			e.freeSlot(idx)
+			e.freeSlot(top.idx, ev)
 			continue
 		}
-		return e.slab[idx].at, true
+		return top.at, true
 	}
 }
 
-// ---- 4-ary index heap ordered by (at, seq) ----
+// ---- 4-ary heap of (at, seq, idx) entries ordered by (at, seq) ----
 
-func (e *Engine) heapLess(a, b int32) bool {
-	ea, eb := &e.slab[a], &e.slab[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
+func (e *Engine) heapPush(x heapEntry) {
+	e.heap = append(e.heap, x)
+	h := e.heap
+	if len(h) > e.m.PeakHeap {
+		e.m.PeakHeap = len(h)
 	}
-	return ea.seq < eb.seq
-}
-
-func (e *Engine) heapPush(idx int32) {
-	e.heap = append(e.heap, idx)
-	if len(e.heap) > e.m.PeakHeap {
-		e.m.PeakHeap = len(e.heap)
-	}
-	i := len(e.heap) - 1
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !e.heapLess(e.heap[i], e.heap[p]) {
+		if !x.less(h[p]) {
 			break
 		}
-		e.heap[i], e.heap[p] = e.heap[p], e.heap[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = x
 }
 
+// heapPop removes the minimum entry and returns its slab index. The last
+// entry sifts down from the root through a hole: each level moves the
+// smallest child up and only the final position is written with it.
 func (e *Engine) heapPop() int32 {
 	h := e.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	e.heap = h[:last]
-	n := last
+	top := h[0].idx
+	n := len(h) - 1
+	x := h[n]
+	h = h[:n]
+	e.heap = h
 	i := 0
 	for {
 		c := i<<2 + 1
@@ -479,20 +503,19 @@ func (e *Engine) heapPop() int32 {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if e.heapLess(e.heap[j], e.heap[m]) {
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].less(h[m]) {
 				m = j
 			}
 		}
-		if !e.heapLess(e.heap[m], e.heap[i]) {
+		if !h[m].less(x) {
 			break
 		}
-		e.heap[i], e.heap[m] = e.heap[m], e.heap[i]
+		h[i] = h[m]
 		i = m
+	}
+	if n > 0 {
+		h[i] = x
 	}
 	return top
 }

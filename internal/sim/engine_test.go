@@ -1,6 +1,17 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// The slab's cache behaviour rests on an event being exactly one 64-byte
+// line of its chunk; a field added to it must earn a second line knowingly.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 64 {
+		t.Fatalf("event is %d bytes, want 64", n)
+	}
+}
 
 // Regression for the Every stop() leak: cancelling a periodic timer must
 // remove its pending tick from the queue. The old engine left a dead tick

@@ -331,16 +331,14 @@ func (t *Tree) connect(n *Node) {
 		p.Router.Inject(0, n.ChildIdx, uint64(n.ChildIdx), f)
 	})
 	n.Router.AttachExternal(0, n.upPort, func(_ int, f []byte, _ sim.Time) { up.Send(f) })
+	// Results from above take the uplink port's own number as their reorder
+	// flow, like every cabled port: disjoint from the child flows 0..fanIn-1.
 	down := netsim.NewLinkBetween(p.Engine, n.Engine, netsim.DefaultLinkConfig(), func(f []byte, _ sim.Time) {
-		n.Router.Inject(0, n.upPort, resultFlow, f)
+		n.Router.Inject(0, n.upPort, uint64(n.upPort), f)
 	})
 	p.Router.AttachExternal(0, n.ChildIdx, func(_ int, f []byte, _ sim.Time) { down.Send(f) })
 	n.up, n.down = up, down
 }
-
-// resultFlow keys downstream result frames in the reorder engine, disjoint
-// from the per-child contribution flows.
-const resultFlow uint64 = 1 << 20
 
 // uplinkCfg builds the ToR->spine (or spine->spine) link config, attaching
 // the rack's fault injector at level 0.

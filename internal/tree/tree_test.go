@@ -299,3 +299,63 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestTreeAllocsPerPacket gates the per-packet garbage of a tree run: heap
+// allocations per frame moved (every contribution arriving at a level, every
+// result travelling down one link), on a 4-rack x 50-worker tree. The count is
+// deterministic. What remains, and why it is not pooled:
+//   - one frame per worker send (BuildTrioML) and per aggregated result — a
+//     result frame is aliased by every port of its multicast and by the links
+//     behind them, so no single owner could return it to a pool;
+//   - one thread context per contribution at a ToR, and one egress event
+//     record per result port: both are pooled per PFE, but a one-shot tree has
+//     a whole rack's contributions (and a whole multicast) in flight at once,
+//     so each pool is still growing to its peak when the run ends;
+//   - one in-flight queue per link and one port-flow table per PFE, made when
+//     the first frame crosses rather than in Build (set-up time is a tracked
+//     metric too); a one-shot tree sends each link only Blocks frames, so
+//     these are not yet amortised either;
+//   - engine slab chunks and queue growth, amortised over hundreds of events.
+//
+// A partitioned tree adds one detached frame copy per partition crossing.
+// Per-packet records that used to be here (4.08 per frame) and must not come
+// back: the PFE's Packet and head buffer (now inside the context), per-flow
+// reorder maps (port-indexed slice), per-frame link delivery records (the
+// link's in-flight queue).
+func TestTreeAllocsPerPacket(t *testing.T) {
+	cfg := Config{
+		Spec:        Spec{Racks: 4, WorkersPerRack: 50, FanOut: 2},
+		GradsPerPkt: 32, Blocks: 2, Window: 2, LeafExpiry: sim.Millisecond,
+	}
+	const runs = 3
+	var trees []*Tree
+	for i := 0; i <= runs; i++ { // AllocsPerRun makes one warm-up call
+		tr, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, tr)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		trees[next].Run(sim.Second)
+		next++
+	})
+	st := trees[runs].Stats()
+	if want := uint64(cfg.Workers() * cfg.Blocks); st.ResultsDelivered != want {
+		t.Fatalf("delivered %d results, want %d", st.ResultsDelivered, want)
+	}
+	frames := st.ResultsDelivered
+	for li, ls := range st.Levels {
+		frames += ls.FanInPkts
+		if li < len(st.Levels)-1 {
+			frames += uint64(ls.Nodes * cfg.Blocks)
+		}
+	}
+	const limit = 2.01
+	if perFrame := allocs / float64(frames); perFrame > limit {
+		t.Fatalf("%.0f allocations for %d frames: %.2f per frame, want <= %.2f", allocs, frames, perFrame, limit)
+	} else {
+		t.Logf("%.0f allocations for %d frames: %.2f per frame", allocs, frames, perFrame)
+	}
+}

@@ -22,20 +22,34 @@ type CtxStats struct {
 // call ChargeInstr for the instruction work their Microcode equivalent would
 // execute; the timing constants come from the PFE config.
 type Ctx struct {
-	pfe  *PFE
-	now  sim.Time
-	pkt  *Packet // nil for timer threads
-	head []byte  // the thread's copy of the packet head (mutable)
-	tail []byte  // view of the tail held in the Packet Buffer
+	threadState // zeroed whole when the context recycles
+
+	emits []emit
+
+	// Pool-owned head storage; head aliases one of them until SetHead. The
+	// array holds a head of up to the default HeadBytes inside the context;
+	// a PFE configured with larger heads spills to headSpill.
+	headArr   [inlineHeadBytes]byte
+	headSpill []byte
+
+	poolNext *Ctx // PFE free-list link; contexts recycle at completion
+}
+
+const inlineHeadBytes = 192 // DefaultConfig().HeadBytes
+
+// threadState is what one thread run leaves behind in its context.
+type threadState struct {
+	pfe    *PFE
+	now    sim.Time
+	pkt    *Packet // nil for timer threads, else &pktBuf
+	pktBuf Packet
+	head   []byte // the thread's copy of the packet head (mutable)
+	tail   []byte // view of the tail held in the Packet Buffer
 
 	verdict    Verdict
 	egressPort int
-	emits      []emit
 	stats      CtxStats
-
-	headBuf  []byte // pool-owned head storage; head aliases it until SetHead
-	poolNext *Ctx   // PFE free-list link; contexts recycle at completion
-	tslot    int64  // trace track (busy-slot index) assigned at dispatch
+	tslot      int64 // trace track (busy-slot index) assigned at dispatch
 }
 
 type emit struct {
@@ -49,7 +63,9 @@ func (c *Ctx) Now() sim.Time { return c.now }
 // Stats reports the thread's activity counters so far.
 func (c *Ctx) Stats() CtxStats { return c.stats }
 
-// Packet returns the packet being processed (nil in timer threads).
+// Packet returns the packet being processed (nil in timer threads). The
+// record belongs to the context and is reused by the next thread: read it
+// inside Process, do not retain it.
 func (c *Ctx) Packet() *Packet { return c.pkt }
 
 // Head returns the mutable packet head in the thread's local memory.

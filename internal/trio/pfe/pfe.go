@@ -12,6 +12,7 @@ package pfe
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/trioml/triogo/internal/faults"
 	"github.com/trioml/triogo/internal/obs"
@@ -49,22 +50,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// Packet is one frame inside the PFE.
+// Packet is one frame inside the PFE. A thread's Packet lives inside its Ctx
+// and recycles with it: Ctx.Packet() is valid only until Process returns.
 type Packet struct {
 	Frame   []byte
 	Port    int    // ingress port
 	Flow    uint64 // flow key for the Reorder Engine
 	Arrival sim.Time
 
-	seq uint64 // per-flow sequence assigned by dispatch
-}
-
-// HeadLen reports how many bytes of the frame form the head.
-func (p *Packet) headLen(headBytes int) int {
-	if len(p.Frame) < headBytes {
-		return len(p.Frame)
-	}
-	return headBytes
+	seq uint64     // per-flow sequence assigned by dispatch
+	fs  *flowState // the flow's Reorder Engine state, resolved at dispatch
 }
 
 // Verdict is a thread's disposition of its packet (mirrors microcode).
@@ -122,9 +117,18 @@ type PFE struct {
 	pool  threadPool
 	queue []work // FIFO ring: live entries are queue[qhead:]
 	qhead int
-	flows map[uint64]*flowState
 	ports []portState
 	stats Stats
+
+	// Reorder Engine state. A cabled port's flow is its port number, so
+	// flows below NumPorts index portFlows; any other 64-bit flow key falls
+	// back to the map, whose entries live only while the flow has packets in
+	// flight (drained states wait on flowFree). Both are made on first use:
+	// a tree builds thousands of PFEs, and set-up should not pay for state
+	// the first packet can bring.
+	portFlows []flowState
+	flows     map[uint64]*flowState
+	flowFree  *flowState
 
 	ctxFree *Ctx    // recycled thread contexts
 	outFree *outEvt // recycled egress delivery events
@@ -140,10 +144,12 @@ type portState struct {
 	busy   sim.Time // cumulative serialization time
 }
 
-// work is one unit for the thread pool: a packet or a timer firing.
+// work is one unit for the thread pool: a packet or a timer firing. The
+// packet rides by value until a thread context takes it (Ctx.load), so it is
+// never a heap object of its own.
 type work struct {
-	pkt   *Packet      // nil for timer work
-	timer *timerThread // set when pkt is nil
+	pkt   Packet       // unused for timer work
+	timer *timerThread // nil for packet work
 }
 
 // threadPool tracks PPE thread availability as a count plus completion
@@ -183,7 +189,6 @@ func New(eng *sim.Engine, cfg Config) *PFE {
 		Engine: eng,
 		Mem:    smem.New(cfg.Mem),
 		Hash:   hasheng.NewTable(cfg.Hash),
-		flows:  make(map[uint64]*flowState),
 		ports:  make([]portState, cfg.NumPorts),
 	}
 	p.pool.cap = cfg.NumPPEs * cfg.ThreadsPerPPE
@@ -243,8 +248,7 @@ func (p *PFE) Inject(port int, flow uint64, frame []byte) {
 	if port < 0 || port >= p.Cfg.NumPorts {
 		panic(fmt.Sprintf("pfe%d: inject on invalid port %d", p.Cfg.ID, port))
 	}
-	pkt := &Packet{Frame: frame, Port: port, Flow: flow, Arrival: p.Engine.Now()}
-	p.enqueue(work{pkt: pkt})
+	p.enqueue(work{pkt: Packet{Frame: frame, Port: port, Flow: flow, Arrival: p.Engine.Now()}})
 }
 
 // enqueue adds work and dispatches if a thread is free.
@@ -275,7 +279,7 @@ func (p *PFE) tryDispatch() {
 		if busy := p.pool.cap - p.pool.free; busy > p.stats.PeakBusy {
 			p.stats.PeakBusy = busy
 		}
-		p.runWork(w)
+		p.runWork(&w)
 	}
 }
 
@@ -295,32 +299,37 @@ func (p *PFE) getCtx() *Ctx {
 	return c
 }
 
-// load hands pkt to the context as Dispatch does: the head is copied into
-// thread-local memory; the tail stays in the Packet Buffer (§2.1).
+// load hands pkt to the context as Dispatch does: the context keeps its own
+// copy of the packet record, the head is copied into thread-local memory
+// (the context's inline array at the default head size, pool-owned spill
+// storage beyond it), and the tail stays in the Packet Buffer (§2.1).
 func (c *Ctx) load(pkt *Packet) {
-	hl := pkt.headLen(c.pfe.Cfg.HeadBytes)
-	c.pkt = pkt
-	c.headBuf = append(c.headBuf[:0], pkt.Frame[:hl]...)
-	c.head = c.headBuf
+	c.pktBuf = *pkt
+	c.pkt = &c.pktBuf
+	hl := min(len(pkt.Frame), c.pfe.Cfg.HeadBytes)
+	if hl <= len(c.headArr) {
+		c.head = c.headArr[:hl]
+		copy(c.head, pkt.Frame)
+	} else {
+		c.headSpill = append(c.headSpill[:0], pkt.Frame[:hl]...)
+		c.head = c.headSpill
+	}
 	c.tail = pkt.Frame[hl:]
 }
 
-// putCtx recycles a finished thread context, keeping the capacity of its
-// pool-owned head buffer and emit slice. A head installed via SetHead is
-// caller-owned and is dropped, not recycled.
+// putCtx recycles a finished thread context: the per-thread state is zeroed
+// whole, the head storage and the emit slice's capacity stay. A head
+// installed via SetHead is caller-owned and is dropped, not recycled.
 func (p *PFE) putCtx(c *Ctx) {
-	headBuf := c.headBuf[:0]
-	for i := range c.emits {
-		c.emits[i] = emit{}
-	}
-	emits := c.emits[:0]
-	*c = Ctx{headBuf: headBuf, emits: emits}
+	clear(c.emits)
+	c.emits = c.emits[:0]
+	c.threadState = threadState{}
 	c.poolNext = p.ctxFree
 	p.ctxFree = c
 }
 
 // runWork executes one work item on a PPE thread starting now.
-func (p *PFE) runWork(w work) {
+func (p *PFE) runWork(w *work) {
 	ctx := p.getCtx()
 	// The trace thread id is the busy-slot index (1..cap): stacked tracks in
 	// the viewer read directly as instantaneous pool occupancy.
@@ -331,17 +340,16 @@ func (p *PFE) runWork(w work) {
 		ctx.now += p.faults.Stall()
 	}
 	start := ctx.now
-	if w.pkt != nil {
+	if w.timer == nil {
 		p.stats.Dispatched++
-		pkt := w.pkt
 		if p.trace != nil {
 			p.trace.Complete("dispatch", "queue", int64(p.Cfg.ID), 0,
-				int64(pkt.Arrival), int64(start-pkt.Arrival))
+				int64(w.pkt.Arrival), int64(start-w.pkt.Arrival))
 		}
-		ctx.load(pkt)
 		// Register with the Reorder Engine before processing so that
 		// completion order cannot jump arrival order within a flow.
-		pkt.seq = p.reorderArrive(pkt.Flow)
+		p.reorderArrive(&w.pkt)
+		ctx.load(&w.pkt)
 		if p.app == nil {
 			ctx.Drop()
 		} else {
@@ -354,7 +362,7 @@ func (p *PFE) runWork(w work) {
 	p.stats.Instructions += ctx.stats.Instructions
 	if p.trace != nil {
 		name := "packet"
-		if w.pkt == nil {
+		if w.timer != nil {
 			name = "timer"
 		}
 		p.trace.Complete("ppe", name, int64(p.Cfg.ID), ctx.tslot,
@@ -386,13 +394,13 @@ func (p *PFE) complete(ctx *Ctx) {
 	case VerdictForward:
 		frame := ctx.rebuildFrame()
 		p.stats.Forwarded++
-		p.reorderComplete(pkt.Flow, pkt.seq, frame, ctx.egressPort)
+		p.reorderComplete(pkt, frame, ctx.egressPort)
 	case VerdictConsume:
 		p.stats.Consumed++
-		p.reorderComplete(pkt.Flow, pkt.seq, nil, 0)
+		p.reorderComplete(pkt, nil, 0)
 	default:
 		p.stats.Dropped++
-		p.reorderComplete(pkt.Flow, pkt.seq, nil, 0)
+		p.reorderComplete(pkt, nil, 0)
 	}
 }
 
@@ -462,45 +470,98 @@ func deliverOut(arg any) {
 
 // ---- Reorder Engine (§2.1) ----
 
+// flowState sequences one flow: packets take consecutive numbers at dispatch
+// and leave in that order. A packet that completes in order with nothing
+// parked — the common case — touches two counters and nothing else.
 type flowState struct {
 	nextSeq     uint64 // next sequence number to assign at dispatch
 	nextRelease uint64 // next sequence number eligible to leave
-	done        map[uint64]releasedPkt
+
+	// ring parks completions that overtook nextRelease: sequence s waits in
+	// ring[s&(len(ring)-1)]. Its length is a power of two above the widest
+	// gap s-nextRelease seen, so live entries never collide.
+	ring   []parkedPkt
+	parked int
+
+	free *flowState // PFE.flowFree link while a map-fallback state is idle
 }
 
-type releasedPkt struct {
+type parkedPkt struct {
 	frame []byte // nil for dropped/consumed packets (they release order only)
-	port  int
+	port  int32
+	done  bool
 }
 
-func (p *PFE) reorderArrive(flow uint64) uint64 {
-	fs := p.flows[flow]
-	if fs == nil {
-		fs = &flowState{done: make(map[uint64]releasedPkt)}
-		p.flows[flow] = fs
+// reorderArrive resolves pkt's flow state and assigns its sequence number.
+func (p *PFE) reorderArrive(pkt *Packet) {
+	var fs *flowState
+	if pkt.Flow < uint64(p.Cfg.NumPorts) {
+		if p.portFlows == nil {
+			p.portFlows = make([]flowState, p.Cfg.NumPorts)
+		}
+		fs = &p.portFlows[pkt.Flow]
+	} else if fs = p.flows[pkt.Flow]; fs == nil {
+		if fs = p.flowFree; fs != nil {
+			p.flowFree, fs.free = fs.free, nil
+		} else {
+			fs = &flowState{}
+		}
+		if p.flows == nil {
+			p.flows = make(map[uint64]*flowState)
+		}
+		p.flows[pkt.Flow] = fs
 	}
-	seq := fs.nextSeq
+	pkt.fs, pkt.seq = fs, fs.nextSeq
 	fs.nextSeq++
-	return seq
 }
 
 // reorderComplete records a finished packet and releases the contiguous
 // prefix of its flow. "The Reorder Engine holds the updated packet head
 // until all earlier arriving packets in the same flow have been processed."
-func (p *PFE) reorderComplete(flow, seq uint64, frame []byte, port int) {
-	fs := p.flows[flow]
-	fs.done[seq] = releasedPkt{frame: frame, port: port}
-	for {
-		r, ok := fs.done[fs.nextRelease]
-		if !ok {
-			return
+func (p *PFE) reorderComplete(pkt *Packet, frame []byte, port int) {
+	fs := pkt.fs
+	if pkt.seq != fs.nextRelease {
+		fs.park(pkt.seq, frame, port)
+		return
+	}
+	fs.nextRelease++
+	if frame != nil {
+		p.egress(port, frame, p.Engine.Now())
+	}
+	for fs.parked > 0 {
+		slot := &fs.ring[fs.nextRelease&uint64(len(fs.ring)-1)]
+		if !slot.done {
+			break
 		}
-		delete(fs.done, fs.nextRelease)
+		r := *slot
+		*slot = parkedPkt{}
+		fs.parked--
 		fs.nextRelease++
 		if r.frame != nil {
-			p.egress(r.port, r.frame, p.Engine.Now())
+			p.egress(int(r.port), r.frame, p.Engine.Now())
 		}
 	}
+	if fs.nextRelease == fs.nextSeq && pkt.Flow >= uint64(p.Cfg.NumPorts) {
+		// Nothing of this flow is in flight: an arbitrary flow key must not
+		// hold state while idle. Numbering restarts when it next arrives.
+		delete(p.flows, pkt.Flow)
+		fs.nextSeq, fs.nextRelease = 0, 0
+		p.flowFree, fs.free = fs, p.flowFree
+	}
+}
+
+// park holds a completion that overtook an earlier packet of its flow.
+func (fs *flowState) park(seq uint64, frame []byte, port int) {
+	if gap := seq - fs.nextRelease; gap >= uint64(len(fs.ring)) {
+		ring := make([]parkedPkt, max(4, 1<<bits.Len64(gap)))
+		for i := range fs.ring { // re-seat what is parked under the new mask
+			s := fs.nextRelease + uint64(i)
+			ring[s&uint64(len(ring)-1)] = fs.ring[s&uint64(len(fs.ring)-1)]
+		}
+		fs.ring = ring
+	}
+	fs.ring[seq&uint64(len(fs.ring)-1)] = parkedPkt{frame: frame, port: int32(port), done: true}
+	fs.parked++
 }
 
 // ---- Timer threads (§5) ----

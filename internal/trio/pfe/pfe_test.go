@@ -153,6 +153,37 @@ func TestHeadRewriteSurvivesForwarding(t *testing.T) {
 	}
 }
 
+// A PFE configured with heads larger than a context's inline array serves
+// them from the context's spill storage, recycled with it: the app sees the
+// whole head and the frame leaves intact, packet after packet.
+func TestLargeHeadSpillsOutOfContext(t *testing.T) {
+	eng := sim.NewEngine()
+	p := New(eng, Config{HeadBytes: inlineHeadBytes + 64})
+	var got []delivered
+	p.SetOutput(collector(&got))
+	p.SetApp(AppFunc(func(ctx *Ctx) {
+		if len(ctx.Head()) != inlineHeadBytes+64 || ctx.TailLen() != 500-len(ctx.Head()) {
+			t.Fatalf("head %d bytes, tail %d", len(ctx.Head()), ctx.TailLen())
+		}
+		ctx.Head()[len(ctx.Head())-1]++ // a rewrite past the inline size must reach the wire
+		ctx.Forward(0)
+	}))
+	for tag := byte(1); tag <= 3; tag++ {
+		p.Inject(0, 0, frameOfSize(500, tag))
+		eng.Run() // one at a time, so all three threads reuse one context
+	}
+	for i, d := range got {
+		want := frameOfSize(500, byte(i+1))
+		want[inlineHeadBytes+63]++
+		if !bytes.Equal(d.frame, want) {
+			t.Fatalf("frame %d corrupted", i)
+		}
+	}
+	if len(got) != 3 {
+		t.Fatalf("delivered %d frames", len(got))
+	}
+}
+
 func TestReorderEngineRestoresFlowOrder(t *testing.T) {
 	// Packet A (slow processing) arrives before packet B (fast) on the same
 	// flow; B must not egress before A.
