@@ -67,7 +67,8 @@ verify-vfp:
 	$(GO) test -race ./internal/vfp/...
 
 # verify-sim races the partitioned simulation core (cluster barrier hammer
-# included), the event queue's twin run against the index-heap oracle (fired
+# included), the event queue's twin runs against the index-heap oracle (the
+# mixed script and the tie script that reaches every run path; fired
 # sequences and the whole Metrics struct equal, five times over), and the
 # cross-partition determinism tests: the tree sweep and treechaos at P in
 # {1,2,5} must render byte-identically.
@@ -128,13 +129,15 @@ verify-microcode:
 # (BuildTrioML/BuildUDP/netrpc frames): DecodeInto never panics, an accepted
 # Trio-ML frame re-marshals to its own bytes, the in-place UDP verification
 # agrees with copy-zero-recompute, the word-folding Checksum equals the
-# byte-pair loop on any bytes at any alignment, and the NetRPC header and the
-# retry-after NACK body survive decode -> encode -> decode.
+# byte-pair loop on any bytes at any alignment, the NetRPC header and the
+# retry-after NACK body survive decode -> encode -> decode, and the bitfield
+# word window reads and writes what the bit loops do at any offset and width.
 verify-packet:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run FuzzDecode ./internal/packet/
 	$(GO) test -fuzz=FuzzChecksum -fuzztime=10s -run FuzzChecksum ./internal/packet/
 	$(GO) test -fuzz=FuzzNetRPCHeader -fuzztime=10s -run FuzzNetRPCHeader ./internal/packet/
 	$(GO) test -fuzz=FuzzRetryAfter -fuzztime=10s -run FuzzRetryAfter ./internal/packet/
+	$(GO) test -fuzz=FuzzLayout -fuzztime=10s -run FuzzLayout ./internal/bitfield/
 
 # verify-apps races both in-network application packages (netrpc's concurrent
 # cache-service paths, infnet's classifier) and the harness's apps pins: the

@@ -12,7 +12,10 @@
 // header conventions: bit offset 0 is the most significant bit of b[0].
 package bitfield
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // MaxWidth is the widest field Get/Put support.
 const MaxWidth = 64
@@ -22,54 +25,62 @@ const MaxWidth = 64
 // field geometry is static in every caller, so a failure is a programming
 // error rather than an input error.
 func Get(b []byte, off, width uint) uint64 {
-	check(len(b), off, width)
-	if off%8 == 0 && width%8 == 0 {
-		// Byte-aligned fast path: most record and header fields land here.
-		var v uint64
-		for idx, end := off/8, (off+width)/8; idx < end; idx++ {
-			v = v<<8 | uint64(b[idx])
-		}
-		return v
+	if s, ok := window(b, off, width); ok {
+		return binary.BigEndian.Uint64(b[s:]) << (off - 8*s) >> (64 - width)
 	}
-	var v uint64
-	for i := uint(0); i < width; {
-		byteIdx := (off + i) / 8
-		bitIdx := (off + i) % 8
-		take := 8 - bitIdx // bits available in this byte
-		if take > width-i {
-			take = width - i
-		}
-		chunk := uint64(b[byteIdx]>>(8-bitIdx-take)) & ((1 << take) - 1)
-		v = v<<take | chunk
-		i += take
-	}
-	return v
+	return getSlow(b, off, width)
 }
 
 // Put stores the low width bits of v starting at absolute bit offset off.
-// Bits of v above width are ignored.
+// Bits of v above width are ignored. Put rewrites the whole 8-byte window
+// around the field with the bits it read, so it must not race with a write
+// to neighbouring bytes of b.
 func Put(b []byte, off, width uint, v uint64) {
-	check(len(b), off, width)
-	if off%8 == 0 && width%8 == 0 {
-		for idx := (off + width) / 8; idx > off/8; idx-- {
-			b[idx-1] = byte(v)
-			v >>= 8
-		}
+	if s, ok := window(b, off, width); ok {
+		sh := 64 - (off - 8*s) - width
+		m := (uint64(1)<<width - 1) << sh
+		binary.BigEndian.PutUint64(b[s:], binary.BigEndian.Uint64(b[s:])&^m|v<<sh&m)
 		return
 	}
-	for i := width; i > 0; {
-		byteIdx := (off + i - 1) / 8
-		bitIdx := (off + i - 1) % 8
-		take := bitIdx + 1 // bits writable at the tail of this byte
-		if take > i {
-			take = i
-		}
-		shift := 8 - bitIdx - 1 // LSB position of the chunk within the byte
-		mask := byte((1<<take)-1) << shift
-		b[byteIdx] = b[byteIdx]&^mask | byte(v&((1<<take)-1))<<shift
-		v >>= take
-		i -= take
+	putSlow(b, off, width, v)
+}
+
+// window returns the byte index of the 8-byte big-endian window that holds
+// an in-bounds field in a slice of at least 8 bytes: the field's first byte,
+// moved back when fewer than 8 bytes follow it. ok is false when no window
+// holds the field, which Get and Put then hand to their slow paths. Every
+// field of up to 57 bits fits (one starting at bit 7 of a byte spans 8 bytes
+// at 57 bits), and so does a byte-aligned one of up to 64. window is small
+// enough to inline into Get and Put.
+func window(b []byte, off, width uint) (s uint, ok bool) {
+	n := uint(len(b))
+	s = min(off/8, n-8)
+	return s, n >= 8 && width-1 < MaxWidth && off+width <= 8*n && off-8*s+width <= 64
+}
+
+// getSlow panics on a bad field, and otherwise reads a field no window holds
+// as two halves of at most 32 bits, or pads a slice shorter than one window.
+func getSlow(b []byte, off, width uint) uint64 {
+	check(len(b), off, width)
+	if len(b) >= 8 {
+		return Get(b, off, width-32)<<32 | Get(b, off+width-32, 32)
 	}
+	var buf [8]byte
+	copy(buf[:], b)
+	return Get(buf[:], off, width)
+}
+
+func putSlow(b []byte, off, width uint, v uint64) {
+	check(len(b), off, width)
+	if len(b) >= 8 {
+		Put(b, off, width-32, v>>32)
+		Put(b, off+width-32, 32, v)
+		return
+	}
+	var buf [8]byte
+	copy(buf[:], b)
+	Put(buf[:], off, width, v)
+	copy(b, buf[:])
 }
 
 func check(n int, off, width uint) {

@@ -137,3 +137,27 @@ func BenchmarkEngineDeepHeap(b *testing.B) {
 		e.Step()
 	}
 }
+
+// BenchmarkEngineTiedBatches is schedule+fire in tree-100k's shape: 10^5
+// events pending over ≈5 k distinct timestamps, ≈20 tied on each. Delays are
+// whole nanoseconds up to 5 µs, so new events land on timestamps already
+// queued, straight into runs or through the wheel's next bucket; each op
+// pushes one event and pops the earliest.
+func BenchmarkEngineTiedBatches(b *testing.B) {
+	e := NewEngine()
+	p := &benchPayload{}
+	rng := NewRNG(1, 0x71ed)
+	delays := make([]Time, 1<<16)
+	for i := range delays {
+		delays[i] = Time(1 + rng.IntN(5000))
+	}
+	for i := 0; i < 100_000; i++ {
+		e.AfterFunc(delays[i%len(delays)], benchFire, p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.AfterFunc(delays[i%len(delays)], benchFire, p)
+		e.Step()
+	}
+}

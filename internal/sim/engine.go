@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/trioml/triogo/internal/obs"
 )
@@ -57,7 +58,7 @@ type event struct {
 	fn     EventFunc
 	arg    any
 	period Time
-	next   int32 // intrusive link: wheel-slot chain or free list
+	next   int32 // intrusive link: wheel-slot chain, run or free list
 	gen    uint32
 	state  uint8
 }
@@ -66,14 +67,22 @@ type event struct {
 // is pointer-shaped, so carrying it in arg allocates nothing.
 func callFunc(arg any) { arg.(func())() }
 
-// heapEntry is one queued event as the heap sees it: the (at, seq) key by
-// value beside the slab index, so a sift compares contiguous heap memory —
-// the four children of a node span 96 bytes — and never dereferences the
+// run is a FIFO of queued events sharing one timestamp, chained head to tail
+// through event.next in ascending seq order. A free run record threads the
+// run free list through head.
+type run struct {
+	at         Time
+	head, tail int32
+}
+
+// heapEntry is one run as the heap sees it: its head's (at, seq) key by value
+// beside the run index, so a sift compares contiguous heap memory — the four
+// children of a node span 96 bytes — and never dereferences a run or the
 // slab.
 type heapEntry struct {
 	at  Time
 	seq uint64
-	idx int32
+	run int32
 }
 
 func (a heapEntry) less(b heapEntry) bool {
@@ -83,8 +92,9 @@ func (a heapEntry) less(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// The slab grows one fixed-size chunk at a time, so growth never copies live
-// events and an *event stays valid while callbacks schedule more.
+// The slab and the run table grow one fixed-size chunk at a time, so growth
+// never copies live records and an *event stays valid while callbacks
+// schedule more.
 const (
 	chunkBits = 8
 	chunkSize = 1 << chunkBits
@@ -117,9 +127,9 @@ type Metrics struct {
 	Rearmed      uint64 // periodic re-arms (no allocation)
 	Cancelled    uint64 // Handle.Stop hits
 	WheelInserts uint64 // enqueues absorbed by the timer wheel
-	HeapInserts  uint64 // enqueues (or wheel drains) paid to the heap
+	HeapInserts  uint64 // events enqueued (or drained from the wheel) into heap runs
 	PeakPending  int    // high-water live event count
-	PeakHeap     int    // high-water heap depth
+	PeakHeap     int    // high-water count of queued events outside the wheel
 	SlabPeak     int    // high-water allocated event slots (slab size)
 	Pending      int    // live events at snapshot time
 }
@@ -141,10 +151,23 @@ type Engine struct {
 	slots    int // event slots handed out so far; the next fresh index
 	freeHead int32
 
-	// heap is a 4-ary min-heap ordered by (at, seq). The wheel drains due
-	// buckets into it, so it is the single pop source and global FIFO order
-	// among equal timestamps is preserved.
-	heap []heapEntry
+	// heap is a 4-ary min-heap of runs ordered by their heads' (at, seq).
+	// The wheel drains due buckets into it, so it is the single pop source;
+	// runs sharing a timestamp merge by head key, so global FIFO order among
+	// equal timestamps is preserved whichever run an event joined.
+	heap   []heapEntry
+	queued int // events held in runs, tombstones included
+
+	runs    []*[chunkSize]run
+	nruns   int // run records handed out so far
+	runFree int32
+
+	// index maps a timestamp to an open run (-1: none), direct-mapped by
+	// a multiplicative hash; a miss only costs a new run. It is allocated
+	// on the first run and doubles whenever live runs exceed half its
+	// slots.
+	index      []int32
+	indexShift uint
 
 	wheel      [wheelSlots]int32
 	cursor     int64 // absolute bucket index of the next undrained slot
@@ -168,7 +191,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	e := &Engine{freeHead: -1}
+	e := &Engine{freeHead: -1, runFree: -1}
 	for i := range e.wheel {
 		e.wheel[i] = -1
 	}
@@ -392,8 +415,7 @@ func (e *Engine) enqueue(idx int32, ev *event) {
 		e.m.WheelInserts++
 		return
 	}
-	e.heapPush(heapEntry{at: ev.at, seq: ev.seq, idx: idx})
-	e.m.HeapInserts++
+	e.push(idx, ev)
 }
 
 // settle establishes the invariant that the heap top (if any) is the global
@@ -412,14 +434,18 @@ func (e *Engine) settle() {
 		e.cursor = b // remember the scan; buckets behind b are empty
 		return
 	}
-	idx := e.wheel[b&wheelMask]
+	// The bucket chain is newest first: reverse it so the drain appends
+	// to runs in seq order.
+	idx, prev := e.wheel[b&wheelMask], int32(-1)
 	e.wheel[b&wheelMask] = -1
 	for idx >= 0 {
 		ev := e.ev(idx)
+		idx, ev.next, prev = ev.next, prev, idx
+	}
+	for idx = prev; idx >= 0; {
+		ev := e.ev(idx)
 		nx := ev.next
-		ev.next = -1
-		e.heapPush(heapEntry{at: ev.at, seq: ev.seq, idx: idx})
-		e.m.HeapInserts++
+		e.push(idx, ev)
 		e.wheelCount--
 		idx = nx
 	}
@@ -437,7 +463,7 @@ func (e *Engine) popLive() int32 {
 			}
 			continue // wheel had only a due bucket to drain; settle again
 		}
-		idx := e.heapPop()
+		idx := e.popHead()
 		if ev := e.ev(idx); ev.state == evCancelled {
 			e.freeSlot(idx, ev)
 			continue
@@ -457,23 +483,129 @@ func (e *Engine) peek() (Time, bool) {
 			continue
 		}
 		top := e.heap[0]
-		if ev := e.ev(top.idx); ev.state == evCancelled {
-			e.heapPop()
-			e.freeSlot(top.idx, ev)
+		if idx := e.run(top.run).head; e.ev(idx).state == evCancelled {
+			e.popHead()
+			e.freeSlot(idx, e.ev(idx))
 			continue
 		}
 		return top.at, true
 	}
 }
 
-// ---- 4-ary heap of (at, seq, idx) entries ordered by (at, seq) ----
+// ---- runs, their index, and the 4-ary heap of runs ----
+
+// run returns the record of a run index handed out by allocRun.
+func (e *Engine) run(r int32) *run {
+	return &e.runs[r>>chunkBits][r&chunkMask]
+}
+
+func (e *Engine) allocRun() int32 {
+	if r := e.runFree; r >= 0 {
+		e.runFree = e.run(r).head
+		return r
+	}
+	r := int32(e.nruns)
+	if e.nruns == len(e.runs)*chunkSize {
+		e.runs = append(e.runs, new([chunkSize]run))
+	}
+	e.nruns++
+	return r
+}
+
+// freeRun returns an emptied run to the free list, first dropping it from
+// the index if its slot still names it.
+func (e *Engine) freeRun(r int32, rr *run) {
+	if s := e.slot(rr.at); e.index[s] == r {
+		e.index[s] = -1
+	}
+	rr.head = e.runFree
+	e.runFree = r
+}
+
+// slot is a timestamp's index slot: the top bits of its runHash.
+func (e *Engine) slot(at Time) uint64 { return runHash(at) >> e.indexShift }
+
+// runHash is Fibonacci hashing: at times 2^64/phi, whose top bits spread
+// evenly spaced timestamps across the index.
+func runHash(at Time) uint64 { return uint64(at) * 0x9e3779b97f4a7c15 }
+
+// runIndexMin is the index's first size, in slots.
+const runIndexMin = 256
+
+// growIndex doubles the index (or makes the first one) and refills it from
+// the heap's runs. The heap holds at most half as many runs as the index has
+// slots, so it is resized here too and push never reallocates it.
+func (e *Engine) growIndex() {
+	n := max(2*len(e.index), runIndexMin)
+	e.heap = append(make([]heapEntry, 0, n/2), e.heap...)
+	e.index = make([]int32, n)
+	for i := range e.index {
+		e.index[i] = -1
+	}
+	e.indexShift = uint(64 - bits.TrailingZeros(uint(n)))
+	for _, h := range e.heap {
+		e.index[e.slot(h.at)] = h.run
+	}
+}
+
+// push queues an event outside the wheel. It joins the tail of the indexed
+// run for its timestamp when it orders after that run's tail — always, for
+// an event scheduled now, whose seq is the newest — and otherwise opens a
+// run of its own.
+func (e *Engine) push(idx int32, ev *event) {
+	ev.next = -1
+	e.m.HeapInserts++
+	if e.queued++; e.queued > e.m.PeakHeap {
+		e.m.PeakHeap = e.queued
+	}
+	if len(e.index) > 0 {
+		if r := e.index[e.slot(ev.at)]; r >= 0 {
+			if rr := e.run(r); rr.at == ev.at {
+				if tail := e.ev(rr.tail); tail.seq < ev.seq {
+					tail.next = idx
+					rr.tail = idx
+					return
+				}
+			}
+		}
+	}
+	if len(e.heap) >= len(e.index)/2 {
+		e.growIndex()
+	}
+	r := e.allocRun()
+	rr := e.run(r)
+	rr.at, rr.head, rr.tail = ev.at, idx, idx
+	e.index[e.slot(ev.at)] = r
+	e.heapPush(heapEntry{at: ev.at, seq: ev.seq, run: r})
+}
+
+// popHead dequeues the head event of the top run and returns its slab index.
+// A run left non-empty is re-keyed by its new head and sifts only if another
+// run's head now precedes it; an emptied run leaves the heap.
+func (e *Engine) popHead() int32 {
+	top := &e.heap[0]
+	rr := e.run(top.run)
+	idx := rr.head
+	e.queued--
+	if nx := e.ev(idx).next; nx >= 0 {
+		rr.head = nx
+		top.seq = e.ev(nx).seq
+		e.siftDown(0, *top)
+		return idx
+	}
+	e.freeRun(top.run, rr)
+	n := len(e.heap) - 1
+	x := e.heap[n]
+	e.heap = e.heap[:n]
+	if n > 0 {
+		e.siftDown(0, x)
+	}
+	return idx
+}
 
 func (e *Engine) heapPush(x heapEntry) {
 	e.heap = append(e.heap, x)
 	h := e.heap
-	if len(h) > e.m.PeakHeap {
-		e.m.PeakHeap = len(h)
-	}
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -486,17 +618,11 @@ func (e *Engine) heapPush(x heapEntry) {
 	h[i] = x
 }
 
-// heapPop removes the minimum entry and returns its slab index. The last
-// entry sifts down from the root through a hole: each level moves the
-// smallest child up and only the final position is written with it.
-func (e *Engine) heapPop() int32 {
+// siftDown places x into the hole at i: each level moves the smallest child
+// up and only the final position is written with x.
+func (e *Engine) siftDown(i int, x heapEntry) {
 	h := e.heap
-	top := h[0].idx
-	n := len(h) - 1
-	x := h[n]
-	h = h[:n]
-	e.heap = h
-	i := 0
+	n := len(h)
 	for {
 		c := i<<2 + 1
 		if c >= n {
@@ -514,8 +640,5 @@ func (e *Engine) heapPop() int32 {
 		h[i] = h[m]
 		i = m
 	}
-	if n > 0 {
-		h[i] = x
-	}
-	return top
+	h[i] = x
 }

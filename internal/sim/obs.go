@@ -39,7 +39,7 @@ func (e *Engine) RegisterObs(r *obs.Registry) {
 	}, func() uint64 { return e.m.WheelInserts })
 	r.CounterFunc(obs.Desc{
 		Name: "triogo_sim_heap_inserts_total", Unit: "events",
-		Help: "Enqueues or wheel drains paid to the 4-ary heap.",
+		Help: "Events enqueued or drained from the wheel into heap runs.",
 	}, func() uint64 { return e.m.HeapInserts })
 	r.GaugeFunc(obs.Desc{
 		Name: "triogo_sim_pending_events", Unit: "events",
@@ -51,7 +51,7 @@ func (e *Engine) RegisterObs(r *obs.Registry) {
 	}, func() float64 { return float64(e.m.PeakPending) })
 	r.GaugeFunc(obs.Desc{
 		Name: "triogo_sim_heap_depth_peak", Unit: "events",
-		Help: "High-water heap depth (wheel-overflow pressure).",
+		Help: "High-water count of queued events outside the wheel (wheel-overflow pressure).",
 	}, func() float64 { return float64(e.m.PeakHeap) })
 	r.GaugeFunc(obs.Desc{
 		Name: "triogo_sim_slab_slots_peak", Unit: "slots",

@@ -5,9 +5,9 @@ import "fmt"
 // refEngine is the scheduler as it stood before the heap carried its keys: a
 // 4-ary heap of int32 slab indices whose every comparison dereferences two
 // slab events, over an append-grown slab with separate fn/afn callback
-// fields. Its queue logic is kept line for line (obs, cluster and RunUntil
-// dropped) as the oracle TestEngineTwin drives beside Engine: fired (at, seq)
-// sequences and the full Metrics struct must agree.
+// fields. Its queue logic is kept line for line (obs and cluster dropped) as
+// the oracle TestEngineTwin drives beside Engine: fired (at, seq) sequences
+// and the full Metrics struct must agree.
 type refEngine struct {
 	now      Time
 	seq      uint64
@@ -134,6 +134,19 @@ func (e *refEngine) Step() bool {
 	return true
 }
 
+func (e *refEngine) RunUntil(deadline Time) {
+	for {
+		t, ok := e.peek()
+		if !ok || t > deadline {
+			break
+		}
+		e.Step()
+	}
+	if e.now < deadline {
+		e.now = deadline
+	}
+}
+
 func (e *refEngine) allocSlot() int32 {
 	if e.freeHead >= 0 {
 		idx := e.freeHead
@@ -228,6 +241,25 @@ func (e *refEngine) popLive() int32 {
 			continue
 		}
 		return idx
+	}
+}
+
+func (e *refEngine) peek() (Time, bool) {
+	for {
+		e.settle()
+		if len(e.heap) == 0 {
+			if e.wheelCount == 0 {
+				return 0, false
+			}
+			continue
+		}
+		top := e.heap[0]
+		if e.slab[top].state == evCancelled {
+			e.heapPop()
+			e.freeSlot(top)
+			continue
+		}
+		return e.slab[top].at, true
 	}
 }
 

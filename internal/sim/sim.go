@@ -7,8 +7,9 @@
 // the repository fully reproducible for a given seed.
 //
 // The scheduler (see engine.go) stores events by value in a chunked slab with
-// a free list, fronts its 4-ary heap of (time, seq, slot) entries with a timer
-// wheel for near-horizon events, and offers an argument-passing schedule form (AtFunc/AfterFunc/EveryFunc) so
+// a free list, queues them in runs of equal-timestamp events ordered by a
+// 4-ary heap, fronts that heap with a timer wheel for near-horizon events, and
+// offers an argument-passing schedule form (AtFunc/AfterFunc/EveryFunc) so
 // hot paths pay zero allocations per event in steady state. Every schedule
 // returns a cancellable Handle.
 package sim

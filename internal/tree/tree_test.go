@@ -315,7 +315,10 @@ func TestConfigValidation(t *testing.T) {
 //     the first frame crosses rather than in Build (set-up time is a tracked
 //     metric too); a one-shot tree sends each link only Blocks frames, so
 //     these are not yet amortised either;
-//   - engine slab chunks and queue growth, amortised over hundreds of events.
+//   - engine slab and run-table chunks, the run index (doubled from 256 slots
+//     as live runs grow) and the heap beside it: growth amortised over
+//     hundreds of events, with the run free list threaded through the run
+//     records so it never allocates.
 //
 // A partitioned tree adds one detached frame copy per partition crossing.
 // Per-packet records that used to be here (4.08 per frame) and must not come
