@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet pairs verify verify-hostagg verify-hostagg-slo verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
+.PHONY: build test vet pairs verify verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
 
 build:
 	$(GO) build ./...
@@ -19,11 +19,11 @@ pairs:
 
 # verify is the extended gate (tier-1 is `go build ./... && go test ./...`):
 # full build + tests, whole-repo vet, then the race suites of the
-# concurrency-critical layers (hostagg's sharded hot path, vfp's host
-# datapath, obs's atomic instruments, dse's worker pool, tree's partitioned
-# hierarchy), the metric documentation check, the CLI-level golden diff, and
-# an every-example smoke run.
-verify: build test vet verify-hostagg verify-hostagg-slo verify-vfp verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
+# concurrency-critical layers (hostagg's sharded hot path, obs's atomic
+# instruments, dse's worker pool, tree's partitioned hierarchy), the metric
+# documentation check, the CLI-level golden diff, and an every-example smoke
+# run.
+verify: build test vet verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
 
 # verify-hostagg races the sharded table and its UDP shell, then hammers the
 # two determinism pins — the livechaos golden (the real block table on
@@ -63,9 +63,6 @@ goldens-check:
 	done
 	@rm -rf .smoke-bin
 
-verify-vfp:
-	$(GO) test -race ./internal/vfp/...
-
 # verify-sim races the partitioned simulation core (cluster barrier hammer
 # included), the event queue's twin runs against the index-heap oracle (the
 # mixed script and the tie script that reaches every run path; fired
@@ -86,7 +83,7 @@ verify-tree:
 	$(GO) test -race ./internal/tree/
 	$(GO) test -race -run 'TestTree|TestGoldenTreeChaos' ./internal/harness/
 
-# verify-dse races the sweep executor/store and the parallel-vs-serial
+# verify-dse races the sweep executor and the parallel-vs-serial
 # determinism tests in the harness.
 verify-dse:
 	$(GO) test -race ./internal/dse/...

@@ -1,7 +1,6 @@
 package dse
 
 import (
-	"context"
 	"runtime"
 	"testing"
 )
@@ -26,7 +25,7 @@ func benchSweep(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := &Executor{Workers: workers}
-		if _, err := ex.Run(context.Background(), space, points, 1, benchBurn); err != nil {
+		if _, err := ex.Run(points, 1, benchBurn); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,5 +1,5 @@
-// Package dse is a declarative, parallel, checkpointable design-space
-// exploration engine over the repository's deterministic simulators.
+// Package dse is a declarative, parallel design-space exploration engine
+// over the repository's deterministic simulators.
 //
 // The paper's evaluation reports single points in a large architectural
 // design space — PPE and thread counts, shared-memory tier latencies,
@@ -7,21 +7,17 @@
 // turns those knobs into a first-class object:
 //
 //   - A Space names the swept axes and their candidate values, and
-//     enumerates candidate Points either as the full cross-product grid or
-//     as a seed-keyed Latin-hypercube sample.
+//     enumerates candidate Points as the full cross-product grid.
 //   - An Executor runs one Runner call per point on a bounded worker pool.
 //     Every trial is fully isolated (its own simulator rig) and receives a
 //     seed derived purely from (sweep seed, trial index), so results are
 //     bit-identical at any parallelism level.
-//   - A Store checkpoints results to a JSONL file with crash-safe,
-//     strictly trial-ordered appends; reopening the file resumes the sweep,
-//     skipping completed trials, and the resumed store converges
-//     byte-for-byte to an uninterrupted run's.
+//   - PruneByModel screens a grid through a cheap cost model before any
+//     point is simulated.
 //   - Pareto and SensitivityTable reduce a finished sweep to the
 //     non-dominated frontier and per-axis marginal effects.
 //
 // internal/harness runs its figure sweeps through the Executor
-// (`triobench -parallel N`), cmd/triodse is the standalone sweep CLI, and
-// sweep progress exports through internal/obs (see OBSERVABILITY.md,
-// `triogo_dse_*`).
+// (`triobench -parallel N`), and sweep progress exports through
+// internal/obs (see OBSERVABILITY.md, `triogo_dse_*`).
 package dse

@@ -1,7 +1,6 @@
 package dse
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -19,25 +18,21 @@ type Trial struct {
 // build all mutable state (simulator rigs, RNG streams) inside the call and
 // derive randomness only from t.Seed, so that concurrent trials are fully
 // isolated and a trial's outcome is a pure function of (Params, Seed).
-// Metric values must be finite: NaN or Inf would poison the JSON store.
 type Runner func(t Trial) (map[string]float64, error)
 
-// Result is the durable record of one trial. Its JSON form is deterministic
-// (encoding/json sorts map keys), which is what lets stores written at
-// different parallelism levels compare byte-for-byte.
+// Result is the outcome of one trial: its index, seed and parameters, and
+// either the runner's metrics or its error text.
 type Result struct {
-	Trial   int                `json:"trial"`
-	Seed    uint64             `json:"seed"`
-	Params  map[string]float64 `json:"params"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-	Err     string             `json:"err,omitempty"`
+	Trial   int
+	Seed    uint64
+	Params  map[string]float64
+	Metrics map[string]float64
+	Err     string
 }
 
 // Executor runs a sweep's trials on a bounded worker pool.
 type Executor struct {
-	Workers  int          // pool size; values below 1 mean 1
-	Store    *Store       // optional checkpoint/result store (resume + JSONL)
-	OnResult func(Result) // optional progress callback; serialized, any completion order
+	Workers int // pool size; values below 1 mean 1
 
 	insts obsInsts
 }
@@ -51,41 +46,21 @@ func (e *Executor) workers() int {
 
 // Run executes runner over points and returns one Result per point, indexed
 // by trial. points must be a complete enumeration (points[i].Index == i),
-// as produced by Space.Grid or Space.LatinHypercube.
+// as produced by Space.Grid.
 //
-// With a Store attached, trials already in the store are skipped and their
-// recorded results returned; fresh results are appended in strict trial
-// order, so the store stays a resumable prefix at every instant. Cancelling
-// ctx stops feeding new trials, waits for in-flight ones, and returns
-// ctx.Err() with the partial results. Trial failures do not stop the sweep:
-// they are recorded in Result.Err (and the failed-trials counter) and the
-// caller decides whether they are fatal.
-func (e *Executor) Run(ctx context.Context, space *Space, points []Point, sweepSeed uint64, runner Runner) ([]Result, error) {
-	n := len(points)
+// Each worker writes only its own trials' slots, so the returned slice is the
+// same at any pool size. Trial failures do not stop the sweep: they are
+// recorded in Result.Err (and the failed-trials counter) and the caller
+// decides whether they are fatal.
+func (e *Executor) Run(points []Point, sweepSeed uint64, runner Runner) ([]Result, error) {
 	for i, pt := range points {
 		if pt.Index != i {
 			return nil, fmt.Errorf("dse: points[%d].Index = %d; Run needs a complete enumeration", i, pt.Index)
 		}
 	}
 
-	results := make([]Result, n)
-	done := make([]bool, n)
-	if e.Store != nil {
-		if err := e.Store.begin(space, sweepSeed, n); err != nil {
-			return nil, err
-		}
-		for _, r := range e.Store.Completed() {
-			results[r.Trial] = r
-			done[r.Trial] = true
-			e.insts.skipped.Inc()
-		}
-	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // serializes Store.Put, OnResult, and storeErr
-		storeErr error
-	)
+	results := make([]Result, len(points))
+	var wg sync.WaitGroup
 	work := make(chan Point)
 	workers := e.workers()
 	wg.Add(workers)
@@ -107,38 +82,14 @@ func (e *Executor) Run(ctx context.Context, space *Space, points []Point, sweepS
 					r.Metrics = metrics
 					e.insts.completed.Inc()
 				}
-				mu.Lock()
 				results[pt.Index] = r
-				if e.Store != nil && storeErr == nil {
-					storeErr = e.Store.Put(r)
-				}
-				if e.OnResult != nil {
-					e.OnResult(r)
-				}
-				mu.Unlock()
 			}
 		}()
 	}
-
-feed:
 	for _, pt := range points {
-		if done[pt.Index] {
-			continue
-		}
-		select {
-		case work <- pt:
-		case <-ctx.Done():
-			break feed
-		}
+		work <- pt
 	}
 	close(work)
 	wg.Wait()
-
-	if storeErr != nil {
-		return results, storeErr
-	}
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
 	return results, nil
 }

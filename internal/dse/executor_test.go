@@ -1,10 +1,9 @@
 package dse
 
 import (
-	"context"
 	"fmt"
-	"os"
-	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/trioml/triogo/internal/obs"
@@ -21,45 +20,33 @@ func synthRunner(t Trial) (map[string]float64, error) {
 	}, nil
 }
 
-// runToStore executes the test space's full grid into a fresh store file and
-// returns the file's bytes.
-func runToStore(t *testing.T, path string, workers int, runner Runner) []byte {
-	t.Helper()
-	st, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestParallelResultsBitIdentical is the executor's determinism contract:
+// the returned results are the same at every pool size.
+func TestParallelResultsBitIdentical(t *testing.T) {
 	s := testSpace()
-	ex := &Executor{Workers: workers, Store: st}
-	if _, err := ex.Run(context.Background(), s, s.Grid(), 7, runner); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-func TestParallelStoreBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	serial := runToStore(t, filepath.Join(dir, "w1.jsonl"), 1, synthRunner)
-	parallel := runToStore(t, filepath.Join(dir, "w8.jsonl"), 8, synthRunner)
-	if string(serial) != string(parallel) {
-		t.Fatalf("stores diverge across parallelism:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, parallel)
-	}
-	if len(serial) == 0 {
-		t.Fatal("empty store")
+	var serial []Result
+	for _, workers := range []int{1, 4, 16} {
+		results, err := (&Executor{Workers: workers}).Run(s.Grid(), 7, synthRunner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != s.Size() {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(results), s.Size())
+		}
+		if serial == nil {
+			serial = results
+			continue
+		}
+		if !reflect.DeepEqual(serial, results) {
+			t.Fatalf("results diverge across parallelism:\n--- workers=1 ---\n%+v\n--- workers=%d ---\n%+v", serial, workers, results)
+		}
 	}
 }
 
 func TestRunResultsInTrialOrder(t *testing.T) {
 	s := testSpace()
 	ex := &Executor{Workers: 4}
-	results, err := ex.Run(context.Background(), s, s.Grid(), 7, synthRunner)
+	results, err := ex.Run(s.Grid(), 7, synthRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +71,7 @@ func TestFailedTrialsRecordedNotFatal(t *testing.T) {
 	reg := obs.NewRegistry()
 	ex := &Executor{Workers: 2}
 	ex.RegisterObs(reg)
-	results, err := ex.Run(context.Background(), s, s.Grid(), 7, func(t Trial) (map[string]float64, error) {
+	results, err := ex.Run(s.Grid(), 7, func(t Trial) (map[string]float64, error) {
 		if t.Index == 3 {
 			return nil, fmt.Errorf("boom %d", t.Index)
 		}
@@ -120,62 +107,112 @@ func TestRunRejectsSparseEnumeration(t *testing.T) {
 	s := testSpace()
 	pts := s.Grid()[2:4]
 	ex := &Executor{}
-	if _, err := ex.Run(context.Background(), s, pts, 7, synthRunner); err == nil {
+	if _, err := ex.Run(pts, 7, synthRunner); err == nil {
 		t.Fatal("sparse enumeration accepted")
 	}
 }
 
-func TestContextCancelStopsFeeding(t *testing.T) {
-	s := NewSpace(Axis{Name: "a", Values: make([]float64, 64)})
-	ctx, cancel := context.WithCancel(context.Background())
-	ran := 0
-	ex := &Executor{Workers: 1}
-	results, err := ex.Run(ctx, s, s.Grid(), 7, func(t Trial) (map[string]float64, error) {
-		ran++
-		if ran == 5 {
-			cancel()
-		}
+func TestRunEmptyPoints(t *testing.T) {
+	results, err := (&Executor{Workers: 4}).Run(nil, 7, func(Trial) (map[string]float64, error) {
+		t.Error("runner called with no points")
+		return nil, nil
+	})
+	if err != nil || len(results) != 0 {
+		t.Fatalf("Run(nil) = %d results, %v", len(results), err)
+	}
+}
+
+func TestRunnerSeesTrialSeedAndParams(t *testing.T) {
+	s := testSpace()
+	pts := s.Grid()
+	seen := make([]Trial, len(pts))
+	_, err := (&Executor{Workers: 3}).Run(pts, 11, func(tr Trial) (map[string]float64, error) {
+		seen[tr.Index] = tr
 		return map[string]float64{"x": 1}, nil
 	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v", err)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ran >= 64 || ran < 5 {
-		t.Fatalf("ran %d trials", ran)
+	for i, tr := range seen {
+		if tr.Index != i || tr.Seed != TrialSeed(11, i) || !reflect.DeepEqual(tr.Params, pts[i].Params) {
+			t.Fatalf("trial %d saw %+v, want seed %#x and params %v", i, tr, TrialSeed(11, i), pts[i].Params)
+		}
 	}
-	if results[0].Metrics == nil || results[63].Metrics != nil {
-		t.Fatal("partial results wrong")
+}
+
+// maxInFlight runs a 12-point sweep at the given pool size and reports the
+// most trials that ever ran at once. The first min(workers, 12) trials wait
+// for each other, so a pool of n reaches exactly n.
+func maxInFlight(t *testing.T, workers int) int {
+	t.Helper()
+	s := NewSpace(Axis{Name: "a", Values: make([]float64, 12)})
+	reach := max(workers, 1)
+	var (
+		mu             sync.Mutex
+		inFlight, peak int
+		once           sync.Once
+	)
+	gate := make(chan struct{})
+	_, err := (&Executor{Workers: workers}).Run(s.Grid(), 1, func(Trial) (map[string]float64, error) {
+		mu.Lock()
+		inFlight++
+		peak = max(peak, inFlight)
+		n := inFlight
+		mu.Unlock()
+		if n >= reach {
+			once.Do(func() { close(gate) })
+		}
+		<-gate
+		mu.Lock()
+		inFlight--
+		mu.Unlock()
+		return map[string]float64{"x": 1}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return peak
+}
+
+func TestWorkersBoundConcurrency(t *testing.T) {
+	if got := maxInFlight(t, 3); got != 3 {
+		t.Fatalf("peak trials in flight = %d with 3 workers", got)
+	}
+}
+
+func TestWorkersBelowOneRunSerially(t *testing.T) {
+	for _, workers := range []int{0, -3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			if got := maxInFlight(t, workers); got != 1 {
+				t.Fatalf("peak trials in flight = %d", got)
+			}
+		})
 	}
 }
 
 // TestParallelHammer drives many concurrent trials through shared obs
-// instruments and a shared store under -race.
+// instruments and the shared result slice under -race.
 func TestParallelHammer(t *testing.T) {
 	s := NewSpace(
 		Axis{Name: "a", Values: []float64{1, 2, 3, 4, 5, 6, 7, 8}},
 		Axis{Name: "b", Values: []float64{1, 2, 3, 4, 5, 6, 7, 8}},
 	)
-	st, err := OpenStore(filepath.Join(t.TempDir(), "hammer.jsonl"))
+	reg := obs.NewRegistry()
+	ex := &Executor{Workers: 16}
+	ex.RegisterObs(reg)
+	results, err := ex.Run(s.Grid(), 3, synthRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	reg := obs.NewRegistry()
-	ex := &Executor{Workers: 16, Store: st}
-	ex.RegisterObs(reg)
-	results, err := ex.Run(context.Background(), s, s.Grid(), 3, synthRunner)
-	if err != nil {
-		t.Fatal(err)
+	if len(results) != s.Size() {
+		t.Fatalf("%d results for %d points", len(results), s.Size())
 	}
 	for i, r := range results {
-		if r.Err != "" || r.Trial != i {
+		if r.Err != "" || r.Trial != i || r.Seed != TrialSeed(3, i) || r.Metrics == nil {
 			t.Fatalf("trial %d: %+v", i, r)
 		}
 	}
-	if got := len(st.Completed()); got != s.Size() {
-		t.Fatalf("store holds %d trials", got)
-	}
-	if st.Pending() != 0 {
-		t.Fatalf("pending = %d after full run", st.Pending())
+	if got := ex.insts.completed.Value(); got != uint64(s.Size()) {
+		t.Fatalf("completed counter = %d", got)
 	}
 }

@@ -9,19 +9,18 @@ type obsInsts struct {
 	started   *obs.Counter
 	completed *obs.Counter
 	failed    *obs.Counter
-	skipped   *obs.Counter
 	busy      *obs.Gauge
 	wall      *obs.Histogram
 }
 
 // RegisterObs attaches sweep-progress metrics to reg (documented in
-// OBSERVABILITY.md): trials started/completed/failed/skipped, the
+// OBSERVABILITY.md): trials started/completed/failed, the
 // busy-worker gauge, and the per-trial wall-time histogram. A nil registry
 // leaves the executor un-instrumented.
 func (e *Executor) RegisterObs(reg *obs.Registry) {
 	e.insts.started = reg.Counter(obs.Desc{
 		Name: "triogo_dse_trials_started_total", Unit: "trials",
-		Help: "Trials handed to a worker (skipped resume hits excluded)",
+		Help: "Trials handed to a worker",
 	})
 	e.insts.completed = reg.Counter(obs.Desc{
 		Name: "triogo_dse_trials_completed_total", Unit: "trials",
@@ -29,11 +28,7 @@ func (e *Executor) RegisterObs(reg *obs.Registry) {
 	})
 	e.insts.failed = reg.Counter(obs.Desc{
 		Name: "triogo_dse_trials_failed_total", Unit: "trials",
-		Help: "Trials whose runner returned an error (recorded in the store, sweep continues)",
-	})
-	e.insts.skipped = reg.Counter(obs.Desc{
-		Name: "triogo_dse_trials_skipped_total", Unit: "trials",
-		Help: "Trials answered from the checkpoint store on resume",
+		Help: "Trials whose runner returned an error (recorded in Result.Err, sweep continues)",
 	})
 	e.insts.busy = reg.Gauge(obs.Desc{
 		Name: "triogo_dse_workers_busy", Unit: "workers",

@@ -1,18 +1,14 @@
 package dse
 
-import (
-	"fmt"
-
-	"github.com/trioml/triogo/internal/sim"
-)
+import "fmt"
 
 // Axis is one swept knob: a name and its candidate settings, in sweep order.
 // Values are float64 so a single Point type covers integer knobs (PPE
 // counts, gradients per packet), durations (latencies in nanoseconds), and
 // rates (loss probabilities); runners convert back at the trial boundary.
 type Axis struct {
-	Name   string    `json:"name"`
-	Values []float64 `json:"values"`
+	Name   string
+	Values []float64
 }
 
 // Space is a declarative design space: the cross product of its axes.
@@ -74,43 +70,9 @@ func (s *Space) Grid() []Point {
 	return out
 }
 
-// LatinHypercube draws n stratified samples: on an axis with k values, each
-// value is used ⌊n/k⌋ or ⌈n/k⌉ times, and the per-axis assignment orders are
-// shuffled by independent seed-keyed streams. The sample is a pure function
-// of (space, n, seed), and marginal coverage stays balanced on every axis
-// even when n is far below the grid size.
-func (s *Space) LatinHypercube(n int, seed uint64) []Point {
-	if n < 1 {
-		panic("dse: LatinHypercube needs n >= 1")
-	}
-	cols := make([][]float64, len(s.Axes))
-	for a, ax := range s.Axes {
-		col := make([]float64, n)
-		for i := range col {
-			col[i] = ax.Values[i%len(ax.Values)]
-		}
-		rng := sim.NewRNG(seed, 0xd5e0000+uint64(a))
-		for i := n - 1; i > 0; i-- {
-			j := rng.IntN(i + 1)
-			col[i], col[j] = col[j], col[i]
-		}
-		cols[a] = col
-	}
-	out := make([]Point, n)
-	for i := range out {
-		params := make(map[string]float64, len(s.Axes))
-		for a, ax := range s.Axes {
-			params[ax.Name] = cols[a][i]
-		}
-		out[i] = Point{Index: i, Params: params}
-	}
-	return out
-}
-
 // TrialSeed derives the deterministic per-trial seed from the sweep seed and
 // the trial index. It is a pure function of its arguments, so a trial's
-// random streams are identical however many workers run the sweep and
-// wherever the trial lands in a resumed run.
+// random streams are identical however many workers run the sweep.
 func TrialSeed(sweepSeed uint64, trial int) uint64 {
 	// splitmix64 over the mixed pair, mirroring sim.NewRNG's stream
 	// derivation so adjacent trial indices diverge fully.

@@ -1,9 +1,6 @@
 package dse
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func testSpace() *Space {
 	return NewSpace(
@@ -29,32 +26,38 @@ func TestGridRowMajor(t *testing.T) {
 	}
 }
 
-func TestLatinHypercubeBalancedAndDeterministic(t *testing.T) {
+func TestGridCoversCrossProductOnce(t *testing.T) {
+	s := NewSpace(
+		Axis{Name: "a", Values: []float64{1, 2}},
+		Axis{Name: "b", Values: []float64{1, 2, 3}},
+		Axis{Name: "c", Values: []float64{1, 2, 3, 4}},
+	)
+	if s.Size() != 24 {
+		t.Fatalf("Size = %d, want 24", s.Size())
+	}
+	pts := s.Grid()
+	seen := map[[3]float64]bool{}
+	for _, p := range pts {
+		k := [3]float64{p.Params["a"], p.Params["b"], p.Params["c"]}
+		if seen[k] {
+			t.Fatalf("point %v enumerated twice", k)
+		}
+		seen[k] = true
+	}
+	if len(pts) != 24 || len(seen) != 24 {
+		t.Fatalf("%d points, %d distinct; want 24", len(pts), len(seen))
+	}
+}
+
+func TestGridPointsOwnTheirParams(t *testing.T) {
 	s := testSpace()
-	n := 7
-	pts := s.LatinHypercube(n, 42)
-	if len(pts) != n {
-		t.Fatalf("len = %d", len(pts))
+	pts := s.Grid()
+	pts[0].Params["a"] = 99
+	if pts[1].Params["a"] != 1 {
+		t.Fatal("points share a params map")
 	}
-	// Every axis value is used ⌊n/k⌋ or ⌈n/k⌉ times.
-	for _, ax := range s.Axes {
-		counts := map[float64]int{}
-		for _, p := range pts {
-			counts[p.Params[ax.Name]]++
-		}
-		k := len(ax.Values)
-		for _, v := range ax.Values {
-			c := counts[v]
-			if c < n/k || c > (n+k-1)/k {
-				t.Fatalf("axis %s value %v used %d times (n=%d k=%d)", ax.Name, v, c, n, k)
-			}
-		}
-	}
-	if !reflect.DeepEqual(pts, s.LatinHypercube(n, 42)) {
-		t.Fatal("same seed produced a different sample")
-	}
-	if reflect.DeepEqual(pts, s.LatinHypercube(n, 43)) {
-		t.Fatal("different seeds produced the same sample")
+	if s.Grid()[0].Params["a"] != 1 {
+		t.Fatal("a point's params alias the space")
 	}
 }
 

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 
@@ -19,11 +18,11 @@ func init() {
 	})
 }
 
-// DSESpace returns the default design space behind `triobench -exp dse` and
-// cmd/triodse: the architectural and protocol knobs whose single operating
-// points the paper's Figs. 12-16 report. Quick mode sweeps a 16-point grid;
-// full mode widens every axis and adds memory latency and link loss.
-func DSESpace(quick bool) *dse.Space {
+// dseSpace returns the design space behind `triobench -exp dse`: the
+// architectural and protocol knobs whose single operating points the paper's
+// Figs. 12-16 report. Quick mode sweeps a 16-point grid; full mode widens
+// every axis and adds memory latency and link loss.
+func dseSpace(quick bool) *dse.Space {
 	if quick {
 		return dse.NewSpace(
 			dse.Axis{Name: "grads_per_pkt", Values: []float64{256, 1024}},
@@ -42,9 +41,8 @@ func DSESpace(quick bool) *dse.Space {
 	)
 }
 
-// dseParam reads an axis value with a default, so subset spaces (the
-// examples/dsesweep demo, custom cmd/triodse sweeps) may drop axes they do
-// not vary.
+// dseParam reads an axis value with a default, so the quick space, which
+// leaves out SRAM latency and link loss, runs those at the rig's defaults.
 func dseParam(t dse.Trial, name string, def float64) float64 {
 	if v, ok := t.Params[name]; ok {
 		return v
@@ -52,13 +50,12 @@ func dseParam(t dse.Trial, name string, def float64) float64 {
 	return def
 }
 
-// DSERunner returns the trial runner shared by `triobench -exp dse` and
-// cmd/triodse. Each trial builds one fully isolated §6.3 rig — four servers
-// streaming aggregation blocks through a single PFE — configured from the
-// trial's axis values, with loss streams seeded by the trial seed, and
-// reports throughput, latency, completion, on-chip memory occupancy, and
-// scheduler cost.
-func DSERunner(p Params) dse.Runner {
+// dseRunner returns the trial runner of `triobench -exp dse`. Each trial
+// builds one fully isolated §6.3 rig — four servers streaming aggregation
+// blocks through a single PFE — configured from the trial's axis values, with
+// loss streams seeded by the trial seed, and reports throughput, latency,
+// completion, on-chip memory occupancy, and scheduler cost.
+func dseRunner(p Params) dse.Runner {
 	blocks := 200
 	if p.Quick {
 		blocks = 60
@@ -71,10 +68,8 @@ func DSERunner(p Params) dse.Runner {
 			window:        int(dseParam(t, "window", 1)),
 			timeout:       5 * sim.Millisecond,
 			numPPEs:       int(dseParam(t, "num_ppes", 0)),
-			threadsPerPPE: int(dseParam(t, "threads_per_ppe", 0)),
 			rmwEngines:    int(dseParam(t, "rmw_engines", 0)),
 			sramLatencyNs: int(dseParam(t, "sram_latency_ns", 0)),
-			dramLatencyNs: int(dseParam(t, "dram_latency_ns", 0)),
 		}
 		if loss := dseParam(t, "loss_pct", 0) / 100; loss > 0 {
 			// Loss on the worker→router direction only: dropped
@@ -117,11 +112,11 @@ func DSERunner(p Params) dse.Runner {
 }
 
 func runDSE(p Params) ([]*Table, error) {
-	space := DSESpace(p.Quick)
+	space := dseSpace(p.Quick)
 	points := space.Grid()
 	ex := &dse.Executor{Workers: p.workers()}
 	ex.RegisterObs(p.Obs)
-	results, err := ex.Run(context.Background(), space, points, p.seed(), DSERunner(p))
+	results, err := ex.Run(points, p.seed(), dseRunner(p))
 	if err != nil {
 		return nil, err
 	}
@@ -131,17 +126,17 @@ func runDSE(p Params) ([]*Table, error) {
 		}
 	}
 	p.logf("dse: swept %d trials on %d workers", len(points), p.workers())
-	return DSETables(space, results), nil
+	return dseTables(space, results), nil
 }
 
 // ftoa renders an axis value without trailing zeros (256, 0.5, ...).
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// DSETables reduces a finished sweep to the report `triobench -exp dse` and
-// cmd/triodse print: the Pareto frontier of aggregation rate vs on-chip
+// dseTables reduces a finished sweep to the report `triobench -exp dse`
+// prints: the Pareto frontier of aggregation rate vs on-chip
 // SRAM occupancy, and the per-axis marginal sensitivity of rate and latency.
-// Axis columns come from the space, so custom sweeps render too.
-func DSETables(space *dse.Space, results []dse.Result) []*Table {
+// Axis columns come from the space, so quick and full sweeps share it.
+func dseTables(space *dse.Space, results []dse.Result) []*Table {
 	front := dse.Pareto(results,
 		dse.Objective{Metric: "rate_grad_per_us", Maximize: true},
 		dse.Objective{Metric: "smem_sram_bytes", Maximize: false},

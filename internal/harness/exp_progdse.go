@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/trioml/triogo/internal/dse"
@@ -133,7 +132,7 @@ func runProgDSE(p Params) ([]*Table, error) {
 
 	ex := &dse.Executor{Workers: p.workers()}
 	ex.RegisterObs(p.Obs)
-	results, err := ex.Run(context.Background(), space, pruned.Points, p.seed(), ProgDSERunner(p))
+	results, err := ex.Run(pruned.Points, p.seed(), ProgDSERunner(p))
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/trioml/triogo/internal/dse"
@@ -43,7 +42,7 @@ func sweep(p Params, axis string, values []float64, fn func(i int, v float64) (m
 	space := dse.NewSpace(dse.Axis{Name: axis, Values: values})
 	ex := &dse.Executor{Workers: p.workers()}
 	ex.RegisterObs(p.Obs)
-	results, err := ex.Run(context.Background(), space, space.Grid(), p.seed(), func(t dse.Trial) (map[string]float64, error) {
+	results, err := ex.Run(space.Grid(), p.seed(), func(t dse.Trial) (map[string]float64, error) {
 		return fn(t.Index, t.Params[axis])
 	})
 	if err != nil {

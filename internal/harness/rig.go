@@ -32,13 +32,11 @@ type rigConfig struct {
 	trace        *obs.Trace    // nil: tracing off (the default)
 	obsReg       *obs.Registry // nil: metrics off; sweeps rebind func series to the latest rig
 
-	// Design-space knobs (internal/dse sweeps); zero values keep the §6.3
-	// operating point of trioml.RecommendedPFEConfig.
+	// Design-space knobs (the dse experiment's axes); zero values keep the
+	// §6.3 operating point of trioml.RecommendedPFEConfig.
 	numPPEs       int // PPEs on the PFE
-	threadsPerPPE int // threads per PPE
 	rmwEngines    int // shared-memory RMW banks
 	sramLatencyNs int // SRAM access latency, nanoseconds
-	dramLatencyNs int // DRAM access latency, nanoseconds
 
 	// links configures server i's uplink and downlink (loss, fault
 	// streams); nil cables every server with netsim.DefaultLinkConfig.
@@ -89,17 +87,11 @@ func newTrioRig(cfg rigConfig) *trioRig {
 	if cfg.numPPEs > 0 {
 		pcfg.NumPPEs = cfg.numPPEs
 	}
-	if cfg.threadsPerPPE > 0 {
-		pcfg.ThreadsPerPPE = cfg.threadsPerPPE
-	}
 	if cfg.rmwEngines > 0 {
 		pcfg.Mem.NumRMWEngines = cfg.rmwEngines
 	}
 	if cfg.sramLatencyNs > 0 {
 		pcfg.Mem.SRAMLatency = sim.Time(cfg.sramLatencyNs) * sim.Nanosecond
-	}
-	if cfg.dramLatencyNs > 0 {
-		pcfg.Mem.DRAMLatency = sim.Time(cfg.dramLatencyNs) * sim.Nanosecond
 	}
 	r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: pcfg})
 	agg := trioml.New(r.PFE(0))

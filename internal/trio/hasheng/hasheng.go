@@ -217,22 +217,3 @@ func Mix64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// HashFields hashes an arbitrary selection of packet fields — the Microcode
-// program chooses which bytes participate (§2.2 "programmable field
-// selection, hardwired hash function"). FNV-1a accumulation feeds the Mix64
-// finalizer.
-func HashFields(seed uint64, fields ...[]byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset) ^ seed
-	for _, f := range fields {
-		for _, b := range f {
-			h = (h ^ uint64(b)) * prime
-		}
-		h = (h ^ 0xFF) * prime // field separator so ("ab","c") != ("a","bc")
-	}
-	return Mix64(h)
-}

@@ -302,33 +302,50 @@ func popcount(x uint64) int {
 	return n
 }
 
-func TestHashFieldsSeparatesFieldBoundaries(t *testing.T) {
-	a := HashFields(0, []byte("ab"), []byte("c"))
-	b := HashFields(0, []byte("a"), []byte("bc"))
-	if a == b {
-		t.Fatal("field boundary ignored")
+func TestClearRefDropsOnlyTheReference(t *testing.T) {
+	tb := NewTable(Config{})
+	tb.Insert(0, 3, 30)
+	if ok, _ := tb.ClearRef(0, 3); !ok {
+		t.Fatal("ClearRef of a live record failed")
+	}
+	if ref, ok := tb.Ref(3); !ok || ref {
+		t.Fatalf("Ref = (%v,%v), want the record kept with REF clear", ref, ok)
+	}
+	if v, ok, _ := tb.Lookup(0, 3); !ok || v != 30 {
+		t.Fatalf("lookup = (%d,%v), want the value untouched", v, ok)
+	}
+	if ok, _ := tb.ClearRef(0, 4); ok {
+		t.Fatal("ClearRef of a missing key succeeded")
 	}
 }
 
-func TestHashFieldsSeedMatters(t *testing.T) {
-	if HashFields(1, []byte("x")) == HashFields(2, []byte("x")) {
-		t.Fatal("seed ignored")
-	}
-}
-
-func TestHashFieldsLoadBalanceUniformity(t *testing.T) {
-	// Five-tuple style load balancing over 8 next hops should be roughly
-	// uniform (within 3x of mean per bin for 8000 flows).
+func TestMix64LoadBalanceUniformity(t *testing.T) {
+	// Flow-style load balancing over 8 next hops: 8000 keys packing a
+	// source and a destination address, both drawn from small subnets.
 	bins := make([]int, 8)
-	for i := 0; i < 8000; i++ {
-		src := []byte{10, 0, byte(i >> 8), byte(i)}
-		dst := []byte{10, 1, byte(i), byte(i >> 8)}
-		port := []byte{byte(i), byte(i >> 3)}
-		bins[HashFields(0, src, dst, port)%8]++
+	for i := uint64(0); i < 8000; i++ {
+		src, dst := 0x0a000000+i, 0x0a010000+(i*7919)&0xffff
+		bins[Mix64(src<<32|dst)%8]++
 	}
 	for i, c := range bins {
-		if c < 500 || c > 1800 {
+		if c < 800 || c > 1200 {
 			t.Fatalf("bin %d = %d, badly skewed: %v", i, c, bins)
 		}
+	}
+}
+
+func TestBucketChainsStayShort(t *testing.T) {
+	// Sequential keys (block IDs, flow counters) must not pile into a few
+	// buckets: at load factor 1 the longest chain stays small.
+	tb := NewTable(Config{Buckets: 1024})
+	for k := uint64(0); k < 1024; k++ {
+		tb.Insert(0, k, k)
+	}
+	longest := 0
+	for _, b := range tb.buckets {
+		longest = max(longest, len(b))
+	}
+	if longest > 8 {
+		t.Fatalf("longest chain = %d at load factor 1", longest)
 	}
 }

@@ -341,11 +341,12 @@ func (e *mcEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
 // r1 = packet length). The thread Setup and Finish see is the app's one
 // thread, reset for the next packet: neither may retain it.
 //
-// Packets dispatch through the compiled v2 pipeline: the first Process call
-// compiles (and statically verifies) Program, and every thread then runs on
-// microcode.RunCompiled. Set Interpret to force the reference interpreter —
-// for benchmarking it, or for programs the verifier rejects (which the
-// interpreter still executes under its run-time guards).
+// Packets dispatch through the compiled v2 pipeline: Compile, or the first
+// Process call when the installer did not call it, compiles and statically
+// verifies Program, and every thread then runs on microcode.RunCompiled. A
+// program that fails to compile never runs: each packet drops and counts in
+// Errors. Set Interpret to force the reference interpreter instead, for
+// benchmarking it or as the twin tests' reference arm.
 type MicrocodeApp struct {
 	Program    *microcode.Program
 	Entry      string
@@ -370,8 +371,9 @@ type MicrocodeApp struct {
 	// Interpret forces the reference tree-walking interpreter.
 	Interpret bool
 
-	// Errors counts threads that terminated abnormally (budget, bad label,
-	// run-time fault); LastError records the most recent cause.
+	// Errors counts packets whose thread terminated abnormally (budget, bad
+	// label, run-time fault) or that found the program failing to compile;
+	// LastError records the most recent cause.
 	Errors    uint64
 	LastError error
 
@@ -426,11 +428,14 @@ func (m *MicrocodeApp) Compiled() *microcode.Compiled { return m.compiled }
 
 // Process implements App.
 func (m *MicrocodeApp) Process(ctx *Ctx) {
-	if !m.Interpret && !m.compileDone {
-		// Lazy path for apps installed without Compile: a verifier-rejected
-		// program falls back to the interpreter (and records why).
+	if !m.Interpret && m.compiled == nil {
+		// Lazy path for apps installed without Compile. A program the
+		// verifier rejects executes no instruction.
 		if err := m.Compile(); err != nil {
+			m.Errors++
 			m.LastError = err
+			ctx.Drop()
+			return
 		}
 	}
 	m.env.c = ctx
@@ -443,10 +448,10 @@ func (m *MicrocodeApp) Process(ctx *Ctx) {
 	timing := microcode.Timing{CycleTime: ctx.pfe.Cfg.CycleTime, CyclesPerInstr: ctx.pfe.Cfg.CyclesPerInst}
 	var v microcode.Verdict
 	var err error
-	if m.compiled != nil && !m.Interpret {
-		v, err = microcode.RunCompiledAt(m.compiled, th, m.entryPC, timing, microcode.DefaultBudget)
-	} else {
+	if m.Interpret {
 		v, err = microcode.RunLimited(m.Program, th, m.entry(), timing, microcode.DefaultBudget)
+	} else {
+		v, err = microcode.RunCompiledAt(m.compiled, th, m.entryPC, timing, microcode.DefaultBudget)
 	}
 	ctx.now = th.Now
 	ctx.stats.Instructions += th.Stats.Instructions

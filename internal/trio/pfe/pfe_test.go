@@ -490,6 +490,40 @@ end
 	}
 }
 
+// A program the verifier rejects is an install error even when the installer
+// skipped Compile: the packet drops before any instruction runs. This one
+// would run to a verdict under the interpreter (r1 starts at 0, so the packet
+// never takes the fall-through arm that Verify rejects).
+func TestMicrocodeAppRejectedProgramDrops(t *testing.T) {
+	prog := microcode.MustAssemble(`
+program falls_off;
+s: begin
+    if (r1 == 0) { exit(forward); }
+end
+`)
+	eng := sim.NewEngine()
+	p := New(eng, Config{})
+	var got []delivered
+	p.SetOutput(collector(&got))
+	app := &MicrocodeApp{Program: prog, EgressPort: 1}
+	p.SetApp(app)
+	p.Inject(0, 1, frameOfSize(100, 0))
+	eng.Run()
+	if len(got) != 0 {
+		t.Fatalf("delivered %d frames from a rejected program", len(got))
+	}
+	st := p.Stats()
+	if st.Dropped != 1 || st.Instructions != 0 {
+		t.Fatalf("stats = %+v, want 1 drop and 0 instructions", st)
+	}
+	if app.Errors != 1 || app.LastError == nil {
+		t.Fatalf("errors = %d, last error = %v", app.Errors, app.LastError)
+	}
+	if app.Compiled() != nil {
+		t.Fatal("rejected program compiled")
+	}
+}
+
 func TestInjectInvalidPortPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	p := New(eng, Config{NumPorts: 4})

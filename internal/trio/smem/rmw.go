@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the "rich variety of read-modify-write operations"
-// of §2.3: Packet/Byte Counters, Policers, Logical Fetch-and-Ops
+// of §2.3: Packet/Byte Counters, Logical Fetch-and-Ops
 // (And/Or/Xor/Clear), Fetch-and-Swap, Masked Write, and 32-bit add. Each
 // runs inside the owning RMW engine: the data never moves to the requesting
 // thread, and concurrent requests to one location serialize at the engine.
@@ -178,48 +178,4 @@ func (m *Memory) ReadVector32Append(now sim.Time, addr uint64, count int, dst []
 		a, count = a+uint64(4*k), count-k
 	}
 	return dst, latest
-}
-
-// Policer state occupies 24 bytes: 8-byte token count (milli-tokens),
-// 8-byte last-refill virtual timestamp, 8 bytes reserved.
-
-// PolicerConfig parameterizes a single-rate token-bucket policer.
-type PolicerConfig struct {
-	RateBytesPerSec uint64 // token refill rate
-	BurstBytes      uint64 // bucket depth
-}
-
-// PolicerInit initializes policer state at addr (control plane).
-func (m *Memory) PolicerInit(addr uint64, cfg PolicerConfig) {
-	var b [24]byte
-	binary.BigEndian.PutUint64(b[0:8], cfg.BurstBytes*1000) // start full, milli-bytes
-	binary.BigEndian.PutUint64(b[8:16], 0)
-	m.store(addr, b[:])
-}
-
-// Police charges pktLen bytes against the policer at addr and reports
-// whether the packet conforms. Refill is computed lazily from the virtual
-// clock, exactly as a hardware policer block does from its cycle counter.
-func (m *Memory) Police(now sim.Time, addr uint64, cfg PolicerConfig, pktLen uint32) (conform bool, done sim.Time) {
-	var b [24]byte
-	m.load(addr, b[:])
-	tokens := binary.BigEndian.Uint64(b[0:8])
-	last := sim.Time(binary.BigEndian.Uint64(b[8:16]))
-	if now > last {
-		elapsed := uint64(now - last)
-		// milli-bytes accrued: rate[B/s] * elapsed[ns] / 1e9 * 1000
-		tokens += cfg.RateBytesPerSec * elapsed / 1_000_000
-		if max := cfg.BurstBytes * 1000; tokens > max {
-			tokens = max
-		}
-	}
-	need := uint64(pktLen) * 1000
-	if tokens >= need {
-		tokens -= need
-		conform = true
-	}
-	binary.BigEndian.PutUint64(b[0:8], tokens)
-	binary.BigEndian.PutUint64(b[8:16], uint64(now))
-	m.store(addr, b[:])
-	return conform, m.issue(now, addr, 0, 1, serviceCycles(24, addCycles))
 }

@@ -302,39 +302,6 @@ func TestSingleEngineAblationSerializes(t *testing.T) {
 	}
 }
 
-func TestPolicerConformsWithinRate(t *testing.T) {
-	m := New(Config{})
-	addr := m.Alloc(TierSRAM, 24)
-	cfg := PolicerConfig{RateBytesPerSec: 1_000_000, BurstBytes: 1500}
-	m.PolicerInit(addr, cfg)
-	if ok, _ := m.Police(0, addr, cfg, 1500); !ok {
-		t.Fatal("burst-sized packet should conform on a full bucket")
-	}
-	if ok, _ := m.Police(0, addr, cfg, 1500); ok {
-		t.Fatal("second immediate packet should exceed")
-	}
-	// After 1.5 ms at 1 MB/s, 1500 bytes of tokens have accrued.
-	now := sim.Time(1500) * sim.Microsecond
-	if ok, _ := m.Police(now, addr, cfg, 1500); !ok {
-		t.Fatal("packet after refill should conform")
-	}
-}
-
-func TestPolicerTokensCapAtBurst(t *testing.T) {
-	m := New(Config{})
-	addr := m.Alloc(TierSRAM, 24)
-	cfg := PolicerConfig{RateBytesPerSec: 1_000_000_000, BurstBytes: 100}
-	m.PolicerInit(addr, cfg)
-	// A long idle period must not accumulate more than one burst.
-	now := 10 * sim.Second
-	if ok, _ := m.Police(now, addr, cfg, 100); !ok {
-		t.Fatal("first packet conforms")
-	}
-	if ok, _ := m.Police(now, addr, cfg, 100); ok {
-		t.Fatal("tokens exceeded burst cap")
-	}
-}
-
 func TestReadVector32CrossesTxnBoundary(t *testing.T) {
 	m := New(Config{})
 	addr := m.Alloc(TierSRAM, 4*40)
