@@ -19,19 +19,20 @@ pairs:
 
 # verify is the extended gate (tier-1 is `go build ./... && go test ./...`):
 # full build + tests, whole-repo vet, then the race suites of the
-# concurrency-critical layers (hostagg's sharded hot path, obs's atomic
+# concurrency-critical layers (hostagg's single-lock hot path, obs's atomic
 # instruments, dse's worker pool, tree's partitioned hierarchy), the metric
 # documentation check, the CLI-level golden diff, and an every-example smoke
 # run.
 verify: build test vet verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
 
-# verify-hostagg races the sharded table and its UDP shell, then hammers the
+# verify-hostagg races the block table and its UDP shell, then hammers the
 # two determinism pins — the livechaos golden (the real block table on
 # sim.Engine) and the seeded admission trace replayed twice — twenty times
-# over at one and two CPUs: nothing in them may depend on scheduling.
+# over at one to eight CPUs: nothing in them may depend on scheduling or on
+# GOMAXPROCS.
 verify-hostagg:
 	$(GO) test -race ./internal/hostagg/...
-	$(GO) test -count=20 -cpu 1,2 -run 'LiveChaos|AdmissionTrace' ./internal/harness/ ./internal/hostagg/
+	$(GO) test -count=20 -cpu 1,2,4,8 -run 'LiveChaos|AdmissionTrace' ./internal/harness/ ./internal/hostagg/
 
 # verify-hostagg-slo is what is left of the real-socket chaos run: the one
 # assertion about wall-clock speed (under flood and retxstorm the victim's

@@ -5,13 +5,13 @@
 // Usage:
 //
 //	aggserver [-listen :12000] [-workers 6] [-timeout 10ms] [-stats 5s]
-//	          [-shards 0] [-recv 0] [-metrics-addr :9100]
+//	          [-recv 0] [-metrics-addr :9100]
 //	          [-max-open-blocks 0] [-tenant-quota 1=open:64,pps:5000,bytes:1048576,weight:4]
 //	          [-job-tenant 2=1] [-retry-after 20ms]
 //
-// -shards partitions the block table (rounded up to a power of two) and
 // -recv sets the number of receive goroutines (SO_REUSEPORT sockets on
-// Linux); 0 sizes both from GOMAXPROCS.
+// Linux); 0 sizes it from GOMAXPROCS. They all feed one block table behind
+// one lock.
 //
 // Multi-tenant admission control (DESIGN.md §10): -max-open-blocks bounds
 // the server's open blocks and arms the overload ladder; -tenant-quota
@@ -22,8 +22,8 @@
 // -retry-after sets the back-off suggested in NACKs.
 //
 // -metrics-addr (off by default) serves Prometheus text exposition at
-// /metrics and expvar JSON at /debug/vars, including the per-shard
-// recv/emit/drop counters and per-tenant admission series; see
+// /metrics and expvar JSON at /debug/vars, including the server-wide
+// counters and per-tenant admission series; see
 // OBSERVABILITY.md for the full reference.
 //
 // Note that with SO_REUSEPORT active (-recv > 1 on Linux), a second
@@ -132,13 +132,12 @@ func main() {
 		workers    = flag.Int("workers", 6, "number of workers per job")
 		timeout    = flag.Duration("timeout", 10*time.Millisecond, "straggler timeout (0 disables)")
 		statsInt   = flag.Duration("stats", 10*time.Second, "stats logging interval (0 disables)")
-		shards     = flag.Int("shards", 0, "block-table shards, rounded up to a power of two (0 = GOMAXPROCS)")
 		recv       = flag.Int("recv", 0, "receive goroutines / SO_REUSEPORT sockets (0 = GOMAXPROCS)")
 		metrics    = flag.String("metrics-addr", "", "HTTP address for /metrics and /debug/vars (empty disables)")
 		maxOpen    = flag.Int("max-open-blocks", 0, "global open-block bound arming the overload ladder (0 = unlimited)")
 		maxPerJob  = flag.Int("max-blocks-per-job", 0, "open-block bound per job (0 = unlimited)")
 		jobIdle    = flag.Duration("job-idle-timeout", 0, "evict jobs idle this long (0 disables; requires -timeout > 0)")
-		replayWin  = flag.Int("replay-window", 0, "served results retained per shard for retransmit replay (0 disables)")
+		replayWin  = flag.Int("replay-window", 0, "served results retained for retransmit replay (0 disables)")
 		retryAfter = flag.Duration("retry-after", 0, "back-off suggested in retry-after NACKs (0 = 20ms default)")
 	)
 	var tenantQuotas tenantQuotaFlags
@@ -150,8 +149,7 @@ func main() {
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	srv, err := hostagg.NewServer(hostagg.ServerConfig{
 		ListenAddr: *listen, NumWorkers: *workers, Timeout: *timeout, Logger: log,
-		Shards: *shards, RecvWorkers: *recv,
-		MaxOpenBlocks: *maxOpen, MaxBlocksPerJob: *maxPerJob,
+		RecvWorkers: *recv, MaxOpenBlocks: *maxOpen, MaxBlocksPerJob: *maxPerJob,
 		JobIdleTimeout: *jobIdle, ReplayWindow: *replayWin, RetryAfter: *retryAfter,
 		TenantQuotas: tenantQuotas.quotas, JobTenants: jobTenants.jobs,
 	})
@@ -160,7 +158,7 @@ func main() {
 		os.Exit(1)
 	}
 	log.Info("aggserver listening", "addr", srv.Addr(), "workers", *workers, "timeout", *timeout,
-		"shards", srv.NumShards(), "sockets", srv.NumSockets())
+		"sockets", srv.NumSockets())
 
 	if *metrics != "" {
 		reg := obs.NewRegistry()

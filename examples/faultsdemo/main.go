@@ -1,6 +1,6 @@
 // Deterministic fault injection against the host aggregation stack: a
 // seeded faults.Plan drops 30% of contributions at the server's ingress and
-// crashes a shard every few completions, while the clients' periodic
+// crashes the block table every few contributions, while the clients' periodic
 // retransmission and the server's served-result replay cache repair the
 // damage. The reduction still converges on the bit-exact full sum, and the
 // plan's counters show exactly which faults fired — rerun it and every
@@ -22,7 +22,7 @@ func main() {
 	const workers = 3
 	plan := faults.NewPlan(1, faults.Config{Hostagg: faults.HostaggConfig{
 		RecvDropProb: 0.3, // 30% of contributions vanish before aggregation
-		CrashEvery:   25,  // every 25th completion wipes the shard's open blocks
+		CrashEvery:   25,  // every 25th aggregated contribution wipes the table's open blocks
 	}})
 	srv, err := hostagg.NewServer(hostagg.ServerConfig{
 		ListenAddr: "127.0.0.1:0", NumWorkers: workers,
@@ -34,7 +34,7 @@ func main() {
 	}
 	defer srv.Close()
 	fmt.Printf("aggregation server on %v with injected faults (seed 1)\n", srv.Addr())
-	fmt.Println("  30% ingress drop, shard crash every 25 completions")
+	fmt.Println("  30% ingress drop, table crash every 25 contributions")
 	fmt.Println()
 
 	const n, blockGrads = 6000, 512
@@ -86,7 +86,7 @@ func main() {
 
 	fst := plan.Stats()
 	sst := srv.Stats()
-	fmt.Printf("injected: %d contributions dropped, %d shard crashes\n",
+	fmt.Printf("injected: %d contributions dropped, %d table crashes\n",
 		fst.HostaggRecvDrops, fst.HostaggShardCrashes)
 	fmt.Printf("repaired: %d duplicates deduped, %d results replayed from cache\n",
 		sst.Duplicates, sst.ResultReplays)

@@ -2,7 +2,7 @@
 // seed-driven Plan hands out per-component injectors for the failure modes
 // §7 leaves as future work (transient loss is already native to netsim) —
 // frame corruption, duplication, reordering and link flaps on links, PPE
-// thread stalls and RMW bank errors inside a PFE, recv drops and shard
+// thread stalls and RMW bank errors inside a PFE, recv drops and table
 // crashes in the host aggregator, and worker crash/rejoin in training runs.
 //
 // Design rules, mirroring internal/obs:
@@ -35,14 +35,14 @@ import (
 )
 
 // Stream ids: each injector family draws from its own PCG stream so fault
-// schedules are independent across layers. Link/shard injectors add their
-// caller-supplied index on top of the base.
+// schedules are independent across layers. Link, PFE and memory injectors
+// add their caller-supplied index on top of the base.
 const (
-	streamLinkBase  uint64 = 0xFA << 32
-	streamPPE       uint64 = 0xFB << 32
-	streamMem       uint64 = 0xFC << 32
-	streamShardBase uint64 = 0xFD << 32
-	streamTrain     uint64 = 0xFE << 32
+	streamLinkBase uint64 = 0xFA << 32
+	streamPPE      uint64 = 0xFB << 32
+	streamMem      uint64 = 0xFC << 32
+	streamHostagg  uint64 = 0xFD << 32
+	streamTrain    uint64 = 0xFE << 32
 )
 
 // Window is one timed fault interval [Start, End) in virtual time.
@@ -84,11 +84,11 @@ type MemConfig struct {
 	RetryCycles   uint64 // default 64
 }
 
-// HostaggConfig selects host-aggregator injection, applied under each
-// shard's lock from its own stream.
+// HostaggConfig selects host-aggregator injection, applied under the block
+// table's lock from one stream.
 type HostaggConfig struct {
 	RecvDropProb float64 // drop a contribution after parsing (ingress loss)
-	CrashEvery   uint64  // wipe a shard's state every N contributions (0: never)
+	CrashEvery   uint64  // wipe the table's open blocks every N contributions (0: never)
 }
 
 // TrainConfig selects worker crash/rejoin injection for mltrain clusters:
@@ -307,8 +307,8 @@ func (f *MemInjector) BankError() uint64 {
 
 // ---- Host aggregator injection ----
 
-// HostaggInjector hands out per-shard fault streams for the wall-clock
-// aggregation server.
+// HostaggInjector hands out the fault stream of the wall-clock aggregation
+// server's block table.
 type HostaggInjector struct {
 	plan *Plan
 	cfg  HostaggConfig
@@ -323,13 +323,13 @@ func (p *Plan) Hostagg() *HostaggInjector {
 	return &HostaggInjector{plan: p, cfg: p.cfg.Hostagg}
 }
 
-// Shard builds shard i's fault stream. The result must only be used under
-// that shard's lock.
-func (h *HostaggInjector) Shard(i int) *HostaggShard {
-	return &HostaggShard{plan: h.plan, cfg: h.cfg, rng: sim.NewRNG(h.plan.seed, streamShardBase+uint64(i))}
+// Shard builds the block table's fault stream. The result must only be used
+// under the table's lock.
+func (h *HostaggInjector) Shard() *HostaggShard {
+	return &HostaggShard{plan: h.plan, cfg: h.cfg, rng: sim.NewRNG(h.plan.seed, streamHostagg)}
 }
 
-// HostaggShard is one shard's fault stream (serialized by the shard lock).
+// HostaggShard is the block table's fault stream (serialized by its lock).
 type HostaggShard struct {
 	plan  *Plan
 	cfg   HostaggConfig
@@ -346,8 +346,8 @@ func (s *HostaggShard) DropRecv() bool {
 	return false
 }
 
-// CrashNow reports whether the shard crashes after this contribution,
-// wiping its state. Counts one crash per firing.
+// CrashNow reports whether the table crashes after this contribution,
+// wiping its open blocks. Counts one crash per firing.
 func (s *HostaggShard) CrashNow() bool {
 	if s.cfg.CrashEvery == 0 {
 		return false

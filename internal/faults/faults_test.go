@@ -120,7 +120,7 @@ func TestCountersAndStats(t *testing.T) {
 	if c := p.Mem(0).BankError(); c != 7 {
 		t.Fatalf("bank error cycles = %d, want 7", c)
 	}
-	sh := p.Hostagg().Shard(0)
+	sh := p.Hostagg().Shard()
 	if !sh.DropRecv() {
 		t.Fatal("certain recv drop did not fire")
 	}

@@ -38,7 +38,7 @@ func (p *Plan) RegisterObs(r *obs.Registry) {
 		"Host-aggregator contributions dropped at ingress by injection.",
 		func() uint64 { return p.hostaggRecvDrops.Load() })
 	counter("triogo_faults_hostagg_shard_crashes_total", "crashes",
-		"Host-aggregator shard state wipes injected.",
+		"Host-aggregator block-table wipes injected.",
 		func() uint64 { return p.hostaggShardCrashes.Load() })
 	counter("triogo_faults_train_crashes_total", "crashes",
 		"Training worker crashes executed by injection.",

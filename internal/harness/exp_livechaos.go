@@ -231,14 +231,14 @@ type lcCheck func(st hostagg.ServerStats, aggr hostagg.TenantStats) string
 // lcStorm is flood and retxstorm: an aggressor tenant sends at 5000 pps, ten
 // times its token-bucket quota, while the victim runs allreduce rounds. The
 // flood opens a fresh block id per packet; the retransmit storm hammers the
-// same four blocks. The bucket sheds the excess before any shard lock, the
+// same four blocks. The bucket sheds the excess before the table lock, the
 // aggressor's own open-block quota stops what the bucket admits, and the
 // victim sees none of it.
 func lcStorm(name string, retx bool) lcScenario {
 	return lcScenario{
 		name: name,
 		cfg: hostagg.ServerConfig{
-			NumWorkers: 2, Shards: 4, MaxOpenBlocks: 4096, ReplayWindow: 256,
+			NumWorkers: 2, MaxOpenBlocks: 4096, ReplayWindow: 256,
 			TenantQuotas: map[uint8]hostagg.TenantQuota{
 				lcVictimJob:    {Weight: 4},
 				lcAggressorJob: {PacketsPerSec: 500, PacketBurst: 50, MaxOpenBlocks: 8},
@@ -282,7 +282,7 @@ var lcScenarios = []lcScenario{
 		// byte patterns reproduce) across two victim rounds. Every one must be
 		// rejected at decode: counted, never aggregated, never fatal.
 		name: "malformed",
-		cfg:  hostagg.ServerConfig{NumWorkers: 2, Shards: 4, MaxOpenBlocks: 4096, ReplayWindow: 64},
+		cfg:  hostagg.ServerConfig{NumWorkers: 2, MaxOpenBlocks: 4096, ReplayWindow: 64},
 		script: func(r *lcRig, quick bool, seed uint64) lcCheck {
 			storm := 4000
 			if quick {

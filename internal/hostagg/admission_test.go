@@ -98,11 +98,10 @@ func traceGrads(block uint32) []int32 {
 // replayTrace runs the trace into a fresh table with a fresh fault plan and
 // returns the table, the plan's counters, and every byte the table sent,
 // each datagram prefixed by its destination.
-func replayTrace(t *testing.T, steps []traceStep, shards int) (*Table, faults.Stats, []byte) {
+func replayTrace(t *testing.T, steps []traceStep) (*Table, faults.Stats, []byte) {
 	plan := faults.NewPlan(7, faults.Config{Hostagg: faults.HostaggConfig{RecvDropProb: 0.02, CrashEvery: 150}})
 	tab := newTestTable(t, ServerConfig{
-		NumWorkers: 2, Shards: shards,
-		MaxOpenBlocks: 24, Timeout: 20 * time.Millisecond, JobIdleTimeout: 80 * time.Millisecond,
+		NumWorkers: 2, MaxOpenBlocks: 24, Timeout: 20 * time.Millisecond, JobIdleTimeout: 80 * time.Millisecond,
 		ReplayWindow: 16, RetryAfter: 4 * time.Millisecond, Faults: plan.Hostagg(),
 		TenantQuotas: map[uint8]TenantQuota{
 			1: {Weight: 4},
@@ -125,35 +124,33 @@ func replayTrace(t *testing.T, steps []traceStep, shards int) (*Table, faults.St
 }
 
 // TestAdmissionTraceDeterministic: the table is a function of its inputs. One
-// seeded 5 k-packet trace — all six scenario mixes, shard crashes and recv
+// seeded 5 k-packet trace — all six scenario mixes, table crashes and recv
 // drops from a fault plan — replayed twice into fresh tables at identical
 // instants gives identical ServerStats, identical per-tenant stats and
-// byte-identical send output, at one shard and at four. Map order, goroutine
-// scheduling and the wall clock have no way in.
+// byte-identical send output. Map order, goroutine scheduling and the wall
+// clock have no way in.
 func TestAdmissionTraceDeterministic(t *testing.T) {
 	steps := admissionTrace(1, 5000)
-	for _, shards := range []int{1, 4} {
-		tabA, fltA, wireA := replayTrace(t, steps, shards)
-		tabB, fltB, wireB := replayTrace(t, steps, shards)
-		stA, stB := tabA.Stats(), tabB.Stats()
-		if stA != stB {
-			t.Fatalf("shards=%d: stats diverged\n a: %+v\n b: %+v", shards, stA, stB)
-		}
-		if tsA, tsB := tabA.TenantStats(), tabB.TenantStats(); !slices.Equal(tsA, tsB) {
-			t.Fatalf("shards=%d: tenant stats diverged\n a: %+v\n b: %+v", shards, tsA, tsB)
-		}
-		if fltA != fltB {
-			t.Fatalf("shards=%d: fault counters diverged: %+v vs %+v", shards, fltA, fltB)
-		}
-		if !bytes.Equal(wireA, wireB) {
-			t.Fatalf("shards=%d: send output diverged (%d vs %d bytes)", shards, len(wireA), len(wireB))
-		}
-		// The trace must have reached every mechanism it claims to mix.
-		if stA.RateShed == 0 || stA.QuotaShed == 0 || stA.Shed == 0 || stA.FairEvictions == 0 ||
-			stA.NacksSent == 0 || stA.Malformed == 0 || stA.ResultReplays == 0 || stA.Duplicates == 0 ||
-			stA.GenRestarts == 0 || stA.Degraded == 0 || stA.Completed == 0 || stA.OverloadEnters == 0 ||
-			fltA.HostaggRecvDrops == 0 || fltA.HostaggShardCrashes == 0 || len(wireA) == 0 {
-			t.Fatalf("shards=%d: trace left a mechanism untouched: %+v faults %+v", shards, stA, fltA)
-		}
+	tabA, fltA, wireA := replayTrace(t, steps)
+	tabB, fltB, wireB := replayTrace(t, steps)
+	stA, stB := tabA.Stats(), tabB.Stats()
+	if stA != stB {
+		t.Fatalf("stats diverged\n a: %+v\n b: %+v", stA, stB)
+	}
+	if tsA, tsB := tabA.TenantStats(), tabB.TenantStats(); !slices.Equal(tsA, tsB) {
+		t.Fatalf("tenant stats diverged\n a: %+v\n b: %+v", tsA, tsB)
+	}
+	if fltA != fltB {
+		t.Fatalf("fault counters diverged: %+v vs %+v", fltA, fltB)
+	}
+	if !bytes.Equal(wireA, wireB) {
+		t.Fatalf("send output diverged (%d vs %d bytes)", len(wireA), len(wireB))
+	}
+	// The trace must have reached every mechanism it claims to mix.
+	if stA.RateShed == 0 || stA.QuotaShed == 0 || stA.Shed == 0 || stA.FairEvictions == 0 ||
+		stA.NacksSent == 0 || stA.Malformed == 0 || stA.ResultReplays == 0 || stA.Duplicates == 0 ||
+		stA.GenRestarts == 0 || stA.Degraded == 0 || stA.Completed == 0 || stA.OverloadEnters == 0 ||
+		fltA.HostaggRecvDrops == 0 || fltA.HostaggShardCrashes == 0 || len(wireA) == 0 {
+		t.Fatalf("trace left a mechanism untouched: %+v faults %+v", stA, fltA)
 	}
 }

@@ -1,21 +1,15 @@
 package hostagg
 
-// Benchmarks for the sharded hot path. The scatter workload spreads each
+// Benchmarks for the table's hot path. The scatter workload spreads each
 // client's traffic over distinct block ids (every packet completes a block:
 // map insert, sum, delete); the hot-block workload makes every client
-// collide on one (job, block) key, the worst case a single shard must
-// serialize. Run:
+// collide on one (job, block) key. Every goroutine contends for the one
+// table lock. Run:
 //
 //	go test -bench=Shard -cpu 1,4,8 ./internal/hostagg/
-//
-// Scaling headroom appears as the shard count grows toward GOMAXPROCS; on a
-// single-core host the configurations measure the same serialized work and
-// only multi-core runs separate them.
 
 import (
-	"fmt"
 	"net"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,13 +37,13 @@ func benchPayloads(count int, hot bool) [][]byte {
 	return payloads
 }
 
-// benchHandle measures packet-handling throughput of a bare table with the
-// given shard count: each benchmark goroutine plays one receive worker
-// calling Handle. With numWorkers == 1 every packet completes a block and
-// hands a result to send; with numWorkers == 2 and a single source no block
-// ever completes, isolating the shard table and lock.
-func benchHandle(b *testing.B, shards, numWorkers int, hot bool) {
-	tab := newTestTable(b, ServerConfig{NumWorkers: numWorkers, Shards: shards})
+// benchHandle measures packet-handling throughput of a bare table: each
+// benchmark goroutine plays one receive worker calling Handle. With
+// numWorkers == 1 every packet completes a block and hands a result to send;
+// with numWorkers == 2 and a single source no block ever completes,
+// isolating the block map and its lock.
+func benchHandle(b *testing.B, numWorkers int, hot bool) {
+	tab := newTestTable(b, ServerConfig{NumWorkers: numWorkers})
 	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 40000}
 	start := time.Now()
 	b.ResetTimer()
@@ -70,41 +64,22 @@ func benchHandle(b *testing.B, shards, numWorkers int, hot bool) {
 	}
 }
 
-func BenchmarkShardScatter(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchHandle(b, shards, 1, false)
-		})
-	}
-}
+func BenchmarkShardScatter(b *testing.B) { benchHandle(b, 1, false) }
 
-func BenchmarkShardHotBlock(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchHandle(b, shards, 1, true)
-		})
-	}
-}
+func BenchmarkShardHotBlock(b *testing.B) { benchHandle(b, 1, true) }
 
-// BenchmarkShardTable isolates the sharded block table: blocks never
-// complete (two expected workers, one source), so the loop is parse →
-// shard lock → map access, the part the shard count parallelizes.
-func BenchmarkShardTable(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchHandle(b, shards, 2, false)
-		})
-	}
-}
+// BenchmarkShardTable isolates the block table: blocks never complete (two
+// expected workers, one source), so the loop is parse → table lock → map
+// access.
+func BenchmarkShardTable(b *testing.B) { benchHandle(b, 2, false) }
 
 // BenchmarkAllReduceUDP is the end-to-end cost over real loopback sockets:
-// multiple clients AllReduce a vector through the sharded server.
+// multiple clients AllReduce a vector through the server.
 func BenchmarkAllReduceUDP(b *testing.B) {
 	const workers = 2
 	const n = 8192
 	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: workers,
-		Shards: nextPow2(runtime.GOMAXPROCS(0)), RecvWorkers: workers,
+		ListenAddr: "127.0.0.1:0", NumWorkers: workers, RecvWorkers: workers,
 	})
 	if err != nil {
 		b.Fatal(err)

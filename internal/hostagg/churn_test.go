@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// TestWorkerChurnRace hammers the worker registration table (workersMu) from
-// every direction at once — clients joining and leaving with scatter traffic
-// in flight, the emit path snapshotting targets, and idle eviction dropping
-// whole jobs — and relies on the -race build (make verify runs this package
+// TestWorkerChurnRace hammers the worker registration table (behind the
+// table lock) from every direction at once — clients joining and leaving
+// with scatter traffic in flight, the emit path snapshotting targets, and
+// idle eviction dropping whole jobs — and relies on the -race build (make verify runs this package
 // race-enabled) to catch any unsynchronized access. It ends by proving the
 // server is still coherent: a fresh pair of workers completes a block.
 func TestWorkerChurnRace(t *testing.T) {
@@ -50,7 +50,9 @@ func TestWorkerChurnRace(t *testing.T) {
 				return
 			default:
 			}
-			s.tab.targets(1)
+			s.tab.mu.Lock()
+			s.tab.targetsLocked(1)
+			s.tab.mu.Unlock()
 			s.Stats()
 			s.TenantStats()
 		}
@@ -64,7 +66,9 @@ func TestWorkerChurnRace(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(5 * time.Millisecond):
-				s.tab.dropJobWorkers(1)
+				s.tab.mu.Lock()
+				s.tab.dropJobWorkersLocked(1)
+				s.tab.mu.Unlock()
 			}
 		}
 	}()

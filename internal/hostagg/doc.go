@@ -12,21 +12,18 @@
 //
 // # Table and shell
 //
-// Table is the block table and everything that decides: shards, tenant
-// quotas, the overload ladder, replay caches, counters. It owns no socket, no
-// goroutine and no clock; Handle(now, payload, from, send) and Sweep(now,
-// send) take the instant and the way out as arguments, so what a table does
-// is a function of its inputs (nothing it decides follows map order) and it
-// can be driven at wall-clock time or at instants a simulation chooses.
-// Server is the UDP shell: it binds the sockets and runs RecvWorkers receive
-// loops calling Handle(time.Now(), ...) plus one loop ticking
+// Table is the block table and everything that decides: the block map,
+// tenant quotas, the overload ladder, the replay cache, counters. It owns no
+// socket, no goroutine and no clock; Handle(now, payload, from, send) and
+// Sweep(now, send) take the instant and the way out as arguments, so what a
+// table does is a function of its inputs (nothing it decides follows map
+// order) and it can be driven at wall-clock time or at instants a simulation
+// chooses. Server is the UDP shell: it binds the sockets and runs RecvWorkers
+// receive loops calling Handle(time.Now(), ...) plus one loop ticking
 // Sweep(time.Now(), ...) — the only places the server side reads the clock or
 // touches a socket.
 //
-// # Sharded server architecture
-//
-// The server is built for multi-core scale, mirroring how the paper's PFEs
-// spread slot state across memory banks:
+// # Server architecture
 //
 //   - Receive parallelism: RecvWorkers sockets are bound to the same address
 //     with SO_REUSEPORT where the platform supports it (Linux), so the
@@ -35,15 +32,14 @@
 //     read by RecvWorkers goroutines. (SO_REUSEPORT also lets a second
 //     same-UID process bind the same port and steal a share of the flows —
 //     run one server per port.)
-//   - Block-table sharding: block records are partitioned into a
-//     power-of-two number of shards (ServerConfig.Shards) keyed by
-//     hash(job, block), each shard guarded by its own mutex. Traffic for
-//     distinct blocks proceeds in parallel; only packets for the same
-//     (job, block) serialize.
-//   - Aging: one sweep visits the shards in turn (the host analogue of
-//     §5's timer threads), clearing REF flags and emitting degraded partials,
-//     holding one shard lock at a time so it never stops the whole table.
-//   - Lock-free stats: counters are sync/atomic and never touch a shard
+//   - One lock: the block map, the replay cache, the fault stream and the
+//     worker registry sit behind one table mutex. Every send — results,
+//     replays, NACKs — happens after it is released, so no syscall is made
+//     while holding it. Per-hash shards never measured faster than one lock
+//     (EXPERIMENTS.md), so the table has none.
+//   - Aging: one sweep passes over the block records (the host analogue of
+//     §5's timer threads), clearing REF flags and emitting degraded partials.
+//   - Lock-free stats: counters are sync/atomic and never touch the table
 //     mutex; Stats() is a consistent-enough snapshot for telemetry.
 //   - Pooled emit buffers: result payloads are marshaled into a sync.Pool
 //     buffer, so the steady-state hot path does not allocate per result.

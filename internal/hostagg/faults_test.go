@@ -106,7 +106,7 @@ func TestClientSurvivesFlappingServer(t *testing.T) {
 }
 
 // TestAllReduceSurvivesInjectedFaults drives a real loopback allreduce
-// through deterministic recv-drop and shard-crash injection: client
+// through deterministic recv-drop and table-crash injection: client
 // retransmits plus the server's replay cache must still converge on the
 // bit-exact full sum (aging stays off so no block can complete degraded).
 func TestAllReduceSurvivesInjectedFaults(t *testing.T) {
@@ -164,7 +164,7 @@ func TestAllReduceSurvivesInjectedFaults(t *testing.T) {
 		t.Fatal("injector never dropped a contribution — the test exercised nothing")
 	}
 	if fst.HostaggShardCrashes == 0 {
-		t.Fatal("injector never crashed a shard")
+		t.Fatal("injector never crashed the table")
 	}
 	if st := s.Stats(); st.Degraded != 0 {
 		t.Fatalf("aging is off, yet %d degraded blocks", st.Degraded)
@@ -189,13 +189,12 @@ func TestOverloadShedding(t *testing.T) {
 }
 
 // TestJobIdleEviction: a job that goes silent has its open blocks discarded
-// without emitting and is counted once, however many shards hold them, at
-// the first sweep past JobIdleTimeout and not one before.
+// without emitting and is counted once, however many blocks it held, at the
+// first sweep past JobIdleTimeout and not one before.
 func TestJobIdleEviction(t *testing.T) {
 	const idle = 150 * time.Millisecond
 	tab := newTestTable(t, ServerConfig{
-		NumWorkers: 2, Shards: 4,
-		Timeout: 10 * time.Second, JobIdleTimeout: idle,
+		NumWorkers: 2, Timeout: 10 * time.Second, JobIdleTimeout: idle,
 	})
 	var out outbox
 	for b := uint32(0); b < 8; b++ {
@@ -209,8 +208,8 @@ func TestJobIdleEviction(t *testing.T) {
 	if st := tab.Stats(); st.JobsExpired != 1 || tab.Pending() != 0 || st.Degraded != 0 || st.BlocksTimedOut != 0 {
 		t.Fatalf("stats = %+v pending = %d, want one silent eviction of the whole job", st, tab.Pending())
 	}
-	if len(out) != 0 || len(tab.targets(1)) != 0 {
-		t.Fatalf("evicted job still produced %d datagrams / kept %d registrations", len(out), len(tab.targets(1)))
+	if len(out) != 0 || len(tab.targetsLocked(1)) != 0 {
+		t.Fatalf("evicted job still produced %d datagrams / kept %d registrations", len(out), len(tab.targetsLocked(1)))
 	}
 	// The job speaks again: it is a live job, evictable (and counted) afresh.
 	tab.Handle(t0.Add(time.Second), buildContribution(1, 0, 0, 2, []int32{1}), workerAddr(0), out.send)
@@ -266,6 +265,31 @@ func TestResultReplayOnRetransmit(t *testing.T) {
 	}
 }
 
+// TestReplayWindowBoundsTable: ReplayWindow caps the served results the whole
+// table retains. With a window of two and blocks 0–3 served in turn, block
+// 3's result still replays, while block 0's was evicted: its retransmit opens
+// a fresh block and nothing is sent.
+func TestReplayWindowBoundsTable(t *testing.T) {
+	tab := newTestTable(t, ServerConfig{NumWorkers: 2, ReplayWindow: 2})
+	var out outbox
+	for b := uint32(0); b < 4; b++ {
+		tab.Handle(t0, buildContribution(1, b, 0, 1, []int32{int32(b)}), workerAddr(0), out.send)
+		tab.Handle(t0, buildContribution(1, b, 1, 1, []int32{10}), workerAddr(1), out.send)
+	}
+	if st := tab.Stats(); st.Completed != 4 || len(out.take()) != 8 {
+		t.Fatalf("stats = %+v, want blocks 0-3 served to both workers", st)
+	}
+	tab.Handle(t0, buildContribution(1, 3, 0, 1, []int32{3}), workerAddr(0), out.send)
+	if got := out.take(); len(got) != 1 || got[0].hdr.BlockID != 3 || got[0].grads[0] != 13 {
+		t.Fatalf("sent = %+v, want block 3's sum 13 replayed to the sender", got)
+	}
+	tab.Handle(t0, buildContribution(1, 0, 0, 1, []int32{0}), workerAddr(0), out.send)
+	if st := tab.Stats(); len(out) != 0 || st.ResultReplays != 1 || tab.Pending() != 1 {
+		t.Fatalf("stats = %+v pending = %d sent = %d, want block 0 evicted from the window and re-opened",
+			st, tab.Pending(), len(out))
+	}
+}
+
 // buildContribution marshals one contribution payload as a client would.
 func buildContribution(job uint8, block uint32, src uint8, gen uint16, grads []int32) []byte {
 	hdr := packet.TrioML{JobID: job, BlockID: block, SrcID: src, GenID: gen, GradCnt: uint16(len(grads))}
@@ -298,13 +322,12 @@ func TestHandleAddZeroAlloc(t *testing.T) {
 // addPathRewinder returns a function that takes source src back out of the
 // open block k, so the next identical contribution is an add, not a duplicate.
 func addPathRewinder(tab *Table, k uint64, src uint8) func() {
-	sh := tab.shardFor(k)
 	return func() {
-		sh.mu.Lock()
-		b := sh.blocks[k]
+		tab.mu.Lock()
+		b := tab.blocks[k]
 		b.rcvdMask &^= 1 << src
 		b.rcvdCnt--
-		sh.mu.Unlock()
+		tab.mu.Unlock()
 	}
 }
 

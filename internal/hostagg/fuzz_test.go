@@ -34,8 +34,7 @@ func FuzzHandle(f *testing.F) {
 	known := []*net.UDPAddr{workerAddr(0), workerAddr(1), workerAddr(2)}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab := newTestTable(t, ServerConfig{
-			NumWorkers: 4, Shards: 2,
-			MaxOpenBlocks: 64, MaxBlocksPerJob: 16, ReplayWindow: 8,
+			NumWorkers: 4, MaxOpenBlocks: 64, MaxBlocksPerJob: 16, ReplayWindow: 8,
 			TenantQuotas: map[uint8]TenantQuota{1: {MaxOpenBlocks: 8, PacketsPerSec: 1e6}},
 		})
 		send := func(b []byte, to *net.UDPAddr) {
@@ -54,8 +53,8 @@ func FuzzHandle(f *testing.F) {
 		if got := (st.Packets - before.Packets) + (st.Malformed - before.Malformed) + (st.BadPackets - before.BadPackets); got != 2 {
 			t.Fatalf("two datagrams accounted %d times (stats %+v)", got, st)
 		}
-		if open := tab.openBlocks.Load(); open > 64 || open != int64(tab.Pending()) {
-			t.Fatalf("open blocks %d vs %d pending, cap 64 (stats %+v)", open, tab.Pending(), st)
+		if open := tab.openBlocks.Load(); open > 64 || open != int64(len(tab.blocks)) {
+			t.Fatalf("open blocks %d vs %d in the map, cap 64 (stats %+v)", open, len(tab.blocks), st)
 		}
 	})
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // RegisterObs exports the table's counters into a metrics registry:
-// server-wide totals plus per-shard recv/emit/drop counters and open-block
-// gauges (labelled shard="<i>"). All per-shard series read lock-free
-// atomics except the open-block gauge, which takes the shard lock briefly
-// at scrape time. Registration is idempotent, so a registry can outlive
-// server restarts; func-backed series rebind to the latest table.
+// server-wide totals plus, for each configured tenant, its admission series
+// (labelled tenant="<id>"). Every series reads a lock-free atomic, so a
+// scrape never takes the table lock. Registration is idempotent, so a
+// registry can outlive server restarts; func-backed series rebind to the
+// latest table.
 func (t *Table) RegisterObs(r *obs.Registry) {
 	if r == nil {
 		return
@@ -41,7 +41,7 @@ func (t *Table) RegisterObs(r *obs.Registry) {
 		"Blocks restarted in place by a newer generation reusing the block id.",
 		func() uint64 { return t.counters.genRestarts.Load() })
 	counter("triogo_hostagg_grad_mismatch_total", "packets",
-		"Contributions whose gradient count differed from the open block't.",
+		"Contributions whose gradient count differed from the open block's.",
 		func() uint64 { return t.counters.gradMismatch.Load() })
 	counter("triogo_hostagg_shed_total", "packets",
 		"Contributions refused by the MaxOpenBlocks/MaxBlocksPerJob overload bounds.",
@@ -78,7 +78,7 @@ func (t *Table) RegisterObs(r *obs.Registry) {
 		func() uint64 { return t.counters.overloadEnters.Load() })
 	r.GaugeFunc(obs.Desc{
 		Name: "triogo_hostagg_pending_blocks", Unit: "blocks",
-		Help: "Open (partially aggregated) blocks across all shards.",
+		Help: "Open (partially aggregated) blocks in the table.",
 	}, func() float64 { return float64(t.Pending()) })
 	r.GaugeFunc(obs.Desc{
 		Name: "triogo_hostagg_overload_state", Unit: "state",
@@ -116,31 +116,5 @@ func (t *Table) RegisterObs(r *obs.Registry) {
 			Name: "triogo_hostagg_tenant_nacks_total", Unit: "packets", Labels: l,
 			Help: "Retry-after NACKs sent to this tenant.",
 		}, func() uint64 { return tn.nacks.Load() })
-	}
-
-	for i, sh := range t.shards {
-		sh := sh
-		l := fmt.Sprintf("shard=\"%d\"", i)
-		r.CounterFunc(obs.Desc{
-			Name: "triogo_hostagg_shard_recv_total", Unit: "packets", Labels: l,
-			Help: "Contributions that reached this shard's aggregation logic.",
-		}, func() uint64 { return sh.recv.Load() })
-		r.CounterFunc(obs.Desc{
-			Name: "triogo_hostagg_shard_emit_total", Unit: "results", Labels: l,
-			Help: "Results emitted from this shard (completed plus aged).",
-		}, func() uint64 { return sh.emit.Load() })
-		r.CounterFunc(obs.Desc{
-			Name: "triogo_hostagg_shard_drop_total", Unit: "packets", Labels: l,
-			Help: "Duplicate and stale contributions this shard discarded.",
-		}, func() uint64 { return sh.drop.Load() })
-		r.GaugeFunc(obs.Desc{
-			Name: "triogo_hostagg_shard_open_blocks", Unit: "blocks", Labels: l,
-			Help: "Open blocks currently held by this shard.",
-		}, func() float64 {
-			sh.mu.Lock()
-			n := len(sh.blocks)
-			sh.mu.Unlock()
-			return float64(n)
-		})
 	}
 }

@@ -45,10 +45,9 @@ func scrape(t *testing.T, url, prefix string) float64 {
 }
 
 // TestConcurrentAggregationAndScrape hammers the server with contributions
-// while scraping /metrics concurrently — the -race proof that the exporter
-// reads (shard atomics, the Pending gauge's per-shard locking) are safe
-// against the aggregation hot path. Afterwards the per-shard recv counters
-// must sum to the packets total.
+// while scraping /metrics concurrently — the -race proof that the exporter's
+// lock-free reads (the counters, the Pending gauge) are safe against the
+// aggregation hot path. Afterwards the scraped totals must match Stats.
 func TestConcurrentAggregationAndScrape(t *testing.T) {
 	const workers = 3
 	s := newTestServer(t, workers, 0)
@@ -69,7 +68,8 @@ func TestConcurrentAggregationAndScrape(t *testing.T) {
 					return
 				default:
 				}
-				scrape(t, ts.URL, "triogo_hostagg_shard_recv_total")
+				scrape(t, ts.URL, "triogo_hostagg_packets_total")
+				scrape(t, ts.URL, "triogo_hostagg_pending_blocks")
 				time.Sleep(time.Millisecond)
 			}
 		}()
@@ -97,22 +97,19 @@ func TestConcurrentAggregationAndScrape(t *testing.T) {
 	scrapes.Wait()
 
 	stats := s.Stats()
-	if got := scrape(t, ts.URL, "triogo_hostagg_shard_recv_total"); got != float64(stats.Packets) {
-		t.Errorf("shard recv sum = %v, want packets total %d", got, stats.Packets)
-	}
-	if got := scrape(t, ts.URL, "triogo_hostagg_shard_emit_total"); got != float64(stats.Completed+stats.Degraded) {
-		t.Errorf("shard emit sum = %v, want completed+degraded %d", got, stats.Completed+stats.Degraded)
-	}
 	if got := scrape(t, ts.URL, "triogo_hostagg_packets_total"); got != float64(stats.Packets) {
 		t.Errorf("packets total = %v, want %d", got, stats.Packets)
 	}
-	if got := scrape(t, ts.URL, "triogo_hostagg_shard_open_blocks"); got != 0 {
+	if got := scrape(t, ts.URL, "triogo_hostagg_completed_total"); got != float64(stats.Completed) || got == 0 {
+		t.Errorf("completed total = %v, want %d (nonzero)", got, stats.Completed)
+	}
+	if got := scrape(t, ts.URL, "triogo_hostagg_pending_blocks"); got != 0 {
 		t.Errorf("open blocks after completion = %v, want 0", got)
 	}
 }
 
-// TestShardDropCountersTrackDuplicatesAndStale checks the per-shard drop
-// counter against the table-wide duplicate/stale totals.
+// TestShardDropCountersTrackDuplicatesAndStale checks the exported duplicate
+// and stale counters against the drops the table saw.
 func TestShardDropCountersTrackDuplicatesAndStale(t *testing.T) {
 	tab := newTestTable(t, ServerConfig{NumWorkers: 2})
 	reg := obs.NewRegistry()
@@ -127,13 +124,8 @@ func TestShardDropCountersTrackDuplicatesAndStale(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 duplicates and 1 stale", st)
 	}
 
-	var dropSum float64
-	for name, v := range reg.Snapshot() {
-		if strings.HasPrefix(name, "triogo_hostagg_shard_drop_total") {
-			dropSum += v.(float64)
-		}
-	}
-	if dropSum != 3 {
-		t.Errorf("shard drop sum = %v, want 3", dropSum)
+	snap := reg.Snapshot()
+	if drops := snap["triogo_hostagg_duplicates_total"].(float64) + snap["triogo_hostagg_stale_drops_total"].(float64); drops != 3 {
+		t.Errorf("duplicates + stale drops = %v, want 3", drops)
 	}
 }

@@ -91,9 +91,6 @@ func bindSockets(cfg ServerConfig) ([]*net.UDPConn, error) {
 // Addr reports the bound UDP address.
 func (s *Server) Addr() *net.UDPAddr { return s.conns[0].LocalAddr().(*net.UDPAddr) }
 
-// NumShards reports the (power-of-two) shard count in effect.
-func (s *Server) NumShards() int { return len(s.tab.shards) }
-
 // NumSockets reports how many receive sockets are bound; more than one
 // means SO_REUSEPORT fan-out is active.
 func (s *Server) NumSockets() int { return len(s.conns) }

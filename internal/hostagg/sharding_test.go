@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,112 +121,121 @@ func TestDroppedResultsCounted(t *testing.T) {
 	}
 }
 
-// TestShardedHammer drives one hot block key and a scatter of cold keys
-// from many goroutines across shards, with the sweeper running and stats
-// readers racing — the -race regression for the sharded hot path.
+// TestShardedHammer is the -race regression for the table lock: 16
+// goroutines drive Handle at synthetic instants — half their packets collide
+// on one hot key, half open blocks of their own — while two goroutines read
+// Stats and Pending and one sweeps. No socket and no wall clock: the end
+// state is exact. The hot key only ever hears from source 0, so it opens
+// once and every later packet for it is a duplicate; every other scattered
+// block also gets source 1 right away and completes. Two sweeps at
+// t0 + 2·Timeout then age out whatever is left, so every block opened is
+// accounted for as completed or degraded.
 func TestShardedHammer(t *testing.T) {
-	const workers = 16
-	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: workers,
-		Timeout: 20 * time.Millisecond, Shards: 8, RecvWorkers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	const timeout = 20 * time.Millisecond
+	tab := newTestTable(t, ServerConfig{NumWorkers: 2, Timeout: timeout})
+	var sends atomic.Int64
+	send := func([]byte, *net.UDPAddr) { sends.Add(1) }
 
-	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 40000}
 	const goroutines = 16
-	const packetsPer = 500
+	const packetsPer = 500 // half hot, half scattered
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
-		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			send := s.sender(s.conns[0])
-			payload := make([]byte, packet.TrioMLHeaderLen+4)
 			for i := 0; i < packetsPer; i++ {
-				hdr := packet.TrioML{
-					JobID: 1, SrcID: uint8((g + i) % workers), GenID: 1, GradCnt: 1,
-				}
+				now := t0.Add(time.Duration(i) * time.Microsecond)
 				if i%2 == 0 {
-					hdr.BlockID = 0 // hot key: every goroutine collides here
-				} else {
-					hdr.BlockID = uint32(g*packetsPer + i) // scatter
+					tab.Handle(now, buildContribution(1, 0, 0, 1, []int32{1}), workerAddr(0), send)
+					continue
 				}
-				hdr.MarshalTo(payload)
-				packet.PutGradients(payload[packet.TrioMLHeaderLen:], []int32{1})
-				s.tab.Handle(time.Now(), payload, from, send)
+				block := uint32(1 + g*packetsPer + i)
+				tab.Handle(now, buildContribution(1, block, 0, 1, []int32{1}), workerAddr(0), send)
+				if i%4 == 1 {
+					tab.Handle(now, buildContribution(1, block, 1, 1, []int32{1}), workerAddr(1), send)
+				}
 			}
 		}()
 	}
-	// Racing readers.
 	stop := make(chan struct{})
-	var readers sync.WaitGroup
+	var others sync.WaitGroup
 	for r := 0; r < 2; r++ {
-		readers.Add(1)
+		others.Add(1)
 		go func() {
-			defer readers.Done()
+			defer others.Done()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				_ = s.Stats()
-				_ = s.Pending()
+				_ = tab.Stats()
+				_ = tab.Pending()
 				runtime.Gosched()
 			}
 		}()
 	}
+	others.Add(1)
+	go func() { // sweeps inside the run's instants: REF flags clear, nothing ages yet
+		defer others.Done()
+		for j := 0; ; j++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tab.Sweep(t0.Add(time.Duration(j%packetsPer)*time.Microsecond), send)
+		}
+	}()
 	wg.Wait()
 	close(stop)
-	readers.Wait()
+	others.Wait()
 
-	st := s.Stats()
-	total := goroutines * packetsPer
-	if got := int(st.Packets); got != total {
-		t.Fatalf("packets = %d, want %d (lost under contention)", got, total)
+	const scattered = goroutines * packetsPer / 2
+	const completed = scattered / 2
+	const opened = scattered + 1 // the hot key opens once
+	st := tab.Stats()
+	if want := goroutines*packetsPer + completed; int(st.Packets) != want {
+		t.Fatalf("packets = %d, want %d (lost under contention)", st.Packets, want)
 	}
-	// The sweeper must eventually age out every straggling block.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Pending() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pending = %d after timeout, stats = %+v", s.Pending(), s.Stats())
-		}
-		time.Sleep(20 * time.Millisecond)
+	if st.Completed != completed || st.Duplicates != goroutines*packetsPer/2-1 || st.Degraded != 0 {
+		t.Fatalf("stats = %+v, want %d completed, %d duplicates, none aged during the run",
+			st, completed, goroutines*packetsPer/2-1)
+	}
+	tab.Sweep(t0.Add(2*timeout), send)
+	tab.Sweep(t0.Add(2*timeout), send)
+	st = tab.Stats()
+	if tab.Pending() != 0 || st.Completed+st.Degraded != opened {
+		t.Fatalf("pending = %d, stats = %+v, want every one of %d blocks completed or degraded",
+			tab.Pending(), st, opened)
+	}
+	if got := sends.Load(); got != 2*opened {
+		t.Fatalf("sent %d datagrams, want %d: one result per block to each of the 2 workers", got, 2*opened)
 	}
 }
 
-// TestShardConfigDefaults checks shard rounding and the reuseport fan-out
-// plumbing.
+// TestShardConfigDefaults checks the reuseport fan-out plumbing and the
+// receive-worker bound.
 func TestShardConfigDefaults(t *testing.T) {
-	s, err := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0", NumWorkers: 2, Shards: 5, RecvWorkers: 3})
+	s, err := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0", NumWorkers: 2, RecvWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	if s.NumShards() != 8 {
-		t.Fatalf("shards = %d, want 8 (5 rounded up)", s.NumShards())
-	}
 	if reusePortSupported && s.NumSockets() != 3 {
 		t.Fatalf("sockets = %d, want 3 with SO_REUSEPORT", s.NumSockets())
-	}
-	if _, err := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0", NumWorkers: 2, Shards: 2048}); err == nil {
-		t.Fatal("2048 shards accepted")
 	}
 	if _, err := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0", NumWorkers: 2, RecvWorkers: 65}); err == nil {
 		t.Fatal("65 recv workers accepted")
 	}
 }
 
-// TestAllReduceAcrossShards is an end-to-end check that sharding and
-// SO_REUSEPORT fan-out preserve protocol semantics over real sockets.
+// TestAllReduceAcrossShards is an end-to-end check that SO_REUSEPORT fan-out
+// into the one block table preserves protocol semantics over real sockets.
 func TestAllReduceAcrossShards(t *testing.T) {
 	const workers = 3
 	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: workers, Shards: 8, RecvWorkers: 4,
+		ListenAddr: "127.0.0.1:0", NumWorkers: workers, RecvWorkers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

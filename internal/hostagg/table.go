@@ -4,9 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"log/slog"
-	"math/bits"
 	"net"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -29,10 +27,6 @@ type ServerConfig struct {
 	// ScanInterval is how often the server's aging sweep runs; defaults to
 	// Timeout/4 (the host-side analogue of N staggered timer threads).
 	ScanInterval time.Duration
-	// Shards is the number of block-table partitions, each with its own
-	// mutex; it is rounded up to a power of two. Zero picks a default based
-	// on GOMAXPROCS.
-	Shards int
 	// RecvWorkers is the number of receive goroutines. On Linux each gets
 	// its own SO_REUSEPORT socket; elsewhere they share one socket. Zero
 	// picks GOMAXPROCS.
@@ -40,9 +34,9 @@ type ServerConfig struct {
 	// Logger receives operational messages; nil uses slog.Default.
 	Logger *slog.Logger
 
-	// MaxOpenBlocks bounds the open (partially aggregated) blocks across
-	// all shards; contributions that would create a block beyond it are
-	// shed (counted in Stats.Shed). Zero means unlimited.
+	// MaxOpenBlocks bounds the table's open (partially aggregated) blocks;
+	// contributions that would create a block beyond it are shed (counted
+	// in Stats.Shed). Zero means unlimited.
 	MaxOpenBlocks int
 	// MaxBlocksPerJob bounds the open blocks any one job may hold, so a
 	// runaway or malicious job cannot evict everyone else. Zero: unlimited.
@@ -52,13 +46,13 @@ type ServerConfig struct {
 	// worker registrations are dropped (counted in Stats.JobsExpired).
 	// Zero disables; it requires Timeout > 0 (the aging sweep does the work).
 	JobIdleTimeout time.Duration
-	// ReplayWindow retains the last N served results per shard and replays
+	// ReplayWindow retains the table's last N served results and replays
 	// them to sources that retransmit a contribution for an already-served
 	// block — without it such a retransmit recreates the block and the
 	// source receives a wrong one-source result (or none, with aging off).
 	// Zero disables the cache.
 	ReplayWindow int
-	// Faults attaches deterministic recv-drop and shard-crash injection;
+	// Faults attaches deterministic recv-drop and table-crash injection;
 	// nil (the default) leaves the server fault-free.
 	Faults *faults.HostaggInjector
 
@@ -88,28 +82,6 @@ type blockState struct {
 	bytes  int64        // gradient bytes charged against the tenant
 }
 
-// shard is one partition of the block table with its own lock, so traffic
-// for distinct blocks aggregates in parallel. The per-shard counters are
-// atomics (not guarded by mu) so the metrics exporter can read them without
-// touching the aggregation lock.
-type shard struct {
-	mu     sync.Mutex
-	blocks map[uint64]*blockState
-
-	// served retains recently emitted results for retransmit replay
-	// (ReplayWindow > 0, nil otherwise). The FIFO/generation machinery
-	// lives in internal/replay, extracted from this shard so apps/netrpc
-	// can share it; the cache is keyed by block key with the block's
-	// generation as the replay generation.
-	served *replay.Cache[*servedBlock]
-
-	flt *faults.HostaggShard // injected recv-drop/crash stream; nil when off
-
-	recv atomic.Uint64 // contributions that reached this shard's aggregation logic
-	emit atomic.Uint64 // results emitted from this shard (completed + aged)
-	drop atomic.Uint64 // duplicate and stale contributions discarded
-}
-
 type servedBlock struct {
 	b        *blockState
 	degraded bool
@@ -117,27 +89,36 @@ type servedBlock struct {
 
 // Table is the block table and everything that decides (see "Table and
 // shell" in the package documentation): no socket, no goroutine, no clock.
-// Block state is partitioned into power-of-two shards keyed by
-// hash(job, block). Handle and Sweep are safe for concurrent use.
+// Handle and Sweep are safe for concurrent use: one mutex guards the block
+// map, the replay cache, the fault stream, the worker registry and the
+// per-job accounting, and nothing is sent while it is held.
 type Table struct {
 	cfg ServerConfig // defaults filled in
 
-	shards     []*shard
-	shardShift uint // 64 - log2(len(shards))
+	mu     sync.Mutex
+	blocks map[uint64]*blockState
 
-	workersMu sync.RWMutex
-	workers   map[uint16]*net.UDPAddr // job<<8|src_id -> return address
+	// served retains recently emitted results for retransmit replay
+	// (ReplayWindow > 0, nil otherwise). The FIFO/generation machinery
+	// lives in internal/replay, shared with apps/netrpc; the cache is keyed
+	// by block key with the block's generation as the replay generation.
+	served *replay.Cache[*servedBlock]
 
-	// Bounded-memory accounting. Per-job arrays are indexed by the 8-bit
-	// job id; the hot path touches them with plain atomics so shedding
-	// checks never take a second lock.
-	openBlocks atomic.Int64      // open blocks across all shards
-	jobOpen    [256]atomic.Int64 // open blocks per job
-	jobLast    [256]atomic.Int64 // unix-nano of the job's last packet
-	jobExpired [256]atomic.Bool  // set while a job stands evicted
+	flt *faults.HostaggShard // injected recv-drop/crash stream; nil when off
 
-	tenants  *tenantTable
-	overload atomic.Int32 // ladder rung: stateNormal/statePressure/stateOverload
+	workers map[uint16]*net.UDPAddr // job<<8|src_id -> return address
+
+	// Per-job accounting, indexed by the 8-bit job id.
+	jobOpen    [256]int64 // open blocks per job
+	jobLast    [256]int64 // unix-nano of the job's last packet
+	jobExpired [256]bool  // set while a job stands evicted
+
+	// Written under mu; atomic because Stats, Pending, the metrics exporter
+	// and the pre-lock NACK gate read them without it.
+	openBlocks atomic.Int64
+	overload   atomic.Int32 // ladder rung: stateNormal/statePressure/stateOverload
+
+	tenants *tenantTable
 
 	counters serverCounters
 	emitPool sync.Pool // *[]byte result payloads
@@ -199,20 +180,6 @@ type serverCounters struct {
 // key packs (job, block) like the data-plane hash key.
 func key(job uint8, block uint32) uint64 { return uint64(job)<<32 | uint64(block) }
 
-// shardFor mixes the key (Fibonacci hashing) and picks a shard from the top
-// bits, so consecutive block ids spread across shards.
-func (t *Table) shardFor(k uint64) *shard {
-	return t.shards[(k*0x9E3779B97F4A7C15)>>t.shardShift]
-}
-
-// nextPow2 rounds n up to a power of two (n >= 1).
-func nextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}
-
 // NewTable validates cfg, fills its defaults and builds an empty block table.
 // ListenAddr and RecvWorkers belong to the Server shell and are ignored here.
 func NewTable(cfg ServerConfig) (*Table, error) {
@@ -225,13 +192,6 @@ func NewTable(cfg ServerConfig) (*Table, error) {
 	if cfg.ScanInterval == 0 && cfg.Timeout > 0 {
 		cfg.ScanInterval = cfg.Timeout / 4
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = nextPow2(runtime.GOMAXPROCS(0))
-	}
-	cfg.Shards = nextPow2(cfg.Shards)
-	if cfg.Shards > 1024 {
-		return nil, fmt.Errorf("hostagg: shards must be <= 1024, got %d", cfg.Shards)
-	}
 	if cfg.JobIdleTimeout > 0 && cfg.Timeout <= 0 {
 		return nil, fmt.Errorf("hostagg: JobIdleTimeout requires Timeout > 0 (the aging sweep runs the eviction)")
 	}
@@ -239,21 +199,16 @@ func NewTable(cfg ServerConfig) (*Table, error) {
 		cfg.RetryAfter = 20 * time.Millisecond
 	}
 	t := &Table{
-		cfg:        cfg,
-		shards:     make([]*shard, cfg.Shards),
-		shardShift: uint(64 - bits.Len(uint(cfg.Shards-1))),
-		workers:    make(map[uint16]*net.UDPAddr),
-		tenants:    newTenantTable(cfg.TenantQuotas, cfg.JobTenants),
+		cfg:     cfg,
+		blocks:  make(map[uint64]*blockState),
+		workers: make(map[uint16]*net.UDPAddr),
+		tenants: newTenantTable(cfg.TenantQuotas, cfg.JobTenants),
 	}
-	for i := range t.shards {
-		sh := &shard{blocks: make(map[uint64]*blockState)}
-		if cfg.ReplayWindow > 0 {
-			sh.served = replay.New[*servedBlock](cfg.ReplayWindow)
-		}
-		if cfg.Faults != nil {
-			sh.flt = cfg.Faults.Shard(i)
-		}
-		t.shards[i] = sh
+	if cfg.ReplayWindow > 0 {
+		t.served = replay.New[*servedBlock](cfg.ReplayWindow)
+	}
+	if cfg.Faults != nil {
+		t.flt = cfg.Faults.Shard()
 	}
 	t.emitPool.New = func() any {
 		b := make([]byte, 0, packet.TrioMLHeaderLen+4*packet.MaxGradientsPerPacket)
@@ -288,20 +243,6 @@ func (t *Table) Stats() ServerStats {
 		OverloadEnters: t.counters.overloadEnters.Load(),
 		OverloadState:  overloadStateName(t.overload.Load()),
 	}
-}
-
-// register records a worker's return address, upgrading to the write lock
-// only when the entry actually changes (the common case is a no-op read).
-func (t *Table) register(id uint16, from *net.UDPAddr) {
-	t.workersMu.RLock()
-	cur, ok := t.workers[id]
-	t.workersMu.RUnlock()
-	if ok && cur.Port == from.Port && cur.IP.Equal(from.IP) {
-		return
-	}
-	t.workersMu.Lock()
-	t.workers[id] = from
-	t.workersMu.Unlock()
 }
 
 // Handle runs one datagram through decode, admission and aggregation as of
@@ -339,61 +280,57 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 	tn.packets.Add(1)
 	if !tn.allowPacket(now) {
 		// Token-bucket shed: the tenant is over its packet rate. Dropped
-		// before registration and before any shard lock, so a flooding
+		// before registration and before the table lock, so a flooding
 		// tenant costs the server almost nothing per excess packet.
 		tn.rateShed.Add(1)
 		t.counters.rateShed.Add(1)
 		t.sendNack(now, send, from, &h, tn, packet.RetryReasonQuota)
 		return
 	}
-	t.register(uint16(h.JobID)<<8|uint16(h.SrcID), from)
-	t.jobLast[h.JobID].Store(now.UnixNano())
-	t.jobExpired[h.JobID].Store(false)
 
 	k := key(h.JobID, h.BlockID)
-	sh := t.shardFor(k)
-	sh.mu.Lock()
-	if sh.flt != nil && sh.flt.DropRecv() {
+	t.mu.Lock()
+	t.workers[uint16(h.JobID)<<8|uint16(h.SrcID)] = from
+	t.jobLast[h.JobID] = now.UnixNano()
+	t.jobExpired[h.JobID] = false
+	if t.flt != nil && t.flt.DropRecv() {
 		// Injected ingress loss: the contribution vanishes before the
 		// aggregation logic sees it (the injector counted it).
-		sh.mu.Unlock()
+		t.mu.Unlock()
 		return
 	}
-	sh.recv.Add(1)
-	b := sh.blocks[k]
-	if b == nil && sh.served != nil && t.overload.Load() < statePressure {
+	b := t.blocks[k]
+	if b == nil && t.served != nil && t.overload.Load() < statePressure {
 		// The replay cache is a nicety the ladder sheds first: at pressure
 		// and above, lookups are skipped so retransmits for served blocks
 		// fall through to admission (and are themselves shed if over quota).
-		if sb, gen, ok := sh.served.Lookup(k); ok {
+		if sb, gen, ok := t.served.Lookup(k); ok {
 			switch {
 			case h.GenID == gen:
 				// Retransmit for a block already served: replay the cached
 				// result to the sender only, instead of re-opening the block
 				// and eventually answering with a wrong one-source sum.
-				sh.mu.Unlock()
+				t.mu.Unlock()
 				t.counters.resultReplays.Add(1)
-				sh.emit.Add(1)
 				t.emit(send, h.JobID, h.BlockID, sb.b, sb.degraded, []*net.UDPAddr{from})
 				return
 			case int16(h.GenID-gen) < 0:
 				t.counters.staleDrops.Add(1)
-				sh.drop.Add(1)
-				sh.mu.Unlock()
+				t.mu.Unlock()
 				return
 			default:
 				// Newer generation reuses the id: the cached result is dead.
-				sh.served.Delete(k)
+				t.served.Delete(k)
 			}
 		}
 	}
 	switch {
 	case b == nil:
 		blockBytes := int64(4) * int64(h.GradCnt)
-		if t.cfg.MaxBlocksPerJob > 0 && t.jobOpen[h.JobID].Load() >= int64(t.cfg.MaxBlocksPerJob) {
+		if t.cfg.MaxBlocksPerJob > 0 && t.jobOpen[h.JobID] >= int64(t.cfg.MaxBlocksPerJob) {
 			t.counters.shed.Add(1)
 			tn.shed.Add(1)
-			sh.mu.Unlock()
+			t.mu.Unlock()
 			t.sendNack(now, send, from, &h, tn, packet.RetryReasonQuota)
 			return
 		}
@@ -403,7 +340,7 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 			// idle the rest of the server is.
 			t.counters.quotaShed.Add(1)
 			tn.shed.Add(1)
-			sh.mu.Unlock()
+			t.mu.Unlock()
 			t.sendNack(now, send, from, &h, tn, packet.RetryReasonQuota)
 			return
 		}
@@ -413,10 +350,10 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 			// under its fair share evicts one block of the tenant furthest
 			// over; the furthest-over tenant itself is refused, so an
 			// aggressor's storm is absorbed by the aggressor.
-			if !t.fairEvictLocked(sh, tn) {
+			if !t.fairEvictLocked(tn) {
 				t.counters.shed.Add(1)
 				tn.shed.Add(1)
-				sh.mu.Unlock()
+				t.mu.Unlock()
 				t.sendNack(now, send, from, &h, tn, packet.RetryReasonOverload)
 				return
 			}
@@ -424,16 +361,15 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 		grads, gerr := packet.Gradients(rest, int(h.GradCnt))
 		if gerr != nil {
 			t.counters.malformed.Add(1)
-			sh.mu.Unlock()
+			t.mu.Unlock()
 			return
 		}
 		b = &blockState{sums: grads, genID: h.GenID, final: h.Final, tenant: tn, bytes: blockBytes}
-		sh.blocks[k] = b
+		t.blocks[k] = b
 		t.blockOpened(b, h.JobID)
 	case h.GenID != b.genID && int16(h.GenID-b.genID) < 0:
 		t.counters.staleDrops.Add(1)
-		sh.drop.Add(1)
-		sh.mu.Unlock()
+		t.mu.Unlock()
 		return
 	case h.GenID != b.genID:
 		// Newer generation reuses the block id: restart in place, adopting
@@ -442,7 +378,7 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 		grads, gerr := packet.Gradients(rest, int(h.GradCnt))
 		if gerr != nil {
 			t.counters.badPackets.Add(1)
-			sh.mu.Unlock()
+			t.mu.Unlock()
 			return
 		}
 		b.genID = h.GenID
@@ -453,8 +389,7 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 		t.counters.genRestarts.Add(1)
 	case b.rcvdMask&(1<<h.SrcID) != 0:
 		t.counters.duplicates.Add(1)
-		sh.drop.Add(1)
-		sh.mu.Unlock()
+		t.mu.Unlock()
 		return
 	default:
 		n := int(h.GradCnt)
@@ -482,32 +417,33 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 	b.refFlag = true
 
 	var done *blockState
+	var to []*net.UDPAddr
 	if b.rcvdCnt >= t.cfg.NumWorkers {
 		done = b
-		delete(sh.blocks, k)
+		delete(t.blocks, k)
 		t.blockClosed(b, h.JobID)
 		t.counters.completed.Add(1)
-		if sh.served != nil && t.overload.Load() < statePressure {
-			sh.served.Put(k, b.genID, &servedBlock{b: b})
+		if t.served != nil && t.overload.Load() < statePressure {
+			t.served.Put(k, b.genID, &servedBlock{b: b})
 		}
+		to = t.targetsLocked(h.JobID)
 	}
-	if sh.flt != nil && sh.flt.CrashNow() {
-		t.crashShardLocked(sh)
+	if t.flt != nil && t.flt.CrashNow() {
+		t.crashLocked()
 	}
-	sh.mu.Unlock()
+	t.mu.Unlock()
 
 	if done != nil {
-		sh.emit.Add(1)
-		t.emit(send, h.JobID, h.BlockID, done, false, t.targets(h.JobID))
+		t.emit(send, h.JobID, h.BlockID, done, false, to)
 	}
 }
 
 // blockOpened and blockClosed centralize open-block accounting — the global
 // count, the per-job table, and the owning tenant's open/bytes charges — and
-// re-evaluate the overload ladder after every change.
+// re-evaluate the overload ladder after every change. Caller holds t.mu.
 func (t *Table) blockOpened(b *blockState, job uint8) {
 	t.openBlocks.Add(1)
-	t.jobOpen[job].Add(1)
+	t.jobOpen[job]++
 	if b.tenant != nil {
 		b.tenant.open.Add(1)
 		b.tenant.bytes.Add(b.bytes)
@@ -517,7 +453,7 @@ func (t *Table) blockOpened(b *blockState, job uint8) {
 
 func (t *Table) blockClosed(b *blockState, job uint8) {
 	t.openBlocks.Add(-1)
-	t.jobOpen[job].Add(-1)
+	t.jobOpen[job]--
 	if b.tenant != nil {
 		b.tenant.open.Add(-1)
 		b.tenant.bytes.Add(-b.bytes)
@@ -539,9 +475,8 @@ func (t *Table) retagBlockBytes(b *blockState, newBytes int64) {
 // furthest over its weighted fair share (open blocks per unit of weight).
 // It returns false — refuse the arrival — when tn itself is or would become
 // the furthest-over tenant, which is exactly how an aggressor's storm ends
-// up absorbed by the aggressor. Caller holds cur.mu; other shards are only
-// probed with TryLock so two concurrent evictions can never deadlock.
-func (t *Table) fairEvictLocked(cur *shard, tn *tenantState) bool {
+// up absorbed by the aggressor. Caller holds t.mu.
+func (t *Table) fairEvictLocked(tn *tenantState) bool {
 	var worst *tenantState
 	var worstShare float64
 	for _, cand := range t.tenants.snapshot() {
@@ -555,35 +490,17 @@ func (t *Table) fairEvictLocked(cur *shard, tn *tenantState) bool {
 	if worst == nil || tn.overShare(1) >= worstShare {
 		return false
 	}
-	if t.evictTenantBlockLocked(cur, worst) {
-		return true
-	}
-	for _, sh := range t.shards {
-		if sh == cur {
-			continue
-		}
-		if !sh.mu.TryLock() {
-			continue
-		}
-		ok := t.evictTenantBlockLocked(sh, worst)
-		sh.mu.Unlock()
-		if ok {
-			return true
-		}
-	}
-	// The worst tenant's blocks were all behind contended shard locks (or
-	// vanished since the scan): refuse rather than wait on another shard.
-	return false
+	return t.evictTenantBlockLocked(worst)
 }
 
 // evictTenantBlockLocked discards victim's least recently referenced open
-// block in sh (ties to the lowest key, so the choice never depends on map
-// order), without emitting — its sources recover by retransmitting once the
-// storm passes. Caller holds sh.mu.
-func (t *Table) evictTenantBlockLocked(sh *shard, victim *tenantState) bool {
+// block (ties to the lowest key, so the choice never depends on map order),
+// without emitting — its sources recover by retransmitting once the storm
+// passes. Caller holds t.mu.
+func (t *Table) evictTenantBlockLocked(victim *tenantState) bool {
 	var key uint64
 	var stalest *blockState
-	for k, b := range sh.blocks {
+	for k, b := range t.blocks {
 		if b.tenant != victim {
 			continue
 		}
@@ -594,11 +511,10 @@ func (t *Table) evictTenantBlockLocked(sh *shard, victim *tenantState) bool {
 	if stalest == nil {
 		return false
 	}
-	delete(sh.blocks, key)
+	delete(t.blocks, key)
 	t.blockClosed(stalest, uint8(key>>32))
 	victim.evicted.Add(1)
 	t.counters.fairEvictions.Add(1)
-	sh.drop.Add(uint64(stalest.rcvdCnt))
 	return true
 }
 
@@ -627,24 +543,22 @@ func (t *Table) sendNack(now time.Time, send func([]byte, *net.UDPAddr), from *n
 	send(packet.BuildRetryAfter(*h, reason, uint32(t.cfg.RetryAfter/time.Millisecond)), from)
 }
 
-// crashShardLocked models an injected shard crash: every open (partial)
-// block is discarded without emitting, as if the aggregation state was lost
-// and restarted empty. The served-result cache survives — sources recover
-// completed blocks by retransmitting into the replay path, and partial
-// blocks by retransmitting contributions that rebuild them from scratch.
-// Caller holds sh.mu.
-func (t *Table) crashShardLocked(sh *shard) {
-	for k, b := range sh.blocks {
+// crashLocked models an injected table crash: every open (partial) block is
+// discarded without emitting, as if the aggregation state was lost and
+// restarted empty. The served-result cache survives — sources recover
+// completed blocks by retransmitting into the replay path, and partial blocks
+// by retransmitting contributions that rebuild them from scratch. Caller
+// holds t.mu.
+func (t *Table) crashLocked() {
+	for k, b := range t.blocks {
 		t.blockClosed(b, uint8(k>>32))
-		delete(sh.blocks, k)
+		delete(t.blocks, k)
 	}
 }
 
-// targets lists the return addresses of a job's registered workers, in
-// source-id order.
-func (t *Table) targets(job uint8) []*net.UDPAddr {
-	t.workersMu.RLock()
-	defer t.workersMu.RUnlock()
+// targetsLocked lists the return addresses of a job's registered workers,
+// in source-id order. Caller holds t.mu.
+func (t *Table) targetsLocked(job uint8) []*net.UDPAddr {
 	out := make([]*net.UDPAddr, 0, t.cfg.NumWorkers)
 	for src := 0; src < t.cfg.NumWorkers; src++ {
 		if a := t.workers[uint16(job)<<8|uint16(src)]; a != nil {
@@ -654,30 +568,25 @@ func (t *Table) targets(job uint8) []*net.UDPAddr {
 	return out
 }
 
-// agedBlock is one record a sweep aged out, held until its shard lock drops.
+// agedBlock is one record a sweep aged out, held with its job's return
+// addresses until the table lock drops.
 type agedBlock struct {
 	key uint64
 	b   *blockState
+	to  []*net.UDPAddr
 }
 
-// Sweep is the host analogue of §5's timer threads: one pass over every
-// shard's block records as of now, clearing REF flags, emitting (through
-// send, as Handle does) a degraded partial result for each record not
-// referenced for a full Timeout, and discarding jobs idle past
-// JobIdleTimeout. It is a no-op with aging off (Timeout zero).
+// Sweep is the host analogue of §5's timer threads: one pass over the block
+// records as of now, clearing REF flags, emitting (through send, as Handle
+// does) a degraded partial result for each record not referenced for a full
+// Timeout, and discarding jobs idle past JobIdleTimeout. It is a no-op with
+// aging off (Timeout zero).
 func (t *Table) Sweep(now time.Time, send func([]byte, *net.UDPAddr)) {
 	if t.cfg.Timeout <= 0 {
 		return
 	}
-	for _, sh := range t.shards {
-		t.sweepShard(sh, now, send)
-	}
-}
-
-func (t *Table) sweepShard(sh *shard, now time.Time, send func([]byte, *net.UDPAddr)) {
 	var aged []agedBlock
-	var expiredJobs []uint8
-	sh.mu.Lock()
+	t.mu.Lock()
 	ladder := t.overload.Load()
 	idleCutoff := int64(0)
 	if t.cfg.JobIdleTimeout > 0 {
@@ -690,21 +599,19 @@ func (t *Table) sweepShard(sh *shard, now time.Time, send func([]byte, *net.UDPA
 		}
 		idleCutoff = now.UnixNano() - int64(idle)
 	}
-	for k, b := range sh.blocks {
+	for k, b := range t.blocks {
 		job := uint8(k >> 32)
 		if idleCutoff != 0 {
-			if last := t.jobLast[job].Load(); last != 0 && last < idleCutoff {
+			if last := t.jobLast[job]; last != 0 && last < idleCutoff {
 				// The whole job went quiet: discard its blocks without
-				// emitting and count the job once — the first shard the
-				// sweep meets it in flips jobExpired, later shards and later
-				// sweeps find it set — dropping its worker registrations
-				// then too. The flag is atomic because Handle clears it from
-				// the receive loops the moment the job speaks again.
-				delete(sh.blocks, k)
+				// emitting, and count the job and drop its worker
+				// registrations once — until Handle hears from it again.
+				delete(t.blocks, k)
 				t.blockClosed(b, job)
-				if t.jobExpired[job].CompareAndSwap(false, true) {
+				if !t.jobExpired[job] {
+					t.jobExpired[job] = true
 					t.counters.jobsExpired.Add(1)
-					expiredJobs = append(expiredJobs, job)
+					t.dropJobWorkersLocked(job)
 				}
 				continue
 			}
@@ -714,8 +621,8 @@ func (t *Table) sweepShard(sh *shard, now time.Time, send func([]byte, *net.UDPA
 			continue
 		}
 		if now.Sub(b.lastRef) >= t.cfg.Timeout && b.rcvdCnt > 0 {
-			aged = append(aged, agedBlock{k, b})
-			delete(sh.blocks, k)
+			aged = append(aged, agedBlock{key: k, b: b})
+			delete(t.blocks, k)
 			t.blockClosed(b, job)
 			t.counters.degraded.Add(1)
 			t.counters.blocksTimedOut.Add(1)
@@ -724,33 +631,29 @@ func (t *Table) sweepShard(sh *shard, now time.Time, send func([]byte, *net.UDPA
 	// Serve and emit in key order, not map order: what a sweep sends is a
 	// function of the table and now alone.
 	slices.SortFunc(aged, func(x, y agedBlock) int { return cmp.Compare(x.key, y.key) })
-	if sh.served != nil && ladder < statePressure {
-		// An aged block is served too: retransmits for it replay the same
-		// degraded result instead of re-opening it.
-		for _, a := range aged {
-			sh.served.Put(a.key, a.b.genID, &servedBlock{b: a.b, degraded: true})
+	for i := range aged {
+		a := &aged[i]
+		if t.served != nil && ladder < statePressure {
+			// An aged block is served too: retransmits for it replay the
+			// same degraded result instead of re-opening it.
+			t.served.Put(a.key, a.b.genID, &servedBlock{b: a.b, degraded: true})
 		}
+		a.to = t.targetsLocked(uint8(a.key >> 32))
 	}
-	sh.mu.Unlock()
+	t.mu.Unlock()
 	for _, a := range aged {
-		job := uint8(a.key >> 32)
-		sh.emit.Add(1)
-		t.emit(send, job, uint32(a.key), a.b, true, t.targets(job))
-	}
-	for _, job := range expiredJobs {
-		t.dropJobWorkers(job)
+		t.emit(send, uint8(a.key>>32), uint32(a.key), a.b, true, a.to)
 	}
 }
 
-// dropJobWorkers removes every worker registration belonging to job.
-func (t *Table) dropJobWorkers(job uint8) {
-	t.workersMu.Lock()
+// dropJobWorkersLocked removes every worker registration belonging to job.
+// Caller holds t.mu.
+func (t *Table) dropJobWorkersLocked(job uint8) {
 	for k := range t.workers {
 		if uint8(k>>8) == job {
 			delete(t.workers, k)
 		}
 	}
-	t.workersMu.Unlock()
 }
 
 // emit sends a Result packet to every known worker, marshaling into a
@@ -781,12 +684,4 @@ func (t *Table) emit(send func([]byte, *net.UDPAddr), job uint8, block uint32, b
 }
 
 // Pending reports the number of open (partially aggregated) blocks.
-func (t *Table) Pending() int {
-	n := 0
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		n += len(sh.blocks)
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (t *Table) Pending() int { return int(t.openBlocks.Load()) }

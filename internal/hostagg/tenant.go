@@ -16,7 +16,7 @@ type TenantQuota struct {
 	// tenant may hold across all of its jobs.
 	MaxOpenBlocks int
 	// PacketsPerSec is the tenant's token-bucket refill rate; packets beyond
-	// it are dropped before they touch a shard lock (counted in RateShed).
+	// it are dropped before they touch the table lock (counted in RateShed).
 	PacketsPerSec float64
 	// PacketBurst is the token-bucket depth; zero picks
 	// max(8, PacketsPerSec/10).
@@ -286,28 +286,23 @@ func overloadStateName(st int32) string {
 }
 
 // updateOverload re-evaluates the ladder after an open-block count change,
-// counting upward transitions. Lock-free: concurrent updaters race benignly
-// toward the same fixed point.
+// counting upward transitions. Caller holds t.mu, the ladder's only writer;
+// overload stays atomic for the readers outside the lock.
 func (t *Table) updateOverload() {
 	cap := int64(t.cfg.MaxOpenBlocks)
 	if cap <= 0 {
 		return
 	}
-	open := t.openBlocks.Load()
-	for {
-		cur := t.overload.Load()
-		next := ladderNext(cur, open, cap)
-		if next == cur {
-			return
-		}
-		if t.overload.CompareAndSwap(cur, next) {
-			if cur < statePressure && next >= statePressure {
-				t.counters.pressureEnters.Add(1)
-			}
-			if cur < stateOverload && next == stateOverload {
-				t.counters.overloadEnters.Add(1)
-			}
-			return
-		}
+	cur := t.overload.Load()
+	next := ladderNext(cur, t.openBlocks.Load(), cap)
+	if next == cur {
+		return
+	}
+	t.overload.Store(next)
+	if cur < statePressure && next >= statePressure {
+		t.counters.pressureEnters.Add(1)
+	}
+	if cur < stateOverload && next == stateOverload {
+		t.counters.overloadEnters.Add(1)
 	}
 }

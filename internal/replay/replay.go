@@ -18,8 +18,8 @@
 //     (k, gen=3) must not drop the fresher (k, gen=7) entry that
 //     overwrote it.
 //
-// The cache is not goroutine-safe; hostagg guards each instance with its
-// shard lock, netrpc with the server loop.
+// The cache is not goroutine-safe; hostagg guards it with the block table's
+// lock, netrpc with the server loop.
 package replay
 
 // Cache retains the last Window distinct inserts, mapping key -> (gen, V).
