@@ -119,3 +119,82 @@ func TestPackageMapMatchesTree(t *testing.T) {
 		}
 	}
 }
+
+var (
+	codeSpan = regexp.MustCompile("`[^`\n]+`")
+	// citedTest matches a test, benchmark or fuzzer name inside a code span;
+	// a trailing * makes it a prefix ("`TestCluster*`").
+	citedTest = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*\*?`)
+	funcDecl  = regexp.MustCompile(`(?m)^func (\w+)`)
+	// taskBox marks a doc as a plan of work ("- [ ] add TestX").
+	taskBox = regexp.MustCompile(`(?m)^\s*- \[[ xX]\] `)
+)
+
+// historyDocs record what was and what is planned, so they may name tests
+// that are gone or not written yet; so may any doc with task boxes.
+var historyDocs = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true}
+
+// TestDocsCiteExistingTests holds every Markdown file to the tests it cites:
+// each backticked Test*/Benchmark*/Fuzz* name must be a func somewhere in the
+// tree, so a rename or deletion cannot leave a doc pointing at nothing.
+func TestDocsCiteExistingTests(t *testing.T) {
+	funcs := map[string]bool{}
+	var docs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch {
+		case strings.HasSuffix(path, ".md") && !historyDocs[path]:
+			docs = append(docs, path)
+		case strings.HasSuffix(path, ".go"):
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range funcDecl.FindAllSubmatch(src, -1) {
+				funcs[string(m[1])] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := func(name string) bool {
+		prefix, wildcard := strings.CutSuffix(name, "*")
+		if !wildcard {
+			return funcs[name]
+		}
+		for f := range funcs {
+			if strings.HasPrefix(f, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if taskBox.Match(text) {
+			continue
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, span := range codeSpan.FindAllString(line, -1) {
+				for _, name := range citedTest.FindAllString(span, -1) {
+					if !exists(name) {
+						t.Errorf("%s:%d cites `%s`, which no func in the tree is named", doc, i+1, name)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,8 +1,9 @@
 // Hierarchical aggregation across a multi-PFE chassis, reproducing the
 // Fig. 11(b) testbed topology: three workers on PFE0 and three on PFE1
 // (the two line cards), with PFE2 configured as the top-level aggregator.
-// First-level results cross the chassis fabric directly — no IP forwarding —
-// and the final result is multicast back down to all six workers.
+// First-level results cross the chassis fabric directly — no IP forwarding,
+// over the pair of fabric links Router.Connect builds per group — and the
+// final result is multicast back down to all six workers.
 //
 //	go run ./examples/hierarchical
 package main
@@ -73,7 +74,12 @@ func main() {
 	fmt.Printf("blocks aggregated at level 1 (PFE1): %d\n", h.Levels[1].Stats().BlocksCompleted)
 	fmt.Printf("blocks aggregated at top level (PFE2): %d\n", h.Top.Stats().BlocksCompleted)
 	fmt.Printf("results delivered to workers: %d (want %d), bad sums: %d\n", received, blocks*6, bad)
-	fmt.Printf("fabric carried %d frames / %d bytes — the data reduction property:\n",
-		router.Fabric.Frames(), router.Fabric.Bytes())
+	// Workers inject directly, so the router's only links are the fabric's.
+	var frames, bytes uint64
+	for _, l := range router.Links() {
+		frames += l.Frames
+		bytes += l.Bytes
+	}
+	fmt.Printf("fabric links carried %d frames / %d bytes — the data reduction property:\n", frames, bytes)
 	fmt.Println("aggregated gradients shrink as they move up the hierarchy, the opposite of multicast replication (§4).")
 }

@@ -228,6 +228,11 @@ func ablationHierarchy() *Table {
 		}
 	}
 	eng.Run()
-	t.AddRow("hierarchical (2+1 PFEs)", 2, r.Fabric.Bytes(), workerBytes)
+	// Workers inject directly, so the router's only links are the fabric's.
+	var fabricBytes uint64
+	for _, l := range r.Links() {
+		fabricBytes += l.Bytes
+	}
+	t.AddRow("hierarchical (2+1 PFEs)", 2, fabricBytes, workerBytes)
 	return t
 }

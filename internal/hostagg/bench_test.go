@@ -6,7 +6,7 @@ package hostagg
 // collide on one (job, block) key. Every goroutine contends for the one
 // table lock. Run:
 //
-//	go test -bench=Shard -cpu 1,4,8 ./internal/hostagg/
+//	go test -bench=Table -cpu 1,4,8 ./internal/hostagg/
 
 import (
 	"net"
@@ -64,14 +64,14 @@ func benchHandle(b *testing.B, numWorkers int, hot bool) {
 	}
 }
 
-func BenchmarkShardScatter(b *testing.B) { benchHandle(b, 1, false) }
+func BenchmarkTableScatter(b *testing.B) { benchHandle(b, 1, false) }
 
-func BenchmarkShardHotBlock(b *testing.B) { benchHandle(b, 1, true) }
+func BenchmarkTableHotBlock(b *testing.B) { benchHandle(b, 1, true) }
 
-// BenchmarkShardTable isolates the block table: blocks never complete (two
+// BenchmarkTableLookup isolates the block table: blocks never complete (two
 // expected workers, one source), so the loop is parse → table lock → map
 // access.
-func BenchmarkShardTable(b *testing.B) { benchHandle(b, 2, false) }
+func BenchmarkTableLookup(b *testing.B) { benchHandle(b, 2, false) }
 
 // BenchmarkAllReduceUDP is the end-to-end cost over real loopback sockets:
 // multiple clients AllReduce a vector through the server.

@@ -153,9 +153,6 @@ func NewLinkBetween(src, dst *sim.Engine, cfg LinkConfig, recv Receiver) *Link {
 	return l
 }
 
-// SetReceiver replaces the link's receiver (used when wiring loops).
-func (l *Link) SetReceiver(dst Receiver) { l.dst = dst }
-
 // Send enqueues a frame for transmission now; the receiver sees it after
 // queueing, serialization, and propagation.
 func (l *Link) Send(frame []byte) {
@@ -265,19 +262,4 @@ func (l *Link) FreeAt() sim.Time {
 		return l.freeAt + 1
 	}
 	return l.freeAt
-}
-
-// Duplex is a bidirectional cable: A-to-B and B-to-A links with shared
-// configuration, mirroring one physical cable of Fig. 11.
-type Duplex struct {
-	AtoB, BtoA *Link
-}
-
-// NewDuplex builds a cable; receivers are set later via SetReceiver on each
-// direction.
-func NewDuplex(eng *sim.Engine, cfg LinkConfig) *Duplex {
-	return &Duplex{
-		AtoB: NewLink(eng, cfg, nil),
-		BtoA: NewLink(eng, cfg, nil),
-	}
 }

@@ -58,21 +58,6 @@ func TestLinkIdleGapsDoNotAccumulateCredit(t *testing.T) {
 	}
 }
 
-func TestDuplexDirectionsIndependent(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDuplex(eng, LinkConfig{Bandwidth: 100_000_000_000, Propagation: 0})
-	var aToB, bToA int
-	d.AtoB.SetReceiver(func([]byte, sim.Time) { aToB++ })
-	d.BtoA.SetReceiver(func([]byte, sim.Time) { bToA++ })
-	d.AtoB.Send(make([]byte, 100))
-	d.BtoA.Send(make([]byte, 100))
-	d.BtoA.Send(make([]byte, 100))
-	eng.Run()
-	if aToB != 1 || bToA != 2 {
-		t.Fatalf("a->b=%d b->a=%d", aToB, bToA)
-	}
-}
-
 // dropPattern sends n frames over a link built with cfg and returns the
 // indices of the frames the native loss stream dropped.
 func dropPattern(cfg LinkConfig, n int) []int {

@@ -4,9 +4,10 @@
 // the datacenter-scale extrapolation of the paper's single-chassis
 // hierarchical aggregation (§4, Fig. 11b). Every router runs the unmodified
 // trioml.Aggregator; what this package adds is the control-plane wiring
-// (inter-router netsim links in place of the chassis fabric), the
-// composition of gen-restart/straggler-timeout semantics across levels, and
-// topology-aware placement of the tree onto sim.Cluster partitions so
+// (each worker cabled with Router.Cable, each router connected to its parent
+// with Router.Connect — the same link pair as the chassis fabric, at 100 Gbps
+// cable speed), the composition of gen-restart/straggler-timeout semantics
+// across levels, and topology-aware placement of the tree onto sim.Cluster partitions so
 // 10^5–10^6 simulated workers stay tractable.
 //
 // Composed straggler semantics. Each level runs the §5 timer-thread aging
@@ -172,7 +173,6 @@ type Node struct {
 	partition int
 	fanIn     int // workers (level 0) or len(Children)
 	upPort    int // == fanIn; port toward the parent
-	up, down  *netsim.Link
 }
 
 // Tree is a built multi-rack aggregation hierarchy.
@@ -321,23 +321,13 @@ func (t *Tree) installJob(n *Node) error {
 	return nil
 }
 
-// connect cables node n to its parent with a duplex pair of netsim links —
-// the inter-router analogue of the chassis fabric hop in SetupHierarchy.
-// When n is a ToR off the spine partition the pair crosses partitions and
-// its 500 ns propagation becomes conservative lookahead.
+// connect joins node n's uplink port to its parent's child port — the
+// inter-router analogue of the chassis fabric hop in SetupHierarchy. The
+// uplink is built before the downlink, which fixes the cross-partition
+// channel keys. When n is a ToR off the spine partition the pair crosses
+// partitions and its 500 ns propagation becomes conservative lookahead.
 func (t *Tree) connect(n *Node) {
-	p := n.Parent
-	up := netsim.NewLinkBetween(n.Engine, p.Engine, t.uplinkCfg(n), func(f []byte, _ sim.Time) {
-		p.Router.Inject(0, n.ChildIdx, uint64(n.ChildIdx), f)
-	})
-	n.Router.AttachExternal(0, n.upPort, func(_ int, f []byte, _ sim.Time) { up.Send(f) })
-	// Results from above take the uplink port's own number as their reorder
-	// flow, like every cabled port: disjoint from the child flows 0..fanIn-1.
-	down := netsim.NewLinkBetween(p.Engine, n.Engine, netsim.DefaultLinkConfig(), func(f []byte, _ sim.Time) {
-		n.Router.Inject(0, n.upPort, uint64(n.upPort), f)
-	})
-	p.Router.AttachExternal(0, n.ChildIdx, func(_ int, f []byte, _ sim.Time) { down.Send(f) })
-	n.up, n.down = up, down
+	n.Router.Connect(0, n.upPort, n.Parent.Router, 0, n.ChildIdx, t.uplinkCfg(n), netsim.DefaultLinkConfig())
 }
 
 // uplinkCfg builds the ToR->spine (or spine->spine) link config, attaching

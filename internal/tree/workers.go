@@ -10,8 +10,9 @@ import (
 
 // workerBank simulates one rack's workers as a single event-driven bank
 // colocated with the rack's ToR (same engine, same partition) — the only
-// way 10^5–10^6 workers stay affordable: per worker the bank keeps a pair
-// of NIC links and a few words of protocol state instead of a goroutine.
+// way 10^5–10^6 workers stay affordable: per worker the bank keeps the
+// transmit function of its NIC cable (the ToR router holds the link pair)
+// and a few words of protocol state instead of a goroutine.
 //
 // The bank implements the worker side of the composed protocol: stream
 // `Blocks` aggregation blocks with `Window` outstanding, and on each result
@@ -33,7 +34,7 @@ type workerBank struct {
 	remaining int
 
 	silent []bool
-	up     []*netsim.Link // per-worker NIC -> ToR port w
+	up     []func([]byte) // per-worker transmit onto its NIC -> ToR port w link
 
 	// Per-worker streaming state.
 	next []int    // next block index to start
@@ -104,7 +105,7 @@ func newWorkerBank(t *Tree, rack int, tor *Node) *workerBank {
 	b := &workerBank{
 		rack: rack, eng: tor.Engine, cfg: cfg, tree: t,
 		silent:    make([]bool, w),
-		up:        make([]*netsim.Link, w),
+		up:        make([]func([]byte), w),
 		next:      make([]int, w),
 		done:      make([]int, w),
 		out:       make([]uint64, w),
@@ -126,15 +127,10 @@ func newWorkerBank(t *Tree, rack int, tor *Node) *workerBank {
 			b.remaining += cfg.Blocks
 		}
 	}
+	def := netsim.DefaultLinkConfig()
 	for i := 0; i < w; i++ {
 		i := i
-		b.up[i] = netsim.NewLink(b.eng, netsim.DefaultLinkConfig(), func(f []byte, _ sim.Time) {
-			tor.Router.Inject(0, i, uint64(i), f)
-		})
-		down := netsim.NewLink(b.eng, netsim.DefaultLinkConfig(), func(f []byte, at sim.Time) {
-			b.onFrame(i, f, at)
-		})
-		tor.Router.AttachExternal(0, i, func(_ int, f []byte, _ sim.Time) { down.Send(f) })
+		b.up[i] = tor.Router.Cable(0, i, def, def, func(f []byte, at sim.Time) { b.onFrame(i, f, at) })
 	}
 	return b
 }
@@ -171,7 +167,7 @@ func (b *workerBank) sendBlock(w, blk int) {
 	for i := range b.grads {
 		b.grads[i] = int32(gw + blk + i)
 	}
-	b.up[w].Send(packet.BuildTrioML(packet.UDPSpec{
+	b.up[w](packet.BuildTrioML(packet.UDPSpec{
 		SrcIP:   [4]byte{10, uint8(b.rack >> 8), uint8(b.rack), uint8(w)},
 		DstIP:   [4]byte{10, 1, uint8(b.rack >> 8), uint8(b.rack)},
 		SrcPort: 5000,

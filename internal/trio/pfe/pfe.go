@@ -225,19 +225,6 @@ func (p *PFE) PortStats(port int) PortStats {
 	return PortStats{Frames: ps.frames, Bytes: ps.bytes, Busy: ps.busy}
 }
 
-// PortUtilization reports the fraction of virtual time a port spent
-// serializing, measured against the current clock (0 when no time has
-// passed).
-func (p *PFE) PortUtilization(port int) float64 {
-	if p.Engine.Now() == 0 {
-		return 0
-	}
-	return float64(p.ports[port].busy) / float64(p.Engine.Now())
-}
-
-// ThreadCapacity reports the total PPE thread pool size.
-func (p *PFE) ThreadCapacity() int { return p.pool.cap }
-
 // BusyThreads reports how many threads are currently executing.
 func (p *PFE) BusyThreads() int { return p.pool.cap - p.pool.free }
 

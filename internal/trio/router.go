@@ -1,12 +1,15 @@
-// Package trio assembles Packet Forwarding Engines and the interconnection
-// fabric into a complete router in the style of Juniper's MX-series chassis
-// (Fig. 1a of the paper): external ports attach servers or other devices to
-// individual PFEs; internal fabric connections let PFEs exchange packets
-// directly, which is what hierarchical aggregation (§4) rides on.
+// Package trio assembles Packet Forwarding Engines into a complete router in
+// the style of Juniper's MX-series chassis (Fig. 1a of the paper): external
+// ports attach servers or other devices to individual PFEs, and fabric links
+// let PFEs exchange packets directly, which is what hierarchical aggregation
+// (§4) rides on.
 //
-// A rig is a router plus two calls: Cable attaches one server to a port with
-// an uplink/downlink pair of netsim links, and Instrument is the single
-// place metrics, tracing and a fault plan attach to the engine and every PFE.
+// Every simulated hop is a netsim.Link the router builds. A rig is a router
+// plus these calls: Cable attaches one server to a port with an
+// uplink/downlink pair of links, Connect joins a port to a port of a peer
+// router (or of this one, across the chassis fabric) with a pair of links,
+// and Instrument is the single place metrics, tracing and a fault plan attach
+// to the engine and every PFE.
 package trio
 
 import (
@@ -17,7 +20,6 @@ import (
 	"github.com/trioml/triogo/internal/obs"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
-	"github.com/trioml/triogo/internal/trio/fabric"
 	"github.com/trioml/triogo/internal/trio/pfe"
 )
 
@@ -25,34 +27,28 @@ import (
 type Config struct {
 	NumPFEs int
 	PFE     pfe.Config
-	Fabric  fabric.Config
 }
 
-// FabricFlowBase offsets fabric-delivered flows in the reorder engine's key
-// space so they never collide with external ingress flows.
-const FabricFlowBase = 1 << 48
+// FabricLinkConfig returns one direction of a chassis fabric hop: 400 Gbps,
+// comfortably faster than the 100 Gbps ports it interconnects ("the
+// interconnection fabric expands the bandwidth of a device much farther than
+// a single chip could support", §2.1), and 500 ns of traversal latency.
+func FabricLinkConfig() netsim.LinkConfig {
+	return netsim.LinkConfig{Bandwidth: 400_000_000_000, Propagation: 500 * sim.Nanosecond}
+}
 
 // Router is a multi-PFE Trio device.
 type Router struct {
 	Engine *sim.Engine
-	Fabric *fabric.Fabric
 
-	pfes      []*pfe.PFE
-	external  map[portKey]pfe.Output
-	internal  map[portKey]internalLink
-	flowOfPkt func(frame []byte) uint64
+	pfes []*pfe.PFE
+	// egress[pfe][port] receives the frames that PFE forwards out that port;
+	// a nil slot black-holes them, like an unconnected physical port.
+	egress [][]pfe.Output
 
-	links []*netsim.Link // every Cable link, in creation order
-	fcs   bool           // a fault plan is attached: cabled ports check frames in
+	links []*netsim.Link // every link Cable and Connect built, in creation order
+	fcs   bool           // a fault plan is attached: ports fed by links check frames in
 	fcsIn packet.Frame   // decode scratch for that check
-}
-
-type portKey struct {
-	pfeID, port int
-}
-
-type internalLink struct {
-	dstPFE, dstPort int
 }
 
 // New builds a router with cfg.NumPFEs PFEs on one simulation engine.
@@ -60,19 +56,19 @@ func New(eng *sim.Engine, cfg Config) *Router {
 	if cfg.NumPFEs <= 0 {
 		cfg.NumPFEs = 1
 	}
-	r := &Router{
-		Engine:   eng,
-		Fabric:   fabric.New(eng, cfg.NumPFEs, cfg.Fabric),
-		external: make(map[portKey]pfe.Output),
-		internal: make(map[portKey]internalLink),
-	}
+	r := &Router{Engine: eng}
 	for i := 0; i < cfg.NumPFEs; i++ {
 		pcfg := cfg.PFE
 		pcfg.ID = i
 		p := pfe.New(eng, pcfg)
-		id := i
-		p.SetOutput(func(port int, frame []byte, at sim.Time) { r.route(id, port, frame) })
+		outs := make([]pfe.Output, p.Cfg.NumPorts)
+		p.SetOutput(func(port int, frame []byte, at sim.Time) {
+			if out := outs[port]; out != nil {
+				out(port, frame, at)
+			}
+		})
 		r.pfes = append(r.pfes, p)
+		r.egress = append(r.egress, outs)
 	}
 	return r
 }
@@ -83,32 +79,15 @@ func (r *Router) NumPFEs() int { return len(r.pfes) }
 // PFE returns PFE i.
 func (r *Router) PFE(i int) *pfe.PFE { return r.pfes[i] }
 
-// SetFlowClassifier installs the function that derives a reorder-engine flow
-// key from a frame arriving over the fabric. Without one, fabric arrivals
-// use a single flow per (src PFE egress port).
-func (r *Router) SetFlowClassifier(fn func(frame []byte) uint64) { r.flowOfPkt = fn }
-
-// AttachExternal binds an external receiver (a server NIC, a peer router) to
-// a PFE port. Frames the PFE forwards out that port are delivered to out.
+// AttachExternal binds an external receiver (a server NIC, a probe) to a PFE
+// port. Frames the PFE forwards out that port are delivered to out. A port
+// takes one attachment: a second one panics.
 func (r *Router) AttachExternal(pfeID, port int, out pfe.Output) {
-	k := portKey{pfeID, port}
-	if _, dup := r.internal[k]; dup {
-		panic(fmt.Sprintf("trio: port %v already connected internally", k))
+	slot := &r.egress[pfeID][port]
+	if *slot != nil {
+		panic(fmt.Sprintf("trio: pfe%d port %d is already attached", pfeID, port))
 	}
-	r.external[k] = out
-}
-
-// ConnectInternal joins (pfeA, portA) and (pfeB, portB) across the fabric in
-// both directions, the way line-card PFEs interconnect inside a chassis.
-func (r *Router) ConnectInternal(pfeA, portA, pfeB, portB int) {
-	ka, kb := portKey{pfeA, portA}, portKey{pfeB, portB}
-	for _, k := range []portKey{ka, kb} {
-		if _, dup := r.external[k]; dup {
-			panic(fmt.Sprintf("trio: port %v already attached externally", k))
-		}
-	}
-	r.internal[ka] = internalLink{dstPFE: pfeB, dstPort: portB}
-	r.internal[kb] = internalLink{dstPFE: pfeA, dstPort: portA}
+	*slot = out
 }
 
 // Inject delivers a frame arriving from outside on (pfeID, port) with the
@@ -117,18 +96,13 @@ func (r *Router) Inject(pfeID, port int, flow uint64, frame []byte) {
 	r.pfes[pfeID].Inject(port, flow, frame)
 }
 
-// Cable attaches a server to (pfeID, port) over a pair of links on the
-// router's engine and returns the server's transmit function. The uplink is
-// built before the downlink — callers hand out per-link loss seeds and fault
-// streams in that order, so it is part of the determinism contract. Frames
-// the server sends are injected on the port with the constant reorder flow
-// uint64(port): a flow assigned per arrival would tie the reorder engine's
-// per-flow sequencing to how same-instant deliveries happen to be queued.
-// Frames the PFE forwards out the port reach recv over the downlink; a nil
-// recv cables a send-only server and leaves the port's egress unattached.
-func (r *Router) Cable(pfeID, port int, up, down netsim.LinkConfig, recv netsim.Receiver) (send func([]byte)) {
+// ingress is the receiver of every link that feeds (pfeID, port). Frames are
+// injected with the constant reorder flow uint64(port): a flow assigned per
+// arrival would tie the reorder engine's per-flow sequencing to how
+// same-instant deliveries happen to be queued.
+func (r *Router) ingress(pfeID, port int) netsim.Receiver {
 	p := r.pfes[pfeID]
-	ul := netsim.NewLink(r.Engine, up, func(f []byte, _ sim.Time) {
+	return func(f []byte, _ sim.Time) {
 		// With a fault plan attached links may corrupt frames; the port
 		// drops those the way the MAC's FCS check would (the UDP checksum
 		// stands in for the FCS the frames do not carry), leaving the
@@ -137,18 +111,50 @@ func (r *Router) Cable(pfeID, port int, up, down netsim.LinkConfig, recv netsim.
 			return
 		}
 		p.Inject(port, uint64(port), f)
-	})
+	}
+}
+
+// sendOn is the egress attachment that puts a port's frames on link l.
+func sendOn(l *netsim.Link) pfe.Output {
+	return func(_ int, f []byte, _ sim.Time) { l.Send(f) }
+}
+
+// Cable attaches a server to (pfeID, port) over a pair of links on the
+// router's engine and returns the server's transmit function. The uplink is
+// built before the downlink — callers hand out per-link loss seeds and fault
+// streams in that order, so it is part of the determinism contract. Frames
+// the PFE forwards out the port reach recv over the downlink; a nil recv
+// cables a send-only server and leaves the port's egress unattached.
+func (r *Router) Cable(pfeID, port int, up, down netsim.LinkConfig, recv netsim.Receiver) (send func([]byte)) {
+	ul := netsim.NewLink(r.Engine, up, r.ingress(pfeID, port))
 	r.links = append(r.links, ul)
 	if recv != nil {
 		dl := netsim.NewLink(r.Engine, down, recv)
-		r.AttachExternal(pfeID, port, func(_ int, f []byte, _ sim.Time) { dl.Send(f) })
 		r.links = append(r.links, dl)
+		r.AttachExternal(pfeID, port, sendOn(dl))
 	}
 	return ul.Send
 }
 
-// Links returns every link Cable built, in creation order (per cable: uplink,
-// then downlink), for reading their frame/drop counters.
+// Connect joins (pfeID, port) of this router to (peerPFE, peerPort) of peer
+// with a pair of links: out carries this port's frames to the peer, in
+// carries the peer port's frames back. Passing the router itself as peer is
+// a chassis fabric hop (use FabricLinkConfig for both directions). The
+// peer-bound link is built first, and both links join this router's Links()
+// in that order. When the peer runs on another partition of a sim.Cluster,
+// each link posts its arrivals across and registers its propagation delay as
+// lookahead (netsim.NewLinkBetween).
+func (r *Router) Connect(pfeID, port int, peer *Router, peerPFE, peerPort int, out, in netsim.LinkConfig) {
+	ol := netsim.NewLinkBetween(r.Engine, peer.Engine, out, peer.ingress(peerPFE, peerPort))
+	il := netsim.NewLinkBetween(peer.Engine, r.Engine, in, r.ingress(pfeID, port))
+	r.links = append(r.links, ol, il)
+	r.AttachExternal(pfeID, port, sendOn(ol))
+	peer.AttachExternal(peerPFE, peerPort, sendOn(il))
+}
+
+// Links returns every link Cable and Connect built, in creation order (per
+// cable: uplink, then downlink; per connection: peer-bound, then back), for
+// reading their frame/drop counters.
 func (r *Router) Links() []*netsim.Link { return r.links }
 
 // Instrument is the one place observability and fault injection attach to a
@@ -166,26 +172,4 @@ func (r *Router) Instrument(reg *obs.Registry, tr *obs.Trace, plan *faults.Plan)
 		p.Mem.SetFaults(plan.Mem(uint64(i)))
 	}
 	r.fcs = plan != nil
-}
-
-// route dispatches a PFE egress frame to its attached destination.
-func (r *Router) route(pfeID, port int, frame []byte) {
-	k := portKey{pfeID, port}
-	if out, ok := r.external[k]; ok {
-		out(port, frame, r.Engine.Now())
-		return
-	}
-	if link, ok := r.internal[k]; ok {
-		src := pfeID
-		r.Fabric.Send(src, link.dstPFE, frame, func(f []byte, at sim.Time) {
-			flow := FabricFlowBase | uint64(src)<<16 | uint64(port)
-			if r.flowOfPkt != nil {
-				flow = FabricFlowBase | r.flowOfPkt(f)
-			}
-			r.pfes[link.dstPFE].Inject(link.dstPort, flow, f)
-		})
-		return
-	}
-	// Unattached port: the frame leaves the simulated world (black-holed),
-	// which mirrors an unconnected physical port.
 }

@@ -1,6 +1,7 @@
 package trio
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -28,14 +29,24 @@ func TestRouterExternalForwarding(t *testing.T) {
 	}
 }
 
+// connectFabric joins PFE0 port 5 to PFE1 port 5 of a 2-PFE router across
+// the chassis fabric.
+func connectFabric(r *Router) {
+	r.Connect(0, 5, r, 1, 5, FabricLinkConfig(), FabricLinkConfig())
+}
+
 func TestRouterFabricPath(t *testing.T) {
 	// PFE0 forwards everything out port 5; port 5 is wired across the
 	// fabric to PFE1 port 5; PFE1 forwards out port 0 to an external sink.
 	eng := sim.NewEngine()
 	r := New(eng, Config{NumPFEs: 2})
-	r.ConnectInternal(0, 5, 1, 5)
+	connectFabric(r)
+	var flows []uint64
 	r.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) { ctx.Forward(5) }))
-	r.PFE(1).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) { ctx.Forward(0) }))
+	r.PFE(1).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) {
+		flows = append(flows, ctx.Packet().Flow)
+		ctx.Forward(0)
+	}))
 	var gotAt sim.Time
 	n := 0
 	r.AttachExternal(1, 0, func(port int, frame []byte, at sim.Time) {
@@ -51,16 +62,24 @@ func TestRouterFabricPath(t *testing.T) {
 	if gotAt < 500*sim.Nanosecond {
 		t.Fatalf("arrival %v too early for fabric latency", gotAt)
 	}
-	if r.Fabric.Frames() != 1 {
-		t.Fatalf("fabric frames = %d", r.Fabric.Frames())
+	// The fabric port is fed by one link, so like a cabled port its flow is
+	// the port number.
+	if len(flows) != 1 || flows[0] != 5 {
+		t.Fatalf("fabric arrivals took flows %v, want [5]", flows)
+	}
+	links := r.Links()
+	if len(links) != 2 || links[0].Frames != 1 || links[1].Frames != 0 {
+		t.Fatalf("want the PFE1-bound link first with the one frame; got %d links", len(links))
 	}
 }
 
+// TestRouterFabricRoundTrip checks both directions of a connection: PFE1
+// replies to PFE0 over the return link, and the two directions queue
+// independently — a burst one way does not delay the other.
 func TestRouterFabricRoundTrip(t *testing.T) {
-	// Internal links are bidirectional: PFE1 can reply to PFE0.
 	eng := sim.NewEngine()
 	r := New(eng, Config{NumPFEs: 2})
-	r.ConnectInternal(0, 5, 1, 5)
+	connectFabric(r)
 	r.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) {
 		if ctx.Packet().Port == 5 { // came back over the fabric
 			ctx.Forward(0)
@@ -76,18 +95,190 @@ func TestRouterFabricRoundTrip(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("round trip delivered %d", n)
 	}
+	there, back := r.Links()[0], r.Links()[1]
+	if there.Frames != 1 || back.Frames != 1 {
+		t.Fatalf("round trip carried %d frames there and %d back, want 1 and 1", there.Frames, back.Frames)
+	}
+
+	// Load one direction with a burst: the other stays idle and free.
+	for i := 0; i < 8; i++ {
+		there.Send(make([]byte, 5000))
+	}
+	if !there.Busy() || back.Busy() || back.FreeAt() > eng.Now() {
+		t.Fatalf("a burst on the PFE1-bound link made the return link busy (until %v at %v)", back.FreeAt(), eng.Now())
+	}
 }
 
 func TestRouterConflictingAttachmentPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	r := New(eng, Config{NumPFEs: 2})
-	r.AttachExternal(0, 1, func(int, []byte, sim.Time) {})
+	r.AttachExternal(1, 5, func(int, []byte, sim.Time) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	r.ConnectInternal(0, 1, 1, 1)
+	connectFabric(r)
+}
+
+// TestFabricBurstSerializationExact sends a back-to-back burst of 187-byte
+// frames across a fabric connection. The link carries each frame's
+// sub-nanosecond serialization remainder, so the last arrival is exactly
+// ⌊n·187·8 / 400⌋ ns after the burst starts, plus the 500 ns traversal: the
+// burst keeps the fabric's full 400 Gbps instead of losing 0.74 ns per frame
+// to truncation.
+func TestFabricBurstSerializationExact(t *testing.T) {
+	const n, frameBytes = 10, 187
+	eng := sim.NewEngine()
+	// An egress port fast enough to serialize in zero time hands the fabric
+	// link all n frames at the same instant.
+	r := New(eng, Config{NumPFEs: 2, PFE: pfe.Config{PortBandwidth: 1 << 62}})
+	connectFabric(r)
+	r.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) { ctx.Forward(5) }))
+	var last sim.Time
+	got := 0
+	r.PFE(1).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) {
+		got++
+		last = ctx.Packet().Arrival
+		ctx.Consume()
+	}))
+	for i := 0; i < n; i++ {
+		r.Inject(0, 0, 0, make([]byte, frameBytes))
+	}
+	eng.Run()
+	fab := FabricLinkConfig()
+	want := sim.Time(n*frameBytes*8*uint64(sim.Second)/fab.Bandwidth) + fab.Propagation
+	if got != n || last != want {
+		t.Fatalf("%d of %d frames arrived, the last at %v; want all, the last at ⌊%d·%d·8/400⌋ ns + 500 ns = %v",
+			got, n, last, n, frameBytes, want)
+	}
+}
+
+// TestConnectAcrossPartitions connects two routers on the two partitions of
+// a sim.Cluster. Every arrival happens at the instant it does when both
+// routers share one engine, and the cluster's lookahead is the links'
+// propagation delay.
+func TestConnectAcrossPartitions(t *testing.T) {
+	link := netsim.LinkConfig{Bandwidth: 100_000_000_000, Propagation: 700 * sim.Nanosecond}
+	// Router a forwards frames from port 1 to router b, which bounces them
+	// back; a then forwards the returns out port 0 to a sink. Each side
+	// records arrivals only on its own partition.
+	run := func(ea, eb *sim.Engine, run func()) (atB, atSink []sim.Time) {
+		a := New(ea, Config{NumPFEs: 1})
+		b := New(eb, Config{NumPFEs: 1})
+		a.Connect(0, 2, b, 0, 3, link, link)
+		a.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) {
+			if ctx.Packet().Port == 2 {
+				ctx.Forward(0)
+				return
+			}
+			ctx.Forward(2)
+		}))
+		b.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) {
+			atB = append(atB, ctx.Packet().Arrival)
+			ctx.Forward(3)
+		}))
+		a.AttachExternal(0, 0, func(_ int, _ []byte, at sim.Time) { atSink = append(atSink, at) })
+		for i := 0; i < 5; i++ {
+			a.Inject(0, 1, 1, make([]byte, 100+300*i))
+		}
+		run()
+		return atB, atSink
+	}
+	one := sim.NewEngine()
+	wantB, wantSink := run(one, one, func() { one.Run() })
+	c := sim.NewCluster(2)
+	gotB, gotSink := run(c.Engine(0), c.Engine(1), func() { c.Run(nil, sim.Second) })
+	if len(wantSink) != 5 || fmt.Sprint(gotB, gotSink) != fmt.Sprint(wantB, wantSink) {
+		t.Fatalf("across partitions: arrivals at b %v, at the sink %v; on one engine %v and %v",
+			gotB, gotSink, wantB, wantSink)
+	}
+	if c.Lookahead() != link.Propagation {
+		t.Fatalf("lookahead = %v, want the links' propagation %v", c.Lookahead(), link.Propagation)
+	}
+}
+
+// TestConnectBetweenRouters joins ports of two routers on one engine. Each
+// direction takes its own LinkConfig, arrivals carry the receiving port as
+// their flow, and both links belong to the caller: they are in its Links(),
+// peer-bound first, and not in the peer's, so summing Links() over the
+// routers of a hierarchy counts each hop once.
+func TestConnectBetweenRouters(t *testing.T) {
+	eng := sim.NewEngine()
+	a, b := New(eng, Config{NumPFEs: 1}), New(eng, Config{NumPFEs: 1})
+	out := netsim.LinkConfig{Bandwidth: 100_000_000_000, Propagation: 300 * sim.Nanosecond}
+	in := netsim.LinkConfig{Bandwidth: 100_000_000_000, Propagation: 2 * sim.Microsecond}
+	a.Connect(0, 2, b, 0, 3, out, in)
+	var atA, atB []pfe.Packet
+	a.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) {
+		atA = append(atA, *ctx.Packet())
+		ctx.Consume()
+	}))
+	b.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) {
+		atB = append(atB, *ctx.Packet())
+		ctx.Forward(3) // back to a over the return link
+	}))
+	links := a.Links()
+	if len(links) != 2 || len(b.Links()) != 0 {
+		t.Fatalf("Connect left %d links on the caller and %d on the peer, want 2 and 0", len(links), len(b.Links()))
+	}
+	// 1250 bytes serialize in 100 ns at 100 Gbps.
+	links[0].Send(make([]byte, 1250))
+	links[1].Send(make([]byte, 1250))
+	eng.Run()
+	if len(atB) != 1 || atB[0].Port != 3 || atB[0].Flow != 3 || atB[0].Arrival != 400*sim.Nanosecond {
+		t.Fatalf("b saw %+v; want one packet on port 3, flow 3, at 100 ns + 300 ns", atB)
+	}
+	if len(atA) != 2 || atA[0].Port != 2 || atA[0].Flow != 2 || atA[0].Arrival != 2100*sim.Nanosecond {
+		t.Fatalf("a saw %d packets, the first %+v; want 2, the first on port 2, flow 2, at 100 ns + 2 µs", len(atA), atA)
+	}
+	if links[0].Frames != 1 || links[1].Frames != 2 {
+		t.Fatalf("links carried %d frames to b and %d back, want 1 and 2", links[0].Frames, links[1].Frames)
+	}
+}
+
+// TestConnectChecksFramesAtTheReceiver pins whose frame check guards a
+// connected port: the router that owns it. Frames the a→b link corrupts reach
+// b's application while only a has a fault plan, and b's port drops exactly
+// those once b has one too.
+func TestConnectChecksFramesAtTheReceiver(t *testing.T) {
+	const n = 200
+	frame := packet.BuildUDP(packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2}, SrcPort: 1, DstPort: 2}, make([]byte, 200))
+	run := func(peerPlan bool) (seen, bad int, corrupted uint64) {
+		plan := faults.NewPlan(1, faults.Config{Link: faults.LinkConfig{CorruptProb: 0.5}})
+		eng := sim.NewEngine()
+		a, b := New(eng, Config{NumPFEs: 1}), New(eng, Config{NumPFEs: 1})
+		out := FabricLinkConfig()
+		out.Faults = plan.Link(0)
+		a.Connect(0, 2, b, 0, 3, out, FabricLinkConfig())
+		a.Instrument(nil, nil, plan)
+		if peerPlan {
+			b.Instrument(nil, nil, plan)
+		}
+		a.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) { ctx.Forward(2) }))
+		b.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) {
+			seen++
+			if f, err := packet.Decode(ctx.Packet().Frame); err != nil || !f.VerifyUDPChecksum() {
+				bad++
+			}
+			ctx.Consume()
+		}))
+		for i := 0; i < n; i++ {
+			a.Inject(0, 0, 0, frame)
+		}
+		eng.Run()
+		return seen, bad, a.Links()[0].Corrupted
+	}
+	seen, bad, corrupted := run(false)
+	if corrupted == 0 || seen != n || bad == 0 {
+		t.Fatalf("b without a plan: %d of %d frames reached the application, %d of them bad, %d corrupted on the link; want all, some, some",
+			seen, n, bad, corrupted)
+	}
+	seen2, bad2, corrupted2 := run(true)
+	if corrupted2 != corrupted || bad2 != 0 || seen2 != n-bad {
+		t.Fatalf("b with a plan: %d frames reached the application, %d of them bad (%d corrupted on the link); want %d, none",
+			seen2, bad2, corrupted2, n-bad)
+	}
 }
 
 func TestRouterUnattachedPortBlackHoles(t *testing.T) {
@@ -98,26 +289,6 @@ func TestRouterUnattachedPortBlackHoles(t *testing.T) {
 	eng.Run() // must not panic
 	if r.PFE(0).Stats().Forwarded != 1 {
 		t.Fatal("packet not processed")
-	}
-}
-
-func TestRouterFlowClassifierAppliedOnFabric(t *testing.T) {
-	eng := sim.NewEngine()
-	r := New(eng, Config{NumPFEs: 2})
-	r.ConnectInternal(0, 5, 1, 5)
-	r.SetFlowClassifier(func(frame []byte) uint64 { return uint64(frame[0]) })
-	var flows []uint64
-	r.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) { ctx.Forward(5) }))
-	r.PFE(1).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) {
-		flows = append(flows, ctx.Packet().Flow)
-		ctx.Consume()
-	}))
-	f := make([]byte, 64)
-	f[0] = 9
-	r.Inject(0, 0, 1, f)
-	eng.Run()
-	if len(flows) != 1 || flows[0] != FabricFlowBase|9 {
-		t.Fatalf("flows = %v", flows)
 	}
 }
 

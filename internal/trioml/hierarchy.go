@@ -43,7 +43,8 @@ type Hierarchy struct {
 }
 
 // SetupHierarchy installs aggregators and the job's records on every
-// involved PFE and connects the internal links. Aggregators for PFEs that
+// involved PFE and connects each group's uplink port to its top-level port
+// with a pair of fabric links (Router.Connect). Aggregators for PFEs that
 // already host one (aggs non-nil entries) are reused so multiple jobs can
 // share a chassis.
 func SetupHierarchy(r *trio.Router, cfg HierarchyConfig, aggs map[int]*Aggregator) (*Hierarchy, error) {
@@ -72,7 +73,7 @@ func SetupHierarchy(r *trio.Router, cfg HierarchyConfig, aggs map[int]*Aggregato
 		if g.PFE == cfg.TopPFE {
 			return nil, fmt.Errorf("trioml: group %d PFE equals the top-level PFE", gi)
 		}
-		r.ConnectInternal(g.PFE, g.UplinkPort, cfg.TopPFE, g.TopPort)
+		r.Connect(g.PFE, g.UplinkPort, r, cfg.TopPFE, g.TopPort, trio.FabricLinkConfig(), trio.FabricLinkConfig())
 		level := get(g.PFE)
 		err := level.InstallJob(JobConfig{
 			JobID:           cfg.JobID,

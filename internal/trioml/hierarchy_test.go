@@ -81,8 +81,12 @@ func TestHierarchicalAggregationFig11(t *testing.T) {
 	}
 	// Data reduction property: the fabric carried 2 upstream results + 2
 	// downstream multicasts, not 6 worker streams.
-	if r.Fabric.Frames() != 4 {
-		t.Fatalf("fabric frames = %d, want 4", r.Fabric.Frames())
+	var fabricFrames uint64
+	for _, l := range r.Links() {
+		fabricFrames += l.Frames
+	}
+	if fabricFrames != 4 {
+		t.Fatalf("fabric frames = %d, want 4", fabricFrames)
 	}
 	if h.Top.Stats().BlocksCompleted != 1 {
 		t.Fatalf("top stats = %+v", h.Top.Stats())

@@ -301,6 +301,44 @@ func TestMCAggFullMatchesNativeAggregator(t *testing.T) {
 	}
 }
 
+// TestMCAggBlockCostVsNative pins the virtual time one 1024-gradient block
+// from two workers takes through each data path, injected at t=0 into one
+// PFE: the Microcode program does every add on the PPE thread, the native
+// aggregator offloads them to the RMW engines. EXPERIMENTS.md's ablation
+// table and ROADMAP item 3 cite these two figures.
+func TestMCAggBlockCostVsNative(t *testing.T) {
+	const workers, grads = 2, 1024
+	eng := sim.NewEngine()
+	p := pfe.New(eng, RecommendedPFEConfig())
+	if _, err := InstallMCAgg(p, MCAggConfig{Sources: workers, Slots: 32, Grads: grads}, 0); err != nil {
+		t.Fatal(err)
+	}
+	var mcAt sim.Time
+	p.SetOutput(func(_ int, _ []byte, at sim.Time) { mcAt = at })
+	for w := 0; w < workers; w++ {
+		p.Inject(w, uint64(w), mcaggPkt(w, 0, make([]int32, grads)))
+	}
+	eng.Run()
+
+	r := newRig(t, JobConfig{
+		JobID: 1, Sources: []uint8{0, 1}, ResultPorts: []int{0},
+		UpstreamPort: -1, BlockGradMax: grads,
+	})
+	for w := 0; w < workers; w++ {
+		r.pfe.Inject(w, uint64(w), mcaggPkt(w, 0, make([]int32, grads)))
+	}
+	r.eng.Run()
+	if len(r.results) != 1 {
+		t.Fatalf("native path produced %d results, want 1", len(r.results))
+	}
+	t.Logf("one %d-gradient block: Microcode %v, native %v (%.1fx)",
+		grads, mcAt, r.results[0].at, float64(mcAt)/float64(r.results[0].at))
+	if mcAt != 145284*sim.Nanosecond || r.results[0].at != 42946*sim.Nanosecond {
+		t.Fatalf("block took %v through Microcode and %v native, want 145.284µs and 42.946µs; update EXPERIMENTS.md if this moved on purpose",
+			mcAt, r.results[0].at)
+	}
+}
+
 func TestMCAggFullStaticInstructionCount(t *testing.T) {
 	eng := sim.NewEngine()
 	p := pfe.New(eng, RecommendedPFEConfig())
