@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet pairs verify verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
+.PHONY: build test vet pairs verify verify-unreached verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
 
 build:
 	$(GO) build ./...
@@ -8,8 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails when any file needs gofmt.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # pairs runs the repo benchmark on one workload at BASE and at the working
 # tree, alternating which side goes first, and prints the paired statistics a
@@ -20,10 +22,17 @@ pairs:
 # verify is the extended gate (tier-1 is `go build ./... && go test ./...`):
 # full build + tests, whole-repo vet, then the race suites of the
 # concurrency-critical layers (hostagg's single-lock hot path, obs's atomic
-# instruments, dse's worker pool, tree's partitioned hierarchy), the metric
-# documentation check, the CLI-level golden diff, and an every-example smoke
-# run.
-verify: build test vet verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
+# instruments, dse's worker pool, tree's partitioned hierarchy), the
+# reachability ledger, the metric documentation check, the CLI-level golden
+# diff, and an every-example smoke run.
+verify: build test vet verify-unreached verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
+
+# verify-unreached runs every experiment, the benchmark smoke test and the CLI
+# tests under coverage and checks that each internal function none of them
+# reaches is listed with a reason in testdata/unreached.txt, and that no listed
+# function is reached or gone (≈30 s, so outside tier-1).
+verify-unreached:
+	@tools/unreached.sh
 
 # verify-hostagg races the block table and its UDP shell, then hammers the
 # two determinism pins — the livechaos golden (the real block table on

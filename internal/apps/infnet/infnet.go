@@ -290,8 +290,6 @@ type Service struct {
 	Program *microcode.Program
 	PFE     *pfe.PFE
 	CtrBase uint64
-
-	cfg Config
 }
 
 // Stats is a control-plane snapshot of the classification counters.
@@ -309,9 +307,6 @@ func (s *Service) Stats() Stats {
 	attack, _ := s.PFE.Mem.Counter(s.CtrBase + 16*ctrAttack)
 	return Stats{Benign: benign, Attack: attack}
 }
-
-// Config returns the installed model.
-func (s *Service) Config() Config { return s.cfg }
 
 // Install provisions the counters, assembles and compiles the inference
 // program through the v2 verify/compile pipeline, and installs it as p's
@@ -342,7 +337,7 @@ func Install(p *pfe.PFE, cfg Config) (*Service, error) {
 	if err := app.Compile(); err != nil {
 		return nil, fmt.Errorf("infnet: compiling: %w", err)
 	}
-	s := &Service{App: app, Program: prog, PFE: p, CtrBase: ctrBase, cfg: cfg}
+	s := &Service{App: app, Program: prog, PFE: p, CtrBase: ctrBase}
 	p.SetApp(app)
 	return s, nil
 }

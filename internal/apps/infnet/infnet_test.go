@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/trioml/triogo/internal/microcode"
+	"github.com/trioml/triogo/internal/obs"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio/pfe"
 )
@@ -348,4 +349,37 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
+}
+
+// TestStatsTotalCountsEveryClassifiedFrame: Total is benign plus attack, one
+// per frame the program classified.
+func TestStatsTotalCountsEveryClassifiedFrame(t *testing.T) {
+	r := newInfRig(t, tinyModel())
+	for i := uint32(0); i < 40; i++ {
+		r.p.Inject(0, uint64(i), frame(i, []byte{byte(7 * i), byte(200 - 5*i)}))
+	}
+	r.eng.Run()
+	r.checkErrors(t)
+	st := r.svc.Stats()
+	if st.Benign == 0 || st.Attack == 0 {
+		t.Fatalf("stats %+v: the inputs must hit both classes", st)
+	}
+	if st.Total() != 40 || len(r.out) != 40 {
+		t.Fatalf("stats %+v total %d over %d delivered frames, want 40", st, st.Total(), len(r.out))
+	}
+}
+
+func TestRegisterObsReadsTheClassCounters(t *testing.T) {
+	r := newInfRig(t, tinyModel())
+	reg := obs.NewRegistry()
+	r.svc.RegisterObs(reg)
+	for i := uint32(0); i < 40; i++ {
+		r.p.Inject(0, uint64(i), frame(i, []byte{byte(7 * i), byte(200 - 5*i)}))
+	}
+	r.eng.Run()
+	st, snap := r.svc.Stats(), reg.Snapshot()
+	if snap["triogo_apps_infnet_benign_total"] != float64(st.Benign) || snap["triogo_apps_infnet_attack_total"] != float64(st.Attack) {
+		t.Fatalf("series %v, stats %+v", snap, st)
+	}
+	r.svc.RegisterObs(nil) // a nil registry is a no-op
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/trioml/triogo/internal/obs"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio/pfe"
@@ -391,5 +392,39 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Install(p, cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
+	}
+}
+
+// TestRegisterObsReadsTheServiceCounters: each exported series reads the
+// counter its name says, at scrape time.
+func TestRegisterObsReadsTheServiceCounters(t *testing.T) {
+	r := newRig(t, Config{Slots: 64})
+	reg := obs.NewRegistry()
+	r.svc.RegisterObs(reg)
+	args := []byte("x")
+	for _, id := range []uint16{1, 2, 3} { // one claim, two coalesced waiters
+		r.inject(int(id), (&Client{ID: id}).Request(7, args))
+	}
+	r.serverRoundTrip() // adopt, and fan out to the waiters
+	r.inject(4, (&Client{ID: 4}).Request(7, args))
+	r.checkErrors()
+	st, snap := r.svc.Stats(), reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"triogo_apps_netrpc_hits_total":        st.Hits,
+		"triogo_apps_netrpc_coalesced_total":   st.Coalesced,
+		"triogo_apps_netrpc_claims_total":      st.Claims,
+		"triogo_apps_netrpc_adopted_total":     st.Adopted,
+		"triogo_apps_netrpc_fanout_total":      st.Fanout,
+		"triogo_apps_netrpc_bypass_total":      st.Bypass,
+		"triogo_apps_netrpc_poisoned_total":    st.Poisoned,
+		"triogo_apps_netrpc_passthrough_total": st.Passthrough,
+		"triogo_apps_netrpc_expired_total":     st.Expired,
+	} {
+		if snap[name] != float64(want) {
+			t.Errorf("%s = %v, stats say %d", name, snap[name], want)
+		}
+	}
+	if st.Hits != 1 || st.Coalesced != 2 || st.Claims != 1 || st.Adopted != 1 || st.Fanout != 2 {
+		t.Fatalf("stats %+v, want one hit, claim and adopt, two coalesced and fanned out", st)
 	}
 }

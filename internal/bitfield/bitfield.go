@@ -91,20 +91,3 @@ func check(n int, off, width uint) {
 		panic(fmt.Sprintf("bitfield: field [%d,%d) overflows %d-byte buffer", off, end, n))
 	}
 }
-
-// SignExtend interprets the low width bits of v as a two's-complement signed
-// integer and returns it widened to int64.
-func SignExtend(v uint64, width uint) int64 {
-	if width == 0 || width > 64 {
-		panic(fmt.Sprintf("bitfield: width %d out of range", width))
-	}
-	if width == 64 {
-		return int64(v)
-	}
-	sign := uint64(1) << (width - 1)
-	v &= (1 << width) - 1
-	if v&sign != 0 {
-		return int64(v | ^uint64(0)<<width)
-	}
-	return int64(v)
-}

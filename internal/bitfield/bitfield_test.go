@@ -119,35 +119,3 @@ func TestZeroWidthPanics(t *testing.T) {
 	}()
 	Get(make([]byte, 2), 0, 0)
 }
-
-func TestSignExtend(t *testing.T) {
-	cases := []struct {
-		v     uint64
-		width uint
-		want  int64
-	}{
-		{0x0, 4, 0},
-		{0x7, 4, 7},
-		{0x8, 4, -8},
-		{0xF, 4, -1},
-		{0x80, 8, -128},
-		{0x7F, 8, 127},
-		{0xFFFFFFFF, 32, -1},
-		{0xFFFFFFFFFFFFFFFF, 64, -1},
-		{1 << 62, 64, 1 << 62},
-	}
-	for _, c := range cases {
-		if got := SignExtend(c.v, c.width); got != c.want {
-			t.Errorf("SignExtend(%#x,%d) = %d, want %d", c.v, c.width, got, c.want)
-		}
-	}
-}
-
-func TestSignExtendPropertyMatchesGo(t *testing.T) {
-	f := func(v int32) bool {
-		return SignExtend(uint64(uint32(v)), 32) == int64(v)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

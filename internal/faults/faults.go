@@ -165,9 +165,6 @@ func NewPlan(seed uint64, cfg Config) *Plan {
 	return &Plan{seed: seed, cfg: cfg}
 }
 
-// Config returns the plan's (defaulted) configuration.
-func (p *Plan) Config() Config { return p.cfg }
-
 // Stats snapshots the injected-fault counters.
 func (p *Plan) Stats() Stats {
 	return Stats{

@@ -263,3 +263,21 @@ func TestLinkStreamsPartitionPure(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainCountCrash: only crashes a cluster reports as executed count, and
+// they show in the plan's stats.
+func TestTrainCountCrash(t *testing.T) {
+	p := NewPlan(3, Config{Train: TrainConfig{CrashProb: 1}})
+	tr := p.Train(4)
+	if _, _, ok := tr.Crash(0, 2); !ok {
+		t.Fatal("CrashProb 1 scheduled no crash")
+	}
+	if p.Stats().TrainCrashes != 0 {
+		t.Fatal("a scheduled crash counted before it ran")
+	}
+	tr.CountCrash()
+	tr.CountCrash()
+	if got := p.Stats().TrainCrashes; got != 2 {
+		t.Fatalf("TrainCrashes = %d, want 2", got)
+	}
+}

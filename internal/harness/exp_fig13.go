@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/trioml/triogo/internal/mltrain"
-	"github.com/trioml/triogo/internal/sim"
 )
 
 func init() {
@@ -51,19 +50,4 @@ func runFig13(p Params) ([]*Table, error) {
 		tables = append(tables, t)
 	}
 	return tables, nil
-}
-
-// fig13SpeedupAtMax is used by tests/benchmarks to assert the headline
-// result without rendering tables.
-func fig13SpeedupAtMax(p Params, m mltrain.Model) (trio, swml, ideal sim.Time, err error) {
-	ideal, _, err = measureIter(p, m, mltrain.SystemIdeal, 0)
-	if err != nil {
-		return
-	}
-	trio, _, err = measureIter(p, m, mltrain.SystemTrioML, 0.16)
-	if err != nil {
-		return
-	}
-	swml, _, err = measureIter(p, m, mltrain.SystemSwitchML, 0.16)
-	return
 }

@@ -1,6 +1,7 @@
 package hostagg
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,11 +11,12 @@ import (
 // table lock) from every direction at once — clients joining and leaving
 // with scatter traffic in flight, the emit path snapshotting targets, and
 // idle eviction dropping whole jobs — and relies on the -race build (make verify runs this package
-// race-enabled) to catch any unsynchronized access. It ends by proving the
-// server is still coherent: a fresh pair of workers completes a block.
+// race-enabled) to catch any unsynchronized access. Each goroutine runs a
+// fixed number of rounds, so the test's length is a count, not a clock. It
+// ends by proving the server is still coherent: a fresh pair of workers
+// completes a block.
 func TestWorkerChurnRace(t *testing.T) {
 	s := newTestServer(t, 2, 20*time.Millisecond)
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
 	// Churners: short-lived clients that register (first send), scatter a
@@ -23,12 +25,7 @@ func TestWorkerChurnRace(t *testing.T) {
 		wg.Add(1)
 		go func(src uint8) {
 			defer wg.Done()
-			for i := uint32(0); ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := uint32(0); i < 50; i++ {
 				c, err := NewClient(ClientConfig{ServerAddr: s.Addr().String(), JobID: 1, SrcID: src})
 				if err != nil {
 					continue
@@ -44,37 +41,26 @@ func TestWorkerChurnRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for i := 0; i < 2000; i++ {
 			s.tab.mu.Lock()
 			s.tab.targetsLocked(1)
 			s.tab.mu.Unlock()
 			s.Stats()
 			s.TenantStats()
+			runtime.Gosched()
 		}
 	}()
 	// Evictor: the sweep's write path, dropping job registrations whole.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(5 * time.Millisecond):
-				s.tab.mu.Lock()
-				s.tab.dropJobWorkersLocked(1)
-				s.tab.mu.Unlock()
-			}
+		for i := 0; i < 200; i++ {
+			s.tab.mu.Lock()
+			s.tab.dropJobWorkersLocked(1)
+			s.tab.mu.Unlock()
+			runtime.Gosched()
 		}
 	}()
-
-	time.Sleep(500 * time.Millisecond)
-	close(stop)
 	wg.Wait()
 
 	// The table must still work: two steady workers complete a block. The

@@ -74,14 +74,22 @@ func TestAllReduceFailsWhenTransportDies(t *testing.T) {
 		_, err := c.AllReduce(5, make([]int32, 4096), 1024, 2, 30*time.Second)
 		errCh <- err
 	}()
-	time.Sleep(100 * time.Millisecond)
+	// Kill the transport once the all-reduce is under way: the server has
+	// heard from it.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().Packets == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("AllReduce sent nothing")
+		}
+		runtime.Gosched()
+	}
 	c.conn.Close() // transport dies under the client
 	select {
 	case err := <-errCh:
 		if err == nil {
 			t.Fatal("AllReduce returned nil after transport death")
 		}
-	case <-time.After(5 * time.Second):
+	case <-time.After(time.Until(deadline)):
 		t.Fatal("AllReduce did not fail after transport death (stuck until timeout)")
 	}
 	if c.Err() == nil {

@@ -490,3 +490,27 @@ end
 		}
 	}
 }
+
+func TestThreadResetMatchesNewThread(t *testing.T) {
+	env := newTestEnv()
+	th := NewThread(env, 7)
+	th.LMem[0], th.LMem[LMemBytes-1] = 1, 2
+	th.Regs[3] = 9
+	th.Stats = Stats{Instructions: 4, XTXNs: 1, SyncStall: 3}
+	th.TracePC = func(int) {}
+	th.conds = 1
+	th.stack = append(th.stack, 1, 2)
+	stack := &th.stack[:1][0]
+
+	other := newTestEnv()
+	th.Reset(other, 42)
+	if th.LMem != ([LMemBytes]byte{}) || th.Regs != ([NumRegs]uint64{}) || th.Stats != (Stats{}) {
+		t.Fatal("reset left local memory, registers or statistics behind")
+	}
+	if th.Env != Env(other) || th.Now != 42 || th.TracePC != nil || th.conds != 0 || len(th.stack) != 0 {
+		t.Fatalf("reset thread: env %v now %v trace %v conds %d stack %v", th.Env, th.Now, th.TracePC != nil, th.conds, th.stack)
+	}
+	if &th.stack[:1][0] != stack {
+		t.Fatal("reset dropped the call stack's storage")
+	}
+}

@@ -308,7 +308,7 @@ func (c *Cluster) Run(iterations int) ([]IterationResult, error) {
 			return nil, fmt.Errorf("mltrain: simulation drained before iteration %d completed (recv=%d)", last, c.recvCnt[last])
 		}
 		if c.Eng.Now() > deadline {
-			return nil, fmt.Errorf("mltrain: deadline exceeded at iteration %d (%v)", c.doneIters(), c.Eng.Now())
+			return nil, fmt.Errorf("mltrain: deadline exceeded before iteration %d completed (recv=%d, %v)", last, c.recvCnt[last], c.Eng.Now())
 		}
 	}
 	for _, t := range c.stopTimers {
@@ -323,14 +323,6 @@ func (c *Cluster) Run(iterations int) ([]IterationResult, error) {
 		}
 	}
 	return out, nil
-}
-
-func (c *Cluster) doneIters() int {
-	n := 0
-	for c.recvCnt[n] >= c.Cfg.NumWorkers {
-		n++
-	}
-	return n
 }
 
 // runIdeal models the no-straggler NCCL ring analytically: per iteration,

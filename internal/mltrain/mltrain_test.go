@@ -29,12 +29,6 @@ func TestModelsMatchTable1(t *testing.T) {
 			t.Fatalf("%s = %+v", m.Name, m)
 		}
 	}
-	if _, ok := ModelByName("ResNet50"); !ok {
-		t.Fatal("lookup failed")
-	}
-	if _, ok := ModelByName("AlexNet"); ok {
-		t.Fatal("phantom model")
-	}
 }
 
 func TestAccuracyCurveCrossesTargetAtBaseIters(t *testing.T) {
@@ -58,22 +52,6 @@ func TestAccuracyCurveCrossesTargetAtBaseIters(t *testing.T) {
 	}
 }
 
-func TestItersToAccuracyInvertsAccuracy(t *testing.T) {
-	m := Models()[0]
-	for _, target := range []float64{50, 70, 85, 90} {
-		k := m.ItersToAccuracy(target)
-		if math.Abs(m.Accuracy(k)-target) > 0.01 {
-			t.Errorf("round trip at %v: acc(%v) = %v", target, k, m.Accuracy(k))
-		}
-	}
-	if m.ItersToAccuracy(10) != 0 {
-		t.Error("below-start target should be 0")
-	}
-	if !math.IsInf(m.ItersToAccuracy(99.9), 1) {
-		t.Error("above-ceiling target should be +Inf")
-	}
-}
-
 func TestInjectorZeroProbabilityNeverDelays(t *testing.T) {
 	in := NewInjector(0, 6, 100*sim.Millisecond, 1)
 	for i := 0; i < 100; i++ {
@@ -81,9 +59,6 @@ func TestInjectorZeroProbabilityNeverDelays(t *testing.T) {
 			if in.Delay(i, w) != 0 {
 				t.Fatal("delay at p=0")
 			}
-		}
-		if in.AnyStraggler(i) {
-			t.Fatal("straggler at p=0")
 		}
 	}
 }
@@ -94,14 +69,16 @@ func TestInjectorDelayBoundsAndRate(t *testing.T) {
 	straggled := 0
 	const iters = 5000
 	for i := 0; i < iters; i++ {
-		if in.AnyStraggler(i) {
-			straggled++
-		}
+		hit := false
 		for w := 0; w < 6; w++ {
 			d := in.Delay(i, w)
 			if d != 0 && (d < typ/2 || d > 3*2*typ) {
 				t.Fatalf("delay %v outside [0.5,2]x bounds (3 points)", d)
 			}
+			hit = hit || d != 0
+		}
+		if hit {
+			straggled++
 		}
 	}
 	// P(at least one of 3 points fires) = 1-(1-0.16)^3 ≈ 0.407.
@@ -468,6 +445,16 @@ func BenchmarkClusterIterationTrioML(b *testing.B) {
 		}
 		if _, err := c.Run(1); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+func TestStatEfficiencyIsSqrtClamped(t *testing.T) {
+	for _, c := range []struct{ frac, want float64 }{
+		{-0.5, 0}, {0, 0}, {0.25, 0.5}, {0.81, 0.9}, {1, 1}, {1.5, 1},
+	} {
+		if got := StatEfficiency(c.frac); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("StatEfficiency(%v) = %v, want %v", c.frac, got, c.want)
 		}
 	}
 }

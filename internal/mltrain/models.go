@@ -56,16 +56,6 @@ func Models() []Model {
 	}
 }
 
-// ModelByName looks a workload up by name.
-func ModelByName(name string) (Model, bool) {
-	for _, m := range Models() {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Model{}, false
-}
-
 // Gradients reports the model's gradient count (4-byte gradients).
 func (m Model) Gradients() int { return m.SizeMB * 1_000_000 / 4 }
 
@@ -89,19 +79,6 @@ func (m Model) Accuracy(effIters float64) float64 {
 	}
 	r := math.Log((m.accCeil-m.accStart)/(m.accCeil-m.TargetAcc)) / float64(m.BaseIters)
 	return m.accCeil - (m.accCeil-m.accStart)*math.Exp(-r*effIters)
-}
-
-// ItersToAccuracy inverts Accuracy: effective iterations needed to reach
-// target (clamped into the curve's range).
-func (m Model) ItersToAccuracy(target float64) float64 {
-	if target <= m.accStart {
-		return 0
-	}
-	if target >= m.accCeil {
-		return math.Inf(1)
-	}
-	r := math.Log((m.accCeil-m.accStart)/(m.accCeil-m.TargetAcc)) / float64(m.BaseIters)
-	return math.Log((m.accCeil-m.accStart)/(m.accCeil-target)) / r
 }
 
 // StatEfficiency maps the aggregated-gradient fraction of an iteration to

@@ -108,13 +108,3 @@ func (in *Injector) Delay(iter, worker int) sim.Time {
 	}
 	return total
 }
-
-// AnyStraggler reports whether iteration iter has at least one delay.
-func (in *Injector) AnyStraggler(iter int) bool {
-	for _, d := range in.draws(iter) {
-		if d.victim >= 0 {
-			return true
-		}
-	}
-	return false
-}

@@ -336,26 +336,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Descs reports one Desc per distinct metric name, sorted by name (the
-// first-registered label set's Help/Unit wins).
-func (r *Registry) Descs() []Desc {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	seen := make(map[string]bool)
-	var out []Desc
-	for _, m := range r.metrics {
-		if !seen[m.desc.Name] {
-			seen[m.desc.Name] = true
-			out = append(out, m.desc)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // snapshot returns the metrics sorted by (name, labels) for deterministic
 // exposition.
 func (r *Registry) snapshot() []*metric {

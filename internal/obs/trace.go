@@ -77,21 +77,6 @@ func (t *Trace) Complete(cat, name string, pid, tid int64, tsNanos, durNanos int
 	t.finish(b)
 }
 
-// Instant records a ph:"i" instant event.
-func (t *Trace) Instant(cat, name string, pid, tid int64, tsNanos int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b := t.begin(cat, name, 'i', pid, tid, tsNanos)
-	if b == nil {
-		return
-	}
-	b = append(b, `,"s":"t"`...)
-	t.finish(b)
-}
-
 // CounterValue records a ph:"C" counter sample; the viewer plots each
 // counter name as a filled series per pid.
 func (t *Trace) CounterValue(cat, name string, pid int64, tsNanos int64, value float64) {

@@ -34,7 +34,6 @@ func TestTraceRoundTrip(t *testing.T) {
 		ns += int64(i%7)*137 + 1 // strictly increasing, exercises sub-µs fractions
 		tr.Complete("ppe", "aggregate", 0, int64(i%4), ns, 250)
 		if i%10 == 0 {
-			tr.Instant("dispatch", "enqueue", 0, 0, ns)
 			tr.CounterValue("queue", "depth", 0, ns, float64(i%5))
 		}
 	}
@@ -97,7 +96,6 @@ func TestTraceEventCap(t *testing.T) {
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	tr.Complete("c", "e", 0, 0, 0, 0)
-	tr.Instant("c", "e", 0, 0, 0)
 	tr.CounterValue("c", "e", 0, 0, 1)
 	tr.ProcessName(0, "p")
 	tr.ThreadName(0, 0, "t")

@@ -362,7 +362,7 @@ func FuzzNetRPCHeader(f *testing.F) {
 		if len(rest) != len(b)-NetRPCHeaderLen {
 			t.Fatalf("rest %d of %d bytes", len(rest), len(b))
 		}
-		out := make([]byte, h.HeaderLen())
+		out := make([]byte, NetRPCHeaderLen)
 		if n := h.MarshalTo(out); n != NetRPCHeaderLen || !bytes.Equal(out, b[:NetRPCHeaderLen]) {
 			t.Fatalf("re-marshalled %x (%d bytes), decoded from %x", out, n, b[:NetRPCHeaderLen])
 		}

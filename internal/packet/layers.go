@@ -24,8 +24,6 @@ type Ethernet struct {
 // EthernetLen is the serialized Ethernet header size.
 const EthernetLen = 14
 
-func (e *Ethernet) HeaderLen() int { return EthernetLen }
-
 func (e *Ethernet) MarshalTo(b []byte) int {
 	copy(b[0:6], e.Dst[:])
 	copy(b[6:12], e.Src[:])
@@ -131,8 +129,6 @@ type UDP struct {
 
 // UDPLen is the serialized UDP header size.
 const UDPLen = 8
-
-func (u *UDP) HeaderLen() int { return UDPLen }
 
 func (u *UDP) MarshalTo(b []byte) int {
 	binary.BigEndian.PutUint16(b[0:2], u.SrcPort)

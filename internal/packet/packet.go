@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"net/netip"
 )
 
 // EtherType values understood by the decoders.
@@ -51,15 +50,6 @@ func MACFromUint64(v uint64) MAC {
 		v >>= 8
 	}
 	return m
-}
-
-// Addr4 converts a netip.Addr to its 4-byte representation, panicking on
-// non-IPv4 input (addresses are static configuration in this system).
-func Addr4(a netip.Addr) [4]byte {
-	if !a.Is4() {
-		panic(fmt.Sprintf("packet: %v is not an IPv4 address", a))
-	}
-	return a.As4()
 }
 
 // Checksum computes the RFC 1071 Internet checksum over b with an initial

@@ -39,8 +39,6 @@ type RetryAfter struct {
 	Millis uint32 // suggested back-off in milliseconds
 }
 
-func (r *RetryAfter) HeaderLen() int { return RetryAfterLen }
-
 func (r *RetryAfter) MarshalTo(b []byte) int {
 	binary.BigEndian.PutUint32(b, r.Millis)
 	return RetryAfterLen

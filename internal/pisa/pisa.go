@@ -302,12 +302,6 @@ type Ctx struct {
 // Packet returns the packet in flight.
 func (c *Ctx) Packet() *Packet { return c.pkt }
 
-// Pipeline reports which pipeline the pass runs in.
-func (c *Ctx) Pipeline() int { return c.pipeline }
-
-// Now reports the pass's current virtual time.
-func (c *Ctx) Now() sim.Time { return c.now }
-
 func (c *Ctx) regIndex(stage, idx int) int {
 	if stage < 0 || stage >= c.sw.Cfg.Stages {
 		panic(fmt.Sprintf("pisa: stage %d out of range", stage))

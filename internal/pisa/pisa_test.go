@@ -1,6 +1,7 @@
 package pisa
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/trioml/triogo/internal/sim"
@@ -198,5 +199,43 @@ func TestDropCounted(t *testing.T) {
 	eng.Run()
 	if sw.Stats().Dropped != 1 {
 		t.Fatalf("stats = %+v", sw.Stats())
+	}
+}
+
+func TestRegSwapReturnsPreviousValue(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := New(eng, Config{})
+	var olds []int32
+	sw.SetApp(AppFunc(func(ctx *Ctx) bool {
+		olds = append(olds, ctx.RegSwap(2, 1, int32(10*(len(olds)+1))))
+		return false
+	}))
+	for i := 0; i < 3; i++ {
+		sw.Inject(0, make([]byte, 64))
+	}
+	eng.Run()
+	if want := []int32{0, 10, 20}; !slices.Equal(olds, want) {
+		t.Fatalf("swapped out %v, want %v", olds, want)
+	}
+	if got := sw.ReadReg(0, 2, 1); got != 30 {
+		t.Fatalf("register = %d, want the last value swapped in", got)
+	}
+}
+
+func TestCtxPacketIsTheFrameInFlight(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := New(eng, Config{})
+	var ports []int
+	var lens []int
+	sw.SetApp(AppFunc(func(ctx *Ctx) bool {
+		ports = append(ports, ctx.Packet().Port)
+		lens = append(lens, len(ctx.Packet().Frame))
+		return false
+	}))
+	sw.Inject(3, make([]byte, 64))
+	sw.Inject(5, make([]byte, 100))
+	eng.Run()
+	if len(ports) != 2 || ports[0] != 3 || ports[1] != 5 || lens[0] != 64 || lens[1] != 100 {
+		t.Fatalf("ports %v, lengths %v", ports, lens)
 	}
 }

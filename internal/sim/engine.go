@@ -348,10 +348,6 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// RunFor advances the clock by d, executing all events that fall inside the
-// window.
-func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
-
 // ---- internals ----
 
 // ev returns the slab slot of an index handed out by allocSlot.

@@ -26,9 +26,6 @@ func splitmix(x uint64) uint64 {
 // Float64 returns a uniform draw in [0,1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
-// Uniform returns a uniform draw in [lo,hi).
-func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.r.Float64() }
-
 // UniformTime returns a uniform virtual duration in [lo,hi).
 func (g *RNG) UniformTime(lo, hi Time) Time {
 	if hi <= lo {
@@ -39,9 +36,6 @@ func (g *RNG) UniformTime(lo, hi Time) Time {
 
 // IntN returns a uniform draw in [0,n).
 func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
-
-// Uint64 returns a uniform 64-bit draw.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 
 // Bernoulli reports true with probability p.
 func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestEngineOrdersEventsByTime(t *testing.T) {
 	e := NewEngine()
@@ -132,7 +129,7 @@ func TestRNGDeterministicAcrossInstances(t *testing.T) {
 	a := NewRNG(42, 7)
 	b := NewRNG(42, 7)
 	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.Float64() != b.Float64() {
 			t.Fatal("same (seed,stream) produced different sequences")
 		}
 	}
@@ -143,24 +140,12 @@ func TestRNGStreamsDiffer(t *testing.T) {
 	b := NewRNG(42, 2)
 	same := 0
 	for i := 0; i < 64; i++ {
-		if a.Uint64() == b.Uint64() {
+		if a.Float64() == b.Float64() {
 			same++
 		}
 	}
 	if same > 2 {
 		t.Fatalf("streams 1 and 2 collided %d/64 times", same)
-	}
-}
-
-func TestRNGUniformBounds(t *testing.T) {
-	g := NewRNG(1, 1)
-	f := func(lo, hi uint16) bool {
-		l, h := float64(lo), float64(lo)+float64(hi)+1
-		x := g.Uniform(l, h)
-		return x >= l && x < h
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -201,7 +186,7 @@ func TestSampleStatistics(t *testing.T) {
 
 func TestSampleEmptyIsZero(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 || s.Stddev() != 0 {
+	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
 		t.Fatal("empty sample should report zeros")
 	}
 }
@@ -234,5 +219,42 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if got := (2 * Second).Seconds(); got != 2 {
 		t.Fatalf("Seconds = %v", got)
+	}
+}
+
+func TestSampleMergeAddsEveryObservation(t *testing.T) {
+	var a, b Sample
+	for _, x := range []float64{5, 1, 3} {
+		a.Add(x)
+	}
+	_ = a.Max() // sorts a; the merge must leave it re-sortable
+	for _, x := range []float64{0, 9} {
+		b.Add(x)
+	}
+	a.Merge(&b)
+	if a.N() != 5 || a.Sum() != 18 || a.Min() != 0 || a.Max() != 9 || a.Percentile(50) != 3 {
+		t.Fatalf("merged n=%d sum=%v min=%v max=%v p50=%v", a.N(), a.Sum(), a.Min(), a.Max(), a.Percentile(50))
+	}
+	if b.N() != 2 {
+		t.Fatalf("merge changed its argument: n=%d", b.N())
+	}
+}
+
+func TestRNGBernoulliRate(t *testing.T) {
+	g := NewRNG(1, 1)
+	const n = 10000
+	hits := 0
+	for i := 0; i < n; i++ {
+		if g.Bernoulli(0.3) {
+			hits++
+		}
+	}
+	if rate := float64(hits) / n; rate < 0.28 || rate > 0.32 {
+		t.Fatalf("Bernoulli(0.3) rate = %.4f over %d draws", rate, n)
+	}
+	for i := 0; i < 100; i++ {
+		if g.Bernoulli(0) || !g.Bernoulli(1) {
+			t.Fatal("Bernoulli(0) fired or Bernoulli(1) did not")
+		}
 	}
 }

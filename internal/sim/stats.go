@@ -23,9 +23,6 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
-// AddTime records a virtual duration as floating-point microseconds.
-func (s *Sample) AddTime(t Time) { s.Add(t.Microseconds()) }
-
 // Merge records every observation of other into s.
 func (s *Sample) Merge(other *Sample) {
 	for _, x := range other.xs {
@@ -63,21 +60,6 @@ func (s *Sample) Max() float64 {
 	}
 	s.sort()
 	return s.xs[len(s.xs)-1]
-}
-
-// Stddev reports the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var acc float64
-	for _, x := range s.xs {
-		d := x - m
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(n))
 }
 
 // Percentile reports the p-th percentile (0 <= p <= 100) using

@@ -241,7 +241,3 @@ func (b *workerBank) onFrame(w int, raw []byte, at sim.Time) {
 	b.lastAccept = at
 	b.pump(w)
 }
-
-// finished reports whether every live worker of the rack accepted all
-// blocks. A fully silent rack is vacuously finished.
-func (b *workerBank) finished() bool { return b.remaining == 0 }

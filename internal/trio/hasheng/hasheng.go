@@ -103,19 +103,6 @@ func (t *Table) Insert(now sim.Time, key, val uint64) (ok bool, done sim.Time) {
 	return true, done
 }
 
-// Update overwrites the value of an existing record without touching REF.
-func (t *Table) Update(now sim.Time, key, val uint64) (ok bool, done sim.Time) {
-	done = now + t.cfg.OpLatency
-	b := t.buckets[t.bucket(key)]
-	for i := range b {
-		if b[i].key == key {
-			b[i].val = val
-			return true, done
-		}
-	}
-	return false, done
-}
-
 // ClearRef clears a record's REF flag without otherwise touching it — the
 // inverse of the reference a Lookup just took. Aggregation programs use it
 // when a lookup turns out to be a retransmitted duplicate: a duplicate is

@@ -43,20 +43,6 @@ func TestInsertDuplicateFails(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	tb := NewTable(Config{})
-	tb.Insert(0, 7, 1)
-	if ok, _ := tb.Update(0, 7, 99); !ok {
-		t.Fatal("update failed")
-	}
-	if v, _, _ := tb.Lookup(0, 7); v != 99 {
-		t.Fatalf("v = %d", v)
-	}
-	if ok, _ := tb.Update(0, 8, 1); ok {
-		t.Fatal("update of missing key succeeded")
-	}
-}
-
 func TestDeleteMissingKey(t *testing.T) {
 	tb := NewTable(Config{})
 	if ok, _ := tb.Delete(0, 123); ok {

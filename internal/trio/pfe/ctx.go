@@ -26,9 +26,9 @@ type Ctx struct {
 
 	emits []emit
 
-	// Pool-owned head storage; head aliases one of them until SetHead. The
-	// array holds a head of up to the default HeadBytes inside the context;
-	// a PFE configured with larger heads spills to headSpill.
+	// Pool-owned head storage; head aliases one of them. The array holds a
+	// head of up to the default HeadBytes inside the context; a PFE
+	// configured with larger heads spills to headSpill.
 	headArr   [inlineHeadBytes]byte
 	headSpill []byte
 
@@ -71,11 +71,6 @@ func (c *Ctx) Packet() *Packet { return c.pkt }
 // Head returns the mutable packet head in the thread's local memory.
 func (c *Ctx) Head() []byte { return c.head }
 
-// SetHead replaces the packet head (packet rewriting: PPEs "can easily
-// create new headers or consume/remove existing headers", §2.2). The caller's
-// slice becomes the head view; it is never recycled into the context pool.
-func (c *Ctx) SetHead(h []byte) { c.head = h }
-
 // FrameLen reports the full packet length (head + tail).
 func (c *Ctx) FrameLen() int { return len(c.head) + len(c.tail) }
 
@@ -86,11 +81,6 @@ func (c *Ctx) TailLen() int { return len(c.tail) }
 func (c *Ctx) ChargeInstr(n int) {
 	c.stats.Instructions += uint64(n)
 	c.now += sim.Time(n*c.pfe.Cfg.CyclesPerInst) * c.pfe.Cfg.CycleTime
-}
-
-// ChargeCycles accounts for raw cycles (non-instruction overheads).
-func (c *Ctx) ChargeCycles(n int) {
-	c.now += sim.Time(n) * c.pfe.Cfg.CycleTime
 }
 
 // wait models a synchronous XTXN: the thread suspends until done.
@@ -120,20 +110,6 @@ func (c *Ctx) ReadTail(off, size int) []byte {
 	c.span("pbuf", "tail_read", c.now, done)
 	c.wait(done)
 	return microcode.ClipTail(c.tail, off, size)
-}
-
-// WriteTail writes bytes into the packet tail held in the Packet Buffer —
-// the PMEM write of Fig. 10's result-build loop. Writes beyond the tail are
-// clipped.
-func (c *Ctx) WriteTail(off int, data []byte) {
-	c.stats.XTXNs++
-	if off < 0 || off >= len(c.tail) {
-		return
-	}
-	copy(c.tail[off:], data)
-	done := c.now + 70*sim.Nanosecond
-	c.span("pbuf", "tail_write", c.now, done)
-	c.wait(done)
 }
 
 // MemRead issues a synchronous shared-memory read XTXN.
@@ -177,18 +153,8 @@ func (c *Ctx) AddVector32(addr uint64, deltas []int32) {
 	c.span("rmw", "add_vector", c.now, done)
 }
 
-// ReadVector32 synchronously reads count 32-bit words from shared memory.
-func (c *Ctx) ReadVector32(addr uint64, count int) []int32 {
-	c.stats.XTXNs++
-	start := c.now
-	vals, done := c.pfe.Mem.ReadVector32(c.now, addr, count)
-	c.span("rmw", "read_vector", start, done)
-	c.wait(done)
-	return vals
-}
-
-// ReadVector32Append is ReadVector32 appending into dst: identical timing,
-// allocation-free when dst has capacity.
+// ReadVector32Append synchronously reads count 32-bit words from shared
+// memory, appending them to dst: allocation-free when dst has capacity.
 func (c *Ctx) ReadVector32Append(addr uint64, count int, dst []int32) []int32 {
 	c.stats.XTXNs++
 	start := c.now

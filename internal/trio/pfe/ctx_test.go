@@ -2,6 +2,7 @@ package pfe
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"github.com/trioml/triogo/internal/sim"
@@ -61,7 +62,7 @@ func TestCtxVectorOpsAndCounter(t *testing.T) {
 		cnt := ctx.pfe.Mem.Alloc(smem.TierSRAM, 16)
 		ctx.AddVector32(buf, []int32{1, 2, 3, 4})
 		ctx.AddVector32(buf, []int32{10, 20, 30, 40})
-		vals = ctx.ReadVector32(buf, 4)
+		vals = ctx.ReadVector32Append(buf, 4, nil)
 		ctx.CounterInc(cnt, 500)
 		pkts, byteCnt = ctx.pfe.Mem.Counter(cnt)
 		ctx.Consume()
@@ -93,33 +94,11 @@ func TestCtxHashOps(t *testing.T) {
 	}
 }
 
-func TestCtxWriteTailVisibleInForwardedFrame(t *testing.T) {
-	eng := sim.NewEngine()
-	p := New(eng, Config{})
-	var got []byte
-	p.SetOutput(func(_ int, frame []byte, _ sim.Time) { got = frame })
-	p.SetApp(AppFunc(func(ctx *Ctx) {
-		ctx.WriteTail(10, []byte{0xAA, 0xBB})
-		ctx.WriteTail(-1, []byte{1})   // clipped: no-op
-		ctx.WriteTail(9999, []byte{1}) // beyond tail: no-op
-		ctx.Forward(0)
-	}))
-	p.Inject(0, 1, frameOfSize(300, 0x11))
-	eng.Run()
-	if got[192+10] != 0xAA || got[192+11] != 0xBB {
-		t.Fatalf("tail write lost: % x", got[200:204])
-	}
-	if got[0] != 0x11 {
-		t.Fatal("head disturbed")
-	}
-}
-
-func TestCtxSetHeadAndFullFrame(t *testing.T) {
+func TestCtxHeadRewriteAndFullFrame(t *testing.T) {
 	var full []byte
 	var frameLen int
 	runApp(t, frameOfSize(300, 0x22), func(ctx *Ctx) {
-		newHead := append([]byte{0xEE}, ctx.Head()[1:]...)
-		ctx.SetHead(newHead)
+		ctx.Head()[0] = 0xEE
 		full = ctx.FullFrame()
 		frameLen = ctx.FrameLen()
 		ctx.Consume()
@@ -129,19 +108,6 @@ func TestCtxSetHeadAndFullFrame(t *testing.T) {
 	}
 	if full[0] != 0xEE || full[200] != 0x22 {
 		t.Fatalf("full frame = %x...%x", full[0], full[200])
-	}
-}
-
-func TestCtxChargeCyclesAdvancesClock(t *testing.T) {
-	var before, after sim.Time
-	runApp(t, frameOfSize(64, 0), func(ctx *Ctx) {
-		before = ctx.Now()
-		ctx.ChargeCycles(100)
-		after = ctx.Now()
-		ctx.Drop()
-	})
-	if after-before != 100*sim.Nanosecond {
-		t.Fatalf("charged %v for 100 cycles at 1 ns", after-before)
 	}
 }
 
@@ -184,5 +150,72 @@ func TestCtxEmitInvalidPortPanics(t *testing.T) {
 	eng.Run()
 	if !panicked {
 		t.Fatal("invalid emit port accepted")
+	}
+}
+
+func TestCtxHashClearRefUndoesLookupReference(t *testing.T) {
+	var cleared, missing bool
+	p := runApp(t, frameOfSize(64, 0), func(ctx *Ctx) {
+		ctx.HashInsert(42, 7) // a new record starts referenced
+		cleared = ctx.HashClearRef(42)
+		missing = ctx.HashClearRef(43)
+		ctx.Consume()
+	})
+	if !cleared || missing {
+		t.Fatalf("ClearRef = %v on a record, %v on a missing key", cleared, missing)
+	}
+	if ref, ok := p.Hash.Ref(42); !ok || ref {
+		t.Fatalf("REF = %v (present %v), want cleared", ref, ok)
+	}
+}
+
+func TestCtxMemReadIntoMatchesMemRead(t *testing.T) {
+	// The same write-then-read thread, once per read form: same bytes, same
+	// clock, same XTXN count.
+	run := func(into bool) (got []byte, done sim.Time, xtxns uint64) {
+		runApp(t, frameOfSize(64, 0), func(ctx *Ctx) {
+			addr := ctx.pfe.Mem.Alloc(smem.TierDRAM, 64)
+			ctx.MemWrite(addr, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, true)
+			if into {
+				got = make([]byte, 16)
+				ctx.MemReadInto(addr, got)
+			} else {
+				got = ctx.MemRead(addr, 16)
+			}
+			done, xtxns = ctx.Now(), ctx.Stats().XTXNs
+			ctx.Consume()
+		})
+		return got, done, xtxns
+	}
+	want, wantDone, wantX := run(false)
+	got, done, x := run(true)
+	if !bytes.Equal(got, want) || got[15] != 16 {
+		t.Fatalf("MemReadInto = % x, MemRead = % x", got, want)
+	}
+	if done != wantDone || x != wantX || x != 2 {
+		t.Fatalf("MemReadInto ends at %v after %d XTXNs, MemRead at %v after %d", done, x, wantDone, wantX)
+	}
+}
+
+func TestCtxReadVector32AppendKeepsPrefixAndStalls(t *testing.T) {
+	var vals []int32
+	var stalled sim.Time
+	dst := make([]int32, 1, 8)
+	dst[0] = -1
+	runApp(t, frameOfSize(64, 0), func(ctx *Ctx) {
+		buf := ctx.pfe.Mem.Alloc(smem.TierDRAM, 64)
+		ctx.AddVector32(buf, []int32{5, 6, 7})
+		vals = ctx.ReadVector32Append(buf, 3, dst)
+		stalled = ctx.Stats().SyncStall
+		ctx.Consume()
+	})
+	if want := []int32{-1, 5, 6, 7}; !slices.Equal(vals, want) {
+		t.Fatalf("vals = %v, want %v", vals, want)
+	}
+	if &vals[0] != &dst[0] {
+		t.Fatal("a dst with room was reallocated")
+	}
+	if stalled < 400*sim.Nanosecond {
+		t.Fatalf("sync stall = %v, want a DRAM round trip", stalled)
 	}
 }

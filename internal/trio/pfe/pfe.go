@@ -305,8 +305,7 @@ func (c *Ctx) load(pkt *Packet) {
 }
 
 // putCtx recycles a finished thread context: the per-thread state is zeroed
-// whole, the head storage and the emit slice's capacity stay. A head
-// installed via SetHead is caller-owned and is dropped, not recycled.
+// whole, the head storage and the emit slice's capacity stay.
 func (p *PFE) putCtx(c *Ctx) {
 	clear(c.emits)
 	c.emits = c.emits[:0]
@@ -579,16 +578,6 @@ func (t *TimerThreads) Stop() {
 	for _, h := range t.handles {
 		h.Stop()
 	}
-}
-
-// Active reports whether any thread in the group is still armed.
-func (t *TimerThreads) Active() bool {
-	for _, h := range t.handles {
-		if h.Active() {
-			return true
-		}
-	}
-	return false
 }
 
 // StartTimerThreads launches n periodic timer threads with the given overall

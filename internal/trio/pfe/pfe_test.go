@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"github.com/trioml/triogo/internal/faults"
 	"github.com/trioml/triogo/internal/microcode"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio/hasheng"
@@ -706,4 +707,27 @@ end
 	}))
 	p.Inject(0, 1, frameOfSize(400, 0))
 	eng.Run()
+}
+
+func TestSetFaultsStallsEachThread(t *testing.T) {
+	deliver := func(plan *faults.Plan) (sim.Time, int) {
+		eng := sim.NewEngine()
+		p := New(eng, Config{})
+		p.SetFaults(plan.PFE(0))
+		var got []delivered
+		p.SetOutput(collector(&got))
+		p.SetApp(AppFunc(func(ctx *Ctx) { ctx.Forward(1) }))
+		p.Inject(0, 1, frameOfSize(64, 0))
+		eng.Run()
+		return got[0].at, len(got)
+	}
+	clean, _ := deliver(nil)
+	plan := faults.NewPlan(1, faults.Config{PFE: faults.PFEConfig{StallProb: 1, StallMin: 50 * sim.Microsecond, StallMax: 50 * sim.Microsecond}})
+	stalled, n := deliver(plan)
+	if n != 1 || stalled-clean != 50*sim.Microsecond {
+		t.Fatalf("stalled delivery at %v (%d frames), clean at %v: want exactly 50µs later", stalled, n, clean)
+	}
+	if st := plan.Stats(); st.PPEStalls != 1 || st.PPEStallNs != uint64(50*sim.Microsecond) {
+		t.Fatalf("plan stats = %+v, want one 50µs stall", st)
+	}
 }

@@ -679,3 +679,38 @@ func TestMicrocodeUseCasesMatchInterpreter(t *testing.T) {
 		})
 	}
 }
+
+// toggle forwards every second packet of a source: the first inserts the
+// source, the next finds and deletes it.
+const toggle = `
+program toggle;
+reg key = r3;
+check: begin
+    key = lmem32[26];
+    hash_lookup(key);
+    if (hit) { goto forget; }
+    goto remember;
+end
+forget: begin
+    hash_delete(key);
+    exit(forward);
+end
+remember: begin
+    hash_insert(key, 1);
+    exit(drop);
+end
+`
+
+func TestMicrocodeHashDeleteForgetsSource(t *testing.T) {
+	r := newMCRig(t, toggle, 1, nil)
+	for i := 0; i < 3; i++ {
+		r.send(1, udpFrom(1, 1000, []byte{byte('a' + i)}))
+	}
+	r.checkNoErrors(t)
+	if len(r.got) != 1 || r.got[0].frame[42] != 'b' {
+		t.Fatalf("delivered = %+v, want only the second packet", r.got)
+	}
+	if _, ok, _ := r.pfe.Hash.Lookup(0, srcKey(udpFrom(1, 1000, nil))); !ok || r.pfe.Hash.Len() != 1 {
+		t.Fatalf("hash records = %d, want the third packet's insert only", r.pfe.Hash.Len())
+	}
+}

@@ -73,9 +73,6 @@ func New(eng *sim.Engine, cfg Config) *Router {
 	return r
 }
 
-// NumPFEs reports the PFE count.
-func (r *Router) NumPFEs() int { return len(r.pfes) }
-
 // PFE returns PFE i.
 func (r *Router) PFE(i int) *pfe.PFE { return r.pfes[i] }
 

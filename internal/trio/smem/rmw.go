@@ -144,15 +144,10 @@ func (m *Memory) AddVector32(now sim.Time, addr uint64, deltas []int32) sim.Time
 	return m.issue(now, addr, 8, (len(deltas)+1)/2, addCycles)
 }
 
-// ReadVector32 reads count consecutive 32-bit words starting at addr via the
-// data path in 64-byte transactions, returning values and completion time.
-func (m *Memory) ReadVector32(now sim.Time, addr uint64, count int) ([]int32, sim.Time) {
-	return m.ReadVector32Append(now, addr, count, make([]int32, 0, count))
-}
-
-// ReadVector32Append is ReadVector32 appending into dst (returned possibly
-// regrown): identical transaction accounting, no allocation when dst has
-// capacity. The transactions — 64 bytes each, the last one the remainder
+// ReadVector32Append reads count consecutive 32-bit words starting at addr
+// via the data path in 64-byte transactions, appending them to dst (returned
+// possibly regrown) and returning the completion time; no allocation when dst
+// has capacity. The transactions — 64 bytes each, the last one the remainder
 // rounded up to 8 — are charged in address order, then the lanes are decoded
 // straight from the backing pages.
 func (m *Memory) ReadVector32Append(now sim.Time, addr uint64, count int, dst []int32) ([]int32, sim.Time) {

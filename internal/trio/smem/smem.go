@@ -20,7 +20,6 @@
 package smem
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/trioml/triogo/internal/faults"
@@ -176,12 +175,6 @@ func New(cfg Config) *Memory {
 
 // Config reports the configuration in effect (with defaults applied).
 func (m *Memory) Config() Config { return m.cfg }
-
-// TierOf reports which tier an address belongs to.
-func (m *Memory) TierOf(addr uint64) Tier {
-	k, _ := m.tierAt(addr)
-	return m.tiers[k]
-}
 
 // tierAt resolves addr to its tier and the first address past that tier (the
 // tiers tile the unified space from 0, so one upper-bound ladder decides).
@@ -399,19 +392,6 @@ func (m *Memory) ReadRaw(addr uint64, size int) []byte {
 
 // WriteRaw writes arbitrary bytes without engine accounting (control plane).
 func (m *Memory) WriteRaw(addr uint64, data []byte) { m.store(addr, data) }
-
-// ReadUint64 is a convenience 8-byte big-endian read via the data path.
-func (m *Memory) ReadUint64(now sim.Time, addr uint64) (uint64, sim.Time) {
-	b, done := m.Read(now, addr, 8)
-	return binary.BigEndian.Uint64(b), done
-}
-
-// WriteUint64 is a convenience 8-byte big-endian write via the data path.
-func (m *Memory) WriteUint64(now sim.Time, addr uint64, v uint64) sim.Time {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return m.Write(now, addr, b[:])
-}
 
 // EngineStats summarizes one RMW engine's activity.
 type EngineStats struct {

@@ -2,6 +2,8 @@ package smem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,28 +13,26 @@ import (
 
 func TestTierLayoutIsContiguous(t *testing.T) {
 	m := New(Config{})
-	sram := m.TierOf(0)
-	if sram.Kind != TierSRAM {
-		t.Fatalf("addr 0 in %v", sram.Kind)
+	cfg := m.Config()
+	if a := m.Alloc(TierSRAM, 8); a != 0 {
+		t.Fatalf("first SRAM alloc at %#x, want 0", a)
 	}
-	cache := m.TierOf(sram.Size)
-	if cache.Kind != TierCache {
-		t.Fatalf("addr %#x in %v", sram.Size, cache.Kind)
+	if a := m.Alloc(TierCache, 8); a != cfg.SRAMSize {
+		t.Fatalf("first cache alloc at %#x, want %#x", a, cfg.SRAMSize)
 	}
-	dram := m.TierOf(cache.Base + cache.Size)
-	if dram.Kind != TierDRAM {
-		t.Fatalf("after cache in %v", dram.Kind)
+	if a := m.Alloc(TierDRAM, 8); a != cfg.SRAMSize+cfg.CacheSize {
+		t.Fatalf("first DRAM alloc at %#x, want %#x", a, cfg.SRAMSize+cfg.CacheSize)
 	}
 }
 
-func TestTierOfOutsideSpacePanics(t *testing.T) {
+func TestAddressOutsideSpacePanics(t *testing.T) {
 	m := New(Config{})
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+		if msg, _ := recover().(string); !strings.Contains(msg, "outside unified address space") {
+			t.Fatalf("panic %q, want the address-space check", msg)
 		}
 	}()
-	m.TierOf(1 << 62)
+	m.Read(0, 1<<62, 8)
 }
 
 func TestAllocAlignmentAndExhaustion(t *testing.T) {
@@ -125,10 +125,22 @@ func TestCounterIncMatchesFilterExample(t *testing.T) {
 	}
 }
 
+// putWord and getWord move one 8-byte big-endian word through the data path.
+func putWord(m *Memory, addr, v uint64) {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	m.Write(0, addr, b[:])
+}
+
+func getWord(m *Memory, addr uint64) uint64 {
+	b, _ := m.Read(0, addr, 8)
+	return binary.BigEndian.Uint64(b)
+}
+
 func TestFetchAndOps(t *testing.T) {
 	m := New(Config{})
 	addr := m.Alloc(TierSRAM, 8)
-	m.WriteUint64(0, addr, 0b1100)
+	putWord(m, addr, 0b1100)
 	old, _ := m.FetchAndOp(0, addr, FetchOr, 0b0011)
 	if old != 0b1100 {
 		t.Fatalf("or: old = %b", old)
@@ -145,7 +157,7 @@ func TestFetchAndOps(t *testing.T) {
 	if old != 0b0101 {
 		t.Fatalf("clear: old = %b", old)
 	}
-	v, _ := m.ReadUint64(0, addr)
+	v := getWord(m, addr)
 	if v != 0b0001 {
 		t.Fatalf("final = %b", v)
 	}
@@ -154,12 +166,12 @@ func TestFetchAndOps(t *testing.T) {
 func TestFetchAndSwap(t *testing.T) {
 	m := New(Config{})
 	addr := m.Alloc(TierSRAM, 8)
-	m.WriteUint64(0, addr, 111)
+	putWord(m, addr, 111)
 	old, _ := m.FetchAndSwap(0, addr, 222)
 	if old != 111 {
 		t.Fatalf("old = %d", old)
 	}
-	v, _ := m.ReadUint64(0, addr)
+	v := getWord(m, addr)
 	if v != 222 {
 		t.Fatalf("new = %d", v)
 	}
@@ -168,9 +180,9 @@ func TestFetchAndSwap(t *testing.T) {
 func TestMaskedWrite(t *testing.T) {
 	m := New(Config{})
 	addr := m.Alloc(TierSRAM, 8)
-	m.WriteUint64(0, addr, 0xFFFF_FFFF_FFFF_FFFF)
+	putWord(m, addr, 0xFFFF_FFFF_FFFF_FFFF)
 	m.MaskedWrite(0, addr, 0x0000_0000_1234_0000, 0x0000_0000_FFFF_0000)
-	v, _ := m.ReadUint64(0, addr)
+	v := getWord(m, addr)
 	if v != 0xFFFF_FFFF_1234_FFFF {
 		t.Fatalf("v = %#x", v)
 	}
@@ -194,7 +206,7 @@ func TestAddVector32AggregatesLikeTrioML(t *testing.T) {
 	b := []int32{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150, 160}
 	m.AddVector32(0, addr, a)
 	m.AddVector32(0, addr, b)
-	got, _ := m.ReadVector32(0, addr, 16)
+	got, _ := m.ReadVector32Append(0, addr, 16, nil)
 	for i := range a {
 		if got[i] != a[i]+b[i] {
 			t.Fatalf("lane %d = %d, want %d", i, got[i], a[i]+b[i])
@@ -206,7 +218,7 @@ func TestAddVector32OddCount(t *testing.T) {
 	m := New(Config{})
 	addr := m.Alloc(TierSRAM, 32)
 	m.AddVector32(0, addr, []int32{1, 2, 3})
-	got, _ := m.ReadVector32(0, addr, 4)
+	got, _ := m.ReadVector32Append(0, addr, 4, nil)
 	if got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != 0 {
 		t.Fatalf("got %v", got)
 	}
@@ -231,8 +243,8 @@ func TestAddVectorCommutesProperty(t *testing.T) {
 		m1.AddVector32(0, a1, b)
 		m2.AddVector32(0, a2, b)
 		m2.AddVector32(0, a2, a)
-		g1, _ := m1.ReadVector32(0, a1, n)
-		g2, _ := m2.ReadVector32(0, a2, n)
+		g1, _ := m1.ReadVector32Append(0, a1, n, nil)
+		g2, _ := m2.ReadVector32Append(0, a2, n, nil)
 		for i := range g1 {
 			if g1[i] != g2[i] {
 				return false
@@ -256,7 +268,7 @@ func TestEngineSerializationBackpressure(t *testing.T) {
 	for i := 0; i < n; i++ {
 		_, last = m.Add32(0, addr, 1)
 	}
-	wantMin := sim.Time(2*n)*m.Config().CycleTime + m.TierOf(addr).Latency
+	wantMin := sim.Time(2*n)*m.Config().CycleTime + m.Config().SRAMLatency
 	if last < wantMin {
 		t.Fatalf("last completion %v, want >= %v", last, wantMin)
 	}
@@ -279,7 +291,7 @@ func TestEnginesParallelAcrossBanks(t *testing.T) {
 			worst = done
 		}
 	}
-	want := sim.Time(addCycles)*m.Config().CycleTime + m.TierOf(base).Latency
+	want := sim.Time(addCycles)*m.Config().CycleTime + m.Config().SRAMLatency
 	if worst != want {
 		t.Fatalf("parallel adds completed at %v, want %v", worst, want)
 	}
@@ -296,7 +308,7 @@ func TestSingleEngineAblationSerializes(t *testing.T) {
 			worst = done
 		}
 	}
-	want := sim.Time(12*addCycles)*m.Config().CycleTime + m.TierOf(base).Latency
+	want := sim.Time(12*addCycles)*m.Config().CycleTime + m.Config().SRAMLatency
 	if worst != want {
 		t.Fatalf("serialized adds completed at %v, want %v", worst, want)
 	}
@@ -310,7 +322,7 @@ func TestReadVector32CrossesTxnBoundary(t *testing.T) {
 		vals[i] = int32(i * i)
 	}
 	m.AddVector32(0, addr, vals)
-	got, _ := m.ReadVector32(0, addr, 40)
+	got, _ := m.ReadVector32Append(0, addr, 40, nil)
 	for i := range vals {
 		if got[i] != vals[i] {
 			t.Fatalf("lane %d = %d", i, got[i])
@@ -357,4 +369,47 @@ func BenchmarkAblationHeadTailSplit(b *testing.B) {
 			m.AddVector32(0, addr, g)
 		}
 	})
+}
+
+func TestReadStagedUsesBufAndReadsLikeRead(t *testing.T) {
+	m := New(Config{})
+	addr := m.Alloc(TierSRAM, 16)
+	m.Write(0, addr, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	var buf [MaxTxnBytes]byte
+	got, done := m.ReadStaged(100, addr, 16, &buf)
+	_, wantDone := New(Config{}).Read(100, 0, 16) // an idle engine, same tier
+	if &got[0] != &buf[0] || len(got) != 16 || got[15] != 16 {
+		t.Fatalf("staged reply % x is not buf[:16]", got)
+	}
+	if done != wantDone {
+		t.Fatalf("staged read done at %v, a plain read at %v", done, wantDone)
+	}
+}
+
+func TestReadStagedRejectsOversizeWithoutAccounting(t *testing.T) {
+	m := New(Config{})
+	var buf [MaxTxnBytes]byte
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "transaction size 72") {
+			t.Fatalf("panic %q, want the transaction-size check", msg)
+		}
+		if m.TotalOps() != 0 {
+			t.Fatalf("a refused read charged %d engine ops", m.TotalOps())
+		}
+	}()
+	m.ReadStaged(0, 0, MaxTxnBytes+8, &buf)
+}
+
+func TestAllocBytesTracksEachTier(t *testing.T) {
+	m := New(Config{})
+	m.Alloc(TierSRAM, 5)
+	m.Alloc(TierSRAM, 8)
+	m.Alloc(TierDRAM, 64)
+	if got := m.AllocBytes(TierSRAM); got != 16 {
+		t.Fatalf("SRAM allocated = %d, want 16 (5 rounded up to 8, then 8)", got)
+	}
+	if m.AllocBytes(TierCache) != 0 || m.AllocBytes(TierDRAM) != 64 {
+		t.Fatalf("cache %d, DRAM %d", m.AllocBytes(TierCache), m.AllocBytes(TierDRAM))
+	}
 }

@@ -1,8 +1,6 @@
 package trioml
 
 import (
-	"fmt"
-
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio/pfe"
@@ -144,30 +142,6 @@ func (a *Aggregator) demoteSource(ctx *pfe.Ctx, jobID uint8, js *jobState, src u
 	if a.OnDemotion != nil {
 		a.OnDemotion(jobID, src, ctx.Now())
 	}
-}
-
-// ReinstateSource returns a previously demoted source to the job (control
-// plane; e.g. after the server is repaired).
-func (a *Aggregator) ReinstateSource(jobID, src uint8) error {
-	js := a.jobs[jobID]
-	if js == nil {
-		return fmt.Errorf("trioml: no job %d", jobID)
-	}
-	if !js.demoted[src] {
-		return fmt.Errorf("trioml: source %d of job %d is not demoted", src, jobID)
-	}
-	val, ok, _ := a.pfe.Hash.Lookup(0, Key(jobID, JobBlockID))
-	if !ok {
-		return fmt.Errorf("trioml: job %d record missing", jobID)
-	}
-	job := decodeJob(a.pfe.Mem.ReadRaw(val, recordTxnBytes))
-	setMaskBit(&job.SrcMask, src)
-	job.SrcCnt++
-	b := make([]byte, recordTxnBytes)
-	job.encode(b)
-	a.pfe.Mem.WriteRaw(val, b)
-	delete(js.demoted, src)
-	return nil
 }
 
 // Demoted reports whether a source is currently demoted from a job.

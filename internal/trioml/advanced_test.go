@@ -129,49 +129,3 @@ func TestTemporaryStragglerNotDemoted(t *testing.T) {
 		t.Fatalf("stats = %+v", r.agg.Stats())
 	}
 }
-
-func TestReinstateSource(t *testing.T) {
-	r, stop := deadWorkerRig(t, 3)
-	defer stop()
-	for b := uint32(0); b < 6; b++ {
-		b := b
-		r.eng.At(sim.Time(b)*3*sim.Millisecond, func() { sendAlive(r, b) })
-	}
-	r.eng.RunUntil(60 * sim.Millisecond)
-	if !r.agg.Demoted(1, 3) {
-		t.Fatal("precondition: not demoted")
-	}
-	if err := r.agg.ReinstateSource(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	if r.agg.Demoted(1, 3) {
-		t.Fatal("still demoted after reinstatement")
-	}
-	// The job waits for worker 3 again: a 3-source block stays open.
-	before := len(r.results)
-	sendAlive(r, 200)
-	r.eng.RunUntil(r.eng.Now() + 1*sim.Millisecond)
-	for _, res := range r.results[before:] {
-		if res.hdr.BlockID == 200 && !res.hdr.Degraded {
-			t.Fatal("block completed without the reinstated source")
-		}
-	}
-	r.send(3, 200, 1, seqGrads(32, 1))
-	r.eng.RunUntil(r.eng.Now() + 1*sim.Millisecond)
-	found := false
-	for _, res := range r.results[before:] {
-		if res.hdr.BlockID == 200 && res.hdr.SrcCnt == 4 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("block 200 did not complete with all four sources")
-	}
-	// Reinstating twice errors.
-	if err := r.agg.ReinstateSource(1, 3); err == nil {
-		t.Fatal("double reinstatement accepted")
-	}
-	if err := r.agg.ReinstateSource(9, 0); err == nil {
-		t.Fatal("unknown job accepted")
-	}
-}

@@ -255,20 +255,6 @@ func (a *Aggregator) EnableResultReplay(jobID uint8, window int) error {
 	return nil
 }
 
-// RemoveJob tears a job down (control plane). Outstanding blocks are
-// discarded.
-func (a *Aggregator) RemoveJob(jobID uint8) {
-	js := a.jobs[jobID]
-	if js == nil {
-		return
-	}
-	a.pfe.Hash.Delete(0, Key(jobID, JobBlockID))
-	for key := range js.bufOf {
-		a.pfe.Hash.Delete(0, key)
-	}
-	delete(a.jobs, jobID)
-}
-
 // Process implements pfe.App: the Fig. 10 workflow.
 func (a *Aggregator) Process(ctx *pfe.Ctx) {
 	ctx.ChargeInstr(instrPacketOverhead)

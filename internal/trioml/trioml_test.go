@@ -1,6 +1,7 @@
 package trioml
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/trioml/triogo/internal/packet"
@@ -468,26 +469,6 @@ func TestInstallJobValidation(t *testing.T) {
 	}
 }
 
-func TestRemoveJobReclaimsHashEntries(t *testing.T) {
-	r := newRig(t, fourWorkerJob())
-	r.send(0, 1, 1, seqGrads(8, 1))
-	r.eng.Run()
-	before := r.pfe.Hash.Len()
-	if before != 2 { // job record + open block record
-		t.Fatalf("hash len = %d", before)
-	}
-	r.agg.RemoveJob(1)
-	if r.pfe.Hash.Len() != 0 {
-		t.Fatalf("hash len after remove = %d", r.pfe.Hash.Len())
-	}
-	// Packets for the removed job now drop.
-	r.send(0, 2, 1, seqGrads(8, 1))
-	r.eng.Run()
-	if r.agg.Stats().NoJobDrops != 1 {
-		t.Fatalf("stats = %+v", r.agg.Stats())
-	}
-}
-
 func TestRecordRoundTrips(t *testing.T) {
 	j := JobRecord{
 		BlockCurrCnt: 3, BlockCntMax: 4095, BlockGradMax: 1024, BlockExpMs: 10,
@@ -642,5 +623,64 @@ func TestJobsShareTimerThreads(t *testing.T) {
 	eng.RunUntil(20 * sim.Millisecond)
 	if a.Stats().BlocksDegraded != 2 {
 		t.Fatalf("stats = %+v, want both jobs' blocks aged", a.Stats())
+	}
+}
+
+func TestStarJobIsTheSingleLevelTestbed(t *testing.T) {
+	jc := StarJob(3, 4, 256, 5*sim.Millisecond)
+	if jc.JobID != 3 || jc.UpstreamPort != -1 || jc.BlockGradMax != 256 || jc.BlockExpiry != 5*sim.Millisecond {
+		t.Fatalf("job = %+v", jc)
+	}
+	for i := 0; i < 4; i++ {
+		if jc.Sources[i] != uint8(i) || jc.ResultPorts[i] != i {
+			t.Fatalf("server %d: source %d on port %d, want %d on %d", i, jc.Sources[i], jc.ResultPorts[i], i, i)
+		}
+	}
+	if len(jc.Sources) != 4 || len(jc.ResultPorts) != 4 {
+		t.Fatalf("sources %v, ports %v", jc.Sources, jc.ResultPorts)
+	}
+	// Installed, it completes a block once all four servers contribute.
+	r := newRig(t, StarJob(1, 4, 0, 0))
+	for w := 0; w < 4; w++ {
+		r.send(w, 9, 1, seqGrads(8, 1))
+	}
+	r.eng.Run()
+	if len(r.results) != 4 || r.results[0].grads[7] != 4*8 {
+		t.Fatalf("results = %+v, want the 4-source sum on each port", r.results)
+	}
+}
+
+func TestResultReplayResendsServedBytes(t *testing.T) {
+	r := newRig(t, StarJob(1, 2, 0, 0))
+	if err := r.agg.EnableResultReplay(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.agg.EnableResultReplay(9, 0); err == nil {
+		t.Fatal("replay enabled on a job that is not installed")
+	}
+	var raw [][]byte
+	r.pfe.SetOutput(func(_ int, frame []byte, _ sim.Time) { raw = append(raw, append([]byte(nil), frame...)) })
+	r.send(0, 7, 1, seqGrads(8, 1))
+	r.send(1, 7, 1, seqGrads(8, 2))
+	r.eng.Run()
+	if len(raw) != 2 {
+		t.Fatalf("served %d frames, want the result on both ports", len(raw))
+	}
+	served := raw[0]
+	raw = nil
+	r.send(1, 7, 1, seqGrads(8, 2)) // its Result was lost: the source retransmits
+	r.eng.Run()
+	if len(raw) != 2 || !bytes.Equal(raw[0], served) || !bytes.Equal(raw[1], served) {
+		t.Fatalf("replayed %d frames, want the served bytes on both ports", len(raw))
+	}
+	if st := r.agg.Stats(); st.ResultReplays != 1 || st.BlocksCompleted != 1 {
+		t.Fatalf("stats = %+v, want one replay and no second completion", st)
+	}
+	// A retransmit from an older generation is stale: nothing is sent.
+	raw = nil
+	r.send(1, 7, 0, seqGrads(8, 2))
+	r.eng.Run()
+	if len(raw) != 0 || r.agg.Stats().StaleDrops != 1 {
+		t.Fatalf("older generation: %d frames, stats %+v", len(raw), r.agg.Stats())
 	}
 }
