@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -86,6 +87,12 @@ type Client struct {
 	cfg  ClientConfig
 	conn *net.UDPConn
 
+	// mu serializes senders on out, the one batch every block leaves
+	// through: one write per run, with retries (writeRun).
+	mu    sync.Mutex
+	out   *batch
+	write func(p []byte, seg int, to netip.AddrPort) error
+
 	results chan Result
 	closed  chan struct{}
 
@@ -148,7 +155,10 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		closed:  make(chan struct{}),
 		failed:  make(chan struct{}),
 		nacks:   make(chan nackSignal, 16),
+		write:   runWriter(conn),
 	}
+	c.out = newBatch(c.writeRun)
+	enableGRO(conn)
 	c.stopped.Add(1)
 	go c.recvLoop()
 	return c, nil
@@ -224,20 +234,42 @@ func (c *Client) fail(err error) {
 // MaxRetries consecutive transient errors, and immediately on anything
 // non-transient.
 func (c *Client) SendBlock(blockID uint32, genID uint16, grads []int32, final bool) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.queue(blockID, genID, grads, final); err != nil {
+		return err
+	}
+	return c.out.flush()
+}
+
+// queue marshals one block straight into the batch; the caller holds c.mu
+// and flushes.
+func (c *Client) queue(blockID uint32, genID uint16, grads []int32, final bool) error {
 	if len(grads) > packet.MaxGradientsPerPacket {
 		return fmt.Errorf("hostagg: %d gradients exceeds packet max %d", len(grads), packet.MaxGradientsPerPacket)
+	}
+	p, err := c.out.next(packet.TrioMLHeaderLen+4*len(grads), netip.AddrPort{})
+	if err != nil {
+		return err
 	}
 	hdr := packet.TrioML{
 		JobID: c.cfg.JobID, BlockID: blockID, SrcID: c.cfg.SrcID,
 		GenID: genID, GradCnt: uint16(len(grads)), Final: final,
 	}
-	payload := make([]byte, packet.TrioMLHeaderLen+4*len(grads))
-	hdr.MarshalTo(payload)
-	packet.PutGradients(payload[packet.TrioMLHeaderLen:], grads)
+	hdr.MarshalTo(p)
+	packet.PutGradients(p[packet.TrioMLHeaderLen:], grads)
+	return nil
+}
 
+// writeRun is the batch's way out: one write on the connected socket,
+// retried through transient network errors with capped exponential backoff.
+// It fails with ErrGaveUp after MaxRetries consecutive transient errors, and
+// immediately on anything non-transient — a GSO refusal included, which the
+// batch answers by resending the run one datagram at a time.
+func (c *Client) writeRun(p []byte, seg int, to netip.AddrPort) error {
 	backoff := c.cfg.RetryBase
 	for attempt := 0; ; attempt++ {
-		_, err := c.conn.Write(payload)
+		err := c.write(p, seg, to)
 		if err == nil {
 			return nil
 		}
@@ -245,8 +277,8 @@ func (c *Client) SendBlock(blockID uint32, genID uint16, grads []int32, final bo
 			return err
 		}
 		if attempt >= c.cfg.MaxRetries {
-			return fmt.Errorf("hostagg: send block %d: %w (%d attempts, last: %v)",
-				blockID, ErrGaveUp, attempt+1, err)
+			return fmt.Errorf("hostagg: send %d bytes: %w (%d attempts, last: %v)",
+				len(p), ErrGaveUp, attempt+1, err)
 		}
 		c.sendRetries.Add(1)
 		if !c.sleepBackoff(backoff) {
@@ -268,25 +300,60 @@ func (c *Client) Results() <-chan Result { return c.results }
 func (c *Client) AllReduce(genID uint16, grads []int32, blockGrads, numWorkers int, timeout time.Duration) ([]int32, error) {
 	nBlocks := (len(grads) + blockGrads - 1) / blockGrads
 	out := make([]int32, len(grads))
-	got := make(map[uint32]bool, nBlocks)
-	next := 0
-	inFlight := 0
-	sendNext := func() error {
-		for inFlight < c.cfg.Window && next < nBlocks {
-			lo := next * blockGrads
-			hi := lo + blockGrads
-			if hi > len(grads) {
-				hi = len(grads)
-			}
-			if err := c.SendBlock(uint32(next), genID, grads[lo:hi], next == nBlocks-1); err != nil {
+	got := make([]bool, nBlocks)
+	done, next, inFlight, nackStreak := 0, 0, 0, 0
+	// queue adds block b to the batch; the caller holds c.mu and flushes.
+	queue := func(b int) error {
+		lo := b * blockGrads
+		return c.queue(uint32(b), genID, grads[lo:min(lo+blockGrads, len(grads))], b == nBlocks-1)
+	}
+	// refill tops the window up in one burst.
+	refill := func() error {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for ; inFlight < c.cfg.Window && next < nBlocks; next, inFlight = next+1, inFlight+1 {
+			if err := queue(next); err != nil {
 				return err
 			}
-			next++
-			inFlight++
 		}
-		return nil
+		return c.out.flush()
 	}
-	if err := sendNext(); err != nil {
+	// resend repeats every sent-but-unanswered block in one burst.
+	resend := func() error {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for b := 0; b < next; b++ {
+			if got[b] {
+				continue
+			}
+			if err := queue(b); err != nil {
+				return err
+			}
+			c.retransmits.Add(1)
+		}
+		return c.out.flush()
+	}
+	accept := func(r Result) {
+		if r.GenID != genID || int(r.BlockID) >= nBlocks || got[r.BlockID] {
+			return
+		}
+		got[r.BlockID] = true
+		done++
+		inFlight--
+		nackStreak = 0
+		lo := int(r.BlockID) * blockGrads
+		for i, g := range r.Grads {
+			if lo+i >= len(out) {
+				break
+			}
+			if r.Degraded && r.SrcCnt > 0 {
+				// Rescale the partial sum to a full-cluster estimate.
+				g = int32(int64(g) * int64(numWorkers) / int64(r.SrcCnt))
+			}
+			out[lo+i] = g
+		}
+	}
+	if err := refill(); err != nil {
 		return nil, err
 	}
 	deadline := time.After(timeout)
@@ -296,8 +363,7 @@ func (c *Client) AllReduce(genID uint16, grads []int32, blockGrads, numWorkers i
 		defer t.Stop()
 		retx = t.C
 	}
-	nackStreak := 0
-	for len(got) < nBlocks {
+	for done < nBlocks {
 		select {
 		case nk := <-c.nacks:
 			// The server refused a contribution and told us when to come
@@ -307,7 +373,7 @@ func (c *Client) AllReduce(genID uint16, grads []int32, blockGrads, numWorkers i
 			nackStreak++
 			if nackStreak > c.cfg.MaxRetries {
 				return nil, fmt.Errorf("hostagg: allreduce refused by server (reason %d) for %d consecutive nacks with %d/%d blocks: %w",
-					nk.reason, nackStreak, len(got), nBlocks, ErrShed)
+					nk.reason, nackStreak, done, nBlocks, ErrShed)
 			}
 			c.backoffs.Add(1)
 			wait := time.Duration(nk.millis) * time.Millisecond
@@ -322,33 +388,28 @@ func (c *Client) AllReduce(genID uint16, grads []int32, blockGrads, numWorkers i
 			}
 			// A burst of NACKs counts once: everything queued while we
 			// slept belongs to the same refusal we just honored.
-		drain:
+		drainNacks:
 			for {
 				select {
 				case <-c.nacks:
 				default:
-					break drain
+					break drainNacks
 				}
 			}
 		case r := <-c.results:
-			if r.GenID != genID || int(r.BlockID) >= nBlocks || got[r.BlockID] {
-				continue
-			}
-			got[r.BlockID] = true
-			inFlight--
-			nackStreak = 0
-			lo := int(r.BlockID) * blockGrads
-			for i, g := range r.Grads {
-				if lo+i >= len(out) {
-					break
+			// Take every result already queued, so that one burst of
+			// results is answered by one burst of blocks.
+			accept(r)
+		drainResults:
+			for {
+				select {
+				case r := <-c.results:
+					accept(r)
+				default:
+					break drainResults
 				}
-				if r.Degraded && r.SrcCnt > 0 {
-					// Rescale the partial sum to a full-cluster estimate.
-					g = int32(int64(g) * int64(numWorkers) / int64(r.SrcCnt))
-				}
-				out[lo+i] = g
 			}
-			if err := sendNext(); err != nil {
+			if err := refill(); err != nil {
 				return nil, err
 			}
 		case <-retx:
@@ -356,26 +417,15 @@ func (c *Client) AllReduce(genID uint16, grads []int32, blockGrads, numWorkers i
 			// the network (or an injected fault) lost, and — with the
 			// server's ReplayWindow — recovers results whose first copy
 			// never arrived.
-			for b := 0; b < next; b++ {
-				if got[uint32(b)] {
-					continue
-				}
-				lo := b * blockGrads
-				hi := lo + blockGrads
-				if hi > len(grads) {
-					hi = len(grads)
-				}
-				if err := c.SendBlock(uint32(b), genID, grads[lo:hi], b == nBlocks-1); err != nil {
-					return nil, err
-				}
-				c.retransmits.Add(1)
+			if err := resend(); err != nil {
+				return nil, err
 			}
 		case <-c.failed:
-			return nil, fmt.Errorf("hostagg: receive loop failed with %d/%d blocks: %w", len(got), nBlocks, c.failErr)
+			return nil, fmt.Errorf("hostagg: receive loop failed with %d/%d blocks: %w", done, nBlocks, c.failErr)
 		case <-deadline:
 			st := c.Stats()
 			return nil, fmt.Errorf("hostagg: allreduce timed out with %d/%d blocks (%d results delivered, %d dropped)",
-				len(got), nBlocks, st.Delivered, st.Dropped)
+				done, nBlocks, st.Delivered, st.Dropped)
 		case <-c.closed:
 			return nil, net.ErrClosed
 		}
@@ -383,12 +433,15 @@ func (c *Client) AllReduce(genID uint16, grads []int32, blockGrads, numWorkers i
 	return out, nil
 }
 
+// recvLoop reads the socket one buffer at a time — with UDP_GRO, a whole run
+// of datagrams — and delivers each datagram in it.
 func (c *Client) recvLoop() {
 	defer c.stopped.Done()
 	buf := make([]byte, 65536)
+	oob := make([]byte, 64)
 	backoff := c.cfg.RetryBase
 	for {
-		n, err := c.conn.Read(buf)
+		n, oobn, _, _, err := c.conn.ReadMsgUDPAddrPort(buf, oob)
 		if err != nil {
 			select {
 			case <-c.closed:
@@ -414,38 +467,52 @@ func (c *Client) recvLoop() {
 			return
 		}
 		backoff = c.cfg.RetryBase
-		var h packet.TrioML
-		rest, err := h.Unmarshal(buf[:n])
-		if err != nil || h.JobID != c.cfg.JobID {
-			continue
-		}
-		if h.SrcID == packet.CtrlSrcID {
-			var ra packet.RetryAfter
-			if _, err := ra.Unmarshal(rest); err != nil {
-				continue
+		seg := groSegmentSize(oob[:oobn])
+		for p := buf[:n]; ; {
+			var d []byte
+			d, p = nextSegment(p, seg)
+			c.deliver(d)
+			if len(p) == 0 {
+				break
 			}
-			c.nacked.Add(1)
-			select {
-			case c.nacks <- nackSignal{reason: h.AgeOp, millis: ra.Millis}:
-			default:
-			}
-			continue
 		}
-		if h.SrcID != packet.ResultSrcID {
-			continue
+	}
+}
+
+// deliver decodes one datagram from the server: a retry-after NACK goes to
+// AllReduce's nack channel, a result to the Results channel.
+func (c *Client) deliver(d []byte) {
+	var h packet.TrioML
+	rest, err := h.Unmarshal(d)
+	if err != nil || h.JobID != c.cfg.JobID {
+		return
+	}
+	if h.SrcID == packet.CtrlSrcID {
+		var ra packet.RetryAfter
+		if _, err := ra.Unmarshal(rest); err != nil {
+			return
 		}
-		grads, err := packet.Gradients(rest, int(h.GradCnt))
-		if err != nil {
-			continue
-		}
-		r := Result{BlockID: h.BlockID, GenID: h.GenID, SrcCnt: h.SrcCnt, Degraded: h.Degraded, Grads: grads}
+		c.nacked.Add(1)
 		select {
-		case c.results <- r:
-			c.delivered.Add(1)
+		case c.nacks <- nackSignal{reason: h.AgeOp, millis: ra.Millis}:
 		default:
-			// Application is not draining; drop (UDP semantics) but account
-			// for it so a stalled AllReduce is diagnosable.
-			c.dropped.Add(1)
 		}
+		return
+	}
+	if h.SrcID != packet.ResultSrcID {
+		return
+	}
+	grads, err := packet.Gradients(rest, int(h.GradCnt))
+	if err != nil {
+		return
+	}
+	r := Result{BlockID: h.BlockID, GenID: h.GenID, SrcCnt: h.SrcCnt, Degraded: h.Degraded, Grads: grads}
+	select {
+	case c.results <- r:
+		c.delivered.Add(1)
+	default:
+		// Application is not draining; drop (UDP semantics) but account
+		// for it so a stalled AllReduce is diagnosable.
+		c.dropped.Add(1)
 	}
 }

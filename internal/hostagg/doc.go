@@ -41,8 +41,17 @@
 //     §5's timer threads), clearing REF flags and emitting degraded partials.
 //   - Lock-free stats: counters are sync/atomic and never touch the table
 //     mutex; Stats() is a consistent-enough snapshot for telemetry.
-//   - Pooled emit buffers: result payloads are marshaled into a sync.Pool
-//     buffer, so the steady-state hot path does not allocate per result.
+//   - Bursts on the wire: every loop owns a batch. The send it hands the
+//     table copies each datagram into that destination's open run, and the
+//     loop flushes once per receive buffer and once per sweep, so a burst
+//     costs one write per destination: a UDP_SEGMENT (GSO) run of equal-sized
+//     datagrams, the last possibly shorter. Receive sockets turn on UDP_GRO,
+//     so a run arrives as one buffer that the loop splits at the reported
+//     segment size and hands to Handle one datagram at a time. The client
+//     sends through the same batch, marshaling blocks straight into it. A
+//     socket that refuses GSO falls back to one datagram per write for good;
+//     off Linux every write is one datagram. Run buffers are reused, so a
+//     warm batch does not allocate.
 //
 // # Wire-protocol invariants
 //

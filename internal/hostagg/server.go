@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"time"
@@ -40,6 +41,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	conns, err := bindSockets(cfg)
 	if err != nil {
 		return nil, err
+	}
+	for _, c := range conns {
+		enableGRO(c)
 	}
 	s := &Server{tab: tab, conns: conns, closed: make(chan struct{})}
 	for i := 0; i < cfg.RecvWorkers; i++ {
@@ -119,22 +123,41 @@ func (s *Server) Close() error {
 	return err
 }
 
-// sender is the table's way out through conn: a failed write is logged and
-// otherwise ignored, as UDP would have ignored it further down the path.
-func (s *Server) sender(conn *net.UDPConn) func([]byte, *net.UDPAddr) {
-	return func(b []byte, to *net.UDPAddr) {
-		if _, err := conn.WriteToUDP(b, to); err != nil {
+// newBatch gives one loop on conn its outgoing batch, and the send it hands
+// the table: each datagram is copied into the batch, and the loop flushes it
+// once per receive buffer or sweep. A failed write is logged and otherwise
+// ignored, as UDP would have ignored it further down the path; only a GSO
+// refusal goes back to the batch, which then resends the run datagram by
+// datagram.
+func (s *Server) newBatch(conn *net.UDPConn) (*batch, func([]byte, *net.UDPAddr)) {
+	write := runWriter(conn)
+	out := newBatch(func(p []byte, seg int, to netip.AddrPort) error {
+		err := write(p, seg, to)
+		if err != nil && !(seg > 0 && gsoRefused(err)) {
 			s.tab.cfg.Logger.Warn("hostagg: send", "to", to, "err", err)
+			return nil
 		}
+		return err
+	})
+	send := func(p []byte, to *net.UDPAddr) {
+		// An IPv4 socket cannot write to an IPv4-mapped address.
+		ap := to.AddrPort()
+		d, _ := out.next(len(p), netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())) // the writer above absorbs every error
+		copy(d, p)
 	}
+	return out, send
 }
 
+// recvLoop reads conn one buffer at a time — with UDP_GRO, a whole run of
+// datagrams — hands each datagram to the table at the buffer's arrival
+// instant, and then flushes what the table sent.
 func (s *Server) recvLoop(conn *net.UDPConn) {
 	defer s.stopped.Done()
-	send := s.sender(conn)
+	out, send := s.newBatch(conn)
 	buf := make([]byte, 65536)
+	oob := make([]byte, 64)
 	for {
-		n, from, err := conn.ReadFromUDP(buf)
+		n, oobn, _, from, err := conn.ReadMsgUDP(buf, oob)
 		if err != nil {
 			select {
 			case <-s.closed:
@@ -147,14 +170,23 @@ func (s *Server) recvLoop(conn *net.UDPConn) {
 			s.tab.cfg.Logger.Warn("hostagg: read", "err", err)
 			continue
 		}
-		s.tab.Handle(time.Now(), buf[:n], from, send)
+		now, seg := time.Now(), groSegmentSize(oob[:oobn])
+		for p := buf[:n]; ; {
+			var d []byte
+			d, p = nextSegment(p, seg)
+			s.tab.Handle(now, d, from, send)
+			if len(p) == 0 {
+				break
+			}
+		}
+		out.flush()
 	}
 }
 
 // sweepLoop ticks the table's aging sweep every ScanInterval.
 func (s *Server) sweepLoop(conn *net.UDPConn) {
 	defer s.stopped.Done()
-	send := s.sender(conn)
+	out, send := s.newBatch(conn)
 	ticker := time.NewTicker(s.tab.cfg.ScanInterval)
 	defer ticker.Stop()
 	for {
@@ -163,6 +195,7 @@ func (s *Server) sweepLoop(conn *net.UDPConn) {
 			return
 		case <-ticker.C:
 			s.tab.Sweep(time.Now(), send)
+			out.flush()
 		}
 	}
 }
