@@ -34,13 +34,16 @@ verify: build test vet verify-unreached verify-hostagg verify-hostagg-slo verify
 verify-unreached:
 	@tools/unreached.sh
 
-# verify-hostagg races the block table and its UDP shell, then hammers the
-# two determinism pins — the livechaos golden (the real block table on
+# verify-hostagg races the block table and its UDP shell, races the client's
+# tests ten times over at one and two CPUs (its read deadlines, retransmit
+# and NACK back-off under scheduling variation), then hammers the two
+# determinism pins — the livechaos golden (the real block table on
 # sim.Engine) and the seeded admission trace replayed twice — twenty times
 # over at one to eight CPUs: nothing in them may depend on scheduling or on
 # GOMAXPROCS.
 verify-hostagg:
 	$(GO) test -race ./internal/hostagg/...
+	$(GO) test -race -count=10 -cpu 1,2 -run 'Client|AllReduce' ./internal/hostagg/
 	$(GO) test -count=20 -cpu 1,2,4,8 -run 'LiveChaos|AdmissionTrace' ./internal/harness/ ./internal/hostagg/
 
 # verify-hostagg-slo is what is left of the real-socket chaos run: the one

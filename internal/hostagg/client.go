@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"os"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -29,10 +30,6 @@ type ClientConfig struct {
 	JobID      uint8
 	SrcID      uint8
 	Window     int // outstanding blocks; default 16
-	// ResultBuffer is the capacity of the Results channel; results arriving
-	// while it is full are dropped (UDP semantics) and counted in
-	// ClientStats.Dropped. Default 1024.
-	ResultBuffer int
 
 	// RetryBase is the first backoff after a transient network error (EINTR,
 	// ENOBUFS, ECONNREFUSED, ...); it doubles per consecutive failure up to
@@ -62,19 +59,10 @@ func transientNetErr(err error) bool {
 		errors.Is(err, syscall.ENETUNREACH)
 }
 
-// Result is one aggregated block delivered to the application.
-type Result struct {
-	BlockID  uint32
-	GenID    uint16
-	SrcCnt   uint8
-	Degraded bool
-	Grads    []int32
-}
-
 // ClientStats is a snapshot of the client's receive-side counters.
 type ClientStats struct {
-	Delivered   uint64 // results handed to the Results channel
-	Dropped     uint64 // results discarded because the channel was full
+	Delivered   uint64 // results AllReduce accepted, one per block
+	Dropped     uint64 // results read but used by no block: other gen, duplicate, out of range or truncated
 	SendRetries uint64 // transient send errors retried with backoff
 	RecvRetries uint64 // transient receive errors retried with backoff
 	Retransmits uint64 // blocks resent by AllReduce's RetransmitEvery timer
@@ -93,19 +81,16 @@ type Client struct {
 	out   *batch
 	write func(p []byte, seg int, to netip.AddrPort) error
 
-	results chan Result
-	closed  chan struct{}
+	// closed is closed by Close; a read or a back-off it interrupts
+	// returns net.ErrClosed.
+	closed    chan struct{}
+	closeOnce sync.Once
 
-	// nacks carries retry-after NACKs from recvLoop to AllReduce. Buffered
-	// and sent non-blocking: a NACK storm collapses to "back off now".
-	nacks chan nackSignal
-
-	// failed is closed (after failErr is set) when recvLoop dies on a read
-	// error that was not a local Close; AllReduce surfaces it as an error
-	// instead of spinning on a closed results channel.
-	failed   chan struct{}
-	failOnce sync.Once
-	failErr  error
+	// buf holds the last buffer read — with UDP_GRO, a run of seg-byte
+	// datagrams — and rest the part of it next has not returned yet. Only
+	// the one AllReduce running reads them.
+	buf, oob, rest []byte
+	seg            int
 
 	delivered   atomic.Uint64
 	dropped     atomic.Uint64
@@ -114,23 +99,12 @@ type Client struct {
 	retransmits atomic.Uint64
 	nacked      atomic.Uint64
 	backoffs    atomic.Uint64
-
-	stopped sync.WaitGroup
-}
-
-// nackSignal is one decoded retry-after NACK.
-type nackSignal struct {
-	reason uint8
-	millis uint32
 }
 
 // NewClient connects a worker to the aggregation server.
 func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 16
-	}
-	if cfg.ResultBuffer <= 0 {
-		cfg.ResultBuffer = 1024
 	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = time.Millisecond
@@ -151,29 +125,23 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	c := &Client{
 		cfg: cfg, conn: conn,
-		results: make(chan Result, cfg.ResultBuffer),
-		closed:  make(chan struct{}),
-		failed:  make(chan struct{}),
-		nacks:   make(chan nackSignal, 16),
-		write:   runWriter(conn),
+		closed: make(chan struct{}),
+		write:  runWriter(conn),
+		buf:    make([]byte, 65536),
+		oob:    make([]byte, 64),
 	}
 	c.out = newBatch(c.writeRun)
 	enableGRO(conn)
-	c.stopped.Add(1)
-	go c.recvLoop()
 	return c, nil
 }
 
-// Close releases the socket.
-func (c *Client) Close() error {
-	select {
-	case <-c.closed:
-		return nil
-	default:
-	}
-	close(c.closed)
-	err := c.conn.Close()
-	c.stopped.Wait()
+// Close releases the socket; an AllReduce blocked on it returns
+// net.ErrClosed.
+func (c *Client) Close() (err error) {
+	c.closeOnce.Do(func() {
+		close(c.closed)
+		err = c.conn.Close()
+	})
 	return err
 }
 
@@ -209,24 +177,6 @@ func (c *Client) nextBackoff(cur time.Duration) time.Duration {
 		cur = c.cfg.RetryCap
 	}
 	return cur
-}
-
-// Err reports why the receive loop stopped, or nil while it is healthy.
-func (c *Client) Err() error {
-	select {
-	case <-c.failed:
-		return c.failErr
-	default:
-		return nil
-	}
-}
-
-// fail records the receive loop's terminal error and signals waiters.
-func (c *Client) fail(err error) {
-	c.failOnce.Do(func() {
-		c.failErr = err
-		close(c.failed)
-	})
 }
 
 // SendBlock transmits one gradient block, absorbing transient network
@@ -288,33 +238,44 @@ func (c *Client) writeRun(p []byte, seg int, to netip.AddrPort) error {
 	}
 }
 
-// Results delivers aggregated blocks as they arrive. The channel is never
-// closed; a dead receive loop is reported by Err and by AllReduce.
-func (c *Client) Results() <-chan Result { return c.results }
-
 // AllReduce streams the given gradient vector in window-limited blocks of
 // blockGrads values each and returns the aggregated vector, applying the
 // §5 recipe for degraded blocks: divide by the contributing source count
-// scaled to the full worker count. It is a convenience wrapper over
-// SendBlock/Results for synchronous use.
+// scaled to the full worker count. It reads the client's socket itself, so
+// one AllReduce runs on a client at a time.
+//
+// A result is the answer for its block whether or not the block was sent:
+// the server sends every result to all of a job's workers, so a block the
+// others finished (or that aged out) may be answered before this client
+// reached it. Such a block is never sent, and only a sent block frees a
+// window slot.
 func (c *Client) AllReduce(genID uint16, grads []int32, blockGrads, numWorkers int, timeout time.Duration) ([]int32, error) {
 	nBlocks := (len(grads) + blockGrads - 1) / blockGrads
 	out := make([]int32, len(grads))
 	got := make([]bool, nBlocks)
 	done, next, inFlight, nackStreak := 0, 0, 0, 0
+	// quiet is set when a NACK is honored and cleared when a block leaves:
+	// a NACK read while it is set refuses a block the honored one already
+	// backed off for, so a burst of NACKs costs one back-off.
+	quiet := false
 	// queue adds block b to the batch; the caller holds c.mu and flushes.
 	queue := func(b int) error {
 		lo := b * blockGrads
+		quiet = false
 		return c.queue(uint32(b), genID, grads[lo:min(lo+blockGrads, len(grads))], b == nBlocks-1)
 	}
-	// refill tops the window up in one burst.
+	// refill tops the window up in one burst, skipping answered blocks.
 	refill := func() error {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		for ; inFlight < c.cfg.Window && next < nBlocks; next, inFlight = next+1, inFlight+1 {
+		for ; inFlight < c.cfg.Window && next < nBlocks; next++ {
+			if got[next] {
+				continue
+			}
 			if err := queue(next); err != nil {
 				return err
 			}
+			inFlight++
 		}
 		return c.out.flush()
 	}
@@ -333,86 +294,73 @@ func (c *Client) AllReduce(genID uint16, grads []int32, blockGrads, numWorkers i
 		}
 		return c.out.flush()
 	}
-	accept := func(r Result) {
-		if r.GenID != genID || int(r.BlockID) >= nBlocks || got[r.BlockID] {
-			return
+	// accept adds a result's gradients into out — zeroed, and each block is
+	// accepted once — and rescales them in place if it is degraded.
+	accept := func(h *packet.TrioML, body []byte) bool {
+		b, n := int(h.BlockID), int(h.GradCnt)
+		if h.GenID != genID || b >= nBlocks || got[b] || len(body) < 4*n {
+			return false
 		}
-		got[r.BlockID] = true
+		got[b] = true
 		done++
-		inFlight--
-		nackStreak = 0
-		lo := int(r.BlockID) * blockGrads
-		for i, g := range r.Grads {
-			if lo+i >= len(out) {
-				break
-			}
-			if r.Degraded && r.SrcCnt > 0 {
-				// Rescale the partial sum to a full-cluster estimate.
-				g = int32(int64(g) * int64(numWorkers) / int64(r.SrcCnt))
-			}
-			out[lo+i] = g
+		if b < next {
+			inFlight--
 		}
+		nackStreak = 0
+		lo := b * blockGrads
+		dst := out[lo:min(lo+blockGrads, len(out))]
+		packet.AddGradients(dst, body, n)
+		if h.Degraded && h.SrcCnt > 0 {
+			// Rescale the partial sum to a full-cluster estimate.
+			for i, g := range dst {
+				dst[i] = int32(int64(g) * int64(numWorkers) / int64(h.SrcCnt))
+			}
+		}
+		return true
 	}
+	// backOff honors a retry-after NACK: keep the send window quiet for the
+	// suggested interval, and give up with ErrShed once the server has done
+	// nothing but refuse for a full retry budget.
+	backOff := func(h *packet.TrioML, ra packet.RetryAfter) error {
+		quiet = true
+		nackStreak++
+		if nackStreak > c.cfg.MaxRetries {
+			return fmt.Errorf("hostagg: allreduce refused by server (reason %d) for %d consecutive nacks with %d/%d blocks: %w",
+				h.AgeOp, nackStreak, done, nBlocks, ErrShed)
+		}
+		c.backoffs.Add(1)
+		wait := time.Duration(ra.Millis) * time.Millisecond
+		if wait <= 0 {
+			wait = c.cfg.RetryCap
+		}
+		if !c.sleepBackoff(min(wait, time.Second)) {
+			return net.ErrClosed
+		}
+		return nil
+	}
+
 	if err := refill(); err != nil {
 		return nil, err
 	}
-	deadline := time.After(timeout)
-	var retx <-chan time.Time
+	deadline := time.Now().Add(timeout)
+	var retx time.Time // the next resend; zero without RetransmitEvery
 	if c.cfg.RetransmitEvery > 0 {
-		t := time.NewTicker(c.cfg.RetransmitEvery)
-		defer t.Stop()
-		retx = t.C
+		retx = time.Now().Add(c.cfg.RetransmitEvery)
 	}
 	for done < nBlocks {
-		select {
-		case nk := <-c.nacks:
-			// The server refused a contribution and told us when to come
-			// back. Honor it — keep the send window quiet for the suggested
-			// interval — and give up with ErrShed once the server has done
-			// nothing but refuse for a full retry budget.
-			nackStreak++
-			if nackStreak > c.cfg.MaxRetries {
-				return nil, fmt.Errorf("hostagg: allreduce refused by server (reason %d) for %d consecutive nacks with %d/%d blocks: %w",
-					nk.reason, nackStreak, done, nBlocks, ErrShed)
+		wake := deadline
+		if !retx.IsZero() && retx.Before(wake) {
+			wake = retx
+		}
+		d, err := c.next(wake)
+		switch {
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			now := time.Now()
+			if !now.Before(deadline) {
+				st := c.Stats()
+				return nil, fmt.Errorf("hostagg: allreduce timed out with %d/%d blocks (%d results delivered, %d dropped)",
+					done, nBlocks, st.Delivered, st.Dropped)
 			}
-			c.backoffs.Add(1)
-			wait := time.Duration(nk.millis) * time.Millisecond
-			if wait <= 0 {
-				wait = c.cfg.RetryCap
-			}
-			if wait > time.Second {
-				wait = time.Second
-			}
-			if !c.sleepBackoff(wait) {
-				return nil, net.ErrClosed
-			}
-			// A burst of NACKs counts once: everything queued while we
-			// slept belongs to the same refusal we just honored.
-		drainNacks:
-			for {
-				select {
-				case <-c.nacks:
-				default:
-					break drainNacks
-				}
-			}
-		case r := <-c.results:
-			// Take every result already queued, so that one burst of
-			// results is answered by one burst of blocks.
-			accept(r)
-		drainResults:
-			for {
-				select {
-				case r := <-c.results:
-					accept(r)
-				default:
-					break drainResults
-				}
-			}
-			if err := refill(); err != nil {
-				return nil, err
-			}
-		case <-retx:
 			// Resend every sent-but-unanswered block: repairs contributions
 			// the network (or an injected fault) lost, and — with the
 			// server's ReplayWindow — recovers results whose first copy
@@ -420,99 +368,77 @@ func (c *Client) AllReduce(genID uint16, grads []int32, blockGrads, numWorkers i
 			if err := resend(); err != nil {
 				return nil, err
 			}
-		case <-c.failed:
-			return nil, fmt.Errorf("hostagg: receive loop failed with %d/%d blocks: %w", done, nBlocks, c.failErr)
-		case <-deadline:
-			st := c.Stats()
-			return nil, fmt.Errorf("hostagg: allreduce timed out with %d/%d blocks (%d results delivered, %d dropped)",
-				done, nBlocks, st.Delivered, st.Dropped)
-		case <-c.closed:
-			return nil, net.ErrClosed
+			retx = now.Add(c.cfg.RetransmitEvery)
+			continue
+		case err == net.ErrClosed:
+			return nil, err
+		case err != nil:
+			return nil, fmt.Errorf("hostagg: receive failed with %d/%d blocks: %w", done, nBlocks, err)
+		}
+		var h packet.TrioML
+		if body, err := h.Unmarshal(d); err == nil && h.JobID == c.cfg.JobID {
+			switch h.SrcID {
+			case packet.ResultSrcID:
+				if accept(&h, body) {
+					c.delivered.Add(1)
+				} else {
+					c.dropped.Add(1)
+				}
+			case packet.CtrlSrcID:
+				var ra packet.RetryAfter
+				if _, err := ra.Unmarshal(body); err != nil {
+					break
+				}
+				c.nacked.Add(1)
+				if !quiet {
+					if err := backOff(&h, ra); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+		// One burst of results is answered by one burst of blocks.
+		if len(c.rest) == 0 {
+			if err := refill(); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
 }
 
-// recvLoop reads the socket one buffer at a time — with UDP_GRO, a whole run
-// of datagrams — and delivers each datagram in it.
-func (c *Client) recvLoop() {
-	defer c.stopped.Done()
-	buf := make([]byte, 65536)
-	oob := make([]byte, 64)
+// next returns the next datagram from the server. It reads the socket — with
+// UDP_GRO, a whole run of datagrams at once — only when the last buffer is
+// used up, and fails with os.ErrDeadlineExceeded if nothing arrives by wake.
+// Transient errors (ECONNREFUSED while the server restarts, ...) are retried
+// with capped backoff; after Close it returns net.ErrClosed.
+func (c *Client) next(wake time.Time) ([]byte, error) {
 	backoff := c.cfg.RetryBase
-	for {
-		n, oobn, _, _, err := c.conn.ReadMsgUDPAddrPort(buf, oob)
-		if err != nil {
-			select {
-			case <-c.closed:
-				return
-			default:
-			}
-			if transientNetErr(err) {
-				// ECONNREFUSED and friends surface here while the server
-				// restarts; back off and keep listening rather than killing
-				// the client. The schedule resets on the next good read.
-				c.recvRetries.Add(1)
-				if !c.sleepBackoff(backoff) {
-					return
-				}
-				backoff = c.nextBackoff(backoff)
-				continue
-			}
-			// Leave c.results open: closing it would feed receivers an
-			// endless stream of zero-value Results (gen 0, block 0)
-			// that could silently zero out real gradients. Signal the
-			// failure explicitly instead.
-			c.fail(err)
-			return
-		}
-		backoff = c.cfg.RetryBase
-		seg := groSegmentSize(oob[:oobn])
-		for p := buf[:n]; ; {
-			var d []byte
-			d, p = nextSegment(p, seg)
-			c.deliver(d)
-			if len(p) == 0 {
+	for len(c.rest) == 0 {
+		err := c.conn.SetReadDeadline(wake)
+		if err == nil {
+			var n, oobn int
+			n, oobn, _, _, err = c.conn.ReadMsgUDPAddrPort(c.buf, c.oob)
+			if err == nil {
+				c.rest, c.seg = c.buf[:n], groSegmentSize(c.oob[:oobn])
 				break
 			}
 		}
-	}
-}
-
-// deliver decodes one datagram from the server: a retry-after NACK goes to
-// AllReduce's nack channel, a result to the Results channel.
-func (c *Client) deliver(d []byte) {
-	var h packet.TrioML
-	rest, err := h.Unmarshal(d)
-	if err != nil || h.JobID != c.cfg.JobID {
-		return
-	}
-	if h.SrcID == packet.CtrlSrcID {
-		var ra packet.RetryAfter
-		if _, err := ra.Unmarshal(rest); err != nil {
-			return
-		}
-		c.nacked.Add(1)
 		select {
-		case c.nacks <- nackSignal{reason: h.AgeOp, millis: ra.Millis}:
+		case <-c.closed:
+			return nil, net.ErrClosed
 		default:
 		}
-		return
+		if !transientNetErr(err) {
+			return nil, err
+		}
+		c.recvRetries.Add(1)
+		if !c.sleepBackoff(backoff) {
+			return nil, net.ErrClosed
+		}
+		backoff = c.nextBackoff(backoff)
 	}
-	if h.SrcID != packet.ResultSrcID {
-		return
-	}
-	grads, err := packet.Gradients(rest, int(h.GradCnt))
-	if err != nil {
-		return
-	}
-	r := Result{BlockID: h.BlockID, GenID: h.GenID, SrcCnt: h.SrcCnt, Degraded: h.Degraded, Grads: grads}
-	select {
-	case c.results <- r:
-		c.delivered.Add(1)
-	default:
-		// Application is not draining; drop (UDP semantics) but account
-		// for it so a stalled AllReduce is diagnosable.
-		c.dropped.Add(1)
-	}
+	var d []byte
+	d, c.rest = nextSegment(c.rest, c.seg)
+	return d, nil
 }

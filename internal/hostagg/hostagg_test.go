@@ -287,16 +287,15 @@ func TestSimulatorFrameReplaysOnSocket(t *testing.T) {
 	if _, err := c1.conn.Write(udpPayload); err != nil { // either may land first: sums commute
 		t.Fatal(err)
 	}
-	select {
-	case r := <-c0.Results():
-		if r.BlockID != 4 || r.GenID != 3 {
-			t.Fatalf("result = %+v", r)
-		}
-		if r.Grads[0] != 101 || r.Grads[1] != -5 {
-			t.Fatalf("sums = %v", r.Grads)
-		}
-	case <-time.After(5 * time.Second):
+	h, grads, ok := recvResult(t, c0, time.Now().Add(5*time.Second))
+	if !ok {
 		t.Fatal("no result from replayed simulator frame")
+	}
+	if h.BlockID != 4 || h.GenID != 3 {
+		t.Fatalf("result = %+v", h)
+	}
+	if grads[0] != 101 || grads[1] != -5 {
+		t.Fatalf("sums = %v", grads)
 	}
 }
 
