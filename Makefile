@@ -8,9 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
-# vet also fails when any file needs gofmt.
+# vet also fails when any file needs gofmt, and builds for darwin and vets
+# internal/hostagg for windows so the off-Linux files (gso_other.go) compile.
 vet:
 	$(GO) vet ./...
+	GOOS=darwin $(GO) build ./...
+	GOOS=windows $(GO) vet ./internal/hostagg/
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # pairs runs the repo benchmark on one workload at BASE and at the working
@@ -35,15 +38,16 @@ verify-unreached:
 	@tools/unreached.sh
 
 # verify-hostagg races the block table and its UDP shell, races the client's
-# tests ten times over at one and two CPUs (its read deadlines, retransmit
-# and NACK back-off under scheduling variation), then hammers the two
+# and the server loop's tests ten times over at one and two CPUs (their read
+# deadlines, retransmit, NACK back-off and idle sweep under scheduling
+# variation), then hammers the two
 # determinism pins — the livechaos golden (the real block table on
 # sim.Engine) and the seeded admission trace replayed twice — twenty times
 # over at one to eight CPUs: nothing in them may depend on scheduling or on
 # GOMAXPROCS.
 verify-hostagg:
 	$(GO) test -race ./internal/hostagg/...
-	$(GO) test -race -count=10 -cpu 1,2 -run 'Client|AllReduce' ./internal/hostagg/
+	$(GO) test -race -count=10 -cpu 1,2 -run 'Client|AllReduce|Server' ./internal/hostagg/
 	$(GO) test -count=20 -cpu 1,2,4,8 -run 'LiveChaos|AdmissionTrace' ./internal/harness/ ./internal/hostagg/
 
 # verify-hostagg-slo is what is left of the real-socket chaos run: the one

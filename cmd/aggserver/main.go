@@ -5,13 +5,12 @@
 // Usage:
 //
 //	aggserver [-listen :12000] [-workers 6] [-timeout 10ms] [-stats 5s]
-//	          [-recv 0] [-metrics-addr :9100]
+//	          [-metrics-addr :9100]
 //	          [-max-open-blocks 0] [-tenant-quota 1=open:64,pps:5000,bytes:1048576,weight:4]
 //	          [-job-tenant 2=1] [-retry-after 20ms]
 //
-// -recv sets the number of receive goroutines (SO_REUSEPORT sockets on
-// Linux); 0 sizes it from GOMAXPROCS. They all feed one block table behind
-// one lock.
+// The server is one loop: one socket read by one goroutine, which also runs
+// the aging sweep.
 //
 // Multi-tenant admission control (DESIGN.md §10): -max-open-blocks bounds
 // the server's open blocks and arms the overload ladder; -tenant-quota
@@ -25,11 +24,6 @@
 // /metrics and expvar JSON at /debug/vars, including the server-wide
 // counters and per-tenant admission series; see
 // OBSERVABILITY.md for the full reference.
-//
-// Note that with SO_REUSEPORT active (-recv > 1 on Linux), a second
-// aggserver started on the same port binds successfully and the kernel
-// splits incoming flows between the two processes — make sure only one
-// instance serves a given port.
 package main
 
 import (
@@ -132,7 +126,6 @@ func main() {
 		workers    = flag.Int("workers", 6, "number of workers per job")
 		timeout    = flag.Duration("timeout", 10*time.Millisecond, "straggler timeout (0 disables)")
 		statsInt   = flag.Duration("stats", 10*time.Second, "stats logging interval (0 disables)")
-		recv       = flag.Int("recv", 0, "receive goroutines / SO_REUSEPORT sockets (0 = GOMAXPROCS)")
 		metrics    = flag.String("metrics-addr", "", "HTTP address for /metrics and /debug/vars (empty disables)")
 		maxOpen    = flag.Int("max-open-blocks", 0, "global open-block bound arming the overload ladder (0 = unlimited)")
 		maxPerJob  = flag.Int("max-blocks-per-job", 0, "open-block bound per job (0 = unlimited)")
@@ -149,7 +142,7 @@ func main() {
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	srv, err := hostagg.NewServer(hostagg.ServerConfig{
 		ListenAddr: *listen, NumWorkers: *workers, Timeout: *timeout, Logger: log,
-		RecvWorkers: *recv, MaxOpenBlocks: *maxOpen, MaxBlocksPerJob: *maxPerJob,
+		MaxOpenBlocks: *maxOpen, MaxBlocksPerJob: *maxPerJob,
 		JobIdleTimeout: *jobIdle, ReplayWindow: *replayWin, RetryAfter: *retryAfter,
 		TenantQuotas: tenantQuotas.quotas, JobTenants: jobTenants.jobs,
 	})
@@ -157,8 +150,7 @@ func main() {
 		log.Error("start", "err", err)
 		os.Exit(1)
 	}
-	log.Info("aggserver listening", "addr", srv.Addr(), "workers", *workers, "timeout", *timeout,
-		"sockets", srv.NumSockets())
+	log.Info("aggserver listening", "addr", srv.Addr(), "workers", *workers, "timeout", *timeout)
 
 	if *metrics != "" {
 		reg := obs.NewRegistry()

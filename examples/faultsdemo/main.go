@@ -87,7 +87,7 @@ func main() {
 	fst := plan.Stats()
 	sst := srv.Stats()
 	fmt.Printf("injected: %d contributions dropped, %d table crashes\n",
-		fst.HostaggRecvDrops, fst.HostaggShardCrashes)
+		fst.HostaggRecvDrops, fst.HostaggCrashes)
 	fmt.Printf("repaired: %d duplicates deduped, %d results replayed from cache\n",
 		sst.Duplicates, sst.ResultReplays)
 }

@@ -19,13 +19,12 @@ func main() {
 	const workers = 3
 	srv, err := hostagg.NewServer(hostagg.ServerConfig{
 		ListenAddr: "127.0.0.1:0", NumWorkers: workers, Timeout: 200 * time.Millisecond,
-		RecvWorkers: workers,
 	})
 	if err != nil {
 		panic(err)
 	}
 	defer srv.Close()
-	fmt.Printf("aggregation server on %v (timeout 200ms, %d sockets)\n\n", srv.Addr(), srv.NumSockets())
+	fmt.Printf("aggregation server on %v (timeout 200ms)\n\n", srv.Addr())
 
 	clients := make([]*hostagg.Client, workers)
 	for w := range clients {

@@ -29,7 +29,7 @@ const (
 
 func main() {
 	srv, err := hostagg.NewServer(hostagg.ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: workers, RecvWorkers: 2,
+		ListenAddr: "127.0.0.1:0", NumWorkers: workers,
 		MaxOpenBlocks: 4096, ReplayWindow: 128,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 		TenantQuotas: map[uint8]hostagg.TenantQuota{

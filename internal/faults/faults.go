@@ -113,16 +113,16 @@ type Config struct {
 
 // Stats is a snapshot of every injected-fault counter.
 type Stats struct {
-	LinkFlapDrops       uint64
-	LinkCorruptions     uint64
-	LinkDuplicates      uint64
-	LinkReorders        uint64
-	PPEStalls           uint64
-	PPEStallNs          uint64
-	MemBankErrors       uint64
-	HostaggRecvDrops    uint64
-	HostaggShardCrashes uint64
-	TrainCrashes        uint64
+	LinkFlapDrops    uint64
+	LinkCorruptions  uint64
+	LinkDuplicates   uint64
+	LinkReorders     uint64
+	PPEStalls        uint64
+	PPEStallNs       uint64
+	MemBankErrors    uint64
+	HostaggRecvDrops uint64
+	HostaggCrashes   uint64
+	TrainCrashes     uint64
 }
 
 // Plan is one deterministic fault schedule: a seed, a config, and shared
@@ -132,16 +132,16 @@ type Plan struct {
 	seed uint64
 	cfg  Config
 
-	linkFlapDrops       atomic.Uint64
-	linkCorruptions     atomic.Uint64
-	linkDuplicates      atomic.Uint64
-	linkReorders        atomic.Uint64
-	ppeStalls           atomic.Uint64
-	ppeStallNs          atomic.Uint64
-	memBankErrors       atomic.Uint64
-	hostaggRecvDrops    atomic.Uint64
-	hostaggShardCrashes atomic.Uint64
-	trainCrashes        atomic.Uint64
+	linkFlapDrops    atomic.Uint64
+	linkCorruptions  atomic.Uint64
+	linkDuplicates   atomic.Uint64
+	linkReorders     atomic.Uint64
+	ppeStalls        atomic.Uint64
+	ppeStallNs       atomic.Uint64
+	memBankErrors    atomic.Uint64
+	hostaggRecvDrops atomic.Uint64
+	hostaggCrashes   atomic.Uint64
+	trainCrashes     atomic.Uint64
 }
 
 // NewPlan builds a fault plan. Range defaults: DupDelay 1 µs, ReorderDelay
@@ -168,16 +168,16 @@ func NewPlan(seed uint64, cfg Config) *Plan {
 // Stats snapshots the injected-fault counters.
 func (p *Plan) Stats() Stats {
 	return Stats{
-		LinkFlapDrops:       p.linkFlapDrops.Load(),
-		LinkCorruptions:     p.linkCorruptions.Load(),
-		LinkDuplicates:      p.linkDuplicates.Load(),
-		LinkReorders:        p.linkReorders.Load(),
-		PPEStalls:           p.ppeStalls.Load(),
-		PPEStallNs:          p.ppeStallNs.Load(),
-		MemBankErrors:       p.memBankErrors.Load(),
-		HostaggRecvDrops:    p.hostaggRecvDrops.Load(),
-		HostaggShardCrashes: p.hostaggShardCrashes.Load(),
-		TrainCrashes:        p.trainCrashes.Load(),
+		LinkFlapDrops:    p.linkFlapDrops.Load(),
+		LinkCorruptions:  p.linkCorruptions.Load(),
+		LinkDuplicates:   p.linkDuplicates.Load(),
+		LinkReorders:     p.linkReorders.Load(),
+		PPEStalls:        p.ppeStalls.Load(),
+		PPEStallNs:       p.ppeStallNs.Load(),
+		MemBankErrors:    p.memBankErrors.Load(),
+		HostaggRecvDrops: p.hostaggRecvDrops.Load(),
+		HostaggCrashes:   p.hostaggCrashes.Load(),
+		TrainCrashes:     p.trainCrashes.Load(),
 	}
 }
 
@@ -320,14 +320,14 @@ func (p *Plan) Hostagg() *HostaggInjector {
 	return &HostaggInjector{plan: p, cfg: p.cfg.Hostagg}
 }
 
-// Shard builds the block table's fault stream. The result must only be used
+// Table builds the block table's fault stream. The result must only be used
 // under the table's lock.
-func (h *HostaggInjector) Shard() *HostaggShard {
-	return &HostaggShard{plan: h.plan, cfg: h.cfg, rng: sim.NewRNG(h.plan.seed, streamHostagg)}
+func (h *HostaggInjector) Table() *HostaggTable {
+	return &HostaggTable{plan: h.plan, cfg: h.cfg, rng: sim.NewRNG(h.plan.seed, streamHostagg)}
 }
 
-// HostaggShard is the block table's fault stream (serialized by its lock).
-type HostaggShard struct {
+// HostaggTable is the block table's fault stream (serialized by its lock).
+type HostaggTable struct {
 	plan  *Plan
 	cfg   HostaggConfig
 	rng   *sim.RNG
@@ -335,7 +335,7 @@ type HostaggShard struct {
 }
 
 // DropRecv reports whether this contribution is dropped at ingress.
-func (s *HostaggShard) DropRecv() bool {
+func (s *HostaggTable) DropRecv() bool {
 	if s.cfg.RecvDropProb > 0 && s.rng.Bernoulli(s.cfg.RecvDropProb) {
 		s.plan.hostaggRecvDrops.Add(1)
 		return true
@@ -345,14 +345,14 @@ func (s *HostaggShard) DropRecv() bool {
 
 // CrashNow reports whether the table crashes after this contribution,
 // wiping its open blocks. Counts one crash per firing.
-func (s *HostaggShard) CrashNow() bool {
+func (s *HostaggTable) CrashNow() bool {
 	if s.cfg.CrashEvery == 0 {
 		return false
 	}
 	s.recvs++
 	if s.recvs >= s.cfg.CrashEvery {
 		s.recvs = 0
-		s.plan.hostaggShardCrashes.Add(1)
+		s.plan.hostaggCrashes.Add(1)
 		return true
 	}
 	return false

@@ -120,19 +120,19 @@ func TestCountersAndStats(t *testing.T) {
 	if c := p.Mem(0).BankError(); c != 7 {
 		t.Fatalf("bank error cycles = %d, want 7", c)
 	}
-	sh := p.Hostagg().Shard()
-	if !sh.DropRecv() {
+	tab := p.Hostagg().Table()
+	if !tab.DropRecv() {
 		t.Fatal("certain recv drop did not fire")
 	}
-	if sh.CrashNow() {
+	if tab.CrashNow() {
 		t.Fatal("crash fired before CrashEvery contributions")
 	}
-	if !sh.CrashNow() {
+	if !tab.CrashNow() {
 		t.Fatal("crash did not fire at CrashEvery contributions")
 	}
 	st := p.Stats()
 	if st.LinkCorruptions != 1 || st.PPEStalls != 1 || st.MemBankErrors != 1 ||
-		st.HostaggRecvDrops != 1 || st.HostaggShardCrashes != 1 {
+		st.HostaggRecvDrops != 1 || st.HostaggCrashes != 1 {
 		t.Fatalf("unexpected stats: %+v", st)
 	}
 	if st.PPEStallNs == 0 {

@@ -23,7 +23,7 @@ func init() {
 }
 
 // livechaos drives the real hostagg block table — the same Handle and Sweep a
-// Server's receive and sweep loops call — under adversarial tenants, and
+// Server's loop calls — under adversarial tenants, and
 // asserts the admission machinery (DESIGN.md §10) isolates a victim tenant:
 // every round completes, every sum is bit-exact against the closed form, and
 // the damage lands on the aggressor's counters. The table takes its instant

@@ -150,7 +150,7 @@ func TestAdmissionTraceDeterministic(t *testing.T) {
 	if stA.RateShed == 0 || stA.QuotaShed == 0 || stA.Shed == 0 || stA.FairEvictions == 0 ||
 		stA.NacksSent == 0 || stA.Malformed == 0 || stA.ResultReplays == 0 || stA.Duplicates == 0 ||
 		stA.GenRestarts == 0 || stA.Degraded == 0 || stA.Completed == 0 || stA.OverloadEnters == 0 ||
-		fltA.HostaggRecvDrops == 0 || fltA.HostaggShardCrashes == 0 || len(wireA) == 0 {
+		fltA.HostaggRecvDrops == 0 || fltA.HostaggCrashes == 0 || len(wireA) == 0 {
 		t.Fatalf("trace left a mechanism untouched: %+v faults %+v", stA, fltA)
 	}
 }

@@ -23,7 +23,7 @@ type wireWrite struct {
 // TestBatchTwin drives the batch with seeded random (destination, length)
 // sequences and random flushes into a recording writer, and checks what a
 // receiver would see: every write, re-split at its segment size the way the
-// receive loops split a UDP_GRO buffer, gives back per destination exactly
+// readers split a UDP_GRO buffer, gives back per destination exactly
 // the datagrams that were appended, in order; every write keeps the GSO rules
 // (at most maxRunSegs segments and maxRunBytes bytes, equal segments but for
 // a shorter, non-empty last one, a run of one as a plain write); and with GSO
@@ -171,7 +171,7 @@ func TestBurstOverLoopback(t *testing.T) {
 	exchange := func(noGSO bool) (ServerStats, []int32, []wireWrite) {
 		forceNoGSO = noGSO
 		defer func() { forceNoGSO = false }()
-		s, err := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0", NumWorkers: 1, RecvWorkers: 1})
+		s, err := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0", NumWorkers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

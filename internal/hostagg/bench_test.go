@@ -79,7 +79,7 @@ func BenchmarkAllReduceUDP(b *testing.B) {
 	const workers = 2
 	const n = 8192
 	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: workers, RecvWorkers: workers,
+		ListenAddr: "127.0.0.1:0", NumWorkers: workers,
 	})
 	if err != nil {
 		b.Fatal(err)

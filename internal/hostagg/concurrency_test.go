@@ -156,28 +156,13 @@ func TestTableHammer(t *testing.T) {
 	}
 }
 
-// TestRecvWorkersConfig checks the reuseport fan-out plumbing and the
-// receive-worker bound.
-func TestRecvWorkersConfig(t *testing.T) {
-	s, err := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0", NumWorkers: 2, RecvWorkers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	if reusePortSupported && s.NumSockets() != 3 {
-		t.Fatalf("sockets = %d, want 3 with SO_REUSEPORT", s.NumSockets())
-	}
-	if _, err := NewServer(ServerConfig{ListenAddr: "127.0.0.1:0", NumWorkers: 2, RecvWorkers: 65}); err == nil {
-		t.Fatal("65 recv workers accepted")
-	}
-}
-
-// TestAllReduceAcrossRecvWorkers is an end-to-end check that SO_REUSEPORT fan-out
-// into the one block table preserves protocol semantics over real sockets.
-func TestAllReduceAcrossRecvWorkers(t *testing.T) {
+// TestAllReduceThreeWorkers is an end-to-end check that three clients
+// streaming at once into the server's one socket get bit-exact sums over
+// real sockets.
+func TestAllReduceThreeWorkers(t *testing.T) {
 	const workers = 3
 	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: workers, RecvWorkers: 4,
+		ListenAddr: "127.0.0.1:0", NumWorkers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)

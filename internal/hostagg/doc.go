@@ -18,20 +18,18 @@
 // Sweep(now, send) take the instant and the way out as arguments, so what a
 // table does is a function of its inputs (nothing it decides follows map
 // order) and it can be driven at wall-clock time or at instants a simulation
-// chooses. Server is the UDP shell: it binds the sockets and runs RecvWorkers
-// receive loops calling Handle(time.Now(), ...) plus one loop ticking
-// Sweep(time.Now(), ...) — the only places the server side reads the clock or
-// touches a socket.
+// chooses. Server is the UDP shell: it binds one socket and runs one loop
+// calling Handle(time.Now(), ...) and Sweep(time.Now(), ...) — the only place
+// the server side reads the clock or touches a socket.
 //
 // # Server architecture
 //
-//   - Receive parallelism: RecvWorkers sockets are bound to the same address
-//     with SO_REUSEPORT where the platform supports it (Linux), so the
-//     kernel fans incoming flows out across receive goroutines. Where
-//     SO_REUSEPORT is unavailable the server falls back to a single socket
-//     read by RecvWorkers goroutines. (SO_REUSEPORT also lets a second
-//     same-UID process bind the same port and steal a share of the flows —
-//     run one server per port.)
+//   - The server is one loop: one goroutine reads one socket, hands each
+//     datagram to Handle, and runs Sweep once the clock passes the next
+//     sweep instant — like §5's timer threads, which share the packet
+//     threads' PPEs rather than owning one. A read deadline at that instant,
+//     set once per sweep, wakes the loop when no traffic arrives; with aging
+//     off there is none. A second server on the same port fails to bind.
 //   - One lock: the block map, the replay cache, the fault stream and the
 //     worker registry sit behind one table mutex. Every send — results,
 //     replays, NACKs — happens after it is released, so no syscall is made
@@ -41,7 +39,7 @@
 //     §5's timer threads), clearing REF flags and emitting degraded partials.
 //   - Lock-free stats: counters are sync/atomic and never touch the table
 //     mutex; Stats() is a consistent-enough snapshot for telemetry.
-//   - Bursts on the wire: every loop owns a batch. The send it hands the
+//   - Bursts on the wire: the server's loop owns a batch. The send it hands the
 //     table copies each datagram into that destination's open run, and the
 //     loop flushes once per receive buffer and once per sweep, so a burst
 //     costs one write per destination: a UDP_SEGMENT (GSO) run of equal-sized

@@ -159,7 +159,7 @@ func TestAllReduceSurvivesInjectedFaults(t *testing.T) {
 	if fst.HostaggRecvDrops == 0 {
 		t.Fatal("injector never dropped a contribution — the test exercised nothing")
 	}
-	if fst.HostaggShardCrashes == 0 {
+	if fst.HostaggCrashes == 0 {
 		t.Fatal("injector never crashed the table")
 	}
 	if st := s.Stats(); st.Degraded != 0 {

@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzHandle throws arbitrary datagrams at the bare table's decode/admission
-// path — the same Handle the receive loops call — looking for panics, counter
+// path — the same Handle the server's loop calls — looking for panics, counter
 // corruption, blocks opened by malformed input, or datagrams sent anywhere
 // but to an address Handle was given. Every input gets a fresh table, a fixed
 // now and the same three-packet prologue (one open block, one served block),

@@ -29,8 +29,8 @@ const wordSize = bits.UintSize / 8
 // enableGRO asks the kernel to hand conn coalesced runs — one buffer plus a
 // UDP_GRO control message carrying the segment size — instead of cutting a
 // GSO run back into datagrams. A kernel without UDP_GRO refuses, and the
-// socket keeps receiving one datagram per read, which the receive loops
-// handle the same way.
+// socket keeps receiving one datagram per read, which its reader handles the
+// same way.
 func enableGRO(conn *net.UDPConn) {
 	if rc, err := conn.SyscallConn(); err == nil {
 		rc.Control(func(fd uintptr) {

@@ -2,6 +2,7 @@ package hostagg
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -260,6 +261,43 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerSweepsIdleTable checks that a real server's loop sweeps with no
+// traffic arriving: source 0 sends block 0 once and nothing more reaches the
+// socket, so only the read deadline can wake the loop to age the block out.
+func TestServerSweepsIdleTable(t *testing.T) {
+	s := newTestServer(t, 2, 40*time.Millisecond)
+	conn, err := net.DialUDP("udp", nil, s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	grads := []int32{7, -3, 1 << 20}
+	if _, err := conn.Write(buildContribution(1, 0, 0, 1, grads)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 2048)
+	n, err := conn.Read(buf)
+	if err != nil {
+		t.Fatalf("no aged result: %v", err)
+	}
+	var h packet.TrioML
+	rest, err := h.Unmarshal(buf[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := packet.Gradients(rest, int(h.GradCnt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.BlockID != 0 || !h.Degraded || h.SrcCnt != 1 || h.AgeOp != 1 {
+		t.Fatalf("result = %+v, want block 0 degraded with 1 source", h)
+	}
+	if !slices.Equal(got, grads) {
+		t.Fatalf("partial sums = %v, want %v", got, grads)
 	}
 }
 

@@ -26,7 +26,7 @@ func TestLiveVictimSLO(t *testing.T) {
 	for name, sameBlocks := range map[string]uint32{"flood": 1 << 31, "retxstorm": 4} {
 		t.Run(name, func(t *testing.T) {
 			s, err := NewServer(ServerConfig{
-				ListenAddr: "127.0.0.1:0", NumWorkers: 2, RecvWorkers: 2,
+				ListenAddr: "127.0.0.1:0", NumWorkers: 2,
 				MaxOpenBlocks: 4096, ReplayWindow: 256,
 				TenantQuotas: map[uint8]TenantQuota{
 					1: {Weight: 4},

@@ -27,10 +27,6 @@ type ServerConfig struct {
 	// ScanInterval is how often the server's aging sweep runs; defaults to
 	// Timeout/4 (the host-side analogue of N staggered timer threads).
 	ScanInterval time.Duration
-	// RecvWorkers is the number of receive goroutines. On Linux each gets
-	// its own SO_REUSEPORT socket; elsewhere they share one socket. Zero
-	// picks GOMAXPROCS.
-	RecvWorkers int
 	// Logger receives operational messages; nil uses slog.Default.
 	Logger *slog.Logger
 
@@ -104,7 +100,7 @@ type Table struct {
 	// by block key with the block's generation as the replay generation.
 	served *replay.Cache[*servedBlock]
 
-	flt *faults.HostaggShard // injected recv-drop/crash stream; nil when off
+	flt *faults.HostaggTable // injected recv-drop/crash stream; nil when off
 
 	workers map[uint16]*net.UDPAddr // job<<8|src_id -> return address
 
@@ -181,7 +177,7 @@ type serverCounters struct {
 func key(job uint8, block uint32) uint64 { return uint64(job)<<32 | uint64(block) }
 
 // NewTable validates cfg, fills its defaults and builds an empty block table.
-// ListenAddr and RecvWorkers belong to the Server shell and are ignored here.
+// ListenAddr belongs to the Server shell and is ignored here.
 func NewTable(cfg ServerConfig) (*Table, error) {
 	if cfg.NumWorkers <= 0 || cfg.NumWorkers > 64 {
 		return nil, fmt.Errorf("hostagg: workers must be 1..64, got %d", cfg.NumWorkers)
@@ -208,7 +204,7 @@ func NewTable(cfg ServerConfig) (*Table, error) {
 		t.served = replay.New[*servedBlock](cfg.ReplayWindow)
 	}
 	if cfg.Faults != nil {
-		t.flt = cfg.Faults.Shard()
+		t.flt = cfg.Faults.Table()
 	}
 	t.emitPool.New = func() any {
 		b := make([]byte, 0, packet.TrioMLHeaderLen+4*packet.MaxGradientsPerPacket)

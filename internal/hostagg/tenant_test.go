@@ -297,7 +297,7 @@ func TestReplayCacheDisabledUnderPressure(t *testing.T) {
 // timeout.
 func TestClientShedSurfacesErrShed(t *testing.T) {
 	s, err := NewServer(ServerConfig{
-		ListenAddr: "127.0.0.1:0", NumWorkers: 2, RecvWorkers: 1,
+		ListenAddr: "127.0.0.1:0", NumWorkers: 2,
 		MaxOpenBlocks: 2,
 		TenantQuotas:  map[uint8]TenantQuota{9: {Weight: 100}},
 		RetryAfter:    5 * time.Millisecond,
