@@ -58,17 +58,14 @@ func main() {
 			return
 		}
 		defer conn.Close()
-		grads := []int32{1, 2, 3, 4}
-		buf := make([]byte, packet.TrioMLHeaderLen+4*len(grads))
+		var buf []byte
 		for blk := uint32(0); ; blk++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			hdr := packet.TrioML{JobID: aggressorJob, BlockID: blk, GenID: 1, GradCnt: uint16(len(grads))}
-			hdr.MarshalTo(buf)
-			packet.PutGradients(buf[packet.TrioMLHeaderLen:], grads)
+			buf = hostagg.AppendBlock(buf[:0], packet.TrioML{JobID: aggressorJob, BlockID: blk, GenID: 1}, []int32{1, 2, 3, 4})
 			conn.Write(buf)
 			if blk%5 == 4 {
 				time.Sleep(time.Millisecond)

@@ -23,13 +23,13 @@ func init() {
 }
 
 // livechaos drives the real hostagg block table — the same Handle and Sweep a
-// Server's loop calls — under adversarial tenants, and
-// asserts the admission machinery (DESIGN.md §10) isolates a victim tenant:
-// every round completes, every sum is bit-exact against the closed form, and
-// the damage lands on the aggressor's counters. The table takes its instant
-// and its way out as arguments, so the whole thing runs on one sim.Engine:
-// now is lcEpoch + eng.Now(), a datagram is an event one link delay away, the
-// aging sweep is a periodic event, and every cell is an exact integer.
+// Server's loop calls — and victims running the client's own allreduce core
+// under adversarial tenants, and asserts the admission machinery (DESIGN.md
+// §10) isolates the victim tenant: every round completes, every sum is
+// bit-exact against the closed form, and the damage lands on the aggressor's
+// counters. Table and core take their instant and way out as arguments, so
+// it all runs on one sim.Engine: now is lcEpoch + eng.Now(), a datagram is an
+// event one link delay away, the sweep is periodic, every cell is exact.
 
 const (
 	lcVictimJob    = 1 // job ids double as tenant ids (one tenant per job)
@@ -47,7 +47,7 @@ type lcRig struct {
 	cfg     hostagg.ServerConfig
 	tab     *hostagg.Table
 	hosts   map[int]func([]byte) // fabricated return port -> receiver
-	victims []*lcWorker
+	victims []*lcVictim
 	dropped int // datagrams lost outside the table: sent into an outage, or to a stalled reader
 }
 
@@ -106,113 +106,97 @@ func (r *lcRig) trace(from *net.UDPAddr, start, every sim.Time, n int, mk func(i
 func lcAddr(port int) *net.UDPAddr { return &net.UDPAddr{IP: net.IPv4(10, 0, 0, 1), Port: port} }
 
 func lcContribution(job uint8, block uint32, src uint8, gen uint16, grads []int32) []byte {
-	hdr := packet.TrioML{JobID: job, BlockID: block, SrcID: src, GenID: gen, GradCnt: uint16(len(grads))}
-	buf := make([]byte, packet.TrioMLHeaderLen+4*len(grads))
-	hdr.MarshalTo(buf)
-	packet.PutGradients(buf[packet.TrioMLHeaderLen:], grads)
-	return buf
+	return hostagg.AppendBlock(nil, packet.TrioML{JobID: job, BlockID: block, SrcID: src, GenID: gen}, grads)
 }
 
-// lcWorker is a scripted victim worker — a test double that drives the table,
-// not a second hostagg.Client: it streams `rounds` vectors of `blocks` blocks
-// through a send window, resends everything unanswered each retx, and goes
-// quiet for as long as a retry-after NACK asks. Worker src contributes
+// lcVictim is one victim worker running hostagg.Reduce, the core that
+// Client.AllReduce drives over a socket: `rounds` allreduces of `blocks`
+// blocks with `gap` of compute between two. Worker src contributes
 // (src+1)*(i%17+1) at vector index i, so with every worker in, the sum is
 // factor*(i%17+1) — any shed, corrupted or double-counted contribution shows
-// up as an inexact value.
-type lcWorker struct {
-	rig                            *lcRig
-	addr                           *net.UDPAddr
-	src                            uint8
-	factor                         int32
-	blocks, perBlk, window, rounds int
-	retx, gap, deafUntil           sim.Time // deafUntil: the reader is stalled and drops results until then
+// up as an inexact value. Until deafUntil its reader is stalled and drops
+// what reaches it.
+type lcVictim struct {
+	rig                    *lcRig
+	addr                   *net.UDPAddr
+	src                    uint8
+	factor                 int32
+	blocks, perBlk, rounds int
+	retx, gap, deafUntil   sim.Time
 
-	gen                    uint16 // current round, 1-based
-	next, left             int
-	got                    []bool
-	quietUntil, doneAt     sim.Time
-	exact                  bool
+	red                    *hostagg.Reduce // the round under way; nil between rounds
+	wake                   sim.Handle      // the event that calls red.Expire
+	doneAt                 sim.Time
 	completed, retransmits int
-	retxH                  sim.Handle
+	err                    error // what ended the worker early
 }
 
 // victim adds worker src to the rig's victim job, starting at `at`.
-func (r *lcRig) victim(at sim.Time, src uint8, w lcWorker) *lcWorker {
-	w.rig, w.src, w.addr, w.exact = r, src, lcAddr(5000+int(src)), true
-	r.hosts[w.addr.Port] = w.recv
-	r.victims = append(r.victims, &w)
-	r.eng.At(at, func() {
-		w.beginRound()
-		w.retxH = r.eng.Every(w.retx, w.retx, w.resend)
-	})
-	return &w
+func (r *lcRig) victim(at sim.Time, src uint8, v lcVictim) *lcVictim {
+	v.rig, v.src, v.addr = r, src, lcAddr(5000+int(src))
+	r.hosts[v.addr.Port] = v.recv
+	r.victims = append(r.victims, &v)
+	r.eng.At(at, v.beginRound)
+	return &v
 }
 
-func (w *lcWorker) beginRound() {
-	w.gen++
-	w.next, w.left, w.got = 0, w.blocks, make([]bool, w.blocks)
-	w.pump()
-}
-
-func (w *lcWorker) pump() {
-	for w.rig.eng.Now() >= w.quietUntil && w.next < w.blocks && w.next-(w.blocks-w.left) < w.window {
-		w.sendBlock(w.next)
-		w.next++
-	}
-}
-
-func (w *lcWorker) sendBlock(b int) {
-	grads := make([]int32, w.perBlk)
+func (v *lcVictim) beginRound() {
+	grads := make([]int32, v.blocks*v.perBlk)
 	for i := range grads {
-		grads[i] = int32(w.src+1) * int32((b*w.perBlk+i)%17+1)
+		grads[i] = int32(v.src+1) * int32(i%17+1)
 	}
-	w.rig.toServer(w.addr, lcContribution(lcVictimJob, uint32(b), w.src, w.gen, grads))
+	cfg := hostagg.ClientConfig{JobID: lcVictimJob, SrcID: v.src, Window: v.blocks, RetransmitEvery: time.Duration(v.retx)}
+	v.red = hostagg.NewReduce(v.rig.now(), cfg, uint16(v.completed+1), grads, v.perBlk, v.rig.cfg.NumWorkers, time.Duration(lcHorizon))
+	v.step(v.red.Refill(v.room))
 }
 
-func (w *lcWorker) resend() {
-	for b := 0; b < w.next && w.rig.eng.Now() >= w.quietUntil; b++ {
-		if !w.got[b] {
-			w.sendBlock(b)
-			w.retransmits++
-		}
-	}
+// room is the core's way out: the datagram goes on the wire now and arrives
+// one link delay later, long after the core has filled it in.
+func (v *lcVictim) room(n int) ([]byte, error) {
+	p := make([]byte, n)
+	v.rig.toServer(v.addr, p)
+	return p, nil
 }
 
-func (w *lcWorker) recv(pkt []byte) {
-	var h packet.TrioML
-	rest, err := h.Unmarshal(pkt)
-	now := w.rig.eng.Now()
+// recv hands a datagram, its own receive buffer, to the round under way.
+func (v *lcVictim) recv(pkt []byte) {
 	switch {
-	case err != nil || h.JobID != lcVictimJob:
-	case h.SrcID == packet.CtrlSrcID: // retry-after NACK: honour it
-		var ra packet.RetryAfter
-		if _, err := ra.Unmarshal(rest); err == nil {
-			w.quietUntil = now + sim.Time(ra.Millis)*sim.Millisecond
-			w.rig.eng.At(w.quietUntil, w.pump)
+	case v.rig.eng.Now() < v.deafUntil:
+		v.rig.dropped++
+	case v.red != nil:
+		err := v.red.Receive(v.rig.now(), pkt)
+		if err == nil {
+			err = v.red.Refill(v.room)
 		}
-	case now < w.deafUntil:
-		w.rig.dropped++
-	case h.GenID == w.gen && int(h.BlockID) < w.blocks && !w.got[h.BlockID]:
-		grads, _ := packet.Gradients(rest, int(h.GradCnt))
-		for i, g := range grads {
-			if h.Degraded || g != w.factor*int32((int(h.BlockID)*w.perBlk+i)%17+1) {
-				w.exact = false
+		v.step(err)
+	}
+}
+
+func (v *lcVictim) expire() { v.step(v.red.Expire(v.rig.now(), v.room)) }
+
+// step follows a call into the core: an error or an inexact sum ends the
+// worker, a bit-exact one starts the next round after the gap, and a round
+// under way gets its wake event at the core's next wake instant.
+func (v *lcVictim) step(err error) {
+	v.wake.Stop()
+	switch {
+	case err != nil:
+		v.err, v.red = err, nil
+	case v.red.Done():
+		for i, g := range v.red.Sum() {
+			if want := v.factor * int32(i%17+1); g != want {
+				v.err, v.red = fmt.Errorf("round %d: sum[%d] = %d, want %d", v.completed+1, i, g, want), nil
+				return
 			}
 		}
-		w.got[h.BlockID] = true
-		w.left--
-		if w.left > 0 {
-			w.pump()
-			return
+		v.retransmits += int(v.red.Stats().Retransmits)
+		v.completed++
+		v.doneAt, v.red = v.rig.eng.Now(), nil
+		if v.completed < v.rounds {
+			v.rig.eng.After(v.gap, v.beginRound)
 		}
-		w.completed++
-		w.doneAt = now
-		if w.completed == w.rounds {
-			w.retxH.Stop()
-		} else {
-			w.rig.eng.After(w.gap, w.beginRound) // the compute between two allreduces
-		}
+	default:
+		v.wake = v.rig.eng.At(sim.Time(v.red.Wake().Sub(lcEpoch)), v.expire)
 	}
 }
 
@@ -255,7 +239,7 @@ func lcStorm(name string, retx bool) lcScenario {
 				}
 				return lcContribution(lcAggressorJob, uint32(i), 0, 1, []int32{1, 2, 3, 4})
 			})
-			w := lcWorker{factor: 3, blocks: blocks, perBlk: 128, window: 64, rounds: rounds,
+			w := lcVictim{factor: 3, blocks: blocks, perBlk: 128, rounds: rounds,
 				retx: 20 * sim.Millisecond, gap: 10 * sim.Millisecond}
 			r.victim(20*sim.Millisecond, 0, w)
 			r.victim(20*sim.Millisecond, 1, w)
@@ -306,7 +290,7 @@ var lcScenarios = []lcScenario{
 					return append(slices.Clone(valid), make([]byte, 1+rng.IntN(32))...)
 				}
 			})
-			w := lcWorker{factor: 3, blocks: 8, perBlk: 128, window: 64, rounds: 2,
+			w := lcVictim{factor: 3, blocks: 8, perBlk: 128, rounds: 2,
 				retx: 20 * sim.Millisecond, gap: 5 * sim.Millisecond}
 			r.victim(sim.Millisecond, 0, w)
 			r.victim(sim.Millisecond, 1, w)
@@ -326,7 +310,7 @@ var lcScenarios = []lcScenario{
 		name: "slowreader",
 		cfg:  hostagg.ServerConfig{NumWorkers: 1, ReplayWindow: 64},
 		script: func(r *lcRig, _ bool, _ uint64) lcCheck {
-			w := r.victim(0, 0, lcWorker{factor: 1, blocks: 24, perBlk: 16, window: 64, rounds: 1,
+			w := r.victim(0, 0, lcVictim{factor: 1, blocks: 24, perBlk: 16, rounds: 1,
 				retx: 15 * sim.Millisecond, deafUntil: 40 * sim.Millisecond})
 			return func(st hostagg.ServerStats, _ hostagg.TenantStats) string {
 				if r.dropped == 0 || st.ResultReplays != uint64(w.retransmits) || st.Completed != 24 {
@@ -345,7 +329,7 @@ var lcScenarios = []lcScenario{
 		name: "restart",
 		cfg:  hostagg.ServerConfig{NumWorkers: 2},
 		script: func(r *lcRig, _ bool, _ uint64) lcCheck {
-			w := lcWorker{factor: 3, blocks: 8, perBlk: 64, window: 64, rounds: 1, retx: 15 * sim.Millisecond}
+			w := lcVictim{factor: 3, blocks: 8, perBlk: 64, rounds: 1, retx: 15 * sim.Millisecond}
 			r.victim(0, 0, w)
 			r.eng.At(50*sim.Millisecond, func() { r.tab = nil })
 			r.eng.At(100*sim.Millisecond, r.boot)
@@ -375,7 +359,7 @@ var lcScenarios = []lcScenario{
 			}
 			r.trace(lcAddr(6000), 0, 100*sim.Microsecond, 19, park(0))
 			r.trace(lcAddr(6000), 5*sim.Millisecond, 2*sim.Millisecond, 10, park(100))
-			w := lcWorker{factor: 3, blocks: 4, perBlk: 32, window: 64, rounds: 1, retx: 10 * sim.Millisecond}
+			w := lcVictim{factor: 3, blocks: 4, perBlk: 32, rounds: 1, retx: 10 * sim.Millisecond}
 			r.victim(26*sim.Millisecond, 0, w)
 			r.victim(26*sim.Millisecond, 1, w)
 			return func(st hostagg.ServerStats, aggr hostagg.TenantStats) string {
@@ -427,8 +411,8 @@ func runLiveChaos(p Params) ([]*Table, error) {
 		rounds, finish := 1<<30, sim.Time(0)
 		for _, w := range r.victims {
 			rounds, finish = min(rounds, w.completed), max(finish, w.doneAt)
-			if w.completed != w.rounds || !w.exact {
-				violations = append(violations, fmt.Sprintf("%s: victim worker %d finished %d/%d rounds, bit-exact=%v", sc.name, w.src, w.completed, w.rounds, w.exact))
+			if w.completed != w.rounds || w.err != nil {
+				violations = append(violations, fmt.Sprintf("%s: victim worker %d finished %d/%d rounds: %v", sc.name, w.src, w.completed, w.rounds, w.err))
 			}
 		}
 		if vict.Shed+vict.RateShed+vict.Evicted+vict.Nacked != 0 {

@@ -28,11 +28,7 @@ func benchPayloads(count int, hot bool) [][]byte {
 		if !hot {
 			blockID = benchBlockSeq.Add(1)
 		}
-		hdr := packet.TrioML{JobID: 1, BlockID: blockID, SrcID: 0, GenID: 1, GradCnt: 1}
-		p := make([]byte, packet.TrioMLHeaderLen+4)
-		hdr.MarshalTo(p)
-		packet.PutGradients(p[packet.TrioMLHeaderLen:], []int32{1})
-		payloads[i] = p
+		payloads[i] = AppendBlock(nil, packet.TrioML{JobID: 1, BlockID: blockID, GenID: 1}, []int32{1})
 	}
 	return payloads
 }

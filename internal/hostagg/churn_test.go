@@ -80,18 +80,16 @@ func TestWorkerChurnRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		wake := time.Now().Add(200 * time.Millisecond)
-		for {
-			h, grads, ok := recvResult(t, c0, wake)
-			if !ok {
-				break
+		for rs := recvResults(t, c0, wake); len(rs) > 0; rs = recvResults(t, c0, wake) {
+			for _, r := range rs {
+				if r.h.Degraded || r.h.BlockID != 1<<30 {
+					continue // a partial that aged out, or a churner's block finishing late
+				}
+				if len(r.grads) != 1 || r.grads[0] != 12 {
+					t.Fatalf("result = %+v %v, want sum 12", r.h, r.grads)
+				}
+				return
 			}
-			if h.Degraded || h.BlockID != 1<<30 {
-				continue // a partial that aged out, or a churner's block finishing late
-			}
-			if len(grads) != 1 || grads[0] != 12 {
-				t.Fatalf("result = %+v %v, want sum 12", h, grads)
-			}
-			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("no result after churn")

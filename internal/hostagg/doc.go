@@ -63,16 +63,14 @@
 //   - A contribution carrying more gradients than the open block grows the
 //     sum vector rather than silently truncating; any length mismatch is
 //     counted in ServerStats.GradMismatch and logged once.
-//   - The client is one loop: AllReduce reads its own socket (no receive
-//     goroutine, no channel but the one Close closes), waking at the
-//     earlier of its deadline and the next retransmit. A socket error fails
-//     AllReduce; Close makes it return net.ErrClosed.
+//   - The client is one loop around Reduce, an allreduce with no socket or
+//     clock: AllReduce reads its own socket, read deadline at Wake. A socket
+//     error fails AllReduce; Close makes it return net.ErrClosed.
 //   - Each result is added straight into its block's slice of the output
 //     vector and rescaled there if degraded. A result for a block not yet
 //     sent answers it: the block is never sent and frees no window slot.
 //     Results used by no block — another generation, a duplicate, out of
 //     range, truncated — are counted in ClientStats.Dropped.
-//   - A retry-after NACK counts toward the back-off and the ErrShed streak
-//     only if a block has left since the last NACK honored, so a burst of
-//     NACKs answering one window costs one back-off.
+//   - A retry-after NACK starts a back-off: a deadline, not a sleep, and one
+//     per burst of NACKs. Then every unanswered block is resent at once.
 package hostagg

@@ -288,11 +288,7 @@ func TestReplayWindowBoundsTable(t *testing.T) {
 
 // buildContribution marshals one contribution payload as a client would.
 func buildContribution(job uint8, block uint32, src uint8, gen uint16, grads []int32) []byte {
-	hdr := packet.TrioML{JobID: job, BlockID: block, SrcID: src, GenID: gen, GradCnt: uint16(len(grads))}
-	payload := make([]byte, packet.TrioMLHeaderLen+4*len(grads))
-	hdr.MarshalTo(payload)
-	packet.PutGradients(payload[packet.TrioMLHeaderLen:], grads)
-	return payload
+	return AppendBlock(nil, packet.TrioML{JobID: job, BlockID: block, SrcID: src, GenID: gen}, grads)
 }
 
 // TestHandleAddZeroAlloc pins the aggregation fast path — a contribution

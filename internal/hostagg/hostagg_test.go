@@ -325,14 +325,14 @@ func TestSimulatorFrameReplaysOnSocket(t *testing.T) {
 	if _, err := c1.conn.Write(udpPayload); err != nil { // either may land first: sums commute
 		t.Fatal(err)
 	}
-	h, grads, ok := recvResult(t, c0, time.Now().Add(5*time.Second))
-	if !ok {
-		t.Fatal("no result from replayed simulator frame")
+	rs := recvResults(t, c0, time.Now().Add(5*time.Second))
+	if len(rs) != 1 {
+		t.Fatalf("%d results from the replayed simulator frame, want 1", len(rs))
 	}
-	if h.BlockID != 4 || h.GenID != 3 {
+	if h := rs[0].h; h.BlockID != 4 || h.GenID != 3 {
 		t.Fatalf("result = %+v", h)
 	}
-	if grads[0] != 101 || grads[1] != -5 {
+	if grads := rs[0].grads; grads[0] != 101 || grads[1] != -5 {
 		t.Fatalf("sums = %v", grads)
 	}
 }

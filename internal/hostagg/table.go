@@ -657,21 +657,13 @@ func (t *Table) dropJobWorkersLocked(job uint8) {
 func (t *Table) emit(send func([]byte, *net.UDPAddr), job uint8, block uint32, b *blockState, degraded bool, targets []*net.UDPAddr) {
 	hdr := packet.TrioML{
 		JobID: job, BlockID: block, GenID: b.genID,
-		SrcID: packet.ResultSrcID, SrcCnt: uint8(b.rcvdCnt), GradCnt: uint16(len(b.sums)),
-		Degraded: degraded, Final: b.final,
+		SrcID: packet.ResultSrcID, SrcCnt: uint8(b.rcvdCnt), Degraded: degraded, Final: b.final,
 	}
 	if degraded {
 		hdr.AgeOp = 1
 	}
-	need := packet.TrioMLHeaderLen + 4*len(b.sums)
 	bufp := t.emitPool.Get().(*[]byte)
-	payload := *bufp
-	if cap(payload) < need {
-		payload = make([]byte, need)
-	}
-	payload = payload[:need]
-	hdr.MarshalTo(payload)
-	packet.PutGradients(payload[packet.TrioMLHeaderLen:], b.sums)
+	payload := AppendBlock((*bufp)[:0], hdr, b.sums)
 	for _, to := range targets {
 		send(payload, to)
 	}
