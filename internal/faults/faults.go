@@ -54,13 +54,17 @@ type Window struct {
 // draws happen after serialization (the sender spent the bandwidth), like
 // netsim's native LossProb.
 type LinkConfig struct {
-	CorruptProb  float64  // flip one uniformly-chosen bit in the frame
-	DupProb      float64  // deliver a second copy DupDelay later
-	ReorderProb  float64  // delay delivery by an extra ReorderDelay
-	DupDelay     sim.Time // default 1 µs
-	ReorderDelay sim.Time // default 5 µs
-	Flaps        []Window // link-down windows: every frame sent inside one is lost
+	CorruptProb float64  // flip one uniformly-chosen bit in the frame
+	DupProb     float64  // deliver a second copy dupDelay later
+	ReorderProb float64  // delay delivery by an extra reorderDelay
+	Flaps       []Window // link-down windows: every frame sent inside one is lost
 }
+
+// How late a duplicated frame's second copy and a reordered frame arrive.
+const (
+	dupDelay     = sim.Microsecond
+	reorderDelay = 5 * sim.Microsecond
+)
 
 func (c LinkConfig) enabled() bool {
 	return c.CorruptProb > 0 || c.DupProb > 0 || c.ReorderProb > 0 || len(c.Flaps) > 0
@@ -144,15 +148,9 @@ type Plan struct {
 	trainCrashes     atomic.Uint64
 }
 
-// NewPlan builds a fault plan. Range defaults: DupDelay 1 µs, ReorderDelay
-// 5 µs, Stall [10 µs, 100 µs], RetryCycles 64.
+// NewPlan builds a fault plan. Range defaults: Stall [10 µs, 100 µs],
+// RetryCycles 64.
 func NewPlan(seed uint64, cfg Config) *Plan {
-	if cfg.Link.DupDelay == 0 {
-		cfg.Link.DupDelay = sim.Microsecond
-	}
-	if cfg.Link.ReorderDelay == 0 {
-		cfg.Link.ReorderDelay = 5 * sim.Microsecond
-	}
 	if cfg.PFE.StallMin == 0 {
 		cfg.PFE.StallMin = 10 * sim.Microsecond
 	}
@@ -237,11 +235,11 @@ func (f *LinkInjector) Decide(now sim.Time, frameBits int) LinkVerdict {
 	}
 	if f.cfg.DupProb > 0 && f.rng.Bernoulli(f.cfg.DupProb) {
 		v.Duplicate = true
-		v.DupDelay = f.cfg.DupDelay
+		v.DupDelay = dupDelay
 		f.plan.linkDuplicates.Add(1)
 	}
 	if f.cfg.ReorderProb > 0 && f.rng.Bernoulli(f.cfg.ReorderProb) {
-		v.ExtraDelay = f.cfg.ReorderDelay
+		v.ExtraDelay = reorderDelay
 		f.plan.linkReorders.Add(1)
 	}
 	return v

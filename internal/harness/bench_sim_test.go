@@ -21,9 +21,9 @@ func BenchmarkFig15SimThroughput(b *testing.B) {
 		cfg := rigConfig{servers: servers, gradsPerPkt: 256, blocks: blocks, window: 1}
 		rig := newTrioRig(cfg)
 		rig.run()
-		for _, c := range rig.clients {
-			if c.done != blocks {
-				b.Fatalf("client %d finished %d/%d", c.id, c.done, blocks)
+		for i, w := range rig.servers {
+			if w.ResultsRecv != blocks {
+				b.Fatalf("server %d finished %d/%d", i, w.ResultsRecv, blocks)
 			}
 		}
 		events += rig.eng.Executed()

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"github.com/trioml/triogo/internal/faults"
+	"github.com/trioml/triogo/internal/mltrain"
 	"github.com/trioml/triogo/internal/netsim"
 	"github.com/trioml/triogo/internal/obs"
 	"github.com/trioml/triogo/internal/packet"
@@ -12,12 +13,14 @@ import (
 
 // trioRig is the §6.3 microbenchmark testbed: N servers on one PFE behind
 // 100 Gbps links, streaming aggregation blocks with a configurable window.
-// Router and servers share one engine.
+// Each server is an mltrain.Worker running one iteration with no compute, so
+// its Latency is the metric of Figs. 14–16: each block's first-send→result
+// round trip. Router and servers share one engine.
 type trioRig struct {
 	eng     *sim.Engine
 	router  *trio.Router
 	agg     *trioml.Aggregator
-	clients []*streamClient
+	servers []*mltrain.Worker
 	cfg     rigConfig
 }
 
@@ -43,36 +46,15 @@ type rigConfig struct {
 	links func(i int) (up, down netsim.LinkConfig)
 
 	// Lossy-fabric hardening, each piece off at its zero value: plan
-	// attaches PFE/memory fault streams and makes router ports and servers
-	// drop frames that fail their checksum; servers resend every unanswered
-	// block each retxEvery; the job replays its last `replay` results to
-	// retransmits instead of re-opening the block; onResult sees every
-	// accepted result.
+	// attaches PFE/memory fault streams and makes router ports drop frames
+	// that fail their checksum (servers always do); servers resend every
+	// unanswered block each retxEvery; the job replays its last `replay`
+	// results to retransmits instead of re-opening the block; onResult sees
+	// every result a sending server accepts.
 	plan      *faults.Plan
 	retxEvery sim.Time
 	replay    int
 	onResult  func(server int, f *packet.Frame)
-}
-
-// streamClient is a minimal gradient-streaming server: it keeps `window`
-// blocks outstanding and records each block's first-send→result round trip
-// (the metric of Figs. 14–16; under retransmission it spans the whole
-// repair).
-type streamClient struct {
-	id     int
-	eng    *sim.Engine
-	send   func([]byte)
-	cfg    rigConfig
-	next   int
-	done   int
-	sentAt map[uint32]sim.Time
-	lat    sim.Sample
-	maxLat sim.Time
-	doneAt sim.Time
-	retxH  sim.Handle
-
-	grads []int32      // send-side scratch; BuildTrioML copies it out
-	frame packet.Frame // receive-side decode scratch
 }
 
 func newTrioRig(cfg rigConfig) *trioRig {
@@ -110,31 +92,40 @@ func newTrioRig(cfg rigConfig) *trioRig {
 		if cfg.links != nil {
 			up, down = cfg.links(i)
 		}
-		c := &streamClient{id: i, eng: eng, cfg: cfg, sentAt: make(map[uint32]sim.Time)}
-		c.send = r.Cable(0, i, up, down, c.onFrame)
-		rig.clients = append(rig.clients, c)
+		params := mltrain.WorkerParams{
+			JobID: 1, Blocks: cfg.blocks, GradsPerPacket: cfg.gradsPerPkt, Window: cfg.window,
+			RetransmitAfter: cfg.retxEvery,
+			Spec: packet.UDPSpec{
+				SrcIP: [4]byte{10, 0, 0, byte(i + 1)}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000,
+			},
+		}
+		var w *mltrain.Worker
+		send := r.Cable(0, i, up, down, func(frame []byte, at sim.Time) { w.OnFrame(frame, at) })
+		w = mltrain.NewWorker(eng, i, uint8(i), cfg.servers, params, nil, send, nil)
+		if cfg.onResult != nil && !cfg.silent[i] {
+			w.OnResult = func(f *packet.Frame) { cfg.onResult(i, f) }
+		}
+		rig.servers = append(rig.servers, w)
 	}
 	return rig
 }
 
-// run streams all blocks and returns when every client finished, with timer
-// threads active for straggler detection.
+// run streams all blocks and returns when every sending server finished,
+// with timer threads active for straggler detection. Silent servers are never
+// started.
 func (r *trioRig) run() {
 	cfg := r.cfg
 	stop := r.agg.StartStragglerDetection(cfg.timerThreads, cfg.timeout)
-	for _, c := range r.clients {
-		if !cfg.silent[c.id] {
-			c.start()
+	for i, w := range r.servers {
+		if !cfg.silent[i] {
+			w.Start(1)
 		}
 	}
 	deadline := sim.Time(cfg.blocks+2)*4*cfg.timeout + sim.Second
-	for !r.allDone(cfg) {
+	for !r.allDone() {
 		if !r.eng.Step() || r.eng.Now() > deadline {
 			break
 		}
-	}
-	for _, c := range r.clients {
-		c.retxH.Stop()
 	}
 	stop.Stop()
 }
@@ -142,84 +133,11 @@ func (r *trioRig) run() {
 // metrics exposes the engine's self-instrumentation for experiment logging.
 func (r *trioRig) metrics() sim.Metrics { return r.eng.Metrics() }
 
-func (r *trioRig) allDone(cfg rigConfig) bool {
-	for _, c := range r.clients {
-		if cfg.silent[c.id] {
-			continue
-		}
-		if c.done < cfg.blocks {
+func (r *trioRig) allDone() bool {
+	for i, w := range r.servers {
+		if !r.cfg.silent[i] && w.ResultsRecv < uint64(r.cfg.blocks) {
 			return false
 		}
 	}
 	return true
-}
-
-func (c *streamClient) start() {
-	c.pump()
-	if c.cfg.retxEvery > 0 {
-		c.retxH = c.eng.Every(c.cfg.retxEvery, c.cfg.retxEvery, c.retxTick)
-	}
-}
-
-func (c *streamClient) pump() {
-	for c.next-c.done < c.cfg.window && c.next < c.cfg.blocks {
-		b := uint32(c.next)
-		c.next++
-		c.sentAt[b] = c.eng.Now()
-		c.sendBlock(b)
-	}
-}
-
-// retxTick resends every sent-but-unanswered block in block order (map
-// iteration would randomize event order and break run determinism). The
-// first-send timestamp is preserved: recovery spans the whole repair.
-func (c *streamClient) retxTick() {
-	if c.done >= c.cfg.blocks {
-		c.retxH.Stop()
-		return
-	}
-	for b := 0; b < c.next; b++ {
-		if _, out := c.sentAt[uint32(b)]; out {
-			c.sendBlock(uint32(b))
-		}
-	}
-}
-
-func (c *streamClient) sendBlock(b uint32) {
-	if c.grads == nil {
-		c.grads = make([]int32, c.cfg.gradsPerPkt)
-	}
-	grads := c.grads
-	for i := range grads {
-		grads[i] = int32(c.id + int(b) + i)
-	}
-	c.send(packet.BuildTrioML(packet.UDPSpec{
-		SrcIP: [4]byte{10, 0, 0, byte(c.id + 1)}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000,
-	}, packet.TrioML{JobID: 1, BlockID: b, SrcID: uint8(c.id), GenID: 1}, grads))
-}
-
-func (c *streamClient) onFrame(frame []byte, at sim.Time) {
-	f := &c.frame
-	if err := packet.DecodeInto(f, frame); err != nil || !f.IsTrioML() {
-		return
-	}
-	if c.cfg.plan != nil && !f.VerifyUDPChecksum() {
-		return // corrupted on the downlink: behaves as loss
-	}
-	sent, ok := c.sentAt[f.ML.BlockID]
-	if !ok {
-		return // duplicate or replayed result; first valid copy won
-	}
-	delete(c.sentAt, f.ML.BlockID)
-	lat := at - sent
-	c.lat.Add(float64(lat) / float64(sim.Microsecond))
-	if lat > c.maxLat {
-		c.maxLat = lat
-	}
-	if c.cfg.onResult != nil {
-		c.cfg.onResult(c.id, f)
-	}
-	c.done++
-	c.doneAt = at
-	c.pump()
 }

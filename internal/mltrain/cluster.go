@@ -50,7 +50,6 @@ type ClusterConfig struct {
 	Pattern        Pattern  // Slow Worker Pattern reading; default SingleVictim
 	Timeout        sim.Time // Trio-ML block expiry; default 10 ms
 	TimerThreads   int      // default 100
-	LinkBandwidth  uint64   // default 100 Gbps
 	Seed           uint64
 
 	// LossProb injects independent frame loss on every link (§7's transient
@@ -72,9 +71,12 @@ type ClusterConfig struct {
 
 	// Faults attaches a deterministic fault plan (seeded with Seed) across
 	// the cluster: the Link config applies to every link (each on its own
-	// stream) and the Train config schedules worker crash/rejoin. Zero
-	// crash-timing ranges are filled from the model's typical iteration
-	// time. Nil (the default) leaves every layer fault-free.
+	// stream), the Train config schedules worker crash/rejoin, and under
+	// Trio-ML the PFE and Mem configs apply to the router, whose ports then
+	// drop frames that fail their checksum (workers always do), so a
+	// corrupted frame is a lost one. Zero crash-timing ranges are filled
+	// from the model's typical iteration time. Nil (the default) leaves
+	// every layer fault-free.
 	Faults *faults.Config
 }
 
@@ -107,10 +109,11 @@ func (cfg *ClusterConfig) defaults() {
 	if cfg.TimerThreads == 0 {
 		cfg.TimerThreads = 100
 	}
-	if cfg.LinkBandwidth == 0 {
-		cfg.LinkBandwidth = 100_000_000_000
-	}
 }
+
+// linkBandwidth is every worker link's line rate before Scale divides it:
+// the testbed's 100 Gbps.
+const linkBandwidth = 100_000_000_000
 
 // IterationResult is one iteration's outcome.
 type IterationResult struct {
@@ -155,7 +158,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.Faults != nil {
 		fc := *cfg.Faults
-		typical := cfg.Model.TypicalIter(cfg.LinkBandwidth)
+		typical := cfg.Model.TypicalIter(linkBandwidth)
 		if fc.Train.CrashProb > 0 {
 			// Fill zero crash-timing ranges so crashes land inside (and
 			// outages span a meaningful slice of) an iteration.
@@ -180,7 +183,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.System == SystemSwitchML && window > cfg.PoolSize {
 		window = cfg.PoolSize // outstanding blocks cannot exceed the slot pool
 	}
-	scaledBW := cfg.LinkBandwidth / uint64(cfg.Scale)
+	scaledBW := linkBandwidth / uint64(cfg.Scale)
 
 	params := WorkerParams{
 		JobID: 1, Blocks: blocks, GradsPerPacket: cfg.GradsPerPacket,
@@ -193,13 +196,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	injector := NewInjectorPattern(cfg.StragglerP, cfg.NumWorkers,
-		cfg.Model.TypicalIter(cfg.LinkBandwidth), cfg.Seed, cfg.Pattern)
+		cfg.Model.TypicalIter(linkBandwidth), cfg.Seed, cfg.Pattern)
 
 	switch cfg.System {
 	case SystemTrioML:
 		pcfg := trioml.RecommendedPFEConfig()
 		pcfg.PortBandwidth = scaledBW
 		r := trio.New(c.Eng, trio.Config{NumPFEs: 1, PFE: pcfg})
+		r.Instrument(nil, nil, c.FaultPlan)
 		agg := trioml.New(r.PFE(0))
 		if err := agg.InstallJob(trioml.StarJob(1, cfg.NumWorkers, cfg.GradsPerPacket, cfg.Timeout)); err != nil {
 			return nil, err
@@ -270,7 +274,7 @@ func (c *Cluster) buildWorkers(params WorkerParams, injector *Injector,
 	for i := 0; i < c.Cfg.NumWorkers; i++ {
 		var w *Worker
 		send := cable(i, func(frame []byte, at sim.Time) { w.OnFrame(frame, at) })
-		w = newWorker(c.Eng, i, uint8(i), c.Cfg.NumWorkers, params, injector, send, c.onIterRecv)
+		w = NewWorker(c.Eng, i, uint8(i), c.Cfg.NumWorkers, params, injector, send, c.onIterRecv)
 		w.crashFlt = c.trainFlt
 		c.workers = append(c.workers, w)
 	}
@@ -300,7 +304,7 @@ func (c *Cluster) Run(iterations int) ([]IterationResult, error) {
 		}
 		w.Start(iterations)
 	}
-	typical := c.Cfg.Model.TypicalIter(c.Cfg.LinkBandwidth)
+	typical := c.Cfg.Model.TypicalIter(linkBandwidth)
 	deadline := sim.Time(iterations+2)*typical*8 + sim.Second
 	last := iterations - 1
 	for c.recvCnt[last] < c.Cfg.NumWorkers {
@@ -329,7 +333,7 @@ func (c *Cluster) Run(iterations int) ([]IterationResult, error) {
 // compute plus 2(N−1)/N × model bytes at line rate.
 func (c *Cluster) runIdeal(iterations int) []IterationResult {
 	n := float64(c.Cfg.NumWorkers)
-	ringNs := 2 * (n - 1) / n * float64(c.Cfg.Model.Bytes()) * 8 / float64(c.Cfg.LinkBandwidth) * float64(sim.Second)
+	ringNs := 2 * (n - 1) / n * float64(c.Cfg.Model.Bytes()) * 8 / float64(linkBandwidth) * float64(sim.Second)
 	ring := sim.Time(ringNs)
 	out := make([]IterationResult, iterations)
 	var t sim.Time

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/trioml/triogo/internal/faults"
+	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 )
 
@@ -430,6 +431,62 @@ func TestClusterSurvivesWorkerCrashes(t *testing.T) {
 	endB, crashB := run()
 	if endA != endB || crashA != crashB {
 		t.Fatalf("crash-injected run not deterministic: %v/%d vs %v/%d", endA, crashA, endB, crashB)
+	}
+}
+
+func TestClusterTreatsCorruptionAsLoss(t *testing.T) {
+	// A flipped bit fails the UDP checksum at the router's port (a
+	// contribution) or at the worker (a result); either way the frame is
+	// lost, and retransmission plus aging still complete every iteration.
+	cfg := smallCfg(SystemTrioML, 0)
+	cfg.RetransmitAfter = 30 * sim.Millisecond
+	cfg.Faults = &faults.Config{Link: faults.LinkConfig{CorruptProb: 0.02}}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A full result must carry the exact sum: worker w sends w+block+g as
+	// gradient g of its block, so n workers sum to n(n-1)/2 + n(block+g).
+	n := c.Cfg.NumWorkers
+	var wrong int
+	for _, w := range c.Workers() {
+		blocks := w.cfg.Blocks
+		w.OnResult = func(f *packet.Frame) {
+			if int(f.ML.SrcCnt) != n {
+				return // degraded: aged out before a resend repaired it
+			}
+			block := int(f.ML.BlockID) - (int(f.ML.GenID)-1)*blocks
+			grads, err := packet.Gradients(f.Payload, int(f.ML.GradCnt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g, v := range grads {
+				if v != int32(n*(n-1)/2+n*(block+g)) {
+					wrong++
+					return
+				}
+			}
+		}
+	}
+	res, err := c.Run(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 4 {
+		t.Fatalf("iterations = %d, want 4", len(res))
+	}
+	if wrong > 0 {
+		t.Fatalf("%d full results with a wrong sum: a corrupted frame was accepted", wrong)
+	}
+	if n := c.FaultPlan.Stats().LinkCorruptions; n == 0 {
+		t.Fatal("2% corruption never fired")
+	}
+	var retrans uint64
+	for _, w := range c.Workers() {
+		retrans += w.Retransmits
+	}
+	if retrans == 0 {
+		t.Fatal("corrupted frames produced no retransmissions")
 	}
 }
 

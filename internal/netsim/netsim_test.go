@@ -210,8 +210,8 @@ func TestLinkDeliversEachFrameAtItsOwnInstant(t *testing.T) {
 	const (
 		frames = 5000
 		prop   = 500 * sim.Nanosecond
-		dup    = sim.Microsecond     // faults.NewPlan's DupDelay default
-		reord  = 5 * sim.Microsecond // and its ReorderDelay default
+		dup    = sim.Microsecond     // the fault plan's duplicate delay
+		reord  = 5 * sim.Microsecond // and its reorder delay
 	)
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(4, 0xf1f0)
@@ -336,7 +336,7 @@ func TestLinkSingleFrameKeepsFloorTiming(t *testing.T) {
 // TestDuplicateOfReorderedFrameNotCompounded is the reorder+duplicate
 // regression test: the duplicate's offset applies to the fault-free arrival,
 // not on top of the reorder's ExtraDelay (the old bug delivered it at
-// serialization + ReorderDelay + DupDelay).
+// serialization + reorder delay + duplicate delay).
 func TestDuplicateOfReorderedFrameNotCompounded(t *testing.T) {
 	pattern := func() []sim.Time {
 		eng := sim.NewEngine()
@@ -352,7 +352,7 @@ func TestDuplicateOfReorderedFrameNotCompounded(t *testing.T) {
 		return arrivals
 	}
 	got := pattern()
-	// Defaults: DupDelay 1 µs, ReorderDelay 5 µs. Duplicate lands at
+	// Duplicate delay 1 µs, reorder delay 5 µs. Duplicate lands at
 	// 100ns + 1µs, the reordered original at 100ns + 5µs; compounding would
 	// put the duplicate at 6100 ns.
 	want := []sim.Time{1100 * sim.Nanosecond, 5100 * sim.Nanosecond}

@@ -22,7 +22,7 @@
 // result rides the ordinary result multicast down the tree, so it doubles
 // as the gen-restart signal: a worker that sees a degraded result with
 // age_op >= 2 re-contributes the block under the next generation id (up to
-// MaxRestarts times), and the whole tree re-aggregates it — recovering the
+// maxRestarts times), and the whole tree re-aggregates it — recovering the
 // full bit-exact sum when the rack's outage was transient.
 package tree
 
@@ -50,6 +50,10 @@ const levelExpiryFactor = 4
 // MaxBlocks bounds Config.Blocks: worker banks track outstanding blocks in
 // one 64-bit mask per worker so a million-worker tree stays cheap.
 const MaxBlocks = 64
+
+// maxRestarts is how many gen-restarts a worker accepts per block before it
+// takes the partial.
+const maxRestarts = 1
 
 // Spec is the tree shape: Racks leaf ToRs with WorkersPerRack workers each,
 // grouped FanOut-per-parent into spine levels until a single root remains.
@@ -95,8 +99,7 @@ type Config struct {
 	// with the fewest racks. <= 1 runs everything on a single engine.
 	Partitions int
 
-	Seed        uint64
-	MaxRestarts int // gen-restarts a worker accepts per block before taking the partial; default 1
+	Seed uint64
 
 	// Chaos knobs. SilentWorkers never send (straggler workers, global
 	// worker id = rack*WorkersPerRack + index). SilentRacks silence every
@@ -129,11 +132,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.TimerThreads <= 0 {
 		c.TimerThreads = 4
-	}
-	if c.MaxRestarts < 0 {
-		c.MaxRestarts = 0
-	} else if c.MaxRestarts == 0 {
-		c.MaxRestarts = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -18,7 +18,7 @@ import (
 // `Blocks` aggregation blocks with `Window` outstanding, and on each result
 // either accept it or — when the result is degraded with age_op >= 2, i.e.
 // a spine proceeded without a whole rack — bump the block's generation and
-// re-contribute (gen-restart), up to MaxRestarts times. Generation state is
+// re-contribute (gen-restart), up to maxRestarts times. Generation state is
 // rack-shared: the first worker to see the restart signal bumps the
 // generation, and every later worker notices its last send is stale and
 // re-sends, so one multicast restarts the whole rack.
@@ -202,7 +202,7 @@ func (b *workerBank) onFrame(w int, raw []byte, at sim.Time) {
 	// block's generation — a gen-restart — unless the restart budget is
 	// spent, in which case the rack settles for the partial.
 	if h.Degraded && h.AgeOp >= 2 && h.GenID == b.rackGen[blk] &&
-		b.restarts[blk] < uint8(b.cfg.MaxRestarts) {
+		b.restarts[blk] < maxRestarts {
 		b.rackGen[blk]++
 		b.restarts[blk]++
 		b.genRestarts[h.AgeOp-1]++

@@ -21,14 +21,17 @@ import (
 
 // Config sizes a hash table instance.
 type Config struct {
-	Buckets       int      // power of two; default 4096
-	OpLatency     sim.Time // XTXN round trip for lookup/insert/delete; default 70 ns (SRAM-resident structure)
-	ScanPerRecord sim.Time // timer-thread cost to visit one record; default 4 ns (multi-cycle microcode loop body)
+	Buckets   int      // power of two; default 4096
+	OpLatency sim.Time // XTXN round trip for lookup/insert/delete; default 70 ns (SRAM-resident structure)
 }
+
+// scanPerRecord is the timer-thread cost to visit one record (a multi-cycle
+// microcode loop body).
+const scanPerRecord = 4 * sim.Nanosecond
 
 // DefaultConfig returns a table sized for tens of thousands of block records.
 func DefaultConfig() Config {
-	return Config{Buckets: 4096, OpLatency: 70 * sim.Nanosecond, ScanPerRecord: 4 * sim.Nanosecond}
+	return Config{Buckets: 4096, OpLatency: 70 * sim.Nanosecond}
 }
 
 type entry struct {
@@ -60,9 +63,6 @@ func NewTable(cfg Config) *Table {
 	}
 	if cfg.OpLatency == 0 {
 		cfg.OpLatency = def.OpLatency
-	}
-	if cfg.ScanPerRecord == 0 {
-		cfg.ScanPerRecord = def.ScanPerRecord
 	}
 	return &Table{cfg: cfg, mask: uint64(cfg.Buckets - 1), buckets: make([][]entry, cfg.Buckets)}
 }
@@ -182,7 +182,7 @@ func (t *Table) ScanPartition(now sim.Time, part, nParts int, visit func(key, va
 		t.buckets[bi] = b
 	}
 	t.Scanned += uint64(visited)
-	return visited, now + sim.Time(visited)*t.cfg.ScanPerRecord
+	return visited, now + sim.Time(visited)*scanPerRecord
 }
 
 // Ref reports a record's REF flag without referencing it (test/diagnostic).

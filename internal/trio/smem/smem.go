@@ -66,8 +66,6 @@ type Config struct {
 	CacheSize     uint64   // typically 8–24 MB
 	DRAMSize      uint64   // several GB
 	SRAMLatency   sim.Time // ≈70 ns
-	CacheLatency  sim.Time // ≈300 ns
-	DRAMLatency   sim.Time // ≈400 ns
 	NumRMWEngines int      // 12 in the generation measured in §6.3
 	CycleTime     sim.Time // 1 ns at the 1 GHz clock of §6.3
 }
@@ -79,14 +77,19 @@ func DefaultConfig() Config {
 		CacheSize:     16 << 20,
 		DRAMSize:      2 << 30,
 		SRAMLatency:   70 * sim.Nanosecond,
-		CacheLatency:  300 * sim.Nanosecond,
-		DRAMLatency:   400 * sim.Nanosecond,
 		NumRMWEngines: 12,
 		CycleTime:     1 * sim.Nanosecond,
 	}
 }
 
 const pageSize = 4096
+
+// The off-chip tiers' access latencies (§2.3); only the SRAM's is a design
+// axis.
+const (
+	cacheLatency = 300 * sim.Nanosecond
+	dramLatency  = 400 * sim.Nanosecond
+)
 
 // engine is one read-modify-write engine: a serialization point for a slice
 // of the address space. Occupancy is tracked as a cycle backlog that drains
@@ -150,12 +153,6 @@ func New(cfg Config) *Memory {
 	if cfg.SRAMLatency == 0 {
 		cfg.SRAMLatency = def.SRAMLatency
 	}
-	if cfg.CacheLatency == 0 {
-		cfg.CacheLatency = def.CacheLatency
-	}
-	if cfg.DRAMLatency == 0 {
-		cfg.DRAMLatency = def.DRAMLatency
-	}
 	if cfg.NumRMWEngines == 0 {
 		cfg.NumRMWEngines = def.NumRMWEngines
 	}
@@ -168,8 +165,8 @@ func New(cfg Config) *Memory {
 		engines: make([]engine, cfg.NumRMWEngines),
 	}
 	m.tiers[TierSRAM] = Tier{Kind: TierSRAM, Base: 0, Size: cfg.SRAMSize, Latency: cfg.SRAMLatency}
-	m.tiers[TierCache] = Tier{Kind: TierCache, Base: cfg.SRAMSize, Size: cfg.CacheSize, Latency: cfg.CacheLatency}
-	m.tiers[TierDRAM] = Tier{Kind: TierDRAM, Base: cfg.SRAMSize + cfg.CacheSize, Size: cfg.DRAMSize, Latency: cfg.DRAMLatency}
+	m.tiers[TierCache] = Tier{Kind: TierCache, Base: cfg.SRAMSize, Size: cfg.CacheSize, Latency: cacheLatency}
+	m.tiers[TierDRAM] = Tier{Kind: TierDRAM, Base: cfg.SRAMSize + cfg.CacheSize, Size: cfg.DRAMSize, Latency: dramLatency}
 	return m
 }
 
