@@ -149,14 +149,17 @@ verify-microcode:
 # Trio-ML frame re-marshals to its own bytes, the in-place UDP verification
 # agrees with copy-zero-recompute, the word-folding Checksum equals the
 # byte-pair loop on any bytes at any alignment, the NetRPC header and the
-# retry-after NACK body survive decode -> encode -> decode, and the bitfield
-# word window reads and writes what the bit loops do at any offset and width.
+# retry-after NACK body survive decode -> encode -> decode, the bitfield
+# word window reads and writes what the bit loops do at any offset and width,
+# and the fixed-offset Trio-ML header, job-record and block-record codecs
+# decode and re-encode any bytes as their by-name bitfield layouts do.
 verify-packet:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run FuzzDecode ./internal/packet/
 	$(GO) test -fuzz=FuzzChecksum -fuzztime=10s -run FuzzChecksum ./internal/packet/
 	$(GO) test -fuzz=FuzzNetRPCHeader -fuzztime=10s -run FuzzNetRPCHeader ./internal/packet/
 	$(GO) test -fuzz=FuzzRetryAfter -fuzztime=10s -run FuzzRetryAfter ./internal/packet/
 	$(GO) test -fuzz=FuzzLayout -fuzztime=10s -run FuzzLayout ./internal/bitfield/
+	$(GO) test -fuzz=FuzzTrioMLCodec -fuzztime=10s -run FuzzTrioMLCodec ./internal/trioml/
 
 # verify-apps races both in-network application packages (netrpc's concurrent
 # cache-service paths, infnet's classifier) and the harness's apps pins: the

@@ -5,8 +5,10 @@
 // arbitrary length (up to 32 bits) and an arbitrary bit offset" (§2.2 of the
 // paper), and the Trio-ML header and record structures (Fig. 8, Appendix A.1)
 // are declared as ordered lists of field widths. This package is the single
-// implementation of that addressing model, shared by the Microcode ALUs, the
-// packet layers, and the Trio-ML record codecs.
+// implementation of that addressing model, run by the Microcode ALUs. The
+// Trio-ML header and record codecs bake their Layout's offsets into
+// fixed-offset code, as the Microcode assembler does; their Layouts stay the
+// spec, and the by-name oracle their tests hold them to.
 //
 // Bit order is big-endian and MSB-first within each byte, matching network
 // header conventions: bit offset 0 is the most significant bit of b[0].

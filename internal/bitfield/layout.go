@@ -72,8 +72,7 @@ func (l *Layout) Put(b []byte, name string, v uint64) {
 func (l *Layout) New() []byte { return make([]byte, l.Bytes()) }
 
 // Handle is a pre-resolved field reference: the name lookup is paid once at
-// setup time, leaving Get/Put as pure bit arithmetic on the data path (the
-// same offsets a Microcode assembler would bake into instructions).
+// setup time, leaving Get as pure bit arithmetic.
 type Handle struct {
 	off   uint
 	width uint
@@ -87,9 +86,6 @@ func (l *Layout) Handle(name string) Handle {
 
 // Get reads the field from record b.
 func (h Handle) Get(b []byte) uint64 { return Get(b, h.off, h.width) }
-
-// Put writes the field into record b.
-func (h Handle) Put(b []byte, v uint64) { Put(b, h.off, h.width, v) }
 
 func (l *Layout) lookup(name string) int {
 	i, ok := l.index[name]

@@ -187,36 +187,36 @@ func TestVerifyUDPChecksumZeroAlias(t *testing.T) {
 	t.Fatal("no 2-byte payload produced the all-ones checksum")
 }
 
-// refMarshalML and refUnmarshalML are the Trio-ML header codec as it was: one
-// string-keyed layout lookup per field. They are the oracle for the
-// handle-resolved codec (and keep the by-name path the assembler listings and
+// refMarshalML and refUnmarshalML are the Trio-ML header codec written by
+// name: one string-keyed layout lookup per field. They are the oracle for the
+// fixed-offset codec (and keep the by-name path the assembler listings and
 // docs use under test).
 func refMarshalML(h *TrioML, b []byte) {
 	rec := b[:TrioMLHeaderLen]
 	clear(rec)
-	trioMLLayout.Put(rec, "job_id", uint64(h.JobID))
-	trioMLLayout.Put(rec, "block_id", uint64(h.BlockID))
-	trioMLLayout.Put(rec, "age_op", uint64(h.AgeOp))
-	trioMLLayout.Put(rec, "final", boolBit(h.Final))
-	trioMLLayout.Put(rec, "degraded", boolBit(h.Degraded))
-	trioMLLayout.Put(rec, "src_id", uint64(h.SrcID))
-	trioMLLayout.Put(rec, "src_cnt", uint64(h.SrcCnt))
-	trioMLLayout.Put(rec, "gen_id", uint64(h.GenID))
-	trioMLLayout.Put(rec, "grad_cnt", uint64(h.GradCnt))
+	TrioMLLayout.Put(rec, "job_id", uint64(h.JobID))
+	TrioMLLayout.Put(rec, "block_id", uint64(h.BlockID))
+	TrioMLLayout.Put(rec, "age_op", uint64(h.AgeOp))
+	TrioMLLayout.Put(rec, "final", boolBit(h.Final))
+	TrioMLLayout.Put(rec, "degraded", boolBit(h.Degraded))
+	TrioMLLayout.Put(rec, "src_id", uint64(h.SrcID))
+	TrioMLLayout.Put(rec, "src_cnt", uint64(h.SrcCnt))
+	TrioMLLayout.Put(rec, "gen_id", uint64(h.GenID))
+	TrioMLLayout.Put(rec, "grad_cnt", uint64(h.GradCnt))
 }
 
 func refUnmarshalML(b []byte) TrioML {
 	rec := b[:TrioMLHeaderLen]
 	return TrioML{
-		JobID:    uint8(trioMLLayout.Get(rec, "job_id")),
-		BlockID:  uint32(trioMLLayout.Get(rec, "block_id")),
-		AgeOp:    uint8(trioMLLayout.Get(rec, "age_op")),
-		Final:    trioMLLayout.Get(rec, "final") != 0,
-		Degraded: trioMLLayout.Get(rec, "degraded") != 0,
-		SrcID:    uint8(trioMLLayout.Get(rec, "src_id")),
-		SrcCnt:   uint8(trioMLLayout.Get(rec, "src_cnt")),
-		GenID:    uint16(trioMLLayout.Get(rec, "gen_id")),
-		GradCnt:  uint16(trioMLLayout.Get(rec, "grad_cnt")),
+		JobID:    uint8(TrioMLLayout.Get(rec, "job_id")),
+		BlockID:  uint32(TrioMLLayout.Get(rec, "block_id")),
+		AgeOp:    uint8(TrioMLLayout.Get(rec, "age_op")),
+		Final:    TrioMLLayout.Get(rec, "final") != 0,
+		Degraded: TrioMLLayout.Get(rec, "degraded") != 0,
+		SrcID:    uint8(TrioMLLayout.Get(rec, "src_id")),
+		SrcCnt:   uint8(TrioMLLayout.Get(rec, "src_cnt")),
+		GenID:    uint16(TrioMLLayout.Get(rec, "gen_id")),
+		GradCnt:  uint16(TrioMLLayout.Get(rec, "grad_cnt")),
 	}
 }
 
@@ -252,7 +252,7 @@ func TestTrioMLCodecMatchesLayoutByName(t *testing.T) {
 		}
 		refMarshalML(&h, want)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%+v: handles wrote %x, names %x", h, got, want)
+			t.Fatalf("%+v: codec wrote %x, names %x", h, got, want)
 		}
 	}
 	wire := make([]byte, TrioMLHeaderLen)
@@ -263,8 +263,55 @@ func TestTrioMLCodecMatchesLayoutByName(t *testing.T) {
 			t.Fatalf("Unmarshal: %v, %d bytes left", err, len(rest))
 		}
 		if want := refUnmarshalML(wire); h != want {
-			t.Fatalf("%x: handles read %+v, names %+v", wire, h, want)
+			t.Fatalf("%x: codec read %+v, names %+v", wire, h, want)
 		}
+	}
+	var h TrioML
+	if a := testing.AllocsPerRun(100, func() { h.MarshalTo(wire); h.Unmarshal(wire) }); a != 0 {
+		t.Fatalf("header round trip allocates %.1f times", a)
+	}
+}
+
+// TestTrioMLCodecFieldOffsets: the offsets MarshalTo and Unmarshal hard-code
+// are TrioMLLayout's. A header with one field all ones marshals to exactly
+// the bits [Offset, Offset+Width) the layout gives that field, and those bits
+// unmarshal to that header; the named fields and Fig. 8's six reserved bits
+// tile the header.
+func TestTrioMLCodecFieldOffsets(t *testing.T) {
+	fields := []struct {
+		name string
+		h    TrioML
+	}{
+		{"job_id", TrioML{JobID: 0xFF}},
+		{"block_id", TrioML{BlockID: math.MaxUint32}},
+		{"age_op", TrioML{AgeOp: 0xF}},
+		{"final", TrioML{Final: true}},
+		{"degraded", TrioML{Degraded: true}},
+		{"src_id", TrioML{SrcID: 0xFF}},
+		{"src_cnt", TrioML{SrcCnt: 0xFF}},
+		{"gen_id", TrioML{GenID: 0xFFFF}},
+		{"grad_cnt", TrioML{GradCnt: 0xFFF}},
+	}
+	bits := uint(6)
+	for _, f := range fields {
+		off, width := TrioMLLayout.Offset(f.name), TrioMLLayout.Width(f.name)
+		want := make([]byte, TrioMLHeaderLen)
+		for i := off; i < off+width; i++ {
+			want[i/8] |= 0x80 >> (i % 8)
+		}
+		got := make([]byte, TrioMLHeaderLen)
+		f.h.MarshalTo(got)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: marshals to %x, layout bits [%d,%d) are %x", f.name, got, off, off+width, want)
+		}
+		var back TrioML
+		if _, err := back.Unmarshal(want); err != nil || back != f.h {
+			t.Errorf("%s: layout bits [%d,%d) unmarshal to %+v (%v)", f.name, off, off+width, back, err)
+		}
+		bits += width
+	}
+	if bits != TrioMLLayout.Bits() {
+		t.Errorf("fields and reserved bits cover %d bits, the layout has %d", bits, TrioMLLayout.Bits())
 	}
 }
 
@@ -439,6 +486,23 @@ func BenchmarkBuildTrioML1024(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		sinkFrame = BuildTrioML(spec, hdr, grads)
+	}
+}
+
+var sinkML TrioML
+
+// BenchmarkTrioMLHeaderCodec times one MarshalTo and one Unmarshal of a
+// header, which must allocate nothing.
+func BenchmarkTrioMLHeaderCodec(b *testing.B) {
+	h := TrioML{JobID: 3, BlockID: 77, AgeOp: 2, Final: true, SrcID: 5, SrcCnt: 6, GenID: 9, GradCnt: 1024}
+	buf := make([]byte, TrioMLHeaderLen)
+	if a := testing.AllocsPerRun(100, func() { h.MarshalTo(buf); sinkML.Unmarshal(buf) }); a != 0 {
+		b.Fatalf("header round trip allocates %.1f times", a)
+	}
+	for b.Loop() {
+		h.BlockID++
+		h.MarshalTo(buf)
+		sinkML.Unmarshal(buf)
 	}
 }
 

@@ -14,8 +14,10 @@ const TrioMLHeaderLen = 12
 // (Fig. 7: up to 4096 bytes = 1024 32-bit gradients).
 const MaxGradientsPerPacket = 1024
 
-// trioMLLayout is the bit-exact layout of trio_ml_hdr_t from Fig. 8.
-var trioMLLayout = bitfield.NewLayout(
+// TrioMLLayout is the bit-exact layout of trio_ml_hdr_t from Fig. 8: the
+// spec of MarshalTo and Unmarshal, which bake its offsets in, and the by-name
+// oracle their tests and fuzzers hold them to.
+var TrioMLLayout = bitfield.NewLayout(
 	bitfield.Field{Name: "job_id", Width: 8},
 	bitfield.Field{Name: "block_id", Width: 32},
 	bitfield.Field{Name: "age_op", Width: 4},
@@ -28,23 +30,6 @@ var trioMLLayout = bitfield.NewLayout(
 	bitfield.Field{Name: "", Width: 4}, // room to expand grad_cnt
 	bitfield.Field{Name: "grad_cnt", Width: 12},
 )
-
-// Pre-resolved field handles: the header codec runs per packet, so the name
-// lookups are paid once here (the names stay the layout's, for listings and
-// docs) and MarshalTo/Unmarshal are pure bit arithmetic.
-var mlF = struct {
-	jobID, blockID, ageOp, final, degraded, srcID, srcCnt, genID, gradCnt bitfield.Handle
-}{
-	jobID:    trioMLLayout.Handle("job_id"),
-	blockID:  trioMLLayout.Handle("block_id"),
-	ageOp:    trioMLLayout.Handle("age_op"),
-	final:    trioMLLayout.Handle("final"),
-	degraded: trioMLLayout.Handle("degraded"),
-	srcID:    trioMLLayout.Handle("src_id"),
-	srcCnt:   trioMLLayout.Handle("src_cnt"),
-	genID:    trioMLLayout.Handle("gen_id"),
-	gradCnt:  trioMLLayout.Handle("grad_cnt"),
-}
 
 // TrioML is the aggregation header that follows UDP in Trio-ML packets.
 // Field semantics follow §4–§5 of the paper.
@@ -60,35 +45,39 @@ type TrioML struct {
 	GradCnt  uint16 // 12 bits: number of gradients in this packet
 }
 
+// MarshalTo writes the header into b[:TrioMLHeaderLen] and returns that
+// length. Like the Microcode assembler, it bakes TrioMLLayout's offsets in:
+// the first 8 bytes are job_id, block_id, age_op, final, degraded, two
+// reserved bits, src_id and src_cnt; the last 4 are gen_id, four reserved
+// bits and grad_cnt. Reserved bits are written as zero, and AgeOp and GradCnt
+// are cut to their 4 and 12 bits.
 func (h *TrioML) MarshalTo(b []byte) int {
-	rec := b[:TrioMLHeaderLen]
-	clear(rec)
-	mlF.jobID.Put(rec, uint64(h.JobID))
-	mlF.blockID.Put(rec, uint64(h.BlockID))
-	mlF.ageOp.Put(rec, uint64(h.AgeOp))
-	mlF.final.Put(rec, boolBit(h.Final))
-	mlF.degraded.Put(rec, boolBit(h.Degraded))
-	mlF.srcID.Put(rec, uint64(h.SrcID))
-	mlF.srcCnt.Put(rec, uint64(h.SrcCnt))
-	mlF.genID.Put(rec, uint64(h.GenID))
-	mlF.gradCnt.Put(rec, uint64(h.GradCnt))
+	_ = b[TrioMLHeaderLen-1]
+	binary.BigEndian.PutUint64(b, uint64(h.JobID)<<56|uint64(h.BlockID)<<24|
+		uint64(h.AgeOp&0xF)<<20|boolBit(h.Final)<<19|boolBit(h.Degraded)<<18|
+		uint64(h.SrcID)<<8|uint64(h.SrcCnt))
+	binary.BigEndian.PutUint32(b[8:], uint32(h.GenID)<<16|uint32(h.GradCnt&0xFFF))
 	return TrioMLHeaderLen
 }
 
+// Unmarshal reads the header from b's first TrioMLHeaderLen bytes, at the
+// offsets MarshalTo writes, ignoring the reserved bits, and returns the rest.
 func (h *TrioML) Unmarshal(b []byte) ([]byte, error) {
 	if len(b) < TrioMLHeaderLen {
 		return nil, fmt.Errorf("trioml: %w (%d bytes)", ErrTruncated, len(b))
 	}
-	rec := b[:TrioMLHeaderLen]
-	h.JobID = uint8(mlF.jobID.Get(rec))
-	h.BlockID = uint32(mlF.blockID.Get(rec))
-	h.AgeOp = uint8(mlF.ageOp.Get(rec))
-	h.Final = mlF.final.Get(rec) != 0
-	h.Degraded = mlF.degraded.Get(rec) != 0
-	h.SrcID = uint8(mlF.srcID.Get(rec))
-	h.SrcCnt = uint8(mlF.srcCnt.Get(rec))
-	h.GenID = uint16(mlF.genID.Get(rec))
-	h.GradCnt = uint16(mlF.gradCnt.Get(rec))
+	w, x := binary.BigEndian.Uint64(b), binary.BigEndian.Uint32(b[8:])
+	*h = TrioML{
+		JobID:    uint8(w >> 56),
+		BlockID:  uint32(w >> 24),
+		AgeOp:    uint8(w>>20) & 0xF,
+		Final:    w>>19&1 != 0,
+		Degraded: w>>18&1 != 0,
+		SrcID:    uint8(w >> 8),
+		SrcCnt:   uint8(w),
+		GenID:    uint16(x >> 16),
+		GradCnt:  uint16(x) & 0xFFF,
+	}
 	return b[TrioMLHeaderLen:], nil
 }
 

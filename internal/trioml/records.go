@@ -7,6 +7,8 @@
 package trioml
 
 import (
+	"encoding/binary"
+
 	"github.com/trioml/triogo/internal/bitfield"
 	"github.com/trioml/triogo/internal/sim"
 )
@@ -34,7 +36,9 @@ func SplitKey(k uint64) (jobID uint8, blockID uint32) {
 	return uint8(k >> 32), uint32(k)
 }
 
-// jobLayout is trio_ml_job_ctx_t (Fig. 17): 58 bytes.
+// jobLayout is trio_ml_job_ctx_t (Fig. 17): 58 bytes. It and blockLayout are
+// the spec of the fixed-offset codecs below, and the by-name oracle their
+// tests hold them to.
 var jobLayout = bitfield.NewLayout(
 	bitfield.Field{Name: "block_curr_cnt", Width: 16},
 	bitfield.Field{Name: "block_cnt_max", Width: 12},
@@ -82,49 +86,6 @@ var blockLayout = bitfield.NewLayout(
 // paper); records are read and written as 64-byte memory transactions.
 var RecordBytes = jobLayout.Bytes()
 
-// Pre-resolved field handles: codec hot paths run per packet, so the name
-// lookups are paid once here rather than on every encode/decode.
-var (
-	jobF = struct {
-		blockCurrCnt, blockCntMax, blockGradMax, blockExp, blockTotalCnt,
-		outSrcAddr, outDstAddr, outNhAddr, srcCnt bitfield.Handle
-		srcMask [4]bitfield.Handle
-	}{
-		blockCurrCnt:  jobLayout.Handle("block_curr_cnt"),
-		blockCntMax:   jobLayout.Handle("block_cnt_max"),
-		blockGradMax:  jobLayout.Handle("block_grad_max"),
-		blockExp:      jobLayout.Handle("block_exp"),
-		blockTotalCnt: jobLayout.Handle("block_total_cnt"),
-		outSrcAddr:    jobLayout.Handle("out_src_addr"),
-		outDstAddr:    jobLayout.Handle("out_dst_addr"),
-		outNhAddr:     jobLayout.Handle("out_nh_addr"),
-		srcCnt:        jobLayout.Handle("src_cnt"),
-		srcMask: [4]bitfield.Handle{
-			jobLayout.Handle("src_mask_0"), jobLayout.Handle("src_mask_1"),
-			jobLayout.Handle("src_mask_2"), jobLayout.Handle("src_mask_3"),
-		},
-	}
-	blockF = struct {
-		blockExp, blockAge, blockStartTime, jobCtxPAddr, aggrPAddr,
-		aggAgeOp, gradCnt, genID, rcvdCnt bitfield.Handle
-		rcvdMask [4]bitfield.Handle
-	}{
-		blockExp:       blockLayout.Handle("block_exp"),
-		blockAge:       blockLayout.Handle("block_age"),
-		blockStartTime: blockLayout.Handle("block_start_time"),
-		jobCtxPAddr:    blockLayout.Handle("job_ctx_paddr"),
-		aggrPAddr:      blockLayout.Handle("aggr_paddr"),
-		aggAgeOp:       blockLayout.Handle("agg_age_op"),
-		gradCnt:        blockLayout.Handle("grad_cnt"),
-		genID:          blockLayout.Handle("gen_id"),
-		rcvdCnt:        blockLayout.Handle("rcvd_cnt"),
-		rcvdMask: [4]bitfield.Handle{
-			blockLayout.Handle("rcvd_mask_0"), blockLayout.Handle("rcvd_mask_1"),
-			blockLayout.Handle("rcvd_mask_2"), blockLayout.Handle("rcvd_mask_3"),
-		},
-	}
-)
-
 // recordTxnBytes rounds the record size up to the 8-byte transaction grain.
 const recordTxnBytes = 64
 
@@ -142,34 +103,43 @@ type JobRecord struct {
 	SrcMask       [4]uint64
 }
 
+// encode writes the record at jobLayout's byte offsets, as the Microcode
+// assembler bakes them into instructions. block_cnt_max and block_grad_max
+// share bytes 2-4, 12 bits each. The padding (bytes 22-24) and the bytes
+// past the record in a 64-byte transaction are left as they were.
 func (j *JobRecord) encode(b []byte) {
-	jobF.blockCurrCnt.Put(b, uint64(j.BlockCurrCnt))
-	jobF.blockCntMax.Put(b, uint64(j.BlockCntMax))
-	jobF.blockGradMax.Put(b, uint64(j.BlockGradMax))
-	jobF.blockExp.Put(b, uint64(j.BlockExpMs))
-	jobF.blockTotalCnt.Put(b, uint64(j.BlockTotalCnt))
-	jobF.outSrcAddr.Put(b, uint64(j.OutSrcAddr))
-	jobF.outDstAddr.Put(b, uint64(j.OutDstAddr))
-	jobF.outNhAddr.Put(b, uint64(j.OutNhAddr))
-	jobF.srcCnt.Put(b, uint64(j.SrcCnt))
+	_ = b[57] // the record's last byte: one bounds check for the fields below
+	binary.BigEndian.PutUint16(b[0:], j.BlockCurrCnt)
+	pair := uint32(j.BlockCntMax&0xFFF)<<12 | uint32(j.BlockGradMax&0xFFF)
+	b[2], b[3], b[4] = byte(pair>>16), byte(pair>>8), byte(pair)
+	b[5] = j.BlockExpMs
+	binary.BigEndian.PutUint32(b[6:], j.BlockTotalCnt)
+	binary.BigEndian.PutUint32(b[10:], j.OutSrcAddr)
+	binary.BigEndian.PutUint32(b[14:], j.OutDstAddr)
+	binary.BigEndian.PutUint32(b[18:], j.OutNhAddr)
+	b[25] = j.SrcCnt
 	for i, m := range j.SrcMask {
-		jobF.srcMask[i].Put(b, m)
+		binary.BigEndian.PutUint64(b[26+8*i:], m)
 	}
 }
 
+// decodeJob reads a job record at the offsets encode writes.
 func decodeJob(b []byte) JobRecord {
-	var j JobRecord
-	j.BlockCurrCnt = uint16(jobF.blockCurrCnt.Get(b))
-	j.BlockCntMax = uint16(jobF.blockCntMax.Get(b))
-	j.BlockGradMax = uint16(jobF.blockGradMax.Get(b))
-	j.BlockExpMs = uint8(jobF.blockExp.Get(b))
-	j.BlockTotalCnt = uint32(jobF.blockTotalCnt.Get(b))
-	j.OutSrcAddr = uint32(jobF.outSrcAddr.Get(b))
-	j.OutDstAddr = uint32(jobF.outDstAddr.Get(b))
-	j.OutNhAddr = uint32(jobF.outNhAddr.Get(b))
-	j.SrcCnt = uint8(jobF.srcCnt.Get(b))
+	_ = b[57] // the record's last byte: one bounds check for the fields below
+	pair := uint32(b[2])<<16 | uint32(b[3])<<8 | uint32(b[4])
+	j := JobRecord{
+		BlockCurrCnt:  binary.BigEndian.Uint16(b[0:]),
+		BlockCntMax:   uint16(pair >> 12),
+		BlockGradMax:  uint16(pair) & 0xFFF,
+		BlockExpMs:    b[5],
+		BlockTotalCnt: binary.BigEndian.Uint32(b[6:]),
+		OutSrcAddr:    binary.BigEndian.Uint32(b[10:]),
+		OutDstAddr:    binary.BigEndian.Uint32(b[14:]),
+		OutNhAddr:     binary.BigEndian.Uint32(b[18:]),
+		SrcCnt:        b[25],
+	}
 	for i := range j.SrcMask {
-		j.SrcMask[i] = jobF.srcMask[i].Get(b)
+		j.SrcMask[i] = binary.BigEndian.Uint64(b[26+8*i:])
 	}
 	return j
 }
@@ -188,34 +158,41 @@ type BlockRecord struct {
 	RcvdMask       [4]uint64
 }
 
+// encode writes the record at blockLayout's byte offsets. agg_age_op and
+// grad_cnt share bytes 20-21, 4 and 12 bits. The padding (bytes 18-19 and
+// 24) and the bytes past the record in a 64-byte transaction are left as
+// they were.
 func (r *BlockRecord) encode(b []byte) {
-	blockF.blockExp.Put(b, uint64(r.BlockExpMs))
-	blockF.blockAge.Put(b, uint64(r.BlockAge))
-	blockF.blockStartTime.Put(b, uint64(r.BlockStartTime))
-	blockF.jobCtxPAddr.Put(b, uint64(r.JobCtxPAddr))
-	blockF.aggrPAddr.Put(b, uint64(r.AggrPAddr))
-	blockF.aggAgeOp.Put(b, uint64(r.AggAgeOp))
-	blockF.gradCnt.Put(b, uint64(r.GradCnt))
-	blockF.genID.Put(b, uint64(r.GenID))
-	blockF.rcvdCnt.Put(b, uint64(r.RcvdCnt))
+	_ = b[57] // the record's last byte: one bounds check for the fields below
+	b[0], b[1] = r.BlockExpMs, r.BlockAge
+	binary.BigEndian.PutUint64(b[2:], uint64(r.BlockStartTime))
+	binary.BigEndian.PutUint32(b[10:], r.JobCtxPAddr)
+	binary.BigEndian.PutUint32(b[14:], r.AggrPAddr)
+	binary.BigEndian.PutUint16(b[20:], uint16(r.AggAgeOp&0xF)<<12|r.GradCnt&0xFFF)
+	binary.BigEndian.PutUint16(b[22:], r.GenID)
+	b[25] = r.RcvdCnt
 	for i, m := range r.RcvdMask {
-		blockF.rcvdMask[i].Put(b, m)
+		binary.BigEndian.PutUint64(b[26+8*i:], m)
 	}
 }
 
+// decodeBlock reads a block record at the offsets encode writes.
 func decodeBlock(b []byte) BlockRecord {
-	var r BlockRecord
-	r.BlockExpMs = uint8(blockF.blockExp.Get(b))
-	r.BlockAge = uint8(blockF.blockAge.Get(b))
-	r.BlockStartTime = sim.Time(blockF.blockStartTime.Get(b))
-	r.JobCtxPAddr = uint32(blockF.jobCtxPAddr.Get(b))
-	r.AggrPAddr = uint32(blockF.aggrPAddr.Get(b))
-	r.AggAgeOp = uint8(blockF.aggAgeOp.Get(b))
-	r.GradCnt = uint16(blockF.gradCnt.Get(b))
-	r.GenID = uint16(blockF.genID.Get(b))
-	r.RcvdCnt = uint8(blockF.rcvdCnt.Get(b))
+	_ = b[57] // the record's last byte: one bounds check for the fields below
+	pair := binary.BigEndian.Uint16(b[20:])
+	r := BlockRecord{
+		BlockExpMs:     b[0],
+		BlockAge:       b[1],
+		BlockStartTime: sim.Time(binary.BigEndian.Uint64(b[2:])),
+		JobCtxPAddr:    binary.BigEndian.Uint32(b[10:]),
+		AggrPAddr:      binary.BigEndian.Uint32(b[14:]),
+		AggAgeOp:       uint8(pair >> 12),
+		GradCnt:        pair & 0xFFF,
+		GenID:          binary.BigEndian.Uint16(b[22:]),
+		RcvdCnt:        b[25],
+	}
 	for i := range r.RcvdMask {
-		r.RcvdMask[i] = blockF.rcvdMask[i].Get(b)
+		r.RcvdMask[i] = binary.BigEndian.Uint64(b[26+8*i:])
 	}
 	return r
 }

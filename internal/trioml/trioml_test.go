@@ -484,7 +484,7 @@ func TestRecordRoundTrips(t *testing.T) {
 
 	r := BlockRecord{
 		BlockExpMs: 10, BlockAge: 2, BlockStartTime: 123456789,
-		JobCtxPAddr: 0x100, AggrPAddr: 0x400000, GradCnt: 1024, GenID: 777,
+		JobCtxPAddr: 0x100, AggrPAddr: 0x400000, AggAgeOp: 0xA, GradCnt: 0xFFF, GenID: 777,
 		RcvdCnt: 5, RcvdMask: [4]uint64{0x1F, 9, 8, 7},
 	}
 	r.encode(b)
