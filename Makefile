@@ -151,8 +151,10 @@ verify-microcode:
 # byte-pair loop on any bytes at any alignment, the NetRPC header and the
 # retry-after NACK body survive decode -> encode -> decode, the bitfield
 # word window reads and writes what the bit loops do at any offset and width,
-# and the fixed-offset Trio-ML header, job-record and block-record codecs
-# decode and re-encode any bytes as their by-name bitfield layouts do.
+# the fixed-offset Trio-ML header, job-record and block-record codecs
+# decode and re-encode any bytes as their by-name bitfield layouts do, and the
+# shared memory's two-lanes-per-word vector add equals a lane-at-a-time add of
+# any big-endian lanes at any address near a page end.
 verify-packet:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run FuzzDecode ./internal/packet/
 	$(GO) test -fuzz=FuzzChecksum -fuzztime=10s -run FuzzChecksum ./internal/packet/
@@ -160,6 +162,7 @@ verify-packet:
 	$(GO) test -fuzz=FuzzRetryAfter -fuzztime=10s -run FuzzRetryAfter ./internal/packet/
 	$(GO) test -fuzz=FuzzLayout -fuzztime=10s -run FuzzLayout ./internal/bitfield/
 	$(GO) test -fuzz=FuzzTrioMLCodec -fuzztime=10s -run FuzzTrioMLCodec ./internal/trioml/
+	$(GO) test -fuzz=FuzzAddVector32Lanes -fuzztime=10s -run FuzzAddVector32Lanes ./internal/trio/smem/
 
 # verify-apps races both in-network application packages (netrpc's concurrent
 # cache-service paths, infnet's classifier) and the harness's apps pins: the

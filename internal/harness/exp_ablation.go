@@ -50,12 +50,12 @@ func ablationRMWBanking(p Params) (*Table, error) {
 		Notes:   []string{"512 sixteen-gradient vector adds offered at t=0; time until the last engine op completes."},
 	}
 	drain := func(engines int) sim.Time {
-		deltas := make([]int32, 16)
+		lanes := make([]byte, 64)
 		m := smem.New(smem.Config{NumRMWEngines: engines})
 		addr := m.Alloc(smem.TierSRAM, 1<<16)
 		var done sim.Time
 		for j := 0; j < 512; j++ {
-			if d := m.AddVector32(0, addr+uint64(j)*64, deltas); d > done {
+			if d := m.AddVector32BE(0, addr+uint64(j)*64, lanes); d > done {
 				done = d
 			}
 		}

@@ -81,23 +81,43 @@ func BuildUDP(spec UDPSpec, payload []byte) []byte {
 
 // BuildTrioML serializes a Trio-ML aggregation packet: UDP payload is the
 // 12-byte trio_ml_hdr_t followed by hdr.GradCnt big-endian int32 gradients.
-// If hdr.GradCnt is zero it is set from len(grads). The header and gradients
-// are marshalled straight into the frame buffer, the gradients summed for the
-// UDP checksum as they are written so the payload is traversed once.
+// If hdr.GradCnt is zero it is set from len(grads). The gradients are
+// marshalled straight into the frame's gradient room, summed for the UDP
+// checksum as they are written so the payload is traversed once.
 func BuildTrioML(spec UDPSpec, hdr TrioML, grads []int32) []byte {
-	if len(grads) > MaxGradientsPerPacket {
-		panic(fmt.Sprintf("packet: %d gradients exceeds max %d per packet", len(grads), MaxGradientsPerPacket))
+	frame, room := TrioMLFrame(spec, hdr, len(grads))
+	setUDPChecksum(frame, putGradients(room, grads), len(room))
+	return frame
+}
+
+// TrioMLFrame lays out a Trio-ML frame with room for grads gradients: every
+// header is in place (hdr.GradCnt set from grads when zero) and room is the
+// frame's gradient bytes, left for the caller to fill before SetUDPChecksum
+// finishes the frame. The frame is the one allocation.
+func TrioMLFrame(spec UDPSpec, hdr TrioML, grads int) (frame, room []byte) {
+	if grads > MaxGradientsPerPacket {
+		panic(fmt.Sprintf("packet: %d gradients exceeds max %d per packet", grads, MaxGradientsPerPacket))
 	}
 	if hdr.GradCnt == 0 {
-		hdr.GradCnt = uint16(len(grads))
+		hdr.GradCnt = uint16(grads)
 	}
 	if spec.DstPort == 0 {
 		spec.DstPort = TrioMLPort
 	}
-	buf, room, ipStart, udpStart := udpRoom(spec, TrioMLHeaderLen+4*len(grads))
-	hdr.MarshalTo(room)
-	finishUDP(buf, ipStart, udpStart, putGradients(room[TrioMLHeaderLen:], grads), 4*len(grads))
-	return buf
+	frame, payload, _, _ := udpRoom(spec, TrioMLHeaderLen+4*grads)
+	hdr.MarshalTo(payload)
+	return frame, payload[TrioMLHeaderLen:]
+}
+
+// SetUDPChecksum stores the UDP checksum of a frame TrioMLFrame laid out,
+// once, after its gradient room is filled.
+func SetUDPChecksum(frame []byte) { setUDPChecksum(frame, 0, 0) }
+
+// setUDPChecksum is SetUDPChecksum for a caller that summed the segment's
+// last tailLen bytes as it wrote them (see finishUDP).
+func setUDPChecksum(frame []byte, tail uint64, tailLen int) {
+	udpStart := EthernetLen + 4*int(frame[EthernetLen]&0x0f)
+	finishUDP(frame, EthernetLen, udpStart, tail, tailLen)
 }
 
 // pseudoSum is the partial checksum of the UDP pseudo-header: the addresses

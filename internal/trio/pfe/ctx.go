@@ -150,24 +150,23 @@ func (c *Ctx) MemWrite(addr uint64, data []byte, async bool) {
 	}
 }
 
-// AddVector32 offloads gradient summation to the RMW engines (§6.3): the
-// engines do the adds near memory; the issuing thread does not stall per
-// word, only for the crossbar issue.
-func (c *Ctx) AddVector32(addr uint64, deltas []int32) {
+// AddVector32BE offloads gradient summation to the RMW engines (§6.3): the
+// engines add the big-endian wire lanes near memory; the issuing thread does
+// not stall per word, only for the crossbar issue.
+func (c *Ctx) AddVector32BE(addr uint64, lanes []byte) {
 	c.stats.XTXNs++
-	done := c.pfe.Mem.AddVector32(c.now, addr, deltas)
+	done := c.pfe.Mem.AddVector32BE(c.now, addr, lanes)
 	c.span("rmw", "add_vector", c.now, done)
 }
 
-// ReadVector32Append synchronously reads count 32-bit words from shared
-// memory, appending them to dst: allocation-free when dst has capacity.
-func (c *Ctx) ReadVector32Append(addr uint64, count int, dst []int32) []int32 {
+// ReadVector32BE synchronously reads len(dst)/4 32-bit words from shared
+// memory into dst as big-endian lanes.
+func (c *Ctx) ReadVector32BE(addr uint64, dst []byte) {
 	c.stats.XTXNs++
 	start := c.now
-	vals, done := c.pfe.Mem.ReadVector32Append(c.now, addr, count, dst)
+	done := c.pfe.Mem.ReadVector32BE(c.now, addr, dst)
 	c.span("rmw", "read_vector", start, done)
 	c.wait(done)
-	return vals
 }
 
 // CounterInc issues an asynchronous CounterIncPhys XTXN.

@@ -2,7 +2,6 @@ package pfe
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
 	"github.com/trioml/triogo/internal/sim"
@@ -55,23 +54,20 @@ func TestCtxAsyncWriteDoesNotStall(t *testing.T) {
 }
 
 func TestCtxVectorOpsAndCounter(t *testing.T) {
-	var vals []int32
+	vals := make([]byte, 16)
 	var pkts, byteCnt uint64
 	runApp(t, frameOfSize(64, 0), func(ctx *Ctx) {
 		buf := ctx.pfe.Mem.Alloc(smem.TierDRAM, 64)
 		cnt := ctx.pfe.Mem.Alloc(smem.TierSRAM, 16)
-		ctx.AddVector32(buf, []int32{1, 2, 3, 4})
-		ctx.AddVector32(buf, []int32{10, 20, 30, 40})
-		vals = ctx.ReadVector32Append(buf, 4, nil)
+		ctx.AddVector32BE(buf, []byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4})
+		ctx.AddVector32BE(buf, []byte{0, 0, 0, 10, 0, 0, 0, 20, 0, 0, 0, 30, 0, 0, 0, 40})
+		ctx.ReadVector32BE(buf, vals)
 		ctx.CounterInc(cnt, 500)
 		pkts, byteCnt = ctx.pfe.Mem.Counter(cnt)
 		ctx.Consume()
 	})
-	want := []int32{11, 22, 33, 44}
-	for i := range want {
-		if vals[i] != want[i] {
-			t.Fatalf("vals = %v", vals)
-		}
+	if want := []byte{0, 0, 0, 11, 0, 0, 0, 22, 0, 0, 0, 33, 0, 0, 0, 44}; !bytes.Equal(vals, want) {
+		t.Fatalf("vals = %v", vals)
 	}
 	if pkts != 1 || byteCnt != 500 {
 		t.Fatalf("counter = (%d,%d)", pkts, byteCnt)
@@ -197,23 +193,18 @@ func TestCtxMemReadIntoMatchesMemRead(t *testing.T) {
 	}
 }
 
-func TestCtxReadVector32AppendKeepsPrefixAndStalls(t *testing.T) {
-	var vals []int32
+func TestCtxReadVector32BEFillsDstAndStalls(t *testing.T) {
 	var stalled sim.Time
-	dst := make([]int32, 1, 8)
-	dst[0] = -1
+	dst := []byte{0xAA, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xBB}
 	runApp(t, frameOfSize(64, 0), func(ctx *Ctx) {
 		buf := ctx.pfe.Mem.Alloc(smem.TierDRAM, 64)
-		ctx.AddVector32(buf, []int32{5, 6, 7})
-		vals = ctx.ReadVector32Append(buf, 3, dst)
+		ctx.AddVector32BE(buf, []byte{0, 0, 0, 5, 0, 0, 0, 6, 0xFF, 0xFF, 0xFF, 0xF9})
+		ctx.ReadVector32BE(buf, dst[1:13])
 		stalled = ctx.Stats().SyncStall
 		ctx.Consume()
 	})
-	if want := []int32{-1, 5, 6, 7}; !slices.Equal(vals, want) {
-		t.Fatalf("vals = %v, want %v", vals, want)
-	}
-	if &vals[0] != &dst[0] {
-		t.Fatal("a dst with room was reallocated")
+	if want := []byte{0xAA, 0, 0, 0, 5, 0, 0, 0, 6, 0xFF, 0xFF, 0xFF, 0xF9, 0xBB}; !bytes.Equal(dst, want) {
+		t.Fatalf("dst = %v, want %v", dst, want)
 	}
 	if stalled < 400*sim.Nanosecond {
 		t.Fatalf("sync stall = %v, want a DRAM round trip", stalled)

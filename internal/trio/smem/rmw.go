@@ -113,64 +113,102 @@ func (m *Memory) Add64(now sim.Time, addr uint64, delta uint64) (newVal uint64, 
 	return nv, m.issue(now, addr, 0, 1, addCycles)
 }
 
-// AddVector32 adds a vector of int32 deltas to consecutive 32-bit words
-// starting at addr. Each 8-byte pair of lanes is one engine add (two cycles),
+// AddVector32BE adds big-endian int32 lanes — gradients as the wire carries
+// them — to consecutive 32-bit words starting at addr; len(lanes) is a
+// multiple of 4. Each 8-byte pair of lanes is one engine add (two cycles),
 // so a 16-gradient chunk costs 8 engine-word operations — the accounting
 // behind the 6×10⁹ adds/s/PFE figure of §6.3. It returns the completion time
 // of the last word (engines work in parallel across banks).
 //
-// The lanes are added in place on the backing page, one run per page; the
-// engine words are charged by issue in one walk (at 12 engines a 16-gradient
-// chunk touches 8 distinct engines exactly once).
-func (m *Memory) AddVector32(now sim.Time, addr uint64, deltas []int32) sim.Time {
-	for a, d := addr, deltas; len(d) > 0; {
-		b := m.run(a, 4*len(d))
+// The lanes are added in place on the backing page, one run per page, two
+// per 8-byte big-endian load (addLanes); a lane straddling a page end (addr
+// not 4-byte aligned) goes through load/store. The engine words are charged
+// by issue in one walk (at 12 engines a 16-gradient chunk touches 8 distinct
+// engines exactly once).
+func (m *Memory) AddVector32BE(now sim.Time, addr uint64, lanes []byte) sim.Time {
+	for a, l := addr, lanes; len(l) > 0; {
+		b := m.run(a, len(l))
 		if len(b) < 4 {
-			// A lane straddling a page end (addr not 4-byte aligned).
 			var w [4]byte
 			m.load(a, w[:])
-			binary.BigEndian.PutUint32(w[:], binary.BigEndian.Uint32(w[:])+uint32(d[0]))
+			binary.BigEndian.PutUint32(w[:], binary.BigEndian.Uint32(w[:])+binary.BigEndian.Uint32(l))
 			m.store(a, w[:])
-			a, d = a+4, d[1:]
+			a, l = a+4, l[4:]
 			continue
 		}
-		k := len(b) / 4
-		for i, v := range d[:k] {
-			w := b[4*i : 4*i+4]
-			binary.BigEndian.PutUint32(w, binary.BigEndian.Uint32(w)+uint32(v))
-		}
-		a, d = a+uint64(4*k), d[k:]
+		k := len(b) &^ 3
+		addLanes(b[:k], l[:k])
+		a, l = a+uint64(k), l[k:]
 	}
-	return m.issue(now, addr, 8, (len(deltas)+1)/2, addCycles)
+	return m.issue(now, addr, 8, (len(lanes)/4+1)/2, addCycles)
 }
 
-// ReadVector32Append reads count consecutive 32-bit words starting at addr
-// via the data path in 64-byte transactions, appending them to dst (returned
-// possibly regrown) and returning the completion time; no allocation when dst
-// has capacity. The transactions — 64 bytes each, the last one the remainder
-// rounded up to 8 — are charged in address order, then the lanes are decoded
-// straight from the backing pages.
-func (m *Memory) ReadVector32Append(now sim.Time, addr uint64, count int, dst []int32) ([]int32, sim.Time) {
-	if count <= 0 {
-		return dst, 0
+// AddVector32 is AddVector32BE over host-order deltas, encoded to wire lanes
+// one 16-lane chunk at a time.
+func (m *Memory) AddVector32(now sim.Time, addr uint64, deltas []int32) sim.Time {
+	var lanes [64]byte
+	var latest sim.Time
+	for len(deltas) > 0 {
+		k := min(len(deltas), len(lanes)/4)
+		for i, d := range deltas[:k] {
+			binary.BigEndian.PutUint32(lanes[4*i:], uint32(d))
+		}
+		latest = max(latest, m.AddVector32BE(now, addr, lanes[:4*k]))
+		addr, deltas = addr+uint64(4*k), deltas[k:]
 	}
-	full, rest := 4*count/MaxTxnBytes, 4*count%MaxTxnBytes
+	return latest
+}
+
+// laneTops holds the sign bit of both big-endian int32 lanes of an 8-byte
+// word.
+const laneTops = 0x8000000080000000
+
+// add2 adds the two big-endian int32 lanes of s into those of d, each modulo
+// 2³²: with the top bit of every lane masked off neither low sum can carry
+// into the lane above, and the top bits are then added without carry (xor).
+func add2(d, s []byte) {
+	x, y := binary.BigEndian.Uint64(d), binary.BigEndian.Uint64(s)
+	binary.BigEndian.PutUint64(d, (x&^laneTops+y&^laneTops)^((x^y)&laneTops))
+}
+
+// addLanes adds the big-endian int32 lanes of src into dst in place; the two
+// have the same length, a multiple of 4. Whole 64-byte chunks are unrolled.
+func addLanes(dst, src []byte) {
+	for len(dst) >= 64 {
+		d, s := dst[:64:64], src[:64:64]
+		add2(d[0:8], s[0:8])
+		add2(d[8:16], s[8:16])
+		add2(d[16:24], s[16:24])
+		add2(d[24:32], s[24:32])
+		add2(d[32:40], s[32:40])
+		add2(d[40:48], s[40:48])
+		add2(d[48:56], s[48:56])
+		add2(d[56:64], s[56:64])
+		dst, src = dst[64:], src[64:]
+	}
+	for len(dst) >= 8 {
+		add2(dst[:8], src[:8])
+		dst, src = dst[8:], src[8:]
+	}
+	if len(dst) >= 4 {
+		binary.BigEndian.PutUint32(dst, binary.BigEndian.Uint32(dst)+binary.BigEndian.Uint32(src))
+	}
+}
+
+// ReadVector32BE reads len(dst)/4 consecutive 32-bit words starting at addr
+// into dst as big-endian lanes, via the data path in 64-byte transactions,
+// and returns the completion time. The transactions — 64 bytes each, the
+// last one the remainder rounded up to 8 — are charged in address order,
+// then the bytes are copied straight from the backing pages.
+func (m *Memory) ReadVector32BE(now sim.Time, addr uint64, dst []byte) sim.Time {
+	if len(dst) == 0 {
+		return 0
+	}
+	full, rest := len(dst)/MaxTxnBytes, len(dst)%MaxTxnBytes
 	latest := m.issue(now, addr, MaxTxnBytes, full, MaxTxnBytes/8)
 	if rest > 0 {
 		latest = max(latest, m.issue(now, addr+uint64(MaxTxnBytes*full), 0, 1, serviceCycles(rest, 1)))
 	}
-	for a := addr; count > 0; {
-		b := m.run(a, 4*count)
-		if len(b) < 4 {
-			var w [4]byte
-			m.load(a, w[:])
-			b = w[:]
-		}
-		k := len(b) / 4
-		for ; len(b) >= 4; b = b[4:] {
-			dst = append(dst, int32(binary.BigEndian.Uint32(b)))
-		}
-		a, count = a+uint64(4*k), count-k
-	}
-	return dst, latest
+	m.load(addr, dst)
+	return latest
 }

@@ -3,6 +3,7 @@ package smem
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -199,14 +200,51 @@ func TestAdd32SignedWraparound(t *testing.T) {
 	}
 }
 
+// wire encodes host-order deltas as the big-endian lanes the vector add takes.
+func wire(deltas []int32) []byte {
+	b := make([]byte, 4*len(deltas))
+	packet.PutGradients(b, deltas)
+	return b
+}
+
+// readLanes reads n lanes back through the data path and decodes them.
+func readLanes(m *Memory, addr uint64, n int) []int32 {
+	b := make([]byte, 4*n)
+	m.ReadVector32BE(0, addr, b)
+	g, _ := packet.Gradients(b, n)
+	return g
+}
+
+// TestAddVector32EncodesDeltas pins the host-order form to the wire-lane
+// kernel: the same bytes, the same completion time, the same engine books.
+func TestAddVector32EncodesDeltas(t *testing.T) {
+	for _, n := range []int{0, 1, 15, 16, 17, 33, 70} {
+		deltas := make([]int32, n)
+		for i := range deltas {
+			deltas[i] = int32(uint32(i+1) * 2654435761)
+		}
+		host, lanes := New(Config{NumRMWEngines: 12}), New(Config{NumRMWEngines: 12})
+		addr := host.Alloc(TierDRAM, 4*70) + 4
+		lanes.Alloc(TierDRAM, 4*70)
+		for round := sim.Time(0); round < 3; round++ {
+			if got, want := host.AddVector32(round, addr, deltas), lanes.AddVector32BE(round, addr, wire(deltas)); got != want {
+				t.Fatalf("n=%d: AddVector32 done %d, AddVector32BE %d", n, got, want)
+			}
+		}
+		if !bytes.Equal(host.ReadRaw(addr, 4*n), lanes.ReadRaw(addr, 4*n)) || !reflect.DeepEqual(host.Stats(), lanes.Stats()) {
+			t.Fatalf("n=%d: memory or engine stats differ", n)
+		}
+	}
+}
+
 func TestAddVector32AggregatesLikeTrioML(t *testing.T) {
 	m := New(Config{})
 	addr := m.Alloc(TierDRAM, 4*16)
 	a := []int32{1, -2, 3, -4, 5, -6, 7, -8, 9, -10, 11, -12, 13, -14, 15, -16}
 	b := []int32{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150, 160}
-	m.AddVector32(0, addr, a)
-	m.AddVector32(0, addr, b)
-	got, _ := m.ReadVector32Append(0, addr, 16, nil)
+	m.AddVector32BE(0, addr, wire(a))
+	m.AddVector32BE(0, addr, wire(b))
+	got := readLanes(m, addr, 16)
 	for i := range a {
 		if got[i] != a[i]+b[i] {
 			t.Fatalf("lane %d = %d, want %d", i, got[i], a[i]+b[i])
@@ -217,8 +255,8 @@ func TestAddVector32AggregatesLikeTrioML(t *testing.T) {
 func TestAddVector32OddCount(t *testing.T) {
 	m := New(Config{})
 	addr := m.Alloc(TierSRAM, 32)
-	m.AddVector32(0, addr, []int32{1, 2, 3})
-	got, _ := m.ReadVector32Append(0, addr, 4, nil)
+	m.AddVector32BE(0, addr, wire([]int32{1, 2, 3}))
+	got := readLanes(m, addr, 4)
 	if got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != 0 {
 		t.Fatalf("got %v", got)
 	}
@@ -239,12 +277,11 @@ func TestAddVectorCommutesProperty(t *testing.T) {
 		m2 := New(Config{})
 		a1 := m1.Alloc(TierSRAM, uint64(4*n))
 		a2 := m2.Alloc(TierSRAM, uint64(4*n))
-		m1.AddVector32(0, a1, a)
-		m1.AddVector32(0, a1, b)
-		m2.AddVector32(0, a2, b)
-		m2.AddVector32(0, a2, a)
-		g1, _ := m1.ReadVector32Append(0, a1, n, nil)
-		g2, _ := m2.ReadVector32Append(0, a2, n, nil)
+		m1.AddVector32BE(0, a1, wire(a))
+		m1.AddVector32BE(0, a1, wire(b))
+		m2.AddVector32BE(0, a2, wire(b))
+		m2.AddVector32BE(0, a2, wire(a))
+		g1, g2 := readLanes(m1, a1, n), readLanes(m2, a2, n)
 		for i := range g1 {
 			if g1[i] != g2[i] {
 				return false
@@ -321,8 +358,8 @@ func TestReadVector32CrossesTxnBoundary(t *testing.T) {
 	for i := range vals {
 		vals[i] = int32(i * i)
 	}
-	m.AddVector32(0, addr, vals)
-	got, _ := m.ReadVector32Append(0, addr, 40, nil)
+	m.AddVector32BE(0, addr, wire(vals))
+	got := readLanes(m, addr, 40)
 	for i := range vals {
 		if got[i] != vals[i] {
 			t.Fatalf("lane %d = %d", i, got[i])
@@ -355,8 +392,7 @@ func BenchmarkAblationHeadTailSplit(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for off := 0; off < len(raw); off += 64 {
-				g, _ := packet.Gradients(raw[off:off+64], 16)
-				m.AddVector32(0, addr+uint64(off), g)
+				m.AddVector32BE(0, addr+uint64(off), raw[off:off+64])
 			}
 		}
 	})
@@ -365,8 +401,7 @@ func BenchmarkAblationHeadTailSplit(b *testing.B) {
 		addr := m.Alloc(TierDRAM, uint64(len(raw)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			g, _ := packet.Gradients(raw, len(grads))
-			m.AddVector32(0, addr, g)
+			m.AddVector32BE(0, addr, raw)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/trioml/triogo/internal/faults"
@@ -16,7 +17,8 @@ import (
 // The reference data path: the per-word accounting the issue kernel replaced
 // (one engineFor → occupy → complete round per 8-byte word, tier looked up
 // per word, page looked up per word), kept verbatim as the oracle the vector
-// kernels must match bit for bit.
+// kernels must match bit for bit. It works on host-order lanes: the twins
+// feed it the kernel's big-endian wire lanes decoded.
 
 func (m *Memory) refEngineFor(addr uint64) *engine {
 	return &m.engines[(addr/8)%uint64(len(m.engines))]
@@ -185,6 +187,99 @@ func (r *twinRig) state() (engines []engine, hist map[string]any, bankErrors uin
 	return r.m.engines, hist, bankErrors
 }
 
+// twinLanes draws n big-endian lanes: mostly random, often the values that
+// carry out of a lane (0x7FFFFFFF, 0xFFFFFFFF, 0x80000000, 1), so a carry
+// leaking into the neighbouring lane of an 8-byte word shows.
+func twinLanes(rng *rand.Rand, n int) []byte {
+	edges := []uint32{0x7FFFFFFF, 0xFFFFFFFF, 0x80000000, 1, 0}
+	b := make([]byte, 4*n)
+	for i := 0; i < n; i++ {
+		v := rng.Uint32()
+		if rng.Intn(3) == 0 {
+			v = edges[rng.Intn(len(edges))]
+		}
+		binary.BigEndian.PutUint32(b[4*i:], v)
+	}
+	return b
+}
+
+// decodeLanes is the host-order view of big-endian lanes.
+func decodeLanes(b []byte) []int32 {
+	v := make([]int32, len(b)/4)
+	for i := range v {
+		v[i] = int32(binary.BigEndian.Uint32(b[4*i:]))
+	}
+	return v
+}
+
+// addLanesScalar is the lane-at-a-time add the kernel's two-lane word add
+// must equal: each big-endian lane of lanes added into mem modulo 2³².
+func addLanesScalar(mem, lanes []byte) {
+	for i := 0; i+4 <= len(lanes); i += 4 {
+		binary.BigEndian.PutUint32(mem[i:], binary.BigEndian.Uint32(mem[i:])+binary.BigEndian.Uint32(lanes[i:]))
+	}
+}
+
+// TestAddVector32BECarries pins the carry isolation of the two-lane word add:
+// sums that carry out of a lane (0x7FFFFFFF+1, 0xFFFFFFFF+1,
+// 0x80000000+0x80000000) in the high and the low half of a word, at odd lane
+// counts, unaligned addresses and with lanes straddling a page end, must
+// equal the lane-at-a-time add and leave every other byte alone.
+func TestAddVector32BECarries(t *testing.T) {
+	pairs := [][2]uint32{{0x7FFFFFFF, 1}, {0xFFFFFFFF, 1}, {0x80000000, 0x80000000}, {0xFFFFFFFF, 0xFFFFFFFF}}
+	for _, n := range []int{1, 2, 3, 5, 16, 17, 31, 33} {
+		for _, addr := range []uint64{0, 4, 8, 1, 2, 3, 6, pageSize - 8, pageSize - 4, pageSize - 2, pageSize - 3, pageSize - 60, pageSize - 62} {
+			for _, p := range pairs {
+				m := New(Config{})
+				mem, lanes := make([]byte, 4*n), make([]byte, 4*n)
+				for i := 0; i < n; i++ {
+					binary.BigEndian.PutUint32(mem[4*i:], p[i%2])
+					binary.BigEndian.PutUint32(lanes[4*i:], p[(i+1)%2])
+				}
+				m.WriteRaw(addr, mem)
+				m.WriteRaw(addr-min(addr, 4), []byte{0xEE, 0xEE, 0xEE, 0xEE}[:min(addr, 4)])
+				m.WriteRaw(addr+uint64(4*n), []byte{0xDD, 0xDD, 0xDD, 0xDD})
+				m.AddVector32BE(0, addr, lanes)
+				addLanesScalar(mem, lanes)
+				if got := m.ReadRaw(addr, 4*n); !bytes.Equal(got, mem) {
+					t.Fatalf("n=%d addr=%#x %#x+%#x: got % x, want % x", n, addr, p[0], p[1], got, mem)
+				}
+				if m.ReadRaw(addr+uint64(4*n), 4)[0] != 0xDD || (addr >= 4 && m.ReadRaw(addr-4, 4)[3] != 0xEE) {
+					t.Fatalf("n=%d addr=%#x: a byte outside the lanes changed", n, addr)
+				}
+			}
+		}
+	}
+}
+
+// FuzzAddVector32Lanes checks, over arbitrary memory and lane bytes at any
+// address near a page end, that the kernel equals the lane-at-a-time add on
+// the bytes and the reference word loop on the completion time.
+func FuzzAddVector32Lanes(f *testing.F) {
+	f.Add([]byte{0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, []byte{0, 0, 0, 1, 0, 0, 0, 1}, uint16(0))
+	f.Add([]byte{0x80, 0, 0, 0, 0x80, 0, 0, 0, 0xFF}, []byte{0x80, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 1}, uint16(61))
+	f.Add(bytes.Repeat([]byte{0xFF}, 130), bytes.Repeat([]byte{0x01}, 130), uint16(127))
+	f.Fuzz(func(t *testing.T, init, lanes []byte, off uint16) {
+		lanes = lanes[:min(len(lanes), 4*300)&^3]
+		mem := make([]byte, len(lanes))
+		copy(mem, init)
+		// Start up to 64 bytes before a page end, or past it: lanes that
+		// straddle it at every alignment.
+		addr := 2*pageSize - 64 + uint64(off%128)
+		kern, ref := New(Config{NumRMWEngines: 12}), New(Config{NumRMWEngines: 12})
+		kern.WriteRaw(addr, mem)
+		ref.WriteRaw(addr, mem)
+		got, want := kern.AddVector32BE(7, addr, lanes), ref.refAddVector32(7, addr, decodeLanes(lanes))
+		addLanesScalar(mem, lanes)
+		if b := kern.ReadRaw(addr, len(mem)); !bytes.Equal(b, mem) {
+			t.Fatalf("addr=%#x: kernel % x, lane-at-a-time % x", addr, b, mem)
+		}
+		if got != want || !reflect.DeepEqual(kern.engines, ref.engines) {
+			t.Fatalf("addr=%#x: done %d, reference %d (or engines differ)", addr, got, want)
+		}
+	})
+}
+
 // twinAddr draws a base address for a vector of n lanes: mostly 8- or 4-byte
 // aligned, sometimes not at all; near a page end, straddling either tier
 // boundary, or anywhere.
@@ -241,20 +336,19 @@ func TestVectorKernelsMatchWordLoop(t *testing.T) {
 						addr := twinAddr(rng, ref.m, n)
 						what := fmt.Sprintf("op %d now=%d addr=%#x n=%d", op, now, addr, n)
 						if rng.Intn(3) > 0 {
-							deltas := make([]int32, n)
-							for i := range deltas {
-								deltas[i] = int32(rng.Uint32())
-							}
-							want, got := ref.m.refAddVector32(now, addr, deltas), kern.m.AddVector32(now, addr, deltas)
+							lanes := twinLanes(rng, n)
+							want, got := ref.m.refAddVector32(now, addr, decodeLanes(lanes)), kern.m.AddVector32BE(now, addr, lanes)
 							if want != got {
-								t.Fatalf("%s: AddVector32 done %d, reference %d", what, got, want)
+								t.Fatalf("%s: AddVector32BE done %d, reference %d", what, got, want)
 							}
 						} else {
-							prefix := []int32{7, -7}
-							wantV, want := ref.m.refReadVector32Append(now, addr, n, prefix[:1])
-							gotV, got := kern.m.ReadVector32Append(now, addr, n, prefix[:1])
-							if want != got || !reflect.DeepEqual(wantV, gotV) {
-								t.Fatalf("%s: ReadVector32Append (%v, %d), reference (%v, %d)", what, gotV, got, wantV, want)
+							// Guard bytes either side: the read fills exactly dst.
+							dst := make([]byte, 4*n+2)
+							dst[0], dst[4*n+1] = 0xA5, 0x5A
+							wantV, want := ref.m.refReadVector32Append(now, addr, n, nil)
+							got := kern.m.ReadVector32BE(now, addr, dst[1:4*n+1])
+							if gotV := decodeLanes(dst[1 : 4*n+1]); want != got || !slices.Equal(wantV, gotV) || dst[0] != 0xA5 || dst[4*n+1] != 0x5A {
+								t.Fatalf("%s: ReadVector32BE (%v, %d), reference (%v, %d)", what, gotV, got, wantV, want)
 							}
 						}
 						we, wh, wf := ref.state()
@@ -325,8 +419,8 @@ func TestVectorOpsOutsideSpacePanic(t *testing.T) {
 	m := New(Config{})
 	end := m.tiers[TierDRAM].Base + m.tiers[TierDRAM].Size
 	for name, f := range map[string]func(){
-		"add":  func() { m.AddVector32(0, end-8, make([]int32, 4)) },
-		"read": func() { m.ReadVector32Append(0, end-64, 32, nil) },
+		"add":  func() { m.AddVector32BE(0, end-8, make([]byte, 16)) },
+		"read": func() { m.ReadVector32BE(0, end-64, make([]byte, 128)) },
 	} {
 		func() {
 			defer func() {
@@ -342,21 +436,28 @@ func TestVectorOpsOutsideSpacePanic(t *testing.T) {
 var sinkTime sim.Time
 
 // BenchmarkAddVector32Chunk is the aggregator's unit of work — one
-// 16-gradient chunk per call, walking a 1024-gradient buffer — through the
-// kernel and through the reference word loop.
+// 16-gradient chunk of wire lanes per call, walking a 1024-gradient buffer —
+// through the kernel and through the reference word loop, which takes the
+// chunk decoded.
 func BenchmarkAddVector32Chunk(b *testing.B) {
 	for _, side := range []struct {
 		name string
-		add  func(*Memory, sim.Time, uint64, []int32) sim.Time
-	}{{"kernel", (*Memory).AddVector32}, {"wordloop", (*Memory).refAddVector32}} {
+		add  func(*Memory, sim.Time, uint64, []byte) sim.Time
+	}{{"kernel", (*Memory).AddVector32BE}, {"wordloop", func(m *Memory, now sim.Time, addr uint64, lanes []byte) sim.Time {
+		var deltas [16]int32
+		for i := range deltas {
+			deltas[i] = int32(binary.BigEndian.Uint32(lanes[4*i:]))
+		}
+		return m.refAddVector32(now, addr, deltas[:])
+	}}} {
 		b.Run(side.name, func(b *testing.B) {
 			m := New(Config{NumRMWEngines: 12})
 			addr := m.Alloc(TierDRAM, 4096)
-			deltas := make([]int32, 16)
+			lanes := make([]byte, 64)
 			var now sim.Time
 			for i := 0; b.Loop(); i++ {
 				now += sim.Microsecond
-				sinkTime = side.add(m, now, addr+uint64(i%64*64), deltas)
+				sinkTime = side.add(m, now, addr+uint64(i%64*64), lanes)
 			}
 		})
 	}

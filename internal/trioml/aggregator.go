@@ -153,7 +153,6 @@ type Aggregator struct {
 	frame packet.Frame
 	gs    gradStream
 	rec   [recordTxnBytes]byte // record read/write staging
-	res   []int32              // result-build gradient accumulator
 }
 
 // New installs a Trio-ML aggregator as p's application.
@@ -423,7 +422,9 @@ func genOlder(a, b uint16) bool { return int16(a-b) < 0 }
 //
 // Gradient bytes are staged as they arrive, wire order, until a 64-byte chunk
 // is whole; head/tail misalignment (the head ends mid-gradient at the default
-// 192-byte split) needs no special case because the staging is bytewise.
+// 192-byte split) needs no special case because the staging is bytewise. The
+// staged bytes go to shared memory as they are: the RMW vector add takes
+// big-endian wire lanes, so a gradient is never decoded on the way.
 type gradStream struct {
 	ctx   *pfe.Ctx
 	addr  uint64 // aggregation-buffer address of the staged chunk
@@ -431,7 +432,6 @@ type gradStream struct {
 	left  int                  // gradient bytes the packet still owes
 	n     int                  // bytes staged in chunk
 	chunk [4 * chunkGrads]byte // wire bytes of the chunk being assembled
-	lanes [chunkGrads]int32    // the chunk decoded, for the RMW vector add
 }
 
 // consume stages the next gradient bytes, charging and flushing each chunk
@@ -451,7 +451,7 @@ func (g *gradStream) consume(b []byte) {
 
 // flush issues the staged whole gradients as one XTXN: the first source of a
 // block writes the wire bytes as they are (padded to the 8-byte transaction
-// grain), later sources add them lane by lane.
+// grain), later sources have the engines add them as wire lanes.
 func (g *gradStream) flush() {
 	n := g.n &^ 3
 	if g.first {
@@ -459,11 +459,7 @@ func (g *gradStream) flush() {
 		clear(g.chunk[n:pad])
 		g.ctx.MemWrite(g.addr, g.chunk[:pad], true)
 	} else {
-		lanes := g.lanes[:n/4]
-		for i := range lanes {
-			lanes[i] = int32(binary.BigEndian.Uint32(g.chunk[4*i:]))
-		}
-		g.ctx.AddVector32(g.addr, lanes)
+		g.ctx.AddVector32BE(g.addr, g.chunk[:n])
 	}
 	g.addr += uint64(n)
 	g.n = 0
@@ -502,60 +498,8 @@ func (a *Aggregator) aggregateGradients(ctx *pfe.Ctx, f *packet.Frame, h *packet
 // and updates the job record. Degraded results carry the straggler
 // signalling fields of §5.
 func (a *Aggregator) finishBlock(ctx *pfe.Ctx, js *jobState, blockKey uint64, recAddr uint64, rec BlockRecord, job JobRecord, degraded bool) {
-	// Result-build loop: pull 256-byte chunks from the aggregation buffer
-	// and write them to the Packet Buffer (Fig. 10).
-	grads := a.res[:0]
-	for off := 0; off < int(rec.GradCnt); off += resultChunkGrads {
-		n := int(rec.GradCnt) - off
-		if n > resultChunkGrads {
-			n = resultChunkGrads
-		}
-		ctx.ChargeInstr(instrPerResultChunk)
-		grads = ctx.ReadVector32Append(uint64(rec.AggrPAddr)+uint64(4*off), n, grads)
-	}
-	a.res = grads
-	ctx.ChargeInstr(instrResultHeader)
-
-	// Compose the degradation provenance: aging HERE stamps this
-	// aggregator's level code; a block whose contributions were already
-	// partial (a lower level aged) keeps the highest level seen. Either
-	// way the result is marked degraded so receivers know the sum is not
-	// the full fan-in, exactly as in the flat §5 protocol when
-	// LevelCode is unset.
-	ageOp := rec.AggAgeOp
-	if degraded {
-		lc := a.LevelCode
-		if lc == 0 {
-			lc = 1
-		}
-		if lc > ageOp {
-			ageOp = lc
-		}
-	}
-	_, blockID := SplitKey(blockKey)
-	hdr := packet.TrioML{
-		JobID:    js.cfg.JobID,
-		BlockID:  blockID,
-		GenID:    rec.GenID,
-		SrcCnt:   rec.RcvdCnt,
-		GradCnt:  rec.GradCnt,
-		Degraded: degraded || ageOp > 0,
-		AgeOp:    ageOp,
-	}
-	spec := js.cfg.ResultSpec
-	var frame []byte
-	if js.cfg.UpstreamPort >= 0 {
-		// Hierarchical first level: contribute upward as one source.
-		hdr.SrcID = js.cfg.UpstreamSrcID
-		frame = packet.BuildTrioML(spec, hdr, grads)
-		ctx.Emit(js.cfg.UpstreamPort, frame)
-	} else {
-		hdr.SrcID = ResultSrcID
-		frame = packet.BuildTrioML(spec, hdr, grads)
-		for _, p := range js.cfg.ResultPorts {
-			ctx.Emit(p, frame)
-		}
-	}
+	hdr, frame := a.buildResult(ctx, js, blockKey, rec, degraded)
+	emitResult(ctx, js, frame)
 	if js.served != nil {
 		js.served.Put(blockKey, rec.GenID, frame)
 	}
@@ -582,19 +526,72 @@ func (a *Aggregator) finishBlock(ctx *pfe.Ctx, js *jobState, blockKey uint64, re
 	a.writeJob(ctx, uint64(rec.JobCtxPAddr), job)
 }
 
+// buildResult lays out the block's Result frame and reads the aggregation
+// buffer straight into its gradient bytes. The header depends only on the
+// record, the job and degraded, so the frame exists before the result-build
+// loop pulls 256-byte chunks from the buffer into it (Fig. 10); the gradients
+// stay big-endian lanes from memory to wire.
+func (a *Aggregator) buildResult(ctx *pfe.Ctx, js *jobState, blockKey uint64, rec BlockRecord, degraded bool) (packet.TrioML, []byte) {
+	// Compose the degradation provenance: aging HERE stamps this
+	// aggregator's level code; a block whose contributions were already
+	// partial (a lower level aged) keeps the highest level seen. Either
+	// way the result is marked degraded so receivers know the sum is not
+	// the full fan-in, exactly as in the flat §5 protocol when
+	// LevelCode is unset.
+	ageOp := rec.AggAgeOp
+	if degraded {
+		lc := a.LevelCode
+		if lc == 0 {
+			lc = 1
+		}
+		if lc > ageOp {
+			ageOp = lc
+		}
+	}
+	_, blockID := SplitKey(blockKey)
+	hdr := packet.TrioML{
+		JobID:    js.cfg.JobID,
+		BlockID:  blockID,
+		GenID:    rec.GenID,
+		SrcID:    ResultSrcID,
+		SrcCnt:   rec.RcvdCnt,
+		GradCnt:  rec.GradCnt,
+		Degraded: degraded || ageOp > 0,
+		AgeOp:    ageOp,
+	}
+	if js.cfg.UpstreamPort >= 0 {
+		// Hierarchical first level: contribute upward as one source.
+		hdr.SrcID = js.cfg.UpstreamSrcID
+	}
+	frame, grads := packet.TrioMLFrame(js.cfg.ResultSpec, hdr, int(rec.GradCnt))
+	for off := 0; off < len(grads); off += 4 * resultChunkGrads {
+		ctx.ChargeInstr(instrPerResultChunk)
+		ctx.ReadVector32BE(uint64(rec.AggrPAddr)+uint64(off), grads[off:min(off+4*resultChunkGrads, len(grads))])
+	}
+	ctx.ChargeInstr(instrResultHeader)
+	packet.SetUDPChecksum(frame)
+	return hdr, frame
+}
+
+// emitResult sends a Result frame upward (a hierarchy's first level) or
+// multicasts it to the job's result ports.
+func emitResult(ctx *pfe.Ctx, js *jobState, frame []byte) {
+	if js.cfg.UpstreamPort >= 0 {
+		ctx.Emit(js.cfg.UpstreamPort, frame)
+		return
+	}
+	for _, p := range js.cfg.ResultPorts {
+		ctx.Emit(p, frame)
+	}
+}
+
 // replayResult re-emits a cached Result frame for a retransmitted
 // contribution to an already-served block. The replayed bytes are the exact
 // frame the block's completion emitted, so every source converges on
 // identical sums no matter how many Result deliveries were lost.
 func (a *Aggregator) replayResult(ctx *pfe.Ctx, js *jobState, frame []byte) {
 	ctx.ChargeInstr(instrResultHeader)
-	if js.cfg.UpstreamPort >= 0 {
-		ctx.Emit(js.cfg.UpstreamPort, frame)
-	} else {
-		for _, p := range js.cfg.ResultPorts {
-			ctx.Emit(p, frame)
-		}
-	}
+	emitResult(ctx, js, frame)
 	a.stats.ResultReplays++
 	ctx.Consume()
 }

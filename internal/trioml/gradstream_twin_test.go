@@ -15,9 +15,9 @@ import (
 
 // refGradStream is the per-gradient streaming state aggregateGradients used
 // to run on — one push per decoded gradient, a 4-byte carry for gradients
-// split across head/tail or chunk edges, and a decode-then-re-encode write
-// for the first source — kept verbatim as the oracle for the chunk-staging
-// gradStream.
+// split across head/tail or chunk edges, and every staged batch re-encoded to
+// wire lanes for the first source's write and for the later sources' vector
+// add — kept as the oracle for the chunk-staging gradStream.
 type refGradStream struct {
 	ctx        *pfe.Ctx
 	bufAddr    uint64
@@ -45,15 +45,15 @@ func (g *refGradStream) flush() {
 		return
 	}
 	addr := g.bufAddr + uint64(4*(g.gradIdx-len(g.batch)))
+	n := 4 * len(g.batch)
+	packet.PutGradients(g.wbuf[:n], g.batch)
 	if g.first {
-		n := 4 * len(g.batch)
-		packet.PutGradients(g.wbuf[:n], g.batch)
 		for ; n%8 != 0; n++ {
 			g.wbuf[n] = 0
 		}
 		g.ctx.MemWrite(addr, g.wbuf[:n], true)
 	} else {
-		g.ctx.AddVector32(addr, g.batch)
+		g.ctx.AddVector32BE(addr, g.wbuf[:n])
 	}
 	g.batch = g.batch[:0]
 }
