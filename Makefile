@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet pairs verify verify-unreached verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
+.PHONY: build test vet pairs verify verify-unreached verify-knobs verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
 
 build:
 	$(GO) build ./...
@@ -26,9 +26,9 @@ pairs:
 # full build + tests, whole-repo vet, then the race suites of the
 # concurrency-critical layers (hostagg's single-lock hot path, obs's atomic
 # instruments, dse's worker pool, tree's partitioned hierarchy), the
-# reachability ledger, the metric documentation check, the CLI-level golden
-# diff, and an every-example smoke run.
-verify: build test vet verify-unreached verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
+# reachability and config-surface ledgers, the metric documentation check,
+# the CLI-level golden diff, and an every-example smoke run.
+verify: build test vet verify-unreached verify-knobs verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
 
 # verify-unreached runs every experiment, the benchmark smoke test and the CLI
 # tests under coverage and checks that each internal function none of them
@@ -36,6 +36,13 @@ verify: build test vet verify-unreached verify-hostagg verify-hostagg-slo verify
 # function is reached or gone (≈30 s, so outside tier-1).
 verify-unreached:
 	@tools/unreached.sh
+
+# verify-knobs type-checks the module, tests included, and checks that each
+# exported field of an internal/ struct type that no non-test code writes is
+# listed with a reason in testdata/knobs.txt, and that no listed field is gone
+# or written outside tests (≈25 s, so outside tier-1).
+verify-knobs:
+	$(GO) run ./tools/knobs
 
 # verify-hostagg races the block table and its UDP shell, races the client's
 # and the server loop's tests ten times over at one and two CPUs (their read
@@ -61,8 +68,8 @@ verify-hostagg-slo:
 	$(GO) test -fuzz=FuzzHandle -fuzztime=10s -run FuzzHandle ./internal/hostagg/
 	$(GO) test -fuzz=FuzzGROSplit -fuzztime=10s -run FuzzGROSplit ./internal/hostagg/
 
-# verify-faults races the fault-injection plan and the crash/rejoin training
-# clusters that consume it.
+# verify-faults races the fault-injection plan and mltrain, whose Worker the
+# chaos rig runs under that plan.
 verify-faults:
 	$(GO) test -race ./internal/faults/... ./internal/mltrain/...
 

@@ -64,10 +64,10 @@ func main() {
 	}
 
 	marked := map[int]bool{}
-	router.AttachExternal(0, model.EgressPort, func(_ int, f []byte, _ sim.Time) {
+	router.AttachExternal(0, infnet.EgressPort, func(_ int, f []byte, _ sim.Time) {
 		for i, p := range probes {
 			if len(f) == len(p.frame) {
-				marked[i] = f[15] == 0xE0 // default MarkOff/Mark
+				marked[i] = f[infnet.MarkOff] == infnet.Mark
 			}
 		}
 	})

@@ -23,10 +23,9 @@ type Cost struct {
 	SRAMBytes uint64
 }
 
-// Cost evaluates the analytic model for cfg (defaults applied; an invalid
-// configuration yields the zero cost — check separately via Program).
+// Cost evaluates the analytic model for cfg (an invalid configuration
+// yields the zero cost — check separately via Program).
 func (cfg Config) Cost() Cost {
-	cfg = cfg.withDefaults()
 	if cfg.check() != nil {
 		return Cost{}
 	}

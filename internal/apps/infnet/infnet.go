@@ -38,8 +38,9 @@ import (
 type Mode int
 
 const (
-	// ModeFlag marks attack packets in place (Mark written at MarkOff) and
-	// forwards everything — in-band telemetry for a downstream collector.
+	// ModeFlag marks attack packets in place (frame byte MarkOff set to
+	// Mark) and forwards everything — in-band telemetry for a downstream
+	// collector.
 	ModeFlag Mode = iota
 	// ModeShed drops attack packets in the PFE — in-network DDoS defense.
 	ModeShed
@@ -55,6 +56,12 @@ const (
 const (
 	maxNeurons = 8 // hidden activations live in r16..r23
 	maxShift   = 63
+	// EgressPort is where forwarded traffic leaves the PFE.
+	EgressPort = 0
+	// ModeFlag's in-place flag: frame byte MarkOff (the IPv4 TOS byte) is
+	// overwritten with Mark on attack packets.
+	MarkOff = 15
+	Mark    = 0xE0
 )
 
 // Config is a quantized MLP plus its data-path wiring.
@@ -74,23 +81,6 @@ type Config struct {
 	Bias2 [2]int32
 
 	Mode Mode
-	// EgressPort is where forwarded traffic leaves the PFE.
-	EgressPort int
-	// MarkOff / Mark are the in-place flag for ModeFlag: frame byte
-	// MarkOff is overwritten with Mark on attack packets. Defaults: 15
-	// (the IPv4 TOS byte) and 0xE0.
-	MarkOff int
-	Mark    uint8
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.MarkOff == 0 {
-		cfg.MarkOff = 15
-	}
-	if cfg.Mark == 0 {
-		cfg.Mark = 0xE0
-	}
-	return cfg
 }
 
 func (cfg Config) check() error {
@@ -122,12 +112,6 @@ func (cfg Config) check() error {
 	if cfg.Shift > maxShift {
 		return fmt.Errorf("infnet: shift %d out of range", cfg.Shift)
 	}
-	if cfg.MarkOff < 0 || cfg.MarkOff >= microcode.LMemBytes {
-		return fmt.Errorf("infnet: mark offset %d outside local memory", cfg.MarkOff)
-	}
-	if cfg.EgressPort < 0 {
-		return fmt.Errorf("infnet: egress port must be non-negative")
-	}
 	return nil
 }
 
@@ -143,7 +127,6 @@ type Decision struct {
 // the generated program (wrapping uint64 arithmetic, mask-based ReLU,
 // logical shifts), so microcode execution must reproduce it bit for bit.
 func (cfg Config) Classify(frame []byte) Decision {
-	cfg = cfg.withDefaults()
 	x := make([]uint64, len(cfg.Features))
 	for i, off := range cfg.Features {
 		if off < len(frame) {
@@ -264,7 +247,7 @@ func source(cfg Config, ctrBase uint64) string {
 		fmt.Fprintf(&b, "attack:\nbegin\n    counter_inc(CTR_BASE + %d, 1);\n    exit(drop);\nend\n", 16*ctrAttack)
 	} else {
 		fmt.Fprintf(&b, "attack:\nbegin\n    counter_inc(CTR_BASE + %d, 1);\n    lmem8[%d] = %d;\n    exit(forward);\nend\n",
-			16*ctrAttack, cfg.MarkOff, cfg.Mark)
+			16*ctrAttack, MarkOff, Mark)
 	}
 	return b.String()
 }
@@ -273,7 +256,6 @@ func source(cfg Config, ctrBase uint64) string {
 // Exported so program-level DSE and benchmarks can build variants without
 // provisioning a PFE.
 func Program(cfg Config, ctrBase uint64) (*microcode.Program, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
@@ -312,12 +294,8 @@ func (s *Service) Stats() Stats {
 // program through the v2 verify/compile pipeline, and installs it as p's
 // application.
 func Install(p *pfe.PFE, cfg Config) (*Service, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.check(); err != nil {
 		return nil, err
-	}
-	if cfg.EgressPort >= p.Cfg.NumPorts {
-		return nil, fmt.Errorf("infnet: egress port %d outside the PFE's %d ports", cfg.EgressPort, p.Cfg.NumPorts)
 	}
 	for _, off := range cfg.Features {
 		if off >= p.Cfg.HeadBytes {
@@ -332,7 +310,7 @@ func Install(p *pfe.PFE, cfg Config) (*Service, error) {
 	app := &pfe.MicrocodeApp{
 		Program:    prog,
 		Entry:      "n0_bias",
-		EgressPort: cfg.EgressPort,
+		EgressPort: EgressPort,
 	}
 	if err := app.Compile(); err != nil {
 		return nil, fmt.Errorf("infnet: compiling: %w", err)

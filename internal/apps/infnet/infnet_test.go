@@ -80,8 +80,8 @@ func newInfRig(t *testing.T, cfg Config) *infRig {
 	}
 	r := &infRig{eng: eng, p: p, svc: svc}
 	p.SetOutput(func(port int, fr []byte, at sim.Time) {
-		if port != cfg.EgressPort {
-			t.Errorf("frame delivered on port %d, want %d", port, cfg.EgressPort)
+		if port != EgressPort {
+			t.Errorf("frame delivered on port %d, want %d", port, EgressPort)
 		}
 		r.out = append(r.out, append([]byte(nil), fr...))
 	})
@@ -261,7 +261,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 	}
 	rc := newInfRig(t, cfg)
 	ri := newInfRig(t, cfg)
-	ri.svc.App.Interpret = true
+	ri.p.SetApp(pfe.Interpreted(ri.svc.App))
 	drive(rc)
 	drive(ri)
 	rc.checkErrors(t)
@@ -340,10 +340,6 @@ func TestConfigValidation(t *testing.T) {
 	c2 := tinyModel()
 	c2.Features[0] = 5000
 	bad = append(bad, c2)
-	// Egress port out of range.
-	c3 := tinyModel()
-	c3.EgressPort = 99
-	bad = append(bad, c3)
 	for i, cfg := range bad {
 		if _, err := Install(p, cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)

@@ -37,23 +37,18 @@ func RPCKey(method uint16, args []byte) uint64 {
 // client's port on the service PFE — the cache addresses replies (and
 // coalesced-fanout replicas) by forwarding to port client_id.
 type Client struct {
-	ID        uint16
-	Spec      packet.UDPSpec
-	RespBytes int // service cell size; requests are padded to it
+	ID   uint16
+	Spec packet.UDPSpec
 }
 
 // Request serializes a netrpc request for method(args), padded to the
 // service's fixed cell size so a cache hit can rewrite it into the
 // response in place.
 func (c *Client) Request(method uint16, args []byte) []byte {
-	respBytes := c.RespBytes
-	if respBytes == 0 {
-		respBytes = 32
+	if len(args) > defaultCell {
+		panic(fmt.Sprintf("netrpc: %d args bytes exceed the %d-byte cell", len(args), defaultCell))
 	}
-	if len(args) > respBytes {
-		panic(fmt.Sprintf("netrpc: %d args bytes exceed the %d-byte cell", len(args), respBytes))
-	}
-	cell := make([]byte, respBytes)
+	cell := make([]byte, defaultCell)
 	copy(cell, args)
 	return packet.BuildNetRPC(c.Spec, packet.NetRPC{
 		Op:       packet.NetRPCRequest,
@@ -86,13 +81,10 @@ func ParseResponse(frame []byte) (packet.NetRPC, []byte, error) {
 
 // Origin is the simulated origin server behind the cache: a deterministic
 // executor for idempotent RPCs. Handle turns a request frame into the
-// response frame the server would send back through the PFE; Compute is
-// the (pure) method implementation and defaults to an order-insensitive
-// digest of (method, args) that tests can recompute independently.
+// response frame the server would send back through the PFE, computed by
+// DefaultCompute.
 type Origin struct {
-	Spec    packet.UDPSpec
-	Compute func(method uint16, args []byte, respBytes int) []byte
-	Served  int // requests executed
+	Served int // requests executed
 }
 
 // DefaultCompute fills the result cell with a method/args digest stream —
@@ -120,19 +112,15 @@ func (o *Origin) Handle(frame []byte) []byte {
 		return nil
 	}
 	respBytes := len(rest)
-	compute := o.Compute
-	if compute == nil {
-		compute = DefaultCompute
-	}
 	args := rest
 	if int(h.PayloadLen) <= len(rest) {
 		args = rest[:h.PayloadLen]
 	}
 	o.Served++
-	return packet.BuildNetRPC(o.Spec, packet.NetRPC{
+	return packet.BuildNetRPC(packet.UDPSpec{}, packet.NetRPC{
 		Op:       packet.NetRPCResponse,
 		ClientID: h.ClientID,
 		Method:   h.Method,
 		RPCID:    h.RPCID,
-	}, compute(h.Method, args, respBytes))
+	}, DefaultCompute(h.Method, args, respBytes))
 }

@@ -42,8 +42,6 @@ import (
 
 	"github.com/trioml/triogo/internal/microcode"
 	"github.com/trioml/triogo/internal/packet"
-	"github.com/trioml/triogo/internal/sim"
-	"github.com/trioml/triogo/internal/trio/hasheng"
 	"github.com/trioml/triogo/internal/trio/pfe"
 	"github.com/trioml/triogo/internal/trio/smem"
 )
@@ -95,22 +93,15 @@ type Config struct {
 	// ("fixed-size RPC cells"). Multiple of 8 in 8..64 (one 64-byte XTXN);
 	// default 32.
 	RespBytes int
-	// ServerPort is the port facing the origin server: requests egress
-	// here, and responses are only trusted from here. Default NumPorts-1.
-	ServerPort int
-	// AgePeriod enables TTL aging when nonzero: AgeParts timer threads
-	// sweep the hash table every AgePeriod, expiring entries not referenced
-	// since the previous sweep (REF-flag aging, §5). AgeParts defaults to 4.
-	AgePeriod sim.Time
-	AgeParts  int
 }
+
+// defaultCell is the default RespBytes, and the cell every Client request
+// is padded to.
+const defaultCell = 32
 
 func (cfg Config) withDefaults() Config {
 	if cfg.RespBytes == 0 {
-		cfg.RespBytes = 32
-	}
-	if cfg.AgeParts == 0 {
-		cfg.AgeParts = 4
+		cfg.RespBytes = defaultCell
 	}
 	return cfg
 }
@@ -121,9 +112,6 @@ func (cfg Config) check() error {
 	}
 	if cfg.RespBytes%8 != 0 || cfg.RespBytes < 8 || cfg.RespBytes > 64 {
 		return fmt.Errorf("netrpc: resp bytes must be a multiple of 8 in 8..64, got %d", cfg.RespBytes)
-	}
-	if cfg.ServerPort < 0 {
-		return fmt.Errorf("netrpc: server port must be non-negative, got %d", cfg.ServerPort)
 	}
 	return nil
 }
@@ -525,17 +513,14 @@ type Service struct {
 	BufBase    uint64
 	CtrBase    uint64
 	HitCtrBase uint64
-	Timers     *pfe.TimerThreads
 
-	cfg     Config
-	fanout  atomic.Uint64
-	expired atomic.Uint64
+	cfg    Config
+	fanout atomic.Uint64
 }
 
 // Stats is a control-plane snapshot of the service counters. The request
 // counters live in shared memory (the program increments them with RMW
-// counter XTXNs); Fanout and Expired are host-side tallies of the
-// replication hook and the aging sweep.
+// counter XTXNs); Fanout is the replication hook's host-side tally.
 type Stats struct {
 	Hits        uint64 // requests served from the cache
 	Coalesced   uint64 // requests absorbed into a pending entry
@@ -545,7 +530,6 @@ type Stats struct {
 	Adopted     uint64 // responses adopted into the cache
 	Passthrough uint64 // responses forwarded for untracked requests
 	Fanout      uint64 // replicated replies delivered to coalesced waiters
-	Expired     uint64 // entries expired by the aging sweep
 }
 
 // Requests reports the total requests the service classified.
@@ -567,7 +551,6 @@ func (s *Service) Stats() Stats {
 		Adopted:     s.ctr(ctrAdopted),
 		Passthrough: s.ctr(ctrPassthrough),
 		Fanout:      s.fanout.Load(),
-		Expired:     s.expired.Load(),
 	}
 }
 
@@ -582,14 +565,8 @@ func (s *Service) SlotHits(slot int) (uint64, uint64) {
 // cfg.AgePeriod > 0) starts the aging timer threads.
 func Install(p *pfe.PFE, cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
-	if cfg.ServerPort == 0 {
-		cfg.ServerPort = p.Cfg.NumPorts - 1
-	}
 	if err := cfg.check(); err != nil {
 		return nil, err
-	}
-	if cfg.ServerPort >= p.Cfg.NumPorts {
-		return nil, fmt.Errorf("netrpc: server port %d outside the PFE's %d ports", cfg.ServerPort, p.Cfg.NumPorts)
 	}
 	if payOff+cfg.RespBytes > p.Cfg.HeadBytes {
 		return nil, fmt.Errorf("netrpc: %d response bytes exceed the %d-byte head", cfg.RespBytes, p.Cfg.HeadBytes)
@@ -598,7 +575,9 @@ func Install(p *pfe.PFE, cfg Config) (*Service, error) {
 	ctrBase := p.Mem.Alloc(smem.TierSRAM, numCtrs*16)
 	hitCtrBase := p.Mem.Alloc(smem.TierSRAM, uint64(cfg.Slots)*16)
 	bufBase := p.Mem.Alloc(smem.TierDRAM, uint64(cfg.Slots)*uint64(cfg.RespBytes))
-	prog, err := Program(cfg, recBase, bufBase, ctrBase, hitCtrBase, cfg.ServerPort)
+	// The PFE's last port faces the origin server: requests egress there,
+	// and responses are only trusted from there.
+	prog, err := Program(cfg, recBase, bufBase, ctrBase, hitCtrBase, p.Cfg.NumPorts-1)
 	if err != nil {
 		return nil, err
 	}
@@ -621,9 +600,6 @@ func Install(p *pfe.PFE, cfg Config) (*Service, error) {
 	}
 	s.App = app
 	p.SetApp(app)
-	if cfg.AgePeriod > 0 {
-		s.Timers = p.StartTimerThreads(cfg.AgeParts, cfg.AgePeriod, s.ageSweep)
-	}
 	return s, nil
 }
 
@@ -650,19 +626,4 @@ func (s *Service) finish(th *microcode.Thread, ctx *pfe.Ctx, v microcode.Verdict
 		ctx.Emit(port, rep)
 		s.fanout.Add(1)
 	}
-}
-
-// ageSweep is the §5 expiry machinery applied to the request table: entries
-// whose REF flag was not refreshed since the last sweep are deleted from
-// the hash engine and their slot records freed for reclamation.
-func (s *Service) ageSweep(ctx *pfe.Ctx, part int) {
-	var zero [recBytes]byte
-	ctx.ScanHashPartition(part, s.cfg.AgeParts, func(key, val uint64, ref bool) hasheng.ScanAction {
-		if ref {
-			return hasheng.ScanClearRef
-		}
-		ctx.MemWrite(s.RecBase+val*recBytes, zero[:], true)
-		s.expired.Add(1)
-		return hasheng.ScanDelete
-	})
 }

@@ -45,13 +45,7 @@ func (r *rig) serverPort() int { return r.p.Cfg.NumPorts - 1 }
 func (r *rig) inject(port int, frame []byte) {
 	r.flow++
 	r.p.Inject(port, r.flow, frame)
-	if r.svc.Timers != nil {
-		// Periodic timer threads keep the event queue non-empty forever;
-		// settle within a bounded horizon instead of draining it.
-		r.eng.RunUntil(r.eng.Now() + 2*sim.Microsecond)
-	} else {
-		r.eng.Run()
-	}
+	r.eng.Run()
 }
 
 // take drains the frames delivered on port.
@@ -274,64 +268,8 @@ func TestPoisonRejection(t *testing.T) {
 	r.checkErrors()
 }
 
-// TestTTLAging: entries not referenced between sweeps are expired — hash
-// entry deleted, slot record zeroed — and the slot becomes claimable
-// again. A re-request after expiry is a fresh miss, not a stale hit.
-func TestTTLAging(t *testing.T) {
-	r := newRig(t, Config{Slots: 64, AgePeriod: 10 * sim.Microsecond})
-	const rpc = uint64(0x42)
-	r.inject(1, directRequest(1, rpc))
-	r.serverRoundTrip()
-	r.take(1)
-	if st := r.svc.Stats(); st.Adopted != 1 {
-		t.Fatalf("setup: %+v", st)
-	}
-
-	// Two sweep periods idle: sweep 1 clears REF, sweep 2 expires.
-	r.eng.RunUntil(r.eng.Now() + 25*sim.Microsecond)
-	if st := r.svc.Stats(); st.Expired != 1 {
-		t.Fatalf("after idle sweeps: %+v", st)
-	}
-	r.svc.Timers.Stop()
-
-	// Same rpc again: miss → claim, proving both hash entry and record
-	// were reclaimed.
-	r.inject(2, directRequest(2, rpc))
-	if st := r.svc.Stats(); st.Claims != 2 || st.Hits != 0 || st.Bypass != 0 {
-		t.Fatalf("after expiry re-request: %+v", st)
-	}
-	r.checkErrors()
-}
-
-// TestRefKeepsEntryAlive: a cache hit refreshes the REF flag, so a hot
-// entry survives sweeps that expire an idle one.
-func TestRefKeepsEntryAlive(t *testing.T) {
-	r := newRig(t, Config{Slots: 64, AgePeriod: 10 * sim.Microsecond})
-	const hot, cold = uint64(0x51), uint64(0x62)
-	r.inject(1, directRequest(1, hot))
-	r.inject(1, directRequest(1, cold))
-	r.serverRoundTrip()
-	r.take(1)
-
-	// Re-request the hot entry on a cadence shorter than the sweep period,
-	// so every inter-sweep gap contains a REF refresh.
-	for i := 0; i < 5; i++ {
-		r.eng.RunUntil(r.eng.Now() + 6*sim.Microsecond)
-		r.inject(2, directRequest(2, hot)) // hit → REF set
-		r.take(2)
-	}
-	st := r.svc.Stats()
-	if st.Expired != 1 {
-		t.Fatalf("expired = %d, want 1 (cold only): %+v", st.Expired, st)
-	}
-	if st.Hits != 5 {
-		t.Fatalf("hot entry missed: %+v", st)
-	}
-	r.checkErrors()
-}
-
 // scriptedWorkload drives a deterministic mixed workload — claims, hits,
-// coalesced duplicates, collisions, poisons, aging — used by the
+// coalesced duplicates, collisions, poisons — used by the
 // twin-engine equivalence test.
 func scriptedWorkload(r *rig) {
 	for i := 0; i < 8; i++ {
@@ -360,7 +298,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 	cfg := Config{Slots: 64}
 	rc := newRig(t, cfg)
 	ri := newRig(t, cfg)
-	ri.svc.App.Interpret = true
+	ri.p.SetApp(pfe.Interpreted(ri.svc.App))
 	scriptedWorkload(rc)
 	scriptedWorkload(ri)
 	rc.checkErrors()
@@ -387,7 +325,6 @@ func TestConfigValidation(t *testing.T) {
 		{Slots: 48},
 		{Slots: 64, RespBytes: 12},
 		{Slots: 64, RespBytes: 128},
-		{Slots: 64, ServerPort: 99},
 	} {
 		if _, err := Install(p, cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
@@ -418,7 +355,6 @@ func TestRegisterObsReadsTheServiceCounters(t *testing.T) {
 		"triogo_apps_netrpc_bypass_total":      st.Bypass,
 		"triogo_apps_netrpc_poisoned_total":    st.Poisoned,
 		"triogo_apps_netrpc_passthrough_total": st.Passthrough,
-		"triogo_apps_netrpc_expired_total":     st.Expired,
 	} {
 		if snap[name] != float64(want) {
 			t.Errorf("%s = %v, stats say %d", name, snap[name], want)

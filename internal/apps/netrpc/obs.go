@@ -7,8 +7,8 @@ import (
 // RegisterObs exports the service's counters into a metrics registry. The
 // request/response classification counters live in shared memory (the
 // program increments them with RMW counter XTXNs), so their series read
-// through Memory.Counter at scrape time; fanout and expiry are host-side
-// atomics from the replication hook and the aging sweep.
+// through Memory.Counter at scrape time; fanout is a host-side atomic from
+// the replication hook.
 func (s *Service) RegisterObs(r *obs.Registry) {
 	if r == nil {
 		return
@@ -35,8 +35,4 @@ func (s *Service) RegisterObs(r *obs.Registry) {
 		Name: "triogo_apps_netrpc_fanout_total", Unit: "responses",
 		Help: "Replicated replies delivered to coalesced waiters by the MQSS hook.",
 	}, s.fanout.Load)
-	r.CounterFunc(obs.Desc{
-		Name: "triogo_apps_netrpc_expired_total", Unit: "entries",
-		Help: "Cache entries expired by the REF-flag aging sweep.",
-	}, s.expired.Load)
 }

@@ -3,7 +3,7 @@
 // §7 leaves as future work (transient loss is already native to netsim) —
 // frame corruption, duplication, reordering and link flaps on links, PPE
 // thread stalls and RMW bank errors inside a PFE, recv drops and table
-// crashes in the host aggregator, and worker crash/rejoin in training runs.
+// crashes in the host aggregator.
 //
 // Design rules, mirroring internal/obs:
 //
@@ -42,7 +42,6 @@ const (
 	streamPPE      uint64 = 0xFB << 32
 	streamMem      uint64 = 0xFC << 32
 	streamHostagg  uint64 = 0xFD << 32
-	streamTrain    uint64 = 0xFE << 32
 )
 
 // Window is one timed fault interval [Start, End) in virtual time.
@@ -72,20 +71,25 @@ func (c LinkConfig) enabled() bool {
 
 // PFEConfig selects PPE thread-stall injection: each work item (packet or
 // timer firing) stalls with StallProb for a duration uniform in
-// [StallMin, StallMax].
+// [stallMin, stallMax].
 type PFEConfig struct {
 	StallProb float64
-	StallMin  sim.Time // default 10 µs
-	StallMax  sim.Time // default 100 µs
 }
 
+// The range of an injected PPE stall, and what a bank error costs the RMW
+// engine that retries it.
+const (
+	stallMin    = 10 * sim.Microsecond
+	stallMax    = 100 * sim.Microsecond
+	retryCycles = 64
+)
+
 // MemConfig selects RMW bank-error injection: each engine request hits a
-// detected-and-retried ECC error with BankErrorProb, costing RetryCycles
+// detected-and-retried ECC error with BankErrorProb, costing retryCycles
 // extra engine cycles. Data is never corrupted (the hardware model is
 // detect-and-replay), so bank errors perturb timing only.
 type MemConfig struct {
 	BankErrorProb float64
-	RetryCycles   uint64 // default 64
 }
 
 // HostaggConfig selects host-aggregator injection, applied under the block
@@ -95,24 +99,12 @@ type HostaggConfig struct {
 	CrashEvery   uint64  // wipe the table's open blocks every N contributions (0: never)
 }
 
-// TrainConfig selects worker crash/rejoin injection for mltrain clusters:
-// per (iteration, worker), a crash with CrashProb, starting CrashAfter into
-// the iteration and lasting Downtime, both drawn uniformly from their
-// ranges. Zero ranges are filled by the cluster from the model's typical
-// iteration time.
-type TrainConfig struct {
-	CrashProb                    float64
-	CrashAfterMin, CrashAfterMax sim.Time
-	DowntimeMin, DowntimeMax     sim.Time
-}
-
 // Config assembles one Plan's fault selection across every layer.
 type Config struct {
 	Link    LinkConfig
 	PFE     PFEConfig
 	Mem     MemConfig
 	Hostagg HostaggConfig
-	Train   TrainConfig
 }
 
 // Stats is a snapshot of every injected-fault counter.
@@ -126,7 +118,6 @@ type Stats struct {
 	MemBankErrors    uint64
 	HostaggRecvDrops uint64
 	HostaggCrashes   uint64
-	TrainCrashes     uint64
 }
 
 // Plan is one deterministic fault schedule: a seed, a config, and shared
@@ -145,21 +136,10 @@ type Plan struct {
 	memBankErrors    atomic.Uint64
 	hostaggRecvDrops atomic.Uint64
 	hostaggCrashes   atomic.Uint64
-	trainCrashes     atomic.Uint64
 }
 
-// NewPlan builds a fault plan. Range defaults: Stall [10 µs, 100 µs],
-// RetryCycles 64.
+// NewPlan builds a fault plan.
 func NewPlan(seed uint64, cfg Config) *Plan {
-	if cfg.PFE.StallMin == 0 {
-		cfg.PFE.StallMin = 10 * sim.Microsecond
-	}
-	if cfg.PFE.StallMax == 0 {
-		cfg.PFE.StallMax = 100 * sim.Microsecond
-	}
-	if cfg.Mem.RetryCycles == 0 {
-		cfg.Mem.RetryCycles = 64
-	}
 	return &Plan{seed: seed, cfg: cfg}
 }
 
@@ -175,7 +155,6 @@ func (p *Plan) Stats() Stats {
 		MemBankErrors:    p.memBankErrors.Load(),
 		HostaggRecvDrops: p.hostaggRecvDrops.Load(),
 		HostaggCrashes:   p.hostaggCrashes.Load(),
-		TrainCrashes:     p.trainCrashes.Load(),
 	}
 }
 
@@ -267,7 +246,7 @@ func (f *PFEInjector) Stall() sim.Time {
 	if !f.rng.Bernoulli(f.cfg.StallProb) {
 		return 0
 	}
-	d := f.rng.UniformTime(f.cfg.StallMin, f.cfg.StallMax)
+	d := f.rng.UniformTime(stallMin, stallMax)
 	f.plan.ppeStalls.Add(1)
 	f.plan.ppeStallNs.Add(uint64(d))
 	return d
@@ -297,7 +276,7 @@ func (f *MemInjector) BankError() uint64 {
 		return 0
 	}
 	f.plan.memBankErrors.Add(1)
-	return f.cfg.RetryCycles
+	return retryCycles
 }
 
 // ---- Host aggregator injection ----
@@ -355,64 +334,3 @@ func (s *HostaggTable) CrashNow() bool {
 	}
 	return false
 }
-
-// ---- Training worker crash injection ----
-
-// TrainInjector schedules worker crash/rejoin. Like mltrain's slow-worker
-// Injector, schedules are memoized per iteration from an iteration-indexed
-// stream, so workers reaching an iteration in any order (or two paired runs)
-// observe one consistent schedule.
-type TrainInjector struct {
-	plan       *Plan
-	cfg        TrainConfig
-	numWorkers int
-	memo       map[int][]crashDraw
-}
-
-type crashDraw struct {
-	worker      int
-	after, down sim.Time
-}
-
-// Train returns a worker-crash injector for a cluster of numWorkers, or nil
-// when crashes are off.
-func (p *Plan) Train(numWorkers int) *TrainInjector {
-	if p == nil || p.cfg.Train.CrashProb <= 0 {
-		return nil
-	}
-	return &TrainInjector{plan: p, cfg: p.cfg.Train, numWorkers: numWorkers, memo: make(map[int][]crashDraw)}
-}
-
-func (t *TrainInjector) draws(iter int) []crashDraw {
-	if d, ok := t.memo[iter]; ok {
-		return d
-	}
-	rng := sim.NewRNG(t.plan.seed, streamTrain+uint64(iter)+1)
-	var d []crashDraw
-	for w := 0; w < t.numWorkers; w++ {
-		if rng.Bernoulli(t.cfg.CrashProb) {
-			d = append(d, crashDraw{
-				worker: w,
-				after:  rng.UniformTime(t.cfg.CrashAfterMin, t.cfg.CrashAfterMax),
-				down:   rng.UniformTime(t.cfg.DowntimeMin, t.cfg.DowntimeMax),
-			})
-		}
-	}
-	t.memo[iter] = d
-	return d
-}
-
-// Crash reports whether worker crashes in iteration iter, and if so when
-// (offset from iteration start) and for how long.
-func (t *TrainInjector) Crash(iter, worker int) (after, down sim.Time, ok bool) {
-	for _, d := range t.draws(iter) {
-		if d.worker == worker {
-			return d.after, d.down, true
-		}
-	}
-	return 0, 0, false
-}
-
-// CountCrash records one actually-executed worker crash (the schedule may
-// outrun the simulation; only realized crashes count).
-func (t *TrainInjector) CountCrash() { t.plan.trainCrashes.Add(1) }

@@ -11,7 +11,7 @@ import (
 func TestNilGating(t *testing.T) {
 	var nilPlan *Plan
 	if nilPlan.Link(0) != nil || nilPlan.PFE(0) != nil || nilPlan.Mem(0) != nil ||
-		nilPlan.Hostagg() != nil || nilPlan.Train(4) != nil {
+		nilPlan.Hostagg() != nil {
 		t.Fatal("nil plan must return nil injectors")
 	}
 	p := NewPlan(1, Config{})
@@ -26,9 +26,6 @@ func TestNilGating(t *testing.T) {
 	}
 	if p.Hostagg() != nil {
 		t.Error("inert hostagg config returned an injector")
-	}
-	if p.Train(4) != nil {
-		t.Error("inert train config returned an injector")
 	}
 }
 
@@ -106,9 +103,8 @@ func TestCountersAndStats(t *testing.T) {
 	p := NewPlan(3, Config{
 		Link:    LinkConfig{CorruptProb: 1},
 		PFE:     PFEConfig{StallProb: 1},
-		Mem:     MemConfig{BankErrorProb: 1, RetryCycles: 7},
+		Mem:     MemConfig{BankErrorProb: 1},
 		Hostagg: HostaggConfig{RecvDropProb: 1, CrashEvery: 2},
-		Train:   TrainConfig{CrashProb: 1},
 	})
 	v := p.Link(0).Decide(0, 800)
 	if v.CorruptBit < 0 || v.CorruptBit >= 800 {
@@ -117,8 +113,8 @@ func TestCountersAndStats(t *testing.T) {
 	if d := p.PFE(0).Stall(); d <= 0 {
 		t.Fatal("certain stall returned zero duration")
 	}
-	if c := p.Mem(0).BankError(); c != 7 {
-		t.Fatalf("bank error cycles = %d, want 7", c)
+	if c := p.Mem(0).BankError(); c != retryCycles {
+		t.Fatalf("bank error cycles = %d, want %d", c, retryCycles)
 	}
 	tab := p.Hostagg().Table()
 	if !tab.DropRecv() {
@@ -137,51 +133,6 @@ func TestCountersAndStats(t *testing.T) {
 	}
 	if st.PPEStallNs == 0 {
 		t.Fatal("stall duration not accumulated")
-	}
-}
-
-// TestTrainScheduleMemoized: the per-iteration crash schedule must not
-// depend on the order workers ask about it.
-func TestTrainScheduleMemoized(t *testing.T) {
-	cfg := Config{Train: TrainConfig{
-		CrashProb:     0.5,
-		CrashAfterMax: sim.Millisecond,
-		DowntimeMin:   sim.Millisecond, DowntimeMax: 2 * sim.Millisecond,
-	}}
-	a := NewPlan(11, cfg).Train(8)
-	b := NewPlan(11, cfg).Train(8)
-	// a asks iteration-major, b worker-major: answers must agree.
-	type draw struct {
-		after, down sim.Time
-		ok          bool
-	}
-	got := func(tr *TrainInjector, reverse bool) map[[2]int]draw {
-		m := make(map[[2]int]draw)
-		for x := 0; x < 40; x++ {
-			i := x
-			if reverse {
-				i = 39 - x
-			}
-			it, w := i/8, i%8
-			af, dn, ok := tr.Crash(it, w)
-			m[[2]int{it, w}] = draw{af, dn, ok}
-		}
-		return m
-	}
-	ma, mb := got(a, false), got(b, true)
-	for k, v := range ma {
-		if mb[k] != v {
-			t.Fatalf("crash schedule for iter=%d worker=%d diverged: %+v vs %+v", k[0], k[1], v, mb[k])
-		}
-	}
-	crashes := 0
-	for k := range ma {
-		if ma[k].ok {
-			crashes++
-		}
-	}
-	if crashes == 0 {
-		t.Fatal("p=0.5 schedule produced no crashes across 40 slots")
 	}
 }
 
@@ -261,23 +212,5 @@ func TestLinkStreamsPartitionPure(t *testing.T) {
 				t.Fatalf("link %d verdict %d: %+v, want %+v", id, i, got[id][i], ref[id][i])
 			}
 		}
-	}
-}
-
-// TestTrainCountCrash: only crashes a cluster reports as executed count, and
-// they show in the plan's stats.
-func TestTrainCountCrash(t *testing.T) {
-	p := NewPlan(3, Config{Train: TrainConfig{CrashProb: 1}})
-	tr := p.Train(4)
-	if _, _, ok := tr.Crash(0, 2); !ok {
-		t.Fatal("CrashProb 1 scheduled no crash")
-	}
-	if p.Stats().TrainCrashes != 0 {
-		t.Fatal("a scheduled crash counted before it ran")
-	}
-	tr.CountCrash()
-	tr.CountCrash()
-	if got := p.Stats().TrainCrashes; got != 2 {
-		t.Fatalf("TrainCrashes = %d, want 2", got)
 	}
 }

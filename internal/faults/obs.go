@@ -40,7 +40,4 @@ func (p *Plan) RegisterObs(r *obs.Registry) {
 	counter("triogo_faults_hostagg_table_crashes_total", "crashes",
 		"Host-aggregator block-table wipes injected.",
 		func() uint64 { return p.hostaggCrashes.Load() })
-	counter("triogo_faults_train_crashes_total", "crashes",
-		"Training worker crashes executed by injection.",
-		func() uint64 { return p.trainCrashes.Load() })
 }

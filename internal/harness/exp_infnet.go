@@ -127,12 +127,12 @@ func newInfnetRig(cfg infnetCfg) *infnetRig {
 	// The collector reads fixed offsets rather than packet.Decode: the TOS
 	// mark deliberately skips the incremental IP-checksum fix-up (one fewer
 	// instruction in the data path), so marked frames fail strict decode.
-	r.AttachExternal(0, model.EgressPort, func(_ int, f []byte, _ sim.Time) {
+	r.AttachExternal(0, infnet.EgressPort, func(_ int, f []byte, _ sim.Time) {
 		if len(f) < 46 {
 			return
 		}
 		idx := binary.BigEndian.Uint32(f[42:46]) // UDP payload head
-		rig.delivered[idx] = f[15] == 0xE0       // default MarkOff/Mark
+		rig.delivered[idx] = f[infnet.MarkOff] == infnet.Mark
 	})
 
 	// Senders on ports 1..; each owns an RNG stream so adding a sender never

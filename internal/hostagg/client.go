@@ -32,11 +32,10 @@ type ClientConfig struct {
 	SrcID      uint8
 	Window     int // outstanding blocks; default 16
 
-	// RetryBase is the first backoff after a transient network error (EINTR,
-	// ENOBUFS, ECONNREFUSED, ...); it doubles per consecutive failure up to
-	// RetryCap. Defaults: 1ms base, 100ms cap.
-	RetryBase time.Duration
-	RetryCap  time.Duration
+	// RetryCap caps the backoff after a transient network error (EINTR,
+	// ENOBUFS, ECONNREFUSED, ...), which starts at retryBase and doubles per
+	// consecutive failure. Default 100ms.
+	RetryCap time.Duration
 	// MaxRetries bounds consecutive SendBlock retries before the call fails
 	// with ErrGaveUp. Default 8.
 	MaxRetries int
@@ -60,10 +59,12 @@ func transientNetErr(err error) bool {
 		errors.Is(err, syscall.ENETUNREACH)
 }
 
+// retryBase is the first backoff after a transient network error.
+const retryBase = time.Millisecond
+
 // withDefaults replaces zero or negative fields with their defaults.
 func (cfg ClientConfig) withDefaults() ClientConfig {
 	cfg.Window = cmp.Or(max(cfg.Window, 0), 16)
-	cfg.RetryBase = cmp.Or(max(cfg.RetryBase, 0), time.Millisecond)
 	cfg.RetryCap = cmp.Or(max(cfg.RetryCap, 0), 100*time.Millisecond)
 	cfg.MaxRetries = cmp.Or(max(cfg.MaxRetries, 0), 8)
 	return cfg
@@ -72,7 +73,7 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 // ClientStats is a snapshot of the client's receive-side counters.
 type ClientStats struct {
 	Delivered   uint64 // results AllReduce accepted, one per block
-	Dropped     uint64 // results read but used by no block: other gen, duplicate, out of range or truncated
+	Dropped     uint64 // results read but used by no block: other gen, duplicate, out of range, truncated or of the wrong length
 	SendRetries uint64 // transient send errors retried with backoff
 	RecvRetries uint64 // transient receive errors retried with backoff
 	Retransmits uint64 // blocks AllReduce resent, every RetransmitEvery and when a NACK back-off ends
@@ -157,10 +158,10 @@ func (c *Client) Close() (err error) {
 }
 
 // pause sleeps the backoff after the attempt-th consecutive transient error
-// (from 0: RetryBase, then doubled per attempt up to RetryCap) unless the
+// (from 0: retryBase, then doubled per attempt up to RetryCap) unless the
 // client is closed first.
 func (c *Client) pause(attempt int) bool {
-	d := c.cfg.RetryBase
+	d := retryBase
 	for range attempt {
 		d = min(2*d, c.cfg.RetryCap)
 	}

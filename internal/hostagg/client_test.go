@@ -326,6 +326,42 @@ func TestAllReduceShedAfterRetryBudget(t *testing.T) {
 	}
 }
 
+// TestReduceDropsResultOfWrongLength: a result whose gradient count is not
+// its block's length, short or long, is dropped and counted and leaves the
+// block unanswered, so the right results still complete the exact sum.
+func TestReduceDropsResultOfWrongLength(t *testing.T) {
+	grads := []int32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} // blocks of 4, 4 and 2
+	for _, tc := range []struct {
+		name      string
+		block, gc int
+	}{
+		{"short", 0, 1},
+		{"long", 0, 5},
+		{"short last", 2, 1},
+		{"long last", 2, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var w wire
+			r := NewReduce(t0, ClientConfig{JobID: 1}, 1, grads, 4, 1, time.Minute)
+			must(t, r.Refill(w.room))
+			bad := make([]int32, tc.gc)
+			for i := range bad {
+				bad[i] = 10
+			}
+			must(t, r.Receive(t0, resultFor(uint32(tc.block), 1, 1, false, bad)))
+			if st := r.Stats(); st.Dropped != 1 || st.Delivered != 0 || r.Done() {
+				t.Fatalf("after a %d-gradient result for block %d: stats %+v, done %v", tc.gc, tc.block, st, r.Done())
+			}
+			for b, lo := range []int{0, 4, 8} {
+				must(t, r.Receive(t0, resultFor(uint32(b), 1, 1, false, grads[lo:min(lo+4, len(grads))])))
+			}
+			if st := r.Stats(); !r.Done() || st.Delivered != 3 || !slices.Equal(r.Sum(), grads) {
+				t.Fatalf("done %v, stats %+v, sum %v, want %v", r.Done(), st, r.Sum(), grads)
+			}
+		})
+	}
+}
+
 // TestCloseInterruptsAllReduce: Close from another goroutine ends an
 // AllReduce blocked on a server that never answers, promptly and with
 // net.ErrClosed itself, not a wrapped read error or the timeout.

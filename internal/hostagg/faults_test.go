@@ -38,7 +38,7 @@ func TestClientSurvivesFlappingServer(t *testing.T) {
 	mk := func(src uint8) *Client {
 		c, err := NewClient(ClientConfig{
 			ServerAddr: addr, JobID: 1, SrcID: src, Window: 8,
-			RetryBase: time.Millisecond, RetryCap: 20 * time.Millisecond,
+			RetryCap:        20 * time.Millisecond,
 			RetransmitEvery: 50 * time.Millisecond,
 		})
 		if err != nil {

@@ -52,7 +52,9 @@ func newReduce(now time.Time, cfg ClientConfig, ctr *clientCounters, genID uint1
 }
 
 // Receive takes one datagram from the server. A result is added into its
-// block's slice of the sum, rescaled there if degraded (§5). A retry-after
+// block's slice of the sum, rescaled there if degraded (§5); one for another
+// generation or an answered block, or whose gradient count is not its
+// block's length, is dropped (Stats.Dropped). A retry-after
 // NACK starts a back-off of its suggested wait (RetryCap if none, a second at
 // most) unless one is running, so a burst costs one; after MaxRetries
 // back-offs with no result between them the next NACK fails with ErrShed.
@@ -63,7 +65,10 @@ func (r *Reduce) Receive(now time.Time, d []byte) error {
 	case err != nil || h.JobID != r.cfg.JobID:
 	case h.SrcID == packet.ResultSrcID:
 		b, n := int(h.BlockID), int(h.GradCnt)
-		if h.GenID != r.gen || b >= len(r.got) || r.got[b] || len(body) < 4*n {
+		lo, hi := r.span(b)
+		// A result whose gradient count is not its block's length would
+		// answer the block with a short or spilled sum: drop it as well.
+		if h.GenID != r.gen || b >= len(r.got) || r.got[b] || n != hi-lo || len(body) < 4*n {
 			r.dropped.Add(1)
 			return nil
 		}
@@ -74,8 +79,7 @@ func (r *Reduce) Receive(now time.Time, d []byte) error {
 			r.inFlight--
 		}
 		r.nackStreak = 0
-		lo := b * r.blockGrads
-		dst := r.sum[lo:min(lo+r.blockGrads, len(r.sum))]
+		dst := r.sum[lo:hi]
 		packet.AddGradients(dst, body, n)
 		if h.Degraded && h.SrcCnt > 0 {
 			for i, g := range dst {
@@ -158,10 +162,16 @@ func (r *Reduce) Done() bool { return r.done == len(r.got) }
 // Sum is the output vector, complete once Done.
 func (r *Reduce) Sum() []int32 { return r.sum }
 
+// span bounds block b in grads and sum.
+func (r *Reduce) span(b int) (lo, hi int) {
+	lo = b * r.blockGrads
+	return lo, min(lo+r.blockGrads, len(r.grads))
+}
+
 func (r *Reduce) queue(room func(n int) ([]byte, error), b int) error {
 	h := packet.TrioML{JobID: r.cfg.JobID, BlockID: uint32(b), SrcID: r.cfg.SrcID, GenID: r.gen, Final: b == len(r.got)-1}
-	lo := b * r.blockGrads
-	return putContribution(room, h, r.grads[lo:min(lo+r.blockGrads, len(r.grads))])
+	lo, hi := r.span(b)
+	return putContribution(room, h, r.grads[lo:hi])
 }
 
 // putContribution marshals one contribution into the room room hands back.

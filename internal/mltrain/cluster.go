@@ -3,7 +3,6 @@ package mltrain
 import (
 	"fmt"
 
-	"github.com/trioml/triogo/internal/faults"
 	"github.com/trioml/triogo/internal/netsim"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/pisa"
@@ -41,21 +40,11 @@ type ClusterConfig struct {
 	Model  Model
 	System System
 
-	NumWorkers     int      // default 6 (the testbed)
-	GradsPerPacket int      // default 1024 (Trio-ML) / 256 (SwitchML-256)
-	Window         int      // default 4096 (Trio-ML); clamped to pool for SwitchML
-	PoolSize       int      // SwitchML pool; default 512
-	Scale          int      // gradient scale factor (DESIGN.md §4); default 64
-	StragglerP     float64  // straggling probability p
-	Pattern        Pattern  // Slow Worker Pattern reading; default SingleVictim
-	Timeout        sim.Time // Trio-ML block expiry; default 10 ms
-	TimerThreads   int      // default 100
+	GradsPerPacket int     // default 1024 (Trio-ML) / 256 (SwitchML-256)
+	Scale          int     // gradient scale factor (DESIGN.md §4); default 64
+	StragglerP     float64 // straggling probability p
+	Pattern        Pattern // Slow Worker Pattern reading; default SingleVictim
 	Seed           uint64
-
-	// LossProb injects independent frame loss on every link (§7's transient
-	// congestion); RetransmitAfter arms worker retransmission to survive it.
-	LossProb        float64
-	RetransmitAfter sim.Time
 
 	// DeadWorker, when > 0, marks that worker permanently out of service
 	// (it receives results but never computes or sends); the zero value
@@ -68,24 +57,11 @@ type ClusterConfig struct {
 	// analyses are demoted from the job.
 	AdvancedMitigation uint64
 	AnalyzePeriod      sim.Time // default 100 ms
-
-	// Faults attaches a deterministic fault plan (seeded with Seed) across
-	// the cluster: the Link config applies to every link (each on its own
-	// stream), the Train config schedules worker crash/rejoin, and under
-	// Trio-ML the PFE and Mem configs apply to the router, whose ports then
-	// drop frames that fail their checksum (workers always do), so a
-	// corrupted frame is a lost one. Zero crash-timing ranges are filled
-	// from the model's typical iteration time. Nil (the default) leaves
-	// every layer fault-free.
-	Faults *faults.Config
 }
 
 func (cfg *ClusterConfig) defaults() {
 	if cfg.DeadWorker == 0 {
 		cfg.DeadWorker = -1 // zero value means "none"; use index explicitly
-	}
-	if cfg.NumWorkers == 0 {
-		cfg.NumWorkers = 6
 	}
 	if cfg.GradsPerPacket == 0 {
 		if cfg.System == SystemSwitchML {
@@ -94,22 +70,21 @@ func (cfg *ClusterConfig) defaults() {
 			cfg.GradsPerPacket = 1024
 		}
 	}
-	if cfg.Window == 0 {
-		cfg.Window = 4096
-	}
-	if cfg.PoolSize == 0 {
-		cfg.PoolSize = 512
-	}
 	if cfg.Scale == 0 {
 		cfg.Scale = 64
 	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 10 * sim.Millisecond
-	}
-	if cfg.TimerThreads == 0 {
-		cfg.TimerThreads = 100
-	}
 }
+
+// The testbed (§6.1): six workers; Trio-ML keeps up to 4096 blocks in
+// flight and ages a block after 10 ms, scanned by 100 timer threads;
+// SwitchML's slot pool holds 512 blocks, which also caps its window.
+const (
+	numWorkers   = 6
+	trioWindow   = 4096
+	poolSize     = 512
+	blockTimeout = 10 * sim.Millisecond
+	timerThreads = 100
+)
 
 // linkBandwidth is every worker link's line rate before Scale divides it:
 // the testbed's 100 Gbps.
@@ -133,12 +108,6 @@ type Cluster struct {
 	iterFra map[int]float64
 
 	stopTimers []*pfe.TimerThreads
-	linkSalt   uint64
-
-	// FaultPlan is the realized fault plan when Cfg.Faults is set (nil
-	// otherwise); read FaultPlan.Stats() for injected-fault counts.
-	FaultPlan *faults.Plan
-	trainFlt  *faults.TrainInjector
 
 	// TrioAgg / SwitchAgg expose the device application for inspection
 	// (whichever matches Cfg.System is non-nil).
@@ -156,46 +125,25 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.System == SystemIdeal {
 		return c, nil // analytic path; no devices
 	}
-	if cfg.Faults != nil {
-		fc := *cfg.Faults
-		typical := cfg.Model.TypicalIter(linkBandwidth)
-		if fc.Train.CrashProb > 0 {
-			// Fill zero crash-timing ranges so crashes land inside (and
-			// outages span a meaningful slice of) an iteration.
-			if fc.Train.CrashAfterMax == 0 {
-				fc.Train.CrashAfterMax = typical
-			}
-			if fc.Train.DowntimeMin == 0 {
-				fc.Train.DowntimeMin = typical / 2
-			}
-			if fc.Train.DowntimeMax == 0 {
-				fc.Train.DowntimeMax = 2 * typical
-			}
-		}
-		c.FaultPlan = faults.NewPlan(cfg.Seed, fc)
-		c.trainFlt = c.FaultPlan.Train(cfg.NumWorkers)
-	}
-
 	simGrads := cfg.Model.Gradients() / cfg.Scale
 	blocks := (simGrads + cfg.GradsPerPacket - 1) / cfg.GradsPerPacket
 	lastGrads := simGrads - (blocks-1)*cfg.GradsPerPacket
-	window := cfg.Window
-	if cfg.System == SystemSwitchML && window > cfg.PoolSize {
-		window = cfg.PoolSize // outstanding blocks cannot exceed the slot pool
+	window := trioWindow
+	if cfg.System == SystemSwitchML {
+		window = poolSize // outstanding blocks cannot exceed the slot pool
 	}
 	scaledBW := linkBandwidth / uint64(cfg.Scale)
 
 	params := WorkerParams{
 		JobID: 1, Blocks: blocks, GradsPerPacket: cfg.GradsPerPacket,
 		LastBlockGrads: lastGrads, Window: window, ComputeTime: cfg.Model.ComputeTime,
-		RetransmitAfter: cfg.RetransmitAfter,
 		Spec: packet.UDPSpec{
 			SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 100},
 			SrcPort: 5000,
 		},
 	}
 
-	injector := NewInjectorPattern(cfg.StragglerP, cfg.NumWorkers,
+	injector := NewInjectorPattern(cfg.StragglerP, numWorkers,
 		cfg.Model.TypicalIter(linkBandwidth), cfg.Seed, cfg.Pattern)
 
 	switch cfg.System {
@@ -203,12 +151,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		pcfg := trioml.RecommendedPFEConfig()
 		pcfg.PortBandwidth = scaledBW
 		r := trio.New(c.Eng, trio.Config{NumPFEs: 1, PFE: pcfg})
-		r.Instrument(nil, nil, c.FaultPlan)
 		agg := trioml.New(r.PFE(0))
-		if err := agg.InstallJob(trioml.StarJob(1, cfg.NumWorkers, cfg.GradsPerPacket, cfg.Timeout)); err != nil {
+		if err := agg.InstallJob(trioml.StarJob(1, numWorkers, cfg.GradsPerPacket, blockTimeout)); err != nil {
 			return nil, err
 		}
-		c.stopTimers = append(c.stopTimers, agg.StartStragglerDetection(cfg.TimerThreads, cfg.Timeout))
+		c.stopTimers = append(c.stopTimers, agg.StartStragglerDetection(timerThreads, blockTimeout))
 		if cfg.AdvancedMitigation > 0 {
 			c.stopTimers = append(c.stopTimers, agg.StartAdvancedMitigation(trioml.AdvancedConfig{
 				AnalyzePeriod:  cfg.AnalyzePeriod,
@@ -217,33 +164,33 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		c.TrioAgg = agg
 		c.buildWorkers(params, injector, func(i int, recv netsim.Receiver) func([]byte) {
-			return r.Cable(0, i, c.linkCfg(scaledBW), c.linkCfg(scaledBW), recv)
+			return r.Cable(0, i, linkCfg(scaledBW), linkCfg(scaledBW), recv)
 		})
 	case SystemSwitchML:
 		sw := pisa.New(c.Eng, pisa.Config{PortBandwidth: scaledBW})
-		ports := make([]int, cfg.NumWorkers)
+		ports := make([]int, numWorkers)
 		for i := range ports {
 			ports[i] = i
 		}
 		agg, err := switchml.New(sw, switchml.Config{
-			NumWorkers: cfg.NumWorkers, GradsPerPacket: cfg.GradsPerPacket,
-			PoolSize: cfg.PoolSize, WorkerPorts: ports,
+			NumWorkers: numWorkers, GradsPerPacket: cfg.GradsPerPacket,
+			PoolSize: poolSize, WorkerPorts: ports,
 			ResultSpec: packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 100}, DstIP: [4]byte{224, 0, 1, 1}},
 		})
 		if err != nil {
 			return nil, err
 		}
 		c.SwitchAgg = agg
-		links := make([]*netsim.Link, cfg.NumWorkers)
+		links := make([]*netsim.Link, numWorkers)
 		sw.SetOutput(func(port int, frame []byte, _ sim.Time) {
 			if port < len(links) && links[port] != nil {
 				links[port].Send(frame)
 			}
 		})
 		c.buildWorkers(params, injector, func(i int, recv netsim.Receiver) func([]byte) {
-			up := netsim.NewLink(c.Eng, c.linkCfg(scaledBW),
+			up := netsim.NewLink(c.Eng, linkCfg(scaledBW),
 				func(frame []byte, _ sim.Time) { sw.Inject(i, frame) })
-			links[i] = netsim.NewLink(c.Eng, c.linkCfg(scaledBW), recv)
+			links[i] = netsim.NewLink(c.Eng, linkCfg(scaledBW), recv)
 			return up.Send
 		})
 	default:
@@ -252,30 +199,19 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// linkCfg builds the shared link configuration, including loss injection.
-// Every link gets its own drop stream; a shared stream would correlate
-// losses across links.
-func (c *Cluster) linkCfg(bw uint64) netsim.LinkConfig {
-	c.linkSalt++
-	return netsim.LinkConfig{
-		Bandwidth: bw, Propagation: 500 * sim.Nanosecond,
-		LossProb: c.Cfg.LossProb, LossSeed: c.Cfg.Seed*131 + c.linkSalt,
-		// Plan.Link is nil-safe and returns nil when link faults are off,
-		// keeping the link on its allocation-free fast path.
-		Faults: c.FaultPlan.Link(c.linkSalt),
-	}
+// linkCfg is every worker link: bw at 500 ns propagation.
+func linkCfg(bw uint64) netsim.LinkConfig {
+	return netsim.LinkConfig{Bandwidth: bw, Propagation: 500 * sim.Nanosecond}
 }
 
 // buildWorkers constructs the worker set; cable wires worker i to its device
-// port (uplink first, then downlink — linkCfg hands out loss and fault
-// streams in creation order) and returns the worker's transmit function.
+// port and returns the worker's transmit function.
 func (c *Cluster) buildWorkers(params WorkerParams, injector *Injector,
 	cable func(i int, recv netsim.Receiver) (send func([]byte))) {
-	for i := 0; i < c.Cfg.NumWorkers; i++ {
+	for i := 0; i < numWorkers; i++ {
 		var w *Worker
 		send := cable(i, func(frame []byte, at sim.Time) { w.OnFrame(frame, at) })
-		w = NewWorker(c.Eng, i, uint8(i), c.Cfg.NumWorkers, params, injector, send, c.onIterRecv)
-		w.crashFlt = c.trainFlt
+		w = NewWorker(c.Eng, i, uint8(i), numWorkers, params, injector, send, c.onIterRecv)
 		c.workers = append(c.workers, w)
 	}
 }
@@ -307,7 +243,7 @@ func (c *Cluster) Run(iterations int) ([]IterationResult, error) {
 	typical := c.Cfg.Model.TypicalIter(linkBandwidth)
 	deadline := sim.Time(iterations+2)*typical*8 + sim.Second
 	last := iterations - 1
-	for c.recvCnt[last] < c.Cfg.NumWorkers {
+	for c.recvCnt[last] < numWorkers {
 		if !c.Eng.Step() {
 			return nil, fmt.Errorf("mltrain: simulation drained before iteration %d completed (recv=%d)", last, c.recvCnt[last])
 		}
@@ -323,7 +259,7 @@ func (c *Cluster) Run(iterations int) ([]IterationResult, error) {
 		out[i] = IterationResult{
 			Iter:         i,
 			End:          c.iterEnd[i],
-			GradFraction: c.iterFra[i] / float64(c.Cfg.NumWorkers),
+			GradFraction: c.iterFra[i] / float64(numWorkers),
 		}
 	}
 	return out, nil
@@ -332,7 +268,7 @@ func (c *Cluster) Run(iterations int) ([]IterationResult, error) {
 // runIdeal models the no-straggler NCCL ring analytically: per iteration,
 // compute plus 2(N−1)/N × model bytes at line rate.
 func (c *Cluster) runIdeal(iterations int) []IterationResult {
-	n := float64(c.Cfg.NumWorkers)
+	n := float64(numWorkers)
 	ringNs := 2 * (n - 1) / n * float64(c.Cfg.Model.Bytes()) * 8 / float64(linkBandwidth) * float64(sim.Second)
 	ring := sim.Time(ringNs)
 	out := make([]IterationResult, iterations)

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/trioml/triogo/internal/faults"
-	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 )
 
@@ -298,52 +296,6 @@ func TestPerServerPatternSlowsSwitchMLMore(t *testing.T) {
 	}
 }
 
-func TestLossyLinksRecoverWithRetransmission(t *testing.T) {
-	// §7 "Packet loss in Trio-ML": 2% loss on every link, worker
-	// retransmission armed; training still completes with full sums (the
-	// source bitmask deduplicates; lost Results recreate blocks that age
-	// out and re-multicast).
-	cfg := smallCfg(SystemTrioML, 0)
-	cfg.LossProb = 0.02
-	cfg.RetransmitAfter = 30 * sim.Millisecond
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 4 {
-		t.Fatalf("iterations = %d", len(res))
-	}
-	var retrans uint64
-	for _, w := range c.Workers() {
-		retrans += w.Retransmits
-	}
-	if retrans == 0 {
-		t.Fatal("2% loss produced no retransmissions")
-	}
-	if dups := c.TrioAgg.Stats().Duplicates; dups == 0 && retrans > 5 {
-		t.Logf("note: %d retransmissions, %d duplicates at aggregator", retrans, dups)
-	}
-}
-
-func TestLossWithoutRetransmissionStalls(t *testing.T) {
-	// Without retransmission (and without straggler timeouts doing the
-	// recovery), lost contributions leave blocks permanently incomplete in
-	// SwitchML: the run must hit its deadline rather than finish.
-	cfg := smallCfg(SystemSwitchML, 0)
-	cfg.LossProb = 0.05
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(4); err == nil {
-		t.Fatal("lossy SwitchML run completed without retransmission")
-	}
-}
-
 func TestAdvancedMitigationRemovesDeadWorkerPenalty(t *testing.T) {
 	// §5 "Advanced straggler mitigation": with worker 5 permanently dead,
 	// plain mitigation pays the aging timeout every iteration; the slow
@@ -381,112 +333,6 @@ func TestAdvancedMitigationRemovesDeadWorkerPenalty(t *testing.T) {
 	// penalty (timeout is 10 ms).
 	if plainLate-demotedLate < 8*sim.Millisecond {
 		t.Fatalf("penalty removed = %v, want >= 8 ms", plainLate-demotedLate)
-	}
-}
-
-func TestClusterSurvivesWorkerCrashes(t *testing.T) {
-	// Injected worker crashes (§7 resiliency): a crashed worker loses its
-	// in-flight iteration state and goes deaf for the outage; retransmission
-	// plus the aggregator's aging/dedup must still drive training to
-	// completion, and every crash must be matched by a rejoin.
-	run := func() (sim.Time, uint64) {
-		cfg := smallCfg(SystemTrioML, 0)
-		cfg.RetransmitAfter = 30 * sim.Millisecond
-		cfg.Faults = &faults.Config{
-			Train: faults.TrainConfig{CrashProb: 0.3},
-			Link:  faults.LinkConfig{DupProb: 0.02},
-		}
-		c, err := NewCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := c.Run(8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) != 8 {
-			t.Fatalf("iterations = %d, want 8", len(res))
-		}
-		var crashes, rejoins uint64
-		for _, w := range c.Workers() {
-			crashes += w.Crashes
-			rejoins += w.Rejoins
-		}
-		if crashes == 0 {
-			t.Fatal("p=0.3 crash schedule fired no crashes over 8 iterations")
-		}
-		if rejoins != crashes {
-			t.Fatalf("crashes = %d but rejoins = %d", crashes, rejoins)
-		}
-		st := c.FaultPlan.Stats()
-		if st.TrainCrashes != crashes {
-			t.Fatalf("plan counted %d crashes, workers %d", st.TrainCrashes, crashes)
-		}
-		if st.LinkDuplicates == 0 {
-			t.Fatal("link duplication never fired")
-		}
-		return res[len(res)-1].End, crashes
-	}
-	endA, crashA := run()
-	endB, crashB := run()
-	if endA != endB || crashA != crashB {
-		t.Fatalf("crash-injected run not deterministic: %v/%d vs %v/%d", endA, crashA, endB, crashB)
-	}
-}
-
-func TestClusterTreatsCorruptionAsLoss(t *testing.T) {
-	// A flipped bit fails the UDP checksum at the router's port (a
-	// contribution) or at the worker (a result); either way the frame is
-	// lost, and retransmission plus aging still complete every iteration.
-	cfg := smallCfg(SystemTrioML, 0)
-	cfg.RetransmitAfter = 30 * sim.Millisecond
-	cfg.Faults = &faults.Config{Link: faults.LinkConfig{CorruptProb: 0.02}}
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A full result must carry the exact sum: worker w sends w+block+g as
-	// gradient g of its block, so n workers sum to n(n-1)/2 + n(block+g).
-	n := c.Cfg.NumWorkers
-	var wrong int
-	for _, w := range c.Workers() {
-		blocks := w.cfg.Blocks
-		w.OnResult = func(f *packet.Frame) {
-			if int(f.ML.SrcCnt) != n {
-				return // degraded: aged out before a resend repaired it
-			}
-			block := int(f.ML.BlockID) - (int(f.ML.GenID)-1)*blocks
-			grads, err := packet.Gradients(f.Payload, int(f.ML.GradCnt))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for g, v := range grads {
-				if v != int32(n*(n-1)/2+n*(block+g)) {
-					wrong++
-					return
-				}
-			}
-		}
-	}
-	res, err := c.Run(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 4 {
-		t.Fatalf("iterations = %d, want 4", len(res))
-	}
-	if wrong > 0 {
-		t.Fatalf("%d full results with a wrong sum: a corrupted frame was accepted", wrong)
-	}
-	if n := c.FaultPlan.Stats().LinkCorruptions; n == 0 {
-		t.Fatal("2% corruption never fired")
-	}
-	var retrans uint64
-	for _, w := range c.Workers() {
-		retrans += w.Retransmits
-	}
-	if retrans == 0 {
-		t.Fatal("corrupted frames produced no retransmissions")
 	}
 }
 

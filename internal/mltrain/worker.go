@@ -1,7 +1,6 @@
 package mltrain
 
 import (
-	"github.com/trioml/triogo/internal/faults"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 )
@@ -44,11 +43,6 @@ type Worker struct {
 	sentAt   []sim.Time   // first-send instant of each block this comm phase
 	retxH    sim.Handle   // the comm phase's periodic resend
 
-	// crashFlt schedules injected crash/rejoin; while crashed the worker
-	// drops every frame and its in-flight iteration state is lost.
-	crashFlt *faults.TrainInjector
-	crashed  bool
-
 	gradScratch []int32      // send-side scratch; BuildTrioML copies it out
 	frame       packet.Frame // receive-side decode scratch
 
@@ -67,8 +61,6 @@ type Worker struct {
 	ResultsRecv   uint64
 	BlocksSkipped uint64
 	Retransmits   uint64
-	Crashes       uint64
-	Rejoins       uint64
 }
 
 // WorkerParams describes the streaming protocol.
@@ -154,11 +146,6 @@ func (w *Worker) startIteration(i int) {
 	if w.injector != nil {
 		dur += w.injector.Delay(i, w.ID)
 	}
-	if w.crashFlt != nil {
-		if after, down, ok := w.crashFlt.Crash(i, w.ID); ok {
-			w.eng.After(after, func() { w.crashAt(i, down) })
-		}
-	}
 	if dur == 0 {
 		w.beginComm(i) // no compute: the first window leaves now, in order
 		return
@@ -166,43 +153,9 @@ func (w *Worker) startIteration(i int) {
 	w.eng.After(dur, func() { w.beginComm(i) })
 }
 
-// crashAt executes an injected crash: the worker loses every piece of
-// in-flight iteration state (received results, its resend period) and goes
-// deaf for the outage, then rejoins and restarts the iteration's
-// communication phase from nothing. Already-aggregated contributions are
-// re-sent on rejoin; the aggregator's source bitmask (plus §5 aging for
-// blocks whose results were already multicast) keeps that convergent.
-func (w *Worker) crashAt(i int, down sim.Time) {
-	if w.iter != i || w.finished[i] || w.crashed {
-		return // the schedule outran the run; nothing to crash
-	}
-	w.crashed = true
-	w.Crashes++
-	w.crashFlt.CountCrash()
-	delete(w.recv, i)
-	w.retxH.Stop()
-	w.eng.After(down, func() { w.rejoin(i) })
-}
-
-// rejoin brings a crashed worker back: compute for the iteration is assumed
-// checkpointed, so it re-enters the communication phase directly.
-func (w *Worker) rejoin(i int) {
-	w.crashed = false
-	w.Rejoins++
-	if w.iter != i {
-		return
-	}
-	w.inComm = false
-	w.next = 0
-	w.pending = 0
-	w.beginComm(i)
-}
-
 func (w *Worker) beginComm(i int) {
-	if w.iter != i || w.crashed || w.inComm {
-		// Superseded by a fast-forward, or compute ended during an outage
-		// (the rejoin begins the phase) or after one (it already has).
-		return
+	if w.iter != i || w.inComm {
+		return // superseded by a fast-forward, or already begun
 	}
 	w.inComm = true
 	if w.iterComplete(i) {
@@ -318,9 +271,6 @@ func (w *Worker) iterComplete(iter int) bool {
 
 // OnFrame ingests a frame from the worker's NIC.
 func (w *Worker) OnFrame(frame []byte, at sim.Time) {
-	if w.crashed {
-		return // the NIC is down for the outage
-	}
 	f := &w.frame
 	if err := packet.DecodeInto(f, frame); err != nil || !f.IsTrioML() || !f.VerifyUDPChecksum() {
 		return
@@ -356,8 +306,9 @@ func (w *Worker) OnFrame(frame []byte, at sim.Time) {
 		w.OnResult(f)
 	}
 	if len(r.got) == w.cfg.Blocks {
-		// A crash wipes recv state, so a rejoined worker can re-complete an
-		// iteration it already reported; count each (worker, iteration) once.
+		// A late result can recreate the recv state finishComm dropped, so
+		// an iteration can complete twice; count each (worker, iteration)
+		// once.
 		if w.onIterRecv != nil && !w.reported[iter] {
 			w.reported[iter] = true
 			var sum float64

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/trioml/triogo/internal/faults"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 )
@@ -221,60 +220,6 @@ func TestWorkerRetransmitStopsAfterResult(t *testing.T) {
 	// Each block's latency runs from its first send: 16, 21, 5 and 5 ms.
 	if l := h.w.Latency; l.N != 4 || l.Sum != 47*sim.Millisecond || l.Max != 21*sim.Millisecond || h.w.LastAccept != 36*sim.Millisecond {
 		t.Fatalf("latency %+v, last accept %v", l, h.w.LastAccept)
-	}
-}
-
-func TestWorkerRetransmitPausesWhileCrashed(t *testing.T) {
-	const ms = sim.Millisecond
-	for _, tc := range []struct {
-		name       string
-		crashAt    sim.Time // from iteration start; comm starts at 10 ms
-		down       sim.Time
-		laterCrash sim.Time // a second crash of the same iteration (0: none), down 10 ms
-		resultsAt  sim.Time
-		want       []string // sends as ms:block
-	}{
-		// Silent from the crash (22 ms) to the rejoin at 32 ms, which
-		// restarts the comm phase and its period.
-		{"in comm", 22 * ms, 10 * ms, 0, 38 * ms,
-			[]string{"10:0", "10:1", "15:0", "15:1", "20:0", "20:1", "32:0", "32:1", "37:0", "37:1"}},
-		// Crashed when compute ends: comm waits for the rejoin at 15 ms.
-		{"in compute", 5 * ms, 10 * ms, 0, 21 * ms,
-			[]string{"15:0", "15:1", "20:0", "20:1"}},
-		// Back before compute ends: the rejoin at 7 ms begins comm, the end
-		// of compute at 10 ms leaves it alone, so one period runs, and it
-		// stays silent through the second crash (14 to 24 ms).
-		{"within compute", 5 * ms, 2 * ms, 14 * ms, 30 * ms,
-			[]string{"7:0", "7:1", "12:0", "12:1", "24:0", "24:1", "29:0", "29:1"}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			h := newWorkerHarness(t, retxParams(), 0)
-			h.w.crashFlt = faults.NewPlan(1, faults.Config{Train: faults.TrainConfig{
-				CrashProb: 1, CrashAfterMin: tc.crashAt, CrashAfterMax: tc.crashAt,
-				DowntimeMin: tc.down, DowntimeMax: tc.down,
-			}}).Train(2)
-			crashes := uint64(1)
-			if tc.laterCrash > 0 {
-				crashes++
-				h.eng.After(tc.laterCrash, func() { h.w.crashAt(0, 10*ms) })
-			}
-			h.w.Start(1)
-			h.eng.RunUntil(tc.resultsAt)
-			if got := h.sends(0); !slices.Equal(got, tc.want) {
-				t.Fatalf("sends (ms:block) = %v, want %v", got, tc.want)
-			}
-			if h.w.Crashes != crashes || h.w.Rejoins != crashes {
-				t.Fatalf("crashes = %d, rejoins = %d, want %d each", h.w.Crashes, h.w.Rejoins, crashes)
-			}
-			for b := 0; b < 4; b++ {
-				h.result(0, b, 2, 4)
-			}
-			n := len(h.sent)
-			h.eng.RunUntil(100 * sim.Millisecond)
-			if len(h.sent) != n || len(h.done) != 1 {
-				t.Fatalf("sent after completion: %v; done = %v", h.sends(n), h.done)
-			}
-		})
 	}
 }
 

@@ -18,9 +18,9 @@ type Frame struct {
 	mlBuf TrioML // storage ML points at, so DecodeInto reuse allocates nothing
 }
 
-// UDPSpec names the endpoints of a UDP packet to build.
+// UDPSpec names the endpoints of a UDP packet to build. Every built frame
+// carries zero Ethernet addresses: the simulated links deliver by port.
 type UDPSpec struct {
-	SrcMAC, DstMAC   MAC
 	SrcIP, DstIP     [4]byte
 	SrcPort, DstPort uint16
 	TTL              uint8 // 0 means 64
@@ -49,7 +49,7 @@ func udpRoom(spec UDPSpec, payloadLen int) (buf, payload []byte, ipStart, udpSta
 		Length:  uint16(UDPLen + payloadLen),
 	}
 	ip.TotalLen = uint16(ip.HeaderLen() + UDPLen + payloadLen)
-	eth := Ethernet{Dst: spec.DstMAC, Src: spec.SrcMAC, EtherType: EtherTypeIPv4}
+	eth := Ethernet{EtherType: EtherTypeIPv4}
 
 	buf = make([]byte, EthernetLen+int(ip.TotalLen))
 	off := eth.MarshalTo(buf)

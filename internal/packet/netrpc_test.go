@@ -37,7 +37,6 @@ func TestNetRPCTruncated(t *testing.T) {
 
 func TestBuildNetRPCFrame(t *testing.T) {
 	spec := UDPSpec{
-		SrcMAC: MAC{1, 2, 3, 4, 5, 6}, DstMAC: MAC{7, 8, 9, 10, 11, 12},
 		SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2},
 		SrcPort: 30000,
 	}

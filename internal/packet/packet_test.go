@@ -8,8 +8,6 @@ import (
 
 func testSpec() UDPSpec {
 	return UDPSpec{
-		SrcMAC:  MACFromUint64(0x0200_0000_0001),
-		DstMAC:  MACFromUint64(0x0200_0000_00FF),
 		SrcIP:   [4]byte{10, 0, 0, 1},
 		DstIP:   [4]byte{10, 0, 0, 254},
 		SrcPort: 40000,

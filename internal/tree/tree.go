@@ -82,10 +82,12 @@ func (s Spec) Levels() int {
 	return levels
 }
 
+// jobID is the one job every tree runs.
+const jobID = 1
+
 // Config parameterizes one tree run.
 type Config struct {
 	Spec
-	JobID       uint8
 	GradsPerPkt int
 	Blocks      int // blocks each worker streams; <= MaxBlocks
 	Window      int // outstanding blocks per worker
@@ -112,9 +114,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.JobID == 0 {
-		c.JobID = 1
-	}
 	if c.FanOut <= 0 {
 		c.FanOut = 16
 	}
@@ -302,11 +301,11 @@ func Build(cfg Config) (*Tree, error) {
 // results arriving from above re-multicast down the same child ports.
 func (t *Tree) installJob(n *Node) error {
 	cfg := t.Cfg
-	jc := trioml.StarJob(cfg.JobID, n.fanIn, cfg.GradsPerPkt, cfg.expiry(n.Level))
+	jc := trioml.StarJob(jobID, n.fanIn, cfg.GradsPerPkt, cfg.expiry(n.Level))
 	jc.BlockCntMax = min(4095, 2*cfg.Window+4)
 	jc.ResultSpec = packet.UDPSpec{
 		SrcIP: [4]byte{10, uint8(n.Level + 1), uint8(n.Index >> 8), uint8(n.Index)},
-		DstIP: [4]byte{224, 0, 1, cfg.JobID},
+		DstIP: [4]byte{224, 0, 1, jobID},
 	}
 	if n.Parent != nil {
 		jc.UpstreamPort = n.upPort

@@ -172,7 +172,7 @@ func (b *workerBank) sendBlock(w, blk int) {
 		DstIP:   [4]byte{10, 1, uint8(b.rack >> 8), uint8(b.rack)},
 		SrcPort: 5000,
 	}, packet.TrioML{
-		JobID: b.cfg.JobID, BlockID: uint32(blk), SrcID: uint8(w), GenID: gen,
+		JobID: jobID, BlockID: uint32(blk), SrcID: uint8(w), GenID: gen,
 		GradCnt: uint16(b.cfg.GradsPerPkt),
 	}, b.grads))
 }
@@ -190,7 +190,7 @@ func (b *workerBank) onFrame(w int, raw []byte, at sim.Time) {
 	}
 	h := f.ML
 	blk := int(h.BlockID)
-	if h.JobID != b.cfg.JobID || blk >= b.cfg.Blocks {
+	if h.JobID != jobID || blk >= b.cfg.Blocks {
 		return
 	}
 	if h.AgeOp > b.maxAgeOp {

@@ -316,8 +316,8 @@ func (e *mcEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
 // Process call when the installer did not call it, compiles and statically
 // verifies Program, and every thread then runs on microcode.RunCompiled. A
 // program that fails to compile never runs: each packet drops and counts in
-// Errors. Set Interpret to force the reference interpreter instead, for
-// benchmarking it or as the twin tests' reference arm.
+// Errors. Interpreted runs the same app on the reference interpreter: the
+// twin tests' reference arm.
 type MicrocodeApp struct {
 	Program    *microcode.Program
 	Entry      string
@@ -338,9 +338,6 @@ type MicrocodeApp struct {
 	// served result out to every coalesced waiter via ctx.Emit. It does not
 	// run for faulted threads (those drop).
 	Finish func(th *microcode.Thread, ctx *Ctx, v microcode.Verdict)
-
-	// Interpret forces the reference tree-walking interpreter.
-	Interpret bool
 
 	// Errors counts packets whose thread terminated abnormally (budget, bad
 	// label, run-time fault) or that found the program failing to compile;
@@ -399,7 +396,7 @@ func (m *MicrocodeApp) Compiled() *microcode.Compiled { return m.compiled }
 
 // Process implements App.
 func (m *MicrocodeApp) Process(ctx *Ctx) {
-	if !m.Interpret && m.compiled == nil {
+	if m.compiled == nil {
 		// Lazy path for apps installed without Compile. A program the
 		// verifier rejects executes no instruction.
 		if err := m.Compile(); err != nil {
@@ -409,6 +406,20 @@ func (m *MicrocodeApp) Process(ctx *Ctx) {
 			return
 		}
 	}
+	m.run(ctx, false)
+}
+
+// Interpreted returns an App that runs m's program on the reference
+// tree-walking interpreter (microcode.RunLimited), uncompiled and
+// unverified, counting errors in m: the reference arm of the tests that
+// hold the compiled dispatcher to the interpreter on a whole rig.
+func Interpreted(m *MicrocodeApp) App {
+	return AppFunc(func(ctx *Ctx) { m.run(ctx, true) })
+}
+
+// run executes one packet's thread on the compiled program, or on the
+// interpreter when interpret is set.
+func (m *MicrocodeApp) run(ctx *Ctx, interpret bool) {
 	m.env.c = ctx
 	th := &m.th
 	th.Reset(&m.env, ctx.now)
@@ -419,7 +430,7 @@ func (m *MicrocodeApp) Process(ctx *Ctx) {
 	timing := microcode.Timing{CycleTime: ctx.pfe.Cfg.CycleTime, CyclesPerInstr: ctx.pfe.Cfg.CyclesPerInst}
 	var v microcode.Verdict
 	var err error
-	if m.Interpret {
+	if interpret {
 		v, err = microcode.RunLimited(m.Program, th, m.entry(), timing, microcode.DefaultBudget)
 	} else {
 		v, err = microcode.RunCompiledAt(m.compiled, th, m.entryPC, timing, microcode.DefaultBudget)

@@ -553,7 +553,7 @@ func chainProgram(n int) *microcode.Program {
 // Every way a program can fail compilation leaves it unrun: without Compile,
 // each packet drops and counts, no instruction is charged, and the cached
 // compile error is what Compile reports. Where the interpreter would still
-// execute the program, Interpret shows it doing so.
+// execute the program, Interpreted shows it doing so.
 func TestMicrocodeAppRejectedProgramsNeverRun(t *testing.T) {
 	mutatedLabel := microcode.MustAssemble("a: begin goto b; end\nb: begin exit(forward); end")
 	mutatedLabel.Instrs[1].Label = "c"
@@ -601,7 +601,7 @@ func TestMicrocodeAppRejectedProgramsNeverRun(t *testing.T) {
 			eng = sim.NewEngine()
 			p = New(eng, Config{})
 			p.SetOutput(func(int, []byte, sim.Time) {})
-			p.SetApp(&MicrocodeApp{Program: c.prog, Entry: c.entry, EgressPort: 1, Interpret: true})
+			p.SetApp(Interpreted(&MicrocodeApp{Program: c.prog, Entry: c.entry, EgressPort: 1}))
 			p.Inject(0, 1, frameOfSize(100, 0))
 			eng.Run()
 			if p.Stats().Instructions == 0 {
@@ -655,8 +655,10 @@ func TestMicrocodeUseCasesMatchInterpreter(t *testing.T) {
 					base = allocCounters(c.counters)
 				}
 				r := newMCRig(t, c.src, 1, base)
-				r.app.Interpret = interpret
 				r.app.EgressReg = c.egressReg
+				if interpret {
+					r.pfe.SetApp(Interpreted(r.app))
+				}
 				for _, f := range traffic {
 					r.pfe.Inject(0, uint64(f[29]), append([]byte(nil), f...))
 				}

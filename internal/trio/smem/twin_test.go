@@ -166,7 +166,7 @@ func newTwinRig(engines int, withFaults, withObs bool, seed uint64) *twinRig {
 	r := &twinRig{m: New(Config{NumRMWEngines: engines, SRAMSize: 3 * pageSize, CacheSize: 2 * pageSize, DRAMSize: 64 * pageSize,
 		CycleTime: sim.Time(1 + engines%2*2)})}
 	if withFaults {
-		r.plan = faults.NewPlan(seed, faults.Config{Mem: faults.MemConfig{BankErrorProb: 0.3, RetryCycles: 7}})
+		r.plan = faults.NewPlan(seed, faults.Config{Mem: faults.MemConfig{BankErrorProb: 0.3}})
 		r.m.SetFaults(r.plan.Mem(0))
 	}
 	if withObs {

@@ -134,8 +134,6 @@ type Aggregator struct {
 
 	stats Stats
 
-	// Fallback handles non-aggregation traffic; nil drops it.
-	Fallback pfe.App
 	// OnAggregated observes each aggregated packet: arrival, thread
 	// completion time, and gradient count (Fig. 15 instrumentation).
 	OnAggregated func(arrival, done sim.Time, grads int)
@@ -260,10 +258,6 @@ func (a *Aggregator) Process(ctx *pfe.Ctx) {
 	f := &a.frame
 	if err := packet.DecodeInto(f, ctx.Head()); err != nil || !f.IsTrioML() {
 		a.stats.NonAggPkts++
-		if a.Fallback != nil {
-			a.Fallback.Process(ctx)
-			return
-		}
 		ctx.Drop()
 		return
 	}

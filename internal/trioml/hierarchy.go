@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/trioml/triogo/internal/packet"
-	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio"
 )
 
@@ -30,9 +29,7 @@ type HierarchyConfig struct {
 	JobID        uint8
 	TopPFE       int
 	Groups       []HierGroup
-	BlockCntMax  int
 	BlockGradMax int
-	BlockExpiry  sim.Time
 	ResultSpec   packet.UDPSpec
 }
 
@@ -78,9 +75,7 @@ func SetupHierarchy(r *trio.Router, cfg HierarchyConfig, aggs map[int]*Aggregato
 		err := level.InstallJob(JobConfig{
 			JobID:           cfg.JobID,
 			Sources:         g.WorkerSrcIDs,
-			BlockCntMax:     cfg.BlockCntMax,
 			BlockGradMax:    cfg.BlockGradMax,
-			BlockExpiry:     cfg.BlockExpiry,
 			ResultSpec:      cfg.ResultSpec,
 			UpstreamPort:    g.UplinkPort,
 			UpstreamSrcID:   uint8(gi),
@@ -96,9 +91,7 @@ func SetupHierarchy(r *trio.Router, cfg HierarchyConfig, aggs map[int]*Aggregato
 	err := h.Top.InstallJob(JobConfig{
 		JobID:        cfg.JobID,
 		Sources:      topSources,
-		BlockCntMax:  cfg.BlockCntMax,
 		BlockGradMax: cfg.BlockGradMax,
-		BlockExpiry:  cfg.BlockExpiry,
 		ResultSpec:   cfg.ResultSpec,
 		ResultPorts:  topPorts,
 		UpstreamPort: -1,

@@ -125,7 +125,7 @@ func TestMCAggCompiledMatchesInterpreter(t *testing.T) {
 		cfg := MCAggConfig{Sources: 3, Slots: 16, Grads: 1024, Unroll: u}
 		engC, pC, aggC, resC := mcaggRig(t, cfg)
 		engI, pI, aggI, resI := mcaggRig(t, cfg)
-		aggI.App.Interpret = true
+		pI.SetApp(pfe.Interpreted(aggI.App))
 		kernel := fmt.Sprintf("loop kernel: head %d (add_loop) .. end %d (add_ctl), %d lanes, %d instructions per pass",
 			mustLookup(t, aggC, "add_loop"), mustLookup(t, aggC, "add_ctl"), u, u+1)
 		if dump := aggC.App.Compiled().DumpCompiled(); !strings.Contains(dump, kernel) {
