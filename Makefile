@@ -60,12 +60,15 @@ verify-hostagg:
 # verify-hostagg-slo is what is left of the real-socket chaos run: the one
 # assertion about wall-clock speed (under flood and retxstorm the victim's
 # fastest round stays within 90% of its aggressor-free baseline over real
-# loopback — behind -live, outside tier-1), and short FuzzHandle and
-# FuzzGROSplit runs (the table's decoder; the UDP_GRO control-message parser
-# and splitter in front of it) over the checked-in corpora plus fresh inputs.
+# loopback — behind -live, outside tier-1), and short FuzzHandle,
+# FuzzAggTrace and FuzzGROSplit runs (the table's decoder; one contribution
+# trace through aggcore.Decide, the table and the PFE aggregator; the UDP_GRO
+# control-message parser and splitter in front of the table) over the
+# checked-in corpora plus fresh inputs.
 verify-hostagg-slo:
 	$(GO) test -run TestLiveVictimSLO ./internal/hostagg/ -live
 	$(GO) test -fuzz=FuzzHandle -fuzztime=10s -run FuzzHandle ./internal/hostagg/
+	$(GO) test -fuzz=FuzzAggTrace -fuzztime=10s -run FuzzAggTrace ./internal/trioml/
 	$(GO) test -fuzz=FuzzGROSplit -fuzztime=10s -run FuzzGROSplit ./internal/hostagg/
 
 # verify-faults races the fault-injection plan and mltrain, whose Worker the

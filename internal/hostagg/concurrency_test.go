@@ -44,22 +44,26 @@ func TestGenRestartWithLargerBlock(t *testing.T) {
 	}
 }
 
-// TestOversizedContributionGrowsSums: a contribution with more gradients
-// than the open block must grow the sum vector instead of dropping the
-// excess, and the mismatch must be counted.
-func TestOversizedContributionGrowsSums(t *testing.T) {
+// TestMismatchedContributionRefused: inside a generation every source agrees
+// on the block's size. A contribution with more or fewer gradients than the
+// open block is refused and counted: it neither grows the sums (one source
+// could inflate every worker's result and its tenant's byte charge) nor
+// counts its source, which may still contribute at the right size.
+func TestMismatchedContributionRefused(t *testing.T) {
 	tab := newTestTable(t, ServerConfig{NumWorkers: 2})
 	var out outbox
-	tab.Handle(t0, buildContribution(1, 3, 0, 1, []int32{5}), workerAddr(0), out.send)
+	tab.Handle(t0, buildContribution(1, 3, 0, 1, []int32{5, 6}), workerAddr(0), out.send)
 	tab.Handle(t0, buildContribution(1, 3, 1, 1, []int32{1, 2, 3}), workerAddr(1), out.send)
-	if len(out) != 2 {
-		t.Fatalf("sent %d datagrams, want the result to both workers", len(out))
+	tab.Handle(t0, buildContribution(1, 3, 1, 1, []int32{1}), workerAddr(1), out.send)
+	if st := tab.Stats(); len(out) != 0 || st.GradMismatch != 2 || tab.Pending() != 1 {
+		t.Fatalf("sent %d, stats %+v, pending %d: want both mismatches refused and the block open", len(out), st, tab.Pending())
 	}
-	if want := []int32{6, 2, 3}; !slices.Equal(out[0].grads, want) {
-		t.Fatalf("grads = %v, want %v (excess dropped?)", out[0].grads, want)
+	if b := tab.blocks[key(1, 3)]; len(b.sums) != 2 || b.bytes != 8 || b.rcvdCnt != 1 {
+		t.Fatalf("block = %d sums, %d bytes, %d sources: a refusal touched it", len(b.sums), b.bytes, b.rcvdCnt)
 	}
-	if st := tab.Stats(); st.GradMismatch != 1 {
-		t.Fatalf("stats = %+v, want 1 grad mismatch", st)
+	tab.Handle(t0, buildContribution(1, 3, 1, 1, []int32{1, 2}), workerAddr(1), out.send)
+	if len(out) != 2 || !slices.Equal(out[0].grads, []int32{6, 8}) {
+		t.Fatalf("sent %+v, want the sum [6 8] to both workers", out)
 	}
 }
 

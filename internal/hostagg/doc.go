@@ -12,8 +12,9 @@
 //
 // # Table and shell
 //
-// Table is the block table and everything that decides: the block map,
-// tenant quotas, the overload ladder, the replay cache, counters. It owns no
+// Table is the block table and everything around the per-contribution
+// decision, which is aggcore.Decide's: the block map, tenant quotas, the
+// overload ladder, the replay cache, counters. It owns no
 // socket, no goroutine and no clock; Handle(now, payload, from, send) and
 // Sweep(now, send) take the instant and the way out as arguments, so what a
 // table does is a function of its inputs (nothing it decides follows map
@@ -55,14 +56,10 @@
 //
 // The hot path enforces the following invariants (each regression-tested):
 //
-//   - A generation restart (newer gen_id reusing a block id) adopts the
-//     incoming packet's gradient vector exactly: the sum vector is resized
-//     to the new length, final is taken from the new packet, and nothing
-//     from the old generation leaks into the new sums. Restarts are counted
-//     in ServerStats.GenRestarts.
-//   - A contribution carrying more gradients than the open block grows the
-//     sum vector rather than silently truncating; any length mismatch is
-//     counted in ServerStats.GradMismatch and logged once.
+//   - internal/aggcore decides each contribution, as it does on the PFE. A
+//     generation restart adopts the new packet's vector and final bit
+//     exactly (ServerStats.GenRestarts); a contribution whose gradient count
+//     differs from its open generation's is refused (GradMismatch).
 //   - The client is one loop around Reduce, an allreduce with no socket or
 //     clock: AllReduce reads its own socket, read deadline at Wake. A socket
 //     error fails AllReduce; Close makes it return net.ErrClosed.

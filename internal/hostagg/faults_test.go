@@ -317,7 +317,7 @@ func addPathRewinder(tab *Table, k uint64, src uint8) func() {
 	return func() {
 		tab.mu.Lock()
 		b := tab.blocks[k]
-		b.rcvdMask &^= 1 << src
+		b.rcvdMask.Clear(src)
 		b.rcvdCnt--
 		tab.mu.Unlock()
 	}

@@ -35,13 +35,13 @@ func (t *Table) RegisterObs(r *obs.Registry) {
 		"Blocks aged out by the sweep and emitted as partial (degraded) results.",
 		func() uint64 { return t.counters.degraded.Load() })
 	counter("triogo_hostagg_bad_packets_total", "packets",
-		"Well-formed packets rejected for protocol violations (e.g. out-of-range source id).",
+		"Well-formed packets rejected for protocol violations (out-of-range source id, empty block).",
 		func() uint64 { return t.counters.badPackets.Load() })
 	counter("triogo_hostagg_gen_restarts_total", "blocks",
 		"Blocks restarted in place by a newer generation reusing the block id.",
 		func() uint64 { return t.counters.genRestarts.Load() })
 	counter("triogo_hostagg_grad_mismatch_total", "packets",
-		"Contributions whose gradient count differed from the open block's.",
+		"Contributions refused because their gradient count differed from the open block's.",
 		func() uint64 { return t.counters.gradMismatch.Load() })
 	counter("triogo_hostagg_shed_total", "packets",
 		"Contributions refused by the MaxOpenBlocks/MaxBlocksPerJob overload bounds.",

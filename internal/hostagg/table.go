@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/trioml/triogo/internal/aggcore"
 	"github.com/trioml/triogo/internal/faults"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/replay"
@@ -67,14 +68,14 @@ type ServerConfig struct {
 
 type blockState struct {
 	sums     []int32
-	rcvdMask uint64
+	rcvdMask aggcore.Mask
 	rcvdCnt  int
 	genID    uint16
 	final    bool
 	lastRef  time.Time
 	refFlag  bool // cleared by the sweep, set by packets (REF semantics)
 
-	tenant *tenantState // owning tenant, charged for the block while open
+	tenant *tenantState // owning tenant (never nil), charged for the block while open
 	bytes  int64        // gradient bytes charged against the tenant
 }
 
@@ -83,21 +84,21 @@ type servedBlock struct {
 	degraded bool
 }
 
-// Table is the block table and everything that decides (see "Table and
-// shell" in the package documentation): no socket, no goroutine, no clock.
+// Table is the block table and everything around the protocol decision,
+// aggcore.Decide (see "Table and shell" in the package documentation): no
+// socket, no goroutine, no clock.
 // Handle and Sweep are safe for concurrent use: one mutex guards the block
 // map, the replay cache, the fault stream, the worker registry and the
 // per-job accounting, and nothing is sent while it is held.
 type Table struct {
 	cfg ServerConfig // defaults filled in
+	job aggcore.Job  // sources 0..NumWorkers-1, blocks of up to MaxGradientsPerPacket
 
 	mu     sync.Mutex
 	blocks map[uint64]*blockState
 
-	// served retains recently emitted results for retransmit replay
-	// (ReplayWindow > 0, nil otherwise). The FIFO/generation machinery
-	// lives in internal/replay, shared with apps/netrpc; the cache is keyed
-	// by block key with the block's generation as the replay generation.
+	// served retains recently emitted results for Replay (ReplayWindow > 0,
+	// nil otherwise), keyed by block key with the block's generation.
 	served *replay.Cache[*servedBlock]
 
 	flt *faults.HostaggTable // injected recv-drop/crash stream; nil when off
@@ -118,8 +119,6 @@ type Table struct {
 
 	counters serverCounters
 	emitPool sync.Pool // *[]byte result payloads
-
-	mismatchOnce sync.Once
 }
 
 // ServerStats is a snapshot of the server's activity counters (via Stats).
@@ -131,7 +130,7 @@ type ServerStats struct {
 	Degraded     uint64
 	BadPackets   uint64
 	GenRestarts  uint64 // blocks restarted in place by a newer generation
-	GradMismatch uint64 // contributions whose gradient count differed from the open block
+	GradMismatch uint64 // contributions refused because their gradient count differed from the open block's
 
 	Shed           uint64 // contributions refused by MaxOpenBlocks/MaxBlocksPerJob
 	JobsExpired    uint64 // jobs evicted whole by JobIdleTimeout
@@ -194,8 +193,13 @@ func NewTable(cfg ServerConfig) (*Table, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 20 * time.Millisecond
 	}
+	var members aggcore.Mask
+	for src := 0; src < cfg.NumWorkers; src++ {
+		members.Set(uint8(src))
+	}
 	t := &Table{
 		cfg:     cfg,
+		job:     aggcore.NewJob(members, packet.MaxGradientsPerPacket),
 		blocks:  make(map[uint64]*blockState),
 		workers: make(map[uint16]*net.UDPAddr),
 		tenants: newTenantTable(cfg.TenantQuotas, cfg.JobTenants),
@@ -265,9 +269,10 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 		t.counters.malformed.Add(1)
 		return
 	}
-	if int(h.SrcID) >= t.cfg.NumWorkers {
-		// Decodes fine but claims a source outside the job's fleet: a
-		// protocol violation rather than wire damage.
+	n := int(h.GradCnt)
+	if !t.job.Admits(h.SrcID, n) {
+		// A source outside the fleet, or an empty block: a protocol
+		// violation, refused before Packets, the rate limiter and the lock.
 		t.counters.badPackets.Add(1)
 		return
 	}
@@ -296,118 +301,84 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 		return
 	}
 	b := t.blocks[k]
-	if b == nil && t.served != nil && t.overload.Load() < statePressure {
+	var blk aggcore.Block
+	var sb *servedBlock
+	if b != nil {
+		blk = aggcore.Record(b.genID, len(b.sums), &b.rcvdMask)
+	} else if t.served != nil && t.overload.Load() < statePressure {
 		// The replay cache is a nicety the ladder sheds first: at pressure
 		// and above, lookups are skipped so retransmits for served blocks
 		// fall through to admission (and are themselves shed if over quota).
-		if sb, gen, ok := t.served.Lookup(k); ok {
-			switch {
-			case h.GenID == gen:
-				// Retransmit for a block already served: replay the cached
-				// result to the sender only, instead of re-opening the block
-				// and eventually answering with a wrong one-source sum.
-				t.mu.Unlock()
-				t.counters.resultReplays.Add(1)
-				t.emit(send, h.JobID, h.BlockID, sb.b, sb.degraded, []*net.UDPAddr{from})
-				return
-			case int16(h.GenID-gen) < 0:
-				t.counters.staleDrops.Add(1)
-				t.mu.Unlock()
-				return
-			default:
-				// Newer generation reuses the id: the cached result is dead.
-				t.served.Delete(k)
-			}
+		if cached, gen, ok := t.served.Lookup(k); ok {
+			sb, blk = cached, aggcore.Cached(gen)
 		}
 	}
-	switch {
-	case b == nil:
-		blockBytes := int64(4) * int64(h.GradCnt)
-		if t.cfg.MaxBlocksPerJob > 0 && t.jobOpen[h.JobID] >= int64(t.cfg.MaxBlocksPerJob) {
-			t.counters.shed.Add(1)
-			tn.shed.Add(1)
-			t.mu.Unlock()
-			t.sendNack(now, send, from, &h, tn, packet.RetryReasonQuota)
-			return
+	act := aggcore.Decide(h.SrcID, h.GenID, n, &t.job, &blk)
+	switch act {
+	case aggcore.Refuse: // admitted before the lock, so a size mismatch
+		t.counters.gradMismatch.Add(1)
+	case aggcore.Stale:
+		t.counters.staleDrops.Add(1)
+	case aggcore.Duplicate:
+		t.counters.duplicates.Add(1)
+	case aggcore.Replay:
+		// To the retransmitting sender only.
+		t.mu.Unlock()
+		t.counters.resultReplays.Add(1)
+		t.emit(send, h.JobID, h.BlockID, sb.b, sb.degraded, []*net.UDPAddr{from})
+		return
+	case aggcore.Open:
+		if sb != nil {
+			t.served.Delete(k) // a newer generation reuses the id
 		}
-		if (tn.quota.MaxOpenBlocks > 0 && tn.open.Load() >= int64(tn.quota.MaxOpenBlocks)) ||
-			(tn.quota.MaxBytesInFlight > 0 && tn.bytes.Load()+blockBytes > tn.quota.MaxBytesInFlight) {
+		blockBytes := 4 * int64(n)
+		atCap := t.cfg.MaxOpenBlocks > 0 && t.openBlocks.Load() >= int64(t.cfg.MaxOpenBlocks)
+		var shed *atomic.Uint64
+		reason := uint8(packet.RetryReasonQuota)
+		switch {
+		case t.cfg.MaxBlocksPerJob > 0 && t.jobOpen[h.JobID] >= int64(t.cfg.MaxBlocksPerJob):
+			shed = &t.counters.shed
+		case (tn.quota.MaxOpenBlocks > 0 && tn.open.Load() >= int64(tn.quota.MaxOpenBlocks)) ||
+			(tn.quota.MaxBytesInFlight > 0 && tn.bytes.Load()+blockBytes > tn.quota.MaxBytesInFlight):
 			// The tenant's own quota is exhausted: shed regardless of how
 			// idle the rest of the server is.
-			t.counters.quotaShed.Add(1)
-			tn.shed.Add(1)
-			t.mu.Unlock()
-			t.sendNack(now, send, from, &h, tn, packet.RetryReasonQuota)
-			return
-		}
-		atCap := t.cfg.MaxOpenBlocks > 0 && t.openBlocks.Load() >= int64(t.cfg.MaxOpenBlocks)
-		if atCap || t.overload.Load() == stateOverload {
+			shed = &t.counters.quotaShed
+		case (atCap || t.overload.Load() == stateOverload) && !t.fairEvictLocked(tn):
 			// Global pressure: admission is only by displacement. A tenant
 			// under its fair share evicts one block of the tenant furthest
 			// over; the furthest-over tenant itself is refused, so an
 			// aggressor's storm is absorbed by the aggressor.
-			if !t.fairEvictLocked(tn) {
-				t.counters.shed.Add(1)
-				tn.shed.Add(1)
-				t.mu.Unlock()
-				t.sendNack(now, send, from, &h, tn, packet.RetryReasonOverload)
-				return
-			}
+			shed, reason = &t.counters.shed, packet.RetryReasonOverload
 		}
-		grads, gerr := packet.Gradients(rest, int(h.GradCnt))
-		if gerr != nil {
-			t.counters.malformed.Add(1)
+		if shed != nil {
+			shed.Add(1)
+			tn.shed.Add(1)
 			t.mu.Unlock()
+			t.sendNack(now, send, from, &h, tn, reason)
 			return
 		}
+		grads, _ := packet.Gradients(rest, n) // decode checked the length
 		b = &blockState{sums: grads, genID: h.GenID, final: h.Final, tenant: tn, bytes: blockBytes}
 		t.blocks[k] = b
 		t.blockOpened(b, h.JobID)
-	case h.GenID != b.genID && int16(h.GenID-b.genID) < 0:
-		t.counters.staleDrops.Add(1)
-		t.mu.Unlock()
-		return
-	case h.GenID != b.genID:
-		// Newer generation reuses the block id: restart in place, adopting
-		// the new packet's vector exactly — the new generation's block may
-		// be larger or smaller than the old one.
-		grads, gerr := packet.Gradients(rest, int(h.GradCnt))
-		if gerr != nil {
-			t.counters.badPackets.Add(1)
-			t.mu.Unlock()
-			return
-		}
-		b.genID = h.GenID
-		b.rcvdMask, b.rcvdCnt = 0, 0
-		b.sums = grads
-		b.final = h.Final
-		t.retagBlockBytes(b, int64(4)*int64(h.GradCnt))
+	case aggcore.Restart:
+		// Adopt the new packet's vector exactly: the new generation's block
+		// may be larger or smaller than the old one.
+		b.sums, _ = packet.Gradients(rest, n) // decode checked the length
+		b.genID, b.final = h.GenID, h.Final
+		b.rcvdMask, b.rcvdCnt = aggcore.Mask{}, 0
+		b.tenant.bytes.Add(4*int64(n) - b.bytes)
+		b.bytes = 4 * int64(n)
 		t.counters.genRestarts.Add(1)
-	case b.rcvdMask&(1<<h.SrcID) != 0:
-		t.counters.duplicates.Add(1)
+	case aggcore.Add:
+		packet.AddGradients(b.sums, rest, n)
+		b.final = b.final || h.Final
+	}
+	if !act.Adds() {
 		t.mu.Unlock()
 		return
-	default:
-		n := int(h.GradCnt)
-		if n != len(b.sums) {
-			t.counters.gradMismatch.Add(1)
-			t.mismatchOnce.Do(func() {
-				t.cfg.Logger.Warn("hostagg: gradient count mismatch within a generation",
-					"job", h.JobID, "block", h.BlockID, "have", len(b.sums), "got", n)
-			})
-			if n > len(b.sums) {
-				grown := make([]int32, n)
-				copy(grown, b.sums)
-				b.sums = grown
-				t.retagBlockBytes(b, int64(4)*int64(n))
-			}
-		}
-		packet.AddGradients(b.sums, rest, n)
-		if h.Final {
-			b.final = true
-		}
 	}
-	b.rcvdMask |= 1 << h.SrcID
+	b.rcvdMask.Set(h.SrcID)
 	b.rcvdCnt++
 	b.lastRef = now
 	b.refFlag = true
@@ -440,30 +411,17 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 func (t *Table) blockOpened(b *blockState, job uint8) {
 	t.openBlocks.Add(1)
 	t.jobOpen[job]++
-	if b.tenant != nil {
-		b.tenant.open.Add(1)
-		b.tenant.bytes.Add(b.bytes)
-	}
+	b.tenant.open.Add(1)
+	b.tenant.bytes.Add(b.bytes)
 	t.updateOverload()
 }
 
 func (t *Table) blockClosed(b *blockState, job uint8) {
 	t.openBlocks.Add(-1)
 	t.jobOpen[job]--
-	if b.tenant != nil {
-		b.tenant.open.Add(-1)
-		b.tenant.bytes.Add(-b.bytes)
-	}
+	b.tenant.open.Add(-1)
+	b.tenant.bytes.Add(-b.bytes)
 	t.updateOverload()
-}
-
-// retagBlockBytes re-charges an open block whose gradient vector changed
-// size (generation restart, mismatch growth) against its tenant.
-func (t *Table) retagBlockBytes(b *blockState, newBytes int64) {
-	if b.tenant != nil {
-		b.tenant.bytes.Add(newBytes - b.bytes)
-	}
-	b.bytes = newBytes
 }
 
 // fairEvictLocked admits one block for tn while the server is at its global

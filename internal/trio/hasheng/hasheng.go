@@ -105,9 +105,10 @@ func (t *Table) Insert(now sim.Time, key, val uint64) (ok bool, done sim.Time) {
 
 // ClearRef clears a record's REF flag without otherwise touching it — the
 // inverse of the reference a Lookup just took. Aggregation programs use it
-// when a lookup turns out to be a retransmitted duplicate: a duplicate is
-// not forward progress, so it must not keep the record alive against the
-// timer threads (otherwise periodic retransmission livelocks aging).
+// when the contribution a lookup found a record for is not added (refused,
+// stale or a retransmitted duplicate): that is not forward progress, so it
+// must not keep the record alive against the timer threads (otherwise
+// periodic retransmission livelocks aging).
 func (t *Table) ClearRef(now sim.Time, key uint64) (ok bool, done sim.Time) {
 	done = now + t.cfg.OpLatency
 	b := t.buckets[t.bucket(key)]

@@ -198,7 +198,8 @@ func (c *Ctx) HashInsert(key, val uint64) bool {
 }
 
 // HashClearRef issues a synchronous hash-engine REF clear, undoing the
-// reference a prior lookup took (duplicate handling; see hasheng.ClearRef).
+// reference a prior lookup took (a contribution not added; see
+// hasheng.ClearRef).
 func (c *Ctx) HashClearRef(key uint64) bool {
 	c.stats.XTXNs++
 	start := c.now

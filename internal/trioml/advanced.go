@@ -1,6 +1,8 @@
 package trioml
 
 import (
+	"slices"
+
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio/pfe"
@@ -73,7 +75,7 @@ func (a *Aggregator) recordStragglerEvents(ctx *pfe.Ctx, jobID uint8, job JobRec
 		return
 	}
 	for s := 0; s < MaxSources; s++ {
-		if maskBit(&job.SrcMask, uint8(s)) && !maskBit(&rec.RcvdMask, uint8(s)) {
+		if job.SrcMask.Has(uint8(s)) && !rec.RcvdMask.Has(uint8(s)) {
 			ctx.CounterInc(base+uint64(s)*16, 1)
 		}
 	}
@@ -93,8 +95,8 @@ func (a *Aggregator) analyze(ctx *pfe.Ctx, st *advancedState) {
 		for _, src := range js.cfg.Sources {
 			events, _ := a.pfe.Mem.Counter(base + uint64(src)*16)
 			cur[src] = events
-			if js.demoted[src] {
-				continue
+			if !js.core.Member(src) {
+				continue // demoted
 			}
 			if events-prev[src] >= st.cfg.EventThreshold {
 				a.demoteSource(ctx, jobID, js, src)
@@ -112,18 +114,15 @@ func (a *Aggregator) demoteSource(ctx *pfe.Ctx, jobID uint8, js *jobState, src u
 		return
 	}
 	job := decodeJob(ctx.MemRead(jobAddr, recordTxnBytes))
-	if !maskBit(&job.SrcMask, src) {
+	if !job.SrcMask.Has(src) {
 		return
 	}
-	job.SrcMask[src/64] &^= 1 << (src % 64)
+	job.SrcMask.Clear(src)
 	if job.SrcCnt > 0 {
 		job.SrcCnt--
 	}
 	a.writeJob(ctx, jobAddr, job)
-	if js.demoted == nil {
-		js.demoted = map[uint8]bool{}
-	}
-	js.demoted[src] = true
+	js.core.Demote(src)
 	a.stats.SourcesDemoted++
 
 	// Notify the workers (§5: "sends notification to all other workers").
@@ -147,5 +146,5 @@ func (a *Aggregator) demoteSource(ctx *pfe.Ctx, jobID uint8, js *jobState, src u
 // Demoted reports whether a source is currently demoted from a job.
 func (a *Aggregator) Demoted(jobID, src uint8) bool {
 	js := a.jobs[jobID]
-	return js != nil && js.demoted[src]
+	return js != nil && slices.Contains(js.cfg.Sources, src) && !js.core.Member(src)
 }

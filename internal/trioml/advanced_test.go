@@ -129,3 +129,39 @@ func TestTemporaryStragglerNotDemoted(t *testing.T) {
 		t.Fatalf("stats = %+v", r.agg.Stats())
 	}
 }
+
+// TestDemotedSourceRefused: once demoted, a source is out of the job. Its
+// contribution to an open block is refused rather than counted toward the
+// three sources the block now waits for.
+func TestDemotedSourceRefused(t *testing.T) {
+	r, stop := deadWorkerRig(t, 5)
+	defer stop()
+	for b := uint32(0); b < 10; b++ {
+		b := b
+		r.eng.At(sim.Time(b)*3*sim.Millisecond, func() { sendAlive(r, b) })
+	}
+	r.eng.RunUntil(60 * sim.Millisecond)
+	if !r.agg.Demoted(1, 3) {
+		t.Fatal("precondition: not demoted")
+	}
+	refused := r.agg.Stats().NonAggPkts
+	nres := len(r.results)
+	start := r.eng.Now()
+	r.send(0, 100, 1, seqGrads(32, 1))
+	r.eng.RunUntil(start + 5*sim.Microsecond)
+	r.send(3, 100, 1, seqGrads(32, 100)) // the demoted source comes back
+	r.eng.RunUntil(start + 10*sim.Microsecond)
+	r.send(1, 100, 1, seqGrads(32, 1))
+	r.send(2, 100, 1, seqGrads(32, 1))
+	r.eng.RunUntil(start + sim.Millisecond)
+	if len(r.results) == nres {
+		t.Fatal("block 100 not served")
+	}
+	res := r.results[nres]
+	if res.hdr.BlockID != 100 || res.hdr.SrcCnt != 3 || res.hdr.Degraded || res.grads[0] != 3 {
+		t.Fatalf("result %+v sum %d, want block 100 from sources 0..2, sum 3", res.hdr, res.grads[0])
+	}
+	if got := r.agg.Stats().NonAggPkts - refused; got != 1 {
+		t.Fatalf("%d contributions refused, want the demoted source's one", got)
+	}
+}

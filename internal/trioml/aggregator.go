@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"github.com/trioml/triogo/internal/aggcore"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/replay"
 	"github.com/trioml/triogo/internal/sim"
@@ -107,14 +108,10 @@ type jobState struct {
 	freeBufs []uint64          // aggregation buffer pool (DMEM)
 	freeRecs []uint64          // block record pool
 	bufOf    map[uint64]uint64 // hash key -> buffer, for pool recycling
-	demoted  map[uint8]bool    // sources removed by advanced mitigation
+	core     aggcore.Job       // src_mask (less demoted sources) and BlockGradMax
 
-	// Served-result replay cache (EnableResultReplay; nil when off). A
-	// contribution for a block whose result was already emitted gets the
-	// original Result frame re-sent instead of recreating a one-source
-	// record — the end-host retry idempotence NetRPC argues in-network
-	// compute needs. Host-side control-plane state: block key -> the
-	// emitted Result frame, bounded by the cache's window.
+	// served holds the emitted Result frames a Replay re-sends, keyed by
+	// block (EnableResultReplay; nil when off). Host-side control plane.
 	served *replay.Cache[[]byte]
 }
 
@@ -200,19 +197,18 @@ func (a *Aggregator) InstallJob(cfg JobConfig) error {
 		OutDstAddr:   binary.BigEndian.Uint32(cfg.ResultSpec.DstIP[:]),
 		SrcCnt:       uint8(len(cfg.Sources)),
 	}
-	seen := map[uint8]bool{}
 	for _, s := range cfg.Sources {
 		if s == ResultSrcID {
 			return fmt.Errorf("trioml: source id %#x is reserved for results", ResultSrcID)
 		}
-		if seen[s] {
+		if rec.SrcMask.Has(s) {
 			return fmt.Errorf("trioml: duplicate source id %d", s)
 		}
-		seen[s] = true
-		setMaskBit(&rec.SrcMask, s)
+		rec.SrcMask.Set(s)
 	}
 
 	js := &jobState{cfg: cfg, bufOf: make(map[uint64]uint64)}
+	js.core = aggcore.NewJob(rec.SrcMask, cfg.BlockGradMax)
 	mem := a.pfe.Mem
 	js.recAddr = mem.Alloc(smem.TierSRAM, recordTxnBytes)
 	buf := make([]byte, recordTxnBytes)
@@ -252,7 +248,9 @@ func (a *Aggregator) EnableResultReplay(jobID uint8, window int) error {
 	return nil
 }
 
-// Process implements pfe.App: the Fig. 10 workflow.
+// Process implements pfe.App: the Fig. 10 workflow, deciding each
+// contribution with aggcore.Decide. The job is checked against its
+// control-plane mirror, which costs no instruction and no XTXN.
 func (a *Aggregator) Process(ctx *pfe.Ctx) {
 	ctx.ChargeInstr(instrPacketOverhead)
 	f := &a.frame
@@ -273,74 +271,57 @@ func (a *Aggregator) Process(ctx *pfe.Ctx) {
 
 	// Lookup block record (job_id, block_id).
 	recAddr, found := ctx.HashLookup(blockKey)
+	if js == nil {
+		ctx.HashLookup(Key(h.JobID, JobBlockID)) // misses: no job record either
+		a.stats.NoJobDrops++
+		ctx.Drop()
+		return
+	}
 	var rec BlockRecord
-	creating := false
+	var blk aggcore.Block
+	var served []byte
 	if found {
 		ctx.MemReadInto(recAddr, a.rec[:])
 		rec = decodeBlock(a.rec[:])
-		switch {
-		case h.GenID == rec.GenID && maskBit(&rec.RcvdMask, h.SrcID):
-			// A retransmitted duplicate is not forward progress: undo the
-			// REF the lookup just took, or periodic retransmission from a
-			// source missing its Result would keep refreshing the record
-			// and livelock the §5 aging that is supposed to release it.
-			a.stats.Duplicates++
-			ctx.HashClearRef(blockKey)
-			ctx.Drop()
-			return
-		case h.GenID != rec.GenID && genOlder(h.GenID, rec.GenID):
-			// A straggler's contribution to an iteration that already aged
-			// out and was superseded.
-			a.stats.StaleDrops++
-			ctx.Drop()
-			return
-		case h.GenID != rec.GenID:
-			// The block id is being reused by a newer iteration: restart
-			// the record in place; the first source's writes (below)
-			// overwrite the stale buffer.
-			rec.GenID = h.GenID
-			rec.RcvdCnt = 0
-			rec.RcvdMask = [4]uint64{}
-			rec.AggAgeOp = 0
-			rec.GradCnt = h.GradCnt
-			rec.BlockStartTime = ctx.Now()
-			creating = true
+		blk = aggcore.Record(rec.GenID, int(rec.GradCnt), &rec.RcvdMask)
+	} else if js.served != nil {
+		if frame, gen, ok := js.served.Lookup(blockKey); ok {
+			served, blk = frame, aggcore.Cached(gen)
 		}
-	} else {
-		// Block not found: a contribution for an already-served block is a
-		// retransmit whose Result got lost — replay the cached frame (when
-		// the cache is on) instead of recreating a one-source record.
-		if js != nil && js.served != nil {
-			if frame, gen, ok := js.served.Lookup(blockKey); ok {
-				switch {
-				case h.GenID == gen:
-					a.replayResult(ctx, js, frame)
-					return
-				case genOlder(h.GenID, gen):
-					a.stats.StaleDrops++
-					ctx.Drop()
-					return
-				default:
-					// A newer generation reuses the block id; the cached
-					// result is dead.
-					js.served.Delete(blockKey)
-				}
-			}
+	}
+	act := aggcore.Decide(h.SrcID, h.GenID, int(h.GradCnt), &js.core, &blk)
+	if found && !act.Adds() {
+		// Only an added contribution is a reference: a source retransmitting
+		// until its Result arrives must not keep the record from aging (§5).
+		ctx.HashClearRef(blockKey)
+	}
+	switch act {
+	case aggcore.Refuse:
+		a.stats.NonAggPkts++
+	case aggcore.Stale:
+		a.stats.StaleDrops++
+	case aggcore.Duplicate:
+		a.stats.Duplicates++
+	case aggcore.Replay:
+		// The exact frame the completion emitted: every source gets one sum.
+		ctx.ChargeInstr(instrResultHeader)
+		emitResult(ctx, js, served)
+		a.stats.ResultReplays++
+		ctx.Consume()
+		return
+	case aggcore.Open:
+		if served != nil {
+			js.served.Delete(blockKey)
 		}
 		// Consult the job record (job_id, -1).
 		jobAddr, ok := ctx.HashLookup(Key(h.JobID, JobBlockID))
-		if !ok || js == nil {
+		if !ok {
 			a.stats.NoJobDrops++
 			ctx.Drop()
 			return
 		}
 		ctx.MemReadInto(jobAddr, a.rec[:])
 		job := decodeJob(a.rec[:])
-		if !maskBit(&job.SrcMask, h.SrcID) || int(h.GradCnt) > int(job.BlockGradMax) || h.GradCnt == 0 {
-			a.stats.NonAggPkts++
-			ctx.Drop()
-			return
-		}
 		if int(job.BlockCurrCnt) >= int(job.BlockCntMax) || len(js.freeBufs) == 0 {
 			a.stats.NoBufferDrops++
 			ctx.Drop()
@@ -365,13 +346,13 @@ func (a *Aggregator) Process(ctx *pfe.Ctx) {
 		job.BlockCurrCnt++
 		job.BlockTotalCnt++
 		a.writeJob(ctx, jobAddr, job)
-		creating = true
 		a.stats.BlocksCreated++
+	case aggcore.Restart:
+		// The first source's writes (below) overwrite the stale buffer.
+		rec.GenID, rec.GradCnt, rec.BlockStartTime = h.GenID, h.GradCnt, ctx.Now()
+		rec.RcvdCnt, rec.RcvdMask, rec.AggAgeOp = 0, aggcore.Mask{}, 0
 	}
-
-	if int(h.GradCnt) != int(rec.GradCnt) {
-		// All sources of a block must agree on its size.
-		a.stats.NonAggPkts++
+	if !act.Adds() {
 		ctx.Drop()
 		return
 	}
@@ -386,10 +367,10 @@ func (a *Aggregator) Process(ctx *pfe.Ctx) {
 
 	// Aggregate this packet's gradients into the block buffer: phase one
 	// from the head, phase two looping over 64-byte tail chunks (Fig. 10).
-	firstSource := rec.RcvdCnt == 0 && creating
-	a.aggregateGradients(ctx, f, h, uint64(rec.AggrPAddr), firstSource)
+	// A generation's first source writes the buffer; later sources add.
+	a.aggregateGradients(ctx, f, h, uint64(rec.AggrPAddr), act != aggcore.Add)
 
-	setMaskBit(&rec.RcvdMask, h.SrcID)
+	rec.RcvdMask.Set(h.SrcID)
 	rec.RcvdCnt++
 	a.stats.GradsAggregated += uint64(h.GradCnt)
 
@@ -406,9 +387,6 @@ func (a *Aggregator) Process(ctx *pfe.Ctx) {
 		a.OnAggregated(ctx.Packet().Arrival, ctx.Now(), int(h.GradCnt))
 	}
 }
-
-// genOlder reports whether a precedes b in modular 16-bit generation order.
-func genOlder(a, b uint16) bool { return int16(a-b) < 0 }
 
 // gradStream is the streaming state of aggregateGradients. It lives on the
 // Aggregator so the staging buffers are reused across packets — the
@@ -577,17 +555,6 @@ func emitResult(ctx *pfe.Ctx, js *jobState, frame []byte) {
 	for _, p := range js.cfg.ResultPorts {
 		ctx.Emit(p, frame)
 	}
-}
-
-// replayResult re-emits a cached Result frame for a retransmitted
-// contribution to an already-served block. The replayed bytes are the exact
-// frame the block's completion emitted, so every source converges on
-// identical sums no matter how many Result deliveries were lost.
-func (a *Aggregator) replayResult(ctx *pfe.Ctx, js *jobState, frame []byte) {
-	ctx.ChargeInstr(instrResultHeader)
-	emitResult(ctx, js, frame)
-	a.stats.ResultReplays++
-	ctx.Consume()
 }
 
 // distribute re-multicasts a Result packet arriving from an upper-level

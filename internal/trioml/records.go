@@ -9,6 +9,7 @@ package trioml
 import (
 	"encoding/binary"
 
+	"github.com/trioml/triogo/internal/aggcore"
 	"github.com/trioml/triogo/internal/bitfield"
 	"github.com/trioml/triogo/internal/sim"
 )
@@ -100,7 +101,7 @@ type JobRecord struct {
 	OutDstAddr    uint32
 	OutNhAddr     uint32
 	SrcCnt        uint8
-	SrcMask       [4]uint64
+	SrcMask       aggcore.Mask
 }
 
 // encode writes the record at jobLayout's byte offsets, as the Microcode
@@ -155,7 +156,7 @@ type BlockRecord struct {
 	GradCnt        uint16 // 12 bits
 	GenID          uint16
 	RcvdCnt        uint8
-	RcvdMask       [4]uint64
+	RcvdMask       aggcore.Mask
 }
 
 // encode writes the record at blockLayout's byte offsets. agg_age_op and
@@ -195,14 +196,4 @@ func decodeBlock(b []byte) BlockRecord {
 		r.RcvdMask[i] = binary.BigEndian.Uint64(b[26+8*i:])
 	}
 	return r
-}
-
-// maskBit reports whether source id s is set in a 4-word mask.
-func maskBit(mask *[4]uint64, s uint8) bool {
-	return mask[s/64]&(1<<(s%64)) != 0
-}
-
-// setMaskBit sets source id s in a 4-word mask.
-func setMaskBit(mask *[4]uint64, s uint8) {
-	mask[s/64] |= 1 << (s % 64)
 }

@@ -63,13 +63,8 @@ func (a *Aggregator) scanPartition(ctx *pfe.Ctx, part, nParts int) {
 		rec.BlockAge++
 		job := decodeJob(ctx.MemRead(uint64(rec.JobCtxPAddr), recordTxnBytes))
 		a.recordStragglerEvents(ctx, jobID, job, rec)
-		a.finishBlockAged(ctx, js, e.key, e.addr, rec, job)
+		// The scan already removed the record, so finishBlock's delete is
+		// a harmless no-op.
+		a.finishBlock(ctx, js, e.key, e.addr, rec, job, true)
 	}
-}
-
-// finishBlockAged emits the partial result for an aged block. The record was
-// already removed from the hash table by the scan, so finishBlock's own
-// delete is a harmless no-op.
-func (a *Aggregator) finishBlockAged(ctx *pfe.Ctx, js *jobState, key, addr uint64, rec BlockRecord, job JobRecord) {
-	a.finishBlock(ctx, js, key, addr, rec, job, true)
 }

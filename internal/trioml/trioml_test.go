@@ -217,6 +217,87 @@ func TestOversizedBlockDropped(t *testing.T) {
 	}
 }
 
+// TestForeignSourceRefusedOnOpenBlock: a source outside the job is refused
+// on every path, not only when it would open a block. Here it contributes to
+// an open block; counting it would complete the block as a full result
+// without the job's last source.
+func TestForeignSourceRefusedOnOpenBlock(t *testing.T) {
+	r := newRig(t, fourWorkerJob())
+	r.send(0, 1, 1, seqGrads(16, 1))
+	r.send(7, 1, 1, seqGrads(16, 100)) // src 7 is not in the job
+	r.send(1, 1, 1, seqGrads(16, 1))
+	r.send(2, 1, 1, seqGrads(16, 1))
+	r.eng.Run()
+	if st := r.agg.Stats(); len(r.results) != 0 || st.NonAggPkts != 1 {
+		t.Fatalf("%d results, stats %+v: want src 7 refused and the block waiting for src 3", len(r.results), st)
+	}
+	r.send(3, 1, 1, seqGrads(16, 1))
+	r.eng.Run()
+	if len(r.results) != 4 || r.results[0].hdr.SrcCnt != 4 || r.results[0].grads[0] != 4 {
+		t.Fatalf("results = %+v, want the four-source sum 4", r.results)
+	}
+}
+
+// TestOversizedRestartRefused: a newer generation's contribution passes the
+// same size check as a block's first one. A 128-gradient restart of a block
+// whose buffer holds 64 would write past it into the next block's buffer.
+func TestOversizedRestartRefused(t *testing.T) {
+	cfg := fourWorkerJob()
+	cfg.BlockGradMax = 64
+	r := newRig(t, cfg)
+	r.send(0, 2, 1, seqGrads(64, 1))
+	r.send(0, 1, 1, seqGrads(64, 1))
+	r.send(0, 1, 2, seqGrads(128, 1000)) // gen 2 of block 1, twice the buffer
+	for w := 1; w < 4; w++ {
+		r.send(w, 2, 1, seqGrads(64, 1))
+	}
+	r.eng.Run()
+	if st := r.agg.Stats(); st.NonAggPkts != 1 || len(r.results) != 4 {
+		t.Fatalf("%d results, stats %+v: want the restart refused and block 2 served", len(r.results), st)
+	}
+	res := r.results[0]
+	if res.hdr.BlockID != 2 || res.hdr.Degraded {
+		t.Fatalf("result = %+v, want block 2, full", res.hdr)
+	}
+	for i, g := range res.grads {
+		if g != 4*int32(i+1) {
+			t.Fatalf("block 2 gradient %d = %d, want %d (overwritten by block 1's restart)", i, g, 4*(i+1))
+		}
+	}
+}
+
+// TestStaleRetransmitsDoNotKeepRecordAlive: a contribution that is not added
+// is no reference. A source retransmitting its old-generation contribution
+// while a newer generation waits must not keep that record from aging.
+func TestStaleRetransmitsDoNotKeepRecordAlive(t *testing.T) {
+	cfg := fourWorkerJob()
+	cfg.BlockExpiry = 5 * sim.Millisecond
+	r := newRig(t, cfg)
+	if err := r.agg.EnableResultReplay(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	r.agg.StartStragglerDetection(100, 5*sim.Millisecond)
+	for w := 0; w < 4; w++ {
+		r.send(w, 0, 1, seqGrads(16, 1))
+	}
+	r.eng.RunUntil(sim.Millisecond)
+	r.send(0, 0, 2, seqGrads(16, 1)) // gen 2 opens; the others never come
+	resends := 0
+	for at := 2 * sim.Millisecond; at <= 44*sim.Millisecond; at += 2 * sim.Millisecond {
+		resends++
+		r.eng.At(at, func() { r.send(3, 0, 1, seqGrads(16, 1)) })
+	}
+	r.eng.RunUntil(45 * sim.Millisecond)
+	st := r.agg.Stats()
+	if st.BlocksDegraded != 1 || st.StaleDrops != uint64(resends) {
+		t.Fatalf("stats = %+v, want gen 2 aged out and all %d resends stale", st, resends)
+	}
+	last := r.results[len(r.results)-1]
+	if last.hdr.GenID != 2 || !last.hdr.Degraded || last.hdr.SrcCnt != 1 || last.at > 12*sim.Millisecond {
+		t.Fatalf("last result %+v at %v, want gen 2 degraded with one source by 12 ms", last.hdr, last.at)
+	}
+}
+
 func TestGenerationReuseRestartsBlock(t *testing.T) {
 	// Iteration 1 completes on block 0; iteration 2 reuses block 0. Sums
 	// must not leak across generations.
