@@ -162,11 +162,13 @@ verify-microcode:
 # retry-after NACK body survive decode -> encode -> decode, the bitfield
 # word window reads and writes what the bit loops do at any offset and width,
 # the fixed-offset Trio-ML header, job-record and block-record codecs
-# decode and re-encode any bytes as their by-name bitfield layouts do, and the
-# shared memory's two-lanes-per-word vector add equals a lane-at-a-time add of
-# any big-endian lanes at any address near a page end.
+# decode and re-encode any bytes as their by-name bitfield layouts do, the
+# two-lanes-per-word lane add and decode equal a lane-at-a-time int32 loop on
+# any bytes, and the shared memory's vector add around that kernel equals a
+# lane-at-a-time add of any big-endian lanes at any address near a page end.
 verify-packet:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run FuzzDecode ./internal/packet/
+	$(GO) test -fuzz=FuzzLanes -fuzztime=10s -run FuzzLanes ./internal/packet/
 	$(GO) test -fuzz=FuzzChecksum -fuzztime=10s -run FuzzChecksum ./internal/packet/
 	$(GO) test -fuzz=FuzzNetRPCHeader -fuzztime=10s -run FuzzNetRPCHeader ./internal/packet/
 	$(GO) test -fuzz=FuzzRetryAfter -fuzztime=10s -run FuzzRetryAfter ./internal/packet/

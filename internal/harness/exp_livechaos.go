@@ -87,7 +87,7 @@ func (r *lcRig) toServer(from *net.UDPAddr, pkt []byte) {
 	})
 }
 
-// send is the table's way out: the (pooled) bytes are copied and arrive at
+// send is the table's way out: the bytes are copied and arrive at
 // the addressed host one link delay later; nobody listens on other ports.
 func (r *lcRig) send(b []byte, to *net.UDPAddr) {
 	if recv := r.hosts[to.Port]; recv != nil {

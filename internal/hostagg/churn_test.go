@@ -43,7 +43,7 @@ func TestWorkerChurnRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
 			s.tab.mu.Lock()
-			s.tab.targetsLocked(1)
+			s.tab.targetsLocked(nil, 1)
 			s.tab.mu.Unlock()
 			s.Stats()
 			s.TenantStats()

@@ -362,6 +362,26 @@ func TestReduceDropsResultOfWrongLength(t *testing.T) {
 	}
 }
 
+// TestReduceDropsResultWithOverlongBody: a result whose header counts its
+// block's gradients but whose body carries more bytes is an oversized
+// datagram, as the server's table counts it: dropped and counted, with the
+// block left unanswered until a well-formed result arrives.
+func TestReduceDropsResultWithOverlongBody(t *testing.T) {
+	grads := []int32{1, 2, 3, 4}
+	var w wire
+	r := NewReduce(t0, ClientConfig{JobID: 1}, 1, grads, 4, 1, time.Minute)
+	must(t, r.Refill(w.room))
+	long := append(resultFor(0, 1, 1, false, []int32{9, 9, 9, 9}), 0, 0, 0, 9)
+	must(t, r.Receive(t0, long))
+	if st := r.Stats(); st.Dropped != 1 || st.Delivered != 0 || r.Done() {
+		t.Fatalf("after an over-long result: stats %+v, done %v", st, r.Done())
+	}
+	must(t, r.Receive(t0, resultFor(0, 1, 1, false, grads)))
+	if st := r.Stats(); !r.Done() || st.Delivered != 1 || !slices.Equal(r.Sum(), grads) {
+		t.Fatalf("done %v, stats %+v, sum %v, want %v", r.Done(), st, r.Sum(), grads)
+	}
+}
+
 // TestCloseInterruptsAllReduce: Close from another goroutine ends an
 // AllReduce blocked on a server that never answers, promptly and with
 // net.ErrClosed itself, not a wrapped read error or the timeout.

@@ -58,8 +58,8 @@ func TestMismatchedContributionRefused(t *testing.T) {
 	if st := tab.Stats(); len(out) != 0 || st.GradMismatch != 2 || tab.Pending() != 1 {
 		t.Fatalf("sent %d, stats %+v, pending %d: want both mismatches refused and the block open", len(out), st, tab.Pending())
 	}
-	if b := tab.blocks[key(1, 3)]; len(b.sums) != 2 || b.bytes != 8 || b.rcvdCnt != 1 {
-		t.Fatalf("block = %d sums, %d bytes, %d sources: a refusal touched it", len(b.sums), b.bytes, b.rcvdCnt)
+	if b := tab.blocks[key(1, 3)]; len(b.buf) != packet.TrioMLHeaderLen+8 || b.bytes != 8 || b.rcvdCnt != 1 {
+		t.Fatalf("block = %d buffer bytes, %d bytes, %d sources: a refusal touched it", len(b.buf), b.bytes, b.rcvdCnt)
 	}
 	tab.Handle(t0, buildContribution(1, 3, 1, 1, []int32{1, 2}), workerAddr(1), out.send)
 	if len(out) != 2 || !slices.Equal(out[0].grads, []int32{6, 8}) {

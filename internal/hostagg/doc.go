@@ -57,17 +57,20 @@
 // The hot path enforces the following invariants (each regression-tested):
 //
 //   - internal/aggcore decides each contribution, as it does on the PFE. A
-//     generation restart adopts the new packet's vector and final bit
-//     exactly (ServerStats.GenRestarts); a contribution whose gradient count
-//     differs from its open generation's is refused (GradMismatch).
+//     generation restart is a close, then an open through a new block's
+//     admission (ServerStats.GenRestarts); a contribution whose gradient
+//     count differs from its open generation's is refused (GradMismatch).
+//   - The table keeps wire lanes, never []int32, summed (packet.AddLanes)
+//     behind headroom that the result header fills; the replay cache keeps
+//     that datagram, which nothing writes again.
 //   - The client is one loop around Reduce, an allreduce with no socket or
 //     clock: AllReduce reads its own socket, read deadline at Wake. A socket
 //     error fails AllReduce; Close makes it return net.ErrClosed.
-//   - Each result is added straight into its block's slice of the output
+//   - Each result is decoded straight into its block's slice of the output
 //     vector and rescaled there if degraded. A result for a block not yet
 //     sent answers it: the block is never sent and frees no window slot.
 //     Results used by no block — another generation, a duplicate, out of
-//     range, truncated — are counted in ClientStats.Dropped.
+//     range, truncated, over-long — are counted in ClientStats.Dropped.
 //   - A retry-after NACK starts a back-off: a deadline, not a sleep, and one
 //     per burst of NACKs. Then every unanswered block is resent at once.
 package hostagg

@@ -1,6 +1,7 @@
 package hostagg
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 	"syscall"
@@ -204,8 +205,8 @@ func TestJobIdleEviction(t *testing.T) {
 	if st := tab.Stats(); st.JobsExpired != 1 || tab.Pending() != 0 || st.Degraded != 0 || st.BlocksTimedOut != 0 {
 		t.Fatalf("stats = %+v pending = %d, want one silent eviction of the whole job", st, tab.Pending())
 	}
-	if len(out) != 0 || len(tab.targetsLocked(1)) != 0 {
-		t.Fatalf("evicted job still produced %d datagrams / kept %d registrations", len(out), len(tab.targetsLocked(1)))
+	if len(out) != 0 || len(tab.targetsLocked(nil, 1)) != 0 {
+		t.Fatalf("evicted job still produced %d datagrams / kept %d registrations", len(out), len(tab.targetsLocked(nil, 1)))
 	}
 	// The job speaks again: it is a live job, evictable (and counted) afresh.
 	tab.Handle(t0.Add(time.Second), buildContribution(1, 0, 0, 2, []int32{1}), workerAddr(0), out.send)
@@ -308,6 +309,47 @@ func TestHandleAddZeroAlloc(t *testing.T) {
 		rewind()
 	}); n != 0 {
 		t.Fatalf("aggregation fast path allocated %.2f times per packet", n)
+	}
+}
+
+// TestHandleCompleteAllocs pins a block's whole life, two contributions that
+// open, add, complete and emit it, with the replay cache on (it keeps the
+// result datagram) and off. Its one allocation is the buffer the lanes are
+// summed in, cut from a chunk shared by 31 full blocks, so AllocsPerRun's
+// whole-number mean reads 0. A replay of a served block, sent as cached,
+// allocates nothing.
+func TestHandleCompleteAllocs(t *testing.T) {
+	for _, window := range []int{0, 64} {
+		tab := newTestTable(t, ServerConfig{NumWorkers: 2, ReplayWindow: window})
+		grads := make([]int32, packet.MaxGradientsPerPacket)
+		c0, c1 := buildContribution(1, 0, 0, 1, grads), buildContribution(1, 0, 1, 1, grads)
+		from0, from1 := workerAddr(0), workerAddr(1)
+		blk := uint32(0)
+		block := func() {
+			blk++
+			binary.BigEndian.PutUint32(c0[1:], blk) // block_id follows the 8-bit job_id
+			binary.BigEndian.PutUint32(c1[1:], blk)
+			tab.Handle(t0, c0, from0, discard)
+			tab.Handle(t0, c1, from1, discard)
+		}
+		for range 10 * 64 {
+			block()
+		}
+		if n := testing.AllocsPerRun(500, block); n != 0 {
+			t.Errorf("ReplayWindow %d: a completing block allocated %.2f times", window, n)
+		}
+		if st := tab.Stats(); st.Completed != uint64(blk) || st.Packets != uint64(2*blk) {
+			t.Fatalf("ReplayWindow %d: stats %+v after %d blocks", window, st, blk)
+		}
+		if window == 0 {
+			continue
+		}
+		if n := testing.AllocsPerRun(500, func() { tab.Handle(t0, c0, from0, discard) }); n != 0 {
+			t.Errorf("a replay allocated %.2f times", n)
+		}
+		if st := tab.Stats(); st.ResultReplays != 501 {
+			t.Fatalf("stats %+v: want 501 replays", st)
+		}
 	}
 }
 

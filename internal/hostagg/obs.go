@@ -38,7 +38,7 @@ func (t *Table) RegisterObs(r *obs.Registry) {
 		"Well-formed packets rejected for protocol violations (out-of-range source id, empty block).",
 		func() uint64 { return t.counters.badPackets.Load() })
 	counter("triogo_hostagg_gen_restarts_total", "blocks",
-		"Blocks restarted in place by a newer generation reusing the block id.",
+		"Open blocks superseded by a newer generation reusing the block id.",
 		func() uint64 { return t.counters.genRestarts.Load() })
 	counter("triogo_hostagg_grad_mismatch_total", "packets",
 		"Contributions refused because their gradient count differed from the open block's.",

@@ -23,7 +23,7 @@ import (
 type Reduce struct {
 	cfg                    ClientConfig
 	gen                    uint16
-	grads, sum             []int32 // sum starts zeroed; each block is added in once
+	grads, sum             []int32 // sum starts zeroed; each block is written once
 	got                    []bool  // blocks answered
 	blockGrads, numWorkers int
 
@@ -51,13 +51,13 @@ func newReduce(now time.Time, cfg ClientConfig, ctr *clientCounters, genID uint1
 	return r
 }
 
-// Receive takes one datagram from the server. A result is added into its
+// Receive takes one datagram from the server. A result is decoded into its
 // block's slice of the sum, rescaled there if degraded (§5); one for another
-// generation or an answered block, or whose gradient count is not its
-// block's length, is dropped (Stats.Dropped). A retry-after
-// NACK starts a back-off of its suggested wait (RetryCap if none, a second at
-// most) unless one is running, so a burst costs one; after MaxRetries
-// back-offs with no result between them the next NACK fails with ErrShed.
+// generation or an answered block, or not of its block's length, is dropped
+// (Stats.Dropped). A retry-after NACK starts a back-off of its suggested
+// wait (RetryCap if none, a second at most) unless one is running, so a
+// burst costs one; after MaxRetries back-offs with no result between them
+// the next NACK fails with ErrShed.
 func (r *Reduce) Receive(now time.Time, d []byte) error {
 	var h packet.TrioML
 	body, err := h.Unmarshal(d)
@@ -67,8 +67,9 @@ func (r *Reduce) Receive(now time.Time, d []byte) error {
 		b, n := int(h.BlockID), int(h.GradCnt)
 		lo, hi := r.span(b)
 		// A result whose gradient count is not its block's length would
-		// answer the block with a short or spilled sum: drop it as well.
-		if h.GenID != r.gen || b >= len(r.got) || r.got[b] || n != hi-lo || len(body) < 4*n {
+		// answer the block with a short or spilled sum, and one whose body
+		// is not GradCnt lanes is truncated or oversized: drop them as well.
+		if h.GenID != r.gen || b >= len(r.got) || r.got[b] || n != hi-lo || len(body) != 4*n {
 			r.dropped.Add(1)
 			return nil
 		}
@@ -80,7 +81,7 @@ func (r *Reduce) Receive(now time.Time, d []byte) error {
 		}
 		r.nackStreak = 0
 		dst := r.sum[lo:hi]
-		packet.AddGradients(dst, body, n)
+		packet.DecodeLanes(dst, body)
 		if h.Degraded && h.SrcCnt > 0 {
 			for i, g := range dst {
 				dst[i] = int32(int64(g) * int64(r.numWorkers) / int64(h.SrcCnt))

@@ -67,7 +67,9 @@ type ServerConfig struct {
 }
 
 type blockState struct {
-	sums     []int32
+	// buf is the block as it leaves: headroom for the result header, then
+	// the big-endian lanes summed so far.
+	buf      []byte
 	rcvdMask aggcore.Mask
 	rcvdCnt  int
 	genID    uint16
@@ -77,11 +79,6 @@ type blockState struct {
 
 	tenant *tenantState // owning tenant (never nil), charged for the block while open
 	bytes  int64        // gradient bytes charged against the tenant
-}
-
-type servedBlock struct {
-	b        *blockState
-	degraded bool
 }
 
 // Table is the block table and everything around the protocol decision,
@@ -96,10 +93,12 @@ type Table struct {
 
 	mu     sync.Mutex
 	blocks map[uint64]*blockState
+	free   []*blockState // released records, reused by the next opens
+	arena  []byte        // the uncut rest of the chunk block buffers are cut from
 
-	// served retains recently emitted results for Replay (ReplayWindow > 0,
-	// nil otherwise), keyed by block key with the block's generation.
-	served *replay.Cache[*servedBlock]
+	// served keeps recently emitted result datagrams, immutable, for Replay
+	// (nil with ReplayWindow 0), keyed by block key with the generation.
+	served *replay.Cache[[]byte]
 
 	flt *faults.HostaggTable // injected recv-drop/crash stream; nil when off
 
@@ -118,7 +117,6 @@ type Table struct {
 	tenants *tenantTable
 
 	counters serverCounters
-	emitPool sync.Pool // *[]byte result payloads
 }
 
 // ServerStats is a snapshot of the server's activity counters (via Stats).
@@ -129,7 +127,7 @@ type ServerStats struct {
 	Completed    uint64
 	Degraded     uint64
 	BadPackets   uint64
-	GenRestarts  uint64 // blocks restarted in place by a newer generation
+	GenRestarts  uint64 // open blocks superseded by a newer generation
 	GradMismatch uint64 // contributions refused because their gradient count differed from the open block's
 
 	Shed           uint64 // contributions refused by MaxOpenBlocks/MaxBlocksPerJob
@@ -205,14 +203,10 @@ func NewTable(cfg ServerConfig) (*Table, error) {
 		tenants: newTenantTable(cfg.TenantQuotas, cfg.JobTenants),
 	}
 	if cfg.ReplayWindow > 0 {
-		t.served = replay.New[*servedBlock](cfg.ReplayWindow)
+		t.served = replay.New[[]byte](cfg.ReplayWindow)
 	}
 	if cfg.Faults != nil {
 		t.flt = cfg.Faults.Table()
-	}
-	t.emitPool.New = func() any {
-		b := make([]byte, 0, packet.TrioMLHeaderLen+4*packet.MaxGradientsPerPacket)
-		return &b
 	}
 	return t, nil
 }
@@ -247,9 +241,9 @@ func (t *Table) Stats() ServerStats {
 
 // Handle runs one datagram through decode, admission and aggregation as of
 // now. Whatever leaves — a completed or replayed result, a retry-after NACK —
-// is handed to send, synchronously and before Handle returns; the bytes are a
-// pooled buffer, valid only for the duration of that call. from is retained
-// as the source's return address.
+// is handed to send, synchronously and before Handle returns. send must not
+// modify or retain the bytes: a result is the replay cache's own datagram.
+// from is retained as the source's return address.
 func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send func([]byte, *net.UDPAddr)) {
 	var h packet.TrioML
 	rest, err := h.Unmarshal(payload)
@@ -259,12 +253,10 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 		t.counters.malformed.Add(1)
 		return
 	}
-	// Length-validate only: the hot path sums wire bytes in place with
-	// AddGradients, so a per-packet []int32 is parsed solely when a block
-	// record adopts the vector (creation and generation restart). The body
-	// must hold exactly GradCnt gradients — a short body is truncated and an
-	// over-long one is an oversized datagram whose tail would silently
-	// vanish; both are malformed.
+	// Length-validate only: the table keeps wire lanes and never decodes
+	// them. The body must hold exactly GradCnt gradients — a short body is
+	// truncated and an over-long one is an oversized datagram whose tail
+	// would silently vanish; both are malformed.
 	if int(h.GradCnt) > packet.MaxGradientsPerPacket || len(rest) != 4*int(h.GradCnt) {
 		t.counters.malformed.Add(1)
 		return
@@ -302,15 +294,15 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 	}
 	b := t.blocks[k]
 	var blk aggcore.Block
-	var sb *servedBlock
+	var cached []byte
 	if b != nil {
-		blk = aggcore.Record(b.genID, len(b.sums), &b.rcvdMask)
+		blk = aggcore.Record(b.genID, int(b.bytes/4), &b.rcvdMask)
 	} else if t.served != nil && t.overload.Load() < statePressure {
 		// The replay cache is a nicety the ladder sheds first: at pressure
 		// and above, lookups are skipped so retransmits for served blocks
 		// fall through to admission (and are themselves shed if over quota).
-		if cached, gen, ok := t.served.Lookup(k); ok {
-			sb, blk = cached, aggcore.Cached(gen)
+		if res, gen, ok := t.served.Lookup(k); ok {
+			cached, blk = res, aggcore.Cached(gen)
 		}
 	}
 	act := aggcore.Decide(h.SrcID, h.GenID, n, &t.job, &blk)
@@ -322,13 +314,19 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 	case aggcore.Duplicate:
 		t.counters.duplicates.Add(1)
 	case aggcore.Replay:
-		// To the retransmitting sender only.
+		// The cached datagram, to the retransmitting sender only.
 		t.mu.Unlock()
 		t.counters.resultReplays.Add(1)
-		t.emit(send, h.JobID, h.BlockID, sb.b, sb.degraded, []*net.UDPAddr{from})
+		send(cached, from)
 		return
+	case aggcore.Restart:
+		// A close, then an open: the superseded record returns its bytes,
+		// and the new generation is admitted as any new block is.
+		t.releaseLocked(k, b)
+		t.counters.genRestarts.Add(1)
+		fallthrough
 	case aggcore.Open:
-		if sb != nil {
+		if cached != nil {
 			t.served.Delete(k) // a newer generation reuses the id
 		}
 		blockBytes := 4 * int64(n)
@@ -357,21 +355,9 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 			t.sendNack(now, send, from, &h, tn, reason)
 			return
 		}
-		grads, _ := packet.Gradients(rest, n) // decode checked the length
-		b = &blockState{sums: grads, genID: h.GenID, final: h.Final, tenant: tn, bytes: blockBytes}
-		t.blocks[k] = b
-		t.blockOpened(b, h.JobID)
-	case aggcore.Restart:
-		// Adopt the new packet's vector exactly: the new generation's block
-		// may be larger or smaller than the old one.
-		b.sums, _ = packet.Gradients(rest, n) // decode checked the length
-		b.genID, b.final = h.GenID, h.Final
-		b.rcvdMask, b.rcvdCnt = aggcore.Mask{}, 0
-		b.tenant.bytes.Add(4*int64(n) - b.bytes)
-		b.bytes = 4 * int64(n)
-		t.counters.genRestarts.Add(1)
+		b = t.openLocked(k, &h, rest, tn)
 	case aggcore.Add:
-		packet.AddGradients(b.sums, rest, n)
+		packet.AddLanes(b.buf[packet.TrioMLHeaderLen:], rest)
 		b.final = b.final || h.Final
 	}
 	if !act.Adds() {
@@ -383,45 +369,84 @@ func (t *Table) Handle(now time.Time, payload []byte, from *net.UDPAddr, send fu
 	b.lastRef = now
 	b.refFlag = true
 
-	var done *blockState
-	var to []*net.UDPAddr
+	var res []byte
+	to := make([]*net.UDPAddr, 0, 64) // on the stack: NewTable caps NumWorkers at 64
 	if b.rcvdCnt >= t.cfg.NumWorkers {
-		done = b
-		delete(t.blocks, k)
-		t.blockClosed(b, h.JobID)
+		res = t.serveLocked(k, b, false)
 		t.counters.completed.Add(1)
 		if t.served != nil && t.overload.Load() < statePressure {
-			t.served.Put(k, b.genID, &servedBlock{b: b})
+			t.served.Put(k, h.GenID, res)
 		}
-		to = t.targetsLocked(h.JobID)
+		to = t.targetsLocked(to, h.JobID)
 	}
 	if t.flt != nil && t.flt.CrashNow() {
 		t.crashLocked()
 	}
 	t.mu.Unlock()
 
-	if done != nil {
-		t.emit(send, h.JobID, h.BlockID, done, false, to)
+	for _, a := range to {
+		send(res, a)
 	}
 }
 
-// blockOpened and blockClosed centralize open-block accounting — the global
-// count, the per-job table, and the owning tenant's open/bytes charges — and
-// re-evaluate the overload ladder after every change. Caller holds t.mu.
-func (t *Table) blockOpened(b *blockState, job uint8) {
+// arenaBytes is the chunk block buffers are cut from, each once: 31 full
+// blocks to 128 KiB, not 4108 bytes in a 4864-byte size class each. The GC
+// frees a chunk once no open block, cached result or send holds a buffer.
+const arenaBytes = 128 << 10
+
+// openLocked and releaseLocked are how a record enters and leaves the table:
+// they keep the global, per-job and tenant open/bytes accounting, re-evaluate
+// the overload ladder and recycle records. A new record copies the first
+// contribution's lanes behind the headroom. Caller holds t.mu.
+func (t *Table) openLocked(k uint64, h *packet.TrioML, lanes []byte, tn *tenantState) *blockState {
+	var b *blockState
+	if i := len(t.free) - 1; i >= 0 {
+		b, t.free = t.free[i], t.free[:i]
+	} else {
+		b = new(blockState)
+	}
+	n := packet.TrioMLHeaderLen + len(lanes)
+	if len(t.arena) < n {
+		t.arena = make([]byte, arenaBytes)
+	}
+	*b = blockState{buf: t.arena[:n:n], genID: h.GenID, final: h.Final, tenant: tn, bytes: int64(len(lanes))}
+	t.arena = t.arena[n:]
+	copy(b.buf[packet.TrioMLHeaderLen:], lanes)
+	t.blocks[k] = b
 	t.openBlocks.Add(1)
-	t.jobOpen[job]++
-	b.tenant.open.Add(1)
-	b.tenant.bytes.Add(b.bytes)
+	t.jobOpen[h.JobID]++
+	tn.open.Add(1)
+	tn.bytes.Add(b.bytes)
 	t.updateOverload()
+	return b
 }
 
-func (t *Table) blockClosed(b *blockState, job uint8) {
+func (t *Table) releaseLocked(k uint64, b *blockState) {
+	delete(t.blocks, k)
 	t.openBlocks.Add(-1)
-	t.jobOpen[job]--
+	t.jobOpen[uint8(k>>32)]--
 	b.tenant.open.Add(-1)
 	b.tenant.bytes.Add(-b.bytes)
 	t.updateOverload()
+	*b = blockState{}
+	t.free = append(t.free, b)
+}
+
+// serveLocked releases block k and returns its result: the header marshalled
+// into the buffer's headroom makes the buffer the result datagram, which the
+// replay cache may keep, so nothing writes it again. Caller holds t.mu.
+func (t *Table) serveLocked(k uint64, b *blockState, degraded bool) []byte {
+	hdr := packet.TrioML{
+		JobID: uint8(k >> 32), BlockID: uint32(k), GenID: b.genID, SrcID: packet.ResultSrcID,
+		SrcCnt: uint8(b.rcvdCnt), Degraded: degraded, Final: b.final, GradCnt: uint16(b.bytes / 4),
+	}
+	if degraded {
+		hdr.AgeOp = 1
+	}
+	hdr.MarshalTo(b.buf)
+	res := b.buf
+	t.releaseLocked(k, b)
+	return res
 }
 
 // fairEvictLocked admits one block for tn while the server is at its global
@@ -465,8 +490,7 @@ func (t *Table) evictTenantBlockLocked(victim *tenantState) bool {
 	if stalest == nil {
 		return false
 	}
-	delete(t.blocks, key)
-	t.blockClosed(stalest, uint8(key>>32))
+	t.releaseLocked(key, stalest)
 	victim.evicted.Add(1)
 	t.counters.fairEvictions.Add(1)
 	return true
@@ -505,28 +529,27 @@ func (t *Table) sendNack(now time.Time, send func([]byte, *net.UDPAddr), from *n
 // holds t.mu.
 func (t *Table) crashLocked() {
 	for k, b := range t.blocks {
-		t.blockClosed(b, uint8(k>>32))
-		delete(t.blocks, k)
+		t.releaseLocked(k, b)
 	}
 }
 
-// targetsLocked lists the return addresses of a job's registered workers,
-// in source-id order. Caller holds t.mu.
-func (t *Table) targetsLocked(job uint8) []*net.UDPAddr {
-	out := make([]*net.UDPAddr, 0, t.cfg.NumWorkers)
+// targetsLocked appends the return addresses of a job's registered workers
+// to dst, in source-id order. Caller holds t.mu.
+func (t *Table) targetsLocked(dst []*net.UDPAddr, job uint8) []*net.UDPAddr {
 	for src := 0; src < t.cfg.NumWorkers; src++ {
 		if a := t.workers[uint16(job)<<8|uint16(src)]; a != nil {
-			out = append(out, a)
+			dst = append(dst, a)
 		}
 	}
-	return out
+	return dst
 }
 
-// agedBlock is one record a sweep aged out, held with its job's return
-// addresses until the table lock drops.
+// agedBlock is one degraded result a sweep emits, held with its generation
+// and its job's return addresses until the table lock drops.
 type agedBlock struct {
 	key uint64
-	b   *blockState
+	gen uint16
+	res []byte
 	to  []*net.UDPAddr
 }
 
@@ -560,8 +583,7 @@ func (t *Table) Sweep(now time.Time, send func([]byte, *net.UDPAddr)) {
 				// The whole job went quiet: discard its blocks without
 				// emitting, and count the job and drop its worker
 				// registrations once — until Handle hears from it again.
-				delete(t.blocks, k)
-				t.blockClosed(b, job)
+				t.releaseLocked(k, b)
 				if !t.jobExpired[job] {
 					t.jobExpired[job] = true
 					t.counters.jobsExpired.Add(1)
@@ -575,9 +597,8 @@ func (t *Table) Sweep(now time.Time, send func([]byte, *net.UDPAddr)) {
 			continue
 		}
 		if now.Sub(b.lastRef) >= t.cfg.Timeout && b.rcvdCnt > 0 {
-			aged = append(aged, agedBlock{key: k, b: b})
-			delete(t.blocks, k)
-			t.blockClosed(b, job)
+			gen := b.genID // serveLocked clears b
+			aged = append(aged, agedBlock{key: k, gen: gen, res: t.serveLocked(k, b, true)})
 			t.counters.degraded.Add(1)
 			t.counters.blocksTimedOut.Add(1)
 		}
@@ -590,13 +611,15 @@ func (t *Table) Sweep(now time.Time, send func([]byte, *net.UDPAddr)) {
 		if t.served != nil && ladder < statePressure {
 			// An aged block is served too: retransmits for it replay the
 			// same degraded result instead of re-opening it.
-			t.served.Put(a.key, a.b.genID, &servedBlock{b: a.b, degraded: true})
+			t.served.Put(a.key, a.gen, a.res)
 		}
-		a.to = t.targetsLocked(uint8(a.key >> 32))
+		a.to = t.targetsLocked(nil, uint8(a.key>>32))
 	}
 	t.mu.Unlock()
 	for _, a := range aged {
-		t.emit(send, uint8(a.key>>32), uint32(a.key), a.b, true, a.to)
+		for _, to := range a.to {
+			send(a.res, to)
+		}
 	}
 }
 
@@ -608,25 +631,6 @@ func (t *Table) dropJobWorkersLocked(job uint8) {
 			delete(t.workers, k)
 		}
 	}
-}
-
-// emit sends a Result packet to every known worker, marshaling into a
-// pooled buffer so the hot path does not allocate per result.
-func (t *Table) emit(send func([]byte, *net.UDPAddr), job uint8, block uint32, b *blockState, degraded bool, targets []*net.UDPAddr) {
-	hdr := packet.TrioML{
-		JobID: job, BlockID: block, GenID: b.genID,
-		SrcID: packet.ResultSrcID, SrcCnt: uint8(b.rcvdCnt), Degraded: degraded, Final: b.final,
-	}
-	if degraded {
-		hdr.AgeOp = 1
-	}
-	bufp := t.emitPool.Get().(*[]byte)
-	payload := AppendBlock((*bufp)[:0], hdr, b.sums)
-	for _, to := range targets {
-		send(payload, to)
-	}
-	*bufp = payload
-	t.emitPool.Put(bufp)
 }
 
 // Pending reports the number of open (partially aggregated) blocks.

@@ -5,6 +5,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"github.com/trioml/triogo/internal/packet"
 )
 
 // blackhole is a return address with no listener: whatever a real server
@@ -121,6 +123,30 @@ func TestTenantBytesInFlightQuota(t *testing.T) {
 	}
 	if ts := s.TenantStats(); ts[0].BytesInFlight != 1024 {
 		t.Fatalf("bytes in flight = %d, want 1024", ts[0].BytesInFlight)
+	}
+}
+
+// TestRestartPassesTenantQuota: a generation restart is a close, then an
+// open. The superseded record's bytes come back, and the new generation
+// passes the admission any new block does: over its tenant's byte quota it
+// is shed and charged nothing, and under it, it is charged its own size.
+func TestRestartPassesTenantQuota(t *testing.T) {
+	s := newTestTable(t, ServerConfig{
+		NumWorkers:   2,
+		TenantQuotas: map[uint8]TenantQuota{1: {MaxBytesInFlight: 1200}},
+	})
+	from := blackhole()
+	s.Handle(t0, buildContribution(1, 0, 0, 1, []int32{1}), from, discard)
+	s.Handle(t0, buildContribution(1, 0, 1, 2, make([]int32, packet.MaxGradientsPerPacket)), from, discard)
+	st, ts := s.Stats(), s.TenantStats()
+	if st.GenRestarts != 1 || st.QuotaShed != 1 || s.Pending() != 0 || ts[0].BytesInFlight != 0 || ts[0].Shed != 1 {
+		t.Fatalf("stats = %+v, tenant %+v, pending %d: want the 4096-byte generation shed and nothing charged", st, ts[0], s.Pending())
+	}
+	s.Handle(t0, buildContribution(1, 0, 0, 1, []int32{1}), from, discard)
+	s.Handle(t0, buildContribution(1, 0, 1, 2, make([]int32, 256)), from, discard)
+	st, ts = s.Stats(), s.TenantStats()
+	if st.GenRestarts != 2 || st.QuotaShed != 1 || s.Pending() != 1 || ts[0].BytesInFlight != 1024 || ts[0].OpenBlocks != 1 {
+		t.Fatalf("stats = %+v, tenant %+v, pending %d: want the 1024-byte generation open and charged", st, ts[0], s.Pending())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -116,6 +117,67 @@ func TestPutGradientsMatchesLaneLoop(t *testing.T) {
 			t.Fatalf("PutGradients of %d lanes wrote %x, want %x", n, got, want)
 		}
 	}
+}
+
+// refLanes is the lane-at-a-time int32 reference for the lane kernels: the
+// big-endian lanes of b, each plus the matching lane of add (if any),
+// wrapping as int32 does.
+func refLanes(b, add []byte) []int32 {
+	out := make([]int32, len(b)/4)
+	for i := range out {
+		out[i] = int32(binary.BigEndian.Uint32(b[4*i:]))
+		if add != nil {
+			out[i] += int32(binary.BigEndian.Uint32(add[4*i:]))
+		}
+	}
+	return out
+}
+
+// TestAddLanesCarries pins the carry isolation of the two-lane word add:
+// sums that carry out of a lane (0x7FFFFFFF+1, 0xFFFFFFFF+1,
+// 0x80000000+0x80000000) in the high and the low half of a word, at odd lane
+// counts and through the unrolled 64-byte chunks, equal the lane-at-a-time
+// add and leave the bytes past the lanes alone.
+func TestAddLanesCarries(t *testing.T) {
+	pairs := [][2]uint32{{0x7FFFFFFF, 1}, {0xFFFFFFFF, 1}, {0x80000000, 0x80000000}, {0xFFFFFFFF, 0xFFFFFFFF}}
+	for _, n := range []int{1, 2, 3, 5, 15, 16, 17, 31, 33} {
+		for _, p := range pairs {
+			dst, src := bytes.Repeat([]byte{0xDD}, 4*n+4), make([]byte, 4*n)
+			for i := 0; i < n; i++ {
+				binary.BigEndian.PutUint32(dst[4*i:], p[i%2])
+				binary.BigEndian.PutUint32(src[4*i:], p[(i+1)%2])
+			}
+			want := refLanes(dst[:4*n], src)
+			AddLanes(dst[:4*n], src)
+			got := make([]int32, n)
+			DecodeLanes(got, dst)
+			if !slices.Equal(got, want) || !bytes.Equal(dst[4*n:], []byte{0xDD, 0xDD, 0xDD, 0xDD}) {
+				t.Fatalf("n=%d %#x+%#x: got % x, want %x", n, p[0], p[1], dst, want)
+			}
+		}
+	}
+}
+
+// FuzzLanes checks both lane kernels against the lane-at-a-time int32
+// reference on arbitrary bytes: DecodeLanes reads each lane of a, and
+// AddLanes of b into a leaves each lane of a their int32 sum.
+func FuzzLanes(f *testing.F) {
+	f.Add([]byte{0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, []byte{0, 0, 0, 1, 0, 0, 0, 1})
+	f.Add([]byte{0x80, 0, 0, 0, 0x80, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}, []byte{0x80, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 1})
+	f.Add(bytes.Repeat([]byte{0xFF}, 132), bytes.Repeat([]byte{0x01}, 132))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		n := min(len(a), len(b)) &^ 3
+		a, b = a[:n], b[:n]
+		got := make([]int32, n/4)
+		if DecodeLanes(got, a); !slices.Equal(got, refLanes(a, nil)) {
+			t.Fatalf("DecodeLanes(% x) = %x", a, got)
+		}
+		want := refLanes(a, b)
+		AddLanes(a, b)
+		if DecodeLanes(got, a); !slices.Equal(got, want) {
+			t.Fatalf("AddLanes: lanes %x, int32 sums %x", got, want)
+		}
+	})
 }
 
 func TestVerifyUDPChecksumInPlace(t *testing.T) {

@@ -324,17 +324,3 @@ func TestDecodeBuildPropertyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAddGradientsAddsInPlaceUpToDst(t *testing.T) {
-	b := make([]byte, 4*4)
-	PutGradients(b, []int32{1, -2, 3, 1 << 30})
-	dst := []int32{10, 10, 10}
-	AddGradients(dst, b, 4) // only len(dst) values land
-	if dst[0] != 11 || dst[1] != 8 || dst[2] != 13 {
-		t.Fatalf("dst = %v, want [11 8 13]", dst)
-	}
-	AddGradients(dst, b, 1)
-	if dst[0] != 12 || dst[1] != 8 {
-		t.Fatalf("dst = %v after adding one gradient", dst)
-	}
-}

@@ -124,16 +124,50 @@ func Gradients(b []byte, count int) ([]int32, error) {
 	return out, nil
 }
 
-// AddGradients adds count big-endian int32 gradients from b into dst in
-// place — the allocation-free aggregation path for hot receive loops. Only
-// min(count, len(dst)) values are added. b must hold 4*count bytes: the
-// caller checks the payload length against the header's GradCnt first (as
-// hostagg does with len(rest) != 4*GradCnt).
-func AddGradients(dst []int32, b []byte, count int) {
-	if count > len(dst) {
-		count = len(dst)
+// laneTops holds the sign bit of both big-endian int32 lanes of a word.
+const laneTops = 0x8000000080000000
+
+// add2 adds the two big-endian int32 lanes of s into those of d, each modulo
+// 2³²: with every lane's top bit masked off neither low sum carries into the
+// lane above, and the top bits are then added without carry (xor).
+func add2(d, s []byte) {
+	x, y := binary.BigEndian.Uint64(d), binary.BigEndian.Uint64(s)
+	binary.BigEndian.PutUint64(d, (x&^laneTops+y&^laneTops)^((x^y)&laneTops))
+}
+
+// AddLanes is the one int32 lane add: it adds the big-endian lanes of src
+// into dst in place, two per 8-byte word, whole 64-byte chunks unrolled. dst
+// and src have the same length, a multiple of 4.
+func AddLanes(dst, src []byte) {
+	for len(dst) >= 64 {
+		d, s := dst[:64:64], src[:64:64]
+		add2(d[0:8], s[0:8])
+		add2(d[8:16], s[8:16])
+		add2(d[16:24], s[16:24])
+		add2(d[24:32], s[24:32])
+		add2(d[32:40], s[32:40])
+		add2(d[40:48], s[40:48])
+		add2(d[48:56], s[48:56])
+		add2(d[56:64], s[56:64])
+		dst, src = dst[64:], src[64:]
 	}
-	for i := 0; i < count; i++ {
-		dst[i] += int32(binary.BigEndian.Uint32(b[4*i:]))
+	for len(dst) >= 8 {
+		add2(dst[:8], src[:8])
+		dst, src = dst[8:], src[8:]
+	}
+	if len(dst) >= 4 {
+		binary.BigEndian.PutUint32(dst, binary.BigEndian.Uint32(dst)+binary.BigEndian.Uint32(src))
+	}
+}
+
+// DecodeLanes writes the big-endian int32 lanes of src into dst, two lanes
+// per 8-byte load; src holds 4*len(dst) bytes.
+func DecodeLanes(dst []int32, src []byte) {
+	for ; len(dst) >= 2; dst, src = dst[2:], src[8:] {
+		w := binary.BigEndian.Uint64(src)
+		dst[0], dst[1] = int32(w>>32), int32(w)
+	}
+	if len(dst) == 1 {
+		dst[0] = int32(binary.BigEndian.Uint32(src))
 	}
 }

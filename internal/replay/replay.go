@@ -1,16 +1,12 @@
 // Package replay provides a small, generic served-result replay cache: a
 // fixed-size window of recently served values keyed by a 64-bit key and a
-// 16-bit generation, with FIFO eviction.
-//
-// The structure was extracted from hostagg's ReplayWindow (PR 4), where it
-// answers retransmits for already-served aggregation blocks, and is reused
-// verbatim by apps/netrpc's host-side result store. The design constraints
-// it inherits:
+// 16-bit generation, with FIFO eviction. hostagg's table (ReplayWindow) and
+// trioml's aggregator keep their result datagrams in one, to answer
+// retransmits for already-served blocks.
 //
 //   - Bounded memory: the window is fixed at construction; inserting the
 //     (window+1)-th entry evicts the oldest, whatever its age. There is no
-//     per-entry timer — callers that want TTL aging layer it on top (the
-//     PFE-resident variant uses the hash engine's REF-flag scan instead).
+//     per-entry timer.
 //   - Generation disambiguation: a key may be re-served under a newer
 //     generation while an old ring slot still names it. Each ring slot
 //     records the generation it inserted, and eviction only deletes the
@@ -19,12 +15,12 @@
 //     overwrote it.
 //
 // The cache is not goroutine-safe; hostagg guards it with the block table's
-// lock, netrpc with the server loop.
+// lock, and a PFE runs its aggregator on one event loop.
 package replay
 
 // Cache retains the last Window distinct inserts, mapping key -> (gen, V).
 type Cache[V any] struct {
-	entries map[uint64]*entry[V]
+	entries map[uint64]entry[V] // by value: a warm map takes a Put without allocating
 	ring    []slot
 	head    int
 }
@@ -47,7 +43,7 @@ func New[V any](window int) *Cache[V] {
 		panic("replay: window must be positive")
 	}
 	return &Cache[V]{
-		entries: make(map[uint64]*entry[V], window),
+		entries: make(map[uint64]entry[V], window),
 		ring:    make([]slot, window),
 	}
 }
@@ -57,7 +53,7 @@ func New[V any](window int) *Cache[V] {
 // slot left behind is neutralized by the generation check at eviction time.
 func (c *Cache[V]) Put(key uint64, gen uint16, v V) {
 	s := &c.ring[c.head]
-	if old := c.entries[s.key]; old != nil && old.gen == s.gen {
+	if old, ok := c.entries[s.key]; ok && old.gen == s.gen {
 		delete(c.entries, s.key)
 	}
 	*s = slot{key: key, gen: gen}
@@ -65,16 +61,13 @@ func (c *Cache[V]) Put(key uint64, gen uint16, v V) {
 	if c.head == len(c.ring) {
 		c.head = 0
 	}
-	c.entries[key] = &entry[V]{gen: gen, val: v}
+	c.entries[key] = entry[V]{gen: gen, val: v}
 }
 
 // Lookup returns the cached value and its generation.
 func (c *Cache[V]) Lookup(key uint64) (V, uint16, bool) {
-	if e := c.entries[key]; e != nil {
-		return e.val, e.gen, true
-	}
-	var zero V
-	return zero, 0, false
+	e, ok := c.entries[key]
+	return e.val, e.gen, ok
 }
 
 // Delete drops the entry for key, if any. The ring slot that inserted it

@@ -143,3 +143,22 @@ func TestNewPanicsOnZeroWindow(t *testing.T) {
 	}()
 	New[int](0)
 }
+
+// TestPutWarmAllocatesNothing pins the by-value entries: once the map has
+// seen a few windows of inserts, a Put that evicts the oldest slot and
+// inserts a fresh key allocates nothing.
+func TestPutWarmAllocatesNothing(t *testing.T) {
+	c := New[[]byte](64)
+	val := make([]byte, 16)
+	next := uint64(0)
+	put := func() {
+		c.Put(next, uint16(next), val)
+		next++
+	}
+	for range 10 * c.Window() {
+		put()
+	}
+	if n := testing.AllocsPerRun(1000, put); n != 0 {
+		t.Fatalf("a warm Put allocated %.2f times", n)
+	}
+}

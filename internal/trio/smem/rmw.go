@@ -3,6 +3,7 @@ package smem
 import (
 	"encoding/binary"
 
+	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 )
 
@@ -120,11 +121,10 @@ func (m *Memory) Add64(now sim.Time, addr uint64, delta uint64) (newVal uint64, 
 // behind the 6×10⁹ adds/s/PFE figure of §6.3. It returns the completion time
 // of the last word (engines work in parallel across banks).
 //
-// The lanes are added in place on the backing page, one run per page, two
-// per 8-byte big-endian load (addLanes); a lane straddling a page end (addr
-// not 4-byte aligned) goes through load/store. The engine words are charged
-// by issue in one walk (at 12 engines a 16-gradient chunk touches 8 distinct
-// engines exactly once).
+// The lanes are added in place on the backing page by packet.AddLanes, one
+// run per page; a lane straddling a page end (addr not 4-byte aligned) goes
+// through load/store. The engine words are charged by issue in one walk (at
+// 12 engines a 16-gradient chunk touches 8 distinct engines exactly once).
 func (m *Memory) AddVector32BE(now sim.Time, addr uint64, lanes []byte) sim.Time {
 	for a, l := addr, lanes; len(l) > 0; {
 		b := m.run(a, len(l))
@@ -137,7 +137,7 @@ func (m *Memory) AddVector32BE(now sim.Time, addr uint64, lanes []byte) sim.Time
 			continue
 		}
 		k := len(b) &^ 3
-		addLanes(b[:k], l[:k])
+		packet.AddLanes(b[:k], l[:k])
 		a, l = a+uint64(k), l[k:]
 	}
 	return m.issue(now, addr, 8, (len(lanes)/4+1)/2, addCycles)
@@ -157,42 +157,6 @@ func (m *Memory) AddVector32(now sim.Time, addr uint64, deltas []int32) sim.Time
 		addr, deltas = addr+uint64(4*k), deltas[k:]
 	}
 	return latest
-}
-
-// laneTops holds the sign bit of both big-endian int32 lanes of an 8-byte
-// word.
-const laneTops = 0x8000000080000000
-
-// add2 adds the two big-endian int32 lanes of s into those of d, each modulo
-// 2³²: with the top bit of every lane masked off neither low sum can carry
-// into the lane above, and the top bits are then added without carry (xor).
-func add2(d, s []byte) {
-	x, y := binary.BigEndian.Uint64(d), binary.BigEndian.Uint64(s)
-	binary.BigEndian.PutUint64(d, (x&^laneTops+y&^laneTops)^((x^y)&laneTops))
-}
-
-// addLanes adds the big-endian int32 lanes of src into dst in place; the two
-// have the same length, a multiple of 4. Whole 64-byte chunks are unrolled.
-func addLanes(dst, src []byte) {
-	for len(dst) >= 64 {
-		d, s := dst[:64:64], src[:64:64]
-		add2(d[0:8], s[0:8])
-		add2(d[8:16], s[8:16])
-		add2(d[16:24], s[16:24])
-		add2(d[24:32], s[24:32])
-		add2(d[32:40], s[32:40])
-		add2(d[40:48], s[40:48])
-		add2(d[48:56], s[48:56])
-		add2(d[56:64], s[56:64])
-		dst, src = dst[64:], src[64:]
-	}
-	for len(dst) >= 8 {
-		add2(dst[:8], src[:8])
-		dst, src = dst[8:], src[8:]
-	}
-	if len(dst) >= 4 {
-		binary.BigEndian.PutUint32(dst, binary.BigEndian.Uint32(dst)+binary.BigEndian.Uint32(src))
-	}
 }
 
 // ReadVector32BE reads len(dst)/4 consecutive 32-bit words starting at addr

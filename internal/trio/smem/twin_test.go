@@ -212,21 +212,21 @@ func decodeLanes(b []byte) []int32 {
 	return v
 }
 
-// addLanesScalar is the lane-at-a-time add the kernel's two-lane word add
-// must equal: each big-endian lane of lanes added into mem modulo 2³².
+// addLanesScalar is the lane-at-a-time add the vector add must equal: each
+// big-endian lane of lanes added into mem modulo 2³².
 func addLanesScalar(mem, lanes []byte) {
 	for i := 0; i+4 <= len(lanes); i += 4 {
 		binary.BigEndian.PutUint32(mem[i:], binary.BigEndian.Uint32(mem[i:])+binary.BigEndian.Uint32(lanes[i:]))
 	}
 }
 
-// TestAddVector32BECarries pins the carry isolation of the two-lane word add:
-// sums that carry out of a lane (0x7FFFFFFF+1, 0xFFFFFFFF+1,
-// 0x80000000+0x80000000) in the high and the low half of a word, at odd lane
-// counts, unaligned addresses and with lanes straddling a page end, must
-// equal the lane-at-a-time add and leave every other byte alone.
-func TestAddVector32BECarries(t *testing.T) {
-	pairs := [][2]uint32{{0x7FFFFFFF, 1}, {0xFFFFFFFF, 1}, {0x80000000, 0x80000000}, {0xFFFFFFFF, 0xFFFFFFFF}}
+// TestAddVector32BEPageWalk pins the page walk around packet.AddLanes (whose
+// carry edges packet's TestAddLanesCarries pins): at odd lane counts,
+// unaligned addresses and with lanes straddling a page end, sums that carry
+// out of a lane equal the lane-at-a-time add and leave every other byte
+// alone.
+func TestAddVector32BEPageWalk(t *testing.T) {
+	pairs := [][2]uint32{{0xFFFFFFFF, 1}, {0x80000000, 0x80000000}}
 	for _, n := range []int{1, 2, 3, 5, 16, 17, 31, 33} {
 		for _, addr := range []uint64{0, 4, 8, 1, 2, 3, 6, pageSize - 8, pageSize - 4, pageSize - 2, pageSize - 3, pageSize - 60, pageSize - 62} {
 			for _, p := range pairs {
