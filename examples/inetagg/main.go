@@ -36,28 +36,29 @@ func main() {
 	// verifies every result it receives.
 	received := make([]int, numWorkers)
 	bad := 0
+	// One receiver serves every worker: each downlink tells it which.
+	rx := netsim.NewSink(eng, func(w int, f []byte, at sim.Time) {
+		fr, err := packet.Decode(f)
+		if err != nil || !fr.IsTrioML() {
+			return
+		}
+		grads, _ := packet.Gradients(fr.Payload, int(fr.ML.GradCnt))
+		received[w]++
+		// Worker i contributed value (block + i + lane); the sum over
+		// the six workers is 6*(block+lane) + 0+1+...+5.
+		want := int32(6*int(fr.ML.BlockID) + 15)
+		if grads[0] != want {
+			bad++
+		}
+	})
 	for w := 0; w < numWorkers; w++ {
-		send := router.Cable(0, w, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig(), func(f []byte, at sim.Time) {
-			fr, err := packet.Decode(f)
-			if err != nil || !fr.IsTrioML() {
-				return
-			}
-			grads, _ := packet.Gradients(fr.Payload, int(fr.ML.GradCnt))
-			received[w]++
-			// Worker i contributed value (block + i + lane); the sum over
-			// the six workers is 6*(block+lane) + 0+1+...+5.
-			want := int32(6*int(fr.ML.BlockID) + 15)
-			if grads[0] != want {
-				bad++
-			}
-		})
-
+		up := router.Cable(0, w, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig(), rx, w)
 		for b := 0; b < numBlocks; b++ {
 			grads := make([]int32, gradsPerPkt)
 			for i := range grads {
 				grads[i] = int32(b + w + i%1) // lane 0 pattern is what we verify
 			}
-			send(packet.BuildTrioML(packet.UDPSpec{
+			up.Send(packet.BuildTrioML(packet.UDPSpec{
 				SrcIP: [4]byte{10, 0, 0, byte(w + 1)}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000,
 			}, packet.TrioML{JobID: 1, BlockID: uint32(b), SrcID: uint8(w), GenID: 1}, grads))
 		}

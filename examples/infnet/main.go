@@ -71,9 +71,9 @@ func main() {
 			}
 		}
 	})
-	send := router.Cable(0, 1, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig(), nil) // send-only
+	up := router.Cable(0, 1, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig(), nil, 0) // send-only
 	for _, p := range probes {
-		send(p.frame)
+		up.Send(p.frame)
 	}
 	eng.Run()
 

@@ -40,12 +40,12 @@ func main() {
 	origin := &netrpc.Origin{}
 	slow := netsim.DefaultLinkConfig()
 	slow.Propagation = originDelay
-	var fromOrigin func([]byte)
-	fromOrigin = router.Cable(0, pfe.Cfg.NumPorts-1, slow, slow, func(f []byte, _ sim.Time) {
+	var fromOrigin *netsim.Link
+	fromOrigin = router.Cable(0, pfe.Cfg.NumPorts-1, slow, slow, netsim.NewSink(eng, func(_ int, f []byte, _ sim.Time) {
 		if resp := origin.Handle(f); resp != nil {
-			fromOrigin(resp)
+			fromOrigin.Send(resp)
 		}
-	})
+	}), 0)
 
 	// Clients on ports 1..numClients; each verifies its reply payload against
 	// the origin's deterministic compute.
@@ -63,7 +63,7 @@ func main() {
 			SrcIP: [4]byte{10, 0, 0, byte(id)}, DstIP: [4]byte{10, 0, 0, 200}, SrcPort: 7000,
 		}}
 		sentAt := sim.Time(0)
-		send := router.Cable(0, id, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig(), func(f []byte, at sim.Time) {
+		up := router.Cable(0, id, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig(), netsim.NewSink(eng, func(_ int, f []byte, at sim.Time) {
 			h, payload, err := netrpc.ParseResponse(f)
 			if err != nil {
 				return
@@ -80,7 +80,7 @@ func main() {
 			if !bytes.Equal(payload[:len(want)], want) {
 				bad++
 			}
-		})
+		}), id)
 
 		// Clients 1 and 2 race during the pending window (claim + coalesce);
 		// client 3 calls later and hits the adopted entry in PFE memory.
@@ -89,7 +89,7 @@ func main() {
 			delay = 3 * originDelay
 		}
 		req := client.Request(method, args)
-		eng.At(delay, func() { sentAt = eng.Now(); send(req) })
+		eng.At(delay, func() { sentAt = eng.Now(); up.Send(req) })
 	}
 
 	eng.Run()

@@ -139,7 +139,7 @@ func newInfnetRig(cfg infnetCfg) *infnetRig {
 	// perturbs another sender's sequence.
 	idx := uint32(0)
 	for s := 0; s < cfg.senders; s++ {
-		send := r.Cable(0, 1+s, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig(), nil) // send-only
+		send := r.Cable(0, 1+s, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig(), nil, 0).Send // send-only
 		rng := sim.NewRNG(cfg.seed, 0x1F0+uint64(s))
 		for i := 0; i < cfg.packets; i++ {
 			attack := rng.Float64() < cfg.attackFrac

@@ -121,7 +121,7 @@ func newNetRPCRig(cfg netrpcCfg) *netrpcRig {
 	slow := netsim.DefaultLinkConfig()
 	slow.Propagation = cfg.originDelay
 	var fromOrigin func([]byte)
-	fromOrigin = r.Cable(0, p.Cfg.NumPorts-1, slow, slow, func(f []byte, _ sim.Time) {
+	fromOrigin = r.Cable(0, p.Cfg.NumPorts-1, slow, slow, netsim.NewSink(eng, func(_ int, f []byte, _ sim.Time) {
 		resp := rig.origin.Handle(f)
 		if resp == nil {
 			return
@@ -134,10 +134,11 @@ func newNetRPCRig(cfg netrpcCfg) *netrpcRig {
 			rig.dups++
 			fromOrigin(resp)
 		}
-	})
+	}), 0).Send
 
 	// Clients on ports 1..clients (port == client id — the cache addresses
 	// replies by forwarding to port client_id).
+	rx := netsim.NewSink(eng, func(i int, f []byte, at sim.Time) { rig.clients[i].onFrame(f, at) })
 	for i := 0; i < cfg.clients; i++ {
 		id := i + 1
 		// Distinct per-client cable lengths (+id ns) keep any two clients'
@@ -152,7 +153,7 @@ func newNetRPCRig(cfg netrpcCfg) *netrpcRig {
 				SrcIP: [4]byte{10, 0, 0, byte(id)}, DstIP: [4]byte{10, 0, 0, 200}, SrcPort: 7000,
 			}},
 		}
-		c.send = r.Cable(0, id, linkCfg, linkCfg, c.onFrame)
+		c.send = r.Cable(0, id, linkCfg, linkCfg, rx, i).Send
 		rig.clients = append(rig.clients, c)
 	}
 	return rig

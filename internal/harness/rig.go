@@ -87,6 +87,7 @@ func newTrioRig(cfg rigConfig) *trioRig {
 	}
 	r.Instrument(cfg.obsReg, cfg.trace, cfg.plan)
 	rig := &trioRig{eng: eng, router: r, agg: agg, cfg: cfg}
+	rx := netsim.NewSink(eng, func(i int, frame []byte, at sim.Time) { rig.servers[i].OnFrame(frame, at) })
 	for i := 0; i < cfg.servers; i++ {
 		up, down := netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig()
 		if cfg.links != nil {
@@ -99,9 +100,8 @@ func newTrioRig(cfg rigConfig) *trioRig {
 				SrcIP: [4]byte{10, 0, 0, byte(i + 1)}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000,
 			},
 		}
-		var w *mltrain.Worker
-		send := r.Cable(0, i, up, down, func(frame []byte, at sim.Time) { w.OnFrame(frame, at) })
-		w = mltrain.NewWorker(eng, i, uint8(i), cfg.servers, params, nil, send, nil)
+		ul := r.Cable(0, i, up, down, rx, i)
+		w := mltrain.NewWorker(eng, i, uint8(i), cfg.servers, params, nil, ul.Send, nil)
 		if cfg.onResult != nil && !cfg.silent[i] {
 			w.OnResult = func(f *packet.Frame) { cfg.onResult(i, f) }
 		}

@@ -212,6 +212,27 @@ func TestGenerationRestartOnHost(t *testing.T) {
 	}
 }
 
+// TestGenerationWrapOnHost: generation ids wrap at 16 bits. A block open at
+// 0xFFFF is superseded by a gen-0 contribution (a restart, not a stale drop),
+// a late 0xFFFF contribution after that is stale, and the result is gen 0's.
+func TestGenerationWrapOnHost(t *testing.T) {
+	tab := newTestTable(t, ServerConfig{NumWorkers: 2})
+	var out outbox
+	tab.Handle(t0, buildContribution(1, 0, 0, 0xFFFF, []int32{100}), workerAddr(0), out.send)
+	tab.Handle(t0, buildContribution(1, 0, 0, 0, []int32{1}), workerAddr(0), out.send)
+	if st := tab.Stats(); st.GenRestarts != 1 || st.StaleDrops != 0 || tab.Pending() != 1 {
+		t.Fatalf("stats = %+v, want gen 0 to restart the block open at 0xFFFF", st)
+	}
+	tab.Handle(t0, buildContribution(1, 0, 1, 0xFFFF, []int32{100}), workerAddr(1), out.send)
+	if st := tab.Stats(); st.StaleDrops != 1 || len(out) != 0 {
+		t.Fatalf("stats = %+v, sent %d: a late 0xFFFF contribution must be stale", st, len(out))
+	}
+	tab.Handle(t0, buildContribution(1, 0, 1, 0, []int32{2}), workerAddr(1), out.send)
+	if len(out) != 2 || out[0].hdr.GenID != 0 || out[0].grads[0] != 3 {
+		t.Fatalf("sent = %+v, want the gen-0 sum 3 to both workers", out)
+	}
+}
+
 func TestBadPacketsCounted(t *testing.T) {
 	tab := newTestTable(t, ServerConfig{NumWorkers: 2})
 	// Wire garbage (too short to even decode) is malformed, not a protocol

@@ -163,8 +163,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			}))
 		}
 		c.TrioAgg = agg
-		c.buildWorkers(params, injector, func(i int, recv netsim.Receiver) func([]byte) {
-			return r.Cable(0, i, linkCfg(scaledBW), linkCfg(scaledBW), recv)
+		c.buildWorkers(params, injector, func(i int, rx *netsim.Sink) func([]byte) {
+			return r.Cable(0, i, linkCfg(scaledBW), linkCfg(scaledBW), rx, i).Send
 		})
 	case SystemSwitchML:
 		sw := pisa.New(c.Eng, pisa.Config{PortBandwidth: scaledBW})
@@ -187,10 +187,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				links[port].Send(frame)
 			}
 		})
-		c.buildWorkers(params, injector, func(i int, recv netsim.Receiver) func([]byte) {
+		c.buildWorkers(params, injector, func(i int, rx *netsim.Sink) func([]byte) {
 			up := netsim.NewLink(c.Eng, linkCfg(scaledBW),
 				func(frame []byte, _ sim.Time) { sw.Inject(i, frame) })
-			links[i] = netsim.NewLink(c.Eng, linkCfg(scaledBW), recv)
+			links[i] = rx.Link(c.Eng, linkCfg(scaledBW), i)
 			return up.Send
 		})
 	default:
@@ -205,13 +205,14 @@ func linkCfg(bw uint64) netsim.LinkConfig {
 }
 
 // buildWorkers constructs the worker set; cable wires worker i to its device
-// port and returns the worker's transmit function.
+// port, with its downlink into rx tagged i, and returns the worker's
+// transmit function.
 func (c *Cluster) buildWorkers(params WorkerParams, injector *Injector,
-	cable func(i int, recv netsim.Receiver) (send func([]byte))) {
+	cable func(i int, rx *netsim.Sink) (send func([]byte))) {
+	rx := netsim.NewSink(c.Eng, func(i int, frame []byte, at sim.Time) { c.workers[i].OnFrame(frame, at) })
 	for i := 0; i < numWorkers; i++ {
-		var w *Worker
-		send := cable(i, func(frame []byte, at sim.Time) { w.OnFrame(frame, at) })
-		w = NewWorker(c.Eng, i, uint8(i), numWorkers, params, injector, send, c.onIterRecv)
+		send := cable(i, rx)
+		w := NewWorker(c.Eng, i, uint8(i), numWorkers, params, injector, send, c.onIterRecv)
 		c.workers = append(c.workers, w)
 	}
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -141,8 +142,8 @@ func TestLinkFaultWiring(t *testing.T) {
 		orig := append([]byte(nil), sent...)
 		l.Send(sent)
 		eng.Run()
-		if l.Corrupted != 1 {
-			t.Fatalf("Corrupted = %d", l.Corrupted)
+		if l.Faults().LinkCorruptions != 1 {
+			t.Fatalf("Corrupted = %d", l.Faults().LinkCorruptions)
 		}
 		if !bytes.Equal(sent, orig) {
 			t.Fatal("corruption mutated the caller's buffer")
@@ -166,8 +167,8 @@ func TestLinkFaultWiring(t *testing.T) {
 		l := NewLink(eng, LinkConfig{Faults: plan.Link(0)}, func([]byte, sim.Time) { arrivals++ })
 		l.Send(make([]byte, 64))
 		eng.Run()
-		if arrivals != 2 || l.Duplicated != 1 {
-			t.Fatalf("arrivals = %d, Duplicated = %d", arrivals, l.Duplicated)
+		if arrivals != 2 || l.Faults().LinkDuplicates != 1 {
+			t.Fatalf("arrivals = %d, Duplicated = %d", arrivals, l.Faults().LinkDuplicates)
 		}
 	})
 	t.Run("reorder", func(t *testing.T) {
@@ -178,8 +179,8 @@ func TestLinkFaultWiring(t *testing.T) {
 			func(_ []byte, a sim.Time) { at = a })
 		l.Send(make([]byte, 1250)) // 100 ns serialization, no propagation
 		eng.Run()
-		if l.Reordered != 1 {
-			t.Fatalf("Reordered = %d", l.Reordered)
+		if l.Faults().LinkReorders != 1 {
+			t.Fatalf("Reordered = %d", l.Faults().LinkReorders)
 		}
 		if at <= 100*sim.Nanosecond {
 			t.Fatalf("reordered frame arrived at %v with no extra delay", at)
@@ -194,8 +195,8 @@ func TestLinkFaultWiring(t *testing.T) {
 		l := NewLink(eng, LinkConfig{Faults: plan.Link(0)}, func([]byte, sim.Time) { arrivals++ })
 		l.Send(make([]byte, 64))
 		eng.Run()
-		if arrivals != 0 || l.FlapDropped != 1 || l.Dropped != 0 {
-			t.Fatalf("arrivals = %d, FlapDropped = %d, Dropped = %d", arrivals, l.FlapDropped, l.Dropped)
+		if arrivals != 0 || l.Faults().LinkFlapDrops != 1 || l.Dropped != 0 {
+			t.Fatalf("arrivals = %d, FlapDropped = %d, Dropped = %d", arrivals, l.Faults().LinkFlapDrops, l.Dropped)
 		}
 	})
 }
@@ -247,8 +248,8 @@ func TestLinkDeliversEachFrameAtItsOwnInstant(t *testing.T) {
 	}
 	burst()
 	eng.Run()
-	if arrivals != frames+int(l.Duplicated) || l.Duplicated == 0 || l.Reordered == 0 {
-		t.Fatalf("%d arrivals of %d frames, %d duplicated, %d reordered", arrivals, frames, l.Duplicated, l.Reordered)
+	if arrivals != frames+int(l.Faults().LinkDuplicates) || l.Faults().LinkDuplicates == 0 || l.Faults().LinkReorders == 0 {
+		t.Fatalf("%d arrivals of %d frames, %d duplicated, %d reordered", arrivals, frames, l.Faults().LinkDuplicates, l.Faults().LinkReorders)
 	}
 	for tag, n := range seen {
 		if n == 0 {
@@ -261,11 +262,12 @@ func TestLinkDeliversEachFrameAtItsOwnInstant(t *testing.T) {
 }
 
 // A 10^5-worker tree builds 2×10^5 links, so a Link's size is set-up time and
-// resident memory: it must stay in the 176-byte allocation class it had with
-// a per-frame record free list in place of the in-flight queue.
+// resident memory: it must stay in the 96-byte allocation class. What links of
+// one kind share (engine, rate, delay, receiver) sits in their kind, and what
+// only lossy, faulty or partition-crossing links need sits behind hz.
 func TestLinkStaysSmall(t *testing.T) {
-	if n := unsafe.Sizeof(Link{}); n > 176 {
-		t.Fatalf("Link is %d bytes, want <= 176", n)
+	if n := unsafe.Sizeof(Link{}); n > 96 {
+		t.Fatalf("Link is %d bytes, want <= 96", n)
 	}
 }
 
@@ -346,8 +348,8 @@ func TestDuplicateOfReorderedFrameNotCompounded(t *testing.T) {
 			func(_ []byte, a sim.Time) { arrivals = append(arrivals, a) })
 		l.Send(make([]byte, 1250)) // fault-free arrival: 100 ns
 		eng.Run()
-		if l.Duplicated != 1 || l.Reordered != 1 {
-			t.Fatalf("Duplicated=%d Reordered=%d, want both 1", l.Duplicated, l.Reordered)
+		if l.Faults().LinkDuplicates != 1 || l.Faults().LinkReorders != 1 {
+			t.Fatalf("Duplicated=%d Reordered=%d, want both 1", l.Faults().LinkDuplicates, l.Faults().LinkReorders)
 		}
 		return arrivals
 	}
@@ -376,15 +378,15 @@ func TestDuplicateOfReorderedFrameNotCompounded(t *testing.T) {
 // TestLinkBetweenCrossPartition wires a link across a two-partition cluster
 // and checks the arrival executes in the destination partition at exactly
 // serialization + propagation, with the frame contents intact (the crossing
-// detaches the sender's buffer).
+// detaches the sender's buffer) and the link's port tag.
 func TestLinkBetweenCrossPartition(t *testing.T) {
 	c := sim.NewCluster(2)
 	src, dst := c.Engine(0), c.Engine(1)
 	var at sim.Time
 	var got []byte
-	var onPart int
-	l := NewLinkBetween(src, dst, LinkConfig{Bandwidth: 100_000_000_000, Propagation: 500 * sim.Nanosecond},
-		func(f []byte, a sim.Time) { at, got, onPart = a, f, dst.Partition() })
+	var onPart, port int
+	rx := NewSink(dst, func(p int, f []byte, a sim.Time) { port, at, got, onPart = p, a, f, dst.Partition() })
+	l := rx.Link(src, LinkConfig{Bandwidth: 100_000_000_000, Propagation: 500 * sim.Nanosecond}, 7)
 	if c.Lookahead() != 500*sim.Nanosecond {
 		t.Fatalf("lookahead = %v, want the link's propagation", c.Lookahead())
 	}
@@ -392,8 +394,8 @@ func TestLinkBetweenCrossPartition(t *testing.T) {
 	l.Send(frame)
 	frame[0] = 0xFF // sender reuses its buffer; the crossing copy must not see it
 	c.Run(nil, sim.Second)
-	if at != 500*sim.Nanosecond || onPart != 1 {
-		t.Fatalf("arrival at %v on partition %d", at, onPart)
+	if at != 500*sim.Nanosecond || onPart != 1 || port != 7 {
+		t.Fatalf("arrival at %v on partition %d, port %d", at, onPart, port)
 	}
 	if len(got) != 4 || got[0] != 1 {
 		t.Fatalf("crossing aliased the sender's buffer: % x", got)
@@ -402,7 +404,74 @@ func TestLinkBetweenCrossPartition(t *testing.T) {
 		t.Fatalf("destination clock %v behind arrival %v", dst.Now(), at)
 	}
 	// Same-partition and same-engine forms stay local (no cluster plumbing).
-	if ll := NewLinkBetween(src, src, DefaultLinkConfig(), nil); ll.cross != nil {
-		t.Fatal("same-engine NewLinkBetween attached cluster plumbing")
+	if ll := NewSink(src, nil).Link(src, DefaultLinkConfig(), 0); ll.hz != nil {
+		t.Fatal("a same-engine link attached cluster plumbing")
+	}
+}
+
+// TestSinkLinksKeepTheirHazards builds an uplink-downlink pair into one sink
+// the way a cable does — uplink first, each with its own loss seed and fault
+// stream — and checks each link drops and faults frame for frame as a lone
+// link with its config does: sharing a kind must not share, swap or lose the
+// per-link loss and fault streams. A plain link carries no hazards and costs
+// one allocation once its kind exists.
+func TestSinkLinksKeepTheirHazards(t *testing.T) {
+	faulty := faults.Config{Link: faults.LinkConfig{CorruptProb: 0.2, DupProb: 0.2, ReorderProb: 0.2}}
+	cfg := func(plan *faults.Plan, id uint64) LinkConfig {
+		c := DefaultLinkConfig()
+		c.LossProb, c.LossSeed, c.Faults = 0.1, 100+id, plan.Link(id)
+		return c
+	}
+	// outcomes sends n frames and records, after each, the link's loss and
+	// fault counters.
+	type outcome struct {
+		dropped uint64
+		faults  faults.Stats
+	}
+	outcomes := func(eng *sim.Engine, l *Link, n int) []outcome {
+		var got []outcome
+		for i := 0; i < n; i++ {
+			l.Send(make([]byte, 64))
+			got = append(got, outcome{l.Dropped, l.Faults()})
+		}
+		eng.Run()
+		return got
+	}
+	const n = 300
+	eng := sim.NewEngine()
+	plan := faults.NewPlan(3, faulty)
+	delivered := [2]int{}
+	rx := NewSink(eng, func(port int, _ []byte, _ sim.Time) { delivered[port]++ })
+	up := rx.Link(eng, cfg(plan, 0), 0)
+	down := rx.Link(eng, cfg(plan, 1), 1)
+	if up.k != down.k {
+		t.Fatal("two links of one kind into one sink did not share it")
+	}
+	pair := [2][]outcome{outcomes(eng, up, n), outcomes(eng, down, n)}
+	for id, l := range []*Link{up, down} {
+		eng := sim.NewEngine()
+		lone := NewLink(eng, cfg(faults.NewPlan(3, faulty), uint64(id)), func([]byte, sim.Time) {})
+		want := outcomes(eng, lone, n)
+		if !reflect.DeepEqual(pair[id], want) {
+			t.Fatalf("link %d: its drops and faults differ from a lone link with its config", id)
+		}
+		st := l.Faults()
+		if l.Dropped == 0 || st.LinkCorruptions == 0 || st.LinkDuplicates == 0 || st.LinkReorders == 0 {
+			t.Fatalf("link %d dropped %d and faulted %+v: every hazard should fire in %d frames", id, l.Dropped, st, n)
+		}
+		if want := n - int(l.Dropped) + int(st.LinkDuplicates); delivered[id] != want {
+			t.Fatalf("port %d got %d frames, want %d", id, delivered[id], want)
+		}
+	}
+	if reflect.DeepEqual(pair[0], pair[1]) {
+		t.Fatal("uplink and downlink drew the same drops and faults: the streams are shared")
+	}
+
+	plain := rx.Link(eng, DefaultLinkConfig(), 2)
+	if plain.hz != nil || plain.Faults() != (faults.Stats{}) {
+		t.Fatal("a lossless, fault-free local link carries hazards")
+	}
+	if a := testing.AllocsPerRun(10, func() { rx.Link(eng, DefaultLinkConfig(), 2) }); a != 1 {
+		t.Fatalf("a plain link of an existing kind makes %.0f allocations, want 1", a)
 	}
 }

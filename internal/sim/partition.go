@@ -17,7 +17,7 @@ import (
 // aggregator, clients) runs unmodified inside a partition. Partitions
 // interact only through timestamped Messages posted into the destination
 // partition's inbox — in this repository, netsim link deliveries on
-// partition-crossing links (netsim.NewLinkBetween).
+// partition-crossing links (netsim.Sink.Link).
 //
 // Synchronization is the classic conservative time-window scheme: every
 // cross-partition channel promises a minimum delay (for links, the

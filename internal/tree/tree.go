@@ -4,9 +4,9 @@
 // the datacenter-scale extrapolation of the paper's single-chassis
 // hierarchical aggregation (§4, Fig. 11b). Every router runs the unmodified
 // trioml.Aggregator; what this package adds is the control-plane wiring
-// (each worker cabled with Router.Cable, each router connected to its parent
-// with Router.Connect — the same link pair as the chassis fabric, at 100 Gbps
-// cable speed), the composition of gen-restart/straggler-timeout semantics
+// (each worker cabled with Router.Cable into its rack bank's one sink, each
+// router connected to its parent with Router.Connect — the same link pair as
+// the chassis fabric, at 100 Gbps cable speed), the composition of gen-restart/straggler-timeout semantics
 // across levels, and topology-aware placement of the tree onto sim.Cluster partitions so
 // 10^5–10^6 simulated workers stay tractable.
 //

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/trioml/triogo/internal/faults"
@@ -363,5 +364,41 @@ func TestTreeAllocsPerPacket(t *testing.T) {
 		t.Fatalf("%.0f allocations for %d frames: %.2f per frame, want <= %.2f", allocs, frames, perFrame, limit)
 	} else {
 		t.Logf("%.0f allocations for %d frames: %.2f per frame", allocs, frames, perFrame)
+	}
+}
+
+// TestTreeBuildAllocsPerWorker pins what wiring a worker costs: tree.Build at
+// 8 racks x 200 workers, in heap objects (testing.AllocsPerRun) and bytes
+// (the MemStats.TotalAlloc delta) per simulated worker. A worker is two
+// 96-byte links (its NIC cable's uplink and downlink) and a few slots in its
+// bank's and its router's slices; the routers, jobs and banks amortise over
+// 200 workers. What must not come back: four closures per cable (the
+// uplink's receiver and its Send method value, the downlink's receiver and
+// an egress closure feeding it) and a 176-byte link, 6.32 objects and 680 B
+// per worker.
+func TestTreeBuildAllocsPerWorker(t *testing.T) {
+	cfg := Config{
+		Spec:        Spec{Racks: 8, WorkersPerRack: 200, FanOut: 32},
+		GradsPerPkt: 32, Blocks: 2, Window: 2, LeafExpiry: sim.Millisecond,
+	}
+	build := func() {
+		if _, err := Build(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 5
+	workers := float64(cfg.Workers())
+	objs := testing.AllocsPerRun(runs, build) / workers
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / workers
+	t.Logf("tree.Build: %.2f objects and %.0f B per worker", objs, bytes)
+	const maxObjs, maxBytes = 2.39, 440
+	if objs > maxObjs || bytes > maxBytes {
+		t.Fatalf("tree.Build makes %.2f objects and %.0f B per worker, want <= %.2f and <= %d", objs, bytes, maxObjs, maxBytes)
 	}
 }

@@ -11,8 +11,9 @@ import (
 // workerBank simulates one rack's workers as a single event-driven bank
 // colocated with the rack's ToR (same engine, same partition) — the only
 // way 10^5–10^6 workers stay affordable: per worker the bank keeps the
-// transmit function of its NIC cable (the ToR router holds the link pair)
-// and a few words of protocol state instead of a goroutine.
+// uplink of its NIC cable and a few words of protocol state instead of a
+// goroutine, and every downlink delivers to the bank's one sink, tagged
+// with its worker (onFrame), so wiring a worker makes no closure.
 //
 // The bank implements the worker side of the composed protocol: stream
 // `Blocks` aggregation blocks with `Window` outstanding, and on each result
@@ -34,7 +35,7 @@ type workerBank struct {
 	remaining int
 
 	silent []bool
-	up     []func([]byte) // per-worker transmit onto its NIC -> ToR port w link
+	up     []*netsim.Link // worker w's NIC -> ToR port w link
 
 	// Per-worker streaming state.
 	next []int    // next block index to start
@@ -105,7 +106,7 @@ func newWorkerBank(t *Tree, rack int, tor *Node) *workerBank {
 	b := &workerBank{
 		rack: rack, eng: tor.Engine, cfg: cfg, tree: t,
 		silent:    make([]bool, w),
-		up:        make([]func([]byte), w),
+		up:        make([]*netsim.Link, w),
 		next:      make([]int, w),
 		done:      make([]int, w),
 		out:       make([]uint64, w),
@@ -128,9 +129,9 @@ func newWorkerBank(t *Tree, rack int, tor *Node) *workerBank {
 		}
 	}
 	def := netsim.DefaultLinkConfig()
+	rx := netsim.NewSink(tor.Engine, b.onFrame)
 	for i := 0; i < w; i++ {
-		i := i
-		b.up[i] = tor.Router.Cable(0, i, def, def, func(f []byte, at sim.Time) { b.onFrame(i, f, at) })
+		b.up[i] = tor.Router.Cable(0, i, def, def, rx, i)
 	}
 	return b
 }
@@ -167,7 +168,7 @@ func (b *workerBank) sendBlock(w, blk int) {
 	for i := range b.grads {
 		b.grads[i] = int32(gw + blk + i)
 	}
-	b.up[w](packet.BuildTrioML(packet.UDPSpec{
+	b.up[w].Send(packet.BuildTrioML(packet.UDPSpec{
 		SrcIP:   [4]byte{10, uint8(b.rack >> 8), uint8(b.rack), uint8(w)},
 		DstIP:   [4]byte{10, 1, uint8(b.rack >> 8), uint8(b.rack)},
 		SrcPort: 5000,
@@ -182,7 +183,8 @@ func (b *workerBank) outstanding(w, blk int) bool {
 	return b.out[w]&(1<<uint(blk)) != 0
 }
 
-// onFrame handles a result multicast down to worker w.
+// onFrame is the bank's one receiver: every downlink delivers to it, tagged
+// with its worker. It handles a result multicast down to worker w.
 func (b *workerBank) onFrame(w int, raw []byte, at sim.Time) {
 	f := &b.frame
 	if err := packet.DecodeInto(f, raw); err != nil || !f.IsTrioML() {

@@ -42,9 +42,15 @@ type Router struct {
 	Engine *sim.Engine
 
 	pfes []*pfe.PFE
-	// egress[pfe][port] receives the frames that PFE forwards out that port;
-	// a nil slot black-holes them, like an unconnected physical port.
-	egress [][]pfe.Output
+	// out[pfe][port] is the link a cabled or connected port forwards onto;
+	// ext[pfe][port] is the receiver AttachExternal bound there, the slice
+	// made on the first such attachment. A port with neither black-holes its
+	// frames, like an unconnected physical port.
+	out [][]*netsim.Link
+	ext [][]pfe.Output
+	// ingress[pfe] is the one sink every link into that PFE delivers to,
+	// tagged with the port it feeds.
+	ingress []*netsim.Sink
 
 	links []*netsim.Link // every link Cable and Connect built, in creation order
 	fcs   bool           // a fault plan is attached: ports fed by links check frames in
@@ -61,14 +67,18 @@ func New(eng *sim.Engine, cfg Config) *Router {
 		pcfg := cfg.PFE
 		pcfg.ID = i
 		p := pfe.New(eng, pcfg)
-		outs := make([]pfe.Output, p.Cfg.NumPorts)
+		out := make([]*netsim.Link, p.Cfg.NumPorts)
 		p.SetOutput(func(port int, frame []byte, at sim.Time) {
-			if out := outs[port]; out != nil {
-				out(port, frame, at)
+			if l := out[port]; l != nil {
+				l.Send(frame)
+			} else if ext := r.ext[i]; ext != nil && ext[port] != nil {
+				ext[port](port, frame, at)
 			}
 		})
 		r.pfes = append(r.pfes, p)
-		r.egress = append(r.egress, outs)
+		r.out = append(r.out, out)
+		r.ext = append(r.ext, nil)
+		r.ingress = append(r.ingress, netsim.NewSink(eng, r.ingressFn(p)))
 	}
 	return r
 }
@@ -76,15 +86,29 @@ func New(eng *sim.Engine, cfg Config) *Router {
 // PFE returns PFE i.
 func (r *Router) PFE(i int) *pfe.PFE { return r.pfes[i] }
 
-// AttachExternal binds an external receiver (a server NIC, a probe) to a PFE
-// port. Frames the PFE forwards out that port are delivered to out. A port
-// takes one attachment: a second one panics.
-func (r *Router) AttachExternal(pfeID, port int, out pfe.Output) {
-	slot := &r.egress[pfeID][port]
-	if *slot != nil {
+// claim panics unless (pfeID, port) is still unattached: a port takes one
+// link or one external receiver.
+func (r *Router) claim(pfeID, port int) {
+	if r.out[pfeID][port] != nil || (r.ext[pfeID] != nil && r.ext[pfeID][port] != nil) {
 		panic(fmt.Sprintf("trio: pfe%d port %d is already attached", pfeID, port))
 	}
-	*slot = out
+}
+
+// AttachExternal binds an external receiver (a probe, a benchmark rig's
+// server) to a PFE port. Frames the PFE forwards out that port are delivered
+// to out. A port takes one attachment: a second one, of either kind, panics.
+func (r *Router) AttachExternal(pfeID, port int, out pfe.Output) {
+	r.claim(pfeID, port)
+	if r.ext[pfeID] == nil {
+		r.ext[pfeID] = make([]pfe.Output, len(r.out[pfeID]))
+	}
+	r.ext[pfeID][port] = out
+}
+
+// attach puts the frames (pfeID, port) forwards on link l.
+func (r *Router) attach(pfeID, port int, l *netsim.Link) {
+	r.claim(pfeID, port)
+	r.out[pfeID][port] = l
 }
 
 // Inject delivers a frame arriving from outside on (pfeID, port) with the
@@ -93,13 +117,12 @@ func (r *Router) Inject(pfeID, port int, flow uint64, frame []byte) {
 	r.pfes[pfeID].Inject(port, flow, frame)
 }
 
-// ingress is the receiver of every link that feeds (pfeID, port). Frames are
-// injected with the constant reorder flow uint64(port): a flow assigned per
-// arrival would tie the reorder engine's per-flow sequencing to how
-// same-instant deliveries happen to be queued.
-func (r *Router) ingress(pfeID, port int) netsim.Receiver {
-	p := r.pfes[pfeID]
-	return func(f []byte, _ sim.Time) {
+// ingressFn is the receiver of every link that feeds PFE p, told the port.
+// Frames are injected with the constant reorder flow uint64(port): a flow
+// assigned per arrival would tie the reorder engine's per-flow sequencing to
+// how same-instant deliveries happen to be queued.
+func (r *Router) ingressFn(p *pfe.PFE) netsim.PortReceiver {
+	return func(port int, f []byte, _ sim.Time) {
 		// With a fault plan attached links may corrupt frames; the port
 		// drops those the way the MAC's FCS check would (the UDP checksum
 		// stands in for the FCS the frames do not carry), leaving the
@@ -111,26 +134,23 @@ func (r *Router) ingress(pfeID, port int) netsim.Receiver {
 	}
 }
 
-// sendOn is the egress attachment that puts a port's frames on link l.
-func sendOn(l *netsim.Link) pfe.Output {
-	return func(_ int, f []byte, _ sim.Time) { l.Send(f) }
-}
-
 // Cable attaches a server to (pfeID, port) over a pair of links on the
-// router's engine and returns the server's transmit function. The uplink is
-// built before the downlink — callers hand out per-link loss seeds and fault
-// streams in that order, so it is part of the determinism contract. Frames
-// the PFE forwards out the port reach recv over the downlink; a nil recv
-// cables a send-only server and leaves the port's egress unattached.
-func (r *Router) Cable(pfeID, port int, up, down netsim.LinkConfig, recv netsim.Receiver) (send func([]byte)) {
-	ul := netsim.NewLink(r.Engine, up, r.ingress(pfeID, port))
+// router's engine and returns the uplink, the server's transmit side. The
+// uplink is built before the downlink — callers hand out per-link loss seeds
+// and fault streams in that order, so it is part of the determinism
+// contract. Frames the PFE forwards out the port reach recv over the
+// downlink, tagged with tag; many cables may share one sink (a bank of
+// workers, tagged by worker). A nil recv cables a send-only server and
+// leaves the port's egress unattached.
+func (r *Router) Cable(pfeID, port int, up, down netsim.LinkConfig, recv *netsim.Sink, tag int) *netsim.Link {
+	ul := r.ingress[pfeID].Link(r.Engine, up, port)
 	r.links = append(r.links, ul)
 	if recv != nil {
-		dl := netsim.NewLink(r.Engine, down, recv)
+		dl := recv.Link(r.Engine, down, tag)
 		r.links = append(r.links, dl)
-		r.AttachExternal(pfeID, port, sendOn(dl))
+		r.attach(pfeID, port, dl)
 	}
-	return ul.Send
+	return ul
 }
 
 // Connect joins (pfeID, port) of this router to (peerPFE, peerPort) of peer
@@ -140,13 +160,13 @@ func (r *Router) Cable(pfeID, port int, up, down netsim.LinkConfig, recv netsim.
 // peer-bound link is built first, and both links join this router's Links()
 // in that order. When the peer runs on another partition of a sim.Cluster,
 // each link posts its arrivals across and registers its propagation delay as
-// lookahead (netsim.NewLinkBetween).
+// lookahead (netsim.Sink.Link).
 func (r *Router) Connect(pfeID, port int, peer *Router, peerPFE, peerPort int, out, in netsim.LinkConfig) {
-	ol := netsim.NewLinkBetween(r.Engine, peer.Engine, out, peer.ingress(peerPFE, peerPort))
-	il := netsim.NewLinkBetween(peer.Engine, r.Engine, in, r.ingress(pfeID, port))
+	ol := peer.ingress[peerPFE].Link(r.Engine, out, peerPort)
+	il := r.ingress[pfeID].Link(peer.Engine, in, port)
 	r.links = append(r.links, ol, il)
-	r.AttachExternal(pfeID, port, sendOn(ol))
-	peer.AttachExternal(peerPFE, peerPort, sendOn(il))
+	r.attach(pfeID, port, ol)
+	peer.attach(peerPFE, peerPort, il)
 }
 
 // Links returns every link Cable and Connect built, in creation order (per

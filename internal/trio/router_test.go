@@ -109,16 +109,33 @@ func TestRouterFabricRoundTrip(t *testing.T) {
 	}
 }
 
+// A port takes one attachment, a link (Cable, Connect) or an external
+// receiver, and a second one of either kind panics.
 func TestRouterConflictingAttachmentPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	r := New(eng, Config{NumPFEs: 2})
-	r.AttachExternal(1, 5, func(int, []byte, sim.Time) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	connectFabric(r)
+	def := netsim.DefaultLinkConfig()
+	probe := func(int, []byte, sim.Time) {}
+	for _, tc := range []struct {
+		name          string
+		first, second func(r *Router)
+	}{
+		{"external then fabric", func(r *Router) { r.AttachExternal(1, 5, probe) }, connectFabric},
+		{"fabric then external", connectFabric, func(r *Router) { r.AttachExternal(1, 5, probe) }},
+		{"cable then external", func(r *Router) { r.Cable(0, 3, def, def, netsim.NewSink(r.Engine, nil), 0) },
+			func(r *Router) { r.AttachExternal(0, 3, probe) }},
+		{"cable then cable", func(r *Router) { r.Cable(0, 3, def, def, netsim.NewSink(r.Engine, nil), 0) },
+			func(r *Router) { r.Cable(0, 3, def, def, netsim.NewSink(r.Engine, nil), 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := New(sim.NewEngine(), Config{NumPFEs: 2})
+			tc.first(r)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			tc.second(r)
+		})
+	}
 }
 
 // TestFabricBurstSerializationExact sends a back-to-back burst of 187-byte
@@ -267,7 +284,7 @@ func TestConnectChecksFramesAtTheReceiver(t *testing.T) {
 			a.Inject(0, 0, 0, frame)
 		}
 		eng.Run()
-		return seen, bad, a.Links()[0].Corrupted
+		return seen, bad, a.Links()[0].Faults().LinkCorruptions
 	}
 	seen, bad, corrupted := run(false)
 	if corrupted == 0 || seen != n || bad == 0 {
@@ -301,7 +318,8 @@ func cabledRouter(port int, up, down netsim.LinkConfig, recv netsim.Receiver) (r
 		*seen = append(*seen, *ctx.Packet())
 		ctx.Forward(ctx.Packet().Port)
 	}))
-	return r, r.Cable(0, port, up, down, recv), seen
+	rx := netsim.NewSink(r.Engine, func(_ int, f []byte, at sim.Time) { recv(f, at) })
+	return r, r.Cable(0, port, up, down, rx, 0).Send, seen
 }
 
 func TestCableRoundTrip(t *testing.T) {
@@ -371,11 +389,24 @@ func TestCableLinkOrderAndDirection(t *testing.T) {
 	}
 
 	// A send-only cable records its uplink alone and leaves egress unattached.
-	tx := r.Cable(0, 5, down, down, nil)
-	tx(make([]byte, 100))
+	tx := r.Cable(0, 5, down, down, nil, 0)
+	tx.Send(make([]byte, 100))
 	r.Engine.Run() // the bounce out port 5 black-holes instead of panicking
 	if len(r.Links()) != 3 || len(*seen) != n+1 {
 		t.Fatalf("send-only cable: %d links, PFE saw %d packets", len(r.Links()), len(*seen))
+	}
+
+	// Loss on the downlink only: the link into the server's sink keeps it.
+	down.LossProb, down.LossSeed = 1, 9
+	got = 0
+	r, send, seen = cabledRouter(2, netsim.DefaultLinkConfig(), down, func([]byte, sim.Time) { got++ })
+	for i := 0; i < n; i++ {
+		send(make([]byte, 100))
+	}
+	r.Engine.Run()
+	if links := r.Links(); links[0].Dropped != 0 || links[1].Dropped != n || got != 0 || len(*seen) != n {
+		t.Fatalf("lossy downlink: uplink dropped %d, downlink %d; server got %d, PFE saw %d; want 0, %d, 0, %d",
+			links[0].Dropped, links[1].Dropped, got, len(*seen), n, n)
 	}
 }
 

@@ -318,6 +318,31 @@ func TestGenerationReuseRestartsBlock(t *testing.T) {
 	}
 }
 
+// TestGenerationWrapOnPFE: generation ids wrap at 16 bits. A block open at
+// 0xFFFF is superseded by a gen-0 contribution (a restart), a late 0xFFFF
+// contribution after that is stale, and the result is gen 0's alone.
+func TestGenerationWrapOnPFE(t *testing.T) {
+	r := newRig(t, fourWorkerJob())
+	for w := 0; w < 3; w++ {
+		r.send(w, 0, 0xFFFF, seqGrads(64, 1))
+	}
+	r.eng.Run()
+	r.send(0, 0, 0, seqGrads(64, 100)) // restart
+	r.eng.Run()
+	r.send(3, 0, 0xFFFF, seqGrads(64, 1)) // late: stale
+	r.eng.Run()
+	if st := r.agg.Stats(); st.StaleDrops != 1 || len(r.results) != 0 {
+		t.Fatalf("stale drops = %d, results = %d: want the late 0xFFFF contribution dropped", st.StaleDrops, len(r.results))
+	}
+	for w := 1; w < 4; w++ {
+		r.send(w, 0, 0, seqGrads(64, 100))
+	}
+	r.eng.Run()
+	if len(r.results) != 4 || r.results[0].hdr.GenID != 0 || r.results[0].grads[0] != 400 {
+		t.Fatalf("results = %d, want 4 of gen 0 summing to 400 in lane 0", len(r.results))
+	}
+}
+
 func TestIncompleteOldGenerationSuperseded(t *testing.T) {
 	// Three workers contribute gen 1 of block 0; before the fourth arrives,
 	// gen 2 packets start landing on the same block id (e.g. after a
