@@ -108,13 +108,14 @@ verify-sim:
 # tree determinism pins: the tree sweep and treechaos tables must render
 # byte-identically at any partition count, and treechaos must match its
 # golden capture. The tree's allocations-per-frame and build-cost-per-worker
-# ceilings and the PFE's completion-chunk ceiling rerun at fixed GOMAXPROCS
-# and GOGC, five times at -cpu 1,2, so a ratcheted ceiling that is flaky
-# fails here.
+# ceilings, the PFE's completion-chunk ceiling and its multicast pin (a
+# result to 200 ports allocates what one to 4 ports does) rerun at fixed
+# GOMAXPROCS and GOGC, five times at -cpu 1,2, so a ratcheted ceiling that is
+# flaky fails here.
 verify-tree:
 	$(GO) test -race ./internal/tree/
 	$(GO) test -race -run 'TestTree|TestGoldenTreeChaos' ./internal/harness/
-	GOMAXPROCS=1 GOGC=100 $(GO) test -count=5 -cpu 1,2 -run 'TestTreeAllocsPerPacket|TestTreeBuildAllocsPerWorker|TestInFlightThreadsShareOneContext' ./internal/tree/ ./internal/trio/pfe/
+	GOMAXPROCS=1 GOGC=100 $(GO) test -count=5 -cpu 1,2 -run 'TestTreeAllocsPerPacket|TestTreeBuildAllocsPerWorker|TestInFlightThreadsShareOneContext|TestMulticastAllocsIndependentOfPorts' ./internal/tree/ ./internal/trio/pfe/
 
 # verify-dse races the sweep executor and the parallel-vs-serial
 # determinism tests in the harness.

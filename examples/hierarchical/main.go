@@ -76,7 +76,7 @@ func main() {
 	fmt.Printf("results delivered to workers: %d (want %d), bad sums: %d\n", received, blocks*6, bad)
 	// Workers inject directly, so the router's only links are the fabric's.
 	var frames, bytes uint64
-	for _, l := range router.Links() {
+	for _, l := range h.Fabric {
 		frames += l.Frames
 		bytes += l.Bytes
 	}

@@ -207,7 +207,7 @@ func ablationHierarchy() *Table {
 	// Hierarchical: 2 groups of 3 feed a top-level PFE over the fabric.
 	eng := sim.NewEngine()
 	r := trio.New(eng, trio.Config{NumPFEs: 3, PFE: trioml.RecommendedPFEConfig()})
-	_, err := trioml.SetupHierarchy(r, trioml.HierarchyConfig{
+	h, err := trioml.SetupHierarchy(r, trioml.HierarchyConfig{
 		JobID: 1, TopPFE: 2,
 		Groups: []trioml.HierGroup{
 			{PFE: 0, WorkerSrcIDs: []uint8{0, 1, 2}, WorkerPorts: []int{0, 1, 2}, UplinkPort: 15, TopPort: 0},
@@ -230,7 +230,7 @@ func ablationHierarchy() *Table {
 	eng.Run()
 	// Workers inject directly, so the router's only links are the fabric's.
 	var fabricBytes uint64
-	for _, l := range r.Links() {
+	for _, l := range h.Fabric {
 		fabricBytes += l.Bytes
 	}
 	t.AddRow("hierarchical (2+1 PFEs)", 2, fabricBytes, workerBytes)

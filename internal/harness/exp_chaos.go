@@ -123,7 +123,7 @@ func runChaosRig(cfg rigConfig, seed uint64, lossProb float64) (*trioRig, map[re
 // nativeDrops sums netsim's own loss counter across every link.
 func nativeDrops(r *trioRig) uint64 {
 	var n uint64
-	for _, l := range r.router.Links() {
+	for _, l := range r.links {
 		n += l.Dropped
 	}
 	return n

@@ -21,6 +21,7 @@ type trioRig struct {
 	router  *trio.Router
 	agg     *trioml.Aggregator
 	servers []*mltrain.Worker
+	links   []*netsim.Link // per server: its uplink, then its downlink
 	cfg     rigConfig
 }
 
@@ -101,6 +102,7 @@ func newTrioRig(cfg rigConfig) *trioRig {
 			},
 		}
 		ul := r.Cable(0, i, up, down, rx, i)
+		rig.links = append(rig.links, ul, r.Link(0, i))
 		w := mltrain.NewWorker(eng, i, uint8(i), cfg.servers, params, nil, ul.Send, nil)
 		if cfg.onResult != nil && !cfg.silent[i] {
 			w.OnResult = func(f *packet.Frame) { cfg.onResult(i, f) }

@@ -230,8 +230,10 @@ func (s *Switch) finish(ctx *Ctx) {
 		s.egress(ctx.egressPort, ctx.pkt.Frame)
 	}
 	for _, e := range ctx.emits {
-		s.stats.Emitted++
-		s.egress(e.port, e.frame)
+		for _, port := range e.ports {
+			s.stats.Emitted++
+			s.egress(port, e.frame)
+		}
 	}
 }
 
@@ -275,8 +277,9 @@ func (s *Switch) egress(port int, frame []byte) {
 	}
 }
 
+// emit is one frame a pass created, multicast to every port of ports.
 type emit struct {
-	port  int
+	ports []int
 	frame []byte
 }
 
@@ -358,9 +361,14 @@ func (c *Ctx) Forward(port int) {
 	c.egressPort = port
 }
 
-// Emit creates a new packet on port (multicast result generation).
-func (c *Ctx) Emit(port int, frame []byte) {
-	c.emits = append(c.emits, emit{port: port, frame: frame})
+// Multicast creates one packet on every port of ports, in list order (the
+// traffic manager's replication of a result): one emit for the whole list,
+// which is held, not copied, until the pass finishes. An empty list sends
+// nothing.
+func (c *Ctx) Multicast(ports []int, frame []byte) {
+	if len(ports) > 0 {
+		c.emits = append(c.emits, emit{ports: ports, frame: frame})
+	}
 }
 
 // ReadReg lets control-plane code and tests inspect a register without the

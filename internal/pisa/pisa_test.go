@@ -175,9 +175,7 @@ func TestEmitMulticast(t *testing.T) {
 	sw := New(eng, Config{})
 	ports := map[int]int{}
 	sw.SetApp(AppFunc(func(ctx *Ctx) bool {
-		for p := 0; p < 4; p++ {
-			ctx.Emit(p, make([]byte, 100))
-		}
+		ctx.Multicast([]int{0, 1, 2, 3}, make([]byte, 100))
 		return false
 	}))
 	sw.SetOutput(func(port int, frame []byte, a sim.Time) { ports[port]++ })

@@ -23,6 +23,7 @@ package switchml
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/pisa"
@@ -106,6 +107,9 @@ func New(sw *pisa.Switch, cfg Config) (*Aggregator, error) {
 	if need := cfg.PoolSize * gradsPerStage; need > sw.Cfg.RegsPerStage {
 		return nil, fmt.Errorf("switchml: pool %d needs %d registers per gradient stage, switch has %d", cfg.PoolSize, need, sw.Cfg.RegsPerStage)
 	}
+	// The result multicast holds the port list: keep a copy the caller
+	// cannot change.
+	cfg.WorkerPorts = slices.Clone(cfg.WorkerPorts)
 	a := &Aggregator{cfg: cfg, sw: sw, pipeline: pipeline, gradsPerStage: gradsPerStage, pending: make(map[uint32]int)}
 	sw.SetApp(a)
 	return a, nil
@@ -175,9 +179,7 @@ func (a *Aggregator) Process(ctx *pisa.Ctx) bool {
 			SrcCnt: uint8(a.cfg.NumWorkers), GradCnt: h.GradCnt, Final: h.Final,
 		}
 		frame := packet.BuildTrioML(a.cfg.ResultSpec, out, sums)
-		for _, p := range a.cfg.WorkerPorts {
-			ctx.Emit(p, frame)
-		}
+		ctx.Multicast(a.cfg.WorkerPorts, frame)
 	} else {
 		a.pending[h.BlockID] = int(contrib)
 	}

@@ -2,6 +2,8 @@ package pfe_test
 
 import (
 	"encoding/binary"
+	"math"
+	"runtime"
 	"testing"
 
 	"github.com/trioml/triogo/internal/microcode"
@@ -59,5 +61,62 @@ func TestMicrocodeAppZeroAlloc(t *testing.T) {
 	}
 	if mc.App.Errors != 0 {
 		t.Fatalf("microcode errors: %d (%v)", mc.App.Errors, mc.App.LastError)
+	}
+}
+
+// TestMulticastAllocsIndependentOfPorts pins that a multicast is one record
+// from the thread to the wire: a warmed PFE whose aggregator distributes a
+// Result packet from upstream to 4 local workers, and one distributing it to
+// 200, make the same allocations per result (the distributed frame itself),
+// with several results in flight at once. Bytes are held to within 16 B per
+// result, for the runtime's own small allocations: anything per port, even
+// one byte for each of 196 more ports, is well past that.
+func TestMulticastAllocsIndependentOfPorts(t *testing.T) {
+	const upPort, inFlight = 200, 4
+	result := packet.BuildTrioML(packet.UDPSpec{SrcPort: 5000},
+		packet.TrioML{JobID: 1, SrcID: trioml.ResultSrcID, SrcCnt: 2, GradCnt: 32}, make([]int32, 32))
+	measure := func(workers int) (allocs, bytes float64) {
+		cfg := trioml.RecommendedPFEConfig()
+		cfg.NumPorts = upPort + 1
+		eng := sim.NewEngine()
+		p := pfe.New(eng, cfg)
+		var copies int
+		p.SetOutput(func(int, []byte, sim.Time) { copies++ })
+		agg := trioml.New(p)
+		ports := make([]int, workers)
+		for i := range ports {
+			ports[i] = i
+		}
+		if err := agg.InstallJob(trioml.JobConfig{
+			JobID: 1, Sources: []uint8{0}, UpstreamPort: upPort, DistributePorts: ports,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		distribute := func() {
+			for range inFlight {
+				p.Inject(upPort, upPort, result)
+			}
+			eng.Run()
+		}
+		distribute() // warm: the records, the emit lists and the event slab exist
+		const runs = 50
+		allocs = testing.AllocsPerRun(runs, distribute)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			distribute()
+		}
+		runtime.ReadMemStats(&after)
+		if want := (2*runs + 2) * inFlight * workers; copies != want {
+			t.Fatalf("%d workers: %d copies delivered, want %d", workers, copies, want)
+		}
+		return allocs / inFlight, float64(after.TotalAlloc-before.TotalAlloc) / runs / inFlight
+	}
+	allocs4, bytes4 := measure(4)
+	allocs200, bytes200 := measure(200)
+	t.Logf("per result: %v allocations and %.1f B to 4 ports, %v and %.1f B to 200", allocs4, bytes4, allocs200, bytes200)
+	if allocs200 != allocs4 || math.Abs(bytes200-bytes4) > 16 {
+		t.Fatalf("a multicast to 200 ports makes %v allocations and %.1f B, to 4 ports %v and %.1f B: per-port work is back",
+			allocs200, bytes200, allocs4, bytes4)
 	}
 }

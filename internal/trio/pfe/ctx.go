@@ -58,7 +58,10 @@ type threadState struct {
 	tslot      int64 // trace track (busy-slot index) assigned at dispatch
 }
 
+// emit is one packet a thread created: a unicast to port (ports nil), or
+// one frame multicast to every port of ports.
 type emit struct {
+	ports []int
 	port  int
 	frame []byte
 }
@@ -243,15 +246,39 @@ func (c *Ctx) Drop() { c.verdict = VerdictDrop }
 // packet is not an error drop.
 func (c *Ctx) Consume() { c.verdict = VerdictConsume }
 
-// Emit creates a new packet (e.g. an aggregation Result packet) and queues
-// it for egress on port. The frame is built in the Packet Buffer; the paper
-// builds result tails in 256-byte chunks, which callers account for
-// explicitly via ChargeInstr/MemRead.
+// Emit creates a new packet (e.g. a per-waiter reply) and queues it for
+// egress on port. The frame is built in the Packet Buffer; the paper builds
+// result tails in 256-byte chunks, which callers account for explicitly via
+// ChargeInstr/MemRead. An invalid port panics here, inside the thread.
 func (c *Ctx) Emit(port int, frame []byte) {
+	c.checkPort(port)
+	c.emits = append(c.emits, emit{port: port, frame: frame})
+}
+
+// Multicast queues one frame for egress on every port of ports, in list
+// order: the replication the MQSS does for a result packet (§2.3, Fig. 7),
+// so the thread's emit list, its completion record and egress each hold one
+// entry for it, however many ports it reaches. Every copy departs and is
+// counted as if Emit had queued it per port. ports is held, not copied,
+// until the last copy is delivered, so the caller must not change it: pass
+// a list installed once, such as a job's result ports. An invalid port
+// anywhere in the list panics here, naming the port; an empty list sends
+// nothing.
+func (c *Ctx) Multicast(ports []int, frame []byte) {
+	if len(ports) == 0 {
+		return
+	}
+	for _, port := range ports {
+		c.checkPort(port)
+	}
+	c.emits = append(c.emits, emit{ports: ports, frame: frame})
+}
+
+// checkPort panics unless port is one of the PFE's ports.
+func (c *Ctx) checkPort(port int) {
 	if port < 0 || port >= c.pfe.Cfg.NumPorts {
 		panic(fmt.Sprintf("pfe%d: emit on invalid port %d", c.pfe.Cfg.ID, port))
 	}
-	c.emits = append(c.emits, emit{port: port, frame: frame})
 }
 
 // FullFrame reassembles head+tail as the egress path would (a Packet Buffer

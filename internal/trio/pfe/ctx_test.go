@@ -2,6 +2,8 @@ package pfe
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/trioml/triogo/internal/sim"
@@ -130,22 +132,40 @@ func TestCtxPacketAccessor(t *testing.T) {
 }
 
 func TestCtxEmitInvalidPortPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	p := New(eng, Config{NumPorts: 2})
-	panicked := false
-	p.SetApp(AppFunc(func(ctx *Ctx) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
+	// Emit, and Multicast with a bad port anywhere in its list, panic inside
+	// the thread naming the port, and queue nothing: the valid ports ahead
+	// of the bad one send no copy.
+	for _, tc := range []struct {
+		name string
+		emit func(ctx *Ctx)
+		port string
+	}{
+		{"emit", func(ctx *Ctx) { ctx.Emit(5, []byte{1}) }, "port 5"},
+		{"multicast", func(ctx *Ctx) { ctx.Multicast([]int{0, 1, 7, 1}, []byte{1}) }, "port 7"},
+		{"multicast negative", func(ctx *Ctx) { ctx.Multicast([]int{-1}, []byte{1}) }, "port -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			p := New(eng, Config{NumPorts: 2})
+			var out []delivered
+			p.SetOutput(collector(&out))
+			var msg string
+			p.SetApp(AppFunc(func(ctx *Ctx) {
+				defer func() {
+					msg = fmt.Sprint(recover())
+					ctx.Drop()
+				}()
+				tc.emit(ctx)
+			}))
+			p.Inject(0, 1, frameOfSize(64, 0))
+			eng.Run()
+			if !strings.Contains(msg, "invalid port") || !strings.HasSuffix(msg, tc.port) {
+				t.Fatalf("panic %q, want one naming invalid %s", msg, tc.port)
 			}
-			ctx.Drop()
-		}()
-		ctx.Emit(5, []byte{1})
-	}))
-	p.Inject(0, 1, frameOfSize(64, 0))
-	eng.Run()
-	if !panicked {
-		t.Fatal("invalid emit port accepted")
+			if len(out) != 0 || p.Stats().Emitted != 0 {
+				t.Fatalf("a rejected emit sent %d copies (%d counted)", len(out), p.Stats().Emitted)
+			}
+		})
 	}
 }
 

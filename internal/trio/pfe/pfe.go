@@ -131,9 +131,9 @@ type PFE struct {
 	flows     map[uint64]*flowState
 	flowFree  *flowState
 
-	ctx      Ctx         // the one thread context, reset for every thread
-	doneFree *completion // recycled completion records
-	outFree  *outEvt     // recycled egress delivery events
+	ctx          Ctx         // the one thread context, reset for every thread
+	doneFree     *completion // recycled completion records
+	deliveryFree []*delivery // recycled egress delivery records
 
 	trace  *obs.Trace          // nil: tracing off (the default; see SetTrace)
 	faults *faults.PFEInjector // nil: thread-stall injection off (the default)
@@ -372,9 +372,11 @@ func (p *PFE) runWork(w *work) {
 
 // completion is what a finished thread leaves for its completion event: the
 // Reorder Engine position and verdict of its packet (fs is nil for a timer
-// thread), the packet's frame, and the emits. Records recycle through
-// PFE.doneFree, which grows completionChunk records at a time, so a thread
-// in flight costs one small record and no allocation of its own.
+// thread), the packet's frame, and the emits, in which a multicast is one
+// entry holding its port list, however many ports it reaches. Records
+// recycle through PFE.doneFree, which grows completionChunk records at a
+// time, so a thread in flight costs one small record and no allocation of
+// its own.
 type completion struct {
 	p    *PFE
 	fs   *flowState
@@ -442,66 +444,119 @@ func (p *PFE) complete(d *completion) {
 
 // emitAll sends application-created packets (e.g. aggregation results)
 // straight to egress; they are new flows, so the Reorder Engine is not
-// involved.
+// involved. A multicast reaches egress as the one list the thread emitted.
 func (p *PFE) emitAll(emits []emit) {
-	for _, e := range emits {
-		p.stats.Emitted++
-		p.egress(e.port, e.frame, p.Engine.Now())
-	}
-}
-
-// egress serializes a frame onto a port at the port's line rate and invokes
-// the output hook at departure time.
-func (p *PFE) egress(port int, frame []byte, ready sim.Time) {
-	if port < 0 || port >= len(p.ports) {
-		panic(fmt.Sprintf("pfe%d: egress on invalid port %d", p.Cfg.ID, port))
-	}
-	ser := sim.Time(uint64(len(frame)) * 8 * uint64(sim.Second) / p.Cfg.PortBandwidth)
-	ps := &p.ports[port]
-	start := ready
-	if ps.freeAt > start {
-		start = ps.freeAt
-	}
-	depart := start + ser
-	ps.freeAt = depart
-	ps.frames++
-	ps.bytes += uint64(len(frame))
-	ps.busy += ser
-	p.stats.BytesOut += uint64(len(frame))
-	if p.trace != nil {
-		p.trace.Complete("egress", "tx", int64(p.Cfg.ID),
-			egressTidBase+int64(port), int64(start), int64(ser))
-	}
-	if p.out != nil {
-		o := p.outFree
-		if o == nil {
-			o = &outEvt{}
-		} else {
-			p.outFree = o.next
-			o.next = nil
+	now := p.Engine.Now()
+	for i := range emits {
+		e := &emits[i]
+		if e.ports == nil {
+			p.stats.Emitted++
+			p.unicast(e.port, e.frame, now)
+			continue
 		}
-		o.p, o.port, o.frame, o.at = p, port, frame, depart
-		p.Engine.AtFunc(depart, deliverOut, o)
+		p.stats.Emitted += uint64(len(e.ports))
+		p.egress(p.getDelivery(), e.ports, e.frame, now)
 	}
 }
 
-// outEvt carries one egress delivery; instances recycle through PFE.outFree
-// so steady-state egress allocates no event state.
-type outEvt struct {
-	p     *PFE
-	port  int
-	frame []byte
-	at    sim.Time
-	next  *outEvt
+// unicast sends frame out one port: egress with a list of one, held in the
+// delivery record itself.
+func (p *PFE) unicast(port int, frame []byte, ready sim.Time) {
+	d := p.getDelivery()
+	d.one[0] = port
+	p.egress(d, d.one[:], frame, ready)
 }
 
-func deliverOut(arg any) {
-	o := arg.(*outEvt)
-	p, port, frame, at := o.p, o.port, o.frame, o.at
-	o.p, o.frame = nil, nil
-	o.next = p.outFree
-	p.outFree = o
-	p.out(port, frame, at)
+// egress serializes one copy of frame onto each port of ports, in list
+// order, at the ports' line rate, and schedules each copy's delivery to the
+// output hook at its departure. Every copy is booked on its port (counters,
+// trace span) and gets its own event, as a frame per port would; what the
+// copies share is the delivery record that tells the events which port each
+// one is for. The record hands out its ports in list order, which is firing
+// order as long as departures do not decrease along the list (events at one
+// instant fire in the order they were scheduled). A copy that departs
+// before the one booked ahead of it — its port was idle while the earlier
+// one's was backlogged — starts a new run of the list in a record of its
+// own. So a multicast onto ports of equal backlog, the common case, is one
+// record; d is the record for the list's first run, recycled if no copy
+// needed it.
+func (p *PFE) egress(d *delivery, ports []int, frame []byte, ready sim.Time) {
+	ser := sim.Time(uint64(len(frame)) * 8 * uint64(sim.Second) / p.Cfg.PortBandwidth)
+	run := d
+	run.p, run.frame, run.ports = p, frame, ports[:0]
+	var last sim.Time
+	for i, port := range ports {
+		if port < 0 || port >= len(p.ports) {
+			panic(fmt.Sprintf("pfe%d: egress on invalid port %d", p.Cfg.ID, port))
+		}
+		ps := &p.ports[port]
+		start := max(ready, ps.freeAt)
+		depart := start + ser
+		ps.freeAt = depart
+		ps.frames++
+		ps.bytes += uint64(len(frame))
+		ps.busy += ser
+		p.stats.BytesOut += uint64(len(frame))
+		if p.trace != nil {
+			p.trace.Complete("egress", "tx", int64(p.Cfg.ID),
+				egressTidBase+int64(port), int64(start), int64(ser))
+		}
+		if p.out == nil {
+			continue
+		}
+		if depart < last {
+			run = p.getDelivery()
+			run.p, run.frame, run.ports = p, frame, ports[i:i]
+		}
+		last = depart
+		run.ports = run.ports[:len(run.ports)+1]
+		p.Engine.AtFunc(depart, deliver, run)
+	}
+	if len(d.ports) == 0 {
+		p.putDelivery(d)
+	}
+}
+
+// delivery is one frame on its way from egress to the output hook on a run
+// of ports: a unicast's one port (held in one), or a run of a multicast's
+// list, which is the list the thread passed to Ctx.Multicast, held and not
+// copied. Each of the run's events takes the next port off the front; the
+// last one recycles the record through PFE.deliveryFree, so steady-state
+// egress allocates no event state, and a multicast to 200 ports costs what
+// one to 4 does.
+type delivery struct {
+	p     *PFE
+	frame []byte
+	ports []int // the ports still to fire, in firing order
+	one   [1]int
+}
+
+// getDelivery takes a record from the free list, or makes one.
+func (p *PFE) getDelivery() *delivery {
+	n := len(p.deliveryFree)
+	if n == 0 {
+		return &delivery{}
+	}
+	d := p.deliveryFree[n-1]
+	p.deliveryFree = p.deliveryFree[:n-1]
+	return d
+}
+
+// putDelivery drops the record's references and returns it to the free
+// list.
+func (p *PFE) putDelivery(d *delivery) {
+	d.frame, d.ports = nil, nil
+	p.deliveryFree = append(p.deliveryFree, d)
+}
+
+// deliver is one copy's departure: the record's next port gets the frame.
+func deliver(arg any) {
+	d := arg.(*delivery)
+	p, port, frame := d.p, d.ports[0], d.frame
+	if d.ports = d.ports[1:]; len(d.ports) == 0 {
+		p.putDelivery(d)
+	}
+	p.out(port, frame, p.Engine.Now())
 }
 
 // ---- Reorder Engine (§2.1) ----
@@ -561,7 +616,7 @@ func (p *PFE) reorderComplete(fs *flowState, seq, flow uint64, frame []byte, por
 	}
 	fs.nextRelease++
 	if frame != nil {
-		p.egress(port, frame, p.Engine.Now())
+		p.unicast(port, frame, p.Engine.Now())
 	}
 	for fs.parked > 0 {
 		slot := &fs.ring[fs.nextRelease&uint64(len(fs.ring)-1)]
@@ -573,7 +628,7 @@ func (p *PFE) reorderComplete(fs *flowState, seq, flow uint64, frame []byte, por
 		fs.parked--
 		fs.nextRelease++
 		if r.frame != nil {
-			p.egress(int(r.port), r.frame, p.Engine.Now())
+			p.unicast(int(r.port), r.frame, p.Engine.Now())
 		}
 	}
 	if fs.nextRelease == fs.nextSeq && flow >= uint64(p.Cfg.NumPorts) {

@@ -137,7 +137,7 @@ func TestReorderEngineMatchesMapOracle(t *testing.T) {
 				}
 				refEng.At(c.doneAt, func() {
 					ref.complete(c.flow, c.seq, frame, c.port, func(port int, frame []byte) {
-						refP.egress(port, frame, refEng.Now())
+						refP.unicast(port, frame, refEng.Now())
 					})
 				})
 			}

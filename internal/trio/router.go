@@ -52,9 +52,8 @@ type Router struct {
 	// tagged with the port it feeds.
 	ingress []*netsim.Sink
 
-	links []*netsim.Link // every link Cable and Connect built, in creation order
-	fcs   bool           // a fault plan is attached: ports fed by links check frames in
-	fcsIn packet.Frame   // decode scratch for that check
+	fcs   bool         // a fault plan is attached: ports fed by links check frames in
+	fcsIn packet.Frame // decode scratch for that check
 }
 
 // New builds a router with cfg.NumPFEs PFEs on one simulation engine.
@@ -144,11 +143,8 @@ func (r *Router) ingressFn(p *pfe.PFE) netsim.PortReceiver {
 // leaves the port's egress unattached.
 func (r *Router) Cable(pfeID, port int, up, down netsim.LinkConfig, recv *netsim.Sink, tag int) *netsim.Link {
 	ul := r.ingress[pfeID].Link(r.Engine, up, port)
-	r.links = append(r.links, ul)
 	if recv != nil {
-		dl := recv.Link(r.Engine, down, tag)
-		r.links = append(r.links, dl)
-		r.attach(pfeID, port, dl)
+		r.attach(pfeID, port, recv.Link(r.Engine, down, tag))
 	}
 	return ul
 }
@@ -157,22 +153,23 @@ func (r *Router) Cable(pfeID, port int, up, down netsim.LinkConfig, recv *netsim
 // with a pair of links: out carries this port's frames to the peer, in
 // carries the peer port's frames back. Passing the router itself as peer is
 // a chassis fabric hop (use FabricLinkConfig for both directions). The
-// peer-bound link is built first, and both links join this router's Links()
-// in that order. When the peer runs on another partition of a sim.Cluster,
-// each link posts its arrivals across and registers its propagation delay as
-// lookahead (netsim.Sink.Link).
-func (r *Router) Connect(pfeID, port int, peer *Router, peerPFE, peerPort int, out, in netsim.LinkConfig) {
-	ol := peer.ingress[peerPFE].Link(r.Engine, out, peerPort)
-	il := r.ingress[pfeID].Link(peer.Engine, in, port)
-	r.links = append(r.links, ol, il)
+// peer-bound link is built first; Connect returns both, peer-bound first, so
+// the caller can read their counters. When the peer runs on another
+// partition of a sim.Cluster, each link posts its arrivals across and
+// registers its propagation delay as lookahead (netsim.Sink.Link).
+func (r *Router) Connect(pfeID, port int, peer *Router, peerPFE, peerPort int, out, in netsim.LinkConfig) (ol, il *netsim.Link) {
+	ol = peer.ingress[peerPFE].Link(r.Engine, out, peerPort)
+	il = r.ingress[pfeID].Link(peer.Engine, in, port)
 	r.attach(pfeID, port, ol)
 	peer.attach(peerPFE, peerPort, il)
+	return ol, il
 }
 
-// Links returns every link Cable and Connect built, in creation order (per
-// cable: uplink, then downlink; per connection: peer-bound, then back), for
-// reading their frame/drop counters.
-func (r *Router) Links() []*netsim.Link { return r.links }
+// Link returns the link (pfeID, port) forwards onto — a cable's downlink or
+// a connection's outbound link — or nil if the port has none. The router
+// keeps no list of the links it built: a caller that reads their counters
+// collects the ones Cable and Connect return, or reads a port's here.
+func (r *Router) Link(pfeID, port int) *netsim.Link { return r.out[pfeID][port] }
 
 // Instrument is the one place observability and fault injection attach to a
 // router: the engine, every PFE and every PFE's memory system register their

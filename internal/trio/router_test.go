@@ -30,9 +30,9 @@ func TestRouterExternalForwarding(t *testing.T) {
 }
 
 // connectFabric joins PFE0 port 5 to PFE1 port 5 of a 2-PFE router across
-// the chassis fabric.
-func connectFabric(r *Router) {
-	r.Connect(0, 5, r, 1, 5, FabricLinkConfig(), FabricLinkConfig())
+// the chassis fabric and returns the PFE1-bound link and the one back.
+func connectFabric(r *Router) (there, back *netsim.Link) {
+	return r.Connect(0, 5, r, 1, 5, FabricLinkConfig(), FabricLinkConfig())
 }
 
 func TestRouterFabricPath(t *testing.T) {
@@ -40,7 +40,7 @@ func TestRouterFabricPath(t *testing.T) {
 	// fabric to PFE1 port 5; PFE1 forwards out port 0 to an external sink.
 	eng := sim.NewEngine()
 	r := New(eng, Config{NumPFEs: 2})
-	connectFabric(r)
+	there, back := connectFabric(r)
 	var flows []uint64
 	r.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) { ctx.Forward(5) }))
 	r.PFE(1).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) {
@@ -67,9 +67,11 @@ func TestRouterFabricPath(t *testing.T) {
 	if len(flows) != 1 || flows[0] != 5 {
 		t.Fatalf("fabric arrivals took flows %v, want [5]", flows)
 	}
-	links := r.Links()
-	if len(links) != 2 || links[0].Frames != 1 || links[1].Frames != 0 {
-		t.Fatalf("want the PFE1-bound link first with the one frame; got %d links", len(links))
+	if there.Frames != 1 || back.Frames != 0 {
+		t.Fatalf("want the PFE1-bound link first with the one frame; got %d there and %d back", there.Frames, back.Frames)
+	}
+	if r.Link(0, 5) != there || r.Link(1, 5) != back || r.Link(0, 0) != nil {
+		t.Fatal("Link does not name the link each fabric port forwards onto")
 	}
 }
 
@@ -79,7 +81,7 @@ func TestRouterFabricPath(t *testing.T) {
 func TestRouterFabricRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	r := New(eng, Config{NumPFEs: 2})
-	connectFabric(r)
+	there, back := connectFabric(r)
 	r.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) {
 		if ctx.Packet().Port == 5 { // came back over the fabric
 			ctx.Forward(0)
@@ -95,7 +97,6 @@ func TestRouterFabricRoundTrip(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("round trip delivered %d", n)
 	}
-	there, back := r.Links()[0], r.Links()[1]
 	if there.Frames != 1 || back.Frames != 1 {
 		t.Fatalf("round trip carried %d frames there and %d back, want 1 and 1", there.Frames, back.Frames)
 	}
@@ -118,8 +119,8 @@ func TestRouterConflictingAttachmentPanics(t *testing.T) {
 		name          string
 		first, second func(r *Router)
 	}{
-		{"external then fabric", func(r *Router) { r.AttachExternal(1, 5, probe) }, connectFabric},
-		{"fabric then external", connectFabric, func(r *Router) { r.AttachExternal(1, 5, probe) }},
+		{"external then fabric", func(r *Router) { r.AttachExternal(1, 5, probe) }, func(r *Router) { connectFabric(r) }},
+		{"fabric then external", func(r *Router) { connectFabric(r) }, func(r *Router) { r.AttachExternal(1, 5, probe) }},
 		{"cable then external", func(r *Router) { r.Cable(0, 3, def, def, netsim.NewSink(r.Engine, nil), 0) },
 			func(r *Router) { r.AttachExternal(0, 3, probe) }},
 		{"cable then cable", func(r *Router) { r.Cable(0, 3, def, def, netsim.NewSink(r.Engine, nil), 0) },
@@ -217,15 +218,14 @@ func TestConnectAcrossPartitions(t *testing.T) {
 
 // TestConnectBetweenRouters joins ports of two routers on one engine. Each
 // direction takes its own LinkConfig, arrivals carry the receiving port as
-// their flow, and both links belong to the caller: they are in its Links(),
-// peer-bound first, and not in the peer's, so summing Links() over the
-// routers of a hierarchy counts each hop once.
+// their flow, and Connect returns both links, peer-bound first: the caller's
+// port forwards onto the first and the peer's port onto the second.
 func TestConnectBetweenRouters(t *testing.T) {
 	eng := sim.NewEngine()
 	a, b := New(eng, Config{NumPFEs: 1}), New(eng, Config{NumPFEs: 1})
 	out := netsim.LinkConfig{Bandwidth: 100_000_000_000, Propagation: 300 * sim.Nanosecond}
 	in := netsim.LinkConfig{Bandwidth: 100_000_000_000, Propagation: 2 * sim.Microsecond}
-	a.Connect(0, 2, b, 0, 3, out, in)
+	there, back := a.Connect(0, 2, b, 0, 3, out, in)
 	var atA, atB []pfe.Packet
 	a.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) {
 		atA = append(atA, *ctx.Packet())
@@ -235,13 +235,12 @@ func TestConnectBetweenRouters(t *testing.T) {
 		atB = append(atB, *ctx.Packet())
 		ctx.Forward(3) // back to a over the return link
 	}))
-	links := a.Links()
-	if len(links) != 2 || len(b.Links()) != 0 {
-		t.Fatalf("Connect left %d links on the caller and %d on the peer, want 2 and 0", len(links), len(b.Links()))
+	if a.Link(0, 2) != there || b.Link(0, 3) != back {
+		t.Fatal("Connect's links are not the ones the two ports forward onto")
 	}
 	// 1250 bytes serialize in 100 ns at 100 Gbps.
-	links[0].Send(make([]byte, 1250))
-	links[1].Send(make([]byte, 1250))
+	there.Send(make([]byte, 1250))
+	back.Send(make([]byte, 1250))
 	eng.Run()
 	if len(atB) != 1 || atB[0].Port != 3 || atB[0].Flow != 3 || atB[0].Arrival != 400*sim.Nanosecond {
 		t.Fatalf("b saw %+v; want one packet on port 3, flow 3, at 100 ns + 300 ns", atB)
@@ -249,8 +248,8 @@ func TestConnectBetweenRouters(t *testing.T) {
 	if len(atA) != 2 || atA[0].Port != 2 || atA[0].Flow != 2 || atA[0].Arrival != 2100*sim.Nanosecond {
 		t.Fatalf("a saw %d packets, the first %+v; want 2, the first on port 2, flow 2, at 100 ns + 2 µs", len(atA), atA)
 	}
-	if links[0].Frames != 1 || links[1].Frames != 2 {
-		t.Fatalf("links carried %d frames to b and %d back, want 1 and 2", links[0].Frames, links[1].Frames)
+	if there.Frames != 1 || back.Frames != 2 {
+		t.Fatalf("links carried %d frames to b and %d back, want 1 and 2", there.Frames, back.Frames)
 	}
 }
 
@@ -267,7 +266,7 @@ func TestConnectChecksFramesAtTheReceiver(t *testing.T) {
 		a, b := New(eng, Config{NumPFEs: 1}), New(eng, Config{NumPFEs: 1})
 		out := FabricLinkConfig()
 		out.Faults = plan.Link(0)
-		a.Connect(0, 2, b, 0, 3, out, FabricLinkConfig())
+		there, _ := a.Connect(0, 2, b, 0, 3, out, FabricLinkConfig())
 		a.Instrument(nil, nil, plan)
 		if peerPlan {
 			b.Instrument(nil, nil, plan)
@@ -284,7 +283,7 @@ func TestConnectChecksFramesAtTheReceiver(t *testing.T) {
 			a.Inject(0, 0, 0, frame)
 		}
 		eng.Run()
-		return seen, bad, a.Links()[0].Faults().LinkCorruptions
+		return seen, bad, there.Faults().LinkCorruptions
 	}
 	seen, bad, corrupted := run(false)
 	if corrupted == 0 || seen != n || bad == 0 {
@@ -310,8 +309,9 @@ func TestRouterUnattachedPortBlackHoles(t *testing.T) {
 }
 
 // cabledRouter builds a one-PFE router that bounces every packet back out
-// its ingress port, records what the PFE saw, and cables a server to port.
-func cabledRouter(port int, up, down netsim.LinkConfig, recv netsim.Receiver) (r *Router, send func([]byte), seen *[]pfe.Packet) {
+// its ingress port, records what the PFE saw, and cables a server to port,
+// returning the server's uplink.
+func cabledRouter(port int, up, down netsim.LinkConfig, recv netsim.Receiver) (r *Router, ul *netsim.Link, seen *[]pfe.Packet) {
 	r = New(sim.NewEngine(), Config{NumPFEs: 1})
 	seen = new([]pfe.Packet)
 	r.PFE(0).SetApp(pfe.AppFunc(func(ctx *pfe.Ctx) {
@@ -319,7 +319,7 @@ func cabledRouter(port int, up, down netsim.LinkConfig, recv netsim.Receiver) (r
 		ctx.Forward(ctx.Packet().Port)
 	}))
 	rx := netsim.NewSink(r.Engine, func(_ int, f []byte, at sim.Time) { recv(f, at) })
-	return r, r.Cable(0, port, up, down, rx, 0).Send, seen
+	return r, r.Cable(0, port, up, down, rx, 0), seen
 }
 
 func TestCableRoundTrip(t *testing.T) {
@@ -328,14 +328,14 @@ func TestCableRoundTrip(t *testing.T) {
 	roundTrip := func(downProp sim.Time) (pfeAt, serverAt sim.Time) {
 		down := netsim.LinkConfig{Bandwidth: 100_000_000_000, Propagation: downProp}
 		got := 0
-		r, send, seen := cabledRouter(port, up, down, func(f []byte, at sim.Time) {
+		r, ul, seen := cabledRouter(port, up, down, func(f []byte, at sim.Time) {
 			got++
 			serverAt = at
 			if len(f) != frameLen {
 				t.Errorf("server received %d bytes, want %d", len(f), frameLen)
 			}
 		})
-		send(make([]byte, frameLen))
+		ul.Send(make([]byte, frameLen))
 		r.Engine.Run()
 		if len(*seen) != 1 || got != 1 {
 			t.Fatalf("PFE saw %d packets, server received %d frames; want 1 and 1", len(*seen), got)
@@ -363,60 +363,57 @@ func TestCableRoundTrip(t *testing.T) {
 }
 
 // TestCableLinkOrderAndDirection pins what rigs build their determinism on:
-// Cable records the uplink before the downlink, and each direction takes its
+// Cable builds the uplink before the downlink, and each direction takes its
 // own LinkConfig — here, as the loss sweeps use it, loss on the uplink only.
 func TestCableLinkOrderAndDirection(t *testing.T) {
 	const n = 20
 	up, down := netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig()
 	up.LossProb, up.LossSeed = 1, 7
 	got := 0
-	r, send, seen := cabledRouter(2, up, down, func([]byte, sim.Time) { got++ })
+	r, ul, seen := cabledRouter(2, up, down, func([]byte, sim.Time) { got++ })
 	for i := 0; i < n; i++ {
-		send(make([]byte, 100))              // dies on the uplink
+		ul.Send(make([]byte, 100))           // dies on the uplink
 		r.Inject(0, 2, 2, make([]byte, 100)) // bounced out port 2, down the downlink
 	}
 	r.Engine.Run()
-	links := r.Links()
-	if len(links) != 2 {
-		t.Fatalf("router recorded %d links, want 2", len(links))
+	dl := r.Link(0, 2)
+	if ul.Frames != n || ul.Dropped != n {
+		t.Fatalf("uplink carried %d frames and dropped %d; the lossy uplink is the one Cable returns", ul.Frames, ul.Dropped)
 	}
-	if links[0].Frames != n || links[0].Dropped != n {
-		t.Fatalf("links[0] carried %d frames and dropped %d; the lossy uplink must come first", links[0].Frames, links[0].Dropped)
-	}
-	if links[1].Frames != n || links[1].Dropped != 0 || got != n || len(*seen) != n {
-		t.Fatalf("links[1] carried %d frames, dropped %d; server got %d, PFE saw %d; want %d, 0, %d, %d",
-			links[1].Frames, links[1].Dropped, got, len(*seen), n, n, n)
+	if dl.Frames != n || dl.Dropped != 0 || got != n || len(*seen) != n {
+		t.Fatalf("downlink carried %d frames, dropped %d; server got %d, PFE saw %d; want %d, 0, %d, %d",
+			dl.Frames, dl.Dropped, got, len(*seen), n, n, n)
 	}
 
-	// A send-only cable records its uplink alone and leaves egress unattached.
+	// A send-only cable builds its uplink alone and leaves egress unattached.
 	tx := r.Cable(0, 5, down, down, nil, 0)
 	tx.Send(make([]byte, 100))
 	r.Engine.Run() // the bounce out port 5 black-holes instead of panicking
-	if len(r.Links()) != 3 || len(*seen) != n+1 {
-		t.Fatalf("send-only cable: %d links, PFE saw %d packets", len(r.Links()), len(*seen))
+	if r.Link(0, 5) != nil || len(*seen) != n+1 {
+		t.Fatalf("send-only cable: port 5 forwards onto %v, PFE saw %d packets", r.Link(0, 5), len(*seen))
 	}
 
 	// Loss on the downlink only: the link into the server's sink keeps it.
 	down.LossProb, down.LossSeed = 1, 9
 	got = 0
-	r, send, seen = cabledRouter(2, netsim.DefaultLinkConfig(), down, func([]byte, sim.Time) { got++ })
+	r, ul, seen = cabledRouter(2, netsim.DefaultLinkConfig(), down, func([]byte, sim.Time) { got++ })
 	for i := 0; i < n; i++ {
-		send(make([]byte, 100))
+		ul.Send(make([]byte, 100))
 	}
 	r.Engine.Run()
-	if links := r.Links(); links[0].Dropped != 0 || links[1].Dropped != n || got != 0 || len(*seen) != n {
+	if dl := r.Link(0, 2); ul.Dropped != 0 || dl.Dropped != n || got != 0 || len(*seen) != n {
 		t.Fatalf("lossy downlink: uplink dropped %d, downlink %d; server got %d, PFE saw %d; want 0, %d, 0, %d",
-			links[0].Dropped, links[1].Dropped, got, len(*seen), n, n)
+			ul.Dropped, dl.Dropped, got, len(*seen), n, n)
 	}
 }
 
 func TestInstrumentNilIsANoOp(t *testing.T) {
 	build := func(instrument bool) (*Router, func([]byte)) {
-		r, send, _ := cabledRouter(1, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig(), func([]byte, sim.Time) {})
+		r, ul, _ := cabledRouter(1, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig(), func([]byte, sim.Time) {})
 		if instrument {
 			r.Instrument(nil, nil, nil)
 		}
-		return r, send
+		return r, ul.Send
 	}
 	frame := make([]byte, 256)
 	run := func(r *Router, send func([]byte)) (pfe.Stats, sim.Time, float64) {
@@ -455,13 +452,13 @@ func TestInstrumentAttachesEverything(t *testing.T) {
 		plan, reg, tr = faults.NewPlan(1, cfg), obs.NewRegistry(), obs.NewTrace(io.Discard, 0)
 		up := netsim.DefaultLinkConfig()
 		up.Faults = plan.Link(0)
-		r, send, seen := cabledRouter(1, up, netsim.DefaultLinkConfig(), func([]byte, sim.Time) {})
+		r, ul, seen := cabledRouter(1, up, netsim.DefaultLinkConfig(), func([]byte, sim.Time) {})
 		if instrument {
 			r.Instrument(reg, tr, plan)
 		}
 		frame := packet.BuildUDP(packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2}, SrcPort: 1, DstPort: 2}, make([]byte, 1400))
 		for i := 0; i < n; i++ {
-			send(frame)
+			ul.Send(frame)
 		}
 		r.Engine.Run()
 		for _, pkt := range *seen {

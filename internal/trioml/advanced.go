@@ -135,9 +135,7 @@ func (a *Aggregator) demoteSource(ctx *pfe.Ctx, jobID uint8, js *jobState, src u
 	if js.cfg.UpstreamPort >= 0 {
 		ports = js.cfg.DistributePorts
 	}
-	for _, p := range ports {
-		ctx.Emit(p, frame)
-	}
+	ctx.Multicast(ports, frame)
 	if a.OnDemotion != nil {
 		a.OnDemotion(jobID, src, ctx.Now())
 	}

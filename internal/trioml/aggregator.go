@@ -3,6 +3,7 @@ package trioml
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"github.com/trioml/triogo/internal/aggcore"
 	"github.com/trioml/triogo/internal/packet"
@@ -207,6 +208,10 @@ func (a *Aggregator) InstallJob(cfg JobConfig) error {
 		rec.SrcMask.Set(s)
 	}
 
+	// Threads multicast on the port lists without copying them, so the job
+	// holds its own: the caller may reuse or change the slices it passed.
+	cfg.ResultPorts = slices.Clone(cfg.ResultPorts)
+	cfg.DistributePorts = slices.Clone(cfg.DistributePorts)
 	js := &jobState{cfg: cfg, bufOf: make(map[uint64]uint64)}
 	js.core = aggcore.NewJob(rec.SrcMask, cfg.BlockGradMax)
 	mem := a.pfe.Mem
@@ -552,9 +557,7 @@ func emitResult(ctx *pfe.Ctx, js *jobState, frame []byte) {
 		ctx.Emit(js.cfg.UpstreamPort, frame)
 		return
 	}
-	for _, p := range js.cfg.ResultPorts {
-		ctx.Emit(p, frame)
-	}
+	ctx.Multicast(js.cfg.ResultPorts, frame)
 }
 
 // distribute re-multicasts a Result packet arriving from an upper-level
@@ -567,10 +570,7 @@ func (a *Aggregator) distribute(ctx *pfe.Ctx, h *packet.TrioML) {
 		return
 	}
 	ctx.ChargeInstr(4)
-	frame := ctx.FullFrame()
-	for _, p := range js.cfg.DistributePorts {
-		ctx.Emit(p, frame)
-	}
+	ctx.Multicast(js.cfg.DistributePorts, ctx.FullFrame())
 	a.stats.Distributed++
 	ctx.Consume()
 }

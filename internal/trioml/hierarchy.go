@@ -3,6 +3,7 @@ package trioml
 import (
 	"fmt"
 
+	"github.com/trioml/triogo/internal/netsim"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/trio"
 )
@@ -37,6 +38,9 @@ type HierarchyConfig struct {
 type Hierarchy struct {
 	Top    *Aggregator
 	Levels []*Aggregator // one per group, in Groups order
+	// Fabric holds the fabric links SetupHierarchy built, in Groups order:
+	// each group's uplink, then the link back down.
+	Fabric []*netsim.Link
 }
 
 // SetupHierarchy installs aggregators and the job's records on every
@@ -70,7 +74,8 @@ func SetupHierarchy(r *trio.Router, cfg HierarchyConfig, aggs map[int]*Aggregato
 		if g.PFE == cfg.TopPFE {
 			return nil, fmt.Errorf("trioml: group %d PFE equals the top-level PFE", gi)
 		}
-		r.Connect(g.PFE, g.UplinkPort, r, cfg.TopPFE, g.TopPort, trio.FabricLinkConfig(), trio.FabricLinkConfig())
+		up, down := r.Connect(g.PFE, g.UplinkPort, r, cfg.TopPFE, g.TopPort, trio.FabricLinkConfig(), trio.FabricLinkConfig())
+		h.Fabric = append(h.Fabric, up, down)
 		level := get(g.PFE)
 		err := level.InstallJob(JobConfig{
 			JobID:           cfg.JobID,

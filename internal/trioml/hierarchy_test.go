@@ -82,7 +82,7 @@ func TestHierarchicalAggregationFig11(t *testing.T) {
 	// Data reduction property: the fabric carried 2 upstream results + 2
 	// downstream multicasts, not 6 worker streams.
 	var fabricFrames uint64
-	for _, l := range r.Links() {
+	for _, l := range h.Fabric {
 		fabricFrames += l.Frames
 	}
 	if fabricFrames != 4 {
