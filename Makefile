@@ -80,7 +80,7 @@ verify-faults:
 # and diffs each capture under internal/harness/testdata/ —
 # file=experiments: the pairs golden_test.go pins, plus the training figures
 # and the tree sweep, which are too slow to run a second time inside tier-1.
-GOLDENS = fig14_fig15=fig14,fig15 rigs=fig16,microcode,advanced,ablation,dse,progdse \
+GOLDENS = fig14_fig15=fig14,fig15 rigs=fig16,microcode,advanced,ablation,progdse \
 	chaos=chaos livechaos=livechaos netrpc=netrpc infnet=infnet tree=treechaos \
 	train=table1,fig12,fig13 treesweep=tree
 goldens-check:
@@ -121,7 +121,7 @@ verify-tree:
 # determinism tests in the harness.
 verify-dse:
 	$(GO) test -race ./internal/dse/...
-	$(GO) test -race -run 'TestDSEParallelMatchesSerial|TestSecondSeedDeterminism' ./internal/harness/
+	$(GO) test -race -run 'TestSweepsParallelMatchSerial|TestSecondSeedDeterminism' ./internal/harness/
 
 # smoke-examples builds every example and runs each briefly; they all
 # self-terminate, so a hang (caught by timeout) or nonzero exit fails.

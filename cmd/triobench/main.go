@@ -44,13 +44,13 @@
 // benign loss, exact cost-model conformance, and a model-shape DSE table;
 // it exits non-zero if any delivered verdict differs from the Go reference
 // model bit for bit.
-// -exp dse runs the design-space exploration sweep (internal/dse); -parallel
-// spreads its trials — and every other migrated sweep — over a worker pool
-// without changing a single output byte. -partitions P applies to -exp tree
-// and treechaos only: the tree's racks are spread over P conservatively
-// synchronized sim partitions (spines on partition 0) — again without
-// changing a single output byte; see DESIGN.md's partitioned-simulation
-// section. Every single-router rig runs on one engine whatever P is.
+// -exp progdse runs the program-variant design-space sweep (internal/dse);
+// -parallel spreads its trials — and every other sweep's — over a worker
+// pool without changing a single output byte. -partitions P applies to
+// -exp tree and treechaos only: the tree's racks are spread over P
+// conservatively synchronized sim partitions (spines on partition 0) —
+// again without changing a single output byte; see DESIGN.md's
+// partitioned-simulation section. Every single-router rig runs on one engine whatever P is.
 //
 // -trace records dispatch, PPE, RMW/hash, and egress spans from the
 // simulated PFE into a chrome://tracing / Perfetto JSON file; -metrics

@@ -83,8 +83,8 @@ func TestDumpPath(t *testing.T) {
 	}{
 		{"out.prom", "fig14", true, "out_fig14.prom"},
 		{"out.prom", "fig14", false, "out.prom"},
-		{"dir/t.json", "dse", true, "dir/t_dse.json"},
-		{"noext", "dse", true, "noext_dse"},
+		{"dir/t.json", "progdse", true, "dir/t_progdse.json"},
+		{"noext", "progdse", true, "noext_progdse"},
 	}
 	for _, c := range cases {
 		if got := dumpPath(c.path, c.exp, c.multi); got != c.want {

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/trioml/triogo/internal/harness"
 )
 
 // goPackages returns every directory under roots that holds a non-test .go
@@ -116,6 +118,99 @@ func TestPackageMapMatchesTree(t *testing.T) {
 		}
 		if strings.HasPrefix(p, "internal/") && !bullets[p] {
 			t.Errorf("%s has no bullet in DESIGN.md §2", p)
+		}
+	}
+}
+
+var (
+	ledgerExp   = regexp.MustCompile("`triobench -exp (\\w+)")
+	ledgerRule  = regexp.MustCompile(`^\|[-| :]+\|$`)
+	gateTest    = regexp.MustCompile("`Test[A-Z0-9_]\\w*`")
+	goldensLine = regexp.MustCompile(`(?m)^GOLDENS = ((?:.*\\\n)*.*)$`)
+)
+
+// TestExperimentLedgerMatchesRegistry holds DESIGN.md §3, the experiment
+// ledger, to the harness registry and to the Makefile's GOLDENS: §3 is one
+// table, each registered experiment has exactly one row (found by its
+// `triobench -exp <name>`), each row names a registered experiment and cites
+// at least one test in its Gate column, and each registered experiment is in
+// GOLDENS, so `make goldens-check` diffs it. Whether a cited test exists is
+// TestDocsCiteExistingTests' check.
+func TestExperimentLedgerMatchesRegistry(t *testing.T) {
+	registered := map[string]bool{}
+	for _, e := range harness.Experiments() {
+		registered[e.Name] = true
+	}
+
+	rows := map[string]bool{}
+	gate, ended := -1, false
+	for _, line := range section(t, "DESIGN.md", "## 3. ") {
+		if !strings.HasPrefix(line, "|") {
+			ended = gate >= 0
+			continue
+		}
+		if ended {
+			t.Errorf("DESIGN.md §3 holds a second table; the ledger is one table: %s", line)
+			ended = false
+		}
+		if ledgerRule.MatchString(line) {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if gate < 0 {
+			for i, c := range cells {
+				if strings.TrimSpace(c) == "Gate" {
+					gate = i
+				}
+			}
+			if gate < 0 {
+				t.Fatalf("DESIGN.md §3's table has no Gate column: %s", line)
+			}
+			continue
+		}
+		m := ledgerExp.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("DESIGN.md §3 row names no `triobench -exp <name>`: %s", line)
+			continue
+		}
+		name := m[1]
+		switch {
+		case rows[name]:
+			t.Errorf("DESIGN.md §3 has two rows for experiment %s", name)
+		case !registered[name]:
+			t.Errorf("DESIGN.md §3 has a row for experiment %s, which is not registered", name)
+		}
+		rows[name] = true
+		if len(cells) <= gate || !gateTest.MatchString(cells[gate]) {
+			t.Errorf("DESIGN.md §3's row for experiment %s cites no test in its Gate column", name)
+		}
+	}
+
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := goldensLine.FindSubmatch(makefile)
+	if m == nil {
+		t.Fatal("Makefile sets no GOLDENS")
+	}
+	goldens := map[string]bool{}
+	for _, entry := range strings.Fields(strings.ReplaceAll(string(m[1]), "\\\n", " ")) {
+		_, exps, _ := strings.Cut(entry, "=")
+		for _, name := range strings.Split(exps, ",") {
+			goldens[name] = true
+			if !registered[name] {
+				t.Errorf("Makefile GOLDENS runs experiment %s, which is not registered", name)
+			}
+		}
+	}
+
+	for _, e := range harness.Experiments() {
+		if !rows[e.Name] {
+			t.Errorf("experiment %s has no row in DESIGN.md §3", e.Name)
+		}
+		if !goldens[e.Name] {
+			t.Errorf("experiment %s is missing from Makefile GOLDENS, so make goldens-check never diffs it", e.Name)
 		}
 	}
 }

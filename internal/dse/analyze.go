@@ -60,50 +60,3 @@ func dominates(a, b Result, objs []Objective) bool {
 	}
 	return better
 }
-
-// Sensitivity is the marginal effect of one axis value: statistics of a
-// metric over every trial that used that value while all other axes varied.
-type Sensitivity struct {
-	Axis  string
-	Value float64
-	N     int
-	Mean  float64
-	Min   float64
-	Max   float64
-}
-
-// SensitivityTable computes per-axis marginal statistics of metric, in axis
-// and value declaration order — a cheap main-effects view of which knobs
-// move a metric and by how much. Trials with an Err or without the metric
-// are skipped; values no surviving trial used report N = 0.
-func SensitivityTable(results []Result, space *Space, metric string) []Sensitivity {
-	var out []Sensitivity
-	for _, ax := range space.Axes {
-		for _, v := range ax.Values {
-			s := Sensitivity{Axis: ax.Name, Value: v}
-			sum := 0.0
-			for _, r := range results {
-				if r.Err != "" || r.Metrics == nil || r.Params[ax.Name] != v {
-					continue
-				}
-				m, has := r.Metrics[metric]
-				if !has {
-					continue
-				}
-				if s.N == 0 || m < s.Min {
-					s.Min = m
-				}
-				if s.N == 0 || m > s.Max {
-					s.Max = m
-				}
-				sum += m
-				s.N++
-			}
-			if s.N > 0 {
-				s.Mean = sum / float64(s.N)
-			}
-			out = append(out, s)
-		}
-	}
-	return out
-}

@@ -34,46 +34,3 @@ func TestParetoKeepsExactTies(t *testing.T) {
 		t.Fatalf("tied points dropped: %+v", front)
 	}
 }
-
-func TestSensitivityMarginalMeans(t *testing.T) {
-	space := NewSpace(
-		Axis{Name: "a", Values: []float64{1, 2}},
-		Axis{Name: "b", Values: []float64{10, 20}},
-	)
-	var results []Result
-	for i, p := range space.Grid() {
-		// metric = a*100 + b, so axis-a marginals differ by 100 and axis-b
-		// marginals by 10.
-		results = append(results, mkResult(i, p.Params, map[string]float64{"m": p.Params["a"]*100 + p.Params["b"]}))
-	}
-	rows := SensitivityTable(results, space, "m")
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	check := func(i int, axis string, value, mean float64, n int) {
-		t.Helper()
-		r := rows[i]
-		if r.Axis != axis || r.Value != value || r.Mean != mean || r.N != n {
-			t.Fatalf("row %d = %+v, want {%s %v mean=%v n=%d}", i, r, axis, value, mean, n)
-		}
-	}
-	check(0, "a", 1, 115, 2)
-	check(1, "a", 2, 215, 2)
-	check(2, "b", 10, 160, 2)
-	check(3, "b", 20, 170, 2)
-	if rows[0].Min != 110 || rows[0].Max != 120 {
-		t.Fatalf("row 0 min/max = %v/%v", rows[0].Min, rows[0].Max)
-	}
-}
-
-func TestSensitivitySkipsErrored(t *testing.T) {
-	space := NewSpace(Axis{Name: "a", Values: []float64{1, 2}})
-	results := []Result{
-		mkResult(0, map[string]float64{"a": 1}, map[string]float64{"m": 5}),
-		{Trial: 1, Params: map[string]float64{"a": 2}, Err: "boom"},
-	}
-	rows := SensitivityTable(results, space, "m")
-	if rows[0].N != 1 || rows[1].N != 0 {
-		t.Fatalf("rows = %+v", rows)
-	}
-}

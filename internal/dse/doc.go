@@ -1,10 +1,10 @@
 // Package dse is a declarative, parallel design-space exploration engine
 // over the repository's deterministic simulators.
 //
-// The paper's evaluation reports single points in a large architectural
-// design space — PPE and thread counts, shared-memory tier latencies,
-// gradients per packet, aggregation window, RMW banking, link loss. dse
-// turns those knobs into a first-class object:
+// The paper's evaluation reports single points in a large design space —
+// gradients per packet, aggregation window, block timeout, RMW banking, and
+// the Microcode program itself. dse turns those knobs into a first-class
+// object:
 //
 //   - A Space names the swept axes and their candidate values, and
 //     enumerates candidate Points as the full cross-product grid.
@@ -14,10 +14,10 @@
 //     bit-identical at any parallelism level.
 //   - PruneByModel screens a grid through a cheap cost model before any
 //     point is simulated.
-//   - Pareto and SensitivityTable reduce a finished sweep to the
-//     non-dominated frontier and per-axis marginal effects.
+//   - Pareto reduces a finished sweep to its non-dominated frontier.
 //
-// internal/harness runs its figure sweeps through the Executor
-// (`triobench -parallel N`), and sweep progress exports through
-// internal/obs (see OBSERVABILITY.md, `triogo_dse_*`).
+// internal/harness runs its figure sweeps and the program-variant sweep
+// (`triobench -exp progdse`) through the Executor (`triobench -parallel N`),
+// and sweep progress exports through internal/obs (see OBSERVABILITY.md,
+// `triogo_dse_*`).
 package dse

@@ -32,16 +32,15 @@ type Result struct {
 
 // Executor runs a sweep's trials on a bounded worker pool.
 type Executor struct {
-	Workers int // pool size; values below 1 mean 1
+	Workers int // pool size; values below 1 mean 1 (Run starts at most one per point)
 
 	insts obsInsts
 }
 
-func (e *Executor) workers() int {
-	if e.Workers < 1 {
-		return 1
-	}
-	return e.Workers
+// poolSize is the number of workers Run starts for a sweep of the given
+// number of trials: Workers, at least 1, and never more than trials.
+func (e *Executor) poolSize(trials int) int {
+	return min(max(e.Workers, 1), trials)
 }
 
 // Run executes runner over points and returns one Result per point, indexed
@@ -62,7 +61,7 @@ func (e *Executor) Run(points []Point, sweepSeed uint64, runner Runner) ([]Resul
 	results := make([]Result, len(points))
 	var wg sync.WaitGroup
 	work := make(chan Point)
-	workers := e.workers()
+	workers := e.poolSize(len(points))
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {

@@ -190,6 +190,24 @@ func TestWorkersBelowOneRunSerially(t *testing.T) {
 	}
 }
 
+// TestPoolSizeCappedAtTrials pins the pool Run starts: Workers clamped to at
+// least 1 and to at most one worker per trial, so a wide -parallel on a
+// short sweep starts no idle goroutines.
+func TestPoolSizeCappedAtTrials(t *testing.T) {
+	for _, c := range []struct{ workers, trials, want int }{
+		{64, 2, 2},
+		{3, 12, 3},
+		{12, 12, 12},
+		{0, 5, 1},
+		{-3, 5, 1},
+		{8, 0, 0},
+	} {
+		if got := (&Executor{Workers: c.workers}).poolSize(c.trials); got != c.want {
+			t.Errorf("Workers %d, %d trials: pool = %d, want %d", c.workers, c.trials, got, c.want)
+		}
+	}
+}
+
 // TestParallelHammer drives many concurrent trials through shared obs
 // instruments and the shared result slice under -race.
 func TestParallelHammer(t *testing.T) {

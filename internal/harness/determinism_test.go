@@ -41,17 +41,19 @@ func TestSecondSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestDSEParallelMatchesSerial asserts the dse experiment's report is
-// independent of the worker-pool size: trial seeds are a pure function of
-// (sweep seed, index) and rigs are fully isolated, so -parallel only changes
-// wall time.
-func TestDSEParallelMatchesSerial(t *testing.T) {
-	serial := renderAll(t, Params{Quick: true, Seed: 1, Parallel: 1}, "dse")
-	par := renderAll(t, Params{Quick: true, Seed: 1, Parallel: 8}, "dse")
+// TestSweepsParallelMatchSerial asserts that the experiments running on the
+// dse executor — fig14 and fig15 through sweepAxis, progdse through sweep —
+// render the same bytes at any worker-pool size: trial seeds are a pure
+// function of (sweep seed, index) and rigs are fully isolated, so -parallel
+// only changes wall time.
+func TestSweepsParallelMatchSerial(t *testing.T) {
+	exps := []string{"fig14", "fig15", "progdse"}
+	serial := renderAll(t, Params{Quick: true, Seed: 1, Parallel: 1}, exps...)
+	par := renderAll(t, Params{Quick: true, Seed: 1, Parallel: 8}, exps...)
 	if !bytes.Equal(serial, par) {
-		t.Fatalf("dse output depends on parallelism\n--- serial ---\n%s\n--- parallel ---\n%s", serial, par)
+		t.Fatalf("%v output depends on parallelism\n--- serial ---\n%s\n--- parallel ---\n%s", exps, serial, par)
 	}
 	if len(serial) == 0 {
-		t.Fatal("dse experiment rendered nothing")
+		t.Fatalf("%v rendered nothing", exps)
 	}
 }

@@ -63,7 +63,7 @@ func ablationRMWBanking(p Params) (*Table, error) {
 	}
 	engines := []float64{1, 4, 12, 24}
 	drains := make([]sim.Time, len(engines))
-	if _, err := sweep(p, "rmw_engines", engines, func(i int, v float64) (map[string]float64, error) {
+	if err := sweepAxis(p, "rmw_engines", engines, func(i int, v float64) (map[string]float64, error) {
 		drains[i] = drain(int(v))
 		return map[string]float64{"drain_us": float64(drains[i].Microseconds())}, nil
 	}); err != nil {
@@ -85,7 +85,7 @@ func ablationTimerFanout(p Params) (*Table, error) {
 	}
 	threads := []float64{1, 10, 100}
 	worsts := make([]sim.Time, len(threads))
-	if _, err := sweep(p, "timer_threads", threads, func(i int, v float64) (map[string]float64, error) {
+	if err := sweepAxis(p, "timer_threads", threads, func(i int, v float64) (map[string]float64, error) {
 		n := int(v)
 		tb := hasheng.NewTable(hasheng.Config{Buckets: 8192})
 		for k := uint64(0); k < 20000; k++ {
@@ -167,7 +167,7 @@ func ablationSwitchMLPacketSize(p Params) (*Table, error) {
 	scale, iters := trainScale(p)
 	gradPoints := []float64{float64(switchml.Grads64), float64(switchml.Grads256)}
 	avgMs := make([]float64, len(gradPoints))
-	if _, err := sweep(p, "switchml_grads", gradPoints, func(i int, v float64) (map[string]float64, error) {
+	if err := sweepAxis(p, "switchml_grads", gradPoints, func(i int, v float64) (map[string]float64, error) {
 		c, err := mltrain.NewCluster(mltrain.ClusterConfig{
 			Model: mltrain.Models()[0], System: mltrain.SystemSwitchML,
 			GradsPerPacket: int(v), Scale: scale, Seed: p.seed(),

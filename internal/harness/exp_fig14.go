@@ -35,7 +35,7 @@ func runFig14(p Params) ([]*Table, error) {
 	}
 	type row struct{ mean, p99, max float64 }
 	rows := make([]row, len(timeouts))
-	_, err := sweep(p, "timeout_ms", timeouts, func(i int, v float64) (map[string]float64, error) {
+	err := sweepAxis(p, "timeout_ms", timeouts, func(i int, v float64) (map[string]float64, error) {
 		ms := sim.Time(v)
 		timeout := ms * sim.Millisecond
 		cfg := rigConfig{

@@ -34,7 +34,7 @@ func runFig15(p Params) ([]*Table, error) {
 	}
 	gradPoints := []float64{64, 128, 256, 512, 1024}
 	means := make([]float64, len(gradPoints))
-	_, err := sweep(p, "grads_per_pkt", gradPoints, func(i int, v float64) (map[string]float64, error) {
+	err := sweepAxis(p, "grads_per_pkt", gradPoints, func(i int, v float64) (map[string]float64, error) {
 		grads := int(v)
 		cfg := rigConfig{servers: 4, gradsPerPkt: grads, blocks: blocks, window: 1,
 			trace: p.Trace, obsReg: p.Obs}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/trioml/triogo/internal/dse"
 	"github.com/trioml/triogo/internal/packet"
@@ -19,10 +20,9 @@ func init() {
 }
 
 // ProgDSESpace enumerates the Microcode aggregation program variants:
-// gradients per packet x add-loop unroll x slot-pool size. Unlike the
-// architectural `dse` experiment these knobs change the program itself, so
-// every point has a static cost the compile pipeline can score without
-// simulating.
+// gradients per packet x add-loop unroll x slot-pool size. These knobs
+// change the program itself, so every point has a static cost the compile
+// pipeline can score without simulating.
 func ProgDSESpace(quick bool) *dse.Space {
 	if quick {
 		return dse.NewSpace(
@@ -130,19 +130,15 @@ func runProgDSE(p Params) ([]*Table, error) {
 	p.logf("progdse: cost model kept %d of %d candidates (%.0f%% pruned)",
 		len(pruned.Points), len(points), 100*(1-pruned.Kept()))
 
-	ex := &dse.Executor{Workers: p.workers()}
-	ex.RegisterObs(p.Obs)
-	results, err := ex.Run(pruned.Points, p.seed(), ProgDSERunner(p))
+	results, err := sweep(p, pruned.Points, ProgDSERunner(p))
 	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		if r.Err != "" {
-			return nil, fmt.Errorf("progdse trial %d: %s", r.Trial, r.Err)
-		}
+		return nil, fmt.Errorf("progdse %w", err)
 	}
 	return ProgDSETables(space, pruned, results), nil
 }
+
+// ftoa renders an axis value without trailing zeros (256, 0.5, ...).
+func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // ProgDSETables renders the two-fidelity report: the cost-model pruning
 // pass over every program variant, then the full-sim Pareto frontier over

@@ -37,7 +37,7 @@ func TestGoldenFig14Fig15Determinism(t *testing.T) {
 // TestGoldenRigs covers the remaining experiments that run on trioRig or
 // wire a PFE by hand.
 func TestGoldenRigs(t *testing.T) {
-	checkGolden(t, "golden_rigs_seed1.txt", "fig16", "microcode", "advanced", "ablation", "dse", "progdse")
+	checkGolden(t, "golden_rigs_seed1.txt", "fig16", "microcode", "advanced", "ablation", "progdse")
 }
 
 func TestGoldenChaosDeterminism(t *testing.T) {

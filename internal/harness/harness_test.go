@@ -6,18 +6,17 @@ import (
 	"testing"
 )
 
+// TestRegistryComplete checks each registered experiment is runnable and
+// listed in name order; which experiments exist is DESIGN.md §3's to say
+// (TestExperimentLedgerMatchesRegistry at the module root).
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"ablation", "advanced", "chaos", "dse", "fig12", "fig13", "fig14", "fig15", "fig16", "infnet", "livechaos", "microcode", "netrpc", "progdse", "table1", "tree", "treechaos"}
-	got := Experiments()
-	if len(got) != len(want) {
-		t.Fatalf("experiments = %d, want %d", len(got), len(want))
-	}
-	for i, e := range got {
-		if e.Name != want[i] {
-			t.Fatalf("experiment %d = %s, want %s", i, e.Name, want[i])
-		}
+	exps := Experiments()
+	for i, e := range exps {
 		if e.Desc == "" || e.Run == nil {
 			t.Fatalf("experiment %s incomplete", e.Name)
+		}
+		if i > 0 && exps[i-1].Name >= e.Name {
+			t.Fatalf("experiments out of order: %s before %s", exps[i-1].Name, e.Name)
 		}
 	}
 	if _, ok := Lookup("fig14"); !ok {

@@ -32,26 +32,33 @@ func (p Params) workers() int {
 	return p.Parallel
 }
 
-// sweep runs fn over one axis's values on a dse.Executor with p.workers()
-// workers and returns the per-point results in point order. fn receives its
-// point index, so callers fill row slots by index and the rendered tables
-// are identical at every -parallel level; only the interleaving of progress
-// log lines changes. The first trial error (lowest index) aborts the
-// experiment, matching the serial loops this replaces.
-func sweep(p Params, axis string, values []float64, fn func(i int, v float64) (map[string]float64, error)) ([]dse.Result, error) {
-	space := dse.NewSpace(dse.Axis{Name: axis, Values: values})
+// sweep runs runner over points on a dse.Executor with p.workers() workers
+// and returns the per-point results in point order. Trial seeds are a pure
+// function of (p.seed(), index), so the results are identical at every
+// -parallel level; only the interleaving of progress log lines changes. The
+// first trial error (lowest index) aborts the experiment.
+func sweep(p Params, points []dse.Point, runner dse.Runner) ([]dse.Result, error) {
 	ex := &dse.Executor{Workers: p.workers()}
 	ex.RegisterObs(p.Obs)
-	results, err := ex.Run(space.Grid(), p.seed(), func(t dse.Trial) (map[string]float64, error) {
-		return fn(t.Index, t.Params[axis])
-	})
+	results, err := ex.Run(points, p.seed(), runner)
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range results {
 		if r.Err != "" {
-			return nil, fmt.Errorf("%s", r.Err)
+			return nil, fmt.Errorf("trial %d: %s", r.Trial, r.Err)
 		}
 	}
 	return results, nil
+}
+
+// sweepAxis sweeps fn over one axis's values. fn receives its point index,
+// so callers fill row slots by index and the rendered tables are identical
+// at every -parallel level.
+func sweepAxis(p Params, axis string, values []float64, fn func(i int, v float64) (map[string]float64, error)) error {
+	points := dse.NewSpace(dse.Axis{Name: axis, Values: values}).Grid()
+	_, err := sweep(p, points, func(t dse.Trial) (map[string]float64, error) {
+		return fn(t.Index, t.Params[axis])
+	})
+	return err
 }

@@ -36,12 +36,6 @@ type rigConfig struct {
 	trace        *obs.Trace    // nil: tracing off (the default)
 	obsReg       *obs.Registry // nil: metrics off; sweeps rebind func series to the latest rig
 
-	// Design-space knobs (the dse experiment's axes); zero values keep the
-	// §6.3 operating point of trioml.RecommendedPFEConfig.
-	numPPEs       int // PPEs on the PFE
-	rmwEngines    int // shared-memory RMW banks
-	sramLatencyNs int // SRAM access latency, nanoseconds
-
 	// links configures server i's uplink and downlink (loss, fault
 	// streams); nil cables every server with netsim.DefaultLinkConfig.
 	links func(i int) (up, down netsim.LinkConfig)
@@ -66,17 +60,7 @@ func newTrioRig(cfg rigConfig) *trioRig {
 		cfg.timerThreads = 100
 	}
 	eng := sim.NewEngine()
-	pcfg := trioml.RecommendedPFEConfig()
-	if cfg.numPPEs > 0 {
-		pcfg.NumPPEs = cfg.numPPEs
-	}
-	if cfg.rmwEngines > 0 {
-		pcfg.Mem.NumRMWEngines = cfg.rmwEngines
-	}
-	if cfg.sramLatencyNs > 0 {
-		pcfg.Mem.SRAMLatency = sim.Time(cfg.sramLatencyNs) * sim.Nanosecond
-	}
-	r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: pcfg})
+	r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: trioml.RecommendedPFEConfig()})
 	agg := trioml.New(r.PFE(0))
 	if err := agg.InstallJob(trioml.StarJob(1, cfg.servers, cfg.gradsPerPkt, cfg.timeout)); err != nil {
 		panic(err)

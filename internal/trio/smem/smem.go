@@ -197,9 +197,6 @@ func (m *Memory) Alloc(kind TierKind, size uint64) uint64 {
 	return t.Base + cur
 }
 
-// AllocBytes reports the bytes currently allocated in a tier.
-func (m *Memory) AllocBytes(kind TierKind) uint64 { return m.allocs[kind] }
-
 // page returns the backing page containing addr, allocating it on demand.
 func (m *Memory) page(addr uint64) *[pageSize]byte {
 	idx := addr / pageSize

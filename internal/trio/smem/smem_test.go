@@ -436,15 +436,24 @@ func TestReadStagedRejectsOversizeWithoutAccounting(t *testing.T) {
 	m.ReadStaged(0, 0, MaxTxnBytes+8, &buf)
 }
 
-func TestAllocBytesTracksEachTier(t *testing.T) {
+// TestAllocTracksEachTier: each tier keeps its own bump cursor, and a
+// 5-byte allocation rounds the cursor up to 8 before the next one.
+func TestAllocTracksEachTier(t *testing.T) {
 	m := New(Config{})
-	m.Alloc(TierSRAM, 5)
+	sram := m.Alloc(TierSRAM, 5)
 	m.Alloc(TierSRAM, 8)
-	m.Alloc(TierDRAM, 64)
-	if got := m.AllocBytes(TierSRAM); got != 16 {
-		t.Fatalf("SRAM allocated = %d, want 16 (5 rounded up to 8, then 8)", got)
+	dram := m.Alloc(TierDRAM, 64)
+	if got := m.Alloc(TierSRAM, 1); got != sram+16 {
+		t.Fatalf("third SRAM alloc at %#x, want %#x (5 rounded up to 8, then 8)", got, sram+16)
 	}
-	if m.AllocBytes(TierCache) != 0 || m.AllocBytes(TierDRAM) != 64 {
-		t.Fatalf("cache %d, DRAM %d", m.AllocBytes(TierCache), m.AllocBytes(TierDRAM))
+	cfg := m.Config()
+	if got := m.Alloc(TierCache, 1); got != cfg.SRAMSize {
+		t.Fatalf("first cache alloc at %#x, want the tier base %#x", got, cfg.SRAMSize)
+	}
+	if want := cfg.SRAMSize + cfg.CacheSize; dram != want {
+		t.Fatalf("first DRAM alloc at %#x, want the tier base %#x", dram, want)
+	}
+	if got := m.Alloc(TierDRAM, 1); got != dram+64 {
+		t.Fatalf("second DRAM alloc at %#x, want %#x", got, dram+64)
 	}
 }
