@@ -38,9 +38,10 @@ verify-unreached:
 	@tools/unreached.sh
 
 # verify-knobs type-checks the module, tests included, and checks that each
-# exported field of an internal/ struct type that no non-test code writes is
-# listed with a reason in testdata/knobs.txt, and that no listed field is gone
-# or written outside tests (≈25 s, so outside tier-1).
+# exported field of an internal/ struct type that no non-test code writes, and
+# each …Config/…Params field that non-test code writes only as one constant,
+# is listed with a reason in testdata/knobs.txt, and that no listed field is
+# gone or written outside tests otherwise (≈25 s, so outside tier-1).
 verify-knobs:
 	$(GO) run ./tools/knobs
 

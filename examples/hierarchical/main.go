@@ -19,7 +19,7 @@ import (
 
 func main() {
 	eng := sim.NewEngine()
-	router := trio.New(eng, trio.Config{NumPFEs: 3, PFE: trioml.RecommendedPFEConfig()})
+	router := trio.New(eng, trio.Config{NumPFEs: 3})
 
 	h, err := trioml.SetupHierarchy(router, trioml.HierarchyConfig{
 		JobID:  1,

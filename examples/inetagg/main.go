@@ -23,7 +23,7 @@ const (
 
 func main() {
 	eng := sim.NewEngine()
-	router := trio.New(eng, trio.Config{NumPFEs: 1, PFE: trioml.RecommendedPFEConfig()})
+	router := trio.New(eng, trio.Config{NumPFEs: 1})
 	agg := trioml.New(router.PFE(0))
 
 	// Control plane: install the aggregation job — six sources, results

@@ -16,12 +16,11 @@ import (
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio"
-	"github.com/trioml/triogo/internal/trioml"
 )
 
 func main() {
 	eng := sim.NewEngine()
-	router := trio.New(eng, trio.Config{NumPFEs: 1, PFE: trioml.RecommendedPFEConfig()})
+	router := trio.New(eng, trio.Config{NumPFEs: 1})
 
 	// Features: IP total-length high byte (14+2), TTL (14+8), UDP dst port
 	// (14+20+2..3). One hidden neuron accumulates attack evidence (low TTL,

@@ -18,7 +18,6 @@ import (
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio"
-	"github.com/trioml/triogo/internal/trioml"
 )
 
 const (
@@ -29,7 +28,7 @@ const (
 
 func main() {
 	eng := sim.NewEngine()
-	router := trio.New(eng, trio.Config{NumPFEs: 1, PFE: trioml.RecommendedPFEConfig()})
+	router := trio.New(eng, trio.Config{NumPFEs: 1})
 	pfe := router.PFE(0)
 	svc, err := netrpc.Install(pfe, netrpc.Config{Slots: 1024})
 	if err != nil {

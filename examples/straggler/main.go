@@ -26,7 +26,7 @@ func main() {
 	)
 
 	eng := sim.NewEngine()
-	router := trio.New(eng, trio.Config{NumPFEs: 1, PFE: trioml.RecommendedPFEConfig()})
+	router := trio.New(eng, trio.Config{NumPFEs: 1})
 	agg := trioml.New(router.PFE(0))
 
 	if err := agg.InstallJob(trioml.StarJob(1, numWorkers, 0, timeout)); err != nil {

@@ -298,8 +298,8 @@ func Install(p *pfe.PFE, cfg Config) (*Service, error) {
 		return nil, err
 	}
 	for _, off := range cfg.Features {
-		if off >= p.Cfg.HeadBytes {
-			return nil, fmt.Errorf("infnet: feature offset %d outside the %d-byte head", off, p.Cfg.HeadBytes)
+		if off >= pfe.HeadBytes {
+			return nil, fmt.Errorf("infnet: feature offset %d outside the %d-byte head", off, pfe.HeadBytes)
 		}
 	}
 	ctrBase := p.Mem.Alloc(smem.TierSRAM, numCtrs*16)

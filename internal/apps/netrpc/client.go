@@ -45,10 +45,10 @@ type Client struct {
 // service's fixed cell size so a cache hit can rewrite it into the
 // response in place.
 func (c *Client) Request(method uint16, args []byte) []byte {
-	if len(args) > defaultCell {
-		panic(fmt.Sprintf("netrpc: %d args bytes exceed the %d-byte cell", len(args), defaultCell))
+	if len(args) > cellBytes {
+		panic(fmt.Sprintf("netrpc: %d args bytes exceed the %d-byte cell", len(args), cellBytes))
 	}
-	cell := make([]byte, defaultCell)
+	cell := make([]byte, cellBytes)
 	copy(cell, args)
 	return packet.BuildNetRPC(c.Spec, packet.NetRPC{
 		Op:       packet.NetRPCRequest,

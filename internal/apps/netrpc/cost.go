@@ -38,10 +38,9 @@ type Cost struct {
 	DRAMBytes uint64
 }
 
-// Cost evaluates the analytic model for cfg (defaults applied; an invalid
-// configuration yields the zero cost — check separately via Program).
+// Cost evaluates the analytic model for cfg (an invalid configuration
+// yields the zero cost — check separately via Program).
 func (cfg Config) Cost() Cost {
-	cfg = cfg.withDefaults()
 	if cfg.check() != nil {
 		return Cost{}
 	}
@@ -73,6 +72,6 @@ func (cfg Config) Cost() Cost {
 		XTXNsAdopt:    5, // lookup, record read, buffer write, record write, counter
 
 		SRAMBytes: uint64(cfg.Slots)*recBytes + numCtrs*16 + uint64(cfg.Slots)*16,
-		DRAMBytes: uint64(cfg.Slots) * uint64(cfg.RespBytes),
+		DRAMBytes: uint64(cfg.Slots) * cellBytes,
 	}
 }

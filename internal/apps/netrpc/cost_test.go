@@ -40,8 +40,8 @@ func (cr *costRig) measure(port int, frame []byte) microcode.Stats {
 func TestCostModelMatchesMeasured(t *testing.T) {
 	for _, cfg := range []Config{
 		{Slots: 16},
-		{Slots: 64, RespBytes: 64},
-		{Slots: 1024, RespBytes: 8},
+		{Slots: 64},
+		{Slots: 1024},
 	} {
 		cr := newCostRig(t, cfg)
 		cost := cr.svc.cfg.Cost()
@@ -61,16 +61,15 @@ func TestCostModelMatchesMeasured(t *testing.T) {
 
 		const rpc = uint64(0x1_0007)      // slot 7 under every swept mask
 		const collider = uint64(0x2_0007) // same slot, different tag
-		respBytes := cr.svc.cfg.RespBytes
 		req := func(client uint16, id uint64) []byte {
 			return packet.BuildNetRPC(packet.UDPSpec{}, packet.NetRPC{
 				Op: packet.NetRPCRequest, ClientID: client, RPCID: id,
-			}, make([]byte, respBytes))
+			}, make([]byte, cellBytes))
 		}
 		resp := func(client uint16, id uint64) []byte {
 			return packet.BuildNetRPC(packet.UDPSpec{}, packet.NetRPC{
 				Op: packet.NetRPCResponse, ClientID: client, RPCID: id,
-			}, make([]byte, respBytes))
+			}, make([]byte, cellBytes))
 		}
 
 		check("claim", cr.measure(1, req(1, rpc)), cost.InstrClaim, cost.XTXNsClaim)
@@ -88,12 +87,12 @@ func TestCostModelMatchesMeasured(t *testing.T) {
 
 // TestCostFootprints pins the provisioned pool sizes against the model.
 func TestCostFootprints(t *testing.T) {
-	cfg := Config{Slots: 256, RespBytes: 16}
+	cfg := Config{Slots: 256}
 	cost := cfg.Cost()
 	if want := uint64(256*32 + 7*16 + 256*16); cost.SRAMBytes != want {
 		t.Errorf("SRAM = %d, want %d", cost.SRAMBytes, want)
 	}
-	if want := uint64(256 * 16); cost.DRAMBytes != want {
+	if want := uint64(256 * 32); cost.DRAMBytes != want {
 		t.Errorf("DRAM = %d, want %d", cost.DRAMBytes, want)
 	}
 	if (Config{Slots: 3}).Cost() != (Cost{}) {

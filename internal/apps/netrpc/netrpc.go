@@ -87,31 +87,20 @@ const (
 // Config parameterizes the netrpc service program.
 type Config struct {
 	Slots int // request-table slots, power of two
-	// RespBytes is the fixed result-payload size: every response carries
-	// exactly this many payload bytes and clients pad requests to match, so
-	// a cache hit can rewrite the request into the response in place
-	// ("fixed-size RPC cells"). Multiple of 8 in 8..64 (one 64-byte XTXN);
-	// default 32.
-	RespBytes int
 }
 
-// defaultCell is the default RespBytes, and the cell every Client request
-// is padded to.
-const defaultCell = 32
+// cellBytes is the fixed result-payload size: every response carries
+// exactly this many payload bytes and clients pad requests to match, so a
+// cache hit can rewrite the request into the response in place ("fixed-size
+// RPC cells"). A multiple of 8 within one 64-byte XTXN.
+const cellBytes = 32
 
-func (cfg Config) withDefaults() Config {
-	if cfg.RespBytes == 0 {
-		cfg.RespBytes = defaultCell
-	}
-	return cfg
-}
+// The cell sits inside the head: this constant overflows if it does not.
+const _ = uint(pfe.HeadBytes - payOff - cellBytes)
 
 func (cfg Config) check() error {
 	if cfg.Slots <= 0 || cfg.Slots&(cfg.Slots-1) != 0 {
 		return fmt.Errorf("netrpc: slots must be a power of two, got %d", cfg.Slots)
-	}
-	if cfg.RespBytes%8 != 0 || cfg.RespBytes < 8 || cfg.RespBytes > 64 {
-		return fmt.Errorf("netrpc: resp bytes must be a multiple of 8 in 8..64, got %d", cfg.RespBytes)
 	}
 	return nil
 }
@@ -481,7 +470,7 @@ begin
     exit(forward);
 end
 `,
-		cfg.Slots-1, recBase, bufBase, ctrBase, hitCtrBase, cfg.RespBytes, serverPort,
+		cfg.Slots-1, recBase, bufBase, ctrBase, hitCtrBase, cellBytes, serverPort,
 		recBytes, recStage,
 		opOff, flagsOff, clientOff, plenOff, rpcOff, payOff,
 		16*ctrHits, 16*ctrCoalesced, 16*ctrClaims, 16*ctrBypass,
@@ -493,7 +482,6 @@ end
 // shared-memory bases. Exported so program-level DSE and the dispatch
 // benchmarks can build variants without provisioning a PFE.
 func Program(cfg Config, recBase, bufBase, ctrBase, hitCtrBase uint64, serverPort int) (*microcode.Program, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
@@ -564,17 +552,13 @@ func (s *Service) SlotHits(slot int) (uint64, uint64) {
 // v2 verify/compile pipeline, installs it as p's application, and (when
 // cfg.AgePeriod > 0) starts the aging timer threads.
 func Install(p *pfe.PFE, cfg Config) (*Service, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.check(); err != nil {
 		return nil, err
-	}
-	if payOff+cfg.RespBytes > p.Cfg.HeadBytes {
-		return nil, fmt.Errorf("netrpc: %d response bytes exceed the %d-byte head", cfg.RespBytes, p.Cfg.HeadBytes)
 	}
 	recBase := p.Mem.Alloc(smem.TierSRAM, uint64(cfg.Slots)*recBytes)
 	ctrBase := p.Mem.Alloc(smem.TierSRAM, numCtrs*16)
 	hitCtrBase := p.Mem.Alloc(smem.TierSRAM, uint64(cfg.Slots)*16)
-	bufBase := p.Mem.Alloc(smem.TierDRAM, uint64(cfg.Slots)*uint64(cfg.RespBytes))
+	bufBase := p.Mem.Alloc(smem.TierDRAM, uint64(cfg.Slots)*cellBytes)
 	// The PFE's last port faces the origin server: requests egress there,
 	// and responses are only trusted from there.
 	prog, err := Program(cfg, recBase, bufBase, ctrBase, hitCtrBase, p.Cfg.NumPorts-1)

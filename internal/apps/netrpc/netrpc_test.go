@@ -323,8 +323,6 @@ func TestConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{Slots: 0},
 		{Slots: 48},
-		{Slots: 64, RespBytes: 12},
-		{Slots: 64, RespBytes: 128},
 	} {
 		if _, err := Install(p, cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)

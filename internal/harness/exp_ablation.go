@@ -206,15 +206,14 @@ func ablationHierarchy() *Table {
 
 	// Hierarchical: 2 groups of 3 feed a top-level PFE over the fabric.
 	eng := sim.NewEngine()
-	r := trio.New(eng, trio.Config{NumPFEs: 3, PFE: trioml.RecommendedPFEConfig()})
+	r := trio.New(eng, trio.Config{NumPFEs: 3})
 	h, err := trioml.SetupHierarchy(r, trioml.HierarchyConfig{
 		JobID: 1, TopPFE: 2,
 		Groups: []trioml.HierGroup{
 			{PFE: 0, WorkerSrcIDs: []uint8{0, 1, 2}, WorkerPorts: []int{0, 1, 2}, UplinkPort: 15, TopPort: 0},
 			{PFE: 1, WorkerSrcIDs: []uint8{3, 4, 5}, WorkerPorts: []int{0, 1, 2}, UplinkPort: 15, TopPort: 1},
 		},
-		BlockGradMax: grads,
-		ResultSpec:   packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 100}, DstIP: [4]byte{224, 0, 1, 1}},
+		ResultSpec: packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 100}, DstIP: [4]byte{224, 0, 1, 1}},
 	}, nil)
 	if err != nil {
 		panic(err) // static configuration

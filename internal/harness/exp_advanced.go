@@ -34,7 +34,6 @@ func runAdvanced(p Params) ([]*Table, error) {
 			Scale: scale, Seed: p.seed(),
 			DeadWorker:         5,
 			AdvancedMitigation: threshold,
-			AnalyzePeriod:      250 * sim.Millisecond,
 		})
 		if err != nil {
 			return nil, false, err

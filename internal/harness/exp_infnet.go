@@ -6,13 +6,12 @@ import (
 
 	"github.com/trioml/triogo/internal/apps/infnet"
 	"github.com/trioml/triogo/internal/dse"
-	"github.com/trioml/triogo/internal/microcode"
 	"github.com/trioml/triogo/internal/netsim"
 	"github.com/trioml/triogo/internal/obs"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio"
-	"github.com/trioml/triogo/internal/trioml"
+	"github.com/trioml/triogo/internal/trio/smem"
 )
 
 func init() {
@@ -22,6 +21,12 @@ func init() {
 		Run:  runInfnet,
 	})
 }
+
+// ppeIssueCycles is the one instruction charge other than
+// microcode.InstrTime: the model-shape sweep's Mpps/PPE column is a PPE's
+// issue rate, one multi-cycle instruction (§2.2) every two cycles with its
+// threads interleaved, not one thread's latency (microcode.CyclesPerInstr).
+const ppeIssueCycles = 2
 
 // Frame geometry the detector reads (Ethernet + IPv4 + UDP): IP total
 // length at 16, TTL at 22, UDP destination port at 36.
@@ -112,7 +117,7 @@ type infnetCfg struct {
 
 func newInfnetRig(cfg infnetCfg) *infnetRig {
 	eng := sim.NewEngine()
-	r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: trioml.RecommendedPFEConfig()})
+	r := trio.New(eng, trio.Config{NumPFEs: 1})
 	model := ddosModel()
 	model.Mode = cfg.mode
 	svc, err := infnet.Install(r.PFE(0), model)
@@ -292,8 +297,7 @@ func runInfnet(p Params) ([]*Table, error) {
 	modelFn := func(pt dse.Point) (map[string]float64, error) {
 		d, h := int(pt.Params["features"]), int(pt.Params["hidden"])
 		c := shapeCost(d, h)
-		timing := microcode.DefaultTiming()
-		nsPerPkt := float64(c.InstrPerPacket*timing.CyclesPerInstr) * timing.CycleTime.Seconds() * 1e9
+		nsPerPkt := float64(c.InstrPerPacket*ppeIssueCycles) * smem.CycleTime.Seconds() * 1e9
 		return map[string]float64{
 			"instr_per_pkt": float64(c.InstrPerPacket),
 			"macs":          float64(d*h + 2*h),

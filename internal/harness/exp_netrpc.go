@@ -11,7 +11,6 @@ import (
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio"
-	"github.com/trioml/triogo/internal/trioml"
 )
 
 func init() {
@@ -103,7 +102,7 @@ func refPayload(method uint16, respBytes int) []byte {
 
 func newNetRPCRig(cfg netrpcCfg) *netrpcRig {
 	eng := sim.NewEngine()
-	r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: trioml.RecommendedPFEConfig()})
+	r := trio.New(eng, trio.Config{NumPFEs: 1})
 	p := r.PFE(0)
 	svc, err := netrpc.Install(p, netrpc.Config{Slots: 4096})
 	if err != nil {

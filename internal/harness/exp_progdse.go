@@ -81,7 +81,7 @@ func ProgDSERunner(p Params) dse.Runner {
 	return func(t dse.Trial) (map[string]float64, error) {
 		cfg := progDSECfg(t.Params)
 		eng := sim.NewEngine()
-		pf := pfe.New(eng, trioml.RecommendedPFEConfig())
+		pf := pfe.New(eng, pfe.Config{})
 		agg, err := trioml.InstallMCAgg(pf, cfg, 1)
 		if err != nil {
 			return nil, err

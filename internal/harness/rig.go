@@ -60,9 +60,9 @@ func newTrioRig(cfg rigConfig) *trioRig {
 		cfg.timerThreads = 100
 	}
 	eng := sim.NewEngine()
-	r := trio.New(eng, trio.Config{NumPFEs: 1, PFE: trioml.RecommendedPFEConfig()})
+	r := trio.New(eng, trio.Config{NumPFEs: 1})
 	agg := trioml.New(r.PFE(0))
-	if err := agg.InstallJob(trioml.StarJob(1, cfg.servers, cfg.gradsPerPkt, cfg.timeout)); err != nil {
+	if err := agg.InstallJob(trioml.StarJob(mltrain.JobID, cfg.servers, cfg.gradsPerPkt, cfg.timeout)); err != nil {
 		panic(err)
 	}
 	if cfg.replay > 0 {
@@ -79,7 +79,7 @@ func newTrioRig(cfg rigConfig) *trioRig {
 			up, down = cfg.links(i)
 		}
 		params := mltrain.WorkerParams{
-			JobID: 1, Blocks: cfg.blocks, GradsPerPacket: cfg.gradsPerPkt, Window: cfg.window,
+			Blocks: cfg.blocks, GradsPerPacket: cfg.gradsPerPkt, Window: cfg.window,
 			RetransmitAfter: cfg.retxEvery,
 			Spec: packet.UDPSpec{
 				SrcIP: [4]byte{10, 0, 0, byte(i + 1)}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000,

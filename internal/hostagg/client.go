@@ -32,13 +32,6 @@ type ClientConfig struct {
 	SrcID      uint8
 	Window     int // outstanding blocks; default 16
 
-	// RetryCap caps the backoff after a transient network error (EINTR,
-	// ENOBUFS, ECONNREFUSED, ...), which starts at retryBase and doubles per
-	// consecutive failure. Default 100ms.
-	RetryCap time.Duration
-	// MaxRetries bounds consecutive SendBlock retries before the call fails
-	// with ErrGaveUp. Default 8.
-	MaxRetries int
 	// RetransmitEvery, when positive, makes AllReduce periodically resend
 	// every sent-but-unanswered block — the end-host loss recovery of §5
 	// (the server's ReplayWindow keeps retransmits idempotent). Zero
@@ -59,14 +52,20 @@ func transientNetErr(err error) bool {
 		errors.Is(err, syscall.ENETUNREACH)
 }
 
-// retryBase is the first backoff after a transient network error.
-const retryBase = time.Millisecond
+// A transient network error (EINTR, ENOBUFS, ECONNREFUSED, ...) is retried
+// after a backoff that starts at retryBase and doubles per consecutive
+// failure up to retryCap; after maxRetries consecutive retries the send
+// fails with ErrGaveUp. A run of retry-after NACKs is likewise given up, as
+// ErrShed, after maxRetries back-offs.
+const (
+	retryBase  = time.Millisecond
+	retryCap   = 100 * time.Millisecond
+	maxRetries = 8
+)
 
 // withDefaults replaces zero or negative fields with their defaults.
 func (cfg ClientConfig) withDefaults() ClientConfig {
 	cfg.Window = cmp.Or(max(cfg.Window, 0), 16)
-	cfg.RetryCap = cmp.Or(max(cfg.RetryCap, 0), 100*time.Millisecond)
-	cfg.MaxRetries = cmp.Or(max(cfg.MaxRetries, 0), 8)
 	return cfg
 }
 
@@ -158,12 +157,12 @@ func (c *Client) Close() (err error) {
 }
 
 // pause sleeps the backoff after the attempt-th consecutive transient error
-// (from 0: retryBase, then doubled per attempt up to RetryCap) unless the
+// (from 0: retryBase, then doubled per attempt up to retryCap) unless the
 // client is closed first.
 func (c *Client) pause(attempt int) bool {
 	d := retryBase
 	for range attempt {
-		d = min(2*d, c.cfg.RetryCap)
+		d = min(2*d, retryCap)
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -177,7 +176,7 @@ func (c *Client) pause(attempt int) bool {
 
 // SendBlock transmits one gradient block, absorbing transient network
 // errors with capped exponential backoff. It fails with ErrGaveUp after
-// MaxRetries consecutive transient errors, and immediately on anything
+// maxRetries consecutive transient errors, and immediately on anything
 // non-transient.
 func (c *Client) SendBlock(blockID uint32, genID uint16, grads []int32, final bool) error {
 	h := packet.TrioML{JobID: c.cfg.JobID, BlockID: blockID, SrcID: c.cfg.SrcID, GenID: genID, Final: final}
@@ -186,7 +185,7 @@ func (c *Client) SendBlock(blockID uint32, genID uint16, grads []int32, final bo
 
 // writeRun is the batch's way out: one write on the connected socket,
 // retried through transient network errors with capped exponential backoff.
-// It fails with ErrGaveUp after MaxRetries consecutive transient errors, and
+// It fails with ErrGaveUp after maxRetries consecutive transient errors, and
 // immediately on anything non-transient — a GSO refusal included, which the
 // batch answers by resending the run one datagram at a time.
 func (c *Client) writeRun(p []byte, seg int, to netip.AddrPort) error {
@@ -195,7 +194,7 @@ func (c *Client) writeRun(p []byte, seg int, to netip.AddrPort) error {
 		if !transientNetErr(err) {
 			return err // nil included
 		}
-		if attempt >= c.cfg.MaxRetries {
+		if attempt >= maxRetries {
 			return fmt.Errorf("hostagg: send %d bytes: %w (%d attempts, last: %v)",
 				len(p), ErrGaveUp, attempt+1, err)
 		}

@@ -297,20 +297,20 @@ func TestAllReduceNackBackOffEndsExactly(t *testing.T) {
 }
 
 // TestAllReduceShedAfterRetryBudget: a server that answers every send with a
-// NACK and nothing else costs MaxRetries back-offs — each RetryCap long when
+// NACK and nothing else costs maxRetries back-offs — each retryCap long when
 // the NACK suggests no wait — and the call fails with ErrShed on NACK
-// MaxRetries+1.
+// maxRetries+1.
 func TestAllReduceShedAfterRetryBudget(t *testing.T) {
-	const retries, retryCap = 3, 7 * time.Millisecond
+	const retries = maxRetries
 	var w wire
-	r := NewReduce(t0, ClientConfig{JobID: 1, MaxRetries: retries, RetryCap: retryCap}, 1, make([]int32, 1), 1, 1, time.Minute)
+	r := NewReduce(t0, ClientConfig{JobID: 1}, 1, make([]int32, 1), 1, 1, time.Minute)
 	must(t, r.Refill(w.room))
 	now := t0
 	for i := 0; i < retries; i++ {
 		w.blocks(t)
 		must(t, r.Receive(now, nack(0, 1, 0)))
 		if got := r.Wake(); !got.Equal(now.Add(retryCap)) {
-			t.Fatalf("NACK %d: wake %v after it, want RetryCap %v", i+1, got.Sub(now), retryCap)
+			t.Fatalf("NACK %d: wake %v after it, want retryCap %v", i+1, got.Sub(now), retryCap)
 		}
 		now = r.Wake()
 		must(t, r.Expire(now, w.room))

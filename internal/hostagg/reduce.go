@@ -55,8 +55,8 @@ func newReduce(now time.Time, cfg ClientConfig, ctr *clientCounters, genID uint1
 // block's slice of the sum, rescaled there if degraded (§5); one for another
 // generation or an answered block, or not of its block's length, is dropped
 // (Stats.Dropped). A retry-after NACK starts a back-off of its suggested
-// wait (RetryCap if none, a second at most) unless one is running, so a
-// burst costs one; after MaxRetries back-offs with no result between them
+// wait (retryCap if none, a second at most) unless one is running, so a
+// burst costs one; after maxRetries back-offs with no result between them
 // the next NACK fails with ErrShed.
 func (r *Reduce) Receive(now time.Time, d []byte) error {
 	var h packet.TrioML
@@ -96,12 +96,12 @@ func (r *Reduce) Receive(now time.Time, d []byte) error {
 		if !r.resume.IsZero() {
 			return nil
 		}
-		if r.nackStreak++; r.nackStreak > r.cfg.MaxRetries {
+		if r.nackStreak++; r.nackStreak > maxRetries {
 			return fmt.Errorf("hostagg: allreduce refused by server (reason %d) for %d consecutive nacks with %d/%d blocks: %w",
 				h.AgeOp, r.nackStreak, r.done, len(r.got), ErrShed)
 		}
 		r.backoffs.Add(1)
-		r.resume = now.Add(min(cmp.Or(time.Duration(ra.Millis)*time.Millisecond, r.cfg.RetryCap), time.Second))
+		r.resume = now.Add(min(cmp.Or(time.Duration(ra.Millis)*time.Millisecond, retryCap), time.Second))
 	}
 	return nil
 }

@@ -343,7 +343,7 @@ func TestClientShedSurfacesErrShed(t *testing.T) {
 
 	c, err := NewClient(ClientConfig{
 		ServerAddr: s.Addr().String(), JobID: 3, SrcID: 0,
-		MaxRetries: 3, RetransmitEvery: 10 * time.Millisecond,
+		RetransmitEvery: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func TestClientShedSurfacesErrShed(t *testing.T) {
 		t.Fatalf("allreduce err = %v, want ErrShed", err)
 	}
 	st := c.Stats()
-	if st.Nacked < 4 || st.Backoffs < 3 {
+	if st.Nacked < maxRetries+1 || st.Backoffs < maxRetries {
 		t.Fatalf("client stats = %+v, want the NACKs and backoffs accounted", st)
 	}
 	sst := s.Stats()

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"github.com/trioml/triogo/internal/bitfield"
-	"github.com/trioml/triogo/internal/sim"
 )
 
 // accKind discriminates pre-decoded operand accessors. The byte-aligned
@@ -405,18 +404,18 @@ func (op *cop) pick(conds uint8) *ccase {
 }
 
 // RunCompiled executes a compiled program from the entry label until the
-// thread exits, using default timing and budget.
+// thread exits, under the default budget.
 func RunCompiled(c *Compiled, t *Thread, entry string) (Verdict, error) {
-	return RunCompiledLimited(c, t, entry, DefaultTiming(), DefaultBudget)
+	return RunCompiledLimited(c, t, entry, DefaultBudget)
 }
 
 // RunCompiledLimited is RunCompiledAt from a label.
-func RunCompiledLimited(c *Compiled, t *Thread, entry string, timing Timing, budget uint64) (Verdict, error) {
+func RunCompiledLimited(c *Compiled, t *Thread, entry string, budget uint64) (Verdict, error) {
 	pc, ok := c.labels[entry]
 	if !ok {
 		return VerdictNone, fmt.Errorf("microcode: entry label %q not found", entry)
 	}
-	return RunCompiledAt(c, t, pc, timing, budget)
+	return RunCompiledAt(c, t, pc, budget)
 }
 
 // RunCompiledAt is the direct-threaded dispatch loop, entered at instruction
@@ -425,7 +424,7 @@ func RunCompiledLimited(c *Compiled, t *Thread, entry string, timing Timing, bud
 // fixed-depth call stack, and no allocation after entry. Its observable
 // behaviour — Stats, Verdict, Now, registers, local memory, fault classes —
 // is bit-identical to RunLimited on the same program.
-func RunCompiledAt(c *Compiled, t *Thread, pc int, timing Timing, budget uint64) (v Verdict, err error) {
+func RunCompiledAt(c *Compiled, t *Thread, pc int, budget uint64) (v Verdict, err error) {
 	if pc < 0 || pc >= len(c.ops) {
 		return VerdictNone, fmt.Errorf("microcode: entry pc %d outside program of %d instructions", pc, len(c.ops))
 	}
@@ -440,17 +439,10 @@ func RunCompiledAt(c *Compiled, t *Thread, pc int, timing Timing, budget uint64)
 			panic(r)
 		}
 	}()
-	return c.run(t, pc, timing, budget)
+	return c.run(t, pc, budget)
 }
 
-func (c *Compiled) run(t *Thread, pc int, timing Timing, budget uint64) (Verdict, error) {
-	if timing.CycleTime == 0 {
-		timing.CycleTime = DefaultTiming().CycleTime
-	}
-	if timing.CyclesPerInstr == 0 {
-		timing.CyclesPerInstr = DefaultTiming().CyclesPerInstr
-	}
-	instrTime := sim.Time(timing.CyclesPerInstr) * timing.CycleTime
+func (c *Compiled) run(t *Thread, pc int, budget uint64) (Verdict, error) {
 	var stack [MaxCallDepth]int
 	sp := 0
 	for n := uint64(0); ; n++ {
@@ -462,7 +454,7 @@ func (c *Compiled) run(t *Thread, pc int, timing Timing, budget uint64) (Verdict
 			// Whole passes the kernel proves equivalent to stepping retire
 			// here; whatever it declines (a pass that would fault or outrun
 			// the budget) steps through the ordinary path below.
-			if done, next := op.loop.run(t, c.ops, instrTime, budget-n); done > 0 {
+			if done, next := op.loop.run(t, c.ops, budget-n); done > 0 {
 				n += done - 1
 				pc = next
 				continue
@@ -503,7 +495,7 @@ func (c *Compiled) run(t *Thread, pc int, timing Timing, budget uint64) (Verdict
 
 		if op.tag != tGeneric {
 			// No XTXN and every action a goto: sequencing is one target pick.
-			t.Now += instrTime
+			t.Now += InstrTime
 			pc = op.pick(t.conds).target
 			continue
 		}
@@ -519,7 +511,7 @@ func (c *Compiled) run(t *Thread, pc int, timing Timing, budget uint64) (Verdict
 				return VerdictNone, fmt.Errorf("microcode: %q: %w", op.label, err)
 			}
 		}
-		t.Now += instrTime
+		t.Now += InstrTime
 		act := op.pick(t.conds)
 		switch act.kind {
 		case ActGoto:

@@ -53,8 +53,8 @@ func diffEngines(t *testing.T, name string, p *Program, c *Compiled, entry strin
 	}
 	name = fmt.Sprintf("%s (budget %d, traced %v)", name, budget, traced)
 
-	vI, errI := RunLimited(p, thI, entry, DefaultTiming(), budget)
-	vC, errC := RunCompiledLimited(c, thC, entry, DefaultTiming(), budget)
+	vI, errI := RunLimited(p, thI, entry, budget)
+	vC, errC := RunCompiledLimited(c, thC, entry, budget)
 
 	if vI != vC {
 		t.Fatalf("%s: verdict %v (interp) != %v (compiled)", name, vI, vC)
@@ -279,8 +279,8 @@ end
 `)
 	c := MustCompile(p)
 	thI, thC := NewThread(nil, 0), NewThread(nil, 0)
-	_, errI := RunLimited(p, thI, "loop", DefaultTiming(), 100)
-	_, errC := RunCompiledLimited(c, thC, "loop", DefaultTiming(), 100)
+	_, errI := RunLimited(p, thI, "loop", 100)
+	_, errC := RunCompiledLimited(c, thC, "loop", 100)
 	if !errors.Is(errI, ErrBudget) || !errors.Is(errC, ErrBudget) {
 		t.Fatalf("errs = %v / %v, want budget", errI, errC)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/trioml/triogo/internal/bitfield"
 	"github.com/trioml/triogo/internal/sim"
+	"github.com/trioml/triogo/internal/trio/smem"
 )
 
 // Env is the set of XTXN targets a thread can reach over the crossbar:
@@ -33,16 +34,15 @@ type Env interface {
 	HashDelete(now sim.Time, key uint64) (ok bool, done sim.Time)
 }
 
-// Timing parameterizes instruction cost. The defaults model "each
-// instruction takes multiple clock cycles" (§2.2) at the 1 GHz clock of
-// §6.3.
-type Timing struct {
-	CycleTime      sim.Time // default 1 ns
-	CyclesPerInstr int      // default 2
-}
-
-// DefaultTiming returns the paper's operating point.
-func DefaultTiming() Timing { return Timing{CycleTime: sim.Nanosecond, CyclesPerInstr: 2} }
+// One instruction costs InstrTime on every engine: the interpreter, the
+// compiled dispatcher and a native PFE app's Ctx.ChargeInstr. "Each
+// instruction takes multiple clock cycles" (§2.2), and a thread has one
+// instruction in flight at a time, so its per-instruction latency is the
+// PPE pipeline depth: CyclesPerInstr cycles of the 1 GHz clock (§6.3).
+const (
+	CyclesPerInstr = 20
+	InstrTime      = CyclesPerInstr * smem.CycleTime
+)
 
 // Stats counts a thread's dynamic behaviour. The §6.3 analysis
 // ("≈1.2 run-time instructions per gradient") is reproduced from these
@@ -220,16 +220,16 @@ var (
 const DefaultBudget = 1 << 20
 
 // Run executes the program from the entry label until the thread exits,
-// using default timing and budget.
+// under the default budget.
 func Run(p *Program, t *Thread, entry string) (Verdict, error) {
-	return RunLimited(p, t, entry, DefaultTiming(), DefaultBudget)
+	return RunLimited(p, t, entry, DefaultBudget)
 }
 
-// RunLimited executes with explicit timing and an instruction budget.
+// RunLimited executes under an instruction budget.
 // Run-time faults (pointer accesses outside local memory) terminate the
 // thread with an error wrapping ErrFault, as the hardware would kill a
 // misbehaving thread.
-func RunLimited(p *Program, t *Thread, entry string, timing Timing, budget uint64) (v Verdict, err error) {
+func RunLimited(p *Program, t *Thread, entry string, budget uint64) (v Verdict, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if f, ok := r.(threadFault); ok {
@@ -239,21 +239,14 @@ func RunLimited(p *Program, t *Thread, entry string, timing Timing, budget uint6
 			panic(r)
 		}
 	}()
-	return runLimited(p, t, entry, timing, budget)
+	return runLimited(p, t, entry, budget)
 }
 
-func runLimited(p *Program, t *Thread, entry string, timing Timing, budget uint64) (Verdict, error) {
-	if timing.CycleTime == 0 {
-		timing.CycleTime = sim.Nanosecond
-	}
-	if timing.CyclesPerInstr == 0 {
-		timing.CyclesPerInstr = 2
-	}
+func runLimited(p *Program, t *Thread, entry string, budget uint64) (Verdict, error) {
 	pc, ok := p.Lookup(entry)
 	if !ok {
 		return VerdictNone, fmt.Errorf("microcode: entry label %q not found", entry)
 	}
-	instrTime := sim.Time(timing.CyclesPerInstr) * timing.CycleTime
 	for n := uint64(0); ; n++ {
 		if n >= budget {
 			return VerdictNone, fmt.Errorf("%w at %q", ErrBudget, p.Instrs[pc].Label)
@@ -297,7 +290,7 @@ func runLimited(p *Program, t *Thread, entry string, timing Timing, budget uint6
 		}
 
 		// Charge the instruction's execution time.
-		t.Now += instrTime
+		t.Now += InstrTime
 
 		// Phase 4: sequencing.
 		act := in.Br.Default

@@ -243,7 +243,7 @@ func TestReturnWithEmptyStackErrors(t *testing.T) {
 
 func TestInstructionBudget(t *testing.T) {
 	p := MustProgram("t", []Instruction{{Label: "loop", Br: Branch{Default: Action{Kind: ActGoto, Target: "loop"}}}})
-	_, err := RunLimited(p, NewThread(nil, 0), "loop", DefaultTiming(), 100)
+	_, err := RunLimited(p, NewThread(nil, 0), "loop", 100)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v", err)
 	}
@@ -264,9 +264,9 @@ func TestInstructionTimingCharged(t *testing.T) {
 	})
 	th := NewThread(nil, 100)
 	run(t, p, th, "a")
-	// Two instructions at 2 cycles × 1 ns.
-	if th.Now != 104 {
-		t.Fatalf("now = %v, want 104", th.Now)
+	// Two instructions at InstrTime = 20 cycles × 1 ns.
+	if th.Now != 140 {
+		t.Fatalf("now = %v, want 140", th.Now)
 	}
 	if th.Stats.Instructions != 2 {
 		t.Fatalf("instructions = %d", th.Stats.Instructions)

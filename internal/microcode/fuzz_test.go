@@ -107,8 +107,8 @@ func FuzzAssemble(f *testing.F) {
 		const budget = 4096
 		ei, ec := newFuzzEnv(), newFuzzEnv()
 		ti, tc := NewThread(ei, 0), NewThread(ec, 0)
-		vi, erri := RunLimited(prog, ti, entry, DefaultTiming(), budget)
-		vc, errc := RunCompiledLimited(c, tc, entry, DefaultTiming(), budget)
+		vi, erri := RunLimited(prog, ti, entry, budget)
+		vc, errc := RunCompiledLimited(c, tc, entry, budget)
 		if vi != vc {
 			t.Fatalf("verdict: interpreter %v, compiled %v", vi, vc)
 		}

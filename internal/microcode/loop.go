@@ -298,7 +298,7 @@ func rmwPasses(lm *[LMemBytes]byte, lanes []laneRMW, pd, ps, dstep, sstep, passe
 // The pass that leaves the loop through a non-goto action (exit, call,
 // return) retires only its body here, and the dispatcher executes the
 // control instruction.
-func (k *loopKernel) run(t *Thread, ops []cop, instrTime sim.Time, room uint64) (done uint64, pc int) {
+func (k *loopKernel) run(t *Thread, ops []cop, room uint64) (done uint64, pc int) {
 	regs, ctl := &t.Regs, &ops[k.ctl]
 	if n := k.count; n != nil {
 		if ahead := n.ahead(k, regs, room); ahead > 0 {
@@ -344,6 +344,6 @@ func (k *loopKernel) run(t *Thread, ops []cop, instrTime sim.Time, room uint64) 
 		pc = act.target
 	}
 	t.Stats.Instructions += done
-	t.Now += sim.Time(done) * instrTime
+	t.Now += sim.Time(done) * InstrTime
 	return done, pc
 }

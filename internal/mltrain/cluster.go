@@ -53,10 +53,9 @@ type ClusterConfig struct {
 	// handling.
 	DeadWorker int
 	// AdvancedMitigation, when non-zero, launches the slow analysis thread
-	// (Trio-ML only): sources missing this many aged blocks between
-	// analyses are demoted from the job.
+	// (Trio-ML only) every analyzePeriod: sources missing this many aged
+	// blocks between analyses are demoted from the job.
 	AdvancedMitigation uint64
-	AnalyzePeriod      sim.Time // default 100 ms
 }
 
 func (cfg *ClusterConfig) defaults() {
@@ -76,14 +75,16 @@ func (cfg *ClusterConfig) defaults() {
 }
 
 // The testbed (§6.1): six workers; Trio-ML keeps up to 4096 blocks in
-// flight and ages a block after 10 ms, scanned by 100 timer threads;
-// SwitchML's slot pool holds 512 blocks, which also caps its window.
+// flight and ages a block after 10 ms, scanned by 100 timer threads, and
+// §5's slow analysis thread runs every 250 ms; SwitchML's slot pool holds
+// 512 blocks, which also caps its window.
 const (
-	numWorkers   = 6
-	trioWindow   = 4096
-	poolSize     = 512
-	blockTimeout = 10 * sim.Millisecond
-	timerThreads = 100
+	numWorkers    = 6
+	trioWindow    = 4096
+	poolSize      = 512
+	blockTimeout  = 10 * sim.Millisecond
+	timerThreads  = 100
+	analyzePeriod = 250 * sim.Millisecond
 )
 
 // linkBandwidth is every worker link's line rate before Scale divides it:
@@ -135,7 +136,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	scaledBW := linkBandwidth / uint64(cfg.Scale)
 
 	params := WorkerParams{
-		JobID: 1, Blocks: blocks, GradsPerPacket: cfg.GradsPerPacket,
+		Blocks: blocks, GradsPerPacket: cfg.GradsPerPacket,
 		LastBlockGrads: lastGrads, Window: window, ComputeTime: cfg.Model.ComputeTime,
 		Spec: packet.UDPSpec{
 			SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 100},
@@ -148,17 +149,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	switch cfg.System {
 	case SystemTrioML:
-		pcfg := trioml.RecommendedPFEConfig()
-		pcfg.PortBandwidth = scaledBW
-		r := trio.New(c.Eng, trio.Config{NumPFEs: 1, PFE: pcfg})
+		r := trio.New(c.Eng, trio.Config{NumPFEs: 1, PFE: pfe.Config{PortBandwidth: scaledBW}})
 		agg := trioml.New(r.PFE(0))
-		if err := agg.InstallJob(trioml.StarJob(1, numWorkers, cfg.GradsPerPacket, blockTimeout)); err != nil {
+		if err := agg.InstallJob(trioml.StarJob(JobID, numWorkers, cfg.GradsPerPacket, blockTimeout)); err != nil {
 			return nil, err
 		}
 		c.stopTimers = append(c.stopTimers, agg.StartStragglerDetection(timerThreads, blockTimeout))
 		if cfg.AdvancedMitigation > 0 {
 			c.stopTimers = append(c.stopTimers, agg.StartAdvancedMitigation(trioml.AdvancedConfig{
-				AnalyzePeriod:  cfg.AnalyzePeriod,
+				AnalyzePeriod:  analyzePeriod,
 				EventThreshold: cfg.AdvancedMitigation,
 			}))
 		}
@@ -173,8 +172,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			ports[i] = i
 		}
 		agg, err := switchml.New(sw, switchml.Config{
-			NumWorkers: numWorkers, GradsPerPacket: cfg.GradsPerPacket,
-			PoolSize: poolSize, WorkerPorts: ports,
+			GradsPerPacket: cfg.GradsPerPacket,
+			PoolSize:       poolSize, WorkerPorts: ports,
 			ResultSpec: packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 100}, DstIP: [4]byte{224, 0, 1, 1}},
 		})
 		if err != nil {

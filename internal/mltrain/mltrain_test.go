@@ -305,7 +305,6 @@ func TestAdvancedMitigationRemovesDeadWorkerPenalty(t *testing.T) {
 		cfg := smallCfg(SystemTrioML, 0)
 		cfg.DeadWorker = 5
 		cfg.AdvancedMitigation = advanced
-		cfg.AnalyzePeriod = 250 * sim.Millisecond
 		c, err := NewCluster(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -63,9 +63,12 @@ type Worker struct {
 	Retransmits   uint64
 }
 
+// JobID is the Trio-ML job every Worker's contributions belong to: a
+// training run is one job.
+const JobID = 1
+
 // WorkerParams describes the streaming protocol.
 type WorkerParams struct {
-	JobID          uint8
 	Blocks         int // blocks per iteration
 	GradsPerPacket int
 	LastBlockGrads int // gradient count of the final block (≤ GradsPerPacket)
@@ -246,7 +249,7 @@ func (w *Worker) sendBlock(iter, block int) {
 		grads[i] = int32(w.ID + block + i)
 	}
 	hdr := packet.TrioML{
-		JobID:   w.cfg.JobID,
+		JobID:   JobID,
 		BlockID: uint32(iter*w.cfg.Blocks + block),
 		SrcID:   w.SrcID,
 		GenID:   uint16(iter + 1),
@@ -276,7 +279,7 @@ func (w *Worker) OnFrame(frame []byte, at sim.Time) {
 		return
 	}
 	h := f.ML
-	if h.JobID != w.cfg.JobID || h.GenID == 0 {
+	if h.JobID != JobID || h.GenID == 0 {
 		return
 	}
 	iter := int(h.GenID) - 1

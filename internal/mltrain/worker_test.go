@@ -66,7 +66,7 @@ func (h *workerHarness) sends(from int) []string {
 
 func baseParams() WorkerParams {
 	return WorkerParams{
-		JobID: 1, Blocks: 4, GradsPerPacket: 4, Window: 2,
+		Blocks: 4, GradsPerPacket: 4, Window: 2,
 		ComputeTime: 10 * sim.Millisecond,
 	}
 }

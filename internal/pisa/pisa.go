@@ -13,6 +13,10 @@
 //   - Each register can be accessed at most once per pass.
 //   - There are no timer threads: the only compute trigger is a packet.
 //   - Pipelines cannot access each other's registers.
+//
+// The device's geometry and timing are constants (NumPipelines, Stages,
+// RegsPerStage, StageLatency, NumPorts, RecircPenalty); a Config sets only
+// the port bandwidth.
 package pisa
 
 import (
@@ -21,28 +25,23 @@ import (
 	"github.com/trioml/triogo/internal/sim"
 )
 
-// Config sizes a PISA switch. Defaults approximate a 64×100 Gbps Tofino.
-type Config struct {
-	NumPipelines  int      // default 4
-	Stages        int      // match-action stages per pipeline; default 12
-	RegsPerStage  int      // 32-bit register slots per stage; default 64Ki
-	StageLatency  sim.Time // per-stage traversal; default 50 ns (≈600 ns pipe)
-	PortBandwidth uint64   // per port; default 100 Gbps
-	NumPorts      int      // default 64
-	RecircPenalty sim.Time // extra latency per recirculation; default 700 ns
-}
+// The Tofino-like device the paper compares Trio against (Fig. 1b, §6): a
+// 64×100 Gbps switch of four pipelines, each twelve match-action stages
+// long (≈600 ns a pass).
+const (
+	NumPipelines  = 4
+	Stages        = 12       // match-action stages per pipeline
+	RegsPerStage  = 64 << 10 // 32-bit register slots per stage
+	StageLatency  = 50 * sim.Nanosecond
+	NumPorts      = 64
+	RecircPenalty = 700 * sim.Nanosecond // extra latency per recirculation
 
-// DefaultConfig returns the Tofino-like operating point used in §6.
-func DefaultConfig() Config {
-	return Config{
-		NumPipelines:  4,
-		Stages:        12,
-		RegsPerStage:  64 << 10,
-		StageLatency:  50 * sim.Nanosecond,
-		PortBandwidth: 100_000_000_000,
-		NumPorts:      64,
-		RecircPenalty: 700 * sim.Nanosecond,
-	}
+	defaultPortBandwidth = 100_000_000_000
+)
+
+// Config sizes a PISA switch's ports.
+type Config struct {
+	PortBandwidth uint64 // bits per second per port; default 100 Gbps
 }
 
 // Packet is one frame in the switch.
@@ -93,32 +92,13 @@ type Switch struct {
 
 // New builds a switch.
 func New(eng *sim.Engine, cfg Config) *Switch {
-	def := DefaultConfig()
-	if cfg.NumPipelines == 0 {
-		cfg.NumPipelines = def.NumPipelines
-	}
-	if cfg.Stages == 0 {
-		cfg.Stages = def.Stages
-	}
-	if cfg.RegsPerStage == 0 {
-		cfg.RegsPerStage = def.RegsPerStage
-	}
-	if cfg.StageLatency == 0 {
-		cfg.StageLatency = def.StageLatency
-	}
 	if cfg.PortBandwidth == 0 {
-		cfg.PortBandwidth = def.PortBandwidth
+		cfg.PortBandwidth = defaultPortBandwidth
 	}
-	if cfg.NumPorts == 0 {
-		cfg.NumPorts = def.NumPorts
-	}
-	if cfg.RecircPenalty == 0 {
-		cfg.RecircPenalty = def.RecircPenalty
-	}
-	s := &Switch{Cfg: cfg, Engine: eng, ports: make([]sim.Time, cfg.NumPorts)}
-	s.regs = make([][]int32, cfg.NumPipelines)
+	s := &Switch{Cfg: cfg, Engine: eng, ports: make([]sim.Time, NumPorts)}
+	s.regs = make([][]int32, NumPipelines)
 	for i := range s.regs {
-		s.regs[i] = make([]int32, cfg.Stages*cfg.RegsPerStage)
+		s.regs[i] = make([]int32, Stages*RegsPerStage)
 	}
 	return s
 }
@@ -134,12 +114,12 @@ func (s *Switch) Stats() Stats { return s.stats }
 
 // PipelineOfPort maps a port to its pipeline (ports are striped).
 func (s *Switch) PipelineOfPort(port int) int {
-	return port * s.Cfg.NumPipelines / s.Cfg.NumPorts
+	return port * NumPipelines / NumPorts
 }
 
 // Inject delivers a frame to the switch now on the given ingress port.
 func (s *Switch) Inject(port int, frame []byte) {
-	if port < 0 || port >= s.Cfg.NumPorts {
+	if port < 0 || port >= NumPorts {
 		panic(fmt.Sprintf("pisa: invalid port %d", port))
 	}
 	s.stats.Packets++
@@ -187,10 +167,10 @@ func (s *Switch) runPass(ctx *Ctx) {
 	}
 	// The packet exits the pipeline after a fixed traversal time, no matter
 	// what the program did — the all-or-nothing PISA property.
-	exit := ctx.now + sim.Time(s.Cfg.Stages)*s.Cfg.StageLatency
+	exit := ctx.now + Stages*StageLatency
 	if recirc {
 		s.stats.Recirculations++
-		s.Engine.AtFunc(exit+s.Cfg.RecircPenalty, recircEvent, ctx)
+		s.Engine.AtFunc(exit+RecircPenalty, recircEvent, ctx)
 		return
 	}
 	s.Engine.AtFunc(exit, finishEvent, ctx)
@@ -306,17 +286,17 @@ type Ctx struct {
 func (c *Ctx) Packet() *Packet { return c.pkt }
 
 func (c *Ctx) regIndex(stage, idx int) int {
-	if stage < 0 || stage >= c.sw.Cfg.Stages {
+	if stage < 0 || stage >= Stages {
 		panic(fmt.Sprintf("pisa: stage %d out of range", stage))
 	}
-	if idx < 0 || idx >= c.sw.Cfg.RegsPerStage {
+	if idx < 0 || idx >= RegsPerStage {
 		panic(fmt.Sprintf("pisa: register %d out of range", idx))
 	}
 	if stage < c.stage {
 		panic(fmt.Sprintf("pisa: stage %d accessed after stage %d — packets cannot move backwards in the pipeline; recirculate instead", stage, c.stage))
 	}
 	c.stage = stage
-	g := stage*c.sw.Cfg.RegsPerStage + idx
+	g := stage*RegsPerStage + idx
 	if c.touched[g] {
 		panic(fmt.Sprintf("pisa: register (stage %d, idx %d) accessed twice in one pass", stage, idx))
 	}
@@ -374,5 +354,5 @@ func (c *Ctx) Multicast(ports []int, frame []byte) {
 // ReadReg lets control-plane code and tests inspect a register without the
 // stage discipline (this is the CPU path, not the data path).
 func (s *Switch) ReadReg(pipeline, stage, idx int) int32 {
-	return s.regs[pipeline][stage*s.Cfg.RegsPerStage+idx]
+	return s.regs[pipeline][stage*RegsPerStage+idx]
 }

@@ -9,7 +9,7 @@ import (
 
 func TestFixedPipelineLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	sw := New(eng, Config{Stages: 12, StageLatency: 50 * sim.Nanosecond})
+	sw := New(eng, Config{})
 	var at sim.Time
 	sw.SetApp(AppFunc(func(ctx *Ctx) bool {
 		ctx.Forward(1)
@@ -91,7 +91,7 @@ func TestRegistersPersistAcrossPackets(t *testing.T) {
 
 func TestPipelinesHaveSeparateRegisters(t *testing.T) {
 	eng := sim.NewEngine()
-	sw := New(eng, Config{NumPipelines: 4, NumPorts: 64})
+	sw := New(eng, Config{})
 	sw.SetApp(AppFunc(func(ctx *Ctx) bool {
 		ctx.RegReadAdd(0, 0, 1)
 		return false
@@ -109,7 +109,7 @@ func TestPipelinesHaveSeparateRegisters(t *testing.T) {
 
 func TestPipelineOfPortStriping(t *testing.T) {
 	eng := sim.NewEngine()
-	sw := New(eng, Config{NumPipelines: 4, NumPorts: 64})
+	sw := New(eng, Config{})
 	if sw.PipelineOfPort(0) != 0 || sw.PipelineOfPort(15) != 0 {
 		t.Fatal("ports 0-15 should map to pipeline 0")
 	}

@@ -37,7 +37,6 @@ const (
 
 // Config parameterizes the aggregator.
 type Config struct {
-	NumWorkers     int
 	GradsPerPacket int   // Grads64 or Grads256
 	PoolSize       int   // slots; the paper uses 512 with SwitchML-256
 	WorkerPorts    []int // switch port of each worker, all on one pipeline
@@ -55,6 +54,7 @@ type Stats struct {
 // Aggregator is the SwitchML P4 program instance.
 type Aggregator struct {
 	cfg      Config
+	workers  int // len(cfg.WorkerPorts)
 	sw       *pisa.Switch
 	pipeline int
 	stats    Stats
@@ -78,8 +78,9 @@ const (
 
 // New installs a SwitchML aggregator as sw's program.
 func New(sw *pisa.Switch, cfg Config) (*Aggregator, error) {
-	if cfg.NumWorkers <= 0 || cfg.NumWorkers != len(cfg.WorkerPorts) {
-		return nil, fmt.Errorf("switchml: need one port per worker (workers=%d ports=%d)", cfg.NumWorkers, len(cfg.WorkerPorts))
+	workers := len(cfg.WorkerPorts)
+	if workers == 0 {
+		return nil, fmt.Errorf("switchml: need one port per worker, got none")
 	}
 	if cfg.GradsPerPacket != Grads64 && cfg.GradsPerPacket != Grads256 {
 		return nil, fmt.Errorf("switchml: gradients per packet must be %d or %d", Grads64, Grads256)
@@ -94,23 +95,20 @@ func New(sw *pisa.Switch, cfg Config) (*Aggregator, error) {
 				pipeline, sw.PipelineOfPort(p))
 		}
 	}
-	stages := sw.Cfg.Stages - gradStageBase
-	if stages <= 0 {
-		return nil, fmt.Errorf("switchml: switch has too few stages")
-	}
+	const stages = pisa.Stages - gradStageBase
 	gradsPerStage := (cfg.GradsPerPacket + stages - 1) / stages
-	// Register budget: each slot needs NumWorkers seen flags + 1 count at
+	// Register budget: each slot needs a seen flag per worker + 1 count at
 	// stage 0, and gradsPerStage values per gradient stage.
-	if need := cfg.PoolSize * (cfg.NumWorkers + 1); need > sw.Cfg.RegsPerStage {
-		return nil, fmt.Errorf("switchml: pool %d needs %d stage-0 registers, switch has %d", cfg.PoolSize, need, sw.Cfg.RegsPerStage)
+	if need := cfg.PoolSize * (workers + 1); need > pisa.RegsPerStage {
+		return nil, fmt.Errorf("switchml: pool %d needs %d stage-0 registers, switch has %d", cfg.PoolSize, need, pisa.RegsPerStage)
 	}
-	if need := cfg.PoolSize * gradsPerStage; need > sw.Cfg.RegsPerStage {
-		return nil, fmt.Errorf("switchml: pool %d needs %d registers per gradient stage, switch has %d", cfg.PoolSize, need, sw.Cfg.RegsPerStage)
+	if need := cfg.PoolSize * gradsPerStage; need > pisa.RegsPerStage {
+		return nil, fmt.Errorf("switchml: pool %d needs %d registers per gradient stage, switch has %d", cfg.PoolSize, need, pisa.RegsPerStage)
 	}
 	// The result multicast holds the port list: keep a copy the caller
 	// cannot change.
 	cfg.WorkerPorts = slices.Clone(cfg.WorkerPorts)
-	a := &Aggregator{cfg: cfg, sw: sw, pipeline: pipeline, gradsPerStage: gradsPerStage, pending: make(map[uint32]int)}
+	a := &Aggregator{cfg: cfg, workers: workers, sw: sw, pipeline: pipeline, gradsPerStage: gradsPerStage, pending: make(map[uint32]int)}
 	sw.SetApp(a)
 	return a, nil
 }
@@ -131,7 +129,7 @@ func (a *Aggregator) Process(ctx *pisa.Ctx) bool {
 	}
 	h := f.ML
 	worker := int(h.SrcID)
-	if worker < 0 || worker >= a.cfg.NumWorkers {
+	if worker < 0 || worker >= a.workers {
 		a.stats.NonAggPkts++
 		return false
 	}
@@ -147,15 +145,15 @@ func (a *Aggregator) Process(ctx *pisa.Ctx) bool {
 	// (nonzero); a slot's next tenant carries a different block id, so stale
 	// flags never alias. A matching marker means retransmission.
 	marker := int32(h.BlockID + 1)
-	if old := ctx.RegSwap(seenStage, slot*(a.cfg.NumWorkers+1)+1+worker, marker); old == marker {
+	if old := ctx.RegSwap(seenStage, slot*(a.workers+1)+1+worker, marker); old == marker {
 		a.stats.Duplicates++
 		return false
 	}
 
 	// Stage 0b: contribution count. One predicated RegisterAction adds the
 	// contribution and frees the slot when it completes.
-	contrib := ctx.RegAddWrap(countStage, slot*(a.cfg.NumWorkers+1), 1, int32(a.cfg.NumWorkers))
-	last := int(contrib) == a.cfg.NumWorkers
+	contrib := ctx.RegAddWrap(countStage, slot*(a.workers+1), 1, int32(a.workers))
+	last := int(contrib) == a.workers
 
 	// Gradient stages: add this packet's values; the final contributor
 	// read-and-clears so the slot is immediately reusable (the shadow-pool
@@ -176,7 +174,7 @@ func (a *Aggregator) Process(ctx *pisa.Ctx) bool {
 		a.stats.Results++
 		out := packet.TrioML{
 			JobID: h.JobID, BlockID: h.BlockID, GenID: h.GenID,
-			SrcCnt: uint8(a.cfg.NumWorkers), GradCnt: h.GradCnt, Final: h.Final,
+			SrcCnt: uint8(a.workers), GradCnt: h.GradCnt, Final: h.Final,
 		}
 		frame := packet.BuildTrioML(a.cfg.ResultSpec, out, sums)
 		ctx.Multicast(a.cfg.WorkerPorts, frame)

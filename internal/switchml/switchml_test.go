@@ -17,7 +17,7 @@ func testSetup(t *testing.T, workers, gradsPerPkt, pool int) (*sim.Engine, *pisa
 		ports[i] = i
 	}
 	agg, err := New(sw, Config{
-		NumWorkers: workers, GradsPerPacket: gradsPerPkt, PoolSize: pool,
+		GradsPerPacket: gradsPerPkt, PoolSize: pool,
 		WorkerPorts: ports,
 	})
 	if err != nil {
@@ -158,9 +158,9 @@ func TestSwitchML256(t *testing.T) {
 
 func TestWorkersSpanningPipelinesRejected(t *testing.T) {
 	eng := sim.NewEngine()
-	sw := pisa.New(eng, pisa.Config{NumPipelines: 4, NumPorts: 64})
+	sw := pisa.New(eng, pisa.Config{})
 	_, err := New(sw, Config{
-		NumWorkers: 2, GradsPerPacket: Grads64, PoolSize: 16,
+		GradsPerPacket: Grads64, PoolSize: 16,
 		WorkerPorts: []int{0, 20}, // pipelines 0 and 1
 	})
 	if err == nil {
@@ -170,9 +170,9 @@ func TestWorkersSpanningPipelinesRejected(t *testing.T) {
 
 func TestPoolTooLargeRejected(t *testing.T) {
 	eng := sim.NewEngine()
-	sw := pisa.New(eng, pisa.Config{RegsPerStage: 128})
-	_, err := New(sw, Config{
-		NumWorkers: 6, GradsPerPacket: Grads64, PoolSize: 512,
+	sw := pisa.New(eng, pisa.Config{})
+	_, err := New(sw, Config{ // 16384 slots x 7 stage-0 registers > pisa.RegsPerStage
+		GradsPerPacket: Grads64, PoolSize: 16384,
 		WorkerPorts: []int{0, 1, 2, 3, 4, 5},
 	})
 	if err == nil {
@@ -182,7 +182,7 @@ func TestPoolTooLargeRejected(t *testing.T) {
 
 func TestBadGradCountRejected(t *testing.T) {
 	_, err := New(pisa.New(sim.NewEngine(), pisa.Config{}), Config{
-		NumWorkers: 2, GradsPerPacket: 100, PoolSize: 16, WorkerPorts: []int{0, 1},
+		GradsPerPacket: 100, PoolSize: 16, WorkerPorts: []int{0, 1},
 	})
 	if err == nil {
 		t.Fatal("grads-per-packet 100 accepted")

@@ -35,6 +35,7 @@ import (
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio"
+	"github.com/trioml/triogo/internal/trio/hasheng"
 	"github.com/trioml/triogo/internal/trio/pfe"
 	"github.com/trioml/triogo/internal/trioml"
 )
@@ -233,10 +234,9 @@ func Build(cfg Config) (*Tree, error) {
 	// levels) fixes cross-partition channel-key order, which is part of
 	// the deterministic merge contract — keep it independent of the
 	// partition count.
-	pcfg := trioml.RecommendedPFEConfig()
 	// A tree node holds at most window+2 live blocks, so the default 4096
 	// hash buckets would be pure overhead times thousands of routers.
-	pcfg.Hash.Buckets = 256
+	pcfg := pfe.Config{Hash: hasheng.Config{Buckets: 256}}
 	newNode := func(level, index, fanIn, part int) *Node {
 		eng := engineAt(part)
 		pc := pcfg

@@ -21,18 +21,19 @@ import (
 
 // Config sizes a hash table instance.
 type Config struct {
-	Buckets   int      // power of two; default 4096
-	OpLatency sim.Time // XTXN round trip for lookup/insert/delete; default 70 ns (SRAM-resident structure)
+	Buckets int // power of two; default 4096
 }
+
+// OpLatency is the XTXN round trip of a lookup, insert or delete: the table
+// is SRAM-resident, so it is the ≈70 ns SRAM access of §2.3.
+const OpLatency = 70 * sim.Nanosecond
 
 // scanPerRecord is the timer-thread cost to visit one record (a multi-cycle
 // microcode loop body).
 const scanPerRecord = 4 * sim.Nanosecond
 
-// DefaultConfig returns a table sized for tens of thousands of block records.
-func DefaultConfig() Config {
-	return Config{Buckets: 4096, OpLatency: 70 * sim.Nanosecond}
-}
+// defaultBuckets sizes a table for tens of thousands of block records.
+const defaultBuckets = 4096
 
 type entry struct {
 	key uint64
@@ -43,7 +44,6 @@ type entry struct {
 // Table is a hash table with REF flags. Not safe for concurrent use; the
 // simulation serializes access just as the hardware's engine does.
 type Table struct {
-	cfg     Config
 	mask    uint64
 	buckets [][]entry
 	n       int
@@ -52,19 +52,15 @@ type Table struct {
 	Lookups, Hits, Inserts, Deletes, Scanned uint64
 }
 
-// NewTable builds a table from cfg; zero fields take defaults.
+// NewTable builds a table from cfg; zero buckets take the default.
 func NewTable(cfg Config) *Table {
-	def := DefaultConfig()
 	if cfg.Buckets == 0 {
-		cfg.Buckets = def.Buckets
+		cfg.Buckets = defaultBuckets
 	}
 	if cfg.Buckets&(cfg.Buckets-1) != 0 {
 		panic(fmt.Sprintf("hasheng: buckets %d not a power of two", cfg.Buckets))
 	}
-	if cfg.OpLatency == 0 {
-		cfg.OpLatency = def.OpLatency
-	}
-	return &Table{cfg: cfg, mask: uint64(cfg.Buckets - 1), buckets: make([][]entry, cfg.Buckets)}
+	return &Table{mask: uint64(cfg.Buckets - 1), buckets: make([][]entry, cfg.Buckets)}
 }
 
 // Len reports the number of live records.
@@ -76,7 +72,7 @@ func (t *Table) bucket(key uint64) uint64 { return Mix64(key) & t.mask }
 // reference bit that straggler detection relies on).
 func (t *Table) Lookup(now sim.Time, key uint64) (val uint64, ok bool, done sim.Time) {
 	t.Lookups++
-	done = now + t.cfg.OpLatency
+	done = now + OpLatency
 	b := t.buckets[t.bucket(key)]
 	for i := range b {
 		if b[i].key == key {
@@ -91,7 +87,7 @@ func (t *Table) Lookup(now sim.Time, key uint64) (val uint64, ok bool, done sim.
 // Insert creates a record with its REF flag set. It fails if the key exists.
 func (t *Table) Insert(now sim.Time, key, val uint64) (ok bool, done sim.Time) {
 	t.Inserts++
-	done = now + t.cfg.OpLatency
+	done = now + OpLatency
 	idx := t.bucket(key)
 	for _, e := range t.buckets[idx] {
 		if e.key == key {
@@ -110,7 +106,7 @@ func (t *Table) Insert(now sim.Time, key, val uint64) (ok bool, done sim.Time) {
 // must not keep the record alive against the timer threads (otherwise
 // periodic retransmission livelocks aging).
 func (t *Table) ClearRef(now sim.Time, key uint64) (ok bool, done sim.Time) {
-	done = now + t.cfg.OpLatency
+	done = now + OpLatency
 	b := t.buckets[t.bucket(key)]
 	for i := range b {
 		if b[i].key == key {
@@ -124,7 +120,7 @@ func (t *Table) ClearRef(now sim.Time, key uint64) (ok bool, done sim.Time) {
 // Delete removes a record.
 func (t *Table) Delete(now sim.Time, key uint64) (ok bool, done sim.Time) {
 	t.Deletes++
-	done = now + t.cfg.OpLatency
+	done = now + OpLatency
 	idx := t.bucket(key)
 	b := t.buckets[idx]
 	for i := range b {

@@ -212,7 +212,7 @@ func TestNonPowerOfTwoBucketsPanics(t *testing.T) {
 }
 
 func TestOpLatencyCharged(t *testing.T) {
-	tb := NewTable(Config{OpLatency: 70 * sim.Nanosecond})
+	tb := NewTable(Config{})
 	_, done := tb.Insert(100, 1, 1)
 	if done != 100+70*sim.Nanosecond {
 		t.Fatalf("insert done = %v", done)

@@ -21,7 +21,7 @@ import (
 // thread is the app's, reset per packet, not reallocated.
 func TestMicrocodeAppZeroAlloc(t *testing.T) {
 	const grads = 1024
-	p := pfe.New(sim.NewEngine(), trioml.RecommendedPFEConfig())
+	p := pfe.New(sim.NewEngine(), pfe.Config{})
 	// Three sources, so the second contribution never completes a block and
 	// every measured thread takes the same path.
 	mc, err := trioml.InstallMCAgg(p, trioml.MCAggConfig{Sources: 3, Slots: 8, Grads: grads}, 0)
@@ -76,10 +76,8 @@ func TestMulticastAllocsIndependentOfPorts(t *testing.T) {
 	result := packet.BuildTrioML(packet.UDPSpec{SrcPort: 5000},
 		packet.TrioML{JobID: 1, SrcID: trioml.ResultSrcID, SrcCnt: 2, GradCnt: 32}, make([]int32, 32))
 	measure := func(workers int) (allocs, bytes float64) {
-		cfg := trioml.RecommendedPFEConfig()
-		cfg.NumPorts = upPort + 1
 		eng := sim.NewEngine()
-		p := pfe.New(eng, cfg)
+		p := pfe.New(eng, pfe.Config{NumPorts: upPort + 1})
 		var copies int
 		p.SetOutput(func(int, []byte, sim.Time) { copies++ })
 		agg := trioml.New(p)

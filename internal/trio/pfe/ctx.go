@@ -20,7 +20,7 @@ type CtxStats struct {
 // memory, access to the tail via XTXNs, the shared memory and hash engine
 // over the crossbar, and explicit compute accounting. Native applications
 // call ChargeInstr for the instruction work their Microcode equivalent would
-// execute; the timing constants come from the PFE config.
+// execute, at the Microcode engines' microcode.InstrTime.
 //
 // A PFE has one Ctx, reset for every thread: a thread runs to completion
 // inside Process, so no two threads ever hold it at once. The thread's
@@ -35,14 +35,8 @@ type Ctx struct {
 
 	emits []emit // the running thread's; handed to its completion record
 
-	// Head storage; head aliases one of them. The array holds a head of up
-	// to the default HeadBytes inside the context; a PFE configured with
-	// larger heads spills to headSpill.
-	headArr   [inlineHeadBytes]byte
-	headSpill []byte
+	headArr [HeadBytes]byte // the thread's head; head aliases it
 }
-
-const inlineHeadBytes = 192 // DefaultConfig().HeadBytes
 
 // threadState is what one thread run leaves behind in the context.
 type threadState struct {
@@ -86,10 +80,11 @@ func (c *Ctx) FrameLen() int { return len(c.head) + len(c.tail) }
 // TailLen reports the number of tail bytes held in the Packet Buffer.
 func (c *Ctx) TailLen() int { return len(c.tail) }
 
-// ChargeInstr accounts for n micro-instructions of thread compute.
+// ChargeInstr accounts for n micro-instructions of thread compute, at the
+// microcode engines' one instruction time.
 func (c *Ctx) ChargeInstr(n int) {
 	c.stats.Instructions += uint64(n)
-	c.now += sim.Time(n*c.pfe.Cfg.CyclesPerInst) * c.pfe.Cfg.CycleTime
+	c.now += sim.Time(n) * microcode.InstrTime
 }
 
 // wait models a synchronous XTXN: the thread suspends until done.
@@ -109,13 +104,16 @@ func (c *Ctx) span(cat, name string, start, done sim.Time) {
 	}
 }
 
+// tailLatency is a tail XTXN's round trip: tail data crosses the crossbar
+// with SRAM-class latency (§2.3).
+const tailLatency = smem.SRAMLatency
+
 // ReadTail fetches size bytes of the packet tail starting at off into the
 // thread (one XTXN through the crossbar to the Memory and Queueing
 // Subsystem, §3.1). Short reads at the end of the tail return what remains.
 func (c *Ctx) ReadTail(off, size int) []byte {
 	c.stats.XTXNs++
-	// Tail data crosses the crossbar with SRAM-class latency.
-	done := c.now + 70*sim.Nanosecond
+	done := c.now + tailLatency
 	c.span("pbuf", "tail_read", c.now, done)
 	c.wait(done)
 	return microcode.ClipTail(c.tail, off, size)
@@ -314,13 +312,13 @@ func (e *mcEnv) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
 	return e.c.pfe.Mem.CounterInc(now, addr, pktLen)
 }
 func (e *mcEnv) ReadTail(now sim.Time, off, size int) ([]byte, sim.Time) {
-	return microcode.ClipTail(e.c.tail, off, size), now + 70*sim.Nanosecond
+	return microcode.ClipTail(e.c.tail, off, size), now + tailLatency
 }
 func (e *mcEnv) WriteTail(now sim.Time, off int, data []byte) sim.Time {
 	if off >= 0 && off < len(e.c.tail) {
 		copy(e.c.tail[off:], data)
 	}
-	return now + 70*sim.Nanosecond
+	return now + tailLatency
 }
 func (e *mcEnv) HashLookup(now sim.Time, key uint64) (uint64, bool, sim.Time) {
 	return e.c.pfe.Hash.Lookup(now, key)
@@ -455,13 +453,12 @@ func (m *MicrocodeApp) run(ctx *Ctx, interpret bool) {
 	if m.Setup != nil {
 		m.Setup(th, ctx)
 	}
-	timing := microcode.Timing{CycleTime: ctx.pfe.Cfg.CycleTime, CyclesPerInstr: ctx.pfe.Cfg.CyclesPerInst}
 	var v microcode.Verdict
 	var err error
 	if interpret {
-		v, err = microcode.RunLimited(m.Program, th, m.entry(), timing, microcode.DefaultBudget)
+		v, err = microcode.RunLimited(m.Program, th, m.entry(), microcode.DefaultBudget)
 	} else {
-		v, err = microcode.RunCompiledAt(m.compiled, th, m.entryPC, timing, microcode.DefaultBudget)
+		v, err = microcode.RunCompiledAt(m.compiled, th, m.entryPC, microcode.DefaultBudget)
 	}
 	ctx.now = th.Now
 	ctx.stats.Instructions += th.Stats.Instructions

@@ -59,11 +59,11 @@ func (p *PFE) RegisterObs(r *obs.Registry) {
 		"High-water busy PPE thread count.",
 		func() float64 { return float64(p.stats.PeakBusy) })
 	gauge("triogo_pfe_thread_capacity", "threads",
-		"Total PPE thread pool size (NumPPEs x ThreadsPerPPE).",
-		func() float64 { return float64(p.pool.cap) })
+		"Total PPE thread pool size (pfe.Threads = NumPPEs x ThreadsPerPPE).",
+		func() float64 { return Threads })
 	gauge("triogo_pfe_thread_utilization_peak", "fraction",
 		"Peak busy threads over capacity: per-PPE utilization high-water.",
-		func() float64 { return float64(p.stats.PeakBusy) / float64(p.pool.cap) })
+		func() float64 { return float64(p.stats.PeakBusy) / Threads })
 }
 
 // SetTrace attaches a chrome-trace recorder. Every PFE span lands in the

@@ -12,7 +12,7 @@ import (
 
 func TestRegisterObsExportsPFEMetrics(t *testing.T) {
 	eng := sim.NewEngine()
-	p := New(eng, Config{ID: 2, NumPPEs: 2, ThreadsPerPPE: 2})
+	p := New(eng, Config{ID: 2})
 	p.SetApp(AppFunc(func(ctx *Ctx) {
 		ctx.ChargeInstr(50)
 		ctx.MemWrite(64, []byte("01234567"), false)
@@ -21,16 +21,17 @@ func TestRegisterObsExportsPFEMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	p.RegisterObs(reg)
 
-	for i := 0; i < 8; i++ {
+	const n = Threads + 4
+	for i := 0; i < n; i++ {
 		p.Inject(0, uint64(i), frameOfSize(300, byte(i)))
 	}
 	eng.Run()
 
 	snap := reg.Snapshot()
 	want := map[string]float64{
-		`triogo_pfe_packets_dispatched_total{pfe="2"}`: 8,
-		`triogo_pfe_packets_forwarded_total{pfe="2"}`:  8,
-		`triogo_pfe_thread_capacity{pfe="2"}`:          4,
+		`triogo_pfe_packets_dispatched_total{pfe="2"}`: n,
+		`triogo_pfe_packets_forwarded_total{pfe="2"}`:  n,
+		`triogo_pfe_thread_capacity{pfe="2"}`:          Threads,
 		`triogo_pfe_work_queue_depth{pfe="2"}`:         0,
 	}
 	for name, v := range want {
@@ -38,16 +39,16 @@ func TestRegisterObsExportsPFEMetrics(t *testing.T) {
 			t.Errorf("%s = %v, want %v", name, got, v)
 		}
 	}
-	// 8 simultaneous injections over a 4-thread pool must saturate it and
-	// queue the rest.
-	if got := snap[`triogo_pfe_busy_threads_peak{pfe="2"}`]; got != 4.0 {
-		t.Errorf("busy threads peak = %v, want 4", got)
+	// Threads+4 simultaneous injections must saturate the pool and queue
+	// the other 4.
+	if got := snap[`triogo_pfe_busy_threads_peak{pfe="2"}`]; got != float64(Threads) {
+		t.Errorf("busy threads peak = %v, want %d", got, Threads)
 	}
 	if got := snap[`triogo_pfe_thread_utilization_peak{pfe="2"}`]; got != 1.0 {
 		t.Errorf("peak utilization = %v, want 1", got)
 	}
-	if got := snap[`triogo_pfe_work_queue_depth_peak{pfe="2"}`]; got.(float64) < 4 {
-		t.Errorf("queue depth peak = %v, want >= 4", got)
+	if got := snap[`triogo_pfe_work_queue_depth_peak{pfe="2"}`]; got != 4.0 {
+		t.Errorf("queue depth peak = %v, want 4", got)
 	}
 }
 
@@ -59,7 +60,7 @@ func TestSetTraceRecordsSpans(t *testing.T) {
 	tr := obs.NewTrace(&buf, 0)
 
 	eng := sim.NewEngine()
-	p := New(eng, Config{ID: 1, NumPPEs: 1, ThreadsPerPPE: 2, NumPorts: 4})
+	p := New(eng, Config{ID: 1, NumPorts: 4})
 	p.SetApp(AppFunc(func(ctx *Ctx) {
 		ctx.ChargeInstr(20)
 		ctx.MemRead(128, 16)
@@ -120,14 +121,14 @@ func TestSetTraceRecordsSpans(t *testing.T) {
 func TestUntracedPFEMatchesTraced(t *testing.T) {
 	run := func(tr *obs.Trace) (Stats, sim.Time) {
 		eng := sim.NewEngine()
-		p := New(eng, Config{NumPPEs: 1, ThreadsPerPPE: 2})
+		p := New(eng, Config{})
 		p.SetApp(AppFunc(func(ctx *Ctx) {
 			ctx.ChargeInstr(30)
 			ctx.MemWrite(256, []byte("abcdefgh"), true)
 			ctx.Forward(2)
 		}))
 		p.SetTrace(tr)
-		for i := 0; i < 5; i++ {
+		for i := 0; i < Threads+3; i++ { // the last 3 queue for a thread
 			p.Inject(0, uint64(i), frameOfSize(250, byte(i)))
 		}
 		eng.Run()

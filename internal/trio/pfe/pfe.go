@@ -6,8 +6,14 @@
 //
 // Applications attach to a PFE either as native handlers (implementing App
 // with explicit cycle accounting, the way internal/trioml does) or as
-// Microcode programs via RunMicrocode, which adapts a PPE thread context to
-// the microcode.Env XTXN interface.
+// Microcode programs via MicrocodeApp, which adapts a PPE thread context to
+// the microcode.Env XTXN interface. Both charge an instruction
+// microcode.InstrTime.
+//
+// The PPE complex is one operating point, set by constants: NumPPEs ×
+// ThreadsPerPPE threads and HeadBytes heads. A Config sets only what
+// callers vary: a PFE's ID and ports, its memory's RMW engine count and its
+// hash table's size.
 package pfe
 
 import (
@@ -21,33 +27,28 @@ import (
 	"github.com/trioml/triogo/internal/trio/smem"
 )
 
-// Config sizes a PFE. Zero fields take the defaults of the 5th-generation
-// chipset measured in the paper.
+// The PPE complex of the 5th-generation chipset (§2.1–§2.2). A thread's
+// instruction time is microcode.InstrTime; the shared memory's operating
+// point is smem's.
+const (
+	NumPPEs       = 96 // PPEs per PFE: "hundreds" across generations, on the order of 100 in the 5th (§2.1)
+	ThreadsPerPPE = 20 // "tens of threads" per PPE (§2.2)
+	Threads       = NumPPEs * ThreadsPerPPE
+	HeadBytes     = 192 // the head Dispatch copies into a thread's local memory (Fig. 10)
+)
+
+// Config sizes a PFE. Zero fields take DefaultConfig's.
 type Config struct {
 	ID            int
-	NumPPEs       int // PPEs per PFE ("hundreds"; 5th gen is on the order of 100)
-	ThreadsPerPPE int // "tens of threads" per PPE
-	HeadBytes     int // head size; Fig. 10 uses 192 bytes
 	NumPorts      int
 	PortBandwidth uint64 // bits per second per port
-	CycleTime     sim.Time
-	CyclesPerInst int // multi-cycle micro-instructions (§2.2)
 	Mem           smem.Config
 	Hash          hasheng.Config
 }
 
-// DefaultConfig returns the paper's operating point: 1 GHz clock, 192-byte
-// heads, 100 Gbps ports.
+// DefaultConfig returns sixteen 100 Gbps ports.
 func DefaultConfig() Config {
-	return Config{
-		NumPPEs:       96,
-		ThreadsPerPPE: 20,
-		HeadBytes:     192,
-		NumPorts:      16,
-		PortBandwidth: 100_000_000_000,
-		CycleTime:     sim.Nanosecond,
-		CyclesPerInst: 2,
-	}
+	return Config{NumPorts: 16, PortBandwidth: 100_000_000_000}
 }
 
 // Packet is one frame inside the PFE. The running thread's Packet lives in
@@ -115,11 +116,15 @@ type PFE struct {
 
 	app   App
 	out   Output
-	pool  threadPool
 	queue []work // FIFO ring: live entries are queue[qhead:]
 	qhead int
 	ports []portState
 	stats Stats
+
+	// busy counts the PPE threads executing, of Threads. All threads are
+	// interchangeable ("the PPE is selected based on availability", §2.1),
+	// so a count plus completion events is the whole pool.
+	busy int
 
 	// Reorder Engine state. A cabled port's flow is its port number, so
 	// flows below NumPorts index portFlows; any other 64-bit flow key falls
@@ -154,37 +159,14 @@ type work struct {
 	timer *timerThread // nil for packet work
 }
 
-// threadPool tracks PPE thread availability as a count plus completion
-// events; all threads are interchangeable ("the PPE is selected based on
-// availability", §2.1).
-type threadPool struct {
-	free int
-	cap  int
-}
-
 // New builds a PFE bound to a simulation engine.
 func New(eng *sim.Engine, cfg Config) *PFE {
 	def := DefaultConfig()
-	if cfg.NumPPEs == 0 {
-		cfg.NumPPEs = def.NumPPEs
-	}
-	if cfg.ThreadsPerPPE == 0 {
-		cfg.ThreadsPerPPE = def.ThreadsPerPPE
-	}
-	if cfg.HeadBytes == 0 {
-		cfg.HeadBytes = def.HeadBytes
-	}
 	if cfg.NumPorts == 0 {
 		cfg.NumPorts = def.NumPorts
 	}
 	if cfg.PortBandwidth == 0 {
 		cfg.PortBandwidth = def.PortBandwidth
-	}
-	if cfg.CycleTime == 0 {
-		cfg.CycleTime = def.CycleTime
-	}
-	if cfg.CyclesPerInst == 0 {
-		cfg.CyclesPerInst = def.CyclesPerInst
 	}
 	p := &PFE{
 		Cfg:    cfg,
@@ -194,8 +176,6 @@ func New(eng *sim.Engine, cfg Config) *PFE {
 		ports:  make([]portState, cfg.NumPorts),
 	}
 	p.ctx.pfe = p
-	p.pool.cap = cfg.NumPPEs * cfg.ThreadsPerPPE
-	p.pool.free = p.pool.cap
 	return p
 }
 
@@ -229,7 +209,7 @@ func (p *PFE) PortStats(port int) PortStats {
 }
 
 // BusyThreads reports how many threads are currently executing.
-func (p *PFE) BusyThreads() int { return p.pool.cap - p.pool.free }
+func (p *PFE) BusyThreads() int { return p.busy }
 
 // Inject delivers a frame to the PFE at the current virtual time, as if it
 // arrived on the given ingress port. Flow identifies the reorder-engine flow
@@ -257,7 +237,7 @@ func (p *PFE) enqueue(w work) {
 // tryDispatch starts queued work on free threads. It runs inside an event,
 // so p.Engine.Now() is the dispatch time.
 func (p *PFE) tryDispatch() {
-	for p.pool.free > 0 && p.qhead < len(p.queue) {
+	for p.busy < Threads && p.qhead < len(p.queue) {
 		w := p.queue[p.qhead]
 		p.queue[p.qhead] = work{}
 		p.qhead++
@@ -265,30 +245,20 @@ func (p *PFE) tryDispatch() {
 			p.queue = p.queue[:0]
 			p.qhead = 0
 		}
-		p.pool.free--
-		if busy := p.pool.cap - p.pool.free; busy > p.stats.PeakBusy {
-			p.stats.PeakBusy = busy
-		}
+		p.busy++
+		p.stats.PeakBusy = max(p.stats.PeakBusy, p.busy)
 		p.runWork(&w)
 	}
 }
 
 // load hands pkt to the context as Dispatch does: the context keeps its own
-// copy of the packet record, the head is copied into thread-local memory
-// (the context's inline array at the default head size, context-owned spill
-// storage beyond it), and the tail stays in the Packet Buffer (§2.1).
+// copy of the packet record, the first HeadBytes are copied into the
+// thread's local memory, and the tail stays in the Packet Buffer (§2.1).
 func (c *Ctx) load(pkt *Packet) {
 	c.pktBuf = *pkt
 	c.pkt = &c.pktBuf
-	hl := min(len(pkt.Frame), c.pfe.Cfg.HeadBytes)
-	if hl <= len(c.headArr) {
-		c.head = c.headArr[:hl]
-		copy(c.head, pkt.Frame)
-	} else {
-		c.headSpill = append(c.headSpill[:0], pkt.Frame[:hl]...)
-		c.head = c.headSpill
-	}
-	c.tail = pkt.Frame[hl:]
+	c.head = c.headArr[:copy(c.headArr[:], pkt.Frame)]
+	c.tail = pkt.Frame[len(c.head):]
 }
 
 // enter resets the PFE's one thread context for a thread starting now. A
@@ -312,9 +282,9 @@ func (p *PFE) enter() *Ctx {
 // context.
 func (p *PFE) runWork(w *work) {
 	ctx := p.enter()
-	// The trace thread id is the busy-slot index (1..cap): stacked tracks in
+	// The trace thread id is the busy-slot index (1..Threads): stacked tracks in
 	// the viewer read directly as instantaneous pool occupancy.
-	ctx.tslot = int64(p.pool.cap - p.pool.free)
+	ctx.tslot = int64(p.busy)
 	if p.faults != nil {
 		// An injected stall holds the thread busy before any processing:
 		// the packet (or timer firing) sits on a wedged PPE.
@@ -415,7 +385,7 @@ func (p *PFE) getCompletion() *completion {
 func workDone(arg any) {
 	d := arg.(*completion)
 	p := d.p
-	p.pool.free++
+	p.busy--
 	if d.fs != nil {
 		p.complete(d)
 	}

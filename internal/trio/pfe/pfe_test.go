@@ -154,37 +154,6 @@ func TestHeadRewriteSurvivesForwarding(t *testing.T) {
 	}
 }
 
-// A PFE configured with heads larger than a context's inline array serves
-// them from the context's spill storage, recycled with it: the app sees the
-// whole head and the frame leaves intact, packet after packet.
-func TestLargeHeadSpillsOutOfContext(t *testing.T) {
-	eng := sim.NewEngine()
-	p := New(eng, Config{HeadBytes: inlineHeadBytes + 64})
-	var got []delivered
-	p.SetOutput(collector(&got))
-	p.SetApp(AppFunc(func(ctx *Ctx) {
-		if len(ctx.Head()) != inlineHeadBytes+64 || ctx.TailLen() != 500-len(ctx.Head()) {
-			t.Fatalf("head %d bytes, tail %d", len(ctx.Head()), ctx.TailLen())
-		}
-		ctx.Head()[len(ctx.Head())-1]++ // a rewrite past the inline size must reach the wire
-		ctx.Forward(0)
-	}))
-	for tag := byte(1); tag <= 3; tag++ {
-		p.Inject(0, 0, frameOfSize(500, tag))
-		eng.Run() // one at a time, so all three threads reuse one context
-	}
-	for i, d := range got {
-		want := frameOfSize(500, byte(i+1))
-		want[inlineHeadBytes+63]++
-		if !bytes.Equal(d.frame, want) {
-			t.Fatalf("frame %d corrupted", i)
-		}
-	}
-	if len(got) != 3 {
-		t.Fatalf("delivered %d frames", len(got))
-	}
-}
-
 func TestReorderEngineRestoresFlowOrder(t *testing.T) {
 	// Packet A (slow processing) arrives before packet B (fast) on the same
 	// flow; B must not egress before A.
@@ -196,7 +165,7 @@ func TestReorderEngineRestoresFlowOrder(t *testing.T) {
 	p.SetApp(AppFunc(func(ctx *Ctx) {
 		if first {
 			first = false
-			ctx.ChargeInstr(10000) // 20 µs
+			ctx.ChargeInstr(10000) // 200 µs
 		} else {
 			ctx.ChargeInstr(1)
 		}
@@ -302,32 +271,34 @@ func TestEgressQueueingBackToBack(t *testing.T) {
 }
 
 func TestThreadPoolSaturationQueues(t *testing.T) {
-	// With a 2-thread pool and long-running packets, the third packet must
-	// wait for a thread, and MaxQueued must reflect it.
+	// With the pool full of long-running packets, one more packet must wait
+	// for a thread, and MaxQueued must reflect it.
 	eng := sim.NewEngine()
-	p := New(eng, Config{NumPPEs: 1, ThreadsPerPPE: 2})
+	p := New(eng, Config{})
 	var got []delivered
+	var starts []sim.Time
 	p.SetOutput(collector(&got))
 	p.SetApp(AppFunc(func(ctx *Ctx) {
-		ctx.ChargeInstr(500) // 1 µs each
+		starts = append(starts, ctx.Now())
+		ctx.ChargeInstr(50) // 1 µs each
 		ctx.Forward(0)
 	}))
-	for i := 0; i < 3; i++ {
+	for i := 0; i <= Threads; i++ {
 		p.Inject(0, uint64(i+1), frameOfSize(100, byte(i)))
 	}
-	if p.BusyThreads() != 2 {
-		t.Fatalf("busy = %d, want 2", p.BusyThreads())
+	if p.BusyThreads() != Threads {
+		t.Fatalf("busy = %d, want %d", p.BusyThreads(), Threads)
 	}
 	eng.Run()
-	if len(got) != 3 {
+	if len(got) != Threads+1 {
 		t.Fatalf("delivered %d", len(got))
 	}
-	// Third packet started only after a thread freed at ~1 µs.
-	if got[2].at < 2*sim.Microsecond {
-		t.Fatalf("third packet at %v, want >= 2 µs", got[2].at)
+	// The last packet started only when the first threads freed at 1 µs.
+	if starts[Threads] != sim.Microsecond {
+		t.Fatalf("last packet started at %v, want 1 µs", starts[Threads])
 	}
-	if p.Stats().MaxQueued < 1 {
-		t.Fatal("queueing not recorded")
+	if p.Stats().MaxQueued != 1 {
+		t.Fatalf("MaxQueued = %d, want 1", p.Stats().MaxQueued)
 	}
 }
 
@@ -339,7 +310,7 @@ func TestManyThreadsRunConcurrently(t *testing.T) {
 	var got []delivered
 	p.SetOutput(collector(&got))
 	p.SetApp(AppFunc(func(ctx *Ctx) {
-		ctx.ChargeInstr(500)
+		ctx.ChargeInstr(50)
 		ctx.Forward(0)
 	}))
 	for i := 0; i < 100; i++ {
@@ -379,10 +350,10 @@ func TestTimerThreadsStaggered(t *testing.T) {
 }
 
 func TestTimerThreadsShareThePool(t *testing.T) {
-	// Timer work competes with packet work for threads: with a 1-thread
-	// pool, a long packet delays the timer firing.
+	// Timer work competes with packet work for threads: with the pool full
+	// of long packets, the timer firing waits for a thread.
 	eng := sim.NewEngine()
-	p := New(eng, Config{NumPPEs: 1, ThreadsPerPPE: 1})
+	p := New(eng, Config{})
 	var timerAt sim.Time
 	p.StartTimerThreads(1, 100*sim.Nanosecond, func(ctx *Ctx, part int) {
 		if timerAt == 0 {
@@ -390,16 +361,16 @@ func TestTimerThreadsShareThePool(t *testing.T) {
 		}
 	})
 	p.SetApp(AppFunc(func(ctx *Ctx) {
-		ctx.ChargeInstr(1000) // 2 µs
+		ctx.ChargeInstr(100) // 2 µs
 		ctx.Drop()
 	}))
-	p.Inject(0, 1, frameOfSize(64, 0))
-	eng.RunUntil(5 * sim.Microsecond)
-	if timerAt < 2*sim.Microsecond {
-		t.Fatalf("timer ran at %v despite occupied pool", timerAt)
+	for i := 0; i < Threads; i++ {
+		p.Inject(0, 1, frameOfSize(64, 0))
 	}
-	stop := func() {} // silence linters about unused stop in other branches
-	_ = stop
+	eng.RunUntil(5 * sim.Microsecond)
+	if timerAt != 2*sim.Microsecond {
+		t.Fatalf("timer ran at %v, want 2 µs, when the pool frees", timerAt)
+	}
 }
 
 func TestTimerStop(t *testing.T) {
@@ -488,6 +459,63 @@ end
 	}
 	if st.Instructions == 0 {
 		t.Fatal("instruction accounting missing")
+	}
+}
+
+// TestOneInstructionTimeAcrossEngines runs one program three ways: on the
+// standalone interpreter (microcode.Run), hosted on a PFE (MicrocodeApp,
+// which runs it compiled), and as a native app charging the same count
+// through Ctx.ChargeInstr. All three advance virtual time by that count
+// times microcode.InstrTime.
+func TestOneInstructionTimeAcrossEngines(t *testing.T) {
+	prog := microcode.MustAssemble(`
+program countdown;
+s: begin
+    r1 = 5;
+    goto loop;
+end
+loop: begin
+    r1 = r1 - 1;
+    if (r1 == 0) { exit(drop); }
+    goto loop;
+end
+`)
+	th := microcode.NewThread(nil, 0)
+	if _, err := microcode.Run(prog, th, "s"); err != nil {
+		t.Fatal(err)
+	}
+	n := th.Stats.Instructions
+	want := sim.Time(n) * microcode.InstrTime
+	if n < 2 || th.Now != want {
+		t.Fatalf("standalone: %d instructions in %v, want %v", n, th.Now, want)
+	}
+
+	// run injects one packet at time 0 into a fresh PFE running app and
+	// returns the thread's end time.
+	run := func(app func(end *sim.Time) App) (sim.Time, Stats) {
+		eng := sim.NewEngine()
+		p := New(eng, Config{})
+		var end sim.Time
+		p.SetApp(app(&end))
+		p.Inject(0, 1, frameOfSize(64, 0))
+		eng.Run()
+		return end, p.Stats()
+	}
+	hosted, st := run(func(end *sim.Time) App {
+		return &MicrocodeApp{Program: prog, Finish: func(_ *microcode.Thread, ctx *Ctx, _ microcode.Verdict) { *end = ctx.Now() }}
+	})
+	if hosted != want || st.Instructions != n {
+		t.Fatalf("hosted: %d instructions in %v, want %d in %v", st.Instructions, hosted, n, want)
+	}
+	native, st := run(func(end *sim.Time) App {
+		return AppFunc(func(ctx *Ctx) {
+			ctx.ChargeInstr(int(n))
+			*end = ctx.Now()
+			ctx.Drop()
+		})
+	})
+	if native != want || st.Instructions != n {
+		t.Fatalf("native: %d instructions in %v, want %d in %v", st.Instructions, native, n, want)
 	}
 }
 

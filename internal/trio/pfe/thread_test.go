@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/trioml/triogo/internal/microcode"
 	"github.com/trioml/triogo/internal/sim"
 )
 
@@ -54,7 +55,7 @@ func TestInFlightThreadsShareOneContext(t *testing.T) {
 			if seen != nil {
 				seen[ctx]++
 			}
-			ctx.ChargeInstr(int(hold / (sim.Time(p.Cfg.CyclesPerInst) * p.Cfg.CycleTime)))
+			ctx.ChargeInstr(int(hold / microcode.InstrTime))
 			if forward {
 				ctx.Forward(ctx.Packet().Port)
 			} else {

@@ -13,9 +13,9 @@ import (
 // runs inside the owning RMW engine: the data never moves to the requesting
 // thread, and concurrent requests to one location serialize at the engine.
 
-// addCycles is the engine occupancy of one 8-byte add: "each add operation
+// AddCycles is the engine occupancy of one 8-byte add: "each add operation
 // takes two cycles" (§6.3).
-const addCycles = 2
+const AddCycles = 2
 
 // CounterInc implements the CounterIncPhys XTXN (§3.2): a 16-byte
 // Packet/Byte Counter at addr has its packet half incremented by 1 and its
@@ -26,7 +26,7 @@ func (m *Memory) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
 	binary.BigEndian.PutUint64(b[0:8], binary.BigEndian.Uint64(b[0:8])+1)
 	binary.BigEndian.PutUint64(b[8:16], binary.BigEndian.Uint64(b[8:16])+uint64(pktLen))
 	m.store(addr, b[:])
-	return m.issue(now, addr, 0, 1, serviceCycles(16, addCycles))
+	return m.issue(now, addr, 0, 1, serviceCycles(16, AddCycles))
 }
 
 // Counter reads back a Packet/Byte Counter via the control plane.
@@ -68,7 +68,7 @@ func (m *Memory) FetchAndOp(now sim.Time, addr uint64, op FetchOp, operand uint6
 	}
 	binary.BigEndian.PutUint64(b[:], nv)
 	m.store(addr, b[:])
-	return old, m.issue(now, addr, 0, 1, addCycles)
+	return old, m.issue(now, addr, 0, 1, AddCycles)
 }
 
 // FetchAndSwap atomically replaces the 8-byte word at addr and returns the
@@ -79,7 +79,7 @@ func (m *Memory) FetchAndSwap(now sim.Time, addr uint64, v uint64) (old uint64, 
 	old = binary.BigEndian.Uint64(b[:])
 	binary.BigEndian.PutUint64(b[:], v)
 	m.store(addr, b[:])
-	return old, m.issue(now, addr, 0, 1, addCycles)
+	return old, m.issue(now, addr, 0, 1, AddCycles)
 }
 
 // MaskedWrite writes (old &^ mask) | (v & mask) to the 8-byte word at addr.
@@ -89,7 +89,7 @@ func (m *Memory) MaskedWrite(now sim.Time, addr uint64, v, mask uint64) sim.Time
 	old := binary.BigEndian.Uint64(b[:])
 	binary.BigEndian.PutUint64(b[:], old&^mask|v&mask)
 	m.store(addr, b[:])
-	return m.issue(now, addr, 0, 1, addCycles)
+	return m.issue(now, addr, 0, 1, AddCycles)
 }
 
 // Add32 atomically adds delta to the 32-bit word at addr (4-byte aligned)
@@ -101,7 +101,7 @@ func (m *Memory) Add32(now sim.Time, addr uint64, delta int32) (newVal int32, do
 	nv := int32(binary.BigEndian.Uint32(b[:])) + delta
 	binary.BigEndian.PutUint32(b[:], uint32(nv))
 	m.store(addr, b[:])
-	return nv, m.issue(now, addr, 0, 1, addCycles)
+	return nv, m.issue(now, addr, 0, 1, AddCycles)
 }
 
 // Add64 atomically adds delta to the 8-byte word at addr.
@@ -111,7 +111,7 @@ func (m *Memory) Add64(now sim.Time, addr uint64, delta uint64) (newVal uint64, 
 	nv := binary.BigEndian.Uint64(b[:]) + delta
 	binary.BigEndian.PutUint64(b[:], nv)
 	m.store(addr, b[:])
-	return nv, m.issue(now, addr, 0, 1, addCycles)
+	return nv, m.issue(now, addr, 0, 1, AddCycles)
 }
 
 // AddVector32BE adds big-endian int32 lanes — gradients as the wire carries
@@ -140,7 +140,7 @@ func (m *Memory) AddVector32BE(now sim.Time, addr uint64, lanes []byte) sim.Time
 		packet.AddLanes(b[:k], l[:k])
 		a, l = a+uint64(k), l[k:]
 	}
-	return m.issue(now, addr, 8, (len(lanes)/4+1)/2, addCycles)
+	return m.issue(now, addr, 8, (len(lanes)/4+1)/2, AddCycles)
 }
 
 // AddVector32 is AddVector32BE over host-order deltas, encoded to wire lanes

@@ -14,6 +14,10 @@
 //   - Tiers are architecturally equivalent and differ only in capacity and
 //     latency: ~70 ns to SRAM, ~300–400 ns to the off-chip tiers (§2.3).
 //
+// That operating point — tier sizes and latencies, the 1 GHz clock, two
+// cycles per add — is a set of constants; the RMW engine count is the one
+// configurable parameter.
+//
 // Timing is virtual (internal/sim). Every operation returns both its result
 // and the virtual completion time so callers (PPE threads issuing XTXNs) can
 // model synchronous stalls or asynchronous continuations.
@@ -60,36 +64,37 @@ type Tier struct {
 	Latency sim.Time // PPE-observed access latency
 }
 
-// Config sizes a shared memory system. The defaults follow §2.3 and §6.3.
+// Config sizes a shared memory system. Only the RMW engine count varies;
+// the rest of the §2.3 operating point is the constants below.
 type Config struct {
-	SRAMSize      uint64   // typically 2–8 MB
-	CacheSize     uint64   // typically 8–24 MB
-	DRAMSize      uint64   // several GB
-	SRAMLatency   sim.Time // ≈70 ns
-	NumRMWEngines int      // 12 in the generation measured in §6.3
-	CycleTime     sim.Time // 1 ns at the 1 GHz clock of §6.3
+	NumRMWEngines int // default 12, the generation measured in §6.3
 }
 
-// DefaultConfig returns the paper's operating point.
-func DefaultConfig() Config {
-	return Config{
-		SRAMSize:      4 << 20,
-		CacheSize:     16 << 20,
-		DRAMSize:      2 << 30,
-		SRAMLatency:   70 * sim.Nanosecond,
-		NumRMWEngines: 12,
-		CycleTime:     1 * sim.Nanosecond,
-	}
+// The §2.3/§6.3 operating point.
+const (
+	// CycleTime is the chip's 1 GHz clock (§6.3): the RMW engines' cycle
+	// here and the PPEs' in internal/microcode.
+	CycleTime = sim.Nanosecond
+
+	SRAMSize    uint64 = 4 << 20             // on-chip SRAM, "2–8 MB"
+	CacheSize   uint64 = 16 << 20            // on-chip cache in front of DRAM, "8–24 MB"
+	DRAMSize    uint64 = 2 << 30             // off-chip DRAM, "several GB"
+	SRAMLatency        = 70 * sim.Nanosecond // "≈70 ns"
+
+	cacheLatency = 300 * sim.Nanosecond // off-chip tiers, "300–400 ns"
+	dramLatency  = 400 * sim.Nanosecond
+
+	defaultRMWEngines = 12
+)
+
+// tiers tile the unified address space from 0.
+var tiers = [numTiers]Tier{
+	TierSRAM:  {Kind: TierSRAM, Base: 0, Size: SRAMSize, Latency: SRAMLatency},
+	TierCache: {Kind: TierCache, Base: SRAMSize, Size: CacheSize, Latency: cacheLatency},
+	TierDRAM:  {Kind: TierDRAM, Base: SRAMSize + CacheSize, Size: DRAMSize, Latency: dramLatency},
 }
 
 const pageSize = 4096
-
-// The off-chip tiers' access latencies (§2.3); only the SRAM's is a design
-// axis.
-const (
-	cacheLatency = 300 * sim.Nanosecond
-	dramLatency  = 400 * sim.Nanosecond
-)
 
 // engine is one read-modify-write engine: a serialization point for a slice
 // of the address space. Occupancy is tracked as a cycle backlog that drains
@@ -111,7 +116,6 @@ type engine struct {
 // use; the simulation is single-threaded by design.
 type Memory struct {
 	cfg     Config
-	tiers   [numTiers]Tier
 	pages   map[uint64]*[pageSize]byte
 	engines []engine
 	allocs  [numTiers]uint64 // bump-allocator cursors, relative to tier base
@@ -138,36 +142,17 @@ type Memory struct {
 // backlog exactly like real load.
 func (m *Memory) SetFaults(f *faults.MemInjector) { m.faults = f }
 
-// New builds a memory system from cfg; zero fields take defaults.
+// New builds a memory system from cfg; a zero engine count takes the
+// default.
 func New(cfg Config) *Memory {
-	def := DefaultConfig()
-	if cfg.SRAMSize == 0 {
-		cfg.SRAMSize = def.SRAMSize
-	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = def.CacheSize
-	}
-	if cfg.DRAMSize == 0 {
-		cfg.DRAMSize = def.DRAMSize
-	}
-	if cfg.SRAMLatency == 0 {
-		cfg.SRAMLatency = def.SRAMLatency
-	}
 	if cfg.NumRMWEngines == 0 {
-		cfg.NumRMWEngines = def.NumRMWEngines
+		cfg.NumRMWEngines = defaultRMWEngines
 	}
-	if cfg.CycleTime == 0 {
-		cfg.CycleTime = def.CycleTime
-	}
-	m := &Memory{
+	return &Memory{
 		cfg:     cfg,
 		pages:   make(map[uint64]*[pageSize]byte),
 		engines: make([]engine, cfg.NumRMWEngines),
 	}
-	m.tiers[TierSRAM] = Tier{Kind: TierSRAM, Base: 0, Size: cfg.SRAMSize, Latency: cfg.SRAMLatency}
-	m.tiers[TierCache] = Tier{Kind: TierCache, Base: cfg.SRAMSize, Size: cfg.CacheSize, Latency: cacheLatency}
-	m.tiers[TierDRAM] = Tier{Kind: TierDRAM, Base: cfg.SRAMSize + cfg.CacheSize, Size: cfg.DRAMSize, Latency: dramLatency}
-	return m
 }
 
 // Config reports the configuration in effect (with defaults applied).
@@ -176,8 +161,8 @@ func (m *Memory) Config() Config { return m.cfg }
 // tierAt resolves addr to its tier and the first address past that tier (the
 // tiers tile the unified space from 0, so one upper-bound ladder decides).
 func (m *Memory) tierAt(addr uint64) (TierKind, uint64) {
-	for k := range m.tiers {
-		if end := m.tiers[k].Base + m.tiers[k].Size; addr < end {
+	for k := range tiers {
+		if end := tiers[k].Base + tiers[k].Size; addr < end {
 			return TierKind(k), end
 		}
 	}
@@ -188,7 +173,7 @@ func (m *Memory) tierAt(addr uint64) (TierKind, uint64) {
 // configuration allocates aggregation buffers and record stores this way).
 // The returned address is 8-byte aligned.
 func (m *Memory) Alloc(kind TierKind, size uint64) uint64 {
-	t := &m.tiers[kind]
+	t := &tiers[kind]
 	cur := (m.allocs[kind] + 7) &^ 7
 	if cur+size > t.Size {
 		panic(fmt.Sprintf("smem: %v exhausted (%d of %d bytes used, need %d)", kind, cur, t.Size, size))
@@ -272,7 +257,7 @@ func (m *Memory) issue(now sim.Time, addr, stride uint64, count int, cycles uint
 		done := m.charge(now, addr, 0, 1, c)
 		if m.obsOn {
 			k, _ := m.tierAt(addr)
-			m.queueHist.Observe(float64(done - now - m.tiers[k].Latency - sim.Time(c)*m.cfg.CycleTime))
+			m.queueHist.Observe(float64(done - now - tiers[k].Latency - sim.Time(c)*CycleTime))
 			m.tierHist[k].Observe(float64(done - now))
 		}
 		latest = max(latest, done)
@@ -289,7 +274,7 @@ func (m *Memory) issue(now sim.Time, addr, stride uint64, count int, cycles uint
 // booked in address order, so an engine that a long vector wraps onto finds
 // its own earlier words as backlog.
 func (m *Memory) charge(now sim.Time, addr, stride uint64, count int, cycles uint64) sim.Time {
-	engines, ct := m.engines, m.cfg.CycleTime
+	engines, ct := m.engines, CycleTime
 	n := uint64(len(engines))
 	idx, step := (addr/8)%n, stride/8
 	if step >= n {
@@ -304,7 +289,7 @@ func (m *Memory) charge(now sim.Time, addr, stride uint64, count int, cycles uin
 		}
 		count -= span
 		addr += stride * uint64(span)
-		idle := now + sim.Time(cycles)*ct + m.tiers[k].Latency // completion with no queue
+		idle := now + sim.Time(cycles)*ct + tiers[k].Latency // completion with no queue
 		for ; span > 0; span-- {
 			e := &engines[idx]
 			// The backlog drains one cycle per ct since the engine's last

@@ -14,15 +14,14 @@ import (
 
 func TestTierLayoutIsContiguous(t *testing.T) {
 	m := New(Config{})
-	cfg := m.Config()
 	if a := m.Alloc(TierSRAM, 8); a != 0 {
 		t.Fatalf("first SRAM alloc at %#x, want 0", a)
 	}
-	if a := m.Alloc(TierCache, 8); a != cfg.SRAMSize {
-		t.Fatalf("first cache alloc at %#x, want %#x", a, cfg.SRAMSize)
+	if a := m.Alloc(TierCache, 8); a != SRAMSize {
+		t.Fatalf("first cache alloc at %#x, want %#x", a, SRAMSize)
 	}
-	if a := m.Alloc(TierDRAM, 8); a != cfg.SRAMSize+cfg.CacheSize {
-		t.Fatalf("first DRAM alloc at %#x, want %#x", a, cfg.SRAMSize+cfg.CacheSize)
+	if a := m.Alloc(TierDRAM, 8); a != SRAMSize+CacheSize {
+		t.Fatalf("first DRAM alloc at %#x, want %#x", a, SRAMSize+CacheSize)
 	}
 }
 
@@ -37,7 +36,7 @@ func TestAddressOutsideSpacePanics(t *testing.T) {
 }
 
 func TestAllocAlignmentAndExhaustion(t *testing.T) {
-	m := New(Config{SRAMSize: 64})
+	m := New(Config{})
 	a := m.Alloc(TierSRAM, 5)
 	b := m.Alloc(TierSRAM, 8)
 	if a%8 != 0 || b%8 != 0 {
@@ -51,7 +50,7 @@ func TestAllocAlignmentAndExhaustion(t *testing.T) {
 			t.Fatal("expected exhaustion panic")
 		}
 	}()
-	m.Alloc(TierSRAM, 64)
+	m.Alloc(TierSRAM, SRAMSize-15) // one byte more than is left
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {
@@ -100,7 +99,7 @@ func TestReadLatencyByTier(t *testing.T) {
 
 func TestPagesAreZeroInitialized(t *testing.T) {
 	m := New(Config{})
-	got, _ := m.Read(0, m.tiers[TierDRAM].Base+12345*8, 8)
+	got, _ := m.Read(0, tiers[TierDRAM].Base+12345*8, 8)
 	for _, b := range got {
 		if b != 0 {
 			t.Fatal("fresh memory not zero")
@@ -305,7 +304,7 @@ func TestEngineSerializationBackpressure(t *testing.T) {
 	for i := 0; i < n; i++ {
 		_, last = m.Add32(0, addr, 1)
 	}
-	wantMin := sim.Time(2*n)*m.Config().CycleTime + m.Config().SRAMLatency
+	wantMin := sim.Time(2*n)*CycleTime + SRAMLatency
 	if last < wantMin {
 		t.Fatalf("last completion %v, want >= %v", last, wantMin)
 	}
@@ -328,7 +327,7 @@ func TestEnginesParallelAcrossBanks(t *testing.T) {
 			worst = done
 		}
 	}
-	want := sim.Time(addCycles)*m.Config().CycleTime + m.Config().SRAMLatency
+	want := sim.Time(AddCycles)*CycleTime + SRAMLatency
 	if worst != want {
 		t.Fatalf("parallel adds completed at %v, want %v", worst, want)
 	}
@@ -345,7 +344,7 @@ func TestSingleEngineAblationSerializes(t *testing.T) {
 			worst = done
 		}
 	}
-	want := sim.Time(12*addCycles)*m.Config().CycleTime + m.Config().SRAMLatency
+	want := sim.Time(12*AddCycles)*CycleTime + SRAMLatency
 	if worst != want {
 		t.Fatalf("serialized adds completed at %v, want %v", worst, want)
 	}
@@ -446,11 +445,10 @@ func TestAllocTracksEachTier(t *testing.T) {
 	if got := m.Alloc(TierSRAM, 1); got != sram+16 {
 		t.Fatalf("third SRAM alloc at %#x, want %#x (5 rounded up to 8, then 8)", got, sram+16)
 	}
-	cfg := m.Config()
-	if got := m.Alloc(TierCache, 1); got != cfg.SRAMSize {
-		t.Fatalf("first cache alloc at %#x, want the tier base %#x", got, cfg.SRAMSize)
+	if got := m.Alloc(TierCache, 1); got != SRAMSize {
+		t.Fatalf("first cache alloc at %#x, want the tier base %#x", got, SRAMSize)
 	}
-	if want := cfg.SRAMSize + cfg.CacheSize; dram != want {
+	if want := SRAMSize + CacheSize; dram != want {
 		t.Fatalf("first DRAM alloc at %#x, want the tier base %#x", dram, want)
 	}
 	if got := m.Alloc(TierDRAM, 1); got != dram+64 {

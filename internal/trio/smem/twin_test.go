@@ -38,7 +38,7 @@ func (m *Memory) refOccupy(e *engine, now sim.Time, cycles uint64) sim.Time {
 		cycles += m.faults.BankError()
 	}
 	if now > e.lastTime {
-		elapsed := uint64((now - e.lastTime) / m.cfg.CycleTime)
+		elapsed := uint64((now - e.lastTime) / CycleTime)
 		if elapsed >= e.backlog {
 			e.backlog = 0
 		} else {
@@ -46,7 +46,7 @@ func (m *Memory) refOccupy(e *engine, now sim.Time, cycles uint64) sim.Time {
 		}
 		e.lastTime = now
 	}
-	queue := sim.Time(e.backlog) * m.cfg.CycleTime
+	queue := sim.Time(e.backlog) * CycleTime
 	if queue > 0 {
 		e.backlogged++
 		if queue > e.maxQueueing {
@@ -59,27 +59,27 @@ func (m *Memory) refOccupy(e *engine, now sim.Time, cycles uint64) sim.Time {
 	e.backlog += cycles
 	e.ops++
 	e.busyCycles += cycles
-	return now + queue + sim.Time(cycles)*m.cfg.CycleTime
+	return now + queue + sim.Time(cycles)*CycleTime
 }
 
 func (m *Memory) refLatencyOf(addr uint64) sim.Time {
-	if addr < m.tiers[TierCache].Base {
-		return m.tiers[TierSRAM].Latency
+	if addr < tiers[TierCache].Base {
+		return tiers[TierSRAM].Latency
 	}
-	if addr < m.tiers[TierDRAM].Base {
-		return m.tiers[TierCache].Latency
+	if addr < tiers[TierDRAM].Base {
+		return tiers[TierCache].Latency
 	}
-	if addr < m.tiers[TierDRAM].Base+m.tiers[TierDRAM].Size {
-		return m.tiers[TierDRAM].Latency
+	if addr < tiers[TierDRAM].Base+tiers[TierDRAM].Size {
+		return tiers[TierDRAM].Latency
 	}
 	panic(fmt.Sprintf("smem: address %#x outside unified address space", addr))
 }
 
 func (m *Memory) refTierIdx(addr uint64) TierKind {
-	if addr < m.tiers[TierCache].Base {
+	if addr < tiers[TierCache].Base {
 		return TierSRAM
 	}
-	if addr < m.tiers[TierDRAM].Base {
+	if addr < tiers[TierDRAM].Base {
 		return TierCache
 	}
 	return TierDRAM
@@ -115,7 +115,7 @@ func (m *Memory) refAddVector32(now sim.Time, addr uint64, deltas []int32) sim.T
 			}
 			m.store(wordAddr, b[:])
 		}
-		done := m.refComplete(now, wordAddr, m.refOccupy(m.refEngineFor(wordAddr), now, addCycles))
+		done := m.refComplete(now, wordAddr, m.refOccupy(m.refEngineFor(wordAddr), now, AddCycles))
 		if done > latest {
 			latest = done
 		}
@@ -161,10 +161,7 @@ type twinRig struct {
 }
 
 func newTwinRig(engines int, withFaults, withObs bool, seed uint64) *twinRig {
-	// Small tiers put both tier boundaries within reach of random addresses;
-	// a 3 ns cycle at the odd engine counts makes the drain division inexact.
-	r := &twinRig{m: New(Config{NumRMWEngines: engines, SRAMSize: 3 * pageSize, CacheSize: 2 * pageSize, DRAMSize: 64 * pageSize,
-		CycleTime: sim.Time(1 + engines%2*2)})}
+	r := &twinRig{m: New(Config{NumRMWEngines: engines})}
 	if withFaults {
 		r.plan = faults.NewPlan(seed, faults.Config{Mem: faults.MemConfig{BankErrorProb: 0.3}})
 		r.m.SetFaults(r.plan.Mem(0))
@@ -285,15 +282,15 @@ func FuzzAddVector32Lanes(f *testing.F) {
 // boundary, or anywhere.
 func twinAddr(rng *rand.Rand, m *Memory, n int) uint64 {
 	span := uint64(4*n + 8)
-	limit := m.tiers[TierDRAM].Base + 8*pageSize - span
+	limit := tiers[TierDRAM].Base + 8*pageSize - span
 	var a uint64
 	switch rng.Intn(4) {
 	case 0: // within 64 B of a page end
 		a = uint64(1+rng.Intn(10))*pageSize - uint64(rng.Intn(65))
 	case 1: // the vector crosses SRAM -> cache
-		a = m.tiers[TierCache].Base - uint64(rng.Intn(int(span)+1))
+		a = tiers[TierCache].Base - uint64(rng.Intn(int(span)+1))
 	case 2: // the vector crosses cache -> DRAM
-		a = m.tiers[TierDRAM].Base - uint64(rng.Intn(int(span)+1))
+		a = tiers[TierDRAM].Base - uint64(rng.Intn(int(span)+1))
 	default:
 		a = uint64(rng.Int63n(int64(limit)))
 	}
@@ -403,7 +400,7 @@ func TestScalarOpsMatchWordLoop(t *testing.T) {
 		if want, got := ref.m.refReadInto(now, addr, b[:size]), kern.m.ReadInto(now, addr, b[:size]); want != got {
 			t.Fatalf("op %d: ReadInto(%#x, %d) done %d, reference %d", op, addr, size, got, want)
 		}
-		want := ref.m.refComplete(now, addr+4, ref.m.refOccupy(ref.m.refEngineFor((addr+4)&^7), now, addCycles))
+		want := ref.m.refComplete(now, addr+4, ref.m.refOccupy(ref.m.refEngineFor((addr+4)&^7), now, AddCycles))
 		if _, got := kern.m.Add32(now, addr+4, 1); want != got {
 			t.Fatalf("op %d: Add32(%#x) done %d, reference %d", op, addr+4, got, want)
 		}
@@ -417,7 +414,7 @@ func TestScalarOpsMatchWordLoop(t *testing.T) {
 
 func TestVectorOpsOutsideSpacePanic(t *testing.T) {
 	m := New(Config{})
-	end := m.tiers[TierDRAM].Base + m.tiers[TierDRAM].Size
+	end := tiers[TierDRAM].Base + tiers[TierDRAM].Size
 	for name, f := range map[string]func(){
 		"add":  func() { m.AddVector32BE(0, end-8, make([]byte, 16)) },
 		"read": func() { m.ReadVector32BE(0, end-64, make([]byte, 128)) },

@@ -18,9 +18,6 @@ import (
 // runs ≈1.2 instructions per gradient; the result-build loop runs once per
 // block and is cheaper per gradient.
 const (
-	// StaticInstructions is the static size of the aggregation program.
-	StaticInstructions = 60
-
 	instrPacketOverhead = 10 // parse, key build, hash lookup glue
 	instrBlockCreate    = 12 // record init, job update, buffer hookup
 	instrPerChunk       = 20 // 16 gradients per 64-byte chunk ⇒ 1.25 instr/gradient
@@ -30,16 +27,10 @@ const (
 	instrResultHeader   = 12 // rebuild IP/UDP/Trio-ML headers from records
 )
 
-// RecommendedPFEConfig returns a PFE configuration matching the measured
-// 5th-generation operating point: a thread has one instruction in flight at
-// a time, so its effective per-instruction latency is the PPE pipeline depth
-// (≈20 cycles at 1 GHz), and the shared memory runs 12 RMW engines.
-func RecommendedPFEConfig() pfe.Config {
-	cfg := pfe.DefaultConfig()
-	cfg.CyclesPerInst = 20
-	cfg.Mem = smem.Config{NumRMWEngines: 12}
-	return cfg
-}
+// RecommendedPFEConfig is pfe.DefaultConfig, which the benchmark rigs still
+// build their PFEs from; the operating point itself is constants in pfe,
+// smem and microcode.
+func RecommendedPFEConfig() pfe.Config { return pfe.DefaultConfig() }
 
 // JobConfig is the control-plane description of one aggregation job.
 type JobConfig struct {
@@ -398,7 +389,7 @@ func (a *Aggregator) Process(ctx *pfe.Ctx) {
 // tail-aggregation loop runs per packet and must not allocate.
 //
 // Gradient bytes are staged as they arrive, wire order, until a 64-byte chunk
-// is whole; head/tail misalignment (the head ends mid-gradient at the default
+// is whole; head/tail misalignment (the head ends mid-gradient at the
 // 192-byte split) needs no special case because the staging is bytewise. The
 // staged bytes go to shared memory as they are: the RMW vector add takes
 // big-endian wire lanes, so a gradient is never decoded on the way.
@@ -451,12 +442,7 @@ func (a *Aggregator) aggregateGradients(ctx *pfe.Ctx, f *packet.Frame, h *packet
 	head := ctx.Head()
 
 	g := &a.gs
-	g.ctx = ctx
-	g.addr = bufAddr
-	g.first = firstSource
-	g.left = 4 * int(h.GradCnt)
-	g.n = 0
-
+	g.start(ctx, bufAddr, firstSource, int(h.GradCnt))
 	if hdrLen < len(head) {
 		g.consume(head[hdrLen:])
 	}
@@ -464,8 +450,22 @@ func (a *Aggregator) aggregateGradients(ctx *pfe.Ctx, f *packet.Frame, h *packet
 	for off := 0; off < ctx.TailLen() && g.left > 0; off += 64 {
 		g.consume(ctx.ReadTail(off, 64))
 	}
+	g.finish()
+}
+
+// start readies g for a packet of grads gradients bound for bufAddr.
+func (g *gradStream) start(ctx *pfe.Ctx, bufAddr uint64, first bool, grads int) {
+	g.ctx = ctx
+	g.addr = bufAddr
+	g.first = first
+	g.left = 4 * grads
+	g.n = 0
+}
+
+// finish charges and flushes the whole gradients of a last partial chunk.
+func (g *gradStream) finish() {
 	if grads := g.n / 4; grads > 0 {
-		ctx.ChargeInstr(instrPerChunk * grads / chunkGrads)
+		g.ctx.ChargeInstr(instrPerChunk * grads / chunkGrads)
 		g.flush()
 	}
 	g.ctx = nil

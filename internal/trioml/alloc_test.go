@@ -18,7 +18,7 @@ import (
 func TestAggregatorAllocs(t *testing.T) {
 	const grads, blocks = packet.MaxGradientsPerPacket, 64
 	eng := sim.NewEngine()
-	p := pfe.New(eng, RecommendedPFEConfig())
+	p := pfe.New(eng, pfe.Config{})
 	a := New(p)
 	if err := a.InstallJob(StarJob(1, 2, grads, 0)); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package trioml
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"reflect"
@@ -80,35 +81,59 @@ func (g *refGradStream) consume(b []byte) {
 	}
 }
 
-func (g *refGradStream) aggregate(ctx *pfe.Ctx, f *packet.Frame, h *packet.TrioML, bufAddr uint64, firstSource bool) {
-	hdrLen := packet.EthernetLen + f.IP.HeaderLen() + packet.UDPLen + packet.TrioMLHeaderLen
-	head := ctx.Head()
+func (g *refGradStream) start(ctx *pfe.Ctx, bufAddr uint64, first bool, grads int) {
 	g.ctx = ctx
 	g.bufAddr = bufAddr
-	g.first = firstSource
-	g.totalGrads = int(h.GradCnt)
+	g.first = first
+	g.totalGrads = grads
 	g.gradIdx = 0
 	g.batch = g.batchBuf[:0]
 	g.carryLen = 0
+}
+
+func (g *refGradStream) finish() {
+	if len(g.batch) > 0 {
+		g.ctx.ChargeInstr(instrPerChunk * len(g.batch) / chunkGrads)
+		g.flush()
+	}
+	g.ctx = nil
+}
+
+func (g *refGradStream) aggregate(ctx *pfe.Ctx, f *packet.Frame, h *packet.TrioML, bufAddr uint64, firstSource bool) {
+	hdrLen := packet.EthernetLen + f.IP.HeaderLen() + packet.UDPLen + packet.TrioMLHeaderLen
+	head := ctx.Head()
+	g.start(ctx, bufAddr, firstSource, int(h.GradCnt))
 	if hdrLen < len(head) {
 		g.consume(head[hdrLen:])
 	}
 	for off := 0; off < ctx.TailLen() && g.gradIdx < g.totalGrads; off += 64 {
 		g.consume(ctx.ReadTail(off, 64))
 	}
-	if len(g.batch) > 0 {
-		ctx.ChargeInstr(instrPerChunk * len(g.batch) / chunkGrads)
-		g.flush()
+	g.finish()
+}
+
+// consumeSplit hands consume a frame's gradient bytes the way a PFE whose
+// heads were split bytes long would: the head's past the headers, then the
+// rest of the frame in 64-byte tail reads.
+func consumeSplit(frame []byte, split, hdrLen int, consume func([]byte)) {
+	head := frame[:min(split, len(frame))]
+	if hdrLen < len(head) {
+		consume(head[hdrLen:])
 	}
-	g.ctx = nil
+	for off := len(head); off < len(frame); off += 64 {
+		consume(frame[off:min(off+64, len(frame))])
+	}
 }
 
 // streamApp runs just the gradient streaming of Fig. 10 on each packet —
 // through the reference or through the Aggregator's gradStream — and records
-// what the thread looked like afterwards.
+// what the thread looked like afterwards. At split 0 the stream reads the
+// PFE's own head and tail; otherwise it is driven over the frame as if the
+// head were split bytes long.
 type streamApp struct {
 	ref   *refGradStream // nil: the real path
 	agg   Aggregator
+	split int
 	buf   uint64
 	first bool
 	frame packet.Frame
@@ -120,10 +145,22 @@ func (s *streamApp) Process(ctx *pfe.Ctx) {
 	if err := packet.DecodeInto(&s.frame, ctx.Head()); err != nil || !s.frame.IsTrioML() {
 		panic(fmt.Sprintf("streamApp: not a Trio-ML head: %v", err))
 	}
-	if s.ref != nil {
+	hdrLen := packet.EthernetLen + s.frame.IP.HeaderLen() + packet.UDPLen + packet.TrioMLHeaderLen
+	grads := int(s.frame.ML.GradCnt)
+	switch {
+	case s.split == 0 && s.ref != nil:
 		s.ref.aggregate(ctx, &s.frame, s.frame.ML, s.buf, s.first)
-	} else {
+	case s.split == 0:
 		s.agg.aggregateGradients(ctx, &s.frame, s.frame.ML, s.buf, s.first)
+	case s.ref != nil:
+		s.ref.start(ctx, s.buf, s.first, grads)
+		consumeSplit(ctx.Packet().Frame, s.split, hdrLen, s.ref.consume)
+		s.ref.finish()
+	default:
+		g := &s.agg.gs
+		g.start(ctx, s.buf, s.first, grads)
+		consumeSplit(ctx.Packet().Frame, s.split, hdrLen, g.consume)
+		g.finish()
 	}
 	s.now = append(s.now, ctx.Now())
 	s.stats = append(s.stats, ctx.Stats())
@@ -136,12 +173,10 @@ type streamRig struct {
 	app *streamApp
 }
 
-func newStreamRig(headBytes int, ref bool) *streamRig {
-	cfg := RecommendedPFEConfig()
-	cfg.HeadBytes = headBytes
+func newStreamRig(split int, ref bool) *streamRig {
 	eng := sim.NewEngine()
-	p := pfe.New(eng, cfg)
-	app := &streamApp{buf: p.Mem.Alloc(smem.TierDRAM, 4*packet.MaxGradientsPerPacket+8)}
+	p := pfe.New(eng, pfe.DefaultConfig())
+	app := &streamApp{split: split, buf: p.Mem.Alloc(smem.TierDRAM, 4*packet.MaxGradientsPerPacket+8)}
 	if ref {
 		app.ref = &refGradStream{}
 	}
@@ -151,16 +186,17 @@ func newStreamRig(headBytes int, ref bool) *streamRig {
 
 // TestGradStreamMatchesPerGradientReference is the gate for the chunk-staging
 // gradStream: every gradient count 1..1024, with the head/tail split landing
-// on every byte residue of a gradient (HeadBytes 189..192, and the header
-// pushed along by IP options), as the first source (write) and as a later one
+// on every byte residue of a gradient (the PFE's own pfe.HeadBytes split, and
+// the stream driven directly over splits 189..191, 96 and a whole-frame head;
+// the header pushed along by IP options), as the first source (write) and as a later one
 // (add), plus packets that carry fewer or more gradient bytes than grad_cnt
 // claims or end mid-gradient. Thread time, instruction/XTXN/stall counters, every RMW engine's
 // statistics and the aggregation buffer's bytes must all match.
 func TestGradStreamMatchesPerGradientReference(t *testing.T) {
-	for _, headBytes := range []int{192, 191, 190, 189, 96, 8192} {
+	for _, split := range []int{0, 191, 190, 189, 96, 8192} {
 		for _, optLen := range []int{0, 4, 12, 40} {
-			t.Run(fmt.Sprintf("head=%d/ipopts=%d", headBytes, optLen), func(t *testing.T) {
-				ref, got := newStreamRig(headBytes, true), newStreamRig(headBytes, false)
+			t.Run(fmt.Sprintf("head=%d/ipopts=%d", cmp.Or(split, pfe.HeadBytes), optLen), func(t *testing.T) {
+				ref, got := newStreamRig(split, true), newStreamRig(split, false)
 				spec := packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000,
 					IPOptions: make([]byte, optLen)}
 				send := func(claimed, carried int, first bool, chop ...int) {

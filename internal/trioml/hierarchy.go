@@ -27,11 +27,10 @@ type HierGroup struct {
 
 // HierarchyConfig wires one job across a chassis.
 type HierarchyConfig struct {
-	JobID        uint8
-	TopPFE       int
-	Groups       []HierGroup
-	BlockGradMax int
-	ResultSpec   packet.UDPSpec
+	JobID      uint8
+	TopPFE     int
+	Groups     []HierGroup
+	ResultSpec packet.UDPSpec
 }
 
 // Hierarchy is an installed hierarchical job.
@@ -80,7 +79,6 @@ func SetupHierarchy(r *trio.Router, cfg HierarchyConfig, aggs map[int]*Aggregato
 		err := level.InstallJob(JobConfig{
 			JobID:           cfg.JobID,
 			Sources:         g.WorkerSrcIDs,
-			BlockGradMax:    cfg.BlockGradMax,
 			ResultSpec:      cfg.ResultSpec,
 			UpstreamPort:    g.UplinkPort,
 			UpstreamSrcID:   uint8(gi),
@@ -96,7 +94,6 @@ func SetupHierarchy(r *trio.Router, cfg HierarchyConfig, aggs map[int]*Aggregato
 	err := h.Top.InstallJob(JobConfig{
 		JobID:        cfg.JobID,
 		Sources:      topSources,
-		BlockGradMax: cfg.BlockGradMax,
 		ResultSpec:   cfg.ResultSpec,
 		ResultPorts:  topPorts,
 		UpstreamPort: -1,

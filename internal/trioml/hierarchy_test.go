@@ -13,7 +13,7 @@ import (
 func buildChassis(t *testing.T) (*sim.Engine, *trio.Router, *Hierarchy, *[]result) {
 	t.Helper()
 	eng := sim.NewEngine()
-	r := trio.New(eng, trio.Config{NumPFEs: 3, PFE: RecommendedPFEConfig()})
+	r := trio.New(eng, trio.Config{NumPFEs: 3})
 	h, err := SetupHierarchy(r, HierarchyConfig{
 		JobID:  1,
 		TopPFE: 2,
@@ -166,5 +166,71 @@ func TestHierarchyConfigValidation(t *testing.T) {
 	}, nil)
 	if err == nil {
 		t.Fatal("mismatched sources/ports accepted")
+	}
+}
+
+// TestHierarchiesShareAChassis installs two jobs' hierarchies on one
+// chassis, the second reusing the first's aggregators through the aggs map:
+// each job's workers get their own job's sum, and the PFEs run one
+// aggregator each.
+func TestHierarchiesShareAChassis(t *testing.T) {
+	eng := sim.NewEngine()
+	r := trio.New(eng, trio.Config{NumPFEs: 3})
+	aggs := map[int]*Aggregator{}
+	spec := packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 100}, DstIP: [4]byte{224, 0, 1, 1}}
+	// Job j's workers sit on ports 2j, 2j+1 of PFEs 0 and 1; its uplinks
+	// use port 15-j and reach the top on ports 2j (PFE 0) and 2j+1 (PFE 1).
+	var tops []*Aggregator
+	for job := uint8(1); job <= 2; job++ {
+		base := 2 * int(job-1)
+		h, err := SetupHierarchy(r, HierarchyConfig{
+			JobID: job, TopPFE: 2,
+			Groups: []HierGroup{
+				{PFE: 0, WorkerSrcIDs: []uint8{0, 1}, WorkerPorts: []int{base, base + 1}, UplinkPort: 15 - base/2, TopPort: base},
+				{PFE: 1, WorkerSrcIDs: []uint8{2, 3}, WorkerPorts: []int{base, base + 1}, UplinkPort: 15 - base/2, TopPort: base + 1},
+			},
+			ResultSpec: spec,
+		}, aggs)
+		if err != nil {
+			t.Fatalf("job %d: %v", job, err)
+		}
+		tops = append(tops, h.Top)
+	}
+	if tops[0] != tops[1] || len(aggs) != 3 {
+		t.Fatalf("second hierarchy built its own aggregators: %d in the map", len(aggs))
+	}
+	sums := map[uint8]int32{}
+	for pfeIdx := 0; pfeIdx < 2; pfeIdx++ {
+		for port := 0; port < 4; port++ {
+			r.AttachExternal(pfeIdx, port, func(_ int, frame []byte, _ sim.Time) {
+				f, err := packet.Decode(frame)
+				if err != nil || !f.IsTrioML() {
+					t.Errorf("bad frame at worker: %v", err)
+					return
+				}
+				if want := uint8(port/2 + 1); f.ML.JobID != want {
+					t.Errorf("job %d result on port %d, a job %d port", f.ML.JobID, port, want)
+				}
+				grads, _ := packet.Gradients(f.Payload, int(f.ML.GradCnt))
+				sums[f.ML.JobID] += grads[0]
+			})
+		}
+	}
+	for job := uint8(1); job <= 2; job++ {
+		base := 2 * int(job-1)
+		for w := 0; w < 4; w++ {
+			pfeIdx, port := w/2, base+w%2
+			frame := packet.BuildTrioML(packet.UDPSpec{SrcIP: [4]byte{10, job, byte(pfeIdx), byte(port + 1)}, SrcPort: 6000},
+				packet.TrioML{JobID: job, BlockID: 0, SrcID: uint8(w), GenID: 1}, seqGrads(64, int32(job)))
+			r.Inject(pfeIdx, port, uint64(job)<<40|uint64(w), frame)
+		}
+	}
+	eng.Run()
+	// Four workers each get their job's sum of four contributions.
+	if sums[1] != 4*4*1 || sums[2] != 4*4*2 {
+		t.Fatalf("first-gradient sums over each job's workers = %v, want 16 and 32", sums)
+	}
+	if st := tops[0].Stats(); st.BlocksCompleted != 2 {
+		t.Fatalf("top stats = %+v, want one block per job", st)
 	}
 }

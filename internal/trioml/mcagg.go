@@ -33,11 +33,10 @@ const MCAggGrads = 16
 
 // Packet geometry the program is compiled against: gradients start at byte
 // 54 (Ethernet 14 + IPv4 20 + UDP 8 + Trio-ML 12) and the head holds the
-// first 192 bytes, so gradient chunk 2 straddles the head/tail boundary
+// first pfe.HeadBytes = 192, so gradient chunk 2 straddles the head/tail boundary
 // with a constant 2-byte phase.
 const (
 	mcGradOff  = 54
-	mcHeadLen  = 192
 	mcStage    = 320 // 64-byte staging window for straddle/tail chunks
 	mcBufStage = 448 // 64-byte staging window for buffer chunks
 	mcRecStage = 256 // 24-byte record staging
@@ -540,9 +539,6 @@ func InstallMCAgg(p *pfe.PFE, cfg MCAggConfig, egressPort int) (*MCAgg, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.check(); err != nil {
 		return nil, err
-	}
-	if p.Cfg.HeadBytes != mcHeadLen {
-		return nil, fmt.Errorf("trioml: mcagg is compiled for %d-byte heads, PFE uses %d", mcHeadLen, p.Cfg.HeadBytes)
 	}
 	recBase := p.Mem.Alloc(smem.TierSRAM, uint64(cfg.Slots)*64)
 	bufBase := p.Mem.Alloc(smem.TierDRAM, uint64(cfg.Slots)*4*uint64(cfg.Grads))

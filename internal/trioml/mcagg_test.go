@@ -11,7 +11,7 @@ import (
 func mcaggSetup(t *testing.T, sources int) (*sim.Engine, *pfe.PFE, *MCAgg, *[]result) {
 	t.Helper()
 	eng := sim.NewEngine()
-	p := pfe.New(eng, RecommendedPFEConfig())
+	p := pfe.New(eng, pfe.Config{})
 	agg, err := InstallMCAgg(p, MCAggConfig{Sources: sources, Slots: 64}, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func mcaggPkt(worker int, block uint32, grads []int32) []byte {
 
 func TestMCAggProgramSize(t *testing.T) {
 	eng := sim.NewEngine()
-	p := pfe.New(eng, RecommendedPFEConfig())
+	p := pfe.New(eng, pfe.Config{})
 	agg, err := InstallMCAgg(p, MCAggConfig{Sources: 4, Slots: 16}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestMCAggInstructionCostPerGradient(t *testing.T) {
 
 func TestMCAggConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	p := pfe.New(eng, RecommendedPFEConfig())
+	p := pfe.New(eng, pfe.Config{})
 	if _, err := InstallMCAgg(p, MCAggConfig{Sources: 1, Slots: 16}, 0); err == nil {
 		t.Fatal("1 source accepted")
 	}
@@ -203,7 +203,7 @@ func TestMCAggConfigValidation(t *testing.T) {
 
 func TestMCAggFullTailPath(t *testing.T) {
 	eng := sim.NewEngine()
-	p := pfe.New(eng, RecommendedPFEConfig())
+	p := pfe.New(eng, pfe.Config{})
 	agg, err := InstallMCAgg(p, MCAggConfig{Sources: 4, Slots: 16, Grads: 1024}, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestMCAggFullMatchesNativeAggregator(t *testing.T) {
 
 	// Microcode path.
 	eng := sim.NewEngine()
-	p := pfe.New(eng, RecommendedPFEConfig())
+	p := pfe.New(eng, pfe.Config{})
 	if _, err := InstallMCAgg(p, MCAggConfig{Sources: 3, Slots: 8, Grads: grads}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestMCAggFullMatchesNativeAggregator(t *testing.T) {
 func TestMCAggBlockCostVsNative(t *testing.T) {
 	const workers, grads = 2, 1024
 	eng := sim.NewEngine()
-	p := pfe.New(eng, RecommendedPFEConfig())
+	p := pfe.New(eng, pfe.Config{})
 	if _, err := InstallMCAgg(p, MCAggConfig{Sources: workers, Slots: 32, Grads: grads}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestMCAggBlockCostVsNative(t *testing.T) {
 
 func TestMCAggFullStaticInstructionCount(t *testing.T) {
 	eng := sim.NewEngine()
-	p := pfe.New(eng, RecommendedPFEConfig())
+	p := pfe.New(eng, pfe.Config{})
 	agg, err := InstallMCAgg(p, MCAggConfig{Sources: 6, Slots: 64, Grads: 1024}, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func mcaggRig(t *testing.T, cfg MCAggConfig) (*sim.Engine, *pfe.PFE, *MCAgg, *[]
 	t.Helper()
 	cfg = cfg.withDefaults()
 	eng := sim.NewEngine()
-	p := pfe.New(eng, RecommendedPFEConfig())
+	p := pfe.New(eng, pfe.Config{})
 	agg, err := InstallMCAgg(p, cfg, 7)
 	if err != nil {
 		t.Fatal(err)

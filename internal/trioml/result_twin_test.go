@@ -110,7 +110,7 @@ func TestResultFrameMatchesDecodedBuild(t *testing.T) {
 	}
 	newSide := func(ref bool) side {
 		eng := sim.NewEngine()
-		p := pfe.New(eng, RecommendedPFEConfig())
+		p := pfe.New(eng, pfe.Config{})
 		a := New(p)
 		if err := a.InstallJob(StarJob(1, 4, packet.MaxGradientsPerPacket, 0)); err != nil {
 			t.Fatal(err)
@@ -183,7 +183,7 @@ func BenchmarkResultBuild(b *testing.B) {
 	}{{"frame", false}, {"decoded", true}} {
 		b.Run(side.name, func(b *testing.B) {
 			eng := sim.NewEngine()
-			p := pfe.New(eng, RecommendedPFEConfig())
+			p := pfe.New(eng, pfe.Config{})
 			a := New(p)
 			if err := a.InstallJob(StarJob(1, 4, packet.MaxGradientsPerPacket, 0)); err != nil {
 				b.Fatal(err)

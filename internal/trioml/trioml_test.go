@@ -26,7 +26,7 @@ type rig struct {
 func newRig(t *testing.T, cfg JobConfig) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
-	p := pfe.New(eng, RecommendedPFEConfig())
+	p := pfe.New(eng, pfe.Config{})
 	a := New(p)
 	r := &rig{eng: eng, pfe: p, agg: a}
 	p.SetOutput(func(port int, frame []byte, at sim.Time) {
@@ -534,7 +534,7 @@ func TestTimerThreadsScanCostSplitAcrossN(t *testing.T) {
 
 func TestInstallJobValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	p := pfe.New(eng, RecommendedPFEConfig())
+	p := pfe.New(eng, pfe.Config{})
 	a := New(p)
 	base := fourWorkerJob()
 
@@ -640,7 +640,7 @@ func TestMultipleConcurrentJobs(t *testing.T) {
 	// Fig. 9: multiple aggregation jobs present concurrently, each with
 	// multiple blocks in parallel, sharing one PFE's hash table and memory.
 	eng := sim.NewEngine()
-	p := pfe.New(eng, RecommendedPFEConfig())
+	p := pfe.New(eng, pfe.Config{})
 	a := New(p)
 	var results []result
 	p.SetOutput(func(port int, frame []byte, at sim.Time) {
@@ -710,7 +710,7 @@ func TestMultipleConcurrentJobs(t *testing.T) {
 func TestJobsShareTimerThreads(t *testing.T) {
 	// One set of timer threads ages blocks of every installed job.
 	eng := sim.NewEngine()
-	p := pfe.New(eng, RecommendedPFEConfig())
+	p := pfe.New(eng, pfe.Config{})
 	a := New(p)
 	for job := uint8(1); job <= 2; job++ {
 		if err := a.InstallJob(JobConfig{

@@ -10,6 +10,10 @@
 // withDefaults, or an assignment to x.F directly in the body of an
 // `if x.F == 0` ("", nil, <= 0), only fills a default and does not count.
 //
+// A field of a …Config or …Params struct whose every non-test write is one
+// and the same constant (a DefaultConfig-style literal counts; a default
+// fill does not) is a constant dressed as an option: it needs a line too.
+//
 // A line reads "internal/pkg.Type.Field<TAB>reason"; the header of
 // testdata/knobs.txt lists the reasons reasonRE allows.
 package main
@@ -32,9 +36,12 @@ import (
 )
 
 const (
-	outside = "written outside tests"
-	test    = "written only by tests"
-	never   = "never written"
+	outside  = "written outside tests"
+	constant = "written outside tests only as one constant"
+	test     = "written only by tests"
+	never    = "never written"
+
+	varied = "" // value of a field written outside tests other than as one constant
 )
 
 func main() {
@@ -73,7 +80,7 @@ func (s *scanner) check(ledger string) (string, error) {
 			fail("line %d: want \"internal/pkg.Type.Field<TAB>reason\", a reason tools/knobs allows: %s", n+1, line)
 		case m[4] != "" && !s.tests[m[4]]:
 			fail("line %d: no test named %s", n+1, m[4])
-		case c != test && c != never:
+		case c != test && c != never && c != constant:
 			fail("stale line %d (%s; delete it): %s", n+1, c, key)
 		}
 	}
@@ -86,7 +93,7 @@ func (s *scanner) check(ledger string) (string, error) {
 		sort.Strings(bad)
 		return "", fmt.Errorf("knobs: %s disagrees with the code:\n  %s", ledger, strings.Join(bad, "\n  "))
 	}
-	return fmt.Sprintf("knobs: %d exported internal/ fields, %d without a non-test writer, each listed in %s",
+	return fmt.Sprintf("knobs: %d exported internal/ fields, %d without a non-test writer or written as one constant, each listed in %s",
 		len(s.class), len(listed), ledger), nil
 }
 
@@ -94,7 +101,9 @@ type scanner struct {
 	fset   *token.FileSet
 	class  map[string]string         // field key -> class
 	key    map[string]string         // declaration file:line:col -> field key
+	knob   map[string]bool           // field keys of …Config and …Params structs
 	writes map[string]string         // declaration file:line:col -> outside or test
+	values map[string]string         // declaration file:line:col -> the one constant non-test code writes, or varied
 	tests  map[string]bool           // Test funcs
 	fills  map[ast.Stmt]types.Object // statement in an if x.F == 0 body -> F
 }
@@ -108,8 +117,8 @@ func scan(root string) (*scanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &scanner{fset: token.NewFileSet(), class: map[string]string{}, key: map[string]string{},
-		writes: map[string]string{}, tests: map[string]bool{}, fills: map[ast.Stmt]types.Object{}}
+	s := &scanner{fset: token.NewFileSet(), class: map[string]string{}, key: map[string]string{}, knob: map[string]bool{},
+		writes: map[string]string{}, values: map[string]string{}, tests: map[string]bool{}, fills: map[ast.Stmt]types.Object{}}
 	// Imports are type-checked from source by a second checker, so a field
 	// is identified by where it is declared, which both checkers agree on.
 	imp := importer.ForCompiler(s.fset, "source", nil)
@@ -132,6 +141,9 @@ func scan(root string) (*scanner, error) {
 	})
 	for pos, c := range s.writes {
 		if k, ok := s.key[pos]; ok {
+			if c == outside && s.knob[k] && s.values[pos] != varied {
+				c = constant
+			}
 			s.class[k] = c
 		}
 	}
@@ -176,6 +188,7 @@ func (s *scanner) declare(rel string, pkg *types.Package) {
 					k := rel + "." + name + "." + f.Name()
 					s.key[s.fset.Position(f.Pos()).String()] = k
 					s.class[k] = never
+					s.knob[k] = strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Params")
 				}
 			}
 		}
@@ -204,19 +217,23 @@ func (w *writes) Visit(n ast.Node) ast.Visitor {
 		}
 	case *ast.AssignStmt:
 		if n.Tok != token.DEFINE {
-			for _, l := range n.Lhs {
-				w.target(l, w.s.fills[n])
+			for i, l := range n.Lhs {
+				var val ast.Expr
+				if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+					val = n.Rhs[i]
+				}
+				w.target(l, w.s.fills[n], val)
 			}
 		}
 	case *ast.IncDecStmt:
-		w.target(n.X, nil)
+		w.target(n.X, nil, nil)
 	case *ast.UnaryExpr:
 		if n.Op == token.AND {
-			w.target(n.X, nil)
+			w.target(n.X, nil, nil)
 		}
 	case *ast.SliceExpr:
 		if _, ok := w.info.TypeOf(n.X).Underlying().(*types.Array); ok {
-			w.target(n.X, nil) // x.F[:] takes &x.F
+			w.target(n.X, nil, nil) // x.F[:] takes &x.F
 		}
 	case *ast.CallExpr:
 		// x.F.m() with a pointer receiver takes &x.F.
@@ -224,7 +241,7 @@ func (w *writes) Visit(n ast.Node) ast.Visitor {
 		if m := w.info.Selections[sel]; m != nil && m.Kind() == types.MethodVal {
 			_, ptrRecv := m.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
 			if _, ptrX := w.info.TypeOf(sel.X).Underlying().(*types.Pointer); ptrRecv && !ptrX {
-				w.target(sel.X, nil)
+				w.target(sel.X, nil, nil)
 			}
 		}
 	case *ast.CompositeLit:
@@ -236,19 +253,20 @@ func (w *writes) Visit(n ast.Node) ast.Visitor {
 			for i, e := range n.Elts {
 				f := types.Object(st.Field(i))
 				if kv, ok := e.(*ast.KeyValueExpr); ok {
-					f = w.info.Uses[kv.Key.(*ast.Ident)]
+					f, e = w.info.Uses[kv.Key.(*ast.Ident)], kv.Value
 				}
-				w.write(f)
+				w.write(f, e)
 			}
 		}
 	}
 	return w
 }
 
-// target records the fields an assignment to e writes: every field selected
-// on the way down to its root variable, unless the field assigned is fill,
-// the one the enclosing `if x.F == 0` tests.
-func (w *writes) target(e ast.Expr, fill types.Object) {
+// target records the fields an assignment of val (nil: not a plain
+// assignment) to e writes: every field selected on the way down to its root
+// variable, unless the field assigned is fill, the one the enclosing
+// `if x.F == 0` tests. Only the field e names directly is given val.
+func (w *writes) target(e ast.Expr, fill types.Object, val ast.Expr) {
 	var path []types.Object
 	for e != nil {
 		switch x := ast.Unparen(e).(type) {
@@ -258,27 +276,60 @@ func (w *writes) target(e ast.Expr, fill types.Object) {
 			}
 			e = x.X
 		case *ast.IndexExpr:
+			if len(path) == 0 {
+				val = nil // x.F[i] = v writes part of F
+			}
 			e = x.X
 		case *ast.StarExpr:
+			if len(path) == 0 {
+				val = nil // *x.F = v writes through F
+			}
 			e = x.X
 		default:
 			e = nil
 		}
 	}
 	if len(path) == 0 || path[0] != fill {
-		for _, f := range path {
-			w.write(f)
+		for i, f := range path {
+			if i > 0 {
+				val = nil // x.F.G = v writes part of F
+			}
+			w.write(f, val)
 		}
 	}
 }
 
-func (w *writes) write(obj types.Object) {
+// write records a write of val (nil: unknown) to obj.
+func (w *writes) write(obj types.Object, val ast.Expr) {
 	if obj == nil || w.dflt {
 		return
 	}
-	if pos := w.s.fset.Position(obj.Pos()).String(); w.s.writes[pos] != outside {
+	pos := w.s.fset.Position(obj.Pos()).String()
+	if w.s.writes[pos] != outside {
 		w.s.writes[pos] = w.class
 	}
+	if w.class == outside {
+		v := w.constant(val)
+		if old, ok := w.s.values[pos]; ok && old != v {
+			v = varied
+		}
+		w.s.values[pos] = v
+	}
+}
+
+// constant renders val if it is a constant expression (nil included), and
+// returns varied if it is not.
+func (w *writes) constant(val ast.Expr) string {
+	if val == nil {
+		return varied
+	}
+	switch tv := w.info.Types[val]; {
+	case tv.Value != nil:
+		return tv.Value.ExactString()
+	case tv.IsNil():
+		return "nil"
+	}
+	return varied
 }
 
 // zeroTest returns the field an `x.F == 0` style condition tests, if any.

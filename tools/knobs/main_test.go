@@ -59,16 +59,18 @@ func ledgerWith(t *testing.T, drop, extra string) string {
 	return path
 }
 
-// TestLedgerFailures: an unlisted test-only field, a stale line and a bad
-// reason each fail, naming the field or line.
+// TestLedgerFailures: an unlisted test-only or one-constant field, a stale
+// line and a bad reason each fail, naming the field or line.
 func TestLedgerFailures(t *testing.T) {
 	s := fixture(t)
 	for _, tc := range []struct{ name, drop, extra, want string }{
 		{"unlisted", "internal/fix.Config.Tested", "", "unlisted (written only by tests; delete it, make it a constant, or add a line): internal/fix.Config.Tested"},
-		{"stale gone", "", "internal/fix.Config.Gone\tkept for item 1", "stale line 6 (no such field; delete it): internal/fix.Config.Gone"},
-		{"stale written", "", "internal/fix.Config.Set\tkept for item 1", "stale line 6 (written outside tests; delete it): internal/fix.Config.Set"},
-		{"bad reason", "", "internal/fix.Pair.A\twhy not", "line 6: want"},
-		{"unknown test", "", "internal/fix.Pair.B\tobserver: TestMissing", "line 6: no test named TestMissing"},
+		{"unlisted constant", "internal/fix.Config.Const", "", "unlisted (written outside tests only as one constant; delete it, make it a constant, or add a line): internal/fix.Config.Const"},
+		{"stale varied", "", "internal/fix.Config.Varied\tkept for item 1", "stale line 9 (written outside tests; delete it): internal/fix.Config.Varied"},
+		{"stale gone", "", "internal/fix.Config.Gone\tkept for item 1", "stale line 9 (no such field; delete it): internal/fix.Config.Gone"},
+		{"stale written", "", "internal/fix.Config.Set\tkept for item 1", "stale line 9 (written outside tests; delete it): internal/fix.Config.Set"},
+		{"bad reason", "", "internal/fix.Pair.A\twhy not", "line 9: want"},
+		{"unknown test", "", "internal/fix.Pair.B\tobserver: TestMissing", "line 9: no test named TestMissing"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := s.check(ledgerWith(t, tc.drop, tc.extra))

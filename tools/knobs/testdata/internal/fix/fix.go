@@ -28,14 +28,24 @@ type Addr struct {
 	Arr [2]byte
 }
 
-// Config: default-filling writes do not count.
+// Config: default-filling writes do not count, and a field non-test code
+// writes only as one constant is a constant.
 type Config struct {
-	Filled  int // only withDefaults writes it: never written
-	Guarded int // only `if c.Guarded == 0 { c.Guarded = 1 }`: never written
-	Set     int // assigned in non-test code: written
-	Other   int // assigned under another field's zero test: written
-	Tested  int // only fix_test.go writes it: test-only
+	Filled   int // only withDefaults writes it: never written
+	Guarded  int // only `if c.Guarded == 0 { c.Guarded = 1 }`: never written
+	Set      int // assigned in non-test code: written
+	Other    int // assigned under another field's zero test: written
+	Tested   int // only fix_test.go writes it: test-only
+	Const    int // DefaultConfig and an assignment both write 8: one constant
+	Varied   int // written 8 and 9: written
+	Computed int // written 8 and len(src): written
 }
+
+// Params is a knob struct too.
+type Params struct{ Steps int } // only Params{Steps: 10}: one constant
+
+// DefaultConfig's literal counts as a write.
+func DefaultConfig() Config { return Config{Const: 8, Varied: 8, Computed: 8} }
 
 type hidden struct{ X int } // unexported: not listed
 
@@ -44,7 +54,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func use(w *Worker, n *Nested, a *Addr, c *Config, src []byte) (Pair, hidden) {
+func use(w *Worker, n *Nested, a *Addr, c *Config, src []byte) (Pair, Params, hidden) {
 	w.Latency.add()
 	w.Ptr.add()
 	n.Outer.G = 1
@@ -55,8 +65,11 @@ func use(w *Worker, n *Nested, a *Addr, c *Config, src []byte) (Pair, hidden) {
 		c.Guarded = 1
 	}
 	if c.Guarded <= 0 {
-		c.Other = 1
+		c.Other = len(src)
 	}
-	c.Set = 4
-	return Pair{1, 2}, hidden{X: 1}
+	c.Set = len(src)
+	c.Const = 8
+	c.Varied = 9
+	c.Computed = len(src)
+	return Pair{1, 2}, Params{Steps: 10}, hidden{X: 1} // Pair is no knob struct: A and B are written
 }
