@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet pairs verify verify-unreached verify-knobs verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
+.PHONY: build test vet pairs verify verify-unreached verify-knobs verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check
 
 build:
 	$(GO) build ./...
@@ -27,8 +27,9 @@ pairs:
 # concurrency-critical layers (hostagg's single-lock hot path, obs's atomic
 # instruments, dse's worker pool, tree's partitioned hierarchy), the
 # reachability and config-surface ledgers, the metric documentation check,
-# the CLI-level golden diff, and an every-example smoke run.
-verify: build test vet verify-unreached verify-knobs verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check smoke-examples
+# and the CLI-level golden diff. The walk-throughs are Go Example functions,
+# so the tests already check their output.
+verify: build test vet verify-unreached verify-knobs verify-hostagg verify-hostagg-slo verify-obs verify-faults verify-dse verify-sim verify-microcode verify-packet verify-tree verify-apps goldens-check
 
 # verify-unreached runs every experiment, the benchmark smoke test and the CLI
 # tests under coverage and checks that each internal function none of them
@@ -123,18 +124,6 @@ verify-tree:
 verify-dse:
 	$(GO) test -race ./internal/dse/...
 	$(GO) test -race -run 'TestSweepsParallelMatchSerial|TestSecondSeedDeterminism' ./internal/harness/
-
-# smoke-examples builds every example and runs each briefly; they all
-# self-terminate, so a hang (caught by timeout) or nonzero exit fails.
-smoke-examples:
-	@mkdir -p .smoke-bin
-	@set -e; for d in examples/*/; do \
-		name=$$(basename $$d); \
-		$(GO) build -o .smoke-bin/$$name ./$$d; \
-		timeout 120 ./.smoke-bin/$$name > /dev/null || { echo "smoke-examples: $$name failed"; exit 1; }; \
-		echo "smoke-examples: $$name ok"; \
-	done
-	@rm -rf .smoke-bin
 
 # verify-obs races the registry/trace instruments and fails if any exported
 # metric name is missing from OBSERVABILITY.md.

@@ -15,11 +15,14 @@ func runMcasm(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errb.String(), code
 }
 
+// filterMC is the §3.2 filter, whose one copy lives with the assembler.
+var filterMC = filepath.Join("..", "..", "internal", "microcode", "testdata", "filter.mc")
+
 // filter has no loop; aggloop is the Fig. 10 add loop, whose listing must
 // carry the loop-kernel annotation (head, end, lanes, pass length).
 func TestDumpCompiledGolden(t *testing.T) {
-	for _, name := range []string{"filter", "aggloop"} {
-		out, errOut, code := runMcasm(t, "-dump-compiled", filepath.Join("testdata", name+".mc"))
+	for name, src := range map[string]string{"filter": filterMC, "aggloop": filepath.Join("testdata", "aggloop.mc")} {
+		out, errOut, code := runMcasm(t, "-dump-compiled", src)
 		if code != 0 {
 			t.Fatalf("%s: exit %d, stderr: %s", name, code, errOut)
 		}
@@ -34,7 +37,7 @@ func TestDumpCompiledGolden(t *testing.T) {
 }
 
 func TestVerifyOnly(t *testing.T) {
-	out, errOut, code := runMcasm(t, "-verify-only", filepath.Join("testdata", "filter.mc"))
+	out, errOut, code := runMcasm(t, "-verify-only", filterMC)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
 	}
@@ -62,7 +65,7 @@ func TestVerifyOnlyRejectsBadProgram(t *testing.T) {
 }
 
 func TestRunFilterForward(t *testing.T) {
-	out, errOut, code := runMcasm(t, filepath.Join("testdata", "filter.mc"))
+	out, errOut, code := runMcasm(t, filterMC)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
 	}

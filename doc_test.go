@@ -217,10 +217,13 @@ func TestExperimentLedgerMatchesRegistry(t *testing.T) {
 
 var (
 	codeSpan = regexp.MustCompile("`[^`\n]+`")
-	// citedTest matches a test, benchmark or fuzzer name inside a code span;
-	// a trailing * makes it a prefix ("`TestCluster*`").
-	citedTest = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*\*?`)
+	// citedTest matches a test, benchmark, fuzzer or example name inside a
+	// code span; a trailing * makes it a prefix ("`TestCluster*`").
+	citedTest = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z0-9_]\w*\*?`)
 	funcDecl  = regexp.MustCompile(`(?m)^func (\w+)`)
+	mainPkg   = regexp.MustCompile(`(?m)^package main$`)
+	// goRun captures the directory a `go run ./<dir>` command names.
+	goRun = regexp.MustCompile(`go run \./([\w./-]*)`)
 	// taskBox marks a doc as a plan of work ("- [ ] add TestX").
 	taskBox = regexp.MustCompile(`(?m)^\s*- \[[ xX]\] `)
 )
@@ -229,11 +232,13 @@ var (
 // that are gone or not written yet; so may any doc with task boxes.
 var historyDocs = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true}
 
-// TestDocsCiteExistingTests holds every Markdown file to the tests it cites:
-// each backticked Test*/Benchmark*/Fuzz* name must be a func somewhere in the
-// tree, so a rename or deletion cannot leave a doc pointing at nothing.
+// TestDocsCiteExistingTests holds every Markdown file to the tests and
+// programs it cites: each backticked Test*/Benchmark*/Fuzz*/Example* name
+// must be a func somewhere in the tree, and each `go run ./<dir>` must name a
+// directory that holds a main package, so a rename or deletion cannot leave a
+// doc pointing at nothing.
 func TestDocsCiteExistingTests(t *testing.T) {
-	funcs := map[string]bool{}
+	funcs, mains := map[string]bool{}, map[string]bool{}
 	var docs []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -255,6 +260,9 @@ func TestDocsCiteExistingTests(t *testing.T) {
 			}
 			for _, m := range funcDecl.FindAllSubmatch(src, -1) {
 				funcs[string(m[1])] = true
+			}
+			if !strings.HasSuffix(path, "_test.go") && mainPkg.Match(src) {
+				mains[filepath.ToSlash(filepath.Dir(path))] = true
 			}
 		}
 		return nil
@@ -288,6 +296,11 @@ func TestDocsCiteExistingTests(t *testing.T) {
 					if !exists(name) {
 						t.Errorf("%s:%d cites `%s`, which no func in the tree is named", doc, i+1, name)
 					}
+				}
+			}
+			for _, m := range goRun.FindAllStringSubmatch(line, -1) {
+				if dir := strings.TrimRight(m[1], "./"); !mains[dir] {
+					t.Errorf("%s:%d runs `go run ./%s`, but %s holds no main package", doc, i+1, m[1], dir)
 				}
 			}
 		}

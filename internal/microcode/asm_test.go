@@ -3,70 +3,23 @@ package microcode
 import (
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"github.com/trioml/triogo/internal/packet"
 )
 
-// filterSource is the §3.2 filtering application, transcribed into this
-// assembler's surface syntax: forward IP packets without options, drop
-// everything else, counting drops per cause in Packet/Byte Counters.
-const filterSource = `
-program filter;
-
-define ETHERTYPE_IPV4 = 0x0800;
-define DROP_CNT_BASE  = 0x1000;
-
-/* Standard Ethernet header, as in the paper's listing. */
-struct ether_t { dmac : 48; smac : 48; etype : 16; };
-struct ipv4_t {
-    ver : 4; ihl : 4; tos : 8; total_len : 16;
-    id : 16; flags_frag : 16; ttl : 8; proto : 8;
-    csum : 16; src : 32; dst : 32;
-};
-
-layout ether : ether_t @ 0;
-layout ipv4  : ipv4_t  @ 14;
-
-reg ir0     = r8;  // intermediate register: drop-cause selector
-reg pkt_len = r1;  // set by the dispatcher from packet metadata
-
-process_ether:
-begin
-    ir0 = 0;
-    if (ether.etype == ETHERTYPE_IPV4) {
-        goto process_ip;
-    }
-    goto count_dropped;
-end
-
-process_ip:
-begin
-    ir0 = 1;
-    if (ipv4.ver == 4 && ipv4.ihl == 5) {
-        goto forward_packet;
-    }
-    goto count_dropped;
-end
-
-count_dropped:
-begin
-    r9 = DROP_CNT_BASE + ir0 * 16;   // 16-byte Packet/Byte Counters (Fig. 6)
-    counter_inc(r9, pkt_len);
-    goto drop_packet;
-end
-
-forward_packet:
-begin
-    exit(forward);
-end
-
-drop_packet:
-begin
-    exit(drop);
-end
-`
+// filterSource is the §3.2 filtering application (testdata/filter.mc):
+// forward IP packets without options, drop everything else, counting drops
+// per cause in Packet/Byte Counters.
+var filterSource = func() string {
+	src, err := os.ReadFile("testdata/filter.mc")
+	if err != nil {
+		panic(err)
+	}
+	return string(src)
+}()
 
 // dropCntBase matches DROP_CNT_BASE in filterSource; it lands inside the
 // default SRAM tier.

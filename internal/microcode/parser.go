@@ -7,8 +7,8 @@ import (
 )
 
 // Assemble compiles Microcode source into a linked Program. The surface
-// language mirrors the §3.2 listings; see the package tests and
-// examples/quickstart for complete programs. Like the Trio Compiler, it
+// language mirrors the §3.2 listings; see testdata/filter.mc (the §3.2
+// filter) and pfe's MicrocodeApp example for a complete program. Like the Trio Compiler, it
 // requires the complete source (no separate linking) and fails compilation
 // when the code designated to one instruction does not fit the instruction's
 // resources.

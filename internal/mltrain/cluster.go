@@ -53,7 +53,7 @@ type ClusterConfig struct {
 	// handling.
 	DeadWorker int
 	// AdvancedMitigation, when non-zero, launches the slow analysis thread
-	// (Trio-ML only) every analyzePeriod: sources missing this many aged
+	// (Trio-ML only) every 250 ms: sources missing this many aged
 	// blocks between analyses are demoted from the job.
 	AdvancedMitigation uint64
 }
@@ -75,16 +75,15 @@ func (cfg *ClusterConfig) defaults() {
 }
 
 // The testbed (§6.1): six workers; Trio-ML keeps up to 4096 blocks in
-// flight and ages a block after 10 ms, scanned by 100 timer threads, and
-// §5's slow analysis thread runs every 250 ms; SwitchML's slot pool holds
-// 512 blocks, which also caps its window.
+// flight and ages a block after 10 ms, scanned by 100 timer threads (§5's
+// slow analysis thread runs every 250 ms, a trioml constant); SwitchML's
+// slot pool holds 512 blocks, which also caps its window.
 const (
-	numWorkers    = 6
-	trioWindow    = 4096
-	poolSize      = 512
-	blockTimeout  = 10 * sim.Millisecond
-	timerThreads  = 100
-	analyzePeriod = 250 * sim.Millisecond
+	numWorkers   = 6
+	trioWindow   = 4096
+	poolSize     = 512
+	blockTimeout = 10 * sim.Millisecond
+	timerThreads = 100
 )
 
 // linkBandwidth is every worker link's line rate before Scale divides it:
@@ -156,10 +155,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		c.stopTimers = append(c.stopTimers, agg.StartStragglerDetection(timerThreads, blockTimeout))
 		if cfg.AdvancedMitigation > 0 {
-			c.stopTimers = append(c.stopTimers, agg.StartAdvancedMitigation(trioml.AdvancedConfig{
-				AnalyzePeriod:  analyzePeriod,
-				EventThreshold: cfg.AdvancedMitigation,
-			}))
+			c.stopTimers = append(c.stopTimers, agg.StartAdvancedMitigation(trioml.AdvancedConfig{EventThreshold: cfg.AdvancedMitigation}))
 		}
 		c.TrioAgg = agg
 		c.buildWorkers(params, injector, func(i int, rx *netsim.Sink) func([]byte) {

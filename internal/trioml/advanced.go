@@ -22,11 +22,12 @@ import (
 // NotifyDemoted is the age_op value of a demotion notification packet.
 const NotifyDemoted = 2
 
+// analyzePeriod is the slow thread's interval: "another type happens less
+// frequently" (§5) than the timer threads' 10 ms block timeout.
+const analyzePeriod = 250 * sim.Millisecond
+
 // AdvancedConfig parameterizes the analysis threads.
 type AdvancedConfig struct {
-	// AnalyzePeriod is the slow thread's interval (default 100 ms —
-	// "another type happens less frequently").
-	AnalyzePeriod sim.Time
 	// EventThreshold demotes a source once it has missed this many aged
 	// blocks since the previous analysis (default 8).
 	EventThreshold uint64
@@ -41,12 +42,10 @@ type advancedState struct {
 
 // StartAdvancedMitigation provisions per-source straggler-event counters for
 // every installed job and launches the slow analysis thread. Call it after
-// the jobs are installed and alongside StartStragglerDetection. It returns
-// the thread's cancellable handle set.
+// the jobs are installed and alongside StartStragglerDetection. The thread
+// first runs at once, then every 250 ms. It returns the thread's cancellable
+// handle set.
 func (a *Aggregator) StartAdvancedMitigation(cfg AdvancedConfig) *pfe.TimerThreads {
-	if cfg.AnalyzePeriod == 0 {
-		cfg.AnalyzePeriod = 100 * sim.Millisecond
-	}
 	if cfg.EventThreshold == 0 {
 		cfg.EventThreshold = 8
 	}
@@ -59,7 +58,7 @@ func (a *Aggregator) StartAdvancedMitigation(cfg AdvancedConfig) *pfe.TimerThrea
 		st.evBase[jobID] = a.pfe.Mem.Alloc(smem.TierSRAM, MaxSources*16)
 	}
 	a.advanced = st
-	return a.pfe.StartTimerThreads(1, cfg.AnalyzePeriod, func(ctx *pfe.Ctx, _ int) {
+	return a.pfe.StartTimerThreads(1, analyzePeriod, func(ctx *pfe.Ctx, _ int) {
 		a.analyze(ctx, st)
 	})
 }

@@ -14,12 +14,13 @@ func deadWorkerRig(t *testing.T, threshold uint64) (*rig, func()) {
 	cfg.BlockExpiry = 2 * sim.Millisecond
 	r := newRig(t, cfg)
 	stopFast := r.agg.StartStragglerDetection(20, 2*sim.Millisecond)
-	stopSlow := r.agg.StartAdvancedMitigation(AdvancedConfig{
-		AnalyzePeriod:  20 * sim.Millisecond,
-		EventThreshold: threshold,
-	})
+	stopSlow := r.agg.StartAdvancedMitigation(AdvancedConfig{EventThreshold: threshold})
 	return r, func() { stopFast.Stop(); stopSlow.Stop() }
 }
+
+// pastAnalysis is just after the analysis thread's second run, the first
+// that can see straggler events (the first runs at t = 0).
+const pastAnalysis = analyzePeriod + 10*sim.Millisecond
 
 // sendAlive has workers 0..2 contribute block b (worker 3 stays dark).
 func sendAlive(r *rig, b uint32) {
@@ -41,7 +42,7 @@ func TestPermanentStragglerDemoted(t *testing.T) {
 		b := b
 		r.eng.At(sim.Time(b)*3*sim.Millisecond, func() { sendAlive(r, b) })
 	}
-	r.eng.RunUntil(60 * sim.Millisecond)
+	r.eng.RunUntil(pastAnalysis)
 	if len(demotions) != 1 || demotions[0] != 3 {
 		t.Fatalf("demotions = %v, want worker 3", demotions)
 	}
@@ -60,7 +61,7 @@ func TestBlocksCompleteWithoutDemotedSource(t *testing.T) {
 		b := b
 		r.eng.At(sim.Time(b)*3*sim.Millisecond, func() { sendAlive(r, b) })
 	}
-	r.eng.RunUntil(60 * sim.Millisecond)
+	r.eng.RunUntil(pastAnalysis)
 	if !r.agg.Demoted(1, 3) {
 		t.Fatal("precondition: not demoted")
 	}
@@ -89,7 +90,7 @@ func TestDemotionNotificationReachesWorkers(t *testing.T) {
 		b := b
 		r.eng.At(sim.Time(b)*3*sim.Millisecond, func() { sendAlive(r, b) })
 	}
-	r.eng.RunUntil(60 * sim.Millisecond)
+	r.eng.RunUntil(pastAnalysis)
 	notifications := 0
 	for _, res := range r.results {
 		if res.hdr.AgeOp == NotifyDemoted {
@@ -121,7 +122,7 @@ func TestTemporaryStragglerNotDemoted(t *testing.T) {
 			r.send(3, b, 1, seqGrads(32, 1))
 		})
 	}
-	r.eng.RunUntil(80 * sim.Millisecond)
+	r.eng.RunUntil(pastAnalysis)
 	if r.agg.Demoted(1, 3) {
 		t.Fatal("temporary straggler was demoted")
 	}
@@ -140,7 +141,7 @@ func TestDemotedSourceRefused(t *testing.T) {
 		b := b
 		r.eng.At(sim.Time(b)*3*sim.Millisecond, func() { sendAlive(r, b) })
 	}
-	r.eng.RunUntil(60 * sim.Millisecond)
+	r.eng.RunUntil(pastAnalysis)
 	if !r.agg.Demoted(1, 3) {
 		t.Fatal("precondition: not demoted")
 	}

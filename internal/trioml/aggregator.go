@@ -126,8 +126,6 @@ type Aggregator struct {
 	// OnAggregated observes each aggregated packet: arrival, thread
 	// completion time, and gradient count (Fig. 15 instrumentation).
 	OnAggregated func(arrival, done sim.Time, grads int)
-	// OnResult observes each emitted result.
-	OnResult func(hdr packet.TrioML, at sim.Time)
 	// OnDemotion observes permanent-straggler demotions (§5 advanced
 	// mitigation).
 	OnDemotion func(jobID, src uint8, at sim.Time)
@@ -475,7 +473,7 @@ func (g *gradStream) finish() {
 // and updates the job record. Degraded results carry the straggler
 // signalling fields of §5.
 func (a *Aggregator) finishBlock(ctx *pfe.Ctx, js *jobState, blockKey uint64, recAddr uint64, rec BlockRecord, job JobRecord, degraded bool) {
-	hdr, frame := a.buildResult(ctx, js, blockKey, rec, degraded)
+	_, frame := a.buildResult(ctx, js, blockKey, rec, degraded)
 	emitResult(ctx, js, frame)
 	if js.served != nil {
 		js.served.Put(blockKey, rec.GenID, frame)
@@ -485,9 +483,6 @@ func (a *Aggregator) finishBlock(ctx *pfe.Ctx, js *jobState, blockKey uint64, re
 		a.stats.BlocksDegraded++
 	} else {
 		a.stats.BlocksCompleted++
-	}
-	if a.OnResult != nil {
-		a.OnResult(hdr, ctx.Now())
 	}
 
 	// Recycle: delete the record, free the buffer, update the job.

@@ -10,7 +10,7 @@
 #   kept for item N      a ROADMAP item that will use it
 #   real-socket path     hostagg's UDP server/client, run by the hostagg-* workloads
 #   fault path: TestX    an error, edge or fault branch only TestX reaches
-#   example: dir         run by examples/dir
+#   example: ExampleX    run by ExampleX, a checked Go example
 #   cmd: name            run by cmd/name or tools/name
 #   test oracle          a reference implementation tests compare against
 #   observer: TestX      TestX, a test of reached code, calls it to build or read
@@ -48,13 +48,12 @@ awk -F '\t' '
 	NF != 2 { print "  line " NR ": want \"path/file.go Func<TAB>reason\": " $0; next }
 	$2 ~ /^(kept for item [0-9]+(\([a-z]\))?|real-socket path|test oracle|debug\/printing)$/ { next }
 	$2 ~ /^(fault path|observer): Test[A-Za-z0-9_]+$/ { print "test", substr($2, index($2, "Test")); next }
-	$2 ~ /^example: [a-z0-9]+$/ { print "example", substr($2, 10); next }
+	$2 ~ /^example: Example[A-Za-z0-9_]*$/ { print "test", substr($2, 10); next }
 	$2 ~ /^cmd: [a-z0-9]+$/ { print "cmd", substr($2, 6); next }
 	{ print "  line " NR ": reason not allowed: " $2 }' "$ledger" | sort -u >"$tmp/refs"
 while read -r kind name; do
 	case $kind in
 	test) grep -rqE "^func $name\(" --include='*_test.go' . || echo "  no test named $name" ;;
-	example) [ -d "examples/$name" ] || echo "  no example $name" ;;
 	cmd) [ -d "cmd/$name" ] || [ -d "tools/$name" ] || echo "  no command $name" ;;
 	*) echo "  $kind $name" ;;
 	esac
