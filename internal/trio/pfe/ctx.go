@@ -2,6 +2,7 @@ package pfe
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/trioml/triogo/internal/microcode"
 	"github.com/trioml/triogo/internal/sim"
@@ -34,6 +35,8 @@ type Ctx struct {
 	threadState // zeroed whole for every thread
 
 	emits []emit // the running thread's; handed to its completion record
+
+	txnDone []sim.Time // per-XTXN completions of a vector run, for trace spans
 
 	headArr [HeadBytes]byte // the thread's head; head aliases it
 }
@@ -152,12 +155,47 @@ func (c *Ctx) MemWrite(addr uint64, data []byte, async bool) {
 }
 
 // AddVector32BE offloads gradient summation to the RMW engines (§6.3): the
-// engines add the big-endian wire lanes near memory; the issuing thread does
-// not stall per word, only for the crossbar issue.
-func (c *Ctx) AddVector32BE(addr uint64, lanes []byte) {
-	c.stats.XTXNs++
-	done := c.pfe.Mem.AddVector32BE(c.now, addr, lanes)
-	c.span("rmw", "add_vector", c.now, done)
+// engines add the big-endian wire lanes near memory, one vector-add XTXN per
+// 64 bytes of lanes, XTXN i issued at at[i] — the thread's clock when its
+// loop had that chunk. The adds are asynchronous, so a thread whose loop
+// touches shared memory in no other way hands its whole gradient run over
+// in one call once the loop is done: the engines book each XTXN at its own
+// time, as one call per XTXN would.
+func (c *Ctx) AddVector32BE(at []sim.Time, addr uint64, lanes []byte) {
+	done := c.txns(len(lanes))
+	c.pfe.Mem.AddVector32BEAt(at, addr, lanes, done)
+	c.spans("add_vector", at, done)
+}
+
+// MemWriteAt is AddVector32BE's write: data overwrites shared memory in
+// asynchronous 64-byte write XTXNs, XTXN i issued at at[i], the last one
+// zero-padded to the 8-byte grain (a block's first source initializing the
+// aggregation buffer).
+func (c *Ctx) MemWriteAt(at []sim.Time, addr uint64, data []byte) {
+	done := c.txns(len(data))
+	c.pfe.Mem.WriteAt(at, addr, data, done)
+	c.spans("write", at, done)
+}
+
+// txns counts the XTXNs of an n-byte run, one per 64 bytes, and returns
+// storage for their completion times when a trace is attached (nil
+// otherwise: the untraced run asks the engines for nothing more).
+func (c *Ctx) txns(n int) []sim.Time {
+	k := (n + smem.MaxTxnBytes - 1) / smem.MaxTxnBytes
+	c.stats.XTXNs += uint64(k)
+	if c.pfe.trace == nil {
+		return nil
+	}
+	c.txnDone = slices.Grow(c.txnDone[:0], k)[:k]
+	return c.txnDone
+}
+
+// spans records one rmw span per XTXN of a run, from its issue time to the
+// completion the engines reported.
+func (c *Ctx) spans(name string, at, done []sim.Time) {
+	for i, d := range done {
+		c.span("rmw", name, at[i], d)
+	}
 }
 
 // ReadVector32BE synchronously reads len(dst)/4 32-bit words from shared

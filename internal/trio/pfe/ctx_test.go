@@ -61,8 +61,8 @@ func TestCtxVectorOpsAndCounter(t *testing.T) {
 	runApp(t, frameOfSize(64, 0), func(ctx *Ctx) {
 		buf := ctx.pfe.Mem.Alloc(smem.TierDRAM, 64)
 		cnt := ctx.pfe.Mem.Alloc(smem.TierSRAM, 16)
-		ctx.AddVector32BE(buf, []byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4})
-		ctx.AddVector32BE(buf, []byte{0, 0, 0, 10, 0, 0, 0, 20, 0, 0, 0, 30, 0, 0, 0, 40})
+		ctx.AddVector32BE([]sim.Time{ctx.Now()}, buf, []byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4})
+		ctx.AddVector32BE([]sim.Time{ctx.Now()}, buf, []byte{0, 0, 0, 10, 0, 0, 0, 20, 0, 0, 0, 30, 0, 0, 0, 40})
 		ctx.ReadVector32BE(buf, vals)
 		ctx.CounterInc(cnt, 500)
 		pkts, byteCnt = ctx.pfe.Mem.Counter(cnt)
@@ -218,7 +218,7 @@ func TestCtxReadVector32BEFillsDstAndStalls(t *testing.T) {
 	dst := []byte{0xAA, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xBB}
 	runApp(t, frameOfSize(64, 0), func(ctx *Ctx) {
 		buf := ctx.pfe.Mem.Alloc(smem.TierDRAM, 64)
-		ctx.AddVector32BE(buf, []byte{0, 0, 0, 5, 0, 0, 0, 6, 0xFF, 0xFF, 0xFF, 0xF9})
+		ctx.AddVector32BE([]sim.Time{ctx.Now()}, buf, []byte{0, 0, 0, 5, 0, 0, 0, 6, 0xFF, 0xFF, 0xFF, 0xF9})
 		ctx.ReadVector32BE(buf, dst[1:13])
 		stalled = ctx.Stats().SyncStall
 		ctx.Consume()

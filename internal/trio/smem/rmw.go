@@ -120,12 +120,26 @@ func (m *Memory) Add64(now sim.Time, addr uint64, delta uint64) (newVal uint64, 
 // so a 16-gradient chunk costs 8 engine-word operations — the accounting
 // behind the 6×10⁹ adds/s/PFE figure of §6.3. It returns the completion time
 // of the last word (engines work in parallel across banks).
-//
-// The lanes are added in place on the backing page by packet.AddLanes, one
-// run per page; a lane straddling a page end (addr not 4-byte aligned) goes
-// through load/store. The engine words are charged by issue in one walk (at
-// 12 engines a 16-gradient chunk touches 8 distinct engines exactly once).
 func (m *Memory) AddVector32BE(now sim.Time, addr uint64, lanes []byte) sim.Time {
+	return m.addVector32BE(now, nil, addr, lanes)
+}
+
+// AddVector32BEAt is AddVector32BE issued as a thread's tail loop issues it:
+// one vector-add transaction per MaxTxnBytes of lanes (16 gradients, 8
+// engine words), transaction i at at[i]. done, when non-nil, receives each
+// transaction's completion time. A packet's whole gradient run takes one
+// call: one add pass over the bytes and one engine walk, booking exactly
+// what one AddVector32BE per 64-byte chunk at its own time would.
+func (m *Memory) AddVector32BEAt(at []sim.Time, addr uint64, lanes []byte, done []sim.Time) sim.Time {
+	return m.addVector32BE(0, &pace{at: at, per: MaxTxnBytes / 8, done: done}, addr, lanes)
+}
+
+// addVector32BE is the kernel under both vector adds, issued at now or
+// paced by p. The lanes are added in place on the backing page by
+// packet.AddLanes, one run per page; a lane straddling a page end (addr not
+// 4-byte aligned) goes through load/store. The engine words are charged by
+// issueAt in one walk.
+func (m *Memory) addVector32BE(now sim.Time, p *pace, addr uint64, lanes []byte) sim.Time {
 	for a, l := addr, lanes; len(l) > 0; {
 		b := m.run(a, len(l))
 		if len(b) < 4 {
@@ -140,7 +154,7 @@ func (m *Memory) AddVector32BE(now sim.Time, addr uint64, lanes []byte) sim.Time
 		packet.AddLanes(b[:k], l[:k])
 		a, l = a+uint64(k), l[k:]
 	}
-	return m.issue(now, addr, 8, (len(lanes)/4+1)/2, AddCycles)
+	return m.issueAt(now, p, addr, 8, (len(lanes)/4+1)/2, AddCycles)
 }
 
 // AddVector32 is AddVector32BE over host-order deltas, encoded to wire lanes

@@ -159,14 +159,16 @@ func New(cfg Config) *Memory {
 func (m *Memory) Config() Config { return m.cfg }
 
 // tierAt resolves addr to its tier and the first address past that tier (the
-// tiers tile the unified space from 0, so one upper-bound ladder decides).
-func (m *Memory) tierAt(addr uint64) (TierKind, uint64) {
+// tiers tile the unified space from 0, so one upper-bound ladder decides); an
+// address outside the space has end 0. It makes no call, so it inlines into
+// the kernel.
+func tierAt(addr uint64) (TierKind, uint64) {
 	for k := range tiers {
 		if end := tiers[k].Base + tiers[k].Size; addr < end {
 			return TierKind(k), end
 		}
 	}
-	panic(fmt.Sprintf("smem: address %#x outside unified address space", addr))
+	return numTiers, 0
 }
 
 // Alloc reserves size bytes in the given tier (control-plane operation: job
@@ -238,83 +240,137 @@ func serviceCycles(size int, opCyclesPerWord uint64) uint64 {
 // issue charges count requests issued together at now — request i to the
 // RMW engine owning addr+i*stride, cycles of service each — and returns the
 // latest PPE-observed completion time (engines work in parallel across
-// banks). Every data-path operation is accounted here, a scalar transaction
-// as a run of one. With a fault injector or histograms attached the requests
-// go through the charging kernel one at a time, a bank error drawn before
-// each and its queueing and full latency observed after; charge books
-// requests in address order, so one at a time and all at once are the same
-// thing.
+// banks). Every data-path operation is accounted here or in issueAt, a
+// scalar transaction as a run of one.
 func (m *Memory) issue(now sim.Time, addr, stride uint64, count int, cycles uint64) sim.Time {
+	return m.issueAt(now, nil, addr, stride, count, cycles)
+}
+
+// pace is the issue schedule of a run of requests as a thread's loop issues
+// them: transactions of per requests each (the last may be shorter),
+// transaction t issued at at[t]. done, when non-nil, receives each
+// transaction's completion time.
+type pace struct {
+	at   []sim.Time
+	per  int
+	done []sim.Time
+}
+
+// issueAt is issue for a run paced by p, or issued at now when p is nil
+// (the one-time case; a paced run ignores now). With a fault injector or
+// histograms attached the requests go through the charging kernel one at a
+// time, a bank error drawn before each and its queueing and full latency
+// observed after; charge books requests in address order, so one at a time
+// and all at once are the same thing.
+func (m *Memory) issueAt(now sim.Time, p *pace, addr, stride uint64, count int, cycles uint64) sim.Time {
 	if m.faults == nil && !m.obsOn {
-		return m.charge(now, addr, stride, count, cycles)
+		return m.charge(now, p, addr, stride, count, cycles)
 	}
 	var latest sim.Time
-	for ; count > 0; count, addr = count-1, addr+stride {
+	if p != nil {
+		clear(p.done)
+	}
+	for j := 0; j < count; j, addr = j+1, addr+stride {
+		t := 0
+		if p != nil {
+			t = j / p.per
+			now = p.at[t]
+		}
 		c := cycles
 		if m.faults != nil {
 			c += m.faults.BankError()
 		}
-		done := m.charge(now, addr, 0, 1, c)
+		d := m.charge(now, nil, addr, 0, 1, c)
 		if m.obsOn {
-			k, _ := m.tierAt(addr)
-			m.queueHist.Observe(float64(done - now - tiers[k].Latency - sim.Time(c)*CycleTime))
-			m.tierHist[k].Observe(float64(done - now))
+			k, _ := tierAt(addr)
+			m.queueHist.Observe(float64(d - now - tiers[k].Latency - sim.Time(c)*CycleTime))
+			m.tierHist[k].Observe(float64(d - now))
 		}
-		latest = max(latest, done)
+		if p != nil && p.done != nil {
+			p.done[t] = max(p.done[t], d)
+		}
+		latest = max(latest, d)
 	}
 	return latest
 }
 
-// charge is the occupancy kernel under issue: it books the requests on their
-// engines and returns the latest completion time, queueing + service + tier
-// latency. Consecutive 8-byte words stripe across the engines at stride 1, so
-// the walk steps an engine index instead of dividing per request (at 12
-// engines a 16-gradient chunk touches 8 distinct engines once each), and the
-// tier is resolved once per run of requests up to the tier's end. Requests are
-// booked in address order, so an engine that a long vector wraps onto finds
-// its own earlier words as backlog.
-func (m *Memory) charge(now sim.Time, addr, stride uint64, count int, cycles uint64) sim.Time {
+// charge is the occupancy kernel under issueAt: it books the requests on
+// their engines and returns the latest completion time, queueing + service +
+// tier latency. Consecutive 8-byte words stripe across the engines at stride
+// 1, so the walk steps an engine index instead of dividing per request (at
+// 12 engines a 16-gradient chunk touches 8 distinct engines once each), and
+// the tier is resolved once per run of requests up to the tier's end.
+// Requests are booked in address order, each at its transaction's issue
+// time, so an engine that a long vector wraps onto finds its own earlier
+// words as backlog: a packet's whole gradient run booked in one walk is the
+// same request sequence as one call per 64-byte chunk.
+func (m *Memory) charge(now sim.Time, p *pace, addr, stride uint64, count int, cycles uint64) sim.Time {
+	if count == 0 {
+		return 0
+	}
 	engines, ct := m.engines, CycleTime
 	n := uint64(len(engines))
 	idx, step := (addr/8)%n, stride/8
 	if step >= n {
 		step %= n
 	}
+	t, left := 0, count // one transaction, unless paced
+	if p != nil {
+		now, left = p.at[0], p.per
+		clear(p.done)
+	}
 	var latest sim.Time
 	for count > 0 {
-		k, end := m.tierAt(addr)
+		k, end := tierAt(addr)
+		if end == 0 {
+			panic(fmt.Sprintf("smem: address %#x outside unified address space", addr))
+		}
 		span := count
 		if addr+stride*uint64(count-1) >= end {
 			span = int((end-1-addr)/stride) + 1
 		}
 		count -= span
 		addr += stride * uint64(span)
-		idle := now + sim.Time(cycles)*ct + tiers[k].Latency // completion with no queue
-		for ; span > 0; span-- {
-			e := &engines[idx]
-			// The backlog drains one cycle per ct since the engine's last
-			// request: floor(dt/ct) >= backlog exactly when dt >= backlog*ct,
-			// so only a partial drain pays the division.
-			queue := sim.Time(e.backlog) * ct
-			if dt := now - e.lastTime; dt > 0 {
-				if dt >= queue {
-					e.backlog, queue = 0, 0
-				} else {
-					e.backlog -= uint64(dt / ct)
-					queue = sim.Time(e.backlog) * ct
+		fixed := sim.Time(cycles)*ct + tiers[k].Latency // completion past issue with no queue
+		for span > 0 {
+			if left == 0 { // the next transaction of a paced run
+				t++
+				now, left = p.at[t], p.per
+			}
+			r := min(left, span)
+			left, span = left-r, span-r
+			var worst sim.Time // the longest queue the piece's requests found
+			for ; r > 0; r-- {
+				e := &engines[idx]
+				// The backlog drains one cycle per ct since the engine's
+				// last request: floor(dt/ct) >= backlog exactly when dt >=
+				// backlog*ct, so only a partial drain pays the division.
+				queue := sim.Time(e.backlog) * ct
+				if dt := now - e.lastTime; dt > 0 {
+					if dt >= queue {
+						e.backlog, queue = 0, 0
+					} else {
+						e.backlog -= uint64(dt / ct)
+						queue = sim.Time(e.backlog) * ct
+					}
+					e.lastTime = now
 				}
-				e.lastTime = now
+				if queue > 0 {
+					e.backlogged++
+					e.maxQueueing = max(e.maxQueueing, queue)
+				}
+				e.backlog += cycles
+				e.ops++
+				e.busyCycles += cycles
+				worst = max(worst, queue)
+				if idx += step; idx >= n {
+					idx -= n
+				}
 			}
-			if queue > 0 {
-				e.backlogged++
-				e.maxQueueing = max(e.maxQueueing, queue)
-			}
-			e.backlog += cycles
-			e.ops++
-			e.busyCycles += cycles
-			latest = max(latest, idle+queue)
-			if idx += step; idx >= n {
-				idx -= n
+			c := now + fixed + worst
+			latest = max(latest, c)
+			if p != nil && p.done != nil {
+				p.done[t] = max(p.done[t], c)
 			}
 		}
 	}
@@ -358,6 +414,28 @@ func (m *Memory) Write(now sim.Time, addr uint64, data []byte) sim.Time {
 	checkTxnSize(len(data))
 	m.store(addr, data)
 	return m.issue(now, addr, 0, 1, serviceCycles(len(data), 1))
+}
+
+// WriteAt writes data as a thread's loop issues it: one write transaction
+// per MaxTxnBytes, transaction i at at[i], the last one zero-padded to the
+// 8-byte grain. done, when non-nil, receives each transaction's completion
+// time. It returns the latest completion; at and done hold a time per
+// transaction.
+func (m *Memory) WriteAt(at []sim.Time, addr uint64, data []byte, done []sim.Time) sim.Time {
+	full, rest := len(data)/MaxTxnBytes, len(data)%MaxTxnBytes
+	m.store(addr, data)
+	var zero [8]byte
+	m.store(addr+uint64(len(data)), zero[:-rest&7])
+	p := pace{at: at, per: 1, done: done}
+	latest := m.issueAt(0, &p, addr, MaxTxnBytes, full, MaxTxnBytes/8)
+	if rest > 0 {
+		p.at = at[full:]
+		if done != nil {
+			p.done = done[full:]
+		}
+		latest = max(latest, m.issueAt(0, &p, addr+uint64(MaxTxnBytes*full), 0, 1, serviceCycles(rest, 1)))
+	}
+	return latest
 }
 
 // ReadRaw reads arbitrary bytes without engine accounting — a control-plane

@@ -412,6 +412,155 @@ func TestScalarOpsMatchWordLoop(t *testing.T) {
 	}
 }
 
+// pacedRef is the per-transaction loop the paced kernel replaced: one
+// AddVector32BE (add) or Write (write, the last transaction zero-padded to
+// the 8-byte grain) per 64-byte transaction of data, transaction i at at[i],
+// kept as the oracle for AddVector32BEAt and WriteAt. It returns each
+// transaction's completion and the latest.
+func (m *Memory) pacedRef(write bool, at []sim.Time, addr uint64, data []byte) ([]sim.Time, sim.Time) {
+	var done []sim.Time
+	var latest sim.Time
+	for i := 0; 64*i < len(data); i++ {
+		chunk := data[64*i : min(64*i+64, len(data))]
+		a := addr + uint64(64*i)
+		var d sim.Time
+		if write {
+			var b [MaxTxnBytes]byte
+			d = m.Write(at[i], a, b[:(copy(b[:], chunk)+7)&^7])
+		} else {
+			d = m.AddVector32BE(at[i], a, chunk)
+		}
+		done = append(done, d)
+		latest = max(latest, d)
+	}
+	return done, latest
+}
+
+// pacedKernel is the paced call pacedRef must equal.
+func (m *Memory) pacedKernel(write bool, at []sim.Time, addr uint64, data []byte, done []sim.Time) sim.Time {
+	if write {
+		return m.WriteAt(at, addr, data, done)
+	}
+	return m.AddVector32BEAt(at, addr, data, done)
+}
+
+// samePages reports whether two memories hold the same bytes (an unmapped
+// page is zeros).
+func samePages(a, b *Memory) bool {
+	var zero [pageSize]byte
+	for _, pair := range [][2]*Memory{{a, b}, {b, a}} {
+		for idx, p := range pair[0].pages {
+			q := pair[1].pages[idx]
+			if q == nil {
+				q = &zero
+			}
+			if *p != *q {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestPacedKernelMatchesPerTransactionLoop is the gate for the paced
+// kernel: a thread's whole run of 1..1024 lanes — a write or an add, at
+// unaligned, page-straddling and tier-crossing addresses — booked in one
+// call, each 64-byte transaction at its own issue time, against one call per
+// transaction. Issue times step by less than a backlog drains, stand still,
+// and start before the times earlier threads left on the engines. Returned
+// and per-transaction completions, every engine counter (the private
+// backlog included), histograms, fault draws and memory bytes must agree, at
+// several engine counts with fault injection and obs on and off.
+func TestPacedKernelMatchesPerTransactionLoop(t *testing.T) {
+	for _, engines := range []int{1, 5, 12} {
+		for _, withFaults := range []bool{false, true} {
+			for _, withObs := range []bool{false, true} {
+				t.Run(fmt.Sprintf("engines=%d/faults=%v/obs=%v", engines, withFaults, withObs), func(t *testing.T) {
+					seed := int64(100 + engines)
+					rng := rand.New(rand.NewSource(seed))
+					ref, kern := newTwinRig(engines, withFaults, withObs, uint64(seed)), newTwinRig(engines, withFaults, withObs, uint64(seed))
+					var now sim.Time
+					for op := 0; op < 300; op++ {
+						// A new thread starts a little after the last one, or
+						// before the times it left on the engines.
+						if rng.Intn(4) == 0 {
+							now = max(0, now-sim.Time(rng.Intn(2000)))
+						} else {
+							now += sim.Time(rng.Intn(200))
+						}
+						n := 1 + rng.Intn(1024)
+						if rng.Intn(3) == 0 {
+							n = 1 + rng.Intn(40)
+						}
+						write := rng.Intn(3) == 0
+						addr := twinAddr(rng, ref.m, n)
+						data := twinLanes(rng, n)
+						at := make([]sim.Time, (len(data)+63)/64)
+						for i := range at {
+							at[i] = now
+							now += sim.Time(rng.Intn(25)) // a chunk's 16 add cycles drain slower
+						}
+						what := fmt.Sprintf("op %d write=%v at=%d.. addr=%#x n=%d", op, write, at[0], addr, n)
+						wantDone, want := ref.m.pacedRef(write, at, addr, data)
+						var done []sim.Time
+						if rng.Intn(4) > 0 {
+							done = make([]sim.Time, len(at))
+						}
+						if got := kern.m.pacedKernel(write, at, addr, data, done); got != want {
+							t.Fatalf("%s: done %d, reference %d", what, got, want)
+						}
+						if done != nil && !slices.Equal(done, wantDone) {
+							t.Fatalf("%s: per-transaction completions\n kernel    %v\n reference %v", what, done, wantDone)
+						}
+						we, wh, wf := ref.state()
+						ge, gh, gf := kern.state()
+						if !reflect.DeepEqual(we, ge) {
+							t.Fatalf("%s: engines diverge\n kernel    %+v\n reference %+v", what, ge, we)
+						}
+						if !reflect.DeepEqual(wh, gh) || wf != gf {
+							t.Fatalf("%s: histograms or bank-error count diverge", what)
+						}
+					}
+					if !samePages(ref.m, kern.m) {
+						t.Fatal("memory bytes differ")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPacedKernelOutsideSpacePanics pins that a paced run reaching past the
+// end of the address space panics as the per-transaction loop does, after
+// booking the same requests.
+func TestPacedKernelOutsideSpacePanics(t *testing.T) {
+	end := tiers[TierDRAM].Base + tiers[TierDRAM].Size
+	for _, write := range []bool{false, true} {
+		for _, addr := range []uint64{end - 200, end - 196, end - 64, end - 4} {
+			data := make([]byte, 260)
+			at := []sim.Time{0, 3, 6, 9, 12}
+			var msgs [2]any
+			rigs := [2]*Memory{New(Config{}), New(Config{})}
+			for i, m := range rigs {
+				func() {
+					defer func() { msgs[i] = recover() }()
+					if i == 0 {
+						m.pacedRef(write, at, addr, data)
+					} else {
+						m.pacedKernel(write, at, addr, data, make([]sim.Time, len(at)))
+					}
+				}()
+			}
+			if msgs[0] == nil || msgs[0] != msgs[1] {
+				t.Fatalf("write=%v addr=end-%d: kernel panicked with %v, reference with %v", write, end-addr, msgs[1], msgs[0])
+			}
+			if !reflect.DeepEqual(rigs[0].engines, rigs[1].engines) {
+				t.Fatalf("write=%v addr=end-%d: engines booked before the panic differ", write, end-addr)
+			}
+		}
+	}
+}
+
 func TestVectorOpsOutsideSpacePanic(t *testing.T) {
 	m := New(Config{})
 	end := tiers[TierDRAM].Base + tiers[TierDRAM].Size

@@ -201,6 +201,10 @@ func (a *Aggregator) InstallJob(cfg JobConfig) error {
 	// holds its own: the caller may reuse or change the slices it passed.
 	cfg.ResultPorts = slices.Clone(cfg.ResultPorts)
 	cfg.DistributePorts = slices.Clone(cfg.DistributePorts)
+	// Size the gradient stream's issue-time list for the job's largest
+	// block, one time per 64-byte chunk: Decide refuses a contribution
+	// claiming more, so the per-packet loop never grows it.
+	a.gs.at = slices.Grow(a.gs.at, (cfg.BlockGradMax+chunkGrads-1)/chunkGrads)
 	js := &jobState{cfg: cfg, bufOf: make(map[uint64]uint64)}
 	js.core = aggcore.NewJob(rec.SrcMask, cfg.BlockGradMax)
 	mem := a.pfe.Mem
@@ -383,52 +387,45 @@ func (a *Aggregator) Process(ctx *pfe.Ctx) {
 }
 
 // gradStream is the streaming state of aggregateGradients. It lives on the
-// Aggregator so the staging buffers are reused across packets — the
-// tail-aggregation loop runs per packet and must not allocate.
+// Aggregator so its issue-time list, sized by InstallJob, is reused across
+// packets — the tail-aggregation loop runs per packet and must not allocate.
 //
-// Gradient bytes are staged as they arrive, wire order, until a 64-byte chunk
-// is whole; head/tail misalignment (the head ends mid-gradient at the
-// 192-byte split) needs no special case because the staging is bytewise. The
-// staged bytes go to shared memory as they are: the RMW vector add takes
-// big-endian wire lanes, so a gradient is never decoded on the way.
+// The stream walks the Fig. 10 loop in virtual time: as the gradient bytes
+// arrive, head first and then tail read by tail read, it charges a 64-byte
+// chunk's instructions the moment the chunk's last byte arrives and records
+// the thread's clock then, the chunk's issue time. Head/tail misalignment
+// (the head ends mid-gradient at the 192-byte split) needs no special case
+// because the walk counts bytes. The bytes themselves never move: finish
+// hands the packet's whole run of whole gradients, a view of the frame, to
+// shared memory in one call, one XTXN per chunk booked at its recorded time.
+// The first source of a block writes the wire bytes as they are (padded to
+// the 8-byte transaction grain), later sources have the engines add them as
+// wire lanes; a gradient is never decoded on the way.
+//
+// Handing the run over at the end of the loop is exact: the RMW ops are
+// asynchronous, so they never move the thread's clock, a thread runs to
+// completion inside Process, and between two chunks the loop issues only
+// tail reads, which are Packet Buffer XTXNs of fixed latency. Nothing
+// touches shared memory between one chunk's issue and the next, so the
+// engines see the request sequence one call per chunk would have given them.
 type gradStream struct {
 	ctx   *pfe.Ctx
-	addr  uint64 // aggregation-buffer address of the staged chunk
+	lanes []byte // the packet's gradient bytes, wire order
+	addr  uint64 // aggregation-buffer address of the first gradient
 	first bool
-	left  int                  // gradient bytes the packet still owes
-	n     int                  // bytes staged in chunk
-	chunk [4 * chunkGrads]byte // wire bytes of the chunk being assembled
+	want  int        // gradient bytes grad_cnt claims
+	got   int        // gradient bytes arrived
+	at    []sim.Time // issue time of each chunk whose last byte has arrived
 }
 
-// consume stages the next gradient bytes, charging and flushing each chunk
-// the moment its last byte arrives.
-func (g *gradStream) consume(b []byte) {
-	b = b[:min(len(b), g.left)]
-	g.left -= len(b)
-	for len(b) > 0 {
-		k := copy(g.chunk[g.n:], b)
-		g.n, b = g.n+k, b[k:]
-		if g.n == len(g.chunk) {
-			g.ctx.ChargeInstr(instrPerChunk)
-			g.flush()
-		}
+// consume takes the arrival of the next n gradient bytes, charging each
+// chunk and recording its issue time the moment its last byte arrives.
+func (g *gradStream) consume(n int) {
+	g.got += min(n, g.want-g.got)
+	for 4*chunkGrads*(len(g.at)+1) <= g.got {
+		g.ctx.ChargeInstr(instrPerChunk)
+		g.at = append(g.at, g.ctx.Now())
 	}
-}
-
-// flush issues the staged whole gradients as one XTXN: the first source of a
-// block writes the wire bytes as they are (padded to the 8-byte transaction
-// grain), later sources have the engines add them as wire lanes.
-func (g *gradStream) flush() {
-	n := g.n &^ 3
-	if g.first {
-		pad := n + n%8
-		clear(g.chunk[n:pad])
-		g.ctx.MemWrite(g.addr, g.chunk[:pad], true)
-	} else {
-		g.ctx.AddVector32BE(g.addr, g.chunk[:n])
-	}
-	g.addr += uint64(n)
-	g.n = 0
 }
 
 // aggregateGradients streams the packet's gradient bytes — head first, then
@@ -440,33 +437,44 @@ func (a *Aggregator) aggregateGradients(ctx *pfe.Ctx, f *packet.Frame, h *packet
 	head := ctx.Head()
 
 	g := &a.gs
-	g.start(ctx, bufAddr, firstSource, int(h.GradCnt))
+	// The gradients are read from the frame itself: the head in local memory
+	// is a copy of its first bytes, and the aggregator never rewrites it.
+	g.start(ctx, ctx.Packet().Frame[hdrLen:], bufAddr, firstSource, int(h.GradCnt))
 	if hdrLen < len(head) {
-		g.consume(head[hdrLen:])
+		g.consume(len(head) - hdrLen)
 	}
 	// Phase two: tail loop, 64 bytes per XTXN.
-	for off := 0; off < ctx.TailLen() && g.left > 0; off += 64 {
-		g.consume(ctx.ReadTail(off, 64))
+	for off := 0; off < ctx.TailLen() && g.got < g.want; off += 64 {
+		g.consume(len(ctx.ReadTail(off, 64)))
 	}
 	g.finish()
 }
 
-// start readies g for a packet of grads gradients bound for bufAddr.
-func (g *gradStream) start(ctx *pfe.Ctx, bufAddr uint64, first bool, grads int) {
+// start readies g for a packet of grads gradients, lanes its gradient bytes,
+// bound for bufAddr.
+func (g *gradStream) start(ctx *pfe.Ctx, lanes []byte, bufAddr uint64, first bool, grads int) {
 	g.ctx = ctx
+	g.lanes = lanes
 	g.addr = bufAddr
 	g.first = first
-	g.left = 4 * grads
-	g.n = 0
+	g.want, g.got = 4*grads, 0
+	g.at = g.at[:0]
 }
 
-// finish charges and flushes the whole gradients of a last partial chunk.
+// finish charges the whole gradients of a last partial chunk, then issues
+// the packet's whole gradients to shared memory, chunk i at at[i].
 func (g *gradStream) finish() {
-	if grads := g.n / 4; grads > 0 {
+	if grads := (g.got - 4*chunkGrads*len(g.at)) / 4; grads > 0 {
 		g.ctx.ChargeInstr(instrPerChunk * grads / chunkGrads)
-		g.flush()
+		g.at = append(g.at, g.ctx.Now())
 	}
-	g.ctx = nil
+	lanes := g.lanes[:g.got&^3]
+	if g.first {
+		g.ctx.MemWriteAt(g.at, g.addr, lanes)
+	} else {
+		g.ctx.AddVector32BE(g.at, g.addr, lanes)
+	}
+	g.ctx, g.lanes = nil, nil
 }
 
 // finishBlock generates the Result packet, recycles the block's resources,

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"github.com/trioml/triogo/internal/obs"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio/pfe"
@@ -18,7 +21,8 @@ import (
 // to run on — one push per decoded gradient, a 4-byte carry for gradients
 // split across head/tail or chunk edges, and every staged batch re-encoded to
 // wire lanes for the first source's write and for the later sources' vector
-// add — kept as the oracle for the chunk-staging gradStream.
+// add, one XTXN per chunk at the thread's clock — kept as the oracle for
+// gradStream, which hands a packet's whole run over in one call.
 type refGradStream struct {
 	ctx        *pfe.Ctx
 	bufAddr    uint64
@@ -54,7 +58,7 @@ func (g *refGradStream) flush() {
 		}
 		g.ctx.MemWrite(addr, g.wbuf[:n], true)
 	} else {
-		g.ctx.AddVector32BE(addr, g.wbuf[:n])
+		g.ctx.AddVector32BE([]sim.Time{g.ctx.Now()}, addr, g.wbuf[:n])
 	}
 	g.batch = g.batch[:0]
 }
@@ -158,8 +162,8 @@ func (s *streamApp) Process(ctx *pfe.Ctx) {
 		s.ref.finish()
 	default:
 		g := &s.agg.gs
-		g.start(ctx, s.buf, s.first, grads)
-		consumeSplit(ctx.Packet().Frame, s.split, hdrLen, g.consume)
+		g.start(ctx, ctx.Packet().Frame[hdrLen:], s.buf, s.first, grads)
+		consumeSplit(ctx.Packet().Frame, s.split, hdrLen, func(b []byte) { g.consume(len(b)) })
 		g.finish()
 	}
 	s.now = append(s.now, ctx.Now())
@@ -184,8 +188,7 @@ func newStreamRig(split int, ref bool) *streamRig {
 	return &streamRig{eng: eng, pfe: p, app: app}
 }
 
-// TestGradStreamMatchesPerGradientReference is the gate for the chunk-staging
-// gradStream: every gradient count 1..1024, with the head/tail split landing
+// TestGradStreamMatchesPerGradientReference is the gate for gradStream: every gradient count 1..1024, with the head/tail split landing
 // on every byte residue of a gradient (the PFE's own pfe.HeadBytes split, and
 // the stream driven directly over splits 189..191, 96 and a whole-frame head;
 // the header pushed along by IP options), as the first source (write) and as a later one
@@ -240,6 +243,72 @@ func TestGradStreamMatchesPerGradientReference(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestGradStreamTraceMatchesPerChunk pins what a trace and the thread's
+// counters show of the one-call gradient run: with an obs.Trace attached, a
+// 1024-gradient contribution (and a 1001-gradient one, whose last chunk is
+// partial), as a block's first source and as a later one, emits the same
+// rmw/write and rmw/add_vector spans as the per-chunk reference — one per
+// 64-byte XTXN, on the same track, with the same start and duration — and
+// counts the same XTXNs.
+func TestGradStreamTraceMatchesPerChunk(t *testing.T) {
+	type span struct {
+		Name string  `json:"name"`
+		Cat  string  `json:"cat"`
+		Tid  int64   `json:"tid"`
+		Ts   float64 `json:"ts"`
+		Dur  float64 `json:"dur"`
+	}
+	run := func(ref bool, grads int) ([]span, []pfe.CtxStats) {
+		r := newStreamRig(0, ref)
+		var buf bytes.Buffer
+		tr := obs.NewTrace(&buf, 0)
+		r.pfe.SetTrace(tr)
+		g := make([]int32, grads)
+		for i := range g {
+			g[i] = int32(i * 7919)
+		}
+		spec := packet.UDPSpec{SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 100}, SrcPort: 5000}
+		frame := packet.BuildTrioML(spec, packet.TrioML{JobID: 1, GradCnt: uint16(grads)}, g)
+		for _, first := range []bool{true, false} {
+			r.app.first = first
+			r.pfe.Inject(0, 1, frame)
+			r.eng.Run()
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var events []span
+		if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+			t.Fatalf("trace is not valid JSON: %v", err)
+		}
+		var rmw []span
+		for _, e := range events {
+			if e.Cat == "rmw" && (e.Name == "write" || e.Name == "add_vector") {
+				rmw = append(rmw, e)
+			}
+		}
+		// The one-call run records its spans after the loop's tail reads, so
+		// the trace holds them in another order: compare them as a set.
+		slices.SortFunc(rmw, func(a, b span) int {
+			return cmp.Or(cmp.Compare(a.Name, b.Name), cmp.Compare(a.Tid, b.Tid), cmp.Compare(a.Ts, b.Ts), cmp.Compare(a.Dur, b.Dur))
+		})
+		return rmw, r.app.stats
+	}
+	for _, grads := range []int{1024, 1001} {
+		want, wantStats := run(true, grads)
+		got, gotStats := run(false, grads)
+		if n := (grads + chunkGrads - 1) / chunkGrads; len(want) != 2*n {
+			t.Fatalf("%d gradients: reference traced %d rmw spans, want %d", grads, len(want), 2*n)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d gradients: rmw spans\n got       %v\n reference %v", grads, got, want)
+		}
+		if !slices.Equal(gotStats, wantStats) {
+			t.Fatalf("%d gradients: thread counters %+v, reference %+v", grads, gotStats, wantStats)
 		}
 	}
 }
