@@ -132,15 +132,20 @@ verify-obs:
 	$(GO) run ./tools/obscheck
 
 # verify-microcode races the v2 compile/verify/dispatch pipeline — its
-# package tests include the counted-loop kernel differential tests (every
-# unroll, budget, faulting lane and trace case against the reference
-# interpreter) — then the packet path around it (the pfe zero-allocation gate
-# and tail-clipping regression, mcagg compiled-vs-interpreter at every
-# unroll), and replays the FuzzAssemble seed+regression corpus before fuzzing
-# from it for 10 s (parse -> compile -> twin-engine dispatch must never panic
-# and must stay bit-identical).
+# package tests include the counted-loop kernel and fused-move differential
+# tests (every unroll, budget, faulting lane and trace case, overlapping
+# lmem64 copies and reg-op-imm cascades, against the reference interpreter)
+# — then the shared-memory twins under every XTXN a thread makes (each
+# single-request op and transaction, and the vector and paced kernels,
+# against the per-word reference loop, faults and obs on and off), then the
+# packet path around them (the pfe zero-allocation gate and tail-clipping
+# regression, mcagg compiled-vs-interpreter at every unroll), and replays
+# the FuzzAssemble seed+regression corpus before fuzzing from it for 10 s
+# (parse -> compile -> twin-engine dispatch must never panic and must stay
+# bit-identical).
 verify-microcode:
 	$(GO) test -race ./internal/microcode/
+	$(GO) test -race -run 'Twin|WordLoop|PageWalk|Paced' ./internal/trio/smem/
 	$(GO) test -race -run 'TestMicrocodeAppZeroAlloc|TestMicrocodeNegativeTailOffset' ./internal/trio/pfe/
 	$(GO) test -race -run 'TestMCAggCompiledMatchesInterpreter|TestMCAggUnrollVariantsAgree' ./internal/trioml/
 	$(GO) test -run FuzzAssemble ./internal/microcode/

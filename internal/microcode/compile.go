@@ -1,13 +1,16 @@
 // The v2 execution pipeline: Compile lowers a verified Program into a flat,
 // pc-resolved internal representation — branch targets become instruction
 // indices, operands become pre-decoded accessors with their shift masks and
-// byte windows computed once, and the common Move/Cond shapes fuse into
-// superinstructions, and counted loops built only from those shapes lower
-// into kernels (loop.go) that retire a whole pass at a time — which
-// RunCompiled then dispatches with zero map lookups and zero per-instruction
-// allocations. The tree-walking Run in exec.go stays as the reference
-// interpreter; the two are cross-checked instruction for instruction in
-// tests.
+// byte windows computed once, the common Move/Cond shapes fuse into
+// superinstructions the dispatch loop runs without a call (`r = imm`,
+// `r = r' op imm`, `r = lmem64[k]`, `lmem64[a] = lmem64[b]`, the pointer
+// read-modify-write, `r cmp imm`), and counted loops built only from those
+// shapes lower into kernels (loop.go) that retire a whole pass at a time —
+// which RunCompiled then dispatches with zero map lookups and zero
+// per-instruction allocations. Every other move goes through the generic
+// accessor switch (execMove). The tree-walking Run in exec.go stays as the
+// reference interpreter; the two are cross-checked instruction for
+// instruction in tests.
 package microcode
 
 import (
@@ -68,6 +71,10 @@ func compileAcc(o Operand) acc {
 	}
 	panic("microcode: bad operand kind")
 }
+
+// isLMem64 reports whether a is a static, byte-aligned 8-byte local-memory
+// window: lmem64[k] at any byte k.
+func (a *acc) isLMem64() bool { return a.kind == accLMemBytes && a.nbytes == 8 }
 
 // ptrByteAddr resolves a pointer accessor's dynamic byte address with the
 // same fault condition the interpreter's ptrBitOff enforces.
@@ -161,9 +168,16 @@ const (
 	// mvGeneric is the unfused form: readAcc/writeAcc through the accessor
 	// switch.
 	mvGeneric mvKind = iota
-	// mvRegOpImm fuses `r = r op imm` (full-width register accumulators: the
-	// ptr_s/ptr_b/lane steps of every Microcode loop).
+	// mvRegOpImm fuses `r = r' op imm` on full-width registers: the
+	// ptr_s/ptr_b/lane steps of every Microcode loop (r' = r), and each half
+	// of a cascade through a scratch register such as `toff = k * 64 - 138`.
 	mvRegOpImm
+	// mvImm fuses `r = imm` (pointer and counter initialisation).
+	mvImm
+	// mvRegLMem64 fuses `r = lmem64[k]`: a static, byte-aligned 8-byte load.
+	mvRegLMem64
+	// mvCopy64 fuses `lmem64[a] = lmem64[b]`: the result loop's copies.
+	mvCopy64
 	// mvPtrRMW32 fuses `lmem32[p + k] = lmem32[p + k] op lmem32[q + j]` — the
 	// gradient read-modify-write of Fig. 10's aggregation loop — into one
 	// bounds check per side and direct big-endian 32-bit loads/stores.
@@ -304,9 +318,17 @@ func (c *Compiled) compileInstr(p *Program, pc int) cop {
 			mv.crop = ^uint64(0) >> (64 - m.Dst.Width)
 		}
 		switch {
-		case mv.dst.kind == accReg && mv.a.kind == accReg && mv.dst.reg == mv.a.reg &&
-			mv.b.kind == accImm && m.Fn != Pass:
+		case mv.dst.kind == accReg && mv.a.kind == accReg && mv.b.kind == accImm && m.Fn != Pass:
 			mv.kind = mvRegOpImm
+			op.fused++
+		case mv.dst.kind == accReg && mv.a.kind == accImm && m.Fn == Pass:
+			mv.kind = mvImm
+			op.fused++
+		case mv.dst.kind == accReg && mv.a.isLMem64() && m.Fn == Pass:
+			mv.kind = mvRegLMem64
+			op.fused++
+		case mv.dst.isLMem64() && mv.a.isLMem64() && m.Fn == Pass:
+			mv.kind = mvCopy64
 			op.fused++
 		case mv.dst.kind == accPtrBytes && mv.a.kind == accPtrBytes &&
 			mv.dst.reg == mv.a.reg && mv.dst.byteOff == mv.a.byteOff &&
@@ -485,7 +507,15 @@ func (c *Compiled) run(t *Thread, pc int, budget uint64) (Verdict, error) {
 			m := &op.moves[i]
 			switch m.kind {
 			case mvRegOpImm:
-				t.Regs[m.dst.reg] = alu(m.fn, t.Regs[m.dst.reg], m.b.val)
+				t.Regs[m.dst.reg] = alu(m.fn, t.Regs[m.a.reg], m.b.val)
+			case mvImm:
+				t.Regs[m.dst.reg] = m.a.val
+			case mvRegLMem64:
+				t.Regs[m.dst.reg] = binary.BigEndian.Uint64(t.LMem[m.a.byteOff:])
+			case mvCopy64:
+				// A whole-word load then store: overlapping windows copy as
+				// the interpreter's read-then-write does.
+				binary.BigEndian.PutUint64(t.LMem[m.dst.byteOff:], binary.BigEndian.Uint64(t.LMem[m.a.byteOff:]))
 			case mvPtrRMW32:
 				t.rmw32(m)
 			default:

@@ -98,6 +98,90 @@ func ipv4Head() []byte {
 	return head
 }
 
+// fusedMoveSources pin the fused move shapes against the interpreter, and
+// FuzzAssemble seeds its corpus with them. Each program writes the bytes it
+// copies, so it shows a difference from a zeroed thread too.
+var fusedMoveSources = []struct{ name, src string }{
+	// lmem64 = lmem64 with overlapping windows, the destination after the
+	// source (a forward byte-by-byte copy smears it) and before it, at byte
+	// offsets that are not multiples of 8; the second copy of "back" reads
+	// bytes the first one just wrote (the Move ALUs cascade).
+	{"copy64_overlap", `
+s: begin
+    lmem64[0] = 0x0102030405060708;
+    lmem64[8] = 0x1112131415161718;
+    goto fwd;
+end
+fwd: begin
+    lmem64[3] = lmem64[0];
+    goto back;
+end
+back: begin
+    lmem64[1] = lmem64[6];
+    lmem64[54] = lmem64[5];
+    goto rd;
+end
+rd: begin
+    r5 = lmem64[3];
+    r6 = lmem64[55];
+    exit(forward);
+end
+`},
+	// r = r' op imm: the r' * imm then - imm cascade through a scratch
+	// register (negative and wrapping results), each ALU function, and a
+	// later move reading a register an earlier one wrote.
+	{"reg_op_imm_cascade", `
+s: begin
+    r15 = 1;
+    r17 = 0xFFFFFFFFFFFFFFFF;
+    goto tail;
+end
+tail: begin
+    r16 = r15 * 64 - 138;
+    goto ops;
+end
+ops: begin
+    r18 = r17 + 3;
+    r19 = r16 >> 4;
+    goto ops2;
+end
+ops2: begin
+    r2 = r16 ^ 0xF0F0;
+    r1 = r2 & 0xFF00;
+    goto ops3;
+end
+ops3: begin
+    r3 = r1 | 7;
+    r4 = r3 << 62;
+    goto fin;
+end
+fin: begin
+    r20 = r4 - 400;
+    r15 = r15 * 3;
+    exit(forward);
+end
+`},
+	// r = imm and r = lmem64[k]: full-width immediates, loads at odd byte
+	// offsets, and a load of bytes a move of the same instruction wrote.
+	{"imm_and_lmem64_load", `
+s: begin
+    r7 = 0xFEDCBA9876543210;
+    lmem64[40] = 0x8899AABBCCDDEEFF;
+    goto ld;
+end
+ld: begin
+    lmem16[47] = 0xA1B2;
+    r8 = lmem64[41];
+    goto ld2;
+end
+ld2: begin
+    r9 = lmem64[1272];
+    r10 = 0;
+    exit(consume);
+end
+`},
+}
+
 func TestCompiledMatchesInterpreterCorpus(t *testing.T) {
 	cases := []struct {
 		name string
@@ -238,6 +322,49 @@ end
 	}
 	for _, tc := range cases {
 		crossCheck(t, tc.name, tc.src, tc.init)
+	}
+	for _, tc := range fusedMoveSources {
+		crossCheck(t, tc.name, tc.src, func(th *Thread, env *testEnv) {
+			for i := range th.LMem {
+				th.LMem[i] = byte(i*7 + 1)
+			}
+		})
+	}
+}
+
+// Register bit-fields and sub-byte local-memory windows keep the generic
+// move path, as destinations and as sources: only full-width registers and
+// byte-aligned lmem64 windows fuse.
+func TestRegisterFieldMovesStayGeneric(t *testing.T) {
+	p := MustProgram("fields", []Instruction{
+		{Label: "s", Moves: []MoveOp{
+			{Dst: RField(5, 8, 8), A: Imm64(0x1ff), Fn: Pass},      // imm into a field: crops to 0xff
+			{Dst: RField(6, 4, 12), A: R(5), B: Imm64(3), Fn: Add}, // r' op imm into a field
+		}, Br: Branch{Default: Action{Kind: ActFallthrough}}},
+		{Label: "t", Moves: []MoveOp{
+			{Dst: RField(7, 0, 16), A: L(8*3, 64), Fn: Pass},       // lmem64 into a field
+			{Dst: R(8), A: RField(6, 4, 12), B: Imm64(1), Fn: Sub}, // a field as the source
+		}, Br: Branch{Default: Action{Kind: ActFallthrough}}},
+		{Label: "u", Moves: []MoveOp{
+			{Dst: R(9), A: L(8*3+4, 64), Fn: Pass},        // a window at a bit offset
+			{Dst: L(8*40+4, 64), A: L(8*3, 64), Fn: Pass}, // into one
+		}, Br: Branch{Default: Action{Kind: ActExit, Verdict: VerdictForward}}},
+	})
+	c := MustCompile(p)
+	for pc := range c.ops {
+		for i, m := range c.ops[pc].moves {
+			if m.kind != mvGeneric {
+				t.Fatalf("%s move %d: kind %d, want generic", c.ops[pc].label, i, m.kind)
+			}
+		}
+	}
+	for _, traced := range []bool{true, false} {
+		diffEngines(t, "fields", p, c, "s", DefaultBudget, traced, func(th *Thread, env *testEnv) {
+			th.Regs[5], th.Regs[6], th.Regs[7] = ^uint64(0), 0x123456789, ^uint64(0)
+			for i := range th.LMem {
+				th.LMem[i] = byte(i*13 + 5)
+			}
+		})
 	}
 }
 
@@ -434,7 +561,8 @@ func TestVerifyCallDepthBound(t *testing.T) {
 func TestCompileFusesLoopShapes(t *testing.T) {
 	// The Fig. 10 aggregation loop shape: the RMW add and the loop-control
 	// ops must all lower into superinstruction forms, and the loop as a
-	// whole into a kernel on its head.
+	// whole into a kernel on its head. The set-up ahead of it carries every
+	// other fused move shape of the chunk and result loops.
 	p := MustAssemble(`
 init: begin
     r12 = 448;
@@ -443,6 +571,15 @@ init: begin
 end
 init2: begin
     r13 = 16;
+    r14 = lmem64[8];
+    goto init3;
+end
+init3: begin
+    r16 = r14 * 64 - 138;
+    goto init4;
+end
+init4: begin
+    lmem64[600] = lmem64[54];
     goto add_loop;
 end
 add_loop: begin
@@ -458,8 +595,26 @@ add_ctl: begin
 end
 `)
 	c := MustCompile(p)
-	if c.Fused() != 6 {
-		t.Fatalf("fused = %d, want 6 (rmw32 + 3 reg-op-imm + reg-imm cond + loop kernel)", c.Fused())
+	if c.Fused() != 13 {
+		t.Fatalf("fused = %d, want 13 (3 imm + reg-lmem64 + 2 cascaded reg-op-imm + copy64 + rmw32 + 3 reg-op-imm steps + reg-imm cond + loop kernel)", c.Fused())
+	}
+	for _, tc := range []struct {
+		label string
+		kinds []mvKind
+	}{
+		{"init", []mvKind{mvImm, mvImm}},
+		{"init2", []mvKind{mvImm, mvRegLMem64}},
+		{"init3", []mvKind{mvRegOpImm, mvRegOpImm}}, // r30 = r14 * 64; r16 = r30 - 138
+		{"init4", []mvKind{mvCopy64}},
+	} {
+		pc, _ := c.Lookup(tc.label)
+		var got []mvKind
+		for _, m := range c.ops[pc].moves {
+			got = append(got, m.kind)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.kinds) {
+			t.Fatalf("%s: move kinds %v, want %v", tc.label, got, tc.kinds)
+		}
 	}
 	add, _ := c.Lookup("add_loop")
 	ctl, _ := c.Lookup("add_ctl")
@@ -487,8 +642,9 @@ end
 	}
 
 	dump := c.DumpCompiled()
-	for _, want := range []string{"fused rmw32", "fused reg-op-imm", "fused reg-imm", "goto",
-		"[loop head]", "loop kernel: head 2 (add_loop) .. end 3 (add_ctl), 1 lanes, 2 instructions per pass"} {
+	for _, want := range []string{"fused rmw32", "fused reg-op-imm", "fused reg-imm", "fused imm",
+		"fused reg-lmem64", "fused copy64", "goto",
+		"[loop head]", "loop kernel: head 4 (add_loop) .. end 5 (add_ctl), 1 lanes, 2 instructions per pass"} {
 		if !strings.Contains(dump, want) {
 			t.Fatalf("DumpCompiled missing %q:\n%s", want, dump)
 		}
@@ -793,6 +949,19 @@ l0: begin
 end
 ctl: begin
     r13 = r9 - 1;
+    if (r13 != 1) { goto l0; }
+    exit(forward);
+end
+`,
+		"control step from another register": `
+l0: begin
+    lmem32[r12] = lmem32[r12] + lmem32[r11];
+    r11 = r11 + 4;
+    goto ctl;
+end
+ctl: begin
+    r13 = r13 - 1;
+    r1 = r2 + 4;
     if (r13 != 1) { goto l0; }
     exit(forward);
 end

@@ -103,6 +103,12 @@ func mvName(k mvKind) string {
 	switch k {
 	case mvRegOpImm:
 		return " ; fused reg-op-imm"
+	case mvImm:
+		return " ; fused imm"
+	case mvRegLMem64:
+		return " ; fused reg-lmem64"
+	case mvCopy64:
+		return " ; fused copy64"
 	case mvPtrRMW32:
 		return " ; fused rmw32"
 	}

@@ -91,6 +91,9 @@ func FuzzAssemble(f *testing.F) {
 	f.Add("program fault;\n\ns:\nbegin\n    r12 = 1272;\n    r13 = 9;\n    goto l0;\nend\n\nl0:\nbegin\n    lmem32[r12] = lmem32[r12] + lmem32[r11];\n    goto l1;\nend\n\nl1:\nbegin\n    lmem32[r12 + 4] = lmem32[r12 + 4] + lmem32[r11 + 4];\n    goto l2;\nend\n\nl2:\nbegin\n    lmem32[r12 + 8] = lmem32[r12 + 8] + lmem32[r11 + 8];\n    r11 = r11 + 12;\n    goto ctl;\nend\n\nctl:\nbegin\n    r13 = r13 - 3;\n    r12 = r12 + 12;\n    if (r13 != 3) { goto l0; }\n    exit(consume);\nend\n")
 	f.Add("program spin;\n\ns:\nbegin\n    r12 = 640;\n    goto l0;\nend\n\nl0:\nbegin\n    lmem32[r12] = lmem32[r12] + lmem32[r11];\n    goto l1;\nend\n\nl1:\nbegin\n    lmem32[r12 + 4] = lmem32[r12 + 4] ^ lmem32[r11 + 4];\n    goto l2;\nend\n\nl2:\nbegin\n    lmem32[r12 + 8] = lmem32[r12 + 8] - lmem32[r11 + 8];\n    goto ctl;\nend\n\nctl:\nbegin\n    r13 = r13 - 1;\n    if (r13 == 1) { exit(forward); }\n    goto l0;\nend\n")
 	f.Add("program negtail;\n\ns:\nbegin\n    r15 = 1;\n    goto rd;\nend\n\nrd:\nbegin\n    r16 = r15 * 64 - 138;\n    goto rd2;\nend\n\nrd2:\nbegin\n    tail_read(r16, 64, 320);\n    goto wr;\nend\n\nwr:\nbegin\n    tail_write(r16, 64, 320);\n    exit(forward);\nend\n")
+	for _, p := range fusedMoveSources {
+		f.Add(p.src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Assemble(src)
 		if err != nil {

@@ -80,9 +80,10 @@ type loopCount struct {
 	step, dstep, sstep uint64
 }
 
-// asStep lowers a `r = r ± imm` move.
+// asStep lowers a `r = r ± imm` move. mvRegOpImm also covers `r = r' op
+// imm`, which is no step.
 func asStep(m *cmove) (regStep, bool) {
-	if m.kind != mvRegOpImm {
+	if m.kind != mvRegOpImm || m.dst.reg != m.a.reg {
 		return regStep{}, false
 	}
 	switch m.fn {

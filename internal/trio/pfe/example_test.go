@@ -73,7 +73,7 @@ func ExampleMicrocodeApp() {
 	fmt.Printf("  instructions executed: %d\n", st.Instructions)
 	// Output:
 	// assembled "filter": 5 instructions
-	// compiled: 0 superinstructions fused, 2 branch sites
+	// compiled: 3 superinstructions fused, 2 branch sites
 	//
 	// injecting: plain IPv4, IPv4 with options, ARP
 	//   [64ns] forwarded 52-byte frame on port 1

@@ -26,7 +26,7 @@ func (m *Memory) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
 	binary.BigEndian.PutUint64(b[0:8], binary.BigEndian.Uint64(b[0:8])+1)
 	binary.BigEndian.PutUint64(b[8:16], binary.BigEndian.Uint64(b[8:16])+uint64(pktLen))
 	m.store(addr, b[:])
-	return m.issue(now, addr, 0, 1, serviceCycles(16, AddCycles))
+	return m.issueOne(now, addr, serviceCycles(16, AddCycles))
 }
 
 // Counter reads back a Packet/Byte Counter via the control plane.
@@ -68,7 +68,7 @@ func (m *Memory) FetchAndOp(now sim.Time, addr uint64, op FetchOp, operand uint6
 	}
 	binary.BigEndian.PutUint64(b[:], nv)
 	m.store(addr, b[:])
-	return old, m.issue(now, addr, 0, 1, AddCycles)
+	return old, m.issueOne(now, addr, AddCycles)
 }
 
 // FetchAndSwap atomically replaces the 8-byte word at addr and returns the
@@ -79,7 +79,7 @@ func (m *Memory) FetchAndSwap(now sim.Time, addr uint64, v uint64) (old uint64, 
 	old = binary.BigEndian.Uint64(b[:])
 	binary.BigEndian.PutUint64(b[:], v)
 	m.store(addr, b[:])
-	return old, m.issue(now, addr, 0, 1, AddCycles)
+	return old, m.issueOne(now, addr, AddCycles)
 }
 
 // MaskedWrite writes (old &^ mask) | (v & mask) to the 8-byte word at addr.
@@ -89,7 +89,7 @@ func (m *Memory) MaskedWrite(now sim.Time, addr uint64, v, mask uint64) sim.Time
 	old := binary.BigEndian.Uint64(b[:])
 	binary.BigEndian.PutUint64(b[:], old&^mask|v&mask)
 	m.store(addr, b[:])
-	return m.issue(now, addr, 0, 1, AddCycles)
+	return m.issueOne(now, addr, AddCycles)
 }
 
 // Add32 atomically adds delta to the 32-bit word at addr (4-byte aligned)
@@ -101,7 +101,7 @@ func (m *Memory) Add32(now sim.Time, addr uint64, delta int32) (newVal int32, do
 	nv := int32(binary.BigEndian.Uint32(b[:])) + delta
 	binary.BigEndian.PutUint32(b[:], uint32(nv))
 	m.store(addr, b[:])
-	return nv, m.issue(now, addr, 0, 1, AddCycles)
+	return nv, m.issueOne(now, addr, AddCycles)
 }
 
 // Add64 atomically adds delta to the 8-byte word at addr.
@@ -111,7 +111,7 @@ func (m *Memory) Add64(now sim.Time, addr uint64, delta uint64) (newVal uint64, 
 	nv := binary.BigEndian.Uint64(b[:]) + delta
 	binary.BigEndian.PutUint64(b[:], nv)
 	m.store(addr, b[:])
-	return nv, m.issue(now, addr, 0, 1, AddCycles)
+	return nv, m.issueOne(now, addr, AddCycles)
 }
 
 // AddVector32BE adds big-endian int32 lanes — gradients as the wire carries
@@ -183,9 +183,9 @@ func (m *Memory) ReadVector32BE(now sim.Time, addr uint64, dst []byte) sim.Time 
 		return 0
 	}
 	full, rest := len(dst)/MaxTxnBytes, len(dst)%MaxTxnBytes
-	latest := m.issue(now, addr, MaxTxnBytes, full, MaxTxnBytes/8)
+	latest := m.issueAt(now, nil, addr, MaxTxnBytes, full, MaxTxnBytes/8)
 	if rest > 0 {
-		latest = max(latest, m.issue(now, addr+uint64(MaxTxnBytes*full), 0, 1, serviceCycles(rest, 1)))
+		latest = max(latest, m.issueOne(now, addr+uint64(MaxTxnBytes*full), serviceCycles(rest, 1)))
 	}
 	m.load(addr, dst)
 	return latest

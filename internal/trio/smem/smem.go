@@ -159,14 +159,17 @@ func New(cfg Config) *Memory {
 func (m *Memory) Config() Config { return m.cfg }
 
 // tierAt resolves addr to its tier and the first address past that tier (the
-// tiers tile the unified space from 0, so one upper-bound ladder decides); an
-// address outside the space has end 0. It makes no call, so it inlines into
-// the kernel.
+// tiers tile the unified space from 0, so one upper-bound ladder over the
+// constant tier sizes decides); an address outside the space has end 0. It
+// makes no call and reads no table, so it inlines into the kernels.
 func tierAt(addr uint64) (TierKind, uint64) {
-	for k := range tiers {
-		if end := tiers[k].Base + tiers[k].Size; addr < end {
-			return TierKind(k), end
-		}
+	switch {
+	case addr < SRAMSize:
+		return TierSRAM, SRAMSize
+	case addr < SRAMSize+CacheSize:
+		return TierCache, SRAMSize + CacheSize
+	case addr < SRAMSize+CacheSize+DRAMSize:
+		return TierDRAM, SRAMSize + CacheSize + DRAMSize
 	}
 	return numTiers, 0
 }
@@ -237,13 +240,62 @@ func serviceCycles(size int, opCyclesPerWord uint64) uint64 {
 	return words * opCyclesPerWord
 }
 
-// issue charges count requests issued together at now — request i to the
-// RMW engine owning addr+i*stride, cycles of service each — and returns the
-// latest PPE-observed completion time (engines work in parallel across
-// banks). Every data-path operation is accounted here or in issueAt, a
-// scalar transaction as a run of one.
-func (m *Memory) issue(now sim.Time, addr, stride uint64, count int, cycles uint64) sim.Time {
-	return m.issueAt(now, nil, addr, stride, count, cycles)
+// issueOne charges the single request of a scalar op or an 8–64-byte
+// transaction, issued at now, and returns its completion time: with no fault
+// injector or histograms attached, one engine booking and no run or
+// transaction bookkeeping; otherwise issueAt's per-request path.
+func (m *Memory) issueOne(now sim.Time, addr uint64, cycles uint64) sim.Time {
+	if m.faults != nil || m.obsOn {
+		return m.issueAt(now, nil, addr, 0, 1, cycles)
+	}
+	return m.request(now, addr, cycles)
+}
+
+// request books one request of cycles on the engine owning addr, issued at
+// now, and returns its completion: queueing + service + tier latency.
+func (m *Memory) request(now sim.Time, addr uint64, cycles uint64) sim.Time {
+	k, end := tierAt(addr)
+	if end == 0 {
+		outsideSpace(addr)
+	}
+	q := m.engines[(addr/8)%uint64(len(m.engines))].book(now, cycles)
+	return now + sim.Time(cycles)*CycleTime + tiers[k].Latency + q
+}
+
+// outsideSpace panics with the one fault text for an address past the
+// unified space; kept out of line so the booking paths stay small.
+//
+//go:noinline
+func outsideSpace(addr uint64) {
+	panic(fmt.Sprintf("smem: address %#x outside unified address space", addr))
+}
+
+// book is the per-request engine rule every path shares: the backlog drains
+// one cycle per CycleTime since the engine's last request, the request queues
+// behind what is left, then occupies the engine for cycles. It returns the
+// queueing delay. A request stamped before the engine's last one (threads run
+// to completion and issue with future stamps) drains nothing.
+func (e *engine) book(now sim.Time, cycles uint64) sim.Time {
+	// floor(dt/CycleTime) >= backlog exactly when dt >= backlog*CycleTime,
+	// so only a partial drain pays the division.
+	queue := sim.Time(e.backlog) * CycleTime
+	if dt := now - e.lastTime; dt > 0 {
+		if dt >= queue {
+			e.backlog, queue = 0, 0
+		} else {
+			e.backlog -= uint64(dt / CycleTime)
+			queue = sim.Time(e.backlog) * CycleTime
+		}
+		e.lastTime = now
+	}
+	if queue > 0 {
+		e.backlogged++
+		e.maxQueueing = max(e.maxQueueing, queue)
+	}
+	e.backlog += cycles
+	e.ops++
+	e.busyCycles += cycles
+	return queue
 }
 
 // pace is the issue schedule of a run of requests as a thread's loop issues
@@ -256,12 +308,16 @@ type pace struct {
 	done []sim.Time
 }
 
-// issueAt is issue for a run paced by p, or issued at now when p is nil
-// (the one-time case; a paced run ignores now). With a fault injector or
-// histograms attached the requests go through the charging kernel one at a
-// time, a bank error drawn before each and its queueing and full latency
-// observed after; charge books requests in address order, so one at a time
-// and all at once are the same thing.
+// issueAt charges count requests — request i to the RMW engine owning
+// addr+i*stride, cycles of service each — issued together at now, or paced
+// by p (a paced run ignores now), and returns the latest PPE-observed
+// completion time (engines work in parallel across banks). Every
+// multi-request data-path operation is accounted here; a single request
+// goes through issueOne. With a fault injector or histograms attached the
+// requests are booked one at a time by request, a bank error drawn before
+// each and its queueing and full latency observed after; charge books
+// requests in address order, so one at a time and all at once are the same
+// thing.
 func (m *Memory) issueAt(now sim.Time, p *pace, addr, stride uint64, count int, cycles uint64) sim.Time {
 	if m.faults == nil && !m.obsOn {
 		return m.charge(now, p, addr, stride, count, cycles)
@@ -280,7 +336,7 @@ func (m *Memory) issueAt(now sim.Time, p *pace, addr, stride uint64, count int, 
 		if m.faults != nil {
 			c += m.faults.BankError()
 		}
-		d := m.charge(now, nil, addr, 0, 1, c)
+		d := m.request(now, addr, c)
 		if m.obsOn {
 			k, _ := tierAt(addr)
 			m.queueHist.Observe(float64(d - now - tiers[k].Latency - sim.Time(c)*CycleTime))
@@ -308,7 +364,7 @@ func (m *Memory) charge(now sim.Time, p *pace, addr, stride uint64, count int, c
 	if count == 0 {
 		return 0
 	}
-	engines, ct := m.engines, CycleTime
+	engines := m.engines
 	n := uint64(len(engines))
 	idx, step := (addr/8)%n, stride/8
 	if step >= n {
@@ -323,7 +379,7 @@ func (m *Memory) charge(now sim.Time, p *pace, addr, stride uint64, count int, c
 	for count > 0 {
 		k, end := tierAt(addr)
 		if end == 0 {
-			panic(fmt.Sprintf("smem: address %#x outside unified address space", addr))
+			outsideSpace(addr)
 		}
 		span := count
 		if addr+stride*uint64(count-1) >= end {
@@ -331,7 +387,7 @@ func (m *Memory) charge(now sim.Time, p *pace, addr, stride uint64, count int, c
 		}
 		count -= span
 		addr += stride * uint64(span)
-		fixed := sim.Time(cycles)*ct + tiers[k].Latency // completion past issue with no queue
+		fixed := sim.Time(cycles)*CycleTime + tiers[k].Latency // completion past issue with no queue
 		for span > 0 {
 			if left == 0 { // the next transaction of a paced run
 				t++
@@ -341,28 +397,7 @@ func (m *Memory) charge(now sim.Time, p *pace, addr, stride uint64, count int, c
 			left, span = left-r, span-r
 			var worst sim.Time // the longest queue the piece's requests found
 			for ; r > 0; r-- {
-				e := &engines[idx]
-				// The backlog drains one cycle per ct since the engine's
-				// last request: floor(dt/ct) >= backlog exactly when dt >=
-				// backlog*ct, so only a partial drain pays the division.
-				queue := sim.Time(e.backlog) * ct
-				if dt := now - e.lastTime; dt > 0 {
-					if dt >= queue {
-						e.backlog, queue = 0, 0
-					} else {
-						e.backlog -= uint64(dt / ct)
-						queue = sim.Time(e.backlog) * ct
-					}
-					e.lastTime = now
-				}
-				if queue > 0 {
-					e.backlogged++
-					e.maxQueueing = max(e.maxQueueing, queue)
-				}
-				e.backlog += cycles
-				e.ops++
-				e.busyCycles += cycles
-				worst = max(worst, queue)
+				worst = max(worst, engines[idx].book(now, cycles))
 				if idx += step; idx >= n {
 					idx -= n
 				}
@@ -397,8 +432,13 @@ func (m *Memory) Read(now sim.Time, addr uint64, size int) ([]byte, sim.Time) {
 // accounting, no allocation. len(b) must be a legal transaction size.
 func (m *Memory) ReadInto(now sim.Time, addr uint64, b []byte) sim.Time {
 	checkTxnSize(len(b))
+	return m.readInto(now, addr, b)
+}
+
+// readInto is ReadInto with the size already checked.
+func (m *Memory) readInto(now sim.Time, addr uint64, b []byte) sim.Time {
 	m.load(addr, b)
-	return m.issue(now, addr, 0, 1, serviceCycles(len(b), 1))
+	return m.issueOne(now, addr, serviceCycles(len(b), 1))
 }
 
 // ReadStaged is Read with the reply staged in buf instead of a fresh slice:
@@ -406,14 +446,14 @@ func (m *Memory) ReadInto(now sim.Time, addr uint64, b []byte) sim.Time {
 func (m *Memory) ReadStaged(now sim.Time, addr uint64, size int, buf *[MaxTxnBytes]byte) ([]byte, sim.Time) {
 	checkTxnSize(size)
 	b := buf[:size]
-	return b, m.ReadInto(now, addr, b)
+	return b, m.readInto(now, addr, b)
 }
 
 // Write performs a write transaction of 8–64 bytes (8-byte increments).
 func (m *Memory) Write(now sim.Time, addr uint64, data []byte) sim.Time {
 	checkTxnSize(len(data))
 	m.store(addr, data)
-	return m.issue(now, addr, 0, 1, serviceCycles(len(data), 1))
+	return m.issueOne(now, addr, serviceCycles(len(data), 1))
 }
 
 // WriteAt writes data as a thread's loop issues it: one write transaction

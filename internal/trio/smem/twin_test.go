@@ -386,29 +386,172 @@ func TestVectorKernelsMatchWordLoop(t *testing.T) {
 	}
 }
 
-// TestScalarOpsMatchWordLoop pins the scalar transactions (a run of one
-// through the same kernel) against the reference occupy/complete pair.
-func TestScalarOpsMatchWordLoop(t *testing.T) {
-	ref, kern := newTwinRig(3, true, true, 9), newTwinRig(3, true, true, 9)
-	rng := rand.New(rand.NewSource(9))
-	var now sim.Time
-	for op := 0; op < 500; op++ {
-		now += sim.Time(rng.Intn(6))
-		addr := twinAddr(rng, ref.m, 16) &^ 7
-		var b [MaxTxnBytes]byte
-		size := 8 * (1 + rng.Intn(8))
-		if want, got := ref.m.refReadInto(now, addr, b[:size]), kern.m.ReadInto(now, addr, b[:size]); want != got {
-			t.Fatalf("op %d: ReadInto(%#x, %d) done %d, reference %d", op, addr, size, got, want)
-		}
-		want := ref.m.refComplete(now, addr+4, ref.m.refOccupy(ref.m.refEngineFor((addr+4)&^7), now, AddCycles))
-		if _, got := kern.m.Add32(now, addr+4, 1); want != got {
-			t.Fatalf("op %d: Add32(%#x) done %d, reference %d", op, addr+4, got, want)
-		}
+// scalarOp is one single-request operation and its reference: kern runs it
+// on the kernel's memory; ref applies its data effect to the size bytes at
+// its address (read into old, written back) and returns what kern returns,
+// while the caller books the request with refOccupy/refComplete.
+type scalarOp struct {
+	name   string
+	size   int // 0: a transaction of 8..64 bytes drawn per call
+	cycles func(size int) uint64
+	kern   func(m *Memory, now sim.Time, addr, v uint64, size int) (uint64, sim.Time)
+	ref    func(old []byte, v uint64) uint64
+}
+
+// txnBytes is the payload a Write of size bytes carries, derived from v.
+func txnBytes(v uint64, size int) []byte {
+	b := make([]byte, size)
+	for i := range b {
+		b[i] = byte(v >> (8 * (i % 8)))
 	}
-	we, wh, wf := ref.state()
-	ge, gh, gf := kern.state()
-	if !reflect.DeepEqual(we, ge) || !reflect.DeepEqual(wh, gh) || wf != gf {
-		t.Fatal("engine state, histograms or bank-error count diverge")
+	return b
+}
+
+func fetchOp(name string, op FetchOp, f func(old, v uint64) uint64) scalarOp {
+	return scalarOp{name: name, size: 8, cycles: func(int) uint64 { return AddCycles },
+		kern: func(m *Memory, now sim.Time, addr, v uint64, _ int) (uint64, sim.Time) {
+			return m.FetchAndOp(now, addr, op, v)
+		},
+		ref: func(old []byte, v uint64) uint64 {
+			o := binary.BigEndian.Uint64(old)
+			binary.BigEndian.PutUint64(old, f(o, v))
+			return o
+		}}
+}
+
+var scalarOps = []scalarOp{
+	{name: "ReadInto", cycles: func(size int) uint64 { return uint64(size / 8) },
+		kern: func(m *Memory, now sim.Time, addr, _ uint64, size int) (uint64, sim.Time) {
+			b := make([]byte, size)
+			d := m.ReadInto(now, addr, b)
+			return binary.BigEndian.Uint64(b), d
+		},
+		ref: func(old []byte, _ uint64) uint64 { return binary.BigEndian.Uint64(old) }},
+	{name: "ReadStaged", cycles: func(size int) uint64 { return uint64(size / 8) },
+		kern: func(m *Memory, now sim.Time, addr, _ uint64, size int) (uint64, sim.Time) {
+			var buf [MaxTxnBytes]byte
+			b, d := m.ReadStaged(now, addr, size, &buf)
+			return binary.BigEndian.Uint64(b), d
+		},
+		ref: func(old []byte, _ uint64) uint64 { return binary.BigEndian.Uint64(old) }},
+	{name: "Write", cycles: func(size int) uint64 { return uint64(size / 8) },
+		kern: func(m *Memory, now sim.Time, addr, v uint64, size int) (uint64, sim.Time) {
+			return 0, m.Write(now, addr, txnBytes(v, size))
+		},
+		ref: func(old []byte, v uint64) uint64 { copy(old, txnBytes(v, len(old))); return 0 }},
+	{name: "CounterInc", size: 16, cycles: func(int) uint64 { return 2 * AddCycles },
+		kern: func(m *Memory, now sim.Time, addr, v uint64, _ int) (uint64, sim.Time) {
+			return 0, m.CounterInc(now, addr, uint32(v))
+		},
+		ref: func(old []byte, v uint64) uint64 {
+			binary.BigEndian.PutUint64(old, binary.BigEndian.Uint64(old)+1)
+			binary.BigEndian.PutUint64(old[8:], binary.BigEndian.Uint64(old[8:])+uint64(uint32(v)))
+			return 0
+		}},
+	{name: "Add32", size: 4, cycles: func(int) uint64 { return AddCycles },
+		kern: func(m *Memory, now sim.Time, addr, v uint64, _ int) (uint64, sim.Time) {
+			nv, d := m.Add32(now, addr, int32(v))
+			return uint64(nv), d
+		},
+		ref: func(old []byte, v uint64) uint64 {
+			nv := int32(binary.BigEndian.Uint32(old)) + int32(v)
+			binary.BigEndian.PutUint32(old, uint32(nv))
+			return uint64(nv)
+		}},
+	{name: "Add64", size: 8, cycles: func(int) uint64 { return AddCycles },
+		kern: func(m *Memory, now sim.Time, addr, v uint64, _ int) (uint64, sim.Time) {
+			return m.Add64(now, addr, v)
+		},
+		ref: func(old []byte, v uint64) uint64 {
+			nv := binary.BigEndian.Uint64(old) + v
+			binary.BigEndian.PutUint64(old, nv)
+			return nv
+		}},
+	fetchOp("FetchAnd", FetchAnd, func(o, v uint64) uint64 { return o & v }),
+	fetchOp("FetchOr", FetchOr, func(o, v uint64) uint64 { return o | v }),
+	fetchOp("FetchXor", FetchXor, func(o, v uint64) uint64 { return o ^ v }),
+	fetchOp("FetchClear", FetchClear, func(o, v uint64) uint64 { return o &^ v }),
+	{name: "FetchAndSwap", size: 8, cycles: func(int) uint64 { return AddCycles },
+		kern: func(m *Memory, now sim.Time, addr, v uint64, _ int) (uint64, sim.Time) {
+			return m.FetchAndSwap(now, addr, v)
+		},
+		ref: func(old []byte, v uint64) uint64 {
+			o := binary.BigEndian.Uint64(old)
+			binary.BigEndian.PutUint64(old, v)
+			return o
+		}},
+	{name: "MaskedWrite", size: 8, cycles: func(int) uint64 { return AddCycles },
+		kern: func(m *Memory, now sim.Time, addr, v uint64, _ int) (uint64, sim.Time) {
+			return 0, m.MaskedWrite(now, addr, v, v>>7|v<<57)
+		},
+		ref: func(old []byte, v uint64) uint64 {
+			mask := v>>7 | v<<57
+			binary.BigEndian.PutUint64(old, binary.BigEndian.Uint64(old)&^mask|v&mask)
+			return 0
+		}},
+}
+
+// TestScalarOpsMatchWordLoop pins every single-request operation — each a
+// scalar op or one 8–64-byte transaction, booked without the run walk when
+// fault injection and obs are off and one request at a time through issueAt
+// otherwise — against the reference occupy/complete pair: return values,
+// completion times, every engine counter (the private backlog included),
+// histograms, fault draws and memory bytes, at 1, 5 and 12 engines in all
+// four fault/obs combinations. Time mostly advances, sometimes stands still
+// and sometimes runs backwards, as threads issue with future stamps.
+func TestScalarOpsMatchWordLoop(t *testing.T) {
+	for _, engines := range []int{1, 5, 12} {
+		for _, withFaults := range []bool{false, true} {
+			for _, withObs := range []bool{false, true} {
+				t.Run(fmt.Sprintf("engines=%d/faults=%v/obs=%v", engines, withFaults, withObs), func(t *testing.T) {
+					seed := int64(9 + engines)
+					rng := rand.New(rand.NewSource(seed))
+					ref, kern := newTwinRig(engines, withFaults, withObs, uint64(seed)), newTwinRig(engines, withFaults, withObs, uint64(seed))
+					var now sim.Time
+					for op := 0; op < 1500; op++ {
+						switch rng.Intn(6) {
+						case 0:
+							now = max(0, now-sim.Time(rng.Intn(100)))
+						case 1:
+						default:
+							now += sim.Time(rng.Intn(6))
+						}
+						o := &scalarOps[rng.Intn(len(scalarOps))]
+						size := o.size
+						if size == 0 {
+							size = 8 * (1 + rng.Intn(8))
+						}
+						addr := twinAddr(rng, ref.m, 16) &^ 3
+						if size > 4 && rng.Intn(4) > 0 {
+							addr &^= 7
+						}
+						v := rng.Uint64()
+						what := fmt.Sprintf("op %d %s(now=%d, %#x, size %d)", op, o.name, now, addr, size)
+
+						old := make([]byte, size)
+						ref.m.load(addr, old)
+						wantV := o.ref(old, v)
+						ref.m.store(addr, old)
+						want := ref.m.refComplete(now, addr, ref.m.refOccupy(ref.m.refEngineFor(addr), now, o.cycles(size)))
+						gotV, got := o.kern(kern.m, now, addr, v, size)
+						if want != got || wantV != gotV {
+							t.Fatalf("%s: (%#x, done %d), reference (%#x, %d)", what, gotV, got, wantV, want)
+						}
+						we, wh, wf := ref.state()
+						ge, gh, gf := kern.state()
+						if !reflect.DeepEqual(we, ge) {
+							t.Fatalf("%s: engines diverge\n kernel    %+v\n reference %+v", what, ge, we)
+						}
+						if !reflect.DeepEqual(wh, gh) || wf != gf {
+							t.Fatalf("%s: histograms or bank-error count diverge", what)
+						}
+					}
+					if !samePages(ref.m, kern.m) {
+						t.Fatal("memory bytes differ")
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -579,6 +722,27 @@ func TestVectorOpsOutsideSpacePanic(t *testing.T) {
 	}
 }
 
+// TestScalarOpsOutsideSpacePanic pins the single-request path's fault text
+// past the end of the address space, the same as the run walk's, with fault
+// injection and obs off (one booking) and on (issueAt's request loop).
+func TestScalarOpsOutsideSpacePanic(t *testing.T) {
+	end := tiers[TierDRAM].Base + tiers[TierDRAM].Size
+	want := fmt.Sprintf("smem: address %#x outside unified address space", end)
+	for _, on := range []bool{false, true} {
+		m := newTwinRig(3, on, on, 1).m
+		for _, o := range scalarOps {
+			func() {
+				defer func() {
+					if got := recover(); got != want {
+						t.Errorf("faults/obs %v: %s at the end of DRAM panicked with %v, want %q", on, o.name, got, want)
+					}
+				}()
+				o.kern(m, 0, end, 1, 8)
+			}()
+		}
+	}
+}
+
 var sinkTime sim.Time
 
 // BenchmarkAddVector32Chunk is the aggregator's unit of work — one
@@ -604,6 +768,32 @@ func BenchmarkAddVector32Chunk(b *testing.B) {
 			for i := 0; b.Loop(); i++ {
 				now += sim.Microsecond
 				sinkTime = side.add(m, now, addr+uint64(i%64*64), lanes)
+			}
+		})
+	}
+}
+
+// BenchmarkScalarOps is the one-request path every XTXN of a microcode
+// thread takes: ns per ReadInto, Write (64 bytes each) and CounterInc call
+// with fault injection and obs off, walking a 4 KiB DRAM buffer with the
+// clock advancing one instruction time per call.
+func BenchmarkScalarOps(b *testing.B) {
+	for _, op := range []struct {
+		name string
+		do   func(*Memory, sim.Time, uint64, []byte) sim.Time
+	}{
+		{"ReadInto", (*Memory).ReadInto},
+		{"Write", (*Memory).Write},
+		{"CounterInc", func(m *Memory, now sim.Time, addr uint64, _ []byte) sim.Time { return m.CounterInc(now, addr, 64) }},
+	} {
+		b.Run(op.name, func(b *testing.B) {
+			m := New(Config{NumRMWEngines: 12})
+			addr := m.Alloc(TierDRAM, 4096)
+			var buf [MaxTxnBytes]byte
+			var now sim.Time
+			for i := 0; b.Loop(); i++ {
+				now += 20 * CycleTime
+				sinkTime = op.do(m, now, addr+uint64(i%64*64), buf[:])
 			}
 		})
 	}
