@@ -12,8 +12,8 @@
 // sign bit is smeared into a mask (sign = acc >> 63; mask = sign - 1;
 // acc &= mask), then requantized by a logical right shift — no
 // data-dependent control flow anywhere in the layers, so every packet
-// retires exactly the same instruction count, which is what makes the
-// static cost model exact.
+// retires exactly the same instruction count, so one packet's run is the
+// program's cost (Config.Cost).
 //
 // The class decision is the sign of score_benign - score_attack (strict:
 // ties are benign). Attacks are counted with an RMW counter and either
@@ -92,8 +92,8 @@ func (cfg Config) check() error {
 		return fmt.Errorf("infnet: %d hidden neurons exceed the register file's %d", h, maxNeurons)
 	}
 	for _, off := range cfg.Features {
-		if off < 0 || off >= microcode.LMemBytes {
-			return fmt.Errorf("infnet: feature offset %d outside local memory", off)
+		if off < 0 || off >= pfe.HeadBytes {
+			return fmt.Errorf("infnet: feature offset %d outside the %d-byte head", off, pfe.HeadBytes)
 		}
 	}
 	for j, row := range cfg.Hidden {
@@ -266,6 +266,46 @@ func Program(cfg Config, ctrBase uint64) (*microcode.Program, error) {
 	return prog, nil
 }
 
+// entry is the program's first instruction: neuron 0's bias.
+const entry = "n0_bias"
+
+// Cost is one model configuration's data-path cost.
+type Cost struct {
+	// StaticInstructions is the assembled program length.
+	StaticInstructions int
+	// InstrPerPacket is the instructions every packet retires, benign or
+	// attack: the layers are branch-free and each terminal is one block.
+	InstrPerPacket int
+	// InstrPerMAC amortizes them over the D*H + 2*H multiply-accumulates.
+	InstrPerMAC float64
+}
+
+// Cost reads cfg's cost off one packet run through its compiled program
+// (packetStats).
+func (cfg Config) Cost() (Cost, error) {
+	st, static, err := cfg.packetStats()
+	if err != nil {
+		return Cost{}, err
+	}
+	n, d, h := int(st.Instructions), len(cfg.Features), len(cfg.Hidden)
+	return Cost{StaticInstructions: static, InstrPerPacket: n, InstrPerMAC: float64(n) / float64(d*h+2*h)}, nil
+}
+
+// packetStats runs one zeroed minimum-size frame through cfg's compiled
+// program (microcode.RunPackets), and returns the thread's statistics and
+// the program length.
+func (cfg Config) packetStats() (microcode.Stats, int, error) {
+	prog, err := Program(cfg, 0)
+	if err != nil {
+		return microcode.Stats{}, 0, err
+	}
+	st, err := microcode.RunPackets(prog, entry, [][]byte{make([]byte, 64)}, pfe.HeadBytes, nil)
+	if err != nil {
+		return microcode.Stats{}, 0, fmt.Errorf("infnet: cost run: %w", err)
+	}
+	return st[0], prog.Len(), nil
+}
+
 // Service is an installed inference classifier.
 type Service struct {
 	App     *pfe.MicrocodeApp
@@ -297,11 +337,6 @@ func Install(p *pfe.PFE, cfg Config) (*Service, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	for _, off := range cfg.Features {
-		if off >= pfe.HeadBytes {
-			return nil, fmt.Errorf("infnet: feature offset %d outside the %d-byte head", off, pfe.HeadBytes)
-		}
-	}
 	ctrBase := p.Mem.Alloc(smem.TierSRAM, numCtrs*16)
 	prog, err := Program(cfg, ctrBase)
 	if err != nil {
@@ -309,7 +344,7 @@ func Install(p *pfe.PFE, cfg Config) (*Service, error) {
 	}
 	app := &pfe.MicrocodeApp{
 		Program:    prog,
-		Entry:      "n0_bias",
+		Entry:      entry,
 		EgressPort: EgressPort,
 	}
 	if err := app.Compile(); err != nil {

@@ -280,46 +280,75 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// TestCostModelMatchesMeasured pins the closed-form cost against
-// Thread.Stats for both verdict paths and several model shapes.
+// shapeModel is a D-feature, H-neuron model whose verdict turns on feature
+// 0 alone when the others read zero: every neuron is relu(x0), and the
+// attack score H*x0 beats the benign score 128*H iff x0 > 128. The other
+// features carry negative weights, so the program has subtract-accumulates.
+func shapeModel(d, h int) Config {
+	cfg := Config{Features: make([]int, d), Hidden: make([][]int8, h), Bias1: make([]int32, h),
+		Out: [2][]int8{make([]int8, h), make([]int8, h)}, Bias2: [2]int32{int32(128 * h), 0}}
+	for i := range cfg.Features {
+		cfg.Features[i] = featBase + i
+	}
+	for j := range cfg.Hidden {
+		cfg.Hidden[j] = make([]int8, d)
+		cfg.Hidden[j][0] = 1
+		for i := 1; i < d; i++ {
+			cfg.Hidden[j][i] = int8(-i - j)
+		}
+		cfg.Out[1][j] = 1
+	}
+	return cfg
+}
+
+// TestCostModelMatchesMeasured holds the cost run to a full one-PFE rig on
+// all nine shapes of the model-shape DSE (D, H in {2, 4, 8}), on a benign
+// and an attack packet each: every packet's Thread.Stats — instructions and
+// XTXNs — equals the cost run's, and Cost reports it and the rig's program
+// length.
 func TestCostModelMatchesMeasured(t *testing.T) {
-	for _, cfg := range []Config{tinyModel(), wideModel()} {
-		r := newInfRig(t, cfg)
-		cost := cfg.Cost()
-		if got := r.svc.Program.Len(); got != cost.StaticInstructions {
-			t.Fatalf("static = %d, model says %d", got, cost.StaticInstructions)
-		}
-		var last microcode.Stats
-		r.svc.App.Finish = func(th *microcode.Thread, ctx *pfe.Ctx, v microcode.Verdict) {
-			last = th.Stats
-		}
-		// One known-benign and one known-attack input (found by sweep).
-		var seen [2]bool
-		for x := 0; x < 65536 && !(seen[0] && seen[1]); x++ {
-			feats := []byte{byte(x), byte(x >> 8), 0, 0, 0, 0, 0, 0}
-			f := frame(uint32(x), feats[:len(cfg.Features)])
-			attack := cfg.Classify(f).Attack
-			k := 0
-			if attack {
-				k = 1
+	for _, d := range []int{2, 4, 8} {
+		for _, h := range []int{2, 4, 8} {
+			cfg := shapeModel(d, h)
+			want, static, err := cfg.packetStats()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if seen[k] {
-				continue
+			cost, err := cfg.Cost()
+			if err != nil {
+				t.Fatal(err)
 			}
-			seen[k] = true
-			r.p.Inject(0, uint64(x), f)
-			r.eng.Run()
-			if last.Instructions != uint64(cost.InstrPerPacket) {
-				t.Errorf("attack=%v: %d instrs, model says %d", attack, last.Instructions, cost.InstrPerPacket)
+			r := newInfRig(t, cfg)
+			if got := r.svc.Program.Len(); got != static || cost.StaticInstructions != static {
+				t.Fatalf("%dx%d: static: rig %d, cost run %d, Cost %d", d, h, got, static, cost.StaticInstructions)
 			}
-			if last.XTXNs != uint64(cost.XTXNsPerPacket) {
-				t.Errorf("attack=%v: %d XTXNs, model says %d", attack, last.XTXNs, cost.XTXNsPerPacket)
+			if cost.InstrPerPacket != int(want.Instructions) || cost.InstrPerMAC != float64(want.Instructions)/float64(d*h+2*h) {
+				t.Errorf("%dx%d: Cost %+v, cost run %d instrs", d, h, cost, want.Instructions)
 			}
+			var last microcode.Stats
+			r.svc.App.Finish = func(th *microcode.Thread, ctx *pfe.Ctx, v microcode.Verdict) {
+				last = th.Stats
+			}
+			for _, x0 := range []byte{0, 255} {
+				f := frame(uint32(x0), []byte{x0})
+				if attack := cfg.Classify(f).Attack; attack != (x0 > 128) {
+					t.Fatalf("%dx%d: x0 = %d classified attack=%v", d, h, x0, attack)
+				}
+				r.p.Inject(0, uint64(x0), f)
+				r.eng.Run()
+				if last.Instructions != want.Instructions || last.XTXNs != want.XTXNs {
+					t.Errorf("%dx%d x0=%d: rig %d instrs %d XTXNs, cost run %d instrs %d XTXNs",
+						d, h, x0, last.Instructions, last.XTXNs, want.Instructions, want.XTXNs)
+				}
+			}
+			if st := r.svc.Stats(); st.Benign != 1 || st.Attack != 1 {
+				t.Errorf("%dx%d: verdicts %+v, want one of each", d, h, st)
+			}
+			r.checkErrors(t)
 		}
-		if !seen[0] || !seen[1] {
-			t.Fatal("sweep found only one class")
-		}
-		r.checkErrors(t)
+	}
+	if _, err := (Config{}).Cost(); err == nil {
+		t.Error("invalid config: Cost returned no error")
 	}
 }
 
@@ -336,13 +365,19 @@ func TestConfigValidation(t *testing.T) {
 	w.Hidden = append(w.Hidden, w.Hidden[0])
 	w.Bias1 = append(w.Bias1, 0)
 	bad = append(bad, w)
-	// Feature offset out of range.
+	// Feature offsets out of range: past local memory, and inside it but
+	// past the head, which dispatch never loads.
 	c2 := tinyModel()
 	c2.Features[0] = 5000
-	bad = append(bad, c2)
+	c3 := tinyModel()
+	c3.Features[1] = pfe.HeadBytes
+	bad = append(bad, c2, c3)
 	for i, cfg := range bad {
 		if _, err := Install(p, cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
+		}
+		if _, err := cfg.Cost(); err == nil {
+			t.Errorf("config %d priced: %+v", i, cfg)
 		}
 	}
 }

@@ -492,6 +492,90 @@ func Program(cfg Config, recBase, bufBase, ctrBase, hitCtrBase uint64, serverPor
 	return prog, nil
 }
 
+// The program's eight packet paths, in the order costScript walks them.
+const (
+	pathClaim       = iota // miss: claim the slot, forward upstream
+	pathCoalesce           // hit on a pending entry: absorb, consume
+	pathBypass             // miss on a slot another RPC holds: around the cache
+	pathPoisonGate         // response on a client-facing port: dropped
+	pathPassthrough        // response for an untracked RPC: forwarded unchanged
+	pathAdopt              // response for a pending entry: adopted, fanned out
+	pathPoisonDup          // response for a served entry: dropped
+	pathServe              // hit on a served entry: replayed in place
+	numPaths
+)
+
+// costScript is one packet per path, each finding the table as the ones
+// before it left it: rpc 0x1_0007 takes slot 7 under every slot mask and
+// 0x2_0007 collides with it. A packet arrives on its client's port, or on
+// the origin-facing one when server is set.
+var costScript = [numPaths]struct {
+	op     uint8
+	client uint16
+	rpc    uint64
+	server bool
+}{
+	{packet.NetRPCRequest, 1, 0x1_0007, false},
+	{packet.NetRPCRequest, 2, 0x1_0007, false},
+	{packet.NetRPCRequest, 3, 0x2_0007, false},
+	{packet.NetRPCResponse, 3, 0x1_0007, false},
+	{packet.NetRPCResponse, 3, 0x2_0007, true},
+	{packet.NetRPCResponse, 1, 0x1_0007, true},
+	{packet.NetRPCResponse, 1, 0x1_0007, true},
+	{packet.NetRPCRequest, 4, 0x1_0007, false},
+}
+
+// Cost is one configuration's program length and the instructions one
+// packet retires on each path exp_netrpc prices.
+type Cost struct {
+	StaticInstructions                    int
+	InstrClaim, InstrServe, InstrCoalesce int
+	InstrAdopt, InstrPassthrough          int
+	InstrPoisonGate, InstrPoisonDup       int
+}
+
+// Cost reads cfg's per-path cost off one run of costScript (pathStats).
+func (cfg Config) Cost() (Cost, error) {
+	st, static, err := cfg.pathStats()
+	if err != nil {
+		return Cost{}, err
+	}
+	n := func(path int) int { return int(st[path].Instructions) }
+	return Cost{StaticInstructions: static,
+		InstrClaim: n(pathClaim), InstrServe: n(pathServe), InstrCoalesce: n(pathCoalesce),
+		InstrAdopt: n(pathAdopt), InstrPassthrough: n(pathPassthrough),
+		InstrPoisonGate: n(pathPoisonGate), InstrPoisonDup: n(pathPoisonDup)}, nil
+}
+
+// pathStats runs costScript through cfg's compiled program
+// (microcode.RunPackets), wired as Install wires a default PFE (the last
+// port faces the origin; Setup loads the ingress port) with the pools laid
+// end to end from address 0. It returns each path's thread statistics and
+// the program length.
+func (cfg Config) pathStats() ([]microcode.Stats, int, error) {
+	srv := pfe.DefaultConfig().NumPorts - 1
+	rec, hit := uint64(cfg.Slots)*recBytes, uint64(cfg.Slots)*16
+	prog, err := Program(cfg, 0, rec+numCtrs*16+hit, rec, rec+numCtrs*16, srv)
+	if err != nil {
+		return nil, 0, err
+	}
+	frames := make([][]byte, numPaths)
+	for path, pk := range costScript {
+		frames[path] = packet.BuildNetRPC(packet.UDPSpec{},
+			packet.NetRPC{Op: pk.op, ClientID: pk.client, RPCID: pk.rpc}, make([]byte, cellBytes))
+	}
+	st, err := microcode.RunPackets(prog, "parse", frames, pfe.HeadBytes, func(path int, th *microcode.Thread) {
+		th.Regs[regInPort] = uint64(costScript[path].client)
+		if costScript[path].server {
+			th.Regs[regInPort] = uint64(srv)
+		}
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("netrpc: cost run: %w", err)
+	}
+	return st, prog.Len(), nil
+}
+
 // Service is an installed netrpc cache.
 type Service struct {
 	App        *pfe.MicrocodeApp

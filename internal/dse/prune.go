@@ -3,11 +3,12 @@ package dse
 import "fmt"
 
 // Multi-fidelity pruning: before spending full-simulation trials, score
-// every candidate point with a cheap analytic model and keep only the
-// points on (or within a slack band of) the model's Pareto frontier. The
-// microcode engine's static cost model is the motivating first fidelity —
-// see harness's progdse experiment — but the helper is generic: any
-// deterministic CostFn over a point's parameters works.
+// every candidate point with a cheap model and keep only the points on (or
+// within a slack band of) the model's Pareto frontier. A microcode
+// program's cost, read off one run of it with no simulator, is the
+// motivating first fidelity — see harness's progdse experiment — but the
+// helper is generic: any deterministic CostFn over a point's parameters
+// works.
 
 // CostFn scores one candidate point without simulating it. It must be a
 // pure function of the parameters so pruning is deterministic.

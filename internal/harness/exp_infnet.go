@@ -6,12 +6,13 @@ import (
 
 	"github.com/trioml/triogo/internal/apps/infnet"
 	"github.com/trioml/triogo/internal/dse"
+	"github.com/trioml/triogo/internal/microcode"
 	"github.com/trioml/triogo/internal/netsim"
 	"github.com/trioml/triogo/internal/obs"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio"
-	"github.com/trioml/triogo/internal/trio/smem"
+	"github.com/trioml/triogo/internal/trio/pfe"
 )
 
 func init() {
@@ -21,12 +22,6 @@ func init() {
 		Run:  runInfnet,
 	})
 }
-
-// ppeIssueCycles is the one instruction charge other than
-// microcode.InstrTime: the model-shape sweep's Mpps/PPE column is a PPE's
-// issue rate, one multi-cycle instruction (§2.2) every two cycles with its
-// threads interleaved, not one thread's latency (microcode.CyclesPerInstr).
-const ppeIssueCycles = 2
 
 // Frame geometry the detector reads (Ethernet + IPv4 + UDP): IP total
 // length at 16, TTL at 22, UDP destination port at 36.
@@ -231,7 +226,10 @@ func runInfnet(p Params) ([]*Table, error) {
 
 	// Cost conformance on the flag phase: branch-free layers mean every
 	// packet retires the identical instruction count.
-	cost := ddosModel().Cost()
+	cost, err := ddosModel().Cost()
+	if err != nil {
+		return nil, err
+	}
 	measured := flag.router.PFE(0).Stats().Instructions
 	expected := uint64(flag.sent) * uint64(cost.InstrPerPacket)
 	if measured != expected {
@@ -288,20 +286,26 @@ func runInfnet(p Params) ([]*Table, error) {
 	t3.AddRow("Shed fraction", fmt.Sprintf("%.1f%%", 100*float64(st.Attack)/float64(shed.sent)))
 	t3.AddRow("Model-benign packets lost", benignLost)
 
-	// Phase 3 — model-shape DSE on the static cost model: sweep (D, H),
-	// prune to the capacity/cost Pareto frontier without simulating.
+	// Phase 3 — model-shape DSE on Cost, one packet's run per shape: sweep
+	// (D, H), prune to the capacity/cost Pareto frontier without simulating.
+	// A PPE interleaves ThreadsPerPPE threads, each with one instruction in
+	// flight for InstrTime, so it retires one every InstrTime/ThreadsPerPPE.
 	space := dse.NewSpace(
 		dse.Axis{Name: "features", Values: []float64{2, 4, 8}},
 		dse.Axis{Name: "hidden", Values: []float64{2, 4, 8}},
 	)
+	nsPerInstr := microcode.InstrTime.Seconds() * 1e9 / pfe.ThreadsPerPPE
 	modelFn := func(pt dse.Point) (map[string]float64, error) {
 		d, h := int(pt.Params["features"]), int(pt.Params["hidden"])
-		c := shapeCost(d, h)
-		nsPerPkt := float64(c.InstrPerPacket*ppeIssueCycles) * smem.CycleTime.Seconds() * 1e9
+		c, err := shapeCost(d, h)
+		if err != nil {
+			return nil, err
+		}
 		return map[string]float64{
+			"static":        float64(c.StaticInstructions),
 			"instr_per_pkt": float64(c.InstrPerPacket),
 			"macs":          float64(d*h + 2*h),
-			"mpps_per_ppe":  1e3 / nsPerPkt,
+			"mpps_per_ppe":  1e3 / (float64(c.InstrPerPacket) * nsPerInstr),
 		}, nil
 	}
 	objs := []dse.Objective{
@@ -325,12 +329,11 @@ func runInfnet(p Params) ([]*Table, error) {
 	}
 	for i, est := range pruned.Estimates {
 		d, h := int(est.Params["features"]), int(est.Params["hidden"])
-		c := shapeCost(d, h)
 		mark := "pruned"
 		if kept[i] {
 			mark = "kept"
 		}
-		t4.AddRow(fmt.Sprintf("%dx%d", d, h), c.StaticInstructions,
+		t4.AddRow(fmt.Sprintf("%dx%d", d, h), int(est.Metrics["static"]),
 			int(est.Metrics["instr_per_pkt"]), int(est.Metrics["macs"]),
 			fmt.Sprintf("%.1f", est.Metrics["mpps_per_ppe"]), mark)
 	}
@@ -338,9 +341,9 @@ func runInfnet(p Params) ([]*Table, error) {
 	return []*Table{t1, t2, t3, t4}, nil
 }
 
-// shapeCost evaluates the infnet cost model for a (D, H) shape with
-// placeholder weights — the model depends only on the shape.
-func shapeCost(d, h int) infnet.Cost {
+// shapeCost is the cost of a (D, H) shape with placeholder weights: the
+// branch-free program's cost depends only on the shape.
+func shapeCost(d, h int) (infnet.Cost, error) {
 	cfg := infnet.Config{
 		Features: make([]int, d),
 		Hidden:   make([][]int8, h),

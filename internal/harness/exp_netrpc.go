@@ -312,7 +312,10 @@ func runNetRPC(p Params) ([]*Table, error) {
 	t2.AddRow("Speedup cached vs uncached", "", fmt.Sprintf("%.1fx", speedupCached), "")
 	t2.AddRow("Speedup coalesced vs uncached", "", fmt.Sprintf("%.1fx", speedupCoal), "")
 
-	cost := netrpc.Config{Slots: 4096}.Cost()
+	cost, err := netrpc.Config{Slots: 4096}.Cost()
+	if err != nil {
+		return nil, err
+	}
 	measured := rig.router.PFE(0).Stats().Instructions
 	expected := uint64(st.Claims)*uint64(cost.InstrClaim) +
 		uint64(st.Hits)*uint64(cost.InstrServe) +

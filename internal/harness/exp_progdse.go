@@ -14,7 +14,7 @@ import (
 func init() {
 	register(Experiment{
 		Name: "progdse",
-		Desc: "Program-level DSE over mcagg variants: static cost model prunes, survivors full-sim -> Pareto frontier",
+		Desc: "Program-level DSE over mcagg variants: one run of each compiled variant, no simulator, prunes; survivors full-sim -> Pareto frontier",
 		Run:  runProgDSE,
 	})
 }
@@ -55,13 +55,14 @@ var progDSEObjs = []dse.Objective{
 	{Metric: "dram_kb"},
 }
 
-// ProgDSEModel is the first fidelity: the analytic mcagg cost model, no
-// simulation. The conformance tests pin it instruction-exact against
-// Thread.Stats, which is what licenses pruning on it.
+// ProgDSEModel is the first fidelity, no simulation: MCAggConfig.Cost, one
+// block run through the variant's compiled program on an in-memory Env.
+// TestMCAggCostModelMatchesMeasured holds that run to a full PFE rig at
+// every point of the full space, which is what licenses pruning on it.
 func ProgDSEModel(pt dse.Point) (map[string]float64, error) {
-	cost := progDSECfg(pt.Params).Cost()
-	if cost.StaticInstructions == 0 {
-		return nil, fmt.Errorf("invalid mcagg config %v", pt.Params)
+	cost, err := progDSECfg(pt.Params).Cost()
+	if err != nil {
+		return nil, err
 	}
 	return map[string]float64{
 		"instr_per_grad": cost.InstrPerGrad,
@@ -109,7 +110,10 @@ func ProgDSERunner(p Params) dse.Runner {
 		}
 		grads := blocks * cfg.Sources * cfg.Grads
 		us := eng.Now().Microseconds()
-		cost := cfg.Cost()
+		cost, err := cfg.Cost()
+		if err != nil {
+			return nil, err
+		}
 		return map[string]float64{
 			"instr_per_grad":   float64(pf.Stats().Instructions) / float64(grads),
 			"rate_grad_per_us": float64(grads) / us,

@@ -7,7 +7,7 @@ import (
 	"github.com/trioml/triogo/internal/dse"
 )
 
-// The acceptance bar for program-level DSE: the static cost model prunes
+// The acceptance bar for program-level DSE: the cost runs prune
 // at least half the candidate variants before any simulation runs, in both
 // quick and full spaces.
 func TestProgDSEModelPrunesMajority(t *testing.T) {

@@ -5,18 +5,15 @@ import (
 	"strings"
 )
 
-// CostModel is the static cost summary of one compiled program — the cheap
-// first fidelity of program-level design-space exploration. The per-packet
-// dynamic cost is application-specific (it depends on which loops the packet
-// takes); applications derive it from these site counts plus their loop trip
-// counts — see trioml.MCAggCost — and the dse layer prunes on it before
-// spending full-sim trials.
+// CostModel is the static summary of one compiled program: its length,
+// fused operations, and XTXN and branch sites, as mcasm prints them. The
+// per-packet dynamic cost depends on which paths and loops a packet takes,
+// so applications read it off Thread.Stats of their program run through
+// RunPackets instead (trioml.MCAggConfig.Cost, netrpc.Config.Cost, infnet.Config.Cost),
+// and the dse layer prunes on that.
 type CostModel struct {
 	// StaticInstructions is the lowered instruction count (1:1 with source).
 	StaticInstructions int
-	// CondOps / MoveOps are total ALU operation sites.
-	CondOps int
-	MoveOps int
 	// FusedOps counts operations lowered into superinstruction forms.
 	FusedOps int
 	// XTXNSites / SyncXTXNSites count external-transaction issue sites; each
@@ -26,8 +23,6 @@ type CostModel struct {
 	SyncXTXNSites int
 	// BranchSites counts multi-way (conditional) branch instructions.
 	BranchSites int
-	// CallSites counts call actions (each costs a frame).
-	CallSites int
 }
 
 // Cost computes the static cost model of the compiled program.
@@ -35,8 +30,6 @@ func (c *Compiled) Cost() CostModel {
 	m := CostModel{StaticInstructions: len(c.ops), FusedOps: c.fused}
 	for i := range c.ops {
 		op := &c.ops[i]
-		m.CondOps += len(op.conds)
-		m.MoveOps += len(op.moves)
 		if op.xtxn != nil {
 			m.XTXNSites++
 			if !op.xtxn.Async {
@@ -45,14 +38,6 @@ func (c *Compiled) Cost() CostModel {
 		}
 		if len(op.cases) > 0 {
 			m.BranchSites++
-		}
-		if op.def.kind == ActCall {
-			m.CallSites++
-		}
-		for _, cs := range op.cases {
-			if cs.kind == ActCall {
-				m.CallSites++
-			}
 		}
 	}
 	return m

@@ -1,72 +1,62 @@
 package microcode
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/trioml/triogo/internal/sim"
 )
 
-// fuzzEnv is a hermetic, panic-free Env: shared memory is a fixed array
-// with modulo addressing, the hash engine is a plain map. Fuzzed programs
-// can issue any XTXN without reaching engine-level contracts (smem's
-// address-space checks), so every panic the fuzzer finds is a microcode
-// pipeline bug. The tail is bounded and clipped exactly as the production
-// environments clip theirs (ClipTail; writes outside it are ignored), so a
-// negative or oversized tail offset computed by a fuzzed program exercises
-// that clipping instead of wrapping harmlessly.
-type fuzzEnv struct {
-	mem  [8192]byte
-	tail [512]byte
-	hash map[uint64]uint64
-}
+// stallEnv is a memEnv whose every reply arrives 70 ns after issue, so the
+// fuzzed synchronous XTXNs also drive both engines' stall accounting (a
+// memEnv on its own replies at once).
+type stallEnv struct{ *memEnv }
 
-func newFuzzEnv() *fuzzEnv { return &fuzzEnv{hash: map[uint64]uint64{}} }
+const stall = 70
 
-func (e *fuzzEnv) MemRead(now sim.Time, addr uint64, size int) ([]byte, sim.Time) {
-	b := make([]byte, size)
-	for i := range b {
-		b[i] = e.mem[(addr+uint64(i))%uint64(len(e.mem))]
-	}
-	return b, now + 70
+func (e stallEnv) MemRead(now sim.Time, addr uint64, size int) ([]byte, sim.Time) {
+	b, _ := e.memEnv.MemRead(now, addr, size)
+	return b, now + stall
 }
-func (e *fuzzEnv) MemWrite(now sim.Time, addr uint64, data []byte) sim.Time {
-	for i, v := range data {
-		e.mem[(addr+uint64(i))%uint64(len(e.mem))] = v
-	}
-	return now + 70
+func (e stallEnv) MemWrite(now sim.Time, addr uint64, data []byte) sim.Time {
+	return e.memEnv.MemWrite(now, addr, data) + stall
 }
-func (e *fuzzEnv) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
-	e.mem[addr%uint64(len(e.mem))]++
-	return now + 70
+func (e stallEnv) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
+	return e.memEnv.CounterInc(now, addr, pktLen) + stall
 }
-func (e *fuzzEnv) ReadTail(now sim.Time, off, size int) ([]byte, sim.Time) {
-	return ClipTail(e.tail[:], off, size), now + 70
+func (e stallEnv) ReadTail(now sim.Time, off, size int) ([]byte, sim.Time) {
+	b, _ := e.memEnv.ReadTail(now, off, size)
+	return b, now + stall
 }
-func (e *fuzzEnv) WriteTail(now sim.Time, off int, data []byte) sim.Time {
-	if off >= 0 && off < len(e.tail) {
-		copy(e.tail[off:], data)
-	}
-	return now + 70
+func (e stallEnv) WriteTail(now sim.Time, off int, data []byte) sim.Time {
+	return e.memEnv.WriteTail(now, off, data) + stall
 }
-func (e *fuzzEnv) HashLookup(now sim.Time, key uint64) (uint64, bool, sim.Time) {
-	v, ok := e.hash[key]
-	return v, ok, now + 70
+func (e stallEnv) HashLookup(now sim.Time, key uint64) (uint64, bool, sim.Time) {
+	v, ok, _ := e.memEnv.HashLookup(now, key)
+	return v, ok, now + stall
 }
-func (e *fuzzEnv) HashInsert(now sim.Time, key, val uint64) (bool, sim.Time) {
-	e.hash[key] = val
-	return true, now + 70
+func (e stallEnv) HashInsert(now sim.Time, key, val uint64) (bool, sim.Time) {
+	ok, _ := e.memEnv.HashInsert(now, key, val)
+	return ok, now + stall
 }
-func (e *fuzzEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
-	_, ok := e.hash[key]
-	delete(e.hash, key)
-	return ok, now + 70
+func (e stallEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
+	ok, _ := e.memEnv.HashDelete(now, key)
+	return ok, now + stall
 }
 
 // FuzzAssemble drives the whole v2 pipeline with arbitrary source text:
 // parse/assemble must never panic; whatever assembles must compile+verify
 // without panicking; and whatever verifies must dispatch without panicking
 // AND bit-identically between the reference interpreter and the compiled
-// engine (verdict, error, statistics, virtual time, register/LMEM state).
+// engine (verdict, error, statistics, virtual time, register/LMEM state,
+// and the environment each leaves behind).
+//
+// Both run on a memEnv, the environment applications read their cost from,
+// with replies delayed (stallEnv). It is panic-free for any address, so
+// every panic the fuzzer finds is a microcode pipeline bug. Its 512-byte
+// tail is clipped through ClipTail and ignores writes that start outside
+// it, so a negative or oversized tail offset computed by a fuzzed program
+// exercises that clipping instead of wrapping harmlessly.
 func FuzzAssemble(f *testing.F) {
 	f.Add("program p;\n\na:\nbegin\n    r0 = r1 + 2;\n    if (r0 == 7) { exit(forward); }\n    exit(drop);\nend\n")
 	f.Add("program loop;\n\ntop:\nbegin\n    r2 = r2 + 1;\n    if (r2 != 10) { goto top; }\n    exit(consume);\nend\n")
@@ -108,7 +98,8 @@ func FuzzAssemble(f *testing.F) {
 		}
 		entry := prog.Instrs[0].Label
 		const budget = 4096
-		ei, ec := newFuzzEnv(), newFuzzEnv()
+		ei, ec := stallEnv{newMemEnv()}, stallEnv{newMemEnv()}
+		ei.tail, ec.tail = make([]byte, 512), make([]byte, 512)
 		ti, tc := NewThread(ei, 0), NewThread(ec, 0)
 		vi, erri := RunLimited(prog, ti, entry, budget)
 		vc, errc := RunCompiledLimited(c, tc, entry, budget)
@@ -130,7 +121,7 @@ func FuzzAssemble(f *testing.F) {
 		if ti.LMem != tc.LMem {
 			t.Fatalf("LMEM diverges")
 		}
-		if ei.mem != ec.mem || ei.tail != ec.tail {
+		if !reflect.DeepEqual(ei, ec) {
 			t.Fatalf("environment diverges")
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/trioml/triogo/internal/microcode"
+	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/trio/pfe"
 	"github.com/trioml/triogo/internal/trio/smem"
 )
@@ -84,13 +85,19 @@ func (cfg MCAggConfig) check() error {
 	return nil
 }
 
+// pools returns the record (SRAM) and aggregation-buffer (DRAM) pool sizes
+// of a defaulted configuration: a 64-byte record and a block of gradients
+// per slot.
+func (cfg MCAggConfig) pools() (rec, buf uint64) {
+	return uint64(cfg.Slots) * 64, uint64(cfg.Slots) * 4 * uint64(cfg.Grads)
+}
+
 // MCAgg is an installed Microcode aggregator.
 type MCAgg struct {
 	App     *pfe.MicrocodeApp
 	Program *microcode.Program
 	RecBase uint64
 	BufBase uint64
-	cfg     MCAggConfig
 }
 
 // mcaggSource generates the program text for a configuration.
@@ -540,8 +547,9 @@ func InstallMCAgg(p *pfe.PFE, cfg MCAggConfig, egressPort int) (*MCAgg, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	recBase := p.Mem.Alloc(smem.TierSRAM, uint64(cfg.Slots)*64)
-	bufBase := p.Mem.Alloc(smem.TierDRAM, uint64(cfg.Slots)*4*uint64(cfg.Grads))
+	recBytes, bufBytes := cfg.pools()
+	recBase := p.Mem.Alloc(smem.TierSRAM, recBytes)
+	bufBase := p.Mem.Alloc(smem.TierDRAM, bufBytes)
 	prog, err := MCAggProgram(cfg, recBase, bufBase)
 	if err != nil {
 		return nil, err
@@ -551,5 +559,63 @@ func InstallMCAgg(p *pfe.PFE, cfg MCAggConfig, egressPort int) (*MCAgg, error) {
 		return nil, fmt.Errorf("trioml: compiling mcagg: %w", err)
 	}
 	p.SetApp(app)
-	return &MCAgg{App: app, Program: prog, RecBase: recBase, BufBase: bufBase, cfg: cfg}, nil
+	return &MCAgg{App: app, Program: prog, RecBase: recBase, BufBase: bufBase}, nil
+}
+
+// MCAggCost is one configuration's cost as its compiled program spends it
+// on one block — what progdse prunes candidate configurations on before
+// spending full-sim trials.
+type MCAggCost struct {
+	// StaticInstructions is the assembled program length.
+	StaticInstructions int
+	// InstrPerGrad amortizes one whole block — every contributor, first to
+	// final — over the Sources*Grads gradient contributions it aggregates.
+	// §6.3 reports ≈1.2 for the hand-scheduled production program; the
+	// unrolled generator approaches it from above.
+	InstrPerGrad float64
+	// DRAMBytes is the aggregation-buffer pool InstallMCAgg provisions.
+	DRAMBytes uint64
+}
+
+// Cost reads cfg's cost off one block of zero gradients run through its
+// compiled program (mcaggBlockRun).
+func (cfg MCAggConfig) Cost() (MCAggCost, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.check(); err != nil {
+		return MCAggCost{}, err
+	}
+	frames := make([][]byte, cfg.Sources)
+	for w := range frames {
+		frames[w] = packet.BuildTrioML(packet.UDPSpec{}, packet.TrioML{SrcID: uint8(w)}, make([]int32, cfg.Grads))
+	}
+	per, static, err := mcaggBlockRun(cfg, frames)
+	if err != nil {
+		return MCAggCost{}, err
+	}
+	var instr uint64
+	for _, st := range per {
+		instr += st.Instructions
+	}
+	_, buf := cfg.pools()
+	return MCAggCost{StaticInstructions: static, InstrPerGrad: float64(instr) / float64(cfg.Sources*cfg.Grads),
+		DRAMBytes: buf}, nil
+}
+
+// mcaggBlockRun runs one block — frames[w] is source w's contribution, run
+// in order, so the first initializes the buffer and the last builds the
+// result in its frame — through cfg's compiled program
+// (microcode.RunPackets), with the record pool at address 0 and the buffer
+// pool after it. It returns each contributor's thread statistics and the
+// program length.
+func mcaggBlockRun(cfg MCAggConfig, frames [][]byte) ([]microcode.Stats, int, error) {
+	rec, _ := cfg.pools()
+	prog, err := MCAggProgram(cfg, 0, rec)
+	if err != nil {
+		return nil, 0, err
+	}
+	per, err := microcode.RunPackets(prog, "parse", frames, pfe.HeadBytes, nil)
+	if err != nil {
+		return nil, 0, fmt.Errorf("trioml: mcagg cost run: %w", err)
+	}
+	return per, prog.Len(), nil
 }

@@ -43,52 +43,102 @@ func mcaggRig(t *testing.T, cfg MCAggConfig) (*sim.Engine, *pfe.PFE, *MCAgg, *[]
 	return eng, p, agg, results
 }
 
-func mcaggInjectBlock(p *pfe.PFE, eng *sim.Engine, cfg MCAggConfig, block uint32) []uint64 {
-	perPacket := make([]uint64, cfg.Sources)
-	for w := 0; w < cfg.Sources; w++ {
+// mcaggBlockFrames builds one block's contributions, source w's at index w.
+func mcaggBlockFrames(cfg MCAggConfig, block uint32) [][]byte {
+	frames := make([][]byte, cfg.Sources)
+	for w := range frames {
 		g := make([]int32, cfg.Grads)
 		for i := range g {
 			g[i] = int32((w*31+i*7)%997 - 498)
 		}
+		frames[w] = mcaggPkt(w, block, g)
+	}
+	return frames
+}
+
+// mcaggInjectBlock runs one block through the rig, one contribution at a
+// time, and returns each one's instruction count.
+func mcaggInjectBlock(p *pfe.PFE, eng *sim.Engine, cfg MCAggConfig, block uint32) []uint64 {
+	perPacket := make([]uint64, cfg.Sources)
+	for w, frame := range mcaggBlockFrames(cfg, block) {
 		before := p.Stats().Instructions
-		p.Inject(w%p.Cfg.NumPorts, uint64(w), mcaggPkt(w, block, g))
+		p.Inject(w%p.Cfg.NumPorts, uint64(w), frame)
 		eng.Run()
 		perPacket[w] = p.Stats().Instructions - before
 	}
 	return perPacket
 }
 
-// The analytic cost model must predict measured Thread.Stats exactly for
-// every contributor role, across gradient counts and unroll factors —
-// that is what licenses progdse to prune on it without simulating.
+// TestMCAggCostModelMatchesMeasured holds the cost run to a full one-PFE
+// rig at every point of progdse's full grid (harness.ProgDSESpace(false):
+// grads {64, 256, 1024} x unroll {1, 2, 4, 8, 16} x slots {16, 64, 256}),
+// at 3, 4 and 6 sources. One block's frames go through both: each
+// contributor's Thread.Stats — instructions and XTXNs — must be equal, and
+// so must the result the last one builds, which an Env whose memory
+// aliases would get wrong. Cost, which runs the block on zero gradients,
+// must report the rig's program length, instructions per gradient and DRAM
+// buffer pool. This is what licenses progdse to prune on Cost without
+// simulating.
 func TestMCAggCostModelMatchesMeasured(t *testing.T) {
-	for _, cfg := range []MCAggConfig{
-		{Sources: 3, Slots: 16},
-		{Sources: 3, Slots: 16, Grads: 64, Unroll: 2},
-		{Sources: 3, Slots: 16, Grads: 256, Unroll: 4},
-		{Sources: 4, Slots: 16, Grads: 1024, Unroll: 16},
-	} {
-		cfg = cfg.withDefaults()
-		eng, p, agg, results := mcaggRig(t, cfg)
-		cost := cfg.Cost()
-		if agg.Program.Len() != cost.StaticInstructions {
-			t.Fatalf("%+v: static = %d, model says %d", cfg, agg.Program.Len(), cost.StaticInstructions)
-		}
-		per := mcaggInjectBlock(p, eng, cfg, 1)
-		if len(*results) != 1 {
-			t.Fatalf("%+v: results = %d", cfg, len(*results))
-		}
-		if per[0] != uint64(cost.InstrFirstPacket) {
-			t.Errorf("%+v: first packet = %d instrs, model says %d", cfg, per[0], cost.InstrFirstPacket)
-		}
-		for w := 1; w < cfg.Sources-1; w++ {
-			if per[w] != uint64(cost.InstrOtherPacket) {
-				t.Errorf("%+v: middle packet = %d instrs, model says %d", cfg, per[w], cost.InstrOtherPacket)
+	for _, grads := range []int{64, 256, 1024} {
+		for _, u := range []int{1, 2, 4, 8, 16} {
+			for _, slots := range []int{16, 64, 256} {
+				for _, src := range []int{3, 4, 6} {
+					checkMCAggCost(t, MCAggConfig{Sources: src, Slots: slots, Grads: grads, Unroll: u})
+				}
 			}
 		}
-		if per[cfg.Sources-1] != uint64(cost.InstrFinalPacket) {
-			t.Errorf("%+v: final packet = %d instrs, model says %d", cfg, per[cfg.Sources-1], cost.InstrFinalPacket)
+	}
+	if _, err := (MCAggConfig{Sources: 4, Slots: 3}).Cost(); err == nil {
+		t.Error("invalid config: Cost returned no error")
+	}
+}
+
+func checkMCAggCost(t *testing.T, cfg MCAggConfig) {
+	t.Helper()
+	eng, p, agg, results := mcaggRig(t, cfg)
+	var got []microcode.Stats
+	agg.App.Finish = func(th *microcode.Thread, _ *pfe.Ctx, _ microcode.Verdict) {
+		got = append(got, th.Stats)
+	}
+	mcaggInjectBlock(p, eng, cfg, 1)
+	frames := mcaggBlockFrames(cfg, 1)
+	want, static, err := mcaggBlockRun(cfg, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(*results) != 1 || len(got) != cfg.Sources {
+		t.Fatalf("%+v: results = %d, threads = %d", cfg, len(*results), len(got))
+	}
+	var instr uint64
+	for w := range got {
+		if got[w].Instructions != want[w].Instructions || got[w].XTXNs != want[w].XTXNs {
+			t.Errorf("%+v: source %d: rig %d instrs %d XTXNs, cost run %d instrs %d XTXNs",
+				cfg, w, got[w].Instructions, got[w].XTXNs, want[w].Instructions, want[w].XTXNs)
 		}
+		instr += got[w].Instructions
+	}
+	f, err := packet.Decode(frames[cfg.Sources-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums, err := packet.Gradients(f.Payload, cfg.Grads)
+	if err != nil || *f.ML != (*results)[0].hdr || !reflect.DeepEqual(sums, (*results)[0].grads) {
+		t.Errorf("%+v: the cost run's result differs from the rig's (%v)", cfg, err)
+	}
+
+	cost, err := cfg.Cost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if static != agg.Program.Len() || cost.StaticInstructions != static {
+		t.Errorf("%+v: static: rig %d, cost run %d, Cost %d", cfg, agg.Program.Len(), static, cost.StaticInstructions)
+	}
+	if measured := float64(instr) / float64(cfg.Sources*cfg.Grads); cost.InstrPerGrad != measured {
+		t.Errorf("%+v: Cost says %v instr/grad, rig %v", cfg, cost.InstrPerGrad, measured)
+	}
+	if pool := p.Mem.Alloc(smem.TierDRAM, 0) - agg.BufBase; cost.DRAMBytes != pool {
+		t.Errorf("%+v: Cost says %d DRAM bytes, rig provisioned %d", cfg, cost.DRAMBytes, pool)
 	}
 }
 
@@ -107,8 +157,12 @@ func TestMCAggInstrPerGradientNearPaper(t *testing.T) {
 		total += n
 	}
 	measured := float64(total) / float64(cfg.Sources*cfg.Grads)
-	if got := cfg.Cost().InstrPerGrad; got != measured {
-		t.Fatalf("model says %.3f instr/grad, measured %.3f", got, measured)
+	cost, err := cfg.Cost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost.InstrPerGrad != measured {
+		t.Fatalf("Cost says %.3f instr/grad, measured %.3f", cost.InstrPerGrad, measured)
 	}
 	if measured < 1.0 || measured > 1.45 {
 		t.Fatalf("instr/gradient = %.3f, want ≈1.2 (§6.3 band 1.0..1.45)", measured)
