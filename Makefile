@@ -139,15 +139,17 @@ verify-obs:
 # single-request op and transaction, and the vector and paced kernels,
 # against the per-word reference loop, faults and obs on and off), then the
 # packet path around them (the pfe zero-allocation gate and tail-clipping
-# regression, mcagg compiled-vs-interpreter at every unroll), and replays
-# the FuzzAssemble seed+regression corpus before fuzzing from it for 10 s
-# (parse -> compile -> twin-engine dispatch must never panic and must stay
-# bit-identical).
+# regression, mcagg compiled-vs-interpreter at every unroll), runs the
+# dispatch benchmark ten iterations per case so it cannot rot unseen, and
+# replays the FuzzAssemble seed+regression corpus before fuzzing from it for
+# 10 s (parse -> compile -> twin-engine dispatch must never panic and must
+# stay bit-identical).
 verify-microcode:
 	$(GO) test -race ./internal/microcode/
 	$(GO) test -race -run 'Twin|WordLoop|PageWalk|Paced' ./internal/trio/smem/
 	$(GO) test -race -run 'TestMicrocodeAppZeroAlloc|TestMicrocodeNegativeTailOffset' ./internal/trio/pfe/
 	$(GO) test -race -run 'TestMCAggCompiledMatchesInterpreter|TestMCAggUnrollVariantsAgree' ./internal/trioml/
+	$(GO) test -run '^$$' -bench MicrocodeDispatch -benchtime 10x ./internal/trioml/
 	$(GO) test -run FuzzAssemble ./internal/microcode/
 	$(GO) test -fuzz=FuzzAssemble -fuzztime=10s -run FuzzAssemble ./internal/microcode/
 

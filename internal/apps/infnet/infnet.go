@@ -1,5 +1,5 @@
 // Package infnet implements in-network MLP inference as a Microcode
-// program on the PFE (ROADMAP item 4b): a quantized two-layer perceptron
+// program on the PFE: a quantized two-layer perceptron
 // compiled to branch-free VLIW arithmetic, classifying every packet in the
 // data path for telemetry flagging or DDoS shedding.
 //

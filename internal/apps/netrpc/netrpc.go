@@ -1,5 +1,5 @@
 // Package netrpc implements NetRPC-style in-network RPC aggregation and
-// caching as a Microcode program on the PFE (ROADMAP item 4a).
+// caching as a Microcode program on the PFE.
 //
 // The service sits between RPC clients and an origin server and gives
 // idempotent RPCs three in-network accelerations, generalizing hostagg's

@@ -5,12 +5,13 @@
 // superinstructions the dispatch loop runs without a call (`r = imm`,
 // `r = r' op imm`, `r = lmem64[k]`, `lmem64[a] = lmem64[b]`, the pointer
 // read-modify-write, `r cmp imm`), and counted loops built only from those
-// shapes lower into kernels (loop.go) that retire a whole pass at a time —
-// which RunCompiled then dispatches with zero map lookups and zero
-// per-instruction allocations. Every other move goes through the generic
-// accessor switch (execMove). The tree-walking Run in exec.go stays as the
-// reference interpreter; the two are cross-checked instruction for
-// instruction in tests.
+// shapes lower into kernels (loop.go) that retire a whole pass at a time,
+// and each multi-way branch becomes a table holding its action for every
+// value of the condition bits — which RunCompiled then dispatches with zero
+// map lookups and zero per-instruction allocations. Every other move goes
+// through the generic accessor switch (execMove). The tree-walking Run in
+// exec.go stays as the reference interpreter; the two are cross-checked
+// instruction for instruction in tests.
 package microcode
 
 import (
@@ -238,9 +239,14 @@ type cop struct {
 	cases []ccase
 	def   ccase
 	label string
-	fused int         // superinstructions fused into this op (dump annotation)
-	loop  *loopKernel // tLoopHead only
+	fused int                // superinstructions fused into this op (dump annotation)
+	loop  *loopKernel        // tLoopHead only
+	sel   *[condValues]ccase // with cases: the action picked under each value of the condition bits
 }
+
+// condValues is how many values the condition bits take: one bit per
+// condition index below MaxCondOps, the hash-hit bit among them.
+const condValues = 1 << MaxCondOps
 
 // Compiled is a verified, lowered program ready for RunCompiled.
 type Compiled struct {
@@ -366,6 +372,12 @@ func (c *Compiled) compileInstr(p *Program, pc int) cop {
 		op.cases = append(op.cases, cc)
 	}
 	op.def = lower(in.Br.Default)
+	if len(op.cases) > 0 {
+		op.sel = new([condValues]ccase)
+		for bits := range op.sel {
+			op.sel[bits] = *op.walk(uint8(bits))
+		}
+	}
 
 	// Pick the lightest dispatch shape.
 	allGoto := op.def.kind == ActGoto
@@ -415,8 +427,18 @@ func (t *Thread) execMove(m *cmove) {
 // gotoes reports whether the action is a goto to instruction pc.
 func (a *ccase) gotoes(pc int) bool { return a.kind == ActGoto && a.target == pc }
 
-// pick selects the action of a multi-way branch under condition bits conds.
+// pick selects the action of a multi-way branch under condition bits conds:
+// one load from its branch table.
 func (op *cop) pick(conds uint8) *ccase {
+	if op.sel != nil {
+		return &op.sel[conds%condValues]
+	}
+	return &op.def
+}
+
+// walk is pick by a walk of the cases, which fills the branch table: the
+// first case that matches, else the default.
+func (op *cop) walk(conds uint8) *ccase {
 	for i := range op.cases {
 		if cs := &op.cases[i]; conds&cs.mask == cs.want {
 			return cs

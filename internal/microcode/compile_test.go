@@ -760,6 +760,17 @@ func TestLoopKernelMatchesInterpreter(t *testing.T) {
 				diffEngines(t, name+" wrap", p, c, "l0", DefaultBudget, false, loopState(^uint64(0)-7, 64, lanes))
 				// Overlapping source and destination windows.
 				diffEngines(t, name+" overlap", p, c, "l0", DefaultBudget, false, loopState(642, 640, lanes))
+				// The shapes around the one-call lane add: identical windows,
+				// the source a lane behind and a lane ahead of the
+				// destination, and both windows ending at the end of local
+				// memory.
+				end := uint64(LMemBytes - 4*lanes)
+				for _, w := range []struct {
+					name     string
+					src, dst uint64
+				}{{"src == dst", 640, 640}, {"src a lane behind", 636, 640}, {"src a lane ahead", 644, 640}, {"both at the end", end, end}} {
+					diffEngines(t, name+" "+w.name, p, c, "l0", DefaultBudget, false, loopState(w.src, w.dst, lanes))
+				}
 			}
 		}
 	}
@@ -819,6 +830,15 @@ func TestLoopKernelCounts(t *testing.T) {
 		{"two compares", loop("    r11 = r11 + 4;\n",
 			"    r13 = r13 - 1;\n    r12 = r12 + 4;\n    if (r13 != 1 && r12 != 2000) { goto l0; }\n    goto done;\n"),
 			loopState(64, 640, 16), false},
+		// Lanes that are no one contiguous add keep the lane-at-a-time loop.
+		{"add and sub lanes", "l0: begin\n" + rmw + "    goto l1;\nend\n" +
+			"l1: begin\n    lmem32[r12 + 4] = lmem32[r12 + 4] - lmem32[r11 + 4];\n    r11 = r11 + 8;\n    goto ctl;\nend\n" +
+			"ctl: begin\n    r13 = r13 - 2;\n    r12 = r12 + 8;\n    if (r13 != 0) { goto l0; }\n    goto done;\nend\n" +
+			"done: begin\n    r0 = r0 + 1;\n    exit(forward);\nend\n",
+			loopState(64, 640, 16), true},
+		{"stride wider than the pass", loop("    r11 = r11 + 8;\n",
+			"    r13 = r13 - 1;\n    r12 = r12 + 8;\n    if (r13 != 1) { goto l0; }\n    goto done;\n"),
+			loopState(64, 640, 16), true},
 	}
 	for _, tc := range cases {
 		p := MustAssemble(tc.src)

@@ -53,6 +53,13 @@ type Stats struct {
 	SyncStall    sim.Time // time spent suspended on synchronous XTXN replies
 }
 
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Instructions += o.Instructions
+	s.XTXNs += o.XTXNs
+	s.SyncStall += o.SyncStall
+}
+
 // Thread is one PPE thread: 1.25 KB of local memory, 32 general-purpose
 // registers, and a call stack up to eight deep (§2.2). A thread is created
 // per packet head (or per timer firing) and destroyed on exit.

@@ -1,6 +1,7 @@
 package microcode
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -81,6 +82,24 @@ func FuzzAssemble(f *testing.F) {
 	f.Add("program fault;\n\ns:\nbegin\n    r12 = 1272;\n    r13 = 9;\n    goto l0;\nend\n\nl0:\nbegin\n    lmem32[r12] = lmem32[r12] + lmem32[r11];\n    goto l1;\nend\n\nl1:\nbegin\n    lmem32[r12 + 4] = lmem32[r12 + 4] + lmem32[r11 + 4];\n    goto l2;\nend\n\nl2:\nbegin\n    lmem32[r12 + 8] = lmem32[r12 + 8] + lmem32[r11 + 8];\n    r11 = r11 + 12;\n    goto ctl;\nend\n\nctl:\nbegin\n    r13 = r13 - 3;\n    r12 = r12 + 12;\n    if (r13 != 3) { goto l0; }\n    exit(consume);\nend\n")
 	f.Add("program spin;\n\ns:\nbegin\n    r12 = 640;\n    goto l0;\nend\n\nl0:\nbegin\n    lmem32[r12] = lmem32[r12] + lmem32[r11];\n    goto l1;\nend\n\nl1:\nbegin\n    lmem32[r12 + 4] = lmem32[r12 + 4] ^ lmem32[r11 + 4];\n    goto l2;\nend\n\nl2:\nbegin\n    lmem32[r12 + 8] = lmem32[r12 + 8] - lmem32[r11 + 8];\n    goto ctl;\nend\n\nctl:\nbegin\n    r13 = r13 - 1;\n    if (r13 == 1) { exit(forward); }\n    goto l0;\nend\n")
 	f.Add("program negtail;\n\ns:\nbegin\n    r15 = 1;\n    goto rd;\nend\n\nrd:\nbegin\n    r16 = r15 * 64 - 138;\n    goto rd2;\nend\n\nrd2:\nbegin\n    tail_read(r16, 64, 320);\n    goto wr;\nend\n\nwr:\nbegin\n    tail_write(r16, 64, 320);\n    exit(forward);\nend\n")
+	// The one-call lane add of a lowered loop, over local memory filled from
+	// byte 512 on: identical windows, the source a lane behind and a lane
+	// ahead of the destination, both windows ending at the end of local
+	// memory, an add and a sub lane, and pointers stepping wider than the
+	// pass.
+	for _, sh := range []struct {
+		src, dst, stride int
+		op               string
+	}{{640, 640, 8, "+"}, {636, 640, 8, "+"}, {644, 640, 8, "+"}, {1216, 1216, 8, "+"}, {520, 640, 8, "-"}, {520, 640, 16, "+"}} {
+		f.Add(fmt.Sprintf("program lanes;\n\ns:\nbegin\n    r14 = 512;\n    goto f;\nend\n\n"+
+			"f:\nbegin\n    lmem32[r14] = r14 * 7;\n    r14 = r14 + 4;\n    goto fc;\nend\n\n"+
+			"fc:\nbegin\n    if (r14 != 1280) { goto f; }\n    goto s1;\nend\n\n"+
+			"s1:\nbegin\n    r11 = %d;\n    r12 = %d;\n    goto s2;\nend\n\ns2:\nbegin\n    r13 = 16;\n    goto l0;\nend\n\n"+
+			"l0:\nbegin\n    lmem32[r12] = lmem32[r12] + lmem32[r11];\n    goto l1;\nend\n\n"+
+			"l1:\nbegin\n    lmem32[r12 + 4] = lmem32[r12 + 4] %s lmem32[r11 + 4];\n    r11 = r11 + %d;\n    goto ctl;\nend\n\n"+
+			"ctl:\nbegin\n    r13 = r13 - 2;\n    r12 = r12 + %d;\n    if (r13 != 0) { goto l0; }\n    exit(consume);\nend\n",
+			sh.src, sh.dst, sh.op, sh.stride, sh.stride))
+	}
 	for _, p := range fusedMoveSources {
 		f.Add(p.src)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 )
 
@@ -39,6 +40,15 @@ import (
 // passes back to back and advances every stepped register once, by that many
 // passes' worth; the remaining passes, the leaving one included, go through
 // the per-pass loop.
+//
+// When every lane adds and lane j sits at byte 4j from the first lane on
+// both sides, a pass is one contiguous run of big-endian int32 adds — and so
+// are consecutive passes whose pointers both step by the pass's width. Such a
+// block is one packet.AddLanes call when its destination and source windows
+// are identical or disjoint: then no lane reads a byte another lane of the
+// block writes (or only its own), so the order the lanes run in cannot show.
+// Partly overlapping windows, and any other lane set, take the lane-at-a-time
+// loop, which is stepping's order.
 
 // laneRMW is one body instruction of a lowered loop: a 32-bit
 // read-modify-write at static offsets from the loop's two pointer registers.
@@ -61,6 +71,7 @@ type loopKernel struct {
 	// check of the whole pass.
 	dmax, smax uint64
 	lanes      []laneRMW
+	addWidth   uint64     // 4*len(lanes) when the lanes are one contiguous add, else 0
 	steps      []regStep  // steps of the last body instruction
 	ctlSteps   []regStep  // moves of the control instruction
 	passLen    uint64     // len(lanes) + 1 instructions
@@ -176,6 +187,13 @@ func (c *Compiled) loopAt(h int) *loopKernel {
 	}
 	k.ctl = pc
 	k.passLen = uint64(len(k.lanes)) + 1
+	k.addWidth = 4 * uint64(len(k.lanes))
+	d0, s0 := k.lanes[0].doff, k.lanes[0].soff
+	for j, ln := range k.lanes {
+		if ln.fn != Add || ln.doff != d0+4*uint64(j) || ln.soff != s0+4*uint64(j) {
+			k.addWidth = 0
+		}
+	}
 
 	var dend, send uint64 // furthest byte any lane touches past each pointer
 	for _, ln := range k.lanes {
@@ -233,26 +251,34 @@ func (n *loopCount) deltaOf(reg int) uint64 {
 	return 0
 }
 
-// ahead returns a number of passes that, from the registers as they stand at
-// the head, provably all take the back edge, keep every lane inside local
-// memory and fit in room instructions. It is a lower bound: 0 is always
-// correct, and whatever it leaves goes through the per-pass loop.
-func (n *loopCount) ahead(k *loopKernel, regs *[NumRegs]uint64, room uint64) uint64 {
+// ahead returns a number of passes, back, that from the registers as they
+// stand at the head provably all take the back edge, keep every lane inside
+// local memory and fit in room instructions. It is a lower bound: 0 is always
+// correct, and whatever it leaves goes through the per-pass loop. lanes is
+// back, or back+1 when the pass after those also fits the budget and keeps
+// its lanes inside local memory: that pass then runs whole in the per-pass
+// loop, so its lanes may run in the same block as the others'.
+func (n *loopCount) ahead(k *loopKernel, regs *[NumRegs]uint64, room uint64) (back, lanes uint64) {
 	// The compares of successive passes read x, x+step, x+2*step, ... While
 	// that sequence moves towards imm it cannot wrap around 2^64, and it stays
 	// on its own side of imm — so differs from it — for ceil(distance/|step|)
 	// passes.
 	x := regs[n.reg] + n.adj
-	var p uint64
 	switch down := int64(n.step) < 0; {
 	case down && x > n.imm:
-		p = (x-n.imm-1)/-n.step + 1
+		back = (x-n.imm-1)/-n.step + 1
 	case !down && n.step != 0 && x < n.imm:
-		p = (n.imm-x-1)/n.step + 1
+		back = (n.imm-x-1)/n.step + 1
 	default:
-		return 0
+		return 0, 0
 	}
-	return min(p, room/k.passLen, span(regs[k.dreg], k.dmax, n.dstep), span(regs[k.sreg], k.smax, n.sstep))
+	// One bound for back+1 passes. Should back+1 wrap, p is 0: still a lower
+	// bound.
+	p := min(back+1, room/k.passLen, span(regs[k.dreg], k.dmax, n.dstep), span(regs[k.sreg], k.smax, n.sstep))
+	if p > back {
+		return back, p
+	}
+	return p, p
 }
 
 // span counts how many of ptr, ptr+step, ptr+2*step, ... stay at or below
@@ -272,17 +298,19 @@ func span(ptr, max, step uint64) uint64 {
 // rmwPasses runs the lanes of passes consecutive passes, the pointers moving
 // by dstep and sstep between them. The caller has proven every lane inside
 // local memory.
-func rmwPasses(lm *[LMemBytes]byte, lanes []laneRMW, pd, ps, dstep, sstep, passes uint64) {
+func (k *loopKernel) rmwPasses(lm *[LMemBytes]byte, pd, ps, dstep, sstep, passes uint64) {
+	if w := k.addWidth; w != 0 && (passes == 1 || dstep == w && sstep == w) {
+		d, s, n := pd+k.lanes[0].doff, ps+k.lanes[0].soff, w*passes
+		if d == s || d+n <= s || s+n <= d {
+			packet.AddLanes(lm[d:d+n], lm[s:s+n])
+			return
+		}
+	}
 	for ; passes > 0; passes-- {
-		for _, ln := range lanes {
+		for _, ln := range k.lanes {
 			d := lm[pd+ln.doff:][:4]
-			a, b := binary.BigEndian.Uint32(d), binary.BigEndian.Uint32(lm[ps+ln.soff:])
-			if ln.fn == Add {
-				a += b
-			} else {
-				a = uint32(alu(ln.fn, uint64(a), uint64(b)))
-			}
-			binary.BigEndian.PutUint32(d, a)
+			v := alu(ln.fn, uint64(binary.BigEndian.Uint32(d)), uint64(binary.BigEndian.Uint32(lm[ps+ln.soff:])))
+			binary.BigEndian.PutUint32(d, uint32(v))
 		}
 		pd += dstep
 		ps += sstep
@@ -301,14 +329,16 @@ func rmwPasses(lm *[LMemBytes]byte, lanes []laneRMW, pd, ps, dstep, sstep, passe
 // control instruction.
 func (k *loopKernel) run(t *Thread, ops []cop, room uint64) (done uint64, pc int) {
 	regs, ctl := &t.Regs, &ops[k.ctl]
+	ran := false // the first per-pass iteration's lanes already ran in the block
 	if n := k.count; n != nil {
-		if ahead := n.ahead(k, regs, room); ahead > 0 {
-			rmwPasses(&t.LMem, k.lanes, regs[k.dreg], regs[k.sreg], n.dstep, n.sstep, ahead)
+		if back, lanes := n.ahead(k, regs, room); back > 0 {
+			k.rmwPasses(&t.LMem, regs[k.dreg], regs[k.sreg], n.dstep, n.sstep, lanes)
 			for _, st := range n.perPass {
-				regs[st.reg] += st.delta * ahead
+				regs[st.reg] += st.delta * back
 			}
 			t.conds = n.conds
-			done = ahead * k.passLen
+			done = back * k.passLen
+			ran = lanes > back
 		}
 	}
 	pc = k.head
@@ -319,7 +349,10 @@ func (k *loopKernel) run(t *Thread, ops []cop, room uint64) (done uint64, pc int
 		if pd > k.dmax || ps > k.smax {
 			break
 		}
-		rmwPasses(&t.LMem, k.lanes, pd, ps, 0, 0, 1)
+		if !ran {
+			k.rmwPasses(&t.LMem, pd, ps, 0, 0, 1)
+		}
+		ran = false
 		for _, st := range k.steps {
 			regs[st.reg] += st.delta
 		}

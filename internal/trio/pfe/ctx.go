@@ -10,13 +10,6 @@ import (
 	"github.com/trioml/triogo/internal/trio/smem"
 )
 
-// CtxStats counts one thread's dynamic activity.
-type CtxStats struct {
-	Instructions uint64
-	XTXNs        uint64
-	SyncStall    sim.Time
-}
-
 // Ctx is the execution context of a PPE thread: the packet head in local
 // memory, access to the tail via XTXNs, the shared memory and hash engine
 // over the crossbar, and explicit compute accounting. Native applications
@@ -51,7 +44,7 @@ type threadState struct {
 
 	verdict    Verdict
 	egressPort int
-	stats      CtxStats
+	stats      microcode.Stats
 	tslot      int64 // trace track (busy-slot index) assigned at dispatch
 }
 
@@ -67,7 +60,7 @@ type emit struct {
 func (c *Ctx) Now() sim.Time { return c.now }
 
 // Stats reports the thread's activity counters so far.
-func (c *Ctx) Stats() CtxStats { return c.stats }
+func (c *Ctx) Stats() microcode.Stats { return c.stats }
 
 // Packet returns the packet being processed (nil in timer threads). The
 // record belongs to the PFE's context and is reused by the next thread: read
@@ -499,9 +492,7 @@ func (m *MicrocodeApp) run(ctx *Ctx, interpret bool) {
 		v, err = microcode.RunCompiledAt(m.compiled, th, m.entryPC, microcode.DefaultBudget)
 	}
 	ctx.now = th.Now
-	ctx.stats.Instructions += th.Stats.Instructions
-	ctx.stats.XTXNs += th.Stats.XTXNs
-	ctx.stats.SyncStall += th.Stats.SyncStall
+	ctx.stats.Add(th.Stats)
 	if err != nil {
 		m.Errors++
 		m.LastError = err

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/trioml/triogo/internal/microcode"
 	"github.com/trioml/triogo/internal/obs"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
@@ -142,7 +143,7 @@ type streamApp struct {
 	first bool
 	frame packet.Frame
 	now   []sim.Time
-	stats []pfe.CtxStats
+	stats []microcode.Stats
 }
 
 func (s *streamApp) Process(ctx *pfe.Ctx) {
@@ -262,7 +263,7 @@ func TestGradStreamTraceMatchesPerChunk(t *testing.T) {
 		Ts   float64 `json:"ts"`
 		Dur  float64 `json:"dur"`
 	}
-	run := func(ref bool, grads int) ([]span, []pfe.CtxStats) {
+	run := func(ref bool, grads int) ([]span, []microcode.Stats) {
 		r := newStreamRig(0, ref)
 		var buf bytes.Buffer
 		tr := obs.NewTrace(&buf, 0)

@@ -279,17 +279,29 @@ func (e *benchEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
 
 // BenchmarkMicrocodeDispatch compares the reference interpreter against the
 // v2 compiled dispatcher on the real aggregation workload: a stream of
-// 1024-gradient contributor packets through the mcagg program. Each
-// iteration runs one whole PPE thread on the path pfe.MicrocodeApp.Process
-// takes — one Thread reset per packet, read replies staged in an Env-owned
-// buffer — so allocs/op is the per-packet allocation count of that path
-// (0); instrs/s is the dispatch throughput.
+// 1024-gradient contributor packets through the mcagg program, one block at
+// a time. Each iteration runs one whole PPE thread on the path
+// pfe.MicrocodeApp.Process takes — one Thread reset per packet, read replies
+// staged in an Env-owned buffer — so allocs/op is the per-packet allocation
+// count of that path (0); instrs/s is the dispatch throughput.
+//
+// The fan-in sets the mix. At 2 sources (mcagg-large's) every other packet
+// opens a block and writes its chunks out, and the other adds into them and
+// then runs the result loop; at 63 (the maximum) 62 of 63 packets take the
+// add loop.
 func BenchmarkMicrocodeDispatch(b *testing.B) {
 	const grads = 1024
-	const sources = 63 // max fan-in: 62 of 63 packets take the RMW loop
+	for _, sources := range []int{2, 63} {
+		b.Run(fmt.Sprintf("sources=%d", sources), func(b *testing.B) {
+			benchmarkDispatch(b, grads, sources)
+		})
+	}
+}
+
+func benchmarkDispatch(b *testing.B, grads, sources int) {
 	mem := smem.New(smem.Config{})
 	recBase := mem.Alloc(smem.TierSRAM, 8*64)
-	bufBase := mem.Alloc(smem.TierDRAM, 8*4*grads)
+	bufBase := mem.Alloc(smem.TierDRAM, 8*4*uint64(grads))
 	cfg := MCAggConfig{Sources: sources, Slots: 8, Grads: grads}
 	prog, err := MCAggProgram(cfg, recBase, bufBase)
 	if err != nil {

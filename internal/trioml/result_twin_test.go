@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/trioml/triogo/internal/microcode"
 	"github.com/trioml/triogo/internal/packet"
 	"github.com/trioml/triogo/internal/sim"
 	"github.com/trioml/triogo/internal/trio/pfe"
@@ -77,7 +78,7 @@ type resultApp struct {
 	hdr   packet.TrioML
 	frame []byte
 	now   sim.Time
-	stats pfe.CtxStats
+	stats microcode.Stats
 }
 
 func (r *resultApp) Process(ctx *pfe.Ctx) {
