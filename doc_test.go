@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -303,6 +304,56 @@ func TestDocsCiteExistingTests(t *testing.T) {
 					t.Errorf("%s:%d runs `go run ./%s`, but %s holds no main package", doc, i+1, m[1], dir)
 				}
 			}
+		}
+	}
+}
+
+var (
+	// foundCite captures a FOUND line's first two backticked tokens: the
+	// path (a :line suffix dropped) and the symbol.
+	foundCite   = regexp.MustCompile("^- FOUND:[^`]*`([^`:]+)(?::\\d+)?`[^`]*`([^`]+)`")
+	roadmapItem = regexp.MustCompile(`^\d+\. `)
+)
+
+// TestFoundLinesHaveOwners holds CHANGES.md's FOUND lines, the repo's defect
+// list, to an owner: a later MENDED line, or an item of ROADMAP.md's open
+// items (a numbered item's text, its lettered parts included), must name
+// both the line's path and its symbol, so no finding is dropped unseen.
+func TestFoundLinesHaveOwners(t *testing.T) {
+	text, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var items []string
+	for _, line := range section(t, "ROADMAP.md", "## Open items") {
+		switch {
+		case roadmapItem.MatchString(line):
+			items = append(items, line)
+		case strings.HasPrefix(line, "#"):
+			items = append(items, "") // a heading ends the item above it
+		case len(items) > 0:
+			items[len(items)-1] += "\n" + line
+		}
+	}
+	names := func(s, path, sym string) bool {
+		return strings.Contains(s, path) && strings.Contains(s, sym)
+	}
+	lines := strings.Split(string(text), "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "- FOUND:") {
+			continue
+		}
+		m := foundCite.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("CHANGES.md:%d: a FOUND line must open with a backticked path and symbol", i+1)
+			continue
+		}
+		path, sym := m[1], m[2]
+		owned := slices.ContainsFunc(lines[i+1:], func(l string) bool {
+			return strings.HasPrefix(l, "- MENDED") && names(l, path, sym)
+		}) || slices.ContainsFunc(items, func(item string) bool { return names(item, path, sym) })
+		if !owned {
+			t.Errorf("CHANGES.md:%d: FOUND `%s` `%s` has no later MENDED line and no open ROADMAP item that names both", i+1, path, sym)
 		}
 	}
 }

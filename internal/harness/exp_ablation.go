@@ -138,7 +138,7 @@ func ablationREFScan() *Table {
 	tb, m, _ = build()
 	var now sim.Time
 	_, scanDone := tb.ScanPartition(0, 0, 1, func(_, val uint64, _ bool) hasheng.ScanAction {
-		_, d := m.Read(now, val, 64)
+		d := m.ReadInto(now, val, make([]byte, 64))
 		if d > now {
 			now = d
 		}

@@ -58,7 +58,7 @@ func TestFilterProgramAssembles(t *testing.T) {
 }
 
 func TestFilterForwardsPlainIPv4(t *testing.T) {
-	env := newTestEnv()
+	env := newChipEnv()
 	frame := packet.BuildUDP(packet.UDPSpec{
 		SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2},
 		SrcPort: 1, DstPort: 2,
@@ -66,32 +66,32 @@ func TestFilterForwardsPlainIPv4(t *testing.T) {
 	if v := runFilter(t, env, frame); v != VerdictForward {
 		t.Fatalf("verdict = %v, want forward", v)
 	}
-	pkts, _ := env.mem.Counter(dropCntBase)
-	pkts2, _ := env.mem.Counter(dropCntBase + 16)
+	pkts, _ := env.Mem.Counter(dropCntBase)
+	pkts2, _ := env.Mem.Counter(dropCntBase + 16)
 	if pkts != 0 || pkts2 != 0 {
 		t.Fatal("drop counters incremented for forwarded packet")
 	}
 }
 
 func TestFilterDropsNonIPAndCounts(t *testing.T) {
-	env := newTestEnv()
+	env := newChipEnv()
 	eth := packet.Ethernet{EtherType: packet.EtherTypeARP}
 	frame := make([]byte, 64)
 	eth.MarshalTo(frame)
 	if v := runFilter(t, env, frame); v != VerdictDrop {
 		t.Fatalf("verdict = %v, want drop", v)
 	}
-	pkts, bytes := env.mem.Counter(dropCntBase) // non-IP counter
+	pkts, bytes := env.Mem.Counter(dropCntBase) // non-IP counter
 	if pkts != 1 || bytes != 64 {
 		t.Fatalf("non-IP counter = (%d,%d), want (1,64)", pkts, bytes)
 	}
-	if pkts2, _ := env.mem.Counter(dropCntBase + 16); pkts2 != 0 {
+	if pkts2, _ := env.Mem.Counter(dropCntBase + 16); pkts2 != 0 {
 		t.Fatal("IP-options counter incremented for non-IP packet")
 	}
 }
 
 func TestFilterDropsIPOptionsAndCounts(t *testing.T) {
-	env := newTestEnv()
+	env := newChipEnv()
 	frame := packet.BuildUDP(packet.UDPSpec{
 		SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2},
 		SrcPort: 1, DstPort: 2,
@@ -100,20 +100,20 @@ func TestFilterDropsIPOptionsAndCounts(t *testing.T) {
 	if v := runFilter(t, env, frame); v != VerdictDrop {
 		t.Fatalf("verdict = %v, want drop", v)
 	}
-	pkts, bytes := env.mem.Counter(dropCntBase + 16) // IP-options counter
+	pkts, bytes := env.Mem.Counter(dropCntBase + 16) // IP-options counter
 	if pkts != 1 || bytes != uint64(len(frame)) {
 		t.Fatalf("IP-options counter = (%d,%d)", pkts, bytes)
 	}
 }
 
 func TestFilterCountsAccumulate(t *testing.T) {
-	env := newTestEnv()
+	env := newChipEnv()
 	arp := make([]byte, 60)
 	(&packet.Ethernet{EtherType: packet.EtherTypeARP}).MarshalTo(arp)
 	for i := 0; i < 5; i++ {
 		runFilter(t, env, arp)
 	}
-	pkts, bytes := env.mem.Counter(dropCntBase)
+	pkts, bytes := env.Mem.Counter(dropCntBase)
 	if pkts != 5 || bytes != 300 {
 		t.Fatalf("counter = (%d,%d), want (5,300)", pkts, bytes)
 	}
@@ -214,7 +214,7 @@ found: begin
     exit(forward);
 end
 `)
-	env := newTestEnv()
+	env := newChipEnv()
 	th := NewThread(env, 0)
 	th.Regs[0], th.Regs[1] = 5, 999
 	v, err := Run(p, th, "ins")
@@ -234,7 +234,7 @@ look: begin
     exit(drop);
 end
 `)
-	env := newTestEnv()
+	env := newChipEnv()
 	v, err := Run(p, NewThread(env, 0), "look")
 	if err != nil || v != VerdictConsume {
 		t.Fatalf("v=%v err=%v", v, err)
@@ -269,13 +269,13 @@ s: begin
     exit(drop);
 end
 `)
-	env := newTestEnv()
+	env := newChipEnv()
 	th := NewThread(env, 0)
 	Run(p, th, "s")
 	if th.Stats.SyncStall != 0 {
 		t.Fatal("async intrinsic stalled")
 	}
-	if pkts, _ := env.mem.Counter(0x40); pkts != 1 {
+	if pkts, _ := env.Mem.Counter(0x40); pkts != 1 {
 		t.Fatal("async counter not incremented")
 	}
 }
@@ -298,7 +298,7 @@ use: begin
     exit(forward);
 end
 `)
-	env := newTestEnv()
+	env := newChipEnv()
 	th := NewThread(env, 0)
 	Run(p, th, "s")
 	if th.Regs[0] != 0x1122334455667788 {

@@ -14,7 +14,7 @@ import (
 // with TracePC set (the compiled engine steps every instruction, and the pc
 // sequences must match) and once without (lowered loops run in their
 // kernels), and insists every observable is bit-identical each time.
-func crossCheck(t *testing.T, name, src string, init func(th *Thread, env *testEnv)) {
+func crossCheck(t *testing.T, name, src string, init func(th *Thread, env *ChipEnv)) {
 	t.Helper()
 	p, err := Assemble(src)
 	if err != nil {
@@ -34,10 +34,10 @@ func crossCheck(t *testing.T, name, src string, init func(th *Thread, env *testE
 // any difference in verdict, error text, Stats, Now, registers, condition
 // bits, local memory, packet tail or (when traced) pc sequence. It returns
 // the interpreter's thread and error.
-func diffEngines(t *testing.T, name string, p *Program, c *Compiled, entry string, budget uint64, traced bool, init func(th *Thread, env *testEnv)) (*Thread, error) {
+func diffEngines(t *testing.T, name string, p *Program, c *Compiled, entry string, budget uint64, traced bool, init func(th *Thread, env *ChipEnv)) (*Thread, error) {
 	t.Helper()
-	mk := func() (*Thread, *testEnv) {
-		env := newTestEnv()
+	mk := func() (*Thread, *ChipEnv) {
+		env := newChipEnv()
 		th := NewThread(env, 0)
 		if init != nil {
 			init(th, env)
@@ -85,7 +85,7 @@ func diffEngines(t *testing.T, name string, p *Program, c *Compiled, entry strin
 			t.Fatalf("%s: instruction %d: pc %d (interp) != %d (compiled)", name, i, traceI[i], traceC[i])
 		}
 	}
-	if string(envI.tail) != string(envC.tail) {
+	if string(envI.Tail) != string(envC.Tail) {
 		t.Fatalf("%s: packet tails diverge", name)
 	}
 	return thI, errI
@@ -186,19 +186,19 @@ func TestCompiledMatchesInterpreterCorpus(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
-		init func(th *Thread, env *testEnv)
+		init func(th *Thread, env *ChipEnv)
 	}{
-		{"filter_forward", filterSource, func(th *Thread, env *testEnv) {
+		{"filter_forward", filterSource, func(th *Thread, env *ChipEnv) {
 			th.LoadHead(ipv4Head())
 			th.Regs[1] = 200
 		}},
-		{"filter_drop_arp", filterSource, func(th *Thread, env *testEnv) {
+		{"filter_drop_arp", filterSource, func(th *Thread, env *ChipEnv) {
 			head := ipv4Head()
 			head[12], head[13] = 0x08, 0x06
 			th.LoadHead(head)
 			th.Regs[1] = 64
 		}},
-		{"filter_drop_options", filterSource, func(th *Thread, env *testEnv) {
+		{"filter_drop_options", filterSource, func(th *Thread, env *ChipEnv) {
 			head := ipv4Head()
 			head[14] = 0x46 // ihl=6
 			th.LoadHead(head)
@@ -267,8 +267,8 @@ mod: begin
     tail_write(4, 8, 32);
     exit(forward);
 end
-`, func(th *Thread, env *testEnv) {
-			env.tail = []byte("tail data for the rw corpus case")
+`, func(th *Thread, env *ChipEnv) {
+			env.Tail = []byte("tail data for the rw corpus case")
 		}},
 		{"pointer_loop", `
 s: begin
@@ -286,7 +286,7 @@ ctl: begin
     if (r13 != 1) { goto loop; }
     exit(consume);
 end
-`, func(th *Thread, env *testEnv) {
+`, func(th *Thread, env *ChipEnv) {
 			for i := 0; i < 64; i++ {
 				th.LMem[i] = byte(i * 3)
 			}
@@ -306,7 +306,7 @@ w1: begin
     r0 = 200;
     exit(drop);
 end
-`, func(th *Thread, env *testEnv) {
+`, func(th *Thread, env *ChipEnv) {
 			th.Regs[1] = 1
 		}},
 		{"ptr_fault", `
@@ -324,7 +324,7 @@ end
 		crossCheck(t, tc.name, tc.src, tc.init)
 	}
 	for _, tc := range fusedMoveSources {
-		crossCheck(t, tc.name, tc.src, func(th *Thread, env *testEnv) {
+		crossCheck(t, tc.name, tc.src, func(th *Thread, env *ChipEnv) {
 			for i := range th.LMem {
 				th.LMem[i] = byte(i*7 + 1)
 			}
@@ -359,7 +359,7 @@ func TestRegisterFieldMovesStayGeneric(t *testing.T) {
 		}
 	}
 	for _, traced := range []bool{true, false} {
-		diffEngines(t, "fields", p, c, "s", DefaultBudget, traced, func(th *Thread, env *testEnv) {
+		diffEngines(t, "fields", p, c, "s", DefaultBudget, traced, func(th *Thread, env *ChipEnv) {
 			th.Regs[5], th.Regs[6], th.Regs[7] = ^uint64(0), 0x123456789, ^uint64(0)
 			for i := range th.LMem {
 				th.LMem[i] = byte(i*13 + 5)
@@ -391,7 +391,7 @@ s2: begin
     exit(consume);
 end
 `, ops[o[0]], c1, ops[o[1]], ops[o[2]], c2)
-		crossCheck(t, fmt.Sprintf("expr_%d", trial), src, func(th *Thread, env *testEnv) {
+		crossCheck(t, fmt.Sprintf("expr_%d", trial), src, func(th *Thread, env *ChipEnv) {
 			th.Regs[1], th.Regs[2] = r1, r2
 		})
 	}
@@ -689,8 +689,8 @@ func loopProgram(u int, inverted, exitInCtl bool) string {
 
 // loopState seeds local memory with a non-trivial pattern (adds carry across
 // bytes) and points the loop at src/dst with lanes lanes to go.
-func loopState(src, dst, lanes uint64) func(th *Thread, env *testEnv) {
-	return func(th *Thread, env *testEnv) {
+func loopState(src, dst, lanes uint64) func(th *Thread, env *ChipEnv) {
+	return func(th *Thread, env *ChipEnv) {
 		for i := range th.LMem {
 			th.LMem[i] = byte(i*37 + 11)
 		}
@@ -739,7 +739,7 @@ func TestLoopKernelMatchesInterpreter(t *testing.T) {
 				// word past local memory.
 				for lane := uint64(0); lane < lanes; lane++ {
 					edge := uint64(LMemBytes) - 4*lane
-					for _, st := range []func(*Thread, *testEnv){loopState(64, edge, lanes), loopState(edge, 64, lanes)} {
+					for _, st := range []func(*Thread, *ChipEnv){loopState(64, edge, lanes), loopState(edge, 64, lanes)} {
 						th, err := diffEngines(t, name, p, c, "l0", DefaultBudget, false, st)
 						if !errors.Is(err, ErrFault) {
 							t.Fatalf("%s: lane %d: err = %v, want a fault", name, lane, err)
@@ -788,7 +788,7 @@ func TestLoopKernelCounts(t *testing.T) {
 	cases := []struct {
 		name    string
 		src     string
-		state   func(th *Thread, env *testEnv)
+		state   func(th *Thread, env *ChipEnv)
 		counted bool
 	}{
 		{"count up", loop("    r11 = r11 + 4;\n",
@@ -1013,7 +1013,7 @@ end
 			}
 		}
 		p := c.Src
-		diffEngines(t, name, p, c, "l0", 200, false, func(th *Thread, env *testEnv) {
+		diffEngines(t, name, p, c, "l0", 200, false, func(th *Thread, env *ChipEnv) {
 			loopState(64, 640, 16)(th, env)
 			th.Regs[14], th.Regs[9] = 700, 1
 		})

@@ -11,8 +11,8 @@ import (
 
 // Env is the set of XTXN targets a thread can reach over the crossbar:
 // shared memory, the counter block, the hash engine, and the packet-tail
-// path of the Memory and Queueing Subsystem. internal/trio/pfe provides the
-// production implementation; tests can stub it.
+// path of the Memory and Queueing Subsystem. ChipEnv implements it on the
+// chip (pfe.MicrocodeApp), memEnv in memory for cost runs (RunPackets).
 //
 // Reply lifetime: the slice MemRead or ReadTail returns is only valid until
 // the next call on the Env. The engine copies it into local memory before it

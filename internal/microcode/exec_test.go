@@ -9,50 +9,9 @@ import (
 	"github.com/trioml/triogo/internal/trio/smem"
 )
 
-// testEnv wires a thread to real substrate instances plus a packet tail.
-type testEnv struct {
-	mem  *smem.Memory
-	hash *hasheng.Table
-	tail []byte
-}
-
-func newTestEnv() *testEnv {
-	return &testEnv{mem: smem.New(smem.Config{}), hash: hasheng.NewTable(hasheng.Config{})}
-}
-
-func (e *testEnv) MemRead(now sim.Time, addr uint64, size int) ([]byte, sim.Time) {
-	return e.mem.Read(now, addr, size)
-}
-func (e *testEnv) MemWrite(now sim.Time, addr uint64, data []byte) sim.Time {
-	return e.mem.Write(now, addr, data)
-}
-func (e *testEnv) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
-	return e.mem.CounterInc(now, addr, pktLen)
-}
-func (e *testEnv) ReadTail(now sim.Time, off, size int) ([]byte, sim.Time) {
-	end := off + size
-	if end > len(e.tail) {
-		end = len(e.tail)
-	}
-	if off > end {
-		off = end
-	}
-	return e.tail[off:end], now + 70*sim.Nanosecond
-}
-func (e *testEnv) WriteTail(now sim.Time, off int, data []byte) sim.Time {
-	if off >= 0 && off < len(e.tail) {
-		copy(e.tail[off:], data)
-	}
-	return now + 70*sim.Nanosecond
-}
-func (e *testEnv) HashLookup(now sim.Time, key uint64) (uint64, bool, sim.Time) {
-	return e.hash.Lookup(now, key)
-}
-func (e *testEnv) HashInsert(now sim.Time, key, val uint64) (bool, sim.Time) {
-	return e.hash.Insert(now, key, val)
-}
-func (e *testEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
-	return e.hash.Delete(now, key)
+// newChipEnv is a ChipEnv over fresh shared memory and hash engine, no tail.
+func newChipEnv() *ChipEnv {
+	return &ChipEnv{Mem: smem.New(smem.Config{}), Hash: hasheng.NewTable(hasheng.Config{})}
 }
 
 func run(t *testing.T, p *Program, th *Thread, entry string) Verdict {
@@ -274,9 +233,9 @@ func TestInstructionTimingCharged(t *testing.T) {
 }
 
 func TestSyncXTXNStallsThread(t *testing.T) {
-	env := newTestEnv()
-	addr := env.mem.Alloc(smem.TierDRAM, 64)
-	env.mem.WriteRaw(addr, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	env := newChipEnv()
+	addr := env.Mem.Alloc(smem.TierDRAM, 64)
+	env.Mem.WriteRaw(addr, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	p := MustProgram("t", []Instruction{{
 		Label: "s",
 		XTXNs: []XTXN{{Kind: XTXNMemRead, Addr: Imm64(addr), Size: 8, LMemOff: 100}},
@@ -297,8 +256,8 @@ func TestSyncXTXNStallsThread(t *testing.T) {
 }
 
 func TestAsyncXTXNDoesNotStall(t *testing.T) {
-	env := newTestEnv()
-	addr := env.mem.Alloc(smem.TierDRAM, 16)
+	env := newChipEnv()
+	addr := env.Mem.Alloc(smem.TierDRAM, 16)
 	p := MustProgram("t", []Instruction{{
 		Label: "s",
 		XTXNs: []XTXN{{Kind: XTXNCounterInc, Addr: Imm64(addr), Len: Imm64(1500), Async: true}},
@@ -309,13 +268,13 @@ func TestAsyncXTXNDoesNotStall(t *testing.T) {
 	if th.Stats.SyncStall != 0 {
 		t.Fatalf("async op stalled: %v", th.Stats.SyncStall)
 	}
-	if pkts, bytes := env.mem.Counter(addr); pkts != 1 || bytes != 1500 {
+	if pkts, bytes := env.Mem.Counter(addr); pkts != 1 || bytes != 1500 {
 		t.Fatalf("counter = (%d,%d)", pkts, bytes)
 	}
 }
 
 func TestHashXTXNsSetHitCondition(t *testing.T) {
-	env := newTestEnv()
+	env := newChipEnv()
 	p := MustProgram("t", []Instruction{{
 		Label: "ins",
 		XTXNs: []XTXN{{Kind: XTXNHashInsert, Addr: R(0), Len: R(1)}},
@@ -353,8 +312,7 @@ func TestHashXTXNsSetHitCondition(t *testing.T) {
 }
 
 func TestReadTailXTXN(t *testing.T) {
-	env := newTestEnv()
-	env.tail = []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}
+	env := &ChipEnv{Tail: []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}}
 	p := MustProgram("t", []Instruction{{
 		Label: "s",
 		XTXNs: []XTXN{{Kind: XTXNReadTail, Addr: Imm64(2), Size: 4, LMemOff: 200}},
@@ -480,7 +438,7 @@ s: begin
     exit(drop);
 end
 `)
-	env := newTestEnv()
+	env := newChipEnv()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		th := NewThread(env, 0)
@@ -492,7 +450,7 @@ end
 }
 
 func TestThreadResetMatchesNewThread(t *testing.T) {
-	env := newTestEnv()
+	env := newChipEnv()
 	th := NewThread(env, 7)
 	th.LMem[0], th.LMem[LMemBytes-1] = 1, 2
 	th.Regs[3] = 9
@@ -502,7 +460,7 @@ func TestThreadResetMatchesNewThread(t *testing.T) {
 	th.stack = append(th.stack, 1, 2)
 	stack := &th.stack[:1][0]
 
-	other := newTestEnv()
+	other := newChipEnv()
 	th.Reset(other, 42)
 	if th.LMem != ([LMemBytes]byte{}) || th.Regs != ([NumRegs]uint64{}) || th.Stats != (Stats{}) {
 		t.Fatal("reset left local memory, registers or statistics behind")

@@ -8,43 +8,6 @@ import (
 	"github.com/trioml/triogo/internal/sim"
 )
 
-// stallEnv is a memEnv whose every reply arrives 70 ns after issue, so the
-// fuzzed synchronous XTXNs also drive both engines' stall accounting (a
-// memEnv on its own replies at once).
-type stallEnv struct{ *memEnv }
-
-const stall = 70
-
-func (e stallEnv) MemRead(now sim.Time, addr uint64, size int) ([]byte, sim.Time) {
-	b, _ := e.memEnv.MemRead(now, addr, size)
-	return b, now + stall
-}
-func (e stallEnv) MemWrite(now sim.Time, addr uint64, data []byte) sim.Time {
-	return e.memEnv.MemWrite(now, addr, data) + stall
-}
-func (e stallEnv) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
-	return e.memEnv.CounterInc(now, addr, pktLen) + stall
-}
-func (e stallEnv) ReadTail(now sim.Time, off, size int) ([]byte, sim.Time) {
-	b, _ := e.memEnv.ReadTail(now, off, size)
-	return b, now + stall
-}
-func (e stallEnv) WriteTail(now sim.Time, off int, data []byte) sim.Time {
-	return e.memEnv.WriteTail(now, off, data) + stall
-}
-func (e stallEnv) HashLookup(now sim.Time, key uint64) (uint64, bool, sim.Time) {
-	v, ok, _ := e.memEnv.HashLookup(now, key)
-	return v, ok, now + stall
-}
-func (e stallEnv) HashInsert(now sim.Time, key, val uint64) (bool, sim.Time) {
-	ok, _ := e.memEnv.HashInsert(now, key, val)
-	return ok, now + stall
-}
-func (e stallEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
-	ok, _ := e.memEnv.HashDelete(now, key)
-	return ok, now + stall
-}
-
 // FuzzAssemble drives the whole v2 pipeline with arbitrary source text:
 // parse/assemble must never panic; whatever assembles must compile+verify
 // without panicking; and whatever verifies must dispatch without panicking
@@ -53,11 +16,12 @@ func (e stallEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
 // and the environment each leaves behind).
 //
 // Both run on a memEnv, the environment applications read their cost from,
-// with replies delayed (stallEnv). It is panic-free for any address, so
-// every panic the fuzzer finds is a microcode pipeline bug. Its 512-byte
-// tail is clipped through ClipTail and ignores writes that start outside
-// it, so a negative or oversized tail offset computed by a fuzzed program
-// exercises that clipping instead of wrapping harmlessly.
+// its replies delayed 70 ns so that synchronous XTXNs stall. It is
+// panic-free for any address, so every panic the fuzzer finds is a
+// microcode pipeline bug. Its 512-byte tail is clipped through ClipTail and
+// ignores writes that start outside it, so a negative or oversized tail
+// offset computed by a fuzzed program exercises that clipping instead of
+// wrapping harmlessly.
 func FuzzAssemble(f *testing.F) {
 	f.Add("program p;\n\na:\nbegin\n    r0 = r1 + 2;\n    if (r0 == 7) { exit(forward); }\n    exit(drop);\nend\n")
 	f.Add("program loop;\n\ntop:\nbegin\n    r2 = r2 + 1;\n    if (r2 != 10) { goto top; }\n    exit(consume);\nend\n")
@@ -117,8 +81,9 @@ func FuzzAssemble(f *testing.F) {
 		}
 		entry := prog.Instrs[0].Label
 		const budget = 4096
-		ei, ec := stallEnv{newMemEnv()}, stallEnv{newMemEnv()}
+		ei, ec := newMemEnv(), newMemEnv()
 		ei.tail, ec.tail = make([]byte, 512), make([]byte, 512)
+		ei.delay, ec.delay = 70*sim.Nanosecond, 70*sim.Nanosecond
 		ti, tc := NewThread(ei, 0), NewThread(ec, 0)
 		vi, erri := RunLimited(prog, ti, entry, budget)
 		vc, errc := RunCompiledLimited(c, tc, entry, budget)

@@ -7,16 +7,17 @@ import (
 	"github.com/trioml/triogo/internal/sim"
 )
 
-// memEnv is an in-memory Env with no timing model: every XTXN completes at
-// its issue time. Shared memory is a sparse byte map, so no two addresses
-// alias; the hash engine is a map; the packet tail is clipped through
-// ClipTail as the PFE clips its own. Applications read their cost off the
-// Stats of their program run on it (RunPackets), and FuzzAssemble holds the
-// two engines to each other on it.
+// memEnv is an in-memory Env with no timing model: every reply, a fresh
+// slice, arrives delay after its issue (0 in cost runs). Shared memory is a
+// sparse byte map, so no two addresses alias; the hash engine is a map; the
+// tail is clipped through ClipTail as ChipEnv clips it. Applications read
+// their cost off the Stats of their program run on it (RunPackets), and
+// FuzzAssemble holds the two engines to each other on it, 70 ns delayed.
 type memEnv struct {
-	mem  map[uint64]byte
-	hash map[uint64]uint64
-	tail []byte
+	mem   map[uint64]byte
+	hash  map[uint64]uint64
+	tail  []byte
+	delay sim.Time
 }
 
 func newMemEnv() *memEnv {
@@ -60,14 +61,14 @@ func (e *memEnv) MemRead(now sim.Time, addr uint64, size int) ([]byte, sim.Time)
 	for i := range b {
 		b[i] = e.mem[addr+uint64(i)]
 	}
-	return b, now
+	return b, now + e.delay
 }
 
 func (e *memEnv) MemWrite(now sim.Time, addr uint64, data []byte) sim.Time {
 	for i, v := range data {
 		e.mem[addr+uint64(i)] = v
 	}
-	return now
+	return now + e.delay
 }
 
 // CounterInc adds one packet and pktLen bytes to the 16-byte big-endian
@@ -80,7 +81,7 @@ func (e *memEnv) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
 }
 
 func (e *memEnv) ReadTail(now sim.Time, off, size int) ([]byte, sim.Time) {
-	return ClipTail(e.tail, off, size), now
+	return ClipTail(e.tail, off, size), now + e.delay
 }
 
 // WriteTail ignores a write that starts outside the tail and cuts one that
@@ -89,25 +90,25 @@ func (e *memEnv) WriteTail(now sim.Time, off int, data []byte) sim.Time {
 	if off >= 0 && off < len(e.tail) {
 		copy(e.tail[off:], data)
 	}
-	return now
+	return now + e.delay
 }
 
 func (e *memEnv) HashLookup(now sim.Time, key uint64) (uint64, bool, sim.Time) {
 	v, ok := e.hash[key]
-	return v, ok, now
+	return v, ok, now + e.delay
 }
 
 // HashInsert fails if the key exists, as the hash engine's does.
 func (e *memEnv) HashInsert(now sim.Time, key, val uint64) (bool, sim.Time) {
 	if _, ok := e.hash[key]; ok {
-		return false, now
+		return false, now + e.delay
 	}
 	e.hash[key] = val
-	return true, now
+	return true, now + e.delay
 }
 
 func (e *memEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
 	_, ok := e.hash[key]
 	delete(e.hash, key)
-	return ok, now
+	return ok, now + e.delay
 }

@@ -6,9 +6,8 @@ import (
 )
 
 // TestMemEnvAddressesExactly pins what the cost runs rely on: no two
-// addresses alias (not 8 KiB apart, not across a page edge), unwritten
-// memory reads zero, the counter keeps smem's big-endian packet/byte layout,
-// and an insert of a present key fails as the hash engine's does.
+// addresses alias (not 8 KiB apart, not across a page edge) and unwritten
+// memory reads zero.
 func TestMemEnvAddressesExactly(t *testing.T) {
 	e := newMemEnv()
 	e.MemWrite(0, 0, []byte{1})
@@ -29,25 +28,51 @@ func TestMemEnvAddressesExactly(t *testing.T) {
 			t.Errorf("read %#x: %v, want %v", c.addr, got, c.want)
 		}
 	}
-	e.CounterInc(0, 4096, 100)
-	e.CounterInc(0, 4096, 28)
-	if got, _ := e.MemRead(0, 4096, 16); !bytes.Equal(got, []byte{0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 128}) {
-		t.Errorf("counter: %v", got)
-	}
-	if ok, _ := e.HashInsert(0, 7, 1); !ok {
-		t.Error("first insert failed")
-	}
-	if ok, _ := e.HashInsert(0, 7, 2); ok {
-		t.Error("insert of a present key succeeded")
-	}
-	if v, ok, _ := e.HashLookup(0, 7); !ok || v != 1 {
-		t.Errorf("lookup: %d %v", v, ok)
-	}
-	if ok, _ := e.HashDelete(0, 7); !ok {
-		t.Error("delete of a present key failed")
-	}
-	if ok, _ := e.HashDelete(0, 7); ok {
-		t.Error("delete of an absent key succeeded")
+}
+
+// TestEnvsShareSemantics holds the cost runs' memEnv and the chip's ChipEnv
+// to the same XTXN semantics: tail reads clip as ClipTail does, a tail write
+// starting outside the tail is ignored and one running past its end is cut,
+// the counter keeps smem's big-endian packet/byte layout, and inserting a
+// present key or deleting an absent one fails.
+func TestEnvsShareSemantics(t *testing.T) {
+	mem, chip := newMemEnv(), newChipEnv()
+	for _, c := range []struct {
+		name string
+		env  Env
+		tail *[]byte
+	}{{"memEnv", mem, &mem.tail}, {"ChipEnv", chip, &chip.Tail}} {
+		t.Run(c.name, func(t *testing.T) {
+			e, tail := c.env, []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}
+			*c.tail = tail
+			for _, r := range []struct {
+				off, size int
+				want      []byte
+			}{{2, 4, []byte{7, 6, 5, 4}}, {-4, 8, nil}, {8, 8, []byte{1, 0}}, {10, 4, nil}, {11, 4, nil}} {
+				if got, _ := e.ReadTail(0, r.off, r.size); !bytes.Equal(got, r.want) {
+					t.Errorf("tail read [%d,+%d): %v, want %v", r.off, r.size, got, r.want)
+				}
+			}
+			e.WriteTail(0, -1, []byte{0xEE, 0xEE})
+			e.WriteTail(0, 10, []byte{0xEE})
+			e.WriteTail(0, 8, []byte{0xAA, 0xBB, 0xCC})
+			if !bytes.Equal(tail, []byte{9, 8, 7, 6, 5, 4, 3, 2, 0xAA, 0xBB}) {
+				t.Errorf("tail after writes: %v", tail)
+			}
+			e.CounterInc(0, 4096, 100)
+			e.CounterInc(0, 4096, 28)
+			if got, _ := e.MemRead(0, 4096, 16); !bytes.Equal(got, []byte{0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 128}) {
+				t.Errorf("counter: %v", got)
+			}
+			ins1, _ := e.HashInsert(0, 7, 1)
+			ins2, _ := e.HashInsert(0, 7, 2)
+			v, hit, _ := e.HashLookup(0, 7)
+			del1, _ := e.HashDelete(0, 7)
+			del2, _ := e.HashDelete(0, 7)
+			if !ins1 || ins2 || !hit || v != 1 || !del1 || del2 {
+				t.Errorf("insert %v then %v, lookup %d %v, delete %v then %v; want true false 1 true true false", ins1, ins2, v, hit, del1, del2)
+			}
+		})
 	}
 }
 

@@ -100,33 +100,19 @@ func (c *Ctx) span(cat, name string, start, done sim.Time) {
 	}
 }
 
-// tailLatency is a tail XTXN's round trip: tail data crosses the crossbar
-// with SRAM-class latency (§2.3).
-const tailLatency = smem.SRAMLatency
-
 // ReadTail fetches size bytes of the packet tail starting at off into the
 // thread (one XTXN through the crossbar to the Memory and Queueing
 // Subsystem, §3.1). Short reads at the end of the tail return what remains.
 func (c *Ctx) ReadTail(off, size int) []byte {
 	c.stats.XTXNs++
-	done := c.now + tailLatency
+	done := c.now + microcode.TailLatency
 	c.span("pbuf", "tail_read", c.now, done)
 	c.wait(done)
 	return microcode.ClipTail(c.tail, off, size)
 }
 
-// MemRead issues a synchronous shared-memory read XTXN.
-func (c *Ctx) MemRead(addr uint64, size int) []byte {
-	c.stats.XTXNs++
-	start := c.now
-	data, done := c.pfe.Mem.Read(c.now, addr, size)
-	c.span("rmw", "read", start, done)
-	c.wait(done)
-	return data
-}
-
-// MemReadInto is MemRead into caller-owned storage: identical timing, no
-// allocation on the per-packet path.
+// MemReadInto issues a synchronous shared-memory read XTXN of len(b) bytes
+// into caller-owned storage.
 func (c *Ctx) MemReadInto(addr uint64, b []byte) {
 	c.stats.XTXNs++
 	start := c.now
@@ -278,7 +264,7 @@ func (c *Ctx) Consume() { c.verdict = VerdictConsume }
 // Emit creates a new packet (e.g. a per-waiter reply) and queues it for
 // egress on port. The frame is built in the Packet Buffer; the paper builds
 // result tails in 256-byte chunks, which callers account for explicitly via
-// ChargeInstr/MemRead. An invalid port panics here, inside the thread.
+// ChargeInstr/MemReadInto. An invalid port panics here, inside the thread.
 func (c *Ctx) Emit(port int, frame []byte) {
 	c.checkPort(port)
 	c.emits = append(c.emits, emit{port: port, frame: frame})
@@ -320,45 +306,6 @@ func (c *Ctx) rebuildFrame() []byte {
 	frame := make([]byte, 0, len(c.head)+len(c.tail))
 	frame = append(frame, c.head...)
 	return append(frame, c.tail...)
-}
-
-// ---- Microcode adapter ----
-
-// mcEnv adapts a Ctx to microcode.Env so assembled programs can run on PPE
-// threads with identical XTXN semantics.
-type mcEnv struct {
-	c     *Ctx
-	reply [smem.MaxTxnBytes]byte
-}
-
-// MemRead stages the reply in the environment's own buffer; microcode.Env
-// lets a reply live only until the next call.
-func (e *mcEnv) MemRead(now sim.Time, addr uint64, size int) ([]byte, sim.Time) {
-	return e.c.pfe.Mem.ReadStaged(now, addr, size, &e.reply)
-}
-func (e *mcEnv) MemWrite(now sim.Time, addr uint64, data []byte) sim.Time {
-	return e.c.pfe.Mem.Write(now, addr, data)
-}
-func (e *mcEnv) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
-	return e.c.pfe.Mem.CounterInc(now, addr, pktLen)
-}
-func (e *mcEnv) ReadTail(now sim.Time, off, size int) ([]byte, sim.Time) {
-	return microcode.ClipTail(e.c.tail, off, size), now + tailLatency
-}
-func (e *mcEnv) WriteTail(now sim.Time, off int, data []byte) sim.Time {
-	if off >= 0 && off < len(e.c.tail) {
-		copy(e.c.tail[off:], data)
-	}
-	return now + tailLatency
-}
-func (e *mcEnv) HashLookup(now sim.Time, key uint64) (uint64, bool, sim.Time) {
-	return e.c.pfe.Hash.Lookup(now, key)
-}
-func (e *mcEnv) HashInsert(now sim.Time, key, val uint64) (bool, sim.Time) {
-	return e.c.pfe.Hash.Insert(now, key, val)
-}
-func (e *mcEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
-	return e.c.pfe.Hash.Delete(now, key)
 }
 
 // MicrocodeApp wraps an assembled program as a PFE application. EgressPort
@@ -410,7 +357,7 @@ type MicrocodeApp struct {
 	// runs each thread to completion inside Process, so the app (which serves
 	// one PFE) never has two in flight.
 	th  microcode.Thread
-	env mcEnv
+	env microcode.ChipEnv
 }
 
 // Compile eagerly lowers the app's program through the verify/compile
@@ -477,7 +424,7 @@ func Interpreted(m *MicrocodeApp) App {
 // run executes one packet's thread on the compiled program, or on the
 // interpreter when interpret is set.
 func (m *MicrocodeApp) run(ctx *Ctx, interpret bool) {
-	m.env.c = ctx
+	m.env.Mem, m.env.Hash, m.env.Tail = ctx.pfe.Mem, ctx.pfe.Hash, ctx.tail
 	th := &m.th
 	th.Reset(&m.env, ctx.now)
 	th.LoadHead(ctx.head)

@@ -28,7 +28,8 @@ func TestCtxMemReadWriteRoundTrip(t *testing.T) {
 	p := runApp(t, frameOfSize(64, 0), func(ctx *Ctx) {
 		addr := ctx.pfe.Mem.Alloc(smem.TierDRAM, 64)
 		ctx.MemWrite(addr, bytes.Repeat([]byte{7}, 16), false)
-		got = ctx.MemRead(addr, 16)
+		got = make([]byte, 16)
+		ctx.MemReadInto(addr, got)
 		stalled = ctx.Stats().SyncStall
 		ctx.Consume()
 	})
@@ -185,20 +186,22 @@ func TestCtxHashClearRefUndoesLookupReference(t *testing.T) {
 	}
 }
 
-func TestCtxMemReadIntoMatchesMemRead(t *testing.T) {
-	// The same write-then-read thread, once per read form: same bytes, same
-	// clock, same XTXN count.
-	run := func(into bool) (got []byte, done sim.Time, xtxns uint64) {
+func TestCtxMemReadIntoMatchesMemoryRead(t *testing.T) {
+	// The same write-then-read thread, once through Ctx.MemReadInto and once
+	// booking the read on the PFE's memory itself: same bytes, and the
+	// thread's clock stops at the memory's completion after one more XTXN.
+	run := func(viaCtx bool) (got []byte, done sim.Time, xtxns uint64) {
 		runApp(t, frameOfSize(64, 0), func(ctx *Ctx) {
 			addr := ctx.pfe.Mem.Alloc(smem.TierDRAM, 64)
 			ctx.MemWrite(addr, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, true)
-			if into {
-				got = make([]byte, 16)
+			got = make([]byte, 16)
+			if viaCtx {
 				ctx.MemReadInto(addr, got)
+				done, xtxns = ctx.Now(), ctx.Stats().XTXNs
 			} else {
-				got = ctx.MemRead(addr, 16)
+				done = ctx.pfe.Mem.ReadInto(ctx.Now(), addr, got)
+				xtxns = ctx.Stats().XTXNs + 1
 			}
-			done, xtxns = ctx.Now(), ctx.Stats().XTXNs
 			ctx.Consume()
 		})
 		return got, done, xtxns
@@ -206,10 +209,10 @@ func TestCtxMemReadIntoMatchesMemRead(t *testing.T) {
 	want, wantDone, wantX := run(false)
 	got, done, x := run(true)
 	if !bytes.Equal(got, want) || got[15] != 16 {
-		t.Fatalf("MemReadInto = % x, MemRead = % x", got, want)
+		t.Fatalf("MemReadInto = % x, memory read = % x", got, want)
 	}
 	if done != wantDone || x != wantX || x != 2 {
-		t.Fatalf("MemReadInto ends at %v after %d XTXNs, MemRead at %v after %d", done, x, wantDone, wantX)
+		t.Fatalf("MemReadInto ends at %v after %d XTXNs, the memory's read at %v after %d", done, x, wantDone, wantX)
 	}
 }
 

@@ -63,7 +63,7 @@ func TestSetTraceRecordsSpans(t *testing.T) {
 	p := New(eng, Config{ID: 1, NumPorts: 4})
 	p.SetApp(AppFunc(func(ctx *Ctx) {
 		ctx.ChargeInstr(20)
-		ctx.MemRead(128, 16)
+		ctx.MemReadInto(128, make([]byte, 16))
 		ctx.HashInsert(ctx.Packet().Flow, 1)
 		ctx.ReadTail(0, 16)
 		ctx.Forward(1)

@@ -17,7 +17,7 @@ func TestRegisterObsExportsBankAndTierSeries(t *testing.T) {
 	dramAddr := m.Alloc(TierDRAM, 64)
 	now := sim.Time(0)
 	for i := 0; i < 4; i++ {
-		_, done := m.Read(now, sramAddr, 8)
+		done := m.ReadInto(now, sramAddr, make([]byte, 8))
 		if done <= now {
 			t.Fatalf("read completed at %v, not after issue %v", done, now)
 		}
@@ -98,7 +98,7 @@ func TestObsOffChangesNothing(t *testing.T) {
 		addr := m.Alloc(TierCache, 64)
 		var last sim.Time
 		for i := 0; i < 16; i++ {
-			_, last = m.Read(sim.Time(i), addr, 32)
+			last = m.ReadInto(sim.Time(i), addr, make([]byte, 32))
 		}
 		return last
 	}

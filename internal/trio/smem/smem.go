@@ -421,15 +421,8 @@ func checkTxnSize(size int) {
 	}
 }
 
-// Read performs a read transaction of 8–64 bytes (8-byte increments),
-// returning the data and the virtual completion time.
-func (m *Memory) Read(now sim.Time, addr uint64, size int) ([]byte, sim.Time) {
-	b := make([]byte, size)
-	return b, m.ReadInto(now, addr, b)
-}
-
-// ReadInto is Read into caller-owned storage: identical transaction
-// accounting, no allocation. len(b) must be a legal transaction size.
+// ReadInto performs a read transaction of len(b) = 8–64 bytes (8-byte
+// increments) into b, returning the virtual completion time.
 func (m *Memory) ReadInto(now sim.Time, addr uint64, b []byte) sim.Time {
 	checkTxnSize(len(b))
 	return m.readInto(now, addr, b)
@@ -441,8 +434,8 @@ func (m *Memory) readInto(now sim.Time, addr uint64, b []byte) sim.Time {
 	return m.issueOne(now, addr, serviceCycles(len(b), 1))
 }
 
-// ReadStaged is Read with the reply staged in buf instead of a fresh slice:
-// what an XTXN environment that hands out one reply at a time uses.
+// ReadStaged is ReadInto into buf[:size], which it returns: what an XTXN
+// environment that hands out one reply at a time uses.
 func (m *Memory) ReadStaged(now sim.Time, addr uint64, size int, buf *[MaxTxnBytes]byte) ([]byte, sim.Time) {
 	checkTxnSize(size)
 	b := buf[:size]

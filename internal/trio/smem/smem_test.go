@@ -32,7 +32,7 @@ func TestAddressOutsideSpacePanics(t *testing.T) {
 			t.Fatalf("panic %q, want the address-space check", msg)
 		}
 	}()
-	m.Read(0, 1<<62, 8)
+	m.ReadInto(0, 1<<62, make([]byte, 8))
 }
 
 func TestAllocAlignmentAndExhaustion(t *testing.T) {
@@ -58,7 +58,8 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	addr := m.Alloc(TierSRAM, 64)
 	data := bytes.Repeat([]byte{0xA5, 0x5A}, 32)
 	m.Write(0, addr, data)
-	got, _ := m.Read(0, addr, 64)
+	got := make([]byte, 64)
+	m.ReadInto(0, addr, got)
 	if !bytes.Equal(got, data) {
 		t.Fatal("read != write")
 	}
@@ -73,12 +74,17 @@ func TestTxnSizeEnforced(t *testing.T) {
 					t.Fatalf("size %d should panic", bad)
 				}
 			}()
-			m.Read(0, 0, bad)
+			m.ReadInto(0, 0, make([]byte, bad))
 		}()
 	}
 	for _, ok := range []int{8, 16, 24, 64} {
-		if got, _ := m.Read(0, 0, ok); len(got) != ok {
-			t.Fatalf("size %d read %d bytes", ok, len(got))
+		got := make([]byte, ok+8)
+		for i := range got {
+			got[i] = 0xFF
+		}
+		m.ReadInto(0, 0, got[:ok])
+		if bytes.IndexByte(got, 0xFF) != ok {
+			t.Fatalf("size %d read %d bytes", ok, bytes.IndexByte(got, 0xFF))
 		}
 	}
 }
@@ -87,8 +93,8 @@ func TestReadLatencyByTier(t *testing.T) {
 	m := New(Config{})
 	sramAddr := m.Alloc(TierSRAM, 8)
 	dramAddr := m.Alloc(TierDRAM, 8)
-	_, sramDone := m.Read(0, sramAddr, 8)
-	_, dramDone := m.Read(0, dramAddr, 8)
+	sramDone := m.ReadInto(0, sramAddr, make([]byte, 8))
+	dramDone := m.ReadInto(0, dramAddr, make([]byte, 8))
 	if sramDone < 70*sim.Nanosecond || sramDone > 80*sim.Nanosecond {
 		t.Fatalf("SRAM read latency %v, want ≈70ns", sramDone)
 	}
@@ -99,7 +105,8 @@ func TestReadLatencyByTier(t *testing.T) {
 
 func TestPagesAreZeroInitialized(t *testing.T) {
 	m := New(Config{})
-	got, _ := m.Read(0, tiers[TierDRAM].Base+12345*8, 8)
+	got := bytes.Repeat([]byte{0xFF}, 8)
+	m.ReadInto(0, tiers[TierDRAM].Base+12345*8, got)
 	for _, b := range got {
 		if b != 0 {
 			t.Fatal("fresh memory not zero")
@@ -133,8 +140,9 @@ func putWord(m *Memory, addr, v uint64) {
 }
 
 func getWord(m *Memory, addr uint64) uint64 {
-	b, _ := m.Read(0, addr, 8)
-	return binary.BigEndian.Uint64(b)
+	var b [8]byte
+	m.ReadInto(0, addr, b[:])
+	return binary.BigEndian.Uint64(b[:])
 }
 
 func TestFetchAndOps(t *testing.T) {
@@ -411,7 +419,7 @@ func TestReadStagedUsesBufAndReadsLikeRead(t *testing.T) {
 	m.Write(0, addr, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	var buf [MaxTxnBytes]byte
 	got, done := m.ReadStaged(100, addr, 16, &buf)
-	_, wantDone := New(Config{}).Read(100, 0, 16) // an idle engine, same tier
+	wantDone := New(Config{}).ReadInto(100, 0, make([]byte, 16)) // an idle engine, same tier
 	if &got[0] != &buf[0] || len(got) != 16 || got[15] != 16 {
 		t.Fatalf("staged reply % x is not buf[:16]", got)
 	}

@@ -112,7 +112,8 @@ func (a *Aggregator) demoteSource(ctx *pfe.Ctx, jobID uint8, js *jobState, src u
 	if !ok {
 		return
 	}
-	job := decodeJob(ctx.MemRead(jobAddr, recordTxnBytes))
+	ctx.MemReadInto(jobAddr, a.rec[:])
+	job := decodeJob(a.rec[:])
 	if !job.SrcMask.Has(src) {
 		return
 	}

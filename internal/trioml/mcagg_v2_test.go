@@ -239,51 +239,13 @@ func TestMCAggUnrollVariantsAgree(t *testing.T) {
 	}
 }
 
-// benchEnv is a minimal microcode.Env over real engine state, so the
-// dispatch benchmark measures the execution engines themselves rather than
-// PFE scheduling around them.
-type benchEnv struct {
-	mem   *smem.Memory
-	hash  *hasheng.Table
-	tail  []byte
-	reply [smem.MaxTxnBytes]byte // MemRead staging, as pfe.MicrocodeApp has
-}
-
-func (e *benchEnv) MemRead(now sim.Time, addr uint64, size int) ([]byte, sim.Time) {
-	return e.mem.ReadStaged(now, addr, size, &e.reply)
-}
-func (e *benchEnv) MemWrite(now sim.Time, addr uint64, data []byte) sim.Time {
-	return e.mem.Write(now, addr, data)
-}
-func (e *benchEnv) CounterInc(now sim.Time, addr uint64, pktLen uint32) sim.Time {
-	return e.mem.CounterInc(now, addr, pktLen)
-}
-func (e *benchEnv) ReadTail(now sim.Time, off, size int) ([]byte, sim.Time) {
-	return microcode.ClipTail(e.tail, off, size), now
-}
-func (e *benchEnv) WriteTail(now sim.Time, off int, data []byte) sim.Time {
-	if off >= 0 && off < len(e.tail) {
-		copy(e.tail[off:], data)
-	}
-	return now
-}
-func (e *benchEnv) HashLookup(now sim.Time, key uint64) (uint64, bool, sim.Time) {
-	return e.hash.Lookup(now, key)
-}
-func (e *benchEnv) HashInsert(now sim.Time, key, val uint64) (bool, sim.Time) {
-	return e.hash.Insert(now, key, val)
-}
-func (e *benchEnv) HashDelete(now sim.Time, key uint64) (bool, sim.Time) {
-	return e.hash.Delete(now, key)
-}
-
 // BenchmarkMicrocodeDispatch compares the reference interpreter against the
 // v2 compiled dispatcher on the real aggregation workload: a stream of
 // 1024-gradient contributor packets through the mcagg program, one block at
 // a time. Each iteration runs one whole PPE thread on the path
-// pfe.MicrocodeApp.Process takes — one Thread reset per packet, read replies
-// staged in an Env-owned buffer — so allocs/op is the per-packet allocation
-// count of that path (0); instrs/s is the dispatch throughput.
+// pfe.MicrocodeApp.Process takes — one Thread reset per packet, on its
+// microcode.ChipEnv, with no PFE around it — so allocs/op is the per-packet
+// allocation count of that path (0); instrs/s is the dispatch throughput.
 //
 // The fan-in sets the mix. At 2 sources (mcagg-large's) every other packet
 // opens a block and writes its chunks out, and the other adds into them and
@@ -314,7 +276,7 @@ func benchmarkDispatch(b *testing.B, grads, sources int) {
 		frames[w] = packet.BuildTrioML(packet.UDPSpec{SrcPort: 5000},
 			packet.TrioML{JobID: 1, BlockID: 0, SrcID: uint8(w), GenID: 1}, g)
 	}
-	env := &benchEnv{mem: mem, hash: hasheng.NewTable(hasheng.Config{})}
+	env := &microcode.ChipEnv{Mem: mem, Hash: hasheng.NewTable(hasheng.Config{})}
 
 	run := func(b *testing.B, exec func(th *microcode.Thread) (microcode.Verdict, error)) {
 		b.ReportAllocs()
@@ -324,7 +286,7 @@ func benchmarkDispatch(b *testing.B, grads, sources int) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			f := frames[i%sources]
-			env.tail = f[192:]
+			env.Tail = f[192:]
 			now += sim.Microsecond
 			th.Reset(env, now)
 			th.LoadHead(f[:192])

@@ -50,7 +50,8 @@ func (a *Aggregator) scanPartition(ctx *pfe.Ctx, part, nParts int) {
 		if js == nil {
 			continue
 		}
-		rec := decodeBlock(ctx.MemRead(e.addr, recordTxnBytes))
+		ctx.MemReadInto(e.addr, a.rec[:])
+		rec := decodeBlock(a.rec[:])
 		if rec.RcvdCnt == 0 {
 			// Nothing aggregated; just reclaim.
 			js.freeRecs = append(js.freeRecs, e.addr)
@@ -61,7 +62,8 @@ func (a *Aggregator) scanPartition(ctx *pfe.Ctx, part, nParts int) {
 			continue
 		}
 		rec.BlockAge++
-		job := decodeJob(ctx.MemRead(uint64(rec.JobCtxPAddr), recordTxnBytes))
+		ctx.MemReadInto(uint64(rec.JobCtxPAddr), a.rec[:])
+		job := decodeJob(a.rec[:])
 		a.recordStragglerEvents(ctx, jobID, job, rec)
 		// The scan already removed the record, so finishBlock's delete is
 		// a harmless no-op.
